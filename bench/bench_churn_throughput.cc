@@ -1,35 +1,29 @@
 // Churn throughput (not a paper figure): sustained ops/sec of incremental
-// violation maintenance under a high-churn mutation stream, across three
+// violation maintenance under a high-churn mutation stream, for two
 // strategies over the *same* recorded operation trace:
 //
-//   watched    — IncrementalViolationIndex with watched-key dispatch and
-//                anchored-probe pruning (the defaults),
-//   unwatched  — the same index with both optimizations disabled (every
-//                blocked binary constraint probed on every op, plain
-//                anchored enumeration for k-ary constraints),
+//   watched    — IncrementalViolationIndex (watched-key dispatch for
+//                binary constraints, anchored-probe pruning for k-ary),
 //   scratch    — full ViolationDetector::FindViolations after every op.
 //
 // The trace is generated once (deterministic in --seed) and replayed
-// verbatim per strategy, so all three walk identical databases and must
-// end on identical violation state — the row fails hard otherwise. The
-// watched and unwatched snapshots are compared *raw* (slot order and
-// all): the optimizations must be bit-identical, not merely equivalent.
+// verbatim per strategy, so both walk identical databases and must end on
+// identical violation state — the row fails hard otherwise. The index's
+// final state is also checked against one fresh detection of its final
+// database, so rows run with --skip-scratch stay checked.
 //
 // The CI gate (check_bench_regression.py --self) asserts "watched (s)"
-// never exceeds "unwatched (s)" nor "scratch (s)" beyond timer noise —
-// i.e. the dispatch machinery pays for itself on the workloads it was
-// built for: wide Sigma where each op's key classes overlap few
+// never exceeds "scratch (s)" beyond timer noise on the workloads the
+// index was built for: wide Sigma where each op's key classes overlap few
 // constraints (fd-mesh), and k-ary Sigma where the anchored probe can
 // prune through partner buckets (kary-chain, mixed).
 //
 // Large-scale regime: `--scale=1000 --skip-scratch` pushes the fd-mesh
-// row to 1M tuples / 400k ops, where the watched-vs-unwatched margin is
-// far outside timer noise (the ROADMAP complaint about the small sizes).
-// --skip-scratch is required there — a full re-detection per op over 1M
-// tuples is infeasible — and the k-ary rows clamp their instance size
-// (dense domain-8 buckets make anchored enumeration quadratic in bucket
-// population), so the big regime exercises the wide-Sigma row, which is
-// the one the dispatch machinery was built for. CI keeps --scale=0.5.
+// row to 1M tuples / 400k ops. --skip-scratch is required there — a full
+// re-detection per op over 1M tuples is infeasible — and the k-ary rows
+// clamp their instance size (dense domain-8 buckets make anchored
+// enumeration quadratic in bucket population), so the big regime
+// exercises the wide-Sigma row. CI keeps --scale=0.5.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -100,17 +94,18 @@ std::vector<RepairOperation> MakeTrace(const Database& initial,
 
 // Replays the trace through an IncrementalViolationIndex; construction is
 // outside the timer — the bench measures steady-state churn, not build.
+// `*fresh` receives one full detection of the final database.
 double ReplayIndex(std::shared_ptr<const Schema> schema,
                    const std::vector<DenialConstraint>& dcs,
                    const Database& initial,
                    const std::vector<RepairOperation>& ops,
-                   const IncrementalOptions& options, ViolationSet* final) {
-  IncrementalViolationIndex index(std::move(schema), dcs, initial, {},
-                                  options);
+                   ViolationSet* final, ViolationSet* fresh) {
+  IncrementalViolationIndex index(schema, dcs, initial);
   Timer timer;
   for (const RepairOperation& op : ops) index.Apply(op);
   const double seconds = timer.Seconds();
   *final = index.Snapshot();
+  *fresh = ViolationDetector(std::move(schema), dcs).FindViolations(index.db());
   return seconds;
 }
 
@@ -142,22 +137,18 @@ bool RunRow(TablePrinter& table, const char* label, size_t n,
   const std::vector<RepairOperation> ops =
       MakeTrace(initial, num_ops, seed, num_attrs, draw);
 
-  IncrementalOptions watched_opts;  // defaults: both optimizations on
-  IncrementalOptions unwatched_opts;
-  unwatched_opts.watched_dispatch = false;
-  unwatched_opts.anchored_pruning = false;
-
   ViolationSet watched_final;
-  ViolationSet unwatched_final;
+  ViolationSet fresh_final;
   const double watched_s =
-      ReplayIndex(schema, dcs, initial, ops, watched_opts, &watched_final);
-  const double unwatched_s = ReplayIndex(schema, dcs, initial, ops,
-                                         unwatched_opts, &unwatched_final);
+      ReplayIndex(schema, dcs, initial, ops, &watched_final, &fresh_final);
 
-  // Watched must be *bit-identical* to unwatched (raw slot layout), and
-  // both must agree with from-scratch detection up to subset order.
-  if (watched_final.minimal_subsets() != unwatched_final.minimal_subsets()) {
-    std::fprintf(stderr, "%s: watched/unwatched snapshots diverge\n", label);
+  // The maintained state must agree with detection up to subset order,
+  // violation multiplicities included.
+  if (Sorted(watched_final) != Sorted(fresh_final) ||
+      watched_final.num_minimal_violations() !=
+          fresh_final.num_minimal_violations()) {
+    std::fprintf(stderr, "%s: incremental state diverges from detection\n",
+                 label);
     return false;
   }
   std::string scratch_cell = "-";
@@ -177,7 +168,7 @@ bool RunRow(TablePrinter& table, const char* label, size_t n,
   table.AddRow(
       {label, std::to_string(n), std::to_string(dcs.size()),
        std::to_string(ops.size()), TablePrinter::Num(watched_s, 3),
-       TablePrinter::Num(unwatched_s, 3), std::move(scratch_cell),
+       std::move(scratch_cell),
        TablePrinter::Num(
            watched_s > 0 ? static_cast<double>(ops.size()) / watched_s : 0.0,
            0)});
@@ -219,7 +210,7 @@ Database MakeInstance(std::shared_ptr<const Schema> schema, size_t n,
 
 int Run(const BenchArgs& args) {
   PrintHeader(
-      "Churn throughput — watched dispatch vs exhaustive vs from-scratch",
+      "Churn throughput — incremental maintenance vs from-scratch",
       "Seconds to replay one recorded high-churn trace (30% delete /\n"
       "30% insert / 40% update) per maintenance strategy. fd-mesh is a\n"
       "wide binary Sigma (every ordered attribute pair an FD) with\n"
@@ -227,7 +218,7 @@ int Run(const BenchArgs& args) {
       "and mixed exercise anchored-probe pruning.");
 
   TablePrinter table({"workload", "#tuples", "#Sigma", "ops", "watched (s)",
-                      "unwatched (s)", "scratch (s)", "watched ops/s"});
+                      "scratch (s)", "watched ops/s"});
 
   // fd-mesh: R(A0..A7), all 56 ordered-pair FDs. A0 is drawn from a small
   // domain (dense buckets, real violations); the rest from ~8n distinct

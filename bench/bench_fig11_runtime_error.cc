@@ -22,11 +22,11 @@ int Run(const BenchArgs& args) {
               "Seconds per measure evaluation as RNoise (alpha=0.01,\n"
               "beta=0) raises the error rate.");
 
-  MeasureEngineOptions engine = args.EngineOptions();
-  engine.registry.include_mc = false;
+  SessionOptions options = args.Options();
+  options.registry.include_mc = false;
   // I_R's branch & bound gets expensive on dense high-error conflict
   // graphs; past the deadline it reports its incumbent (an upper bound).
-  engine.registry.repair_deadline_seconds = 3.0;
+  options.registry.repair_deadline_seconds = 3.0;
 
   Rng rng(args.seed);
   for (const DatasetId id : AllDatasets()) {
@@ -37,9 +37,9 @@ int Run(const BenchArgs& args) {
         std::max<size_t>(noise.StepsForAlpha(dataset.data, 0.01), 10);
     const size_t step = std::max<size_t>(iterations / 10, 1);
 
-    engine.WithAutoVacuum(0.5);
+    options.WithAutoVacuum(0.5);
     MeasureSession session(dataset.schema, dataset.constraints,
-                           engine);
+                           options);
     const DbHandle handle = session.Register(dataset.data);
     const CellUpdateFn update = [&](FactId fid, AttrIndex attr, Value v) {
       session.Apply(handle, RepairOperation::Update(fid, attr, std::move(v)));

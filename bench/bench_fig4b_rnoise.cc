@@ -15,11 +15,11 @@ int Run(const BenchArgs& args) {
               "Normalized measure values while 1% of all cell values are\n"
               "randomized (I_MC excluded, as in the paper).");
 
-  MeasureEngineOptions engine = args.EngineOptions();
-  engine.registry.include_mc = false;
+  SessionOptions options = args.Options();
+  options.registry.include_mc = false;
   // I_R's branch & bound gets expensive on dense high-error conflict
   // graphs; past the deadline it reports its incumbent (an upper bound).
-  engine.registry.repair_deadline_seconds = 5.0;
+  options.registry.repair_deadline_seconds = 5.0;
 
   Rng rng(args.seed);
   for (const DatasetId id : AllDatasets()) {
@@ -31,7 +31,7 @@ int Run(const BenchArgs& args) {
         std::max<size_t>(noise.StepsForAlpha(dataset.data, 0.01), 20);
     Rng run_rng = rng.Fork();
     const auto result = RunTrajectory(
-        dataset, engine,
+        dataset, options,
         [&](const Database& db, Rng& r, const CellUpdateFn& update) {
           noise.Step(db, r, update);
         },

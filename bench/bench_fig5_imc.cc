@@ -17,10 +17,10 @@ int Run(const BenchArgs& args) {
               "Normalized I_MC under CONoise (left) and RNoise with\n"
               "alpha=0.01, beta=0 (right); 100 iterations, sampled every 5.");
 
-  MeasureEngineOptions engine = args.EngineOptions();
-  engine.registry.include_mc = true;
-  engine.registry.mc_deadline_seconds = args.full ? 60.0 : 5.0;
-  engine.only = {"I_MC"};
+  SessionOptions options = args.Options();
+  options.registry.include_mc = true;
+  options.registry.mc_deadline_seconds = args.full ? 60.0 : 5.0;
+  options.only = {"I_MC"};
 
   Rng rng(args.seed);
   for (const char* mode : {"CONoise", "RNoise"}) {
@@ -32,7 +32,7 @@ int Run(const BenchArgs& args) {
       const bool use_co = std::string(mode) == "CONoise";
       Rng run_rng = rng.Fork();
       const auto result = RunTrajectory(
-          dataset, engine,
+          dataset, options,
           [&](const Database& db, Rng& r, const CellUpdateFn& update) {
             if (use_co) {
               co.Step(db, r, update);

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "measures/engine.h"
 
 namespace dbim::bench {
 namespace {
@@ -14,9 +13,10 @@ int Run(const BenchArgs& args) {
   PrintHeader("Figure 6a — scalability in |D| on Tax",
               "Per-measure runtime (seconds) vs sample size; the `detect`\n"
               "column is the shared violation query (run once per size by\n"
-              "the MeasureEngine), whose near-quadratic growth dominates.");
+              "MeasureSession::EvaluateOne), whose near-quadratic growth\n"
+              "dominates.");
 
-  MeasureEngineOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   // I_R's branch & bound gets expensive on dense high-error conflict
   // graphs; past the deadline it reports its incumbent (an upper bound).
@@ -41,12 +41,12 @@ int Run(const BenchArgs& args) {
     for (size_t i = 0; i < std::max<size_t>(n / 1000, 1); ++i) {
       noise.Step(db, run_rng);
     }
-    const MeasureEngine engine(dataset.schema, dataset.constraints, options);
-    reports.push_back(engine.EvaluateAll(db));
+    const MeasureSession session(dataset.schema, dataset.constraints, options);
+    reports.push_back(session.EvaluateOne(db));
   }
 
   // The header comes from the reports themselves so columns can never
-  // drift from the engine's measure selection.
+  // drift from the session's measure selection.
   std::vector<std::string> header = {"#tuples", "threads", "detect"};
   for (const MeasureResult& r : reports.front().measures) {
     header.push_back(r.name);

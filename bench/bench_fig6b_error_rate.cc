@@ -10,7 +10,7 @@
 //   session (s) — the amortized path: incremental violation maintenance
 //                 since the previous sample plus the session evaluation
 //                 (snapshot + measures, no detection pass);
-//   fresh (s)   — a one-shot MeasureEngine evaluation of the same database
+//   fresh (s)   — a one-shot MeasureSession::EvaluateOne of the same database
 //                 (full detection + measures) at equal thread count.
 // The session column staying below the fresh column is the amortization
 // win; CI gates on the ratio (self-relative, so runner speed cancels out).
@@ -20,7 +20,6 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
-#include "measures/engine.h"
 
 namespace dbim::bench {
 namespace {
@@ -30,11 +29,11 @@ int Run(const BenchArgs& args) {
               "Per-measure runtime (seconds) as RNoise raises the error\n"
               "rate, plus amortized session vs fresh per-sample cost.");
 
-  MeasureEngineOptions engine = args.EngineOptions();
-  engine.registry.include_mc = false;
+  SessionOptions options = args.Options();
+  options.registry.include_mc = false;
   // I_R's branch & bound gets expensive on dense high-error conflict
   // graphs; past the deadline it reports its incumbent (an upper bound).
-  engine.registry.repair_deadline_seconds = 3.0;
+  options.registry.repair_deadline_seconds = 3.0;
 
   const size_t n = args.SampleSize(1500, 10000);
   Dataset dataset = MakeDataset(DatasetId::kVoter, n, args.seed);
@@ -45,16 +44,15 @@ int Run(const BenchArgs& args) {
   const size_t iterations = noise.StepsForAlpha(dataset.data, alpha);
   const size_t step = std::max<size_t>(iterations / 10, 1);
 
-      engine.WithAutoVacuum(0.5);
-  MeasureSession session(dataset.schema, dataset.constraints,
-                         engine);
+  options.WithAutoVacuum(0.5);
+  MeasureSession session(dataset.schema, dataset.constraints, options);
   const DbHandle handle = session.Register(dataset.data);
   const CellUpdateFn update = [&](FactId id, AttrIndex attr, Value v) {
     session.Apply(handle, RepairOperation::Update(id, attr, std::move(v)));
   };
   // The fresh baseline: same measures, same thread count, no session state.
-  const MeasureEngine fresh_engine(dataset.schema, dataset.constraints,
-                                   engine);
+  const MeasureSession fresh_session(dataset.schema, dataset.constraints,
+                                     options);
 
   std::vector<std::string> header = {"iteration"};
   for (const auto& m : session.measures()) header.push_back(m->name());
@@ -76,7 +74,7 @@ int Run(const BenchArgs& args) {
     maintain_seconds = 0.0;
 
     Timer fresh_timer;
-    const BatchReport fresh = fresh_engine.EvaluateAll(session.db(handle));
+    const BatchReport fresh = fresh_session.EvaluateOne(session.db(handle));
     const double fresh_seconds = fresh_timer.Seconds();
 
     if (report.num_minimal_subsets != fresh.num_minimal_subsets) {

@@ -15,9 +15,9 @@ int Run(const BenchArgs& args) {
               "Normalized trajectories under CONoise and RNoise\n"
               "(alpha=0.01, beta=0), I_MC and I'_MC included.");
 
-  MeasureEngineOptions engine = args.EngineOptions();
-  engine.registry.include_mc = true;
-  engine.registry.mc_deadline_seconds = args.full ? 60.0 : 3.0;
+  SessionOptions options = args.Options();
+  options.registry.include_mc = true;
+  options.registry.mc_deadline_seconds = args.full ? 60.0 : 3.0;
 
   Rng rng(args.seed);
   for (const char* mode : {"CONoise", "RNoise"}) {
@@ -29,7 +29,7 @@ int Run(const BenchArgs& args) {
       const bool use_co = std::string(mode) == "CONoise";
       Rng run_rng = rng.Fork();
       const auto result = RunTrajectory(
-          dataset, engine,
+          dataset, options,
           [&](const Database& db, Rng& r, const CellUpdateFn& update) {
             if (use_co) {
               co.Step(db, r, update);

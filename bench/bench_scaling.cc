@@ -11,13 +11,13 @@
 //   intern striped  — t real threads interning a fixed total stream of
 //                     overlapping int/double/string values into ONE shared
 //                     default-striped ValuePool (the lock-striping win).
-//   intern 1-stripe — the same stream into a ValuePool(1), i.e. the
-//                     historical single-mutex pool (the baseline the
-//                     overhead-pair gate compares against at 1 thread).
+//   intern 1-stripe — the same stream into a ValuePool(1), i.e. a
+//                     single-mutex pool (the baseline the overhead-pair
+//                     gate compares against at 1 thread).
 //   session         — t threads driving disjoint handles of one
-//                     MeasureSession (epoch slab reclamation enabled)
-//                     through recorded update traces; final per-handle
-//                     reports are checked identical to the 1-thread run.
+//                     MeasureSession (auto-vacuum 0.5) through recorded
+//                     update traces; final per-handle reports are checked
+//                     identical to the 1-thread run.
 //
 // Per-workload speedup columns (t1 / tN) are for humans and ROADMAP; the
 // gate reads the seconds columns, so it needs no baseline file and is
@@ -107,9 +107,8 @@ double RunInternChurn(ValuePool& pool, size_t total, size_t t,
 double RunSessionApply(const Dataset& base, size_t num_handles,
                        const std::vector<std::vector<RepairOperation>>& traces,
                        size_t t, std::vector<BatchReport>& reports) {
-  MeasureSession session(
-      base.schema, base.constraints,
-      MeasureSessionOptions().WithEpochReclaim().WithAutoVacuum(0.5));
+  MeasureSession session(base.schema, base.constraints,
+                         SessionOptions().WithAutoVacuum(0.5));
   std::vector<DbHandle> handles;
   handles.reserve(num_handles);
   for (size_t h = 0; h < num_handles; ++h) {

@@ -45,7 +45,7 @@ CellResult RunCell(const BenchArgs& args, size_t clients, size_t sessions,
   const ServiceSpec spec = ExampleSpec();
   ServiceOptions options;
   options.num_workers = 2;
-  options.session = args.EngineOptions();
+  options.session = args.Options();
   options.session.registry.include_mc = false;
   // Polynomial measures only: the point is wire + scheduling latency, not
   // the NP-hard measures' search time (bench_fig5_imc covers those).

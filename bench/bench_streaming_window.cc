@@ -75,7 +75,7 @@ bool RunRow(TablePrinter& table, const char* label,
   // window through the incremental index and NumMinimalSubsets snapshots
   // the maintained |MI| — the signal SUBSCRIBE watchers and per-slide
   // monitoring consume.
-  MeasureSessionOptions options = args.EngineOptions();
+  SessionOptions options = args.Options();
   options.only = {"I_d"};  // registry construction kept minimal
   MeasureSession session(schema, dcs, options);
   WindowSpec window;

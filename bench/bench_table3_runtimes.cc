@@ -11,19 +11,19 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "measures/engine.h"
 
 namespace dbim::bench {
 namespace {
 
 int Run(const BenchArgs& args) {
   PrintHeader("Table 3 — running times (seconds)",
-              "Violation detection (`detect`, shared across all measures by\n"
-              "the MeasureEngine — run once per dataset) plus per-measure\n"
-              "evaluation time after #tuples/1000 CONoise iterations.\n"
+              "Violation detection (`detect`, shared across all measures\n"
+              "by MeasureSession::EvaluateOne — run once per dataset) plus\n"
+              "per-measure evaluation time after #tuples/1000 CONoise\n"
+              "iterations.\n"
               "Default scale: paper sizes / 100 (use --full).");
 
-  MeasureEngineOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   // I_R's branch & bound gets expensive on dense high-error conflict
   // graphs; past the deadline it reports its incumbent (an upper bound).
@@ -48,13 +48,13 @@ int Run(const BenchArgs& args) {
     const size_t iterations = std::max<size_t>(n / 1000, 1);
     for (size_t i = 0; i < iterations; ++i) noise.Step(db, run_rng);
 
-    const MeasureEngine engine(dataset.schema, dataset.constraints, options);
+    const MeasureSession session(dataset.schema, dataset.constraints, options);
     rows.push_back(
-        DatasetRow{std::string(DatasetName(id)), n, engine.EvaluateAll(db)});
+        DatasetRow{std::string(DatasetName(id)), n, session.EvaluateOne(db)});
   }
 
   // The header comes from the reports themselves so columns can never
-  // drift from the engine's measure selection.
+  // drift from the session's measure selection.
   std::vector<std::string> header = {"dataset", "#tuples", "threads",
                                      "detect"};
   for (const MeasureResult& r : rows.front().report.measures) {

@@ -67,8 +67,8 @@ size_t BenchArgs::SampleSize(size_t base, size_t paper) const {
   return static_cast<size_t>(std::max(scaled, 16.0));
 }
 
-MeasureEngineOptions BenchArgs::EngineOptions() const {
-  MeasureEngineOptions options;
+SessionOptions BenchArgs::Options() const {
+  SessionOptions options;
   options.detector.num_threads = threads;
   options.parallel_measures = parallel_measures;
   return options;
@@ -103,15 +103,15 @@ void Emit(const BenchArgs& args, const std::string& name,
 }
 
 TrajectoryResult RunTrajectory(const Dataset& dataset,
-                               MeasureEngineOptions engine,
+                               SessionOptions options,
                                const NoiseStep& step, size_t iterations,
                                size_t sample_every, Rng& rng) {
   // The whole trajectory lives in one session: violation state is
   // maintained across noise steps (no per-sample detection for binary
   // Sigma) and sustained value churn triggers the shared-pool auto-vacuum.
-  engine.WithAutoVacuum(0.5);
+  options.WithAutoVacuum(0.5);
   MeasureSession session(dataset.schema, dataset.constraints,
-                         std::move(engine));
+                         std::move(options));
   const DbHandle handle = session.Register(dataset.data);
   const CellUpdateFn update = [&](FactId id, AttrIndex attr, Value v) {
     session.Apply(handle, RepairOperation::Update(id, attr, std::move(v)));

@@ -51,8 +51,8 @@ struct BenchArgs {
   /// Scaled sample size: `base` by default, the paper's size under --full.
   size_t SampleSize(size_t base, size_t paper) const;
 
-  /// Engine options carrying this run's --threads / --parallel-measures.
-  MeasureEngineOptions EngineOptions() const;
+  /// Session options carrying this run's --threads / --parallel-measures.
+  SessionOptions Options() const;
 };
 
 /// Prints a section header for a table/figure reproduction.
@@ -80,7 +80,7 @@ struct TrajectoryResult {
   double final_violation_ratio = 0.0;
 };
 TrajectoryResult RunTrajectory(const Dataset& dataset,
-                               MeasureEngineOptions engine,
+                               SessionOptions options,
                                const NoiseStep& step, size_t iterations,
                                size_t sample_every, Rng& rng);
 

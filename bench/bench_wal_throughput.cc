@@ -123,7 +123,7 @@ ReplayResult Replay(std::shared_ptr<const Schema> schema,
     }
   }
   {
-    MeasureSessionOptions options;
+    SessionOptions options;
     options.registry.include_mc = false;
     if (store != nullptr) options.durability = store.get();
     MeasureSession session(schema, dcs, options);

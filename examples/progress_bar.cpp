@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   Rng rng(11);
   for (int i = 0; i < noise_steps; ++i) noise.Step(noisy, rng);
 
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   options.only = {"I_d", "I_P", "I_lin_R"};
   MeasureSession session(dataset.schema, dataset.constraints, options);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/epoch.h"
 
 namespace dbim {
 
@@ -67,34 +66,8 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // A task may read protected structures, so bracket it: announce as a
-    // live reader before, park as idle after. Without SetIdle a worker
-    // sleeping on the queue would pin its last announced epoch forever
-    // and block retired-slab reclamation.
-    EpochRegistry::Global().Announce();
     task();
-    EpochRegistry::Global().SetIdle();
   }
-}
-
-std::vector<IndexRange> SplitRange(size_t n, size_t max_chunks,
-                                   size_t min_chunk) {
-  std::vector<IndexRange> chunks;
-  if (n == 0) return chunks;
-  max_chunks = std::max<size_t>(max_chunks, 1);
-  min_chunk = std::max<size_t>(min_chunk, 1);
-  const size_t num_chunks =
-      std::min(max_chunks, std::max<size_t>(n / min_chunk, 1));
-  chunks.reserve(num_chunks);
-  const size_t base = n / num_chunks;
-  const size_t extra = n % num_chunks;  // first `extra` chunks get one more
-  size_t begin = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t len = base + (c < extra ? 1 : 0);
-    chunks.push_back(IndexRange{begin, begin + len});
-    begin += len;
-  }
-  return chunks;
 }
 
 namespace {
@@ -157,9 +130,6 @@ struct StealState {
       if (range.size() == 0) return;
       compute(range);
       MarkDone(range);
-      // Between sub-chunks this thread holds no borrowed snapshots: a
-      // quiescent point for epoch-based reclamation.
-      EpochRegistry::Global().Announce();
     }
   }
 };
@@ -234,7 +204,6 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
       }
       compute(helped);
       state->MarkDone(helped);
-      EpochRegistry::Global().Announce();
     }
     if (!consume(ready)) {
       std::lock_guard<std::mutex> lock(state->mutex);
@@ -242,9 +211,6 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
       cancelled = true;
     }
     cursor = ready.end;
-    // Consume boundary: the contract (see parallel.h) says the caller
-    // holds no pool snapshots across it — a quiescent point.
-    EpochRegistry::Global().Announce();
   }
   // Drain in-flight computes before returning: a worker mid-compute on a
   // cancelled-but-claimed range still references caller buffers. Tasks

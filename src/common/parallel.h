@@ -60,13 +60,6 @@ struct IndexRange {
   size_t size() const { return end - begin; }
 };
 
-/// Splits [0, n) into up to `max_chunks` contiguous ranges of at least
-/// `min_chunk` indices each (except possibly the last); returns no ranges
-/// when n == 0. Chunk boundaries depend only on (n, max_chunks, min_chunk),
-/// never on thread scheduling.
-std::vector<IndexRange> SplitRange(size_t n, size_t max_chunks,
-                                   size_t min_chunk = 1);
-
 /// Work-stealing ordered parallel-for over the index range [0, n).
 ///
 /// Workers (pool threads plus the calling thread, which helps while
@@ -95,10 +88,6 @@ std::vector<IndexRange> SplitRange(size_t n, size_t max_chunks,
 /// live in `consume`. Under those rules the observable result is
 /// bit-identical for every `num_threads`, including 1.
 ///
-/// Consume boundaries are declared quiescent points of the EpochRegistry
-/// protocol (see common/epoch.h): the calling thread must not hold
-/// lock-free ValuePool snapshots across them.
-///
 /// With `num_threads <= 1` (or n <= grain) everything runs inline on the
 /// calling thread as one compute + one consume of [0, n) — no pool, no
 /// synchronization.
@@ -109,7 +98,7 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
 /// Deterministic ordered parallel-for over `num_chunks` chunks — the
 /// discrete-task sibling of OrderedStealingFor (chunks are opaque, so the
 /// scheduling grain is one chunk; it shares the same work-stealing core,
-/// claim-a-prefix scheduling, consumer helping and epoch announcements).
+/// claim-a-prefix scheduling and consumer helping).
 ///
 /// `compute(chunk)` runs on pool workers in any order and must only write
 /// state owned by its chunk (e.g. a per-chunk output buffer preallocated by

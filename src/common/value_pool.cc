@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/epoch.h"
 
 namespace dbim {
 
@@ -119,20 +118,6 @@ void ValuePool::ReclaimRetiredSlabs() {
   values_.ReclaimRetired();
   hashes_.ReclaimRetired();
   classes_.ReclaimRetired();
-}
-
-size_t ValuePool::TryReclaimRetiredSlabs() {
-  if (!epoch_reclaim()) return 0;
-  EpochRegistry& registry = EpochRegistry::Global();
-  // The caller holds no snapshots (its contract), so announce it quiescent
-  // first: otherwise its own stale announced epoch would pin everything.
-  registry.Announce();
-  const uint64_t min_epoch = registry.MinAnnounced();
-  if (min_epoch == 0) return 0;  // registry overflowed: vacuum only
-  std::lock_guard<std::mutex> lock(append_mutex_);
-  return values_.ReclaimRetired(min_epoch) +
-         hashes_.ReclaimRetired(min_epoch) +
-         classes_.ReclaimRetired(min_epoch);
 }
 
 std::optional<ValueId> ValuePool::Find(const Value& v) const {

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/epoch.h"
 #include "common/value.h"
 
 // Bounds checking on the pool's three hot readers: a branch on an atomic
@@ -62,8 +61,8 @@ inline constexpr ValueId kNullValueId = 0;
 /// Rep-equal and semantically-equal values always hash to the same stripe,
 /// so duplicate detection and class-representative election stay serialized
 /// per value: sequential interning produces ids and class representatives
-/// identical to the historical single-mutex pool, and any interleaving
-/// yields a semantically identical class partition. `value(id)`,
+/// identical to a single-stripe pool, and any interleaving yields a
+/// semantically identical class partition. `value(id)`,
 /// `class_of(id)` and `hash(id)` are lock-free — one atomic snapshot load
 /// plus an array index, the same work as a `std::vector` access — for any
 /// id the calling thread obtained through a properly synchronized channel
@@ -73,13 +72,10 @@ inline constexpr ValueId kNullValueId = 0;
 /// replaced by a bigger copy and *retired*, not freed, so stale snapshot
 /// pointers and outstanding `const Value&`s stay valid (bounded overhead:
 /// the retired halves sum to less than the live slab). Retired slabs are
-/// freed either by a vacuum holding exclusive access
-/// (ReclaimRetiredSlabs) or — when `set_epoch_reclaim(true)` opts in —
-/// incrementally through the EpochRegistry protocol
-/// (TryReclaimRetiredSlabs), which frees a retired slab as soon as every
-/// announcing reader thread has provably moved past it. This is what lets
-/// independent MeasureSession handles mutate concurrently on one shared
-/// pool without taxing the detector's hot read paths.
+/// freed only by a vacuum holding exclusive access (ReclaimRetiredSlabs).
+/// This is what lets independent MeasureSession handles mutate
+/// concurrently on one shared pool without taxing the detector's hot read
+/// paths.
 class ValuePool {
  public:
   /// Default stripe count: enough to make intern contention negligible at
@@ -90,9 +86,8 @@ class ValuePool {
   ValuePool() : ValuePool(kDefaultStripes) {}
 
   /// A pool with `num_stripes` index partitions (rounded up to a power of
-  /// two, floored at 1). `ValuePool(1)` reproduces the historical
-  /// single-mutex pool exactly; benchmarks use it as the striping
-  /// baseline.
+  /// two, floored at 1). `ValuePool(1)` is a single-mutex pool;
+  /// benchmarks use it as the striping baseline.
   explicit ValuePool(size_t num_stripes);
 
   ValuePool(const ValuePool&) = delete;
@@ -153,41 +148,16 @@ class ValuePool {
   /// MeasureSession vacuum's exclusive lock is the intended call site.
   void ReclaimRetiredSlabs();
 
-  /// Opts this pool into epoch-based retired-slab reclamation (see
-  /// common/epoch.h). With it enabled, every thread that performs
-  /// lock-free reads of this pool must be an announcing thread — the
-  /// in-tree schedulers and MeasureSession entry points announce
-  /// automatically. Default off: plain pools keep the PR-6 behavior of
-  /// holding retired slabs until a vacuum.
-  void set_epoch_reclaim(bool enabled) {
-    epoch_reclaim_.store(enabled, std::memory_order_relaxed);
-  }
-
-  bool epoch_reclaim() const {
-    return epoch_reclaim_.load(std::memory_order_relaxed);
-  }
-
-  /// Epoch-protocol reclaim: announces the calling thread quiescent, then
-  /// frees retired slabs whose retire epoch every announcing reader has
-  /// passed. Returns the number of slabs freed (0 when epoch reclamation
-  /// is off, or when some reader still pins every retired slab). Unlike
-  /// ReclaimRetiredSlabs this is safe to call concurrently with lock-free
-  /// readers, provided they all follow the announce protocol. The caller
-  /// must itself hold no pool snapshots or `const Value&`s (it is about
-  /// to be announced quiescent).
-  size_t TryReclaimRetiredSlabs();
-
  private:
   // Lock-free-reader dynamic array. The backing slab is published through
   // one atomic pointer; readers load the snapshot and index it — the same
   // two loads a std::vector access costs. Growth (under the append mutex)
   // allocates a doubled slab, copies the published prefix, publishes the
   // new pointer with release order, and retires the old slab without
-  // freeing it — tagged with a fresh EpochRegistry epoch — so a reader
-  // holding a stale snapshot, or a `const T&` into one, is never
-  // invalidated. Slot writes beyond the published size race with nothing:
-  // readers only index ids they obtained through a channel ordered after
-  // the append.
+  // freeing it, so a reader holding a stale snapshot, or a `const T&` into
+  // one, is never invalidated. Slot writes beyond the published size race
+  // with nothing: readers only index ids they obtained through a channel
+  // ordered after the append.
   template <typename T>
   class SnapshotArray {
    public:
@@ -207,23 +177,6 @@ class ValuePool {
     /// append mutex.
     void ReclaimRetired() { retired_.clear(); }
 
-    /// Frees retired slabs with retire epoch <= `max_epoch`; returns how
-    /// many were freed. Safe with concurrent lock-free readers when
-    /// `max_epoch` comes from EpochRegistry::MinAnnounced() (see
-    /// common/epoch.h for why <= is sound). Call under the append mutex.
-    size_t ReclaimRetired(uint64_t max_epoch) {
-      size_t freed = 0;
-      for (size_t i = 0; i < retired_.size();) {
-        if (retired_[i].epoch <= max_epoch) {
-          retired_.erase(retired_.begin() + i);
-          ++freed;
-        } else {
-          ++i;
-        }
-      }
-      return freed;
-    }
-
     /// Appends at index `count` (the caller's current element count),
     /// growing and retiring as needed. Call only under the append mutex;
     /// the caller publishes the new count afterwards.
@@ -237,10 +190,7 @@ class ValuePool {
         fresh[count] = std::move(v);
         data_.store(fresh.get(), std::memory_order_release);
         capacity_ = fresh_capacity;
-        if (live_ != nullptr) {
-          retired_.push_back(
-              {std::move(live_), EpochRegistry::Global().Advance()});
-        }
+        if (live_ != nullptr) retired_.push_back(std::move(live_));
         live_ = std::move(fresh);
         return;
       }
@@ -250,15 +200,10 @@ class ValuePool {
    private:
     static constexpr size_t kInitialCapacity = 1024;
 
-    struct RetiredSlab {
-      std::unique_ptr<T[]> slab;
-      uint64_t epoch;  // EpochRegistry epoch at retirement
-    };
-
     std::atomic<T*> data_{nullptr};
     size_t capacity_ = 0;               // under the append mutex
     std::unique_ptr<T[]> live_;         // currently published slab
-    std::vector<RetiredSlab> retired_;  // superseded slabs, oldest first
+    std::vector<std::unique_ptr<T[]>> retired_;  // superseded, oldest first
   };
 
   // One partition of the intern/find index. Values land in a stripe by
@@ -301,7 +246,6 @@ class ValuePool {
   // Published with release order after the new entry is fully written, so
   // a reader that checks `id < size()` (acquire) sees the entry.
   std::atomic<uint32_t> size_{0};
-  std::atomic<bool> epoch_reclaim_{false};
 };
 
 }  // namespace dbim

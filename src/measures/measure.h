@@ -20,7 +20,7 @@ namespace dbim {
 ///
 /// Thread safety: the lazy members memoize through std::call_once, so
 /// concurrent measure evaluations on one shared context (see
-/// MeasureEngineOptions::parallel_measures) race neither on first
+/// SessionOptions::parallel_measures) race neither on first
 /// materialization nor afterwards — once set, both are only ever read.
 /// Everything else a measure reaches through the context is const:
 /// detection, ids()/deletion_cost()/pool() on the database, and the graph

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/epoch.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 
@@ -28,7 +27,7 @@ const MeasureResult* BatchReport::Find(const std::string& name) const {
 
 MeasureSession::MeasureSession(std::shared_ptr<const Schema> schema,
                                std::vector<DenialConstraint> constraints,
-                               MeasureSessionOptions options)
+                               SessionOptions options)
     : schema_(std::move(schema)),
       detector_(schema_, std::move(constraints), options.detector),
       measures_(CreateMeasures(options.registry)),
@@ -42,7 +41,6 @@ MeasureSession::MeasureSession(std::shared_ptr<const Schema> schema,
   incremental_supported_ =
       options_.detector.max_subsets == 0 &&
       options_.detector.deadline_seconds == 0.0;
-  pool_->set_epoch_reclaim(options_.epoch_slab_reclaim);
 }
 
 MeasureSession::HandleState& MeasureSession::State(DbHandle handle) {
@@ -64,8 +62,7 @@ DbHandle MeasureSession::Register(const Database& db) {
   state->db.ReinternInto(pool_);
   if (incremental_supported_) {
     state->incremental = std::make_unique<IncrementalViolationIndex>(
-        schema_, detector_.constraints(), &state->db,
-        options_.detector, options_.incremental);
+        schema_, detector_.constraints(), &state->db, options_.detector);
   }
   const DbHandle handle = static_cast<DbHandle>(handles_.size());
   handles_.push_back(std::move(state));
@@ -136,10 +133,6 @@ IncrementalDispatchStats MeasureSession::DispatchStats(DbHandle handle) const {
 
 std::optional<FactId> MeasureSession::Apply(DbHandle handle,
                                             const RepairOperation& op) {
-  // Entry is a quiescent point: the calling thread holds nothing from the
-  // pool yet, so announcing here keeps a mutation-heavy thread from
-  // pinning slabs its previous operations retired.
-  if (options_.epoch_slab_reclaim) EpochRegistry::Global().Announce();
   std::optional<FactId> inserted;
   {
     std::shared_lock<std::shared_mutex> session(session_mu_);
@@ -159,12 +152,6 @@ std::optional<FactId> MeasureSession::Apply(DbHandle handle,
     } else {
       op.ApplyInPlace(state.db);
     }
-    // Opportunistic epoch reclaim rides the mutation path (where growth —
-    // and therefore slab retirement — happens). Still under the shared
-    // session lock so the pool identity is stable; safe against the
-    // concurrent lock-free readers because they all announce (see
-    // common/epoch.h). No-op unless the option is on.
-    pool_->TryReclaimRetiredSlabs();
   }
   // The auto-vacuum hook runs with no lock held (Vacuum takes the session
   // lock exclusively itself), so an Apply that triggers it can never
@@ -286,7 +273,6 @@ BatchReport MeasureSession::EvaluateState(const HandleState& state) const {
 }
 
 BatchReport MeasureSession::Evaluate(DbHandle handle) const {
-  if (options_.epoch_slab_reclaim) EpochRegistry::Global().Announce();
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   return EvaluateState(State(handle));
 }
@@ -298,7 +284,6 @@ std::vector<BatchReport> MeasureSession::EvaluateAll(
   // lock — per-handle results are bit-identical to Evaluate(). The shared
   // session lock is held across the fan-out, so the handle table and pool
   // identity are stable underneath the workers.
-  if (options_.epoch_slab_reclaim) EpochRegistry::Global().Announce();
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   std::vector<const HandleState*> states;
   states.reserve(handles.size());
@@ -322,7 +307,6 @@ BatchReport MeasureSession::EvaluateOne(const Database& db) const {
 }
 
 ViolationSet MeasureSession::Violations(DbHandle handle) const {
-  if (options_.epoch_slab_reclaim) EpochRegistry::Global().Announce();
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   const HandleState& state = State(handle);
   std::lock_guard<std::mutex> handle_lock(state.mu);
@@ -359,7 +343,6 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
     // entries are dropped. FactId-keyed violation state and the
     // semantic-hash blocking buckets survive untouched.
     auto fresh = std::make_shared<ValuePool>();
-    fresh->set_epoch_reclaim(options_.epoch_slab_reclaim);
     for (auto& state : handles_) {
       if (state != nullptr) state->db.ReinternInto(fresh);
     }

@@ -72,11 +72,10 @@ struct ApproxSpec {
   bool enabled() const { return eps > 0.0; }
 };
 
-/// Every knob of a measure session (and of its one-shot wrapper
-/// MeasureEngine) in one flat, documented struct: measure selection,
-/// detection, evaluation strategy, maintenance and durability. Plain
-/// aggregate — set fields directly, or chain the builder-style setters for
-/// the common ones:
+/// Every knob of a measure session in one flat, documented struct: measure
+/// selection, detection, evaluation strategy, maintenance and durability.
+/// Plain aggregate — set fields directly, or chain the builder-style
+/// setters for the common ones:
 ///
 ///   MeasureSession session(schema, sigma,
 ///                          SessionOptions().WithThreads(8)
@@ -86,7 +85,7 @@ struct SessionOptions {
   /// Measure selection and per-measure budgets (I_MC / I_R deadlines).
   RegistryOptions registry;
 
-  /// Knobs for the shared detection pass (blocking, caps, deadline, and
+  /// Knobs for the shared detection pass (caps, deadline, and
   /// `num_threads` for the sharded phases — reports are identical for
   /// every thread count; see DetectorOptions).
   DetectorOptions detector;
@@ -120,12 +119,6 @@ struct SessionOptions {
   /// Measure reports are invariant under both compactions. 0 disables.
   double auto_vacuum_threshold = 0.0;
 
-  /// Knobs for the per-handle incremental indices (watched-key dispatch,
-  /// anchored-probe pruning). Results are bit-identical for every setting;
-  /// the defaults are the fast path, the opt-outs exist for ablation
-  /// benches and the parity test suite.
-  IncrementalOptions incremental;
-
   /// Durability callbacks (borrowed, not owned; must outlive the session).
   /// nullptr — the default — keeps the session fully in-memory: no WAL
   /// append on Apply, no checkpoint on Vacuum, zero overhead.
@@ -140,15 +133,6 @@ struct SessionOptions {
   /// Disabled by default; an explicit `EVALUATE <s> APPROX <eps>` request
   /// overrides eps per call.
   ApproxSpec approx;
-
-  /// Epoch-based retired-slab reclamation on the session's shared pool:
-  /// Apply opportunistically frees dictionary slabs retired by growth as
-  /// soon as every announcing reader thread has moved past them (see
-  /// common/epoch.h), instead of holding them until a vacuum. Measure
-  /// reports are unaffected. Off by default: a plain session keeps the
-  /// hold-until-vacuum behavior that memory diagnostics (num_slabs) and
-  /// the storage tests pin.
-  bool epoch_slab_reclaim = false;
 
   // Builder-style setters (each returns *this for chaining).
 
@@ -203,16 +187,7 @@ struct SessionOptions {
     approx.eps = eps;
     return *this;
   }
-  SessionOptions& WithEpochReclaim(bool on = true) {
-    epoch_slab_reclaim = on;
-    return *this;
-  }
 };
-
-/// Historical spellings from when engine-level and session-level knobs
-/// were separate structs; both name the one flat SessionOptions now.
-using MeasureEngineOptions = SessionOptions;
-using MeasureSessionOptions = SessionOptions;
 
 /// Value of one measure plus the time evaluation took on the shared
 /// context (detection excluded; see BatchReport::detection_seconds).
@@ -271,8 +246,8 @@ struct SessionConstraintStats {
 ///    detection transparently);
 ///  * `Evaluate(handle)` reports all selected measures; with incremental
 ///    maintenance the "detection" step is a snapshot of the maintained
-///    set. Reports are bit-identical to a fresh MeasureEngine over an
-///    equal database;
+///    set. Reports are bit-identical to EvaluateOne over an equal
+///    database;
 ///  * `EvaluateAll(handles)` batch-schedules evaluation across databases
 ///    on the process-wide thread pool (pipeline parallelism over e.g. a
 ///    trajectory's sample points);
@@ -310,7 +285,7 @@ class MeasureSession {
  public:
   MeasureSession(std::shared_ptr<const Schema> schema,
                  std::vector<DenialConstraint> constraints,
-                 MeasureSessionOptions options = {});
+                 SessionOptions options = {});
 
   const ViolationDetector& detector() const { return detector_; }
   const std::shared_ptr<const Schema>& schema() const { return schema_; }
@@ -352,9 +327,8 @@ class MeasureSession {
       const std::vector<DbHandle>& handles) const;
 
   /// One-shot evaluation of an unregistered database on its own pool: a
-  /// full detection pass plus the measure suite. This is MeasureEngine's
-  /// implementation, and the "fresh" baseline the session's amortized path
-  /// is benchmarked against.
+  /// full detection pass plus the measure suite — the "fresh" baseline the
+  /// session's amortized path is benchmarked against.
   BatchReport EvaluateOne(const Database& db) const;
 
   /// Evaluates the selected measures on a caller-provided context (which
@@ -458,7 +432,7 @@ class MeasureSession {
   std::shared_ptr<const Schema> schema_;
   ViolationDetector detector_;
   std::vector<std::unique_ptr<InconsistencyMeasure>> measures_;
-  MeasureSessionOptions options_;
+  SessionOptions options_;
   std::shared_ptr<ValuePool> pool_;
   bool incremental_supported_ = false;
 

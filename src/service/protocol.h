@@ -57,7 +57,12 @@ namespace dbim {
 ///                              ;   ITEM <up|down> <subsets> under this tag
 ///                              ;   whenever |MI| crosses the threshold
 ///                              ;   after an Apply or window slide (the one
-///                              ;   verb whose ITEMs follow its OK)
+///                              ;   verb whose ITEMs follow its OK). A push
+///                              ;   caused by an APPLY or STREAM_TICK is on
+///                              ;   the watcher's wire before that op is
+///                              ;   acked, so a watcher request sent after
+///                              ;   the writer saw its OK (e.g. a PING) is
+///                              ;   answered after the push
 ///   t EVALUATE_ALL             ; ITEM <session> <facts> <subsets> <trunc01>
 ///                              ;      (<m> <v>)*   — then OK <count>
 ///   t STATS <session>          ; OK <constraint-stats-json>

@@ -31,7 +31,7 @@ std::string FormatDouble(double v) { return StrFormat("%.17g", v); }
 /// Wires the durable store (when configured) into the hosted session's
 /// options before the session is constructed — called from the member
 /// initializer list, after options_ is in place.
-MeasureSessionOptions SessionOptionsFor(ServiceOptions& options) {
+SessionOptions SessionOptionsFor(ServiceOptions& options) {
   if (options.store != nullptr) {
     options.session.durability = options.store;
   }
@@ -590,12 +590,14 @@ void ServiceServer::HandleApply(const std::shared_ptr<Tenant>& tenant,
   } else {
     inserted = session_.Apply(tenant->handle, repair);
   }
+  // Pushes go out before the ack (see protocol.h): once the writer sees
+  // its OK, every watcher's ITEM for this op is already on its wire.
+  NotifySubscribers(tenant);
   if (inserted.has_value()) {
     op.conn->Send(Response::Ok(tag, {std::to_string(*inserted)}));
   } else {
     op.conn->Send(Response::Ok(tag));
   }
-  NotifySubscribers(tenant);
 }
 
 void ServiceServer::HandleEvaluate(const std::shared_ptr<Tenant>& tenant,
@@ -643,10 +645,10 @@ void ServiceServer::HandleStreamTick(const std::shared_ptr<Tenant>& tenant,
     return;
   }
   const size_t expired = tenant->stream->AdvanceTo(op.request.tick);
+  NotifySubscribers(tenant);  // before the ack, as in HandleApply
   op.conn->Send(Response::Ok(
       op.request.tag, {std::to_string(expired),
                        std::to_string(tenant->stream->num_live())}));
-  NotifySubscribers(tenant);
 }
 
 void ServiceServer::HandleSubscribe(const std::shared_ptr<Tenant>& tenant,

@@ -44,7 +44,7 @@ struct ServiceOptions {
   /// explicit VACUUM verb by default: the wire APPLY path reads assigned
   /// fact ids under the per-session serial queue, and an async vacuum
   /// would add nothing a client can observe.
-  MeasureSessionOptions session;
+  SessionOptions session;
 
   /// Optional durability: an opened DurableSessionStore (not owned; must
   /// outlive the server). The server wires it into the hosted session's

@@ -147,7 +147,6 @@ SessionOptions SessionOptionsFromFlags(int argc, char** argv) {
   if (!approx.empty()) {
     options.WithApprox(std::strtod(approx.c_str(), nullptr));
   }
-  if (has_flag("epoch-reclaim")) options.WithEpochReclaim();
   return options;
 }
 

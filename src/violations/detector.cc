@@ -55,8 +55,8 @@ struct DetectionState {
 constexpr size_t kMinProbeChunkRows = 64;
 
 // Geometric decay applied to every constraint's activity score once per
-// detection, so hottest-first ordering (DetectorOptions::activity_ordering)
-// tracks recent fire history rather than all-time totals.
+// detection, so the score tracks recent fire history rather than all-time
+// totals.
 constexpr double kActivityDecay = 0.95;
 
 // Parallel-path scaffolding shared by the sharded phases (pass-1 scan,
@@ -280,28 +280,12 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     return std::move(state.result);
   }
 
-  // Pass 2: binary constraints, blocked or nested-loop; k-ary constraints
-  // through the kernel's sharded enumeration. Constraints probe in
-  // ascending index order by default, or hottest-first (decayed fires,
-  // stable on ties) under activity_ordering — the violation set is
-  // order-invariant either way; only where a cap or deadline truncates
-  // moves.
+  // Pass 2: binary constraints in ascending index order — blocked on their
+  // cross-variable equality key, nested-loop when they have none; k-ary
+  // constraints through the kernel's sharded enumeration.
   {
     std::lock_guard<std::mutex> lock(activity_mu_);
     for (DetectorConstraintStats& a : activity_) a.activity *= kActivityDecay;
-  }
-  std::vector<uint32_t> probe_order(constraints_.size());
-  for (uint32_t i = 0; i < probe_order.size(); ++i) probe_order[i] = i;
-  if (options.activity_ordering) {
-    std::vector<double> heat(constraints_.size(), 0.0);
-    {
-      std::lock_guard<std::mutex> lock(activity_mu_);
-      for (size_t c = 0; c < activity_.size(); ++c) {
-        heat[c] = activity_[c].activity;
-      }
-    }
-    std::stable_sort(probe_order.begin(), probe_order.end(),
-                     [&](uint32_t a, uint32_t b) { return heat[a] > heat[b]; });
   }
 
   std::vector<std::vector<FactId>> kary_candidates;
@@ -371,7 +355,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     shard_input.r1 = &r1;
     shard_input.keys = &keys;
     shard_input.self_inconsistent = &state.self_inconsistent;
-    shard_input.blocked = options.use_blocking && !keys.empty();
+    shard_input.blocked = !keys.empty();
 
     // Hash var-1 side, probe with var-0 side. Bucket keys are FNV mixes
     // of interned class ids; bucket membership is verified with id
@@ -490,7 +474,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
           state.stop = true;
         });
   };
-  for (const uint32_t dci : probe_order) {
+  for (size_t dci = 0; dci < constraints_.size(); ++dci) {
     if (state.stop) break;
     const DenialConstraint& dc = constraints_[dci];
     if (dc.num_vars() == 1) continue;  // covered by pass 1

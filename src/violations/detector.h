@@ -25,20 +25,6 @@ struct DetectorOptions {
   /// of the budget.
   double deadline_seconds = 0.0;
 
-  /// Hash-partition facts on the values of cross-variable equality
-  /// predicates before verifying bodies pairwise. Disabling this forces the
-  /// plain nested-loop join (used by the blocking ablation bench).
-  bool use_blocking = true;
-
-  /// Probe pass-2 constraints hottest-first — ordered by exponentially
-  /// decayed per-constraint fire counts accumulated across this detector's
-  /// previous detections — so capped (max_subsets) or deadlined runs spend
-  /// their budget on the constraints most likely to fire. Off by default:
-  /// the violation *set* (and every measure) is unchanged, but discovery
-  /// order permutes, so a capped run truncates along a different canonical
-  /// order than the ascending-constraint default.
-  bool activity_ordering = false;
-
   /// Worker threads for every enumeration phase of detection: the pass-1
   /// self-inconsistency scan, the blocking bucket build, the
   /// binary-constraint probe (blocking probe and nested-loop fallback),
@@ -59,8 +45,8 @@ struct DetectorOptions {
 
 /// Cumulative per-constraint detection counters: candidate subsets merged
 /// (probes) and subsets admitted into the result (fires) on behalf of one
-/// constraint, plus the decayed activity score that orders hottest-first
-/// probing when DetectorOptions::activity_ordering is on.
+/// constraint, plus a decayed fire count (activity) that tracks recent fire
+/// history rather than all-time totals.
 struct DetectorConstraintStats {
   uint64_t num_probes = 0;
   uint64_t num_fires = 0;
@@ -95,8 +81,7 @@ class ViolationDetector {
   ViolationSet FindViolationsInvolving(const Database& db, FactId id) const;
 
   /// Cumulative counters for constraint `c` across every detection this
-  /// detector has run. Thread-safe; activity is the decayed score used for
-  /// hottest-first ordering.
+  /// detector has run. Thread-safe.
   DetectorConstraintStats constraint_stats(size_t c) const;
 
  private:

@@ -21,23 +21,21 @@ constexpr double kActivityDecay = 0.95;
 IncrementalViolationIndex::IncrementalViolationIndex(
     std::shared_ptr<const Schema> schema,
     std::vector<DenialConstraint> constraints, Database db,
-    DetectorOptions build_options, IncrementalOptions options)
+    DetectorOptions build_options)
     : schema_(std::move(schema)),
       constraints_(std::move(constraints)),
       owned_(std::move(db)),
-      db_(&*owned_),
-      options_(options) {
+      db_(&*owned_) {
   BuildInitialState(build_options);
 }
 
 IncrementalViolationIndex::IncrementalViolationIndex(
     std::shared_ptr<const Schema> schema,
     std::vector<DenialConstraint> constraints, Database* db,
-    DetectorOptions build_options, IncrementalOptions options)
+    DetectorOptions build_options)
     : schema_(std::move(schema)),
       constraints_(std::move(constraints)),
-      db_(db),
-      options_(options) {
+      db_(db) {
   DBIM_CHECK(db_ != nullptr);
   BuildInitialState(build_options);
 }
@@ -79,7 +77,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
   selfinc_by_rel_.assign(num_rels, {});
   bucket_groups_.clear();
   groups_by_rel_.assign(num_rels, {});
-  sigs_by_rel_.assign(num_rels, {});
   watch_probes_by_rel_.assign(num_rels, {});
   probe_sig_.assign(constraints_.size(), {-1, -1});
   activity_.assign(constraints_.size(), {});
@@ -130,7 +127,7 @@ void IncrementalViolationIndex::BuildDispatchTables() {
           push_unique(unblocked_by_rel_[rel], c);
         }
       }
-      if (state.blocked && options_.watched_dispatch) {
+      if (state.blocked) {
         for (uint32_t side = 0; side < 2; ++side) {
           const RelationId rel = dc.var_relation(side);
           const std::vector<AttrIndex>& attrs =
@@ -146,7 +143,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
           if (sig < 0) {
             sig = static_cast<int>(signatures_.size());
             signatures_.push_back(KeySignature{rel, attrs});
-            sigs_by_rel_[rel].push_back(static_cast<uint32_t>(sig));
           }
           probe_sig_[c][side] = sig;
         }
@@ -177,10 +173,8 @@ void IncrementalViolationIndex::BuildDispatchTables() {
       for (const RelationId r : dc.var_relations()) {
         push_unique(kary_by_rel_[r], c);
       }
-      if (options_.anchored_pruning) {
-        auto index = std::make_unique<KAryBlockingIndex>(dc);
-        if (index->has_keys()) kary_indexes_[c] = std::move(index);
-      }
+      auto index = std::make_unique<KAryBlockingIndex>(dc);
+      if (index->has_keys()) kary_indexes_[c] = std::move(index);
     }
   }
 
@@ -474,20 +468,6 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
     activity_[c].probes += probes;
   };
 
-  if (!options_.watched_dispatch) {
-    // Unwatched baseline: every binary constraint in Sigma, ascending.
-    std::vector<FactId> partners;
-    for (uint32_t c = 0; c < constraints_.size(); ++c) {
-      if (constraints_[c].num_vars() != 2) continue;
-      partners.clear();
-      ++dispatch_stats_.constraints_probed;
-      collect(c, &partners);
-      BumpActivity(c, partners.size());
-      for (const FactId other : partners) IndexSubset({id, other}, 1);
-    }
-    return;
-  }
-
   // Watched dispatch: one signature hash per distinct key shape over the
   // relation, then one partner-bucket presence check per watch probe. A
   // non-empty bucket at the key means the probe's constraints have a live
@@ -518,7 +498,7 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
 
   // Probe hottest-first (decayed activity, ties by ascending index), but
   // commit in ascending constraint order: slot allocation, and with it
-  // Snapshot order, stays bit-identical to the unwatched path.
+  // Snapshot order, does not depend on the activity history.
   std::vector<uint32_t>& probe_order = probe_order_;
   probe_order.assign(candidates.begin(), candidates.end());
   std::stable_sort(probe_order.begin(), probe_order.end(),
@@ -548,9 +528,9 @@ void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
   // id is fresh), so existing witnesses can only *suppress* candidates,
   // never the other way around.
   // Only constraints with a variable over the changed fact's relation can
-  // anchor it; candidates aggregate into an ordered map, so the pruned and
-  // unpruned enumerations (whose discovery orders differ) feed identical
-  // candidate sequences downstream.
+  // anchor it; candidates aggregate into an ordered map, so the pruned
+  // (keyed) and unpruned (keyless) enumerations, whose discovery orders
+  // differ, feed candidates downstream in one canonical order.
   std::map<std::vector<FactId>, uint32_t> counts;
   for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
     uint64_t emissions = 0;
@@ -767,7 +747,6 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
       }
     }
   }
-  if (!options_.watched_dispatch) return true;
   // Watch-table completeness: every blocked (constraint, probe side) is
   // covered by exactly one probe carrying its signature and partner group.
   for (uint32_t c = 0; c < constraints_.size(); ++c) {

@@ -17,23 +17,6 @@
 
 namespace dbim {
 
-/// Dispatch strategy of the incremental index. Both knobs default on; the
-/// all-off configuration reproduces the pre-watcher maintenance path
-/// exactly and exists for A/B benchmarking (bench_churn_throughput) and
-/// parity fuzzing — results are bit-identical either way, only the work
-/// per operation changes.
-struct IncrementalOptions {
-  /// Route each op through per-(constraint, blocking-key) watcher lists:
-  /// a blocked binary constraint is probed only when the changed fact's
-  /// key hash has a live watcher (i.e. a non-empty partner bucket), so
-  /// dispatch costs O(watchers touched) instead of O(|Sigma|).
-  bool watched_dispatch = true;
-  /// Prune anchored k-ary probes through per-variable-pair equality-key
-  /// buckets (KAryBlockingIndex), shrinking anchored neighborhoods from
-  /// O(n^{k-1}) toward O(bucket^{k-1}).
-  bool anchored_pruning = true;
-};
-
 /// Per-constraint maintenance counters. `num_probes` counts candidate
 /// partners examined (binary) resp. satisfying assignments enumerated
 /// (k-ary) on behalf of the constraint during Apply; `num_fires` counts
@@ -98,8 +81,7 @@ class IncrementalViolationIndex {
   /// pass — a truncated initial MI set would be silently wrong).
   IncrementalViolationIndex(std::shared_ptr<const Schema> schema,
                             std::vector<DenialConstraint> constraints,
-                            Database db, DetectorOptions build_options = {},
-                            IncrementalOptions options = {});
+                            Database db, DetectorOptions build_options = {});
 
   /// Builds the index over an externally owned database, which must outlive
   /// the index; every mutation must go through Apply. This is the
@@ -107,8 +89,7 @@ class IncrementalViolationIndex {
   /// the violation state alongside it.
   IncrementalViolationIndex(std::shared_ptr<const Schema> schema,
                             std::vector<DenialConstraint> constraints,
-                            Database* db, DetectorOptions build_options = {},
-                            IncrementalOptions options = {});
+                            Database* db, DetectorOptions build_options = {});
 
   IncrementalViolationIndex(const IncrementalViolationIndex&) = delete;
   IncrementalViolationIndex& operator=(const IncrementalViolationIndex&) =
@@ -160,8 +141,6 @@ class IncrementalViolationIndex {
   /// Returns whether compaction ran.
   bool CompactSlotsIfWasteful(double waste_threshold);
 
-  const IncrementalOptions& options() const { return options_; }
-
   /// Apply-time maintenance counters for constraint `c` (see
   /// IncrementalConstraintStats).
   IncrementalConstraintStats ConstraintStatsFor(size_t c) const;
@@ -172,16 +151,15 @@ class IncrementalViolationIndex {
 
   /// Live watched key classes — bucket keys of groups some constraint
   /// watches (the shared buckets double as watcher lists; presence is the
-  /// watch). Zero when watched dispatch is off.
+  /// watch).
   size_t NumWatchedKeys() const;
 
   /// Test hook: whether the maintained watch state is exactly what a
   /// from-scratch rebuild would produce — every shared bucket holds
   /// precisely the live facts hashing to its key (no stale entries, no
-  /// empties left behind), and under watched dispatch every blocked
-  /// (constraint, probe side) is covered by exactly one watch probe with
-  /// the matching signature and partner group. On failure fills `*error`
-  /// and returns false.
+  /// empties left behind), and every blocked (constraint, probe side) is
+  /// covered by exactly one watch probe with the matching signature and
+  /// partner group. On failure fills `*error` and returns false.
   bool CheckWatcherInvariant(std::string* error) const;
 
  private:
@@ -237,8 +215,8 @@ class IncrementalViolationIndex {
   };
 
   void BuildInitialState(const DetectorOptions& build_options);
-  // Per-relation dispatch tables + probe-key signatures + (when enabled)
-  // the k-ary pruning indexes. Pure derivation from constraints_; called
+  // Per-relation dispatch tables + probe-key signatures + the k-ary
+  // pruning indexes. Pure derivation from constraints_; called
   // once before facts enter the buckets.
   void BuildDispatchTables();
   // The violation-count multiplicity of a freshly detected minimal subset:
@@ -299,7 +277,6 @@ class IncrementalViolationIndex {
   std::vector<DenialConstraint> constraints_;
   std::optional<Database> owned_;
   Database* db_;
-  IncrementalOptions options_;
   bool has_kary_ = false;
 
   std::vector<DcState> dc_states_;  // parallel to constraints_
@@ -310,21 +287,19 @@ class IncrementalViolationIndex {
   std::vector<std::vector<uint32_t>> kary_by_rel_;       // k-ary cs touching rel
   std::vector<std::vector<uint32_t>> selfinc_by_rel_;    // unary-capable cs
   // Shared blocking buckets (one per distinct key shape) and the groups
-  // living over each relation — the bucket maintenance walk, shared by the
-  // watched and unwatched paths (bucket content is identical either way).
+  // living over each relation — the bucket maintenance walk.
   std::vector<BucketGroup> bucket_groups_;
   std::vector<std::vector<uint32_t>> groups_by_rel_;
 
-  // --- watched dispatch (populated iff options_.watched_dispatch) ---
+  // --- watched dispatch ---
   std::vector<KeySignature> signatures_;
-  std::vector<std::vector<uint32_t>> sigs_by_rel_;  // rel -> signature ids
   std::vector<std::array<int, 2>> probe_sig_;       // (c, side) -> sig or -1
   // rel -> watch probes, ordered by signature so the probe hashes each
   // distinct signature once per op.
   std::vector<std::vector<WatchProbe>> watch_probes_by_rel_;
 
-  // --- anchored pruning (entries non-null iff options_.anchored_pruning
-  // and the constraint has at least one keyed variable pair) ---
+  // --- anchored pruning (entries non-null iff the constraint has at least
+  // one keyed variable pair) ---
   std::vector<std::unique_ptr<KAryBlockingIndex>> kary_indexes_;
 
   // --- activity / stats ---

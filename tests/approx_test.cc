@@ -130,7 +130,7 @@ TEST(ApproxEvaluator, BitIdenticalAcrossThreadCounts) {
   std::vector<ApproxReport> reports;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     MeasureSession session(schema, dcs,
-                           MeasureSessionOptions().WithThreads(threads));
+                           SessionOptions().WithThreads(threads));
     ApproxEvaluator evaluator(session.detector(),
                               ApproxOptions().WithEps(0.1).WithSeed(99));
     reports.push_back(evaluator.Evaluate(db));

@@ -16,7 +16,7 @@
 #include "constraints/predicate.h"
 #include "datagen/datasets.h"
 #include "datagen/noise.h"
-#include "measures/engine.h"
+#include "measures/session.h"
 #include "properties/constructions.h"
 #include "test_util.h"
 #include "violations/detector.h"
@@ -24,6 +24,7 @@
 namespace dbim {
 namespace {
 
+using testing::ExpectMatchesOracle;
 using testing::MakeAbcSchema;
 using testing::MakeRandomDatabase;
 
@@ -71,24 +72,32 @@ std::vector<DenialConstraint> AbcFds(const Schema& schema) {
   return dcs;
 }
 
+// A DC with no cross-variable equality: no blocking key, so the detector
+// runs its nested-loop probe on it.
+std::vector<DenialConstraint> AbcKeyless(const Schema& schema) {
+  return {*ParseDc(schema, 0, "!(t.A < t'.A & t.B > t'.B)")};
+}
+
 // Seeds x sizes x domains (noise level: small domains collide constantly,
-// large domains rarely), blocking on and off.
+// large domains rarely), over a keyed Sigma (blocked probe) and a keyless
+// one (nested-loop probe); every result is also checked against the oracle.
 TEST(ParallelParity, RandomizedFdSweep) {
   const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    for (const size_t facts : {7u, 40u, 150u}) {
-      for (const int64_t domain : {2, 5, 25}) {
-        const Database db =
-            MakeRandomDatabase(schema, 0, facts, domain, seed);
-        for (const bool blocking : {true, false}) {
-          DetectorOptions options;
-          options.use_blocking = blocking;
-          CheckParity(schema, dcs, db, options,
-                      "seed=" + std::to_string(seed) +
-                          " facts=" + std::to_string(facts) +
-                          " domain=" + std::to_string(domain) +
-                          " blocking=" + std::to_string(blocking));
+  for (const bool keyed : {true, false}) {
+    const auto dcs = keyed ? AbcFds(*schema) : AbcKeyless(*schema);
+    for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      for (const size_t facts : {7u, 40u, 150u}) {
+        for (const int64_t domain : {2, 5, 25}) {
+          const Database db =
+              MakeRandomDatabase(schema, 0, facts, domain, seed);
+          const std::string where = "seed=" + std::to_string(seed) +
+                                    " facts=" + std::to_string(facts) +
+                                    " domain=" + std::to_string(domain) +
+                                    " keyed=" + std::to_string(keyed);
+          const ViolationSet expected =
+              CheckParity(schema, dcs, db, DetectorOptions{}, where);
+          SCOPED_TRACE(where);
+          ExpectMatchesOracle(dcs, db, expected);
         }
       }
     }
@@ -200,25 +209,25 @@ TEST(ParallelParity, AutoThreadCount) {
                   "auto threads");
 }
 
-// End-to-end: identical BatchReports from MeasureEngine::EvaluateAll for
+// End-to-end: identical BatchReports from MeasureSession::EvaluateOne for
 // every thread count, including a truncated detection pass. Measure values
 // must match bit-for-bit (same violations in, same arithmetic out);
 // timings are ignored.
-TEST(ParallelParity, MeasureEngineBatchReports) {
+TEST(ParallelParity, EvaluateOneBatchReports) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
   const Database db = MakeRandomDatabase(schema, 0, 100, 4, 77);
   for (const size_t cap : {0u, 5u}) {
-    MeasureEngineOptions options;
+    SessionOptions options;
     options.registry.include_mc = false;
     options.detector.max_subsets = cap;
     options.detector.num_threads = 1;
-    const MeasureEngine reference(schema, dcs, options);
-    const BatchReport expected = reference.EvaluateAll(db);
+    const MeasureSession reference(schema, dcs, options);
+    const BatchReport expected = reference.EvaluateOne(db);
     for (const size_t threads : kThreadCounts) {
       options.detector.num_threads = threads;
-      const MeasureEngine engine(schema, dcs, options);
-      const BatchReport report = engine.EvaluateAll(db);
+      const MeasureSession session(schema, dcs, options);
+      const BatchReport report = session.EvaluateOne(db);
       const std::string where =
           "cap=" + std::to_string(cap) + " threads=" + std::to_string(threads);
       EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
@@ -243,19 +252,22 @@ TEST(ParallelParity, ShardedBucketBuildAndPassOne) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B)"));  // unary: pass 1 work
+  std::vector<DenialConstraint> keyless = AbcKeyless(*schema);
+  keyless.push_back(dcs.back());
   for (const uint64_t seed : {101u, 102u}) {
     for (const int64_t domain : {3, 12}) {
       const Database db = MakeRandomDatabase(schema, 0, 400, domain, seed);
-      for (const bool blocking : {true, false}) {
-        DetectorOptions options;
-        options.use_blocking = blocking;
-        const ViolationSet expected = CheckParity(
-            schema, dcs, db, options,
+      for (const auto* sigma : {&dcs, &keyless}) {
+        const std::string where =
             "sharded-build seed=" + std::to_string(seed) +
-                " domain=" + std::to_string(domain) +
-                " blocking=" + std::to_string(blocking));
+            " domain=" + std::to_string(domain) +
+            " keyed=" + std::to_string(sigma == &dcs);
+        const ViolationSet expected =
+            CheckParity(schema, *sigma, db, DetectorOptions{}, where);
         EXPECT_FALSE(expected.empty());
         EXPECT_FALSE(expected.SelfInconsistentFacts().empty());
+        SCOPED_TRACE(where);
+        ExpectMatchesOracle(*sigma, db, expected);
       }
     }
   }
@@ -284,10 +296,10 @@ TEST(ParallelParity, ShardedKAryEnumeration) {
 }
 
 // Cooperative deadline polling: a pre-expired deadline on a large
-// violation-free instance must truncate — pre-PR, a probe that never found
-// a witness never consulted the clock and ran to completion. Poll points
-// are aligned to global row indices, so the (empty) truncated result is
-// still identical for every thread count.
+// violation-free instance must truncate, in the blocked and the
+// nested-loop probe alike, even though no witness ever reaches a merge
+// point. Poll points are aligned to global row indices, so the (empty)
+// truncated result is still identical for every thread count.
 TEST(ParallelParity, CooperativeDeadlineCrossRelationProbe) {
   auto schema = std::make_shared<Schema>();
   const RelationId r = schema->AddRelation("R", {"A", "B"});
@@ -297,28 +309,31 @@ TEST(ParallelParity, CooperativeDeadlineCrossRelationProbe) {
     db.Insert(Fact(r, {Value(i), Value(i)}));
     db.Insert(Fact(s, {Value(i + 1000000), Value(i)}));
   }
-  // t in R, t' in S: never matches on A, so the probe finds nothing.
-  std::vector<Predicate> preds;
-  preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
-  preds.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
-  const DenialConstraint dc({r, s}, std::move(preds));
+  // t in R, t' in S: R's A never equals (keyed DC, blocked probe) nor
+  // exceeds (keyless DC, nested-loop probe) S's A, so neither probe finds
+  // anything.
+  std::vector<Predicate> keyed_preds;
+  keyed_preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+  keyed_preds.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
+  std::vector<Predicate> keyless_preds;
+  keyless_preds.emplace_back(Operand{0, 0}, CompareOp::kGt, Operand{1, 0});
+  keyless_preds.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
+  const DenialConstraint keyed({r, s}, std::move(keyed_preds));
+  const DenialConstraint keyless({r, s}, std::move(keyless_preds));
 
-  for (const bool blocking : {true, false}) {
+  for (const DenialConstraint* dc : {&keyed, &keyless}) {
+    const std::string shape = dc == &keyed ? "keyed" : "keyless";
     DetectorOptions generous;
-    generous.use_blocking = blocking;
     generous.deadline_seconds = 3600.0;
-    const ViolationSet full =
-        CheckParity(schema, {dc}, db, generous,
-                    "cooperative generous blocking=" + std::to_string(blocking));
+    const ViolationSet full = CheckParity(schema, {*dc}, db, generous,
+                                          "cooperative generous " + shape);
     EXPECT_FALSE(full.truncated());
     EXPECT_TRUE(full.empty());
 
     DetectorOptions expired;
-    expired.use_blocking = blocking;
     expired.deadline_seconds = 1e-9;
-    const ViolationSet tiny =
-        CheckParity(schema, {dc}, db, expired,
-                    "cooperative expired blocking=" + std::to_string(blocking));
+    const ViolationSet tiny = CheckParity(schema, {*dc}, db, expired,
+                                          "cooperative expired " + shape);
     EXPECT_TRUE(tiny.truncated());
     EXPECT_TRUE(tiny.empty());
   }
@@ -346,10 +361,10 @@ TEST(ParallelParity, CooperativeDeadlinePassOneScan) {
 // variable loops: polls land on global prefix indices (P_v = P_{v-1} * n_v
 // + i_v), so a pathological outer row no longer runs O(n^{k-1}) inner work
 // between clock checks — and a pre-expired deadline truncates at the same
-// canonical node for every thread count. Pre-kernel, the enumeration
-// polled only per outer row: on this 150-row instance (< 1024 outer rows)
-// a pre-expired deadline on a violation-free body would never have been
-// noticed mid-enumeration at all.
+// canonical node for every thread count. Per-outer-row polls alone would
+// never fire on this 150-row instance (< 1024 outer rows), so a
+// pre-expired deadline on a violation-free body is noticed only by the
+// inner-loop polls.
 TEST(ParallelParity, CooperativeDeadlineKAryInnerLoops) {
   const auto schema = MakeAbcSchema();
   // !(t0.A = t1.A & t1.B = t2.B & t0.C != t2.C): no predicate gates the
@@ -412,13 +427,13 @@ TEST(ParallelParity, FindViolationsInvolving) {
   }
 }
 
-// Concurrent measure evaluation is behind MeasureEngineOptions::
+// Concurrent measure evaluation is behind SessionOptions::
 // parallel_measures: every measure is a pure function of the shared
 // materialized context, so the BatchReport (names, order, values,
 // detection metadata — timings excluded) must equal the sequential one
 // bit for bit. Fuzzed over noisy paper datasets crossed with detector
 // thread counts, so parallel measures stack on parallel detection.
-TEST(ParallelParity, MeasureEngineParallelMeasuresFuzz) {
+TEST(ParallelParity, EvaluateOneParallelMeasuresFuzz) {
   Rng rng(1234);
   for (const DatasetId id : AllDatasets()) {
     const Dataset dataset = MakeDataset(id, 80, 11);
@@ -427,19 +442,19 @@ TEST(ParallelParity, MeasureEngineParallelMeasuresFuzz) {
     Rng run = rng.Fork();
     for (int i = 0; i < 25; ++i) noise.Step(db, run);
 
-    MeasureEngineOptions options;
+    SessionOptions options;
     options.registry.include_mc = false;
     options.parallel_measures = false;
     options.detector.num_threads = 1;
-    const MeasureEngine reference(dataset.schema, dataset.constraints,
-                                  options);
-    const BatchReport expected = reference.EvaluateAll(db);
+    const MeasureSession reference(dataset.schema, dataset.constraints,
+                                   options);
+    const BatchReport expected = reference.EvaluateOne(db);
     for (const size_t threads : {1u, 4u}) {
       options.parallel_measures = true;
       options.detector.num_threads = threads;
-      const MeasureEngine engine(dataset.schema, dataset.constraints,
-                                 options);
-      const BatchReport report = engine.EvaluateAll(db);
+      const MeasureSession session(dataset.schema, dataset.constraints,
+                                   options);
+      const BatchReport report = session.EvaluateOne(db);
       const std::string where = std::string("dataset ") + DatasetName(id) +
                                 " detector-threads=" + std::to_string(threads);
       EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
@@ -458,8 +473,8 @@ TEST(ParallelParity, MeasureEngineParallelMeasuresFuzz) {
 // Nested fan-out: a compute that itself runs an OrderedParallelFor (the
 // shape of parallel measures triggering parallel detection). The consumer
 // helps execute unstarted chunks, so this completes even when every pool
-// worker is occupied by an outer chunk; pre-helping it could deadlock on a
-// saturated pool.
+// worker is occupied by an outer chunk; without helping it could deadlock
+// on a saturated pool.
 TEST(OrderedParallelForTest, NestedFanOutCompletes) {
   std::vector<size_t> outer_sums(8, 0);
   OrderedParallelFor(
@@ -565,7 +580,8 @@ TEST(OrderedStealingForTest, SkewedCostComputesEachIndexOnce) {
     constexpr size_t kN = 300;
     std::vector<std::atomic<int>> times_computed(kN);
     for (auto& c : times_computed) c.store(0);
-    volatile uint64_t sink = 0;  // defeat dead-code elimination
+    // Defeats dead-code elimination; atomic because every worker stores.
+    std::atomic<uint64_t> sink{0};
     size_t cursor = 0;
     OrderedStealingFor(
         threads, kN, 4,
@@ -574,7 +590,7 @@ TEST(OrderedStealingForTest, SkewedCostComputesEachIndexOnce) {
             const size_t spin = i == 0 ? 2000000 : 2000;
             uint64_t acc = 0;
             for (size_t s = 0; s < spin; ++s) acc += s * 2654435761u;
-            sink = acc;
+            sink.store(acc, std::memory_order_relaxed);
             times_computed[i].fetch_add(1);
           }
         },
@@ -606,14 +622,12 @@ TEST(ParallelParity, GiantHotBlockingBucket) {
     db.Insert(Fact(0, {Value(a), Value(rng.UniformInt(0, 9)),
                        Value(rng.UniformInt(0, 999))}));
   }
-  for (const bool blocking : {true, false}) {
-    DetectorOptions options;
-    options.use_blocking = blocking;
-    const ViolationSet expected =
-        CheckParity(schema, dcs, db, options,
-                    "hot-bucket blocking=" + std::to_string(blocking));
-    EXPECT_FALSE(expected.empty());
-  }
+  const ViolationSet expected =
+      CheckParity(schema, dcs, db, DetectorOptions{}, "hot-bucket keyed");
+  EXPECT_FALSE(expected.empty());
+  const ViolationSet keyless = CheckParity(
+      schema, AbcKeyless(*schema), db, DetectorOptions{}, "hot-bucket keyless");
+  EXPECT_FALSE(keyless.empty());
 }
 
 // K-ary skew: the expensive inner enumeration fires only for outer rows in
@@ -637,25 +651,6 @@ TEST(ParallelParity, SkewedKAryOuterRows) {
   const ViolationSet expected =
       CheckParity(schema, {dc}, db, DetectorOptions{}, "skewed k-ary");
   EXPECT_FALSE(expected.empty());
-}
-
-TEST(OrderedParallelForTest, SplitRangeCoversExactly) {
-  for (const size_t n : {0u, 1u, 63u, 64u, 65u, 1000u}) {
-    for (const size_t max_chunks : {1u, 3u, 16u}) {
-      const auto chunks = SplitRange(n, max_chunks, 64);
-      size_t covered = 0;
-      size_t expected_begin = 0;
-      for (const IndexRange& r : chunks) {
-        EXPECT_EQ(r.begin, expected_begin);
-        EXPECT_LT(r.begin, r.end);
-        covered += r.size();
-        expected_begin = r.end;
-      }
-      EXPECT_EQ(covered, n);
-      EXPECT_LE(chunks.size(), max_chunks);
-      if (n > 0) EXPECT_EQ(chunks.back().end, n);
-    }
-  }
 }
 
 }  // namespace

@@ -57,8 +57,8 @@ std::vector<DenialConstraint> AbcFds(const Schema& schema) {
   return dcs;
 }
 
-MeasureSessionOptions FastOptions() {
-  MeasureSessionOptions options;
+SessionOptions FastOptions() {
+  SessionOptions options;
   options.registry.include_mc = false;
   return options;
 }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "constraints/parser.h"
-#include "measures/engine.h"
 #include "measures/session.h"
 #include "relational/operations.h"
 #include "service/client.h"
@@ -42,8 +41,8 @@ std::vector<DenialConstraint> AbcFds(const Schema& schema) {
   return dcs;
 }
 
-MeasureSessionOptions FastSessionOptions() {
-  MeasureSessionOptions options;
+SessionOptions FastSessionOptions() {
+  SessionOptions options;
   options.registry.include_mc = false;  // keep evaluations cheap
   return options;
 }
@@ -148,8 +147,8 @@ TEST(ServiceParity, WireTrajectoryMatchesInProcessSession) {
   MeasureSession mirror_session(ts.schema, AbcFds(*ts.schema),
                                 FastSessionOptions());
   const DbHandle mirror = mirror_session.Register(Database(ts.schema));
-  const MeasureEngine fresh(ts.schema, AbcFds(*ts.schema),
-                            FastSessionOptions());
+  const MeasureSession fresh(ts.schema, AbcFds(*ts.schema),
+                             FastSessionOptions());
   Database mirror_db(ts.schema);
 
   ScriptedWorkloadOptions workload_options;
@@ -179,7 +178,7 @@ TEST(ServiceParity, WireTrajectoryMatchesInProcessSession) {
     const std::string where = "step " + std::to_string(step);
     ExpectWireMatchesReport(wire, mirror_session.Evaluate(mirror),
                             mirror_db.size(), where);
-    ExpectWireMatchesReport(wire, fresh.EvaluateAll(mirror_db),
+    ExpectWireMatchesReport(wire, fresh.EvaluateOne(mirror_db),
                             mirror_db.size(), where + " vs fresh");
   }
 
@@ -349,9 +348,9 @@ TEST(ServiceConcurrency, AbruptDisconnectLeavesSessionConsistent) {
   }
   WireReport wire;
   ASSERT_TRUE(survivor.Evaluate("ghost", &wire, &error)) << error;
-  const MeasureEngine fresh(ts.schema, AbcFds(*ts.schema),
-                            FastSessionOptions());
-  ExpectWireMatchesReport(wire, fresh.EvaluateAll(rebuilt), rebuilt.size(),
+  const MeasureSession fresh(ts.schema, AbcFds(*ts.schema),
+                             FastSessionOptions());
+  ExpectWireMatchesReport(wire, fresh.EvaluateOne(rebuilt), rebuilt.size(),
                           "post-disconnect");
   survivor.Close();
   ts.server->Stop();

@@ -2,7 +2,7 @@
 // trajectories, every session report — incremental snapshot or fallback,
 // batched or per-handle, vacuumed or not, at any thread count — must be
 // bit-identical (measure values, subset counts, truncated flag; timings
-// aside) to a fresh MeasureEngine evaluation of an equal database. This is
+// aside) to a fresh EvaluateOne of an equal database. This is
 // the enforcement arm of the session's "amortized but exact" contract.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "constraints/parser.h"
 #include "constraints/predicate.h"
-#include "measures/engine.h"
 #include "measures/session.h"
 #include "relational/operations.h"
 #include "test_util.h"
@@ -61,19 +60,19 @@ ScriptedWorkloadOptions WorkloadDomain(int64_t domain, bool churn = false) {
 }
 
 // Drives a session handle and a mirror database through one random
-// trajectory, asserting session reports match a fresh engine on the mirror
-// at every sample point. `full_detections_out` receives the session's
+// trajectory, asserting session reports match a fresh EvaluateOne on the
+// mirror at every sample point. `full_detections_out` receives the session's
 // fallback counter — zero proves every Apply/Evaluate ran on incremental
 // maintenance alone.
 void RunTrajectoryParity(std::shared_ptr<const Schema> schema,
                          const std::vector<DenialConstraint>& dcs,
-                         const Database& start, MeasureSessionOptions options,
+                         const Database& start, SessionOptions options,
                          size_t num_ops, uint64_t seed, bool churn,
                          size_t* vacuums_out, const std::string& where,
                          size_t* full_detections_out = nullptr) {
   MeasureSession session(schema, dcs, options);
   const DbHandle handle = session.Register(start);
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
   Database mirror = start;
   EXPECT_TRUE(session.db(handle) == mirror) << where << " post-register";
 
@@ -85,7 +84,7 @@ void RunTrajectoryParity(std::shared_ptr<const Schema> schema,
     if (op_index % 5 != 4 && op_index + 1 != num_ops) continue;
     const std::string at = where + " op=" + std::to_string(op_index);
     EXPECT_TRUE(session.db(handle) == mirror) << at;
-    ExpectIdenticalReports(fresh.EvaluateAll(mirror),
+    ExpectIdenticalReports(fresh.EvaluateOne(mirror),
                            session.Evaluate(handle), at);
   }
   if (vacuums_out != nullptr) *vacuums_out = session.num_vacuums();
@@ -108,7 +107,7 @@ TEST_P(SessionFuzz, BinaryTrajectoryMatchesFreshEngine) {
   for (const uint64_t seed : {21u, 22u}) {
     for (const int64_t domain : {3, 12}) {
       const Database start = MakeRandomDatabase(schema, 0, 50, domain, seed);
-      MeasureSessionOptions options;
+      SessionOptions options;
       options.registry.include_mc = true;  // small db: exact counts
       options.detector.num_threads = threads;
       size_t full_detections = 1;
@@ -137,7 +136,7 @@ TEST_P(SessionFuzz, KAryTrajectoryIsIncrementalAndMatchesFreshEngine) {
   std::vector<DenialConstraint> dcs;
   dcs.emplace_back(std::vector<RelationId>(3, 0), std::move(preds));
   const Database start = MakeRandomDatabase(schema, 0, 30, 4, 31);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;  // hyperedge MC is costly
   options.detector.num_threads = threads;
   size_t full_detections = 1;
@@ -157,7 +156,7 @@ TEST_P(SessionFuzz, CappedDetectionFallsBack) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
   const Database start = MakeRandomDatabase(schema, 0, 60, 3, 41);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   options.detector.num_threads = threads;
   options.detector.max_subsets = 7;
@@ -177,7 +176,7 @@ TEST_P(SessionFuzz, AutoVacuumKeepsReportsIdentical) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
   const Database start = MakeRandomDatabase(schema, 0, 40, 5, 61);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   options.detector.num_threads = threads;
   options.auto_vacuum_threshold = 0.05;
@@ -197,14 +196,14 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionFuzz,
 TEST(SessionBatch, EvaluateAllMatchesPerHandle) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   options.detector.num_threads = 2;
   options.parallel_measures = true;  // nested fan-out
   for (const size_t batch_threads : {0u, 1u, 2u, 4u}) {  // 0 = hardware
     options.batch_threads = batch_threads;
     MeasureSession session(schema, dcs, options);
-    const MeasureEngine fresh(schema, dcs, options);
+    const MeasureSession fresh(schema, dcs, options);
     std::vector<DbHandle> handles;
     std::vector<Database> mirrors;
     ScriptedWorkload workload(5 + batch_threads, WorkloadDomain(5));
@@ -228,7 +227,7 @@ TEST(SessionBatch, EvaluateAllMatchesPerHandle) {
                                 std::to_string(batch_threads) +
                                 " handle=" + std::to_string(i);
       ExpectIdenticalReports(session.Evaluate(handles[i]), batch[i], where);
-      ExpectIdenticalReports(fresh.EvaluateAll(mirrors[i]), batch[i],
+      ExpectIdenticalReports(fresh.EvaluateOne(mirrors[i]), batch[i],
                              where + " vs fresh");
     }
   }
@@ -240,10 +239,10 @@ TEST(SessionBatch, EvaluateAllMatchesPerHandle) {
 TEST(SessionBatch, UnregisterAndManualVacuum) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   MeasureSession session(schema, dcs, options);
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
 
   const Database a = MakeRandomDatabase(schema, 0, 40, 3, 7);
   const Database b = MakeRandomDatabase(schema, 0, 40, 200, 8);
@@ -258,7 +257,7 @@ TEST(SessionBatch, UnregisterAndManualVacuum) {
   EXPECT_TRUE(session.Vacuum(0.0));
   EXPECT_EQ(session.num_vacuums(), 1u);
   EXPECT_DOUBLE_EQ(session.PoolWaste(), 0.0);
-  ExpectIdenticalReports(fresh.EvaluateAll(a), session.Evaluate(ha),
+  ExpectIdenticalReports(fresh.EvaluateOne(a), session.Evaluate(ha),
                          "post-vacuum");
 }
 
@@ -269,10 +268,10 @@ TEST(SessionBatch, UnregisterAndManualVacuum) {
 TEST(SessionBatch, VacuumReclaimsRetiredPoolSlabs) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   MeasureSession session(schema, dcs, options);
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
 
   const Database start = MakeRandomDatabase(schema, 0, 30, 3, 61);
   const DbHandle handle = session.Register(start);
@@ -289,7 +288,7 @@ TEST(SessionBatch, VacuumReclaimsRetiredPoolSlabs) {
 
   session.Vacuum(/*waste_threshold=*/0.0);
   EXPECT_EQ(session.pool().num_slabs(), 3u);
-  ExpectIdenticalReports(fresh.EvaluateAll(mirror), session.Evaluate(handle),
+  ExpectIdenticalReports(fresh.EvaluateOne(mirror), session.Evaluate(handle),
                          "post-reclaim");
 
   // A high-threshold vacuum that rebuilds nothing still reclaims slabs.
@@ -301,40 +300,8 @@ TEST(SessionBatch, VacuumReclaimsRetiredPoolSlabs) {
   EXPECT_GT(session.pool().num_slabs(), 3u);
   session.Vacuum(/*waste_threshold=*/1.0);
   EXPECT_EQ(session.pool().num_slabs(), 3u);
-  ExpectIdenticalReports(fresh.EvaluateAll(mirror), session.Evaluate(handle),
+  ExpectIdenticalReports(fresh.EvaluateOne(mirror), session.Evaluate(handle),
                          "post-noop-vacuum-reclaim");
-}
-
-// With epoch reclamation opted in, slab debris from dictionary growth is
-// handed back incrementally at Apply boundaries — no Vacuum (and no
-// exclusive session lock) ever needed. Reports stay identical to a fresh
-// engine throughout.
-TEST(SessionBatch, EpochReclaimFreesSlabsWithoutVacuum) {
-  const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  MeasureSessionOptions options;
-  options.registry.include_mc = false;
-  options.WithEpochReclaim();
-  MeasureSession session(schema, dcs, options);
-  EXPECT_TRUE(session.pool().epoch_reclaim());
-  const MeasureEngine fresh(schema, dcs, options);
-
-  const Database start = MakeRandomDatabase(schema, 0, 30, 3, 63);
-  const DbHandle handle = session.Register(start);
-  Database mirror = start;
-  ScriptedWorkload workload(64, WorkloadDomain(3, /*churn=*/true));
-  // Churn far past several slab growths; with the single-mutex pool this
-  // left a ladder of retired slabs until a vacuum.
-  while (session.pool().size() < 4200) {
-    const RepairOperation op = workload.Next(session.db(handle));
-    session.Apply(handle, op);
-    op.ApplyInPlace(mirror);
-  }
-  // Everything retired has been reclaimed on the way: only the live slab
-  // per array remains, and no Vacuum ever ran.
-  EXPECT_EQ(session.pool().num_slabs(), 3u);
-  ExpectIdenticalReports(fresh.EvaluateAll(mirror), session.Evaluate(handle),
-                         "epoch-reclaim churn");
 }
 
 // Regression: the incremental index's compiled-eval cache must key on pool
@@ -364,10 +331,10 @@ TEST(SessionBatch, VacuumWithSameSizePoolRecompilesEvals) {
     preds.emplace_back(Operand{0, 0}, CompareOp::kLt, Operand{1, 0});
     dcs.emplace_back(std::vector<RelationId>(2, 0), std::move(preds));
   }
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   MeasureSession session(schema, dcs, options);
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
 
   // Pool after registration: null, victim, k, c1, pivot, c2 — "victim" is
   // f1's only exclusive value and precedes "pivot", so dropping it at the
@@ -384,7 +351,7 @@ TEST(SessionBatch, VacuumWithSameSizePoolRecompilesEvals) {
   auto step = [&](const RepairOperation& op, const std::string& where) {
     session.Apply(handle, op);
     op.ApplyInPlace(mirror);
-    ExpectIdenticalReports(fresh.EvaluateAll(mirror),
+    ExpectIdenticalReports(fresh.EvaluateOne(mirror),
                            session.Evaluate(handle), where);
   };
   // A no-intern update compiles the eval cache at the current pool size.
@@ -412,11 +379,11 @@ TEST(SessionBatch, VacuumWithSameSizePoolRecompilesEvals) {
 TEST(SessionBatch, VacuumCompactsIncrementalSlots) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   options.auto_vacuum_threshold = 0.25;
   MeasureSession session(schema, dcs, options);
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
 
   const Database start = MakeRandomDatabase(schema, 0, 30, 3, 91);
   const DbHandle handle = session.Register(start);
@@ -429,7 +396,7 @@ TEST(SessionBatch, VacuumCompactsIncrementalSlots) {
     op.ApplyInPlace(mirror);
     max_slots = std::max(max_slots, session.num_stored_subset_slots(handle));
   }
-  ExpectIdenticalReports(fresh.EvaluateAll(mirror), session.Evaluate(handle),
+  ExpectIdenticalReports(fresh.EvaluateOne(mirror), session.Evaluate(handle),
                          "post-churn");
   const size_t live = session.Evaluate(handle).num_minimal_subsets;
   // The auto-vacuum hook runs every 64 ops, so stored slots can overshoot
@@ -444,7 +411,7 @@ TEST(SessionBatch, VacuumCompactsIncrementalSlots) {
   session.Vacuum(0.0);
   EXPECT_EQ(session.num_stored_subset_slots(handle),
             session.Evaluate(handle).num_minimal_subsets);
-  ExpectIdenticalReports(fresh.EvaluateAll(mirror), session.Evaluate(handle),
+  ExpectIdenticalReports(fresh.EvaluateOne(mirror), session.Evaluate(handle),
                          "post-manual-vacuum");
 }
 
@@ -466,7 +433,7 @@ TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
     preds.emplace_back(Operand{0, 2}, CompareOp::kNe, Operand{2, 2});
     dcs.emplace_back(std::vector<RelationId>(3, 0), std::move(preds));
   }
-  MeasureSessionOptions options;
+  SessionOptions options;
   options.registry.include_mc = false;
   options.auto_vacuum_threshold = 0.2;  // vacuums interleave with Applies
   options.batch_threads = 2;
@@ -526,10 +493,10 @@ TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
   reader.join();
 
   // Final state: bit-identical to sequential application, per handle.
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
   for (size_t h = 0; h < kHandles; ++h) {
     EXPECT_TRUE(session.db(handles[h]) == mirrors[h]) << "handle " << h;
-    ExpectIdenticalReports(fresh.EvaluateAll(mirrors[h]),
+    ExpectIdenticalReports(fresh.EvaluateOne(mirrors[h]),
                            session.Evaluate(handles[h]),
                            "concurrent handle " + std::to_string(h));
   }

@@ -1,22 +1,19 @@
 // Tests for the interned-value columnar storage engine: ValuePool
 // semantics, equivalence of the columnar Database with a row-major
 // reference model under randomized operation sequences, randomized
-// blocking/nested-loop detector parity, and MeasureEngine batch
+// detector-vs-oracle parity, and MeasureSession::EvaluateOne batch
 // evaluation.
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/epoch.h"
 #include "common/rng.h"
 #include "common/value_pool.h"
 #include "constraints/fd.h"
-#include "measures/engine.h"
+#include "measures/session.h"
 #include "relational/database.h"
 #include "test_util.h"
 #include "violations/detector.h"
@@ -24,6 +21,7 @@
 namespace dbim {
 namespace {
 
+using dbim::testing::ExpectMatchesOracle;
 using dbim::testing::MakeAbcSchema;
 using dbim::testing::MakeRandomDatabase;
 using dbim::testing::MakeRunningExample;
@@ -138,68 +136,6 @@ TEST(ValuePool, StripeCountNeverChangesSequentialIdsOrClasses) {
     EXPECT_EQ(striped.hash(id), single.hash(id));
     EXPECT_TRUE(striped.value(id) == single.value(id));
   }
-}
-
-// Epoch-based reclamation frees growth debris without the vacuum's
-// exclusive lock — but only when the pool opted in, and only slabs every
-// announcing thread has provably moved past.
-TEST(ValuePool, EpochReclaimFreesRetiredSlabsWithoutVacuum) {
-  ValuePool pool;
-  std::vector<ValueId> ids;
-  for (int64_t i = 0; i < 3000; ++i) ids.push_back(pool.Intern(Value(i)));
-  ASSERT_EQ(pool.num_slabs(), 9u);
-
-  // Default: opted out, TryReclaim is a no-op and slabs stay for a vacuum.
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 0u);
-  EXPECT_EQ(pool.num_slabs(), 9u);
-
-  pool.set_epoch_reclaim(true);
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 6u);
-  EXPECT_EQ(pool.num_slabs(), 3u);
-  for (int64_t i = 0; i < 3000; i += 131) {
-    EXPECT_EQ(pool.value(ids[static_cast<size_t>(i)]), Value(i));
-  }
-  // Idempotent; and the vacuum-path reclaim still works afterwards.
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 0u);
-  for (int64_t i = 3000; i < 5500; ++i) pool.Intern(Value(i));
-  EXPECT_GT(pool.num_slabs(), 3u);
-  pool.ReclaimRetiredSlabs();
-  EXPECT_EQ(pool.num_slabs(), 3u);
-}
-
-// A reader thread announced at an epoch before the growth pins every slab
-// retired after its announcement: reclaim must free nothing until the
-// reader passes a quiescent point (announces again / goes idle).
-TEST(ValuePool, StaleAnnouncedReaderPinsRetiredSlabs) {
-  ValuePool pool;
-  pool.set_epoch_reclaim(true);
-
-  std::atomic<bool> announced{false};
-  std::atomic<bool> release{false};
-  std::thread reader([&] {
-    EpochRegistry::Global().Announce();  // snapshot the pre-growth epoch
-    announced.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    // Quiescent: stops pinning without announcing a newer epoch.
-    EpochRegistry::Global().SetIdle();
-  });
-  while (!announced.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  for (int64_t i = 0; i < 3000; ++i) pool.Intern(Value(i));
-  ASSERT_EQ(pool.num_slabs(), 9u);
-  // Every retirement happened after the reader's announcement, so nothing
-  // is reclaimable while it still holds that epoch.
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 0u);
-  EXPECT_EQ(pool.num_slabs(), 9u);
-
-  release.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 6u);
-  EXPECT_EQ(pool.num_slabs(), 3u);
 }
 
 // Every pool carries a process-unique identity token so content-derived
@@ -503,19 +439,14 @@ TEST(PoolVacuum, EqualityAcrossVacuumedAndUnvacuumedCopies) {
   EXPECT_TRUE(db == rebuilt);
 }
 
-// ---- Randomized blocking / nested-loop parity ----
+// ---- Randomized detector / oracle parity ----
 
-std::vector<std::vector<FactId>> SortedSubsets(const ViolationSet& v) {
-  std::vector<std::vector<FactId>> out = v.minimal_subsets();
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-TEST(DetectorParity, RandomizedBlockingMatchesNestedLoop) {
+TEST(DetectorParity, RandomizedDetectionMatchesOracle) {
   const auto schema = MakeAbcSchema();
   const RelationId r = 0;
-  // An FD-style DC (pure hash blocking), a mixed equality/order DC, and a
-  // constant predicate: covers blocked and residual-predicate paths.
+  // An FD-style DC (pure hash blocking), a mixed equality/order DC with a
+  // constant predicate (blocking plus residual predicates), and a DC with
+  // no cross-variable equality (the nested-loop probe).
   std::vector<DenialConstraint> dcs;
   dcs.push_back(DcBuilder(*schema, r)
                     .Cross("A", CompareOp::kEq, "A")
@@ -526,13 +457,14 @@ TEST(DetectorParity, RandomizedBlockingMatchesNestedLoop) {
                     .Cross("C", CompareOp::kLt, "C")
                     .Const(0, "A", CompareOp::kGe, Value(2))
                     .BuildBinary());
-
-  DetectorOptions no_blocking;
-  no_blocking.use_blocking = false;
-  const ViolationDetector blocked(schema, dcs);
-  const ViolationDetector nested(schema, dcs, no_blocking);
+  dcs.push_back(DcBuilder(*schema, r)
+                    .Cross("A", CompareOp::kLt, "A")
+                    .Cross("B", CompareOp::kGt, "B")
+                    .BuildBinary());
+  const ViolationDetector detector(schema, dcs);
 
   for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
     Database db = MakeRandomDatabase(schema, r, 60, 5, seed);
     // Churn the database so column rows are swap-permuted relative to ids.
     Rng rng(seed * 31);
@@ -540,35 +472,28 @@ TEST(DetectorParity, RandomizedBlockingMatchesNestedLoop) {
       const auto ids = db.ids();
       db.Delete(ids[rng.UniformIndex(ids.size())]);
     }
-    const ViolationSet a = blocked.FindViolations(db);
-    const ViolationSet b = nested.FindViolations(db);
-    EXPECT_EQ(SortedSubsets(a), SortedSubsets(b)) << "seed " << seed;
-    EXPECT_EQ(a.num_minimal_violations(), b.num_minimal_violations())
-        << "seed " << seed;
-    EXPECT_EQ(blocked.Satisfies(db), a.empty()) << "seed " << seed;
+    const ViolationSet found = detector.FindViolations(db);
+    ExpectMatchesOracle(dcs, db, found);
+    EXPECT_EQ(detector.Satisfies(db), found.empty());
   }
 }
 
-TEST(DetectorParity, RunningExampleMatchesAcrossStrategies) {
+TEST(DetectorParity, RunningExampleMatchesOracle) {
   const auto example = MakeRunningExample();
-  DetectorOptions no_blocking;
-  no_blocking.use_blocking = false;
-  const ViolationDetector blocked(example.schema, example.dcs);
-  const ViolationDetector nested(example.schema, example.dcs, no_blocking);
+  const ViolationDetector detector(example.schema, example.dcs);
   for (const Database* db : {&example.d0, &example.d1, &example.d2}) {
-    EXPECT_EQ(SortedSubsets(blocked.FindViolations(*db)),
-              SortedSubsets(nested.FindViolations(*db)));
+    ExpectMatchesOracle(example.dcs, *db, detector.FindViolations(*db));
   }
 }
 
-// ---- MeasureEngine ----
+// ---- MeasureSession::EvaluateOne ----
 
-TEST(MeasureEngine, MatchesPerMeasureFreshEvaluation) {
+TEST(EvaluateOne, MatchesPerMeasureFreshEvaluation) {
   const auto example = MakeRunningExample();
-  MeasureEngineOptions options;
+  SessionOptions options;
   options.registry.include_mc = true;
-  const MeasureEngine engine(example.schema, example.dcs, options);
-  const BatchReport report = engine.EvaluateAll(example.d2);
+  const MeasureSession session(example.schema, example.dcs, options);
+  const BatchReport report = session.EvaluateOne(example.d2);
 
   const ViolationDetector detector(example.schema, example.dcs);
   const auto measures = CreateMeasures(options.registry);
@@ -587,21 +512,21 @@ TEST(MeasureEngine, MatchesPerMeasureFreshEvaluation) {
   EXPECT_EQ(report.Find("no_such_measure"), nullptr);
 }
 
-TEST(MeasureEngine, OnlyFilterSelectsMeasures) {
+TEST(EvaluateOne, OnlyFilterSelectsMeasures) {
   const auto example = MakeRunningExample();
-  MeasureEngineOptions options;
+  SessionOptions options;
   options.only = {"I_MI", "I_d"};
-  const MeasureEngine engine(example.schema, example.dcs, options);
-  const BatchReport report = engine.EvaluateAll(example.d1);
+  const MeasureSession session(example.schema, example.dcs, options);
+  const BatchReport report = session.EvaluateOne(example.d1);
   ASSERT_EQ(report.measures.size(), 2u);
   EXPECT_EQ(report.measures[0].name, "I_d");
   EXPECT_EQ(report.measures[1].name, "I_MI");
 }
 
-TEST(MeasureEngine, ConsistentDatabaseScoresZeroEverywhere) {
+TEST(EvaluateOne, ConsistentDatabaseScoresZeroEverywhere) {
   const auto example = MakeRunningExample();
-  const MeasureEngine engine(example.schema, example.dcs);
-  const BatchReport report = engine.EvaluateAll(example.d0);
+  const MeasureSession session(example.schema, example.dcs);
+  const BatchReport report = session.EvaluateOne(example.d0);
   EXPECT_EQ(report.num_minimal_subsets, 0u);
   for (const MeasureResult& r : report.measures) {
     EXPECT_DOUBLE_EQ(r.value, 0.0) << r.name;

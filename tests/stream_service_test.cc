@@ -134,32 +134,45 @@ TEST(StreamService, SubscriberSeesThresholdCrossings) {
   std::string error;
   ASSERT_TRUE(watcher.Connect("127.0.0.1", ts.port(), &error)) << error;
   ASSERT_TRUE(writer.Connect("127.0.0.1", ts.port(), &error)) << error;
-  ASSERT_TRUE(watcher.Register("s", &error)) << error;
 
-  std::string tag;
-  size_t start = 0;
-  ASSERT_TRUE(watcher.Subscribe("s", 0.0, &tag, &start, &error)) << error;
-  EXPECT_EQ(start, 0u);
+  // The cycle repeats over fresh sessions: a push that lands after the
+  // watcher's PING reply (instead of before the writer's ack) shows up as
+  // a short drain on some round.
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE(round);
+    const std::string session = "s" + std::to_string(round);
+    ASSERT_TRUE(watcher.Register(session, &error)) << error;
 
-  // Two facts violating the FD A -> B: one minimal subset, crossing up.
-  FactId id = 0;
-  ASSERT_TRUE(writer.ApplyInsert("s", Row(1, 1, 1), &id, &error)) << error;
-  ASSERT_TRUE(writer.ApplyInsert("s", Row(1, 2, 1), &id, &error)) << error;
-  // Sliding the whole window out clears the count: crossing down.
-  size_t expired = 0, live = 0;
-  ASSERT_TRUE(writer.StreamTick("s", 10, &expired, &live, &error)) << error;
-  EXPECT_EQ(expired, 2u);
+    std::string tag;
+    size_t start = 0;
+    ASSERT_TRUE(watcher.Subscribe(session, 0.0, &tag, &start, &error))
+        << error;
+    EXPECT_EQ(start, 0u);
 
-  // A round-trip on the watcher connection pulls in everything the server
-  // pushed; DrainPushed hands the notifications over in order.
-  ASSERT_TRUE(watcher.Ping(&error)) << error;
-  std::vector<PushedItem> pushed;
-  ASSERT_TRUE(watcher.DrainPushed(tag, &pushed, &error)) << error;
-  ASSERT_EQ(pushed.size(), 2u);
-  EXPECT_TRUE(pushed[0].up);
-  EXPECT_EQ(pushed[0].value, 1.0);
-  EXPECT_FALSE(pushed[1].up);
-  EXPECT_EQ(pushed[1].value, 0.0);
+    // Two facts violating the FD A -> B: one minimal subset, crossing up.
+    FactId id = 0;
+    ASSERT_TRUE(writer.ApplyInsert(session, Row(1, 1, 1), &id, &error))
+        << error;
+    ASSERT_TRUE(writer.ApplyInsert(session, Row(1, 2, 1), &id, &error))
+        << error;
+    // Sliding the whole window out clears the count: crossing down.
+    size_t expired = 0, live = 0;
+    ASSERT_TRUE(writer.StreamTick(session, 10, &expired, &live, &error))
+        << error;
+    EXPECT_EQ(expired, 2u);
+
+    // Every push is on the watcher's wire before the writer's ack, so a
+    // round-trip on the watcher connection pulls in all of them;
+    // DrainPushed hands the notifications over in order.
+    ASSERT_TRUE(watcher.Ping(&error)) << error;
+    std::vector<PushedItem> pushed;
+    ASSERT_TRUE(watcher.DrainPushed(tag, &pushed, &error)) << error;
+    ASSERT_EQ(pushed.size(), 2u);
+    EXPECT_TRUE(pushed[0].up);
+    EXPECT_EQ(pushed[0].value, 1.0);
+    EXPECT_FALSE(pushed[1].up);
+    EXPECT_EQ(pushed[1].value, 0.0);
+  }
 }
 
 // EVALUATE ... APPROX round-trips the in-process ApproxEvaluator report

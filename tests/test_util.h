@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,6 +13,7 @@
 #include "relational/database.h"
 #include "relational/operations.h"
 #include "relational/schema.h"
+#include "violations/violation.h"
 
 namespace dbim::testing {
 
@@ -27,6 +29,36 @@ Database MakeRandomDatabase(std::shared_ptr<const Schema> schema,
 
 /// Schema with a single relation R(A,B,C).
 std::shared_ptr<const Schema> MakeAbcSchema();
+
+/// MI_Sigma(D) computed the slow, obviously correct way — the reference the
+/// detector and the incremental index are checked against.
+struct NaiveMi {
+  /// Minimal inconsistent subsets, each sorted, in lexicographic order.
+  std::vector<std::vector<FactId>> subsets;
+  /// The (F, sigma) count of ViolationSet::num_minimal_violations(): one
+  /// per contradictory fact, plus one per (binary constraint, minimal
+  /// pair it is violated by). Computed only when every constraint has at
+  /// most two variables.
+  std::optional<size_t> num_violations;
+};
+
+/// Enumerates every fact, pair and k-tuple of `db` and evaluates each
+/// constraint on materialized Facts with DenialConstraint::BodyHolds /
+/// MakesSelfInconsistent (no eval kernel, no blocking, no pool class
+/// ids), then keeps the supports with no inconsistent proper subset.
+/// O(|Sigma| n^k): a few hundred facts for binary Sigma, a few dozen
+/// for k-ary.
+NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
+                            const Database& db);
+
+/// The subsets of `v`, each sorted, in lexicographic order — the layout of
+/// NaiveMi::subsets.
+std::vector<std::vector<FactId>> SortedSubsets(const ViolationSet& v);
+
+/// Asserts (gtest) that `v` is exactly the oracle's MI_Sigma(D) of `db`,
+/// including the (F, sigma) count for unary/binary Sigma.
+void ExpectMatchesOracle(const std::vector<DenialConstraint>& dcs,
+                         const Database& db, const ViolationSet& v);
 
 struct ScriptedWorkloadOptions {
   RelationId relation = 0;

@@ -1,9 +1,9 @@
 // Tests for watched-key constraint dispatch: the shared blocking buckets
 // (whose non-empty keys ARE the watch set) must match a from-scratch
-// rebuild exactly through arbitrary churn, and the watched + pruned fast
-// paths must stay bit-identical to the unwatched reference — same counts,
-// same snapshot layout, same measure values — after every operation,
-// against fresh detection at several thread counts.
+// rebuild exactly through arbitrary churn, and the maintained MI set must
+// equal the brute-force oracle (tests/test_util.h) and fresh detection at
+// several thread counts — same subsets, same (F, sigma) counts, same
+// measure values — after every operation.
 // The concurrent case (watched sessions mutating from several threads) is
 // here too, so the suite carries the concurrency label for TSan.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "constraints/parser.h"
 #include "constraints/predicate.h"
-#include "measures/engine.h"
 #include "measures/session.h"
 #include "relational/operations.h"
 #include "test_util.h"
@@ -25,15 +24,9 @@
 namespace dbim {
 namespace {
 
+using testing::ExpectMatchesOracle;
 using testing::MakeAbcSchema;
 using testing::MakeRandomDatabase;
-
-IncrementalOptions Unwatched() {
-  IncrementalOptions options;
-  options.watched_dispatch = false;
-  options.anchored_pruning = false;
-  return options;
-}
 
 std::vector<DenialConstraint> AbcFds(const Schema& schema) {
   std::vector<DenialConstraint> dcs;
@@ -64,88 +57,77 @@ ScriptedWorkloadOptions WorkloadDomain(int64_t domain) {
   return options;
 }
 
-// Drives a watched and an unwatched index through one random trajectory in
-// lockstep. After every operation: the watcher invariant holds, the two
-// indices agree bit-for-bit (counts, multiplicities, raw snapshot layout —
-// not just set equality), and both match fresh detection at 1/2/4/8
+// Drives an index through one random trajectory. After every operation:
+// the watcher invariant holds, the maintained MI set and its (F, sigma)
+// count equal the oracle's, and both match fresh detection at 1/2/4/8
 // threads.
-void RunLockstepSweep(std::shared_ptr<const Schema> schema,
-                      const std::vector<DenialConstraint>& dcs,
-                      size_t num_facts, uint64_t seed, int steps,
-                      const std::string& where) {
+void RunOracleSweep(std::shared_ptr<const Schema> schema,
+                    const std::vector<DenialConstraint>& dcs,
+                    size_t num_facts, uint64_t seed, int steps,
+                    const std::string& where) {
   const Database start = MakeRandomDatabase(schema, 0, num_facts, 3, seed);
-  IncrementalViolationIndex watched(schema, dcs, start, {},
-                                    IncrementalOptions{});
-  IncrementalViolationIndex unwatched(schema, dcs, start, {}, Unwatched());
-  EXPECT_EQ(unwatched.NumWatchedKeys(), 0u);
+  IncrementalViolationIndex index(schema, dcs, start);
 
   ScriptedWorkload workload(seed * 17 + 3, WorkloadDomain(3));
   for (int step = 0; step <= steps; ++step) {
-    if (step > 0) {
-      const RepairOperation op = workload.Next(watched.db());
-      watched.Apply(op);
-      unwatched.Apply(op);
-    }
+    if (step > 0) index.Apply(workload.Next(index.db()));
     const std::string at = where + " step " + std::to_string(step);
+    SCOPED_TRACE(at);
     std::string error;
-    ASSERT_TRUE(watched.CheckWatcherInvariant(&error)) << at << ": " << error;
-    EXPECT_EQ(watched.NumMinimalSubsets(), unwatched.NumMinimalSubsets())
-        << at;
-    EXPECT_EQ(watched.NumMinimalViolations(),
-              unwatched.NumMinimalViolations())
-        << at;
-    // Raw snapshot layout, not sorted: watched dispatch must discover and
-    // commit subsets in the unwatched path's slot order.
-    EXPECT_EQ(watched.Snapshot().minimal_subsets(),
-              unwatched.Snapshot().minimal_subsets())
-        << at;
-    auto maintained = watched.Snapshot().minimal_subsets();
-    std::sort(maintained.begin(), maintained.end());
+    ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << error;
+    const ViolationSet maintained = index.Snapshot();
+    EXPECT_EQ(index.NumMinimalSubsets(), maintained.num_minimal_subsets());
+    EXPECT_EQ(index.NumMinimalViolations(),
+              maintained.num_minimal_violations());
+    ExpectMatchesOracle(dcs, index.db(), maintained);
+    const auto sorted = testing::SortedSubsets(maintained);
     for (const size_t threads : {1u, 2u, 4u, 8u}) {
       DetectorOptions dopt;
       dopt.num_threads = threads;
       const ViolationDetector fresh(schema, dcs, dopt);
-      auto detected = fresh.FindViolations(watched.db()).minimal_subsets();
-      std::sort(detected.begin(), detected.end());
-      ASSERT_EQ(maintained, detected) << at << " threads=" << threads;
+      const ViolationSet detected = fresh.FindViolations(index.db());
+      ASSERT_EQ(sorted, testing::SortedSubsets(detected))
+          << "threads=" << threads;
+      EXPECT_EQ(index.NumMinimalViolations(),
+                detected.num_minimal_violations())
+          << "threads=" << threads;
     }
   }
 }
 
 class WatchedDispatchSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(WatchedDispatchSweep, BinarySigmaBitIdentical) {
+TEST_P(WatchedDispatchSweep, BinarySigmaMatchesOracle) {
   const auto schema = MakeAbcSchema();
-  RunLockstepSweep(schema, AbcFds(*schema), 22,
-                   static_cast<uint64_t>(GetParam()) * 5 + 1, 12,
-                   "binary seed=" + std::to_string(GetParam()));
+  RunOracleSweep(schema, AbcFds(*schema), 22,
+                 static_cast<uint64_t>(GetParam()) * 5 + 1, 12,
+                 "binary seed=" + std::to_string(GetParam()));
 }
 
-TEST_P(WatchedDispatchSweep, MixedBinaryUnaryKArySigmaBitIdentical) {
+TEST_P(WatchedDispatchSweep, MixedBinaryUnaryKArySigmaMatchesOracle) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B)"));
   dcs.push_back(ChainDc3());
-  RunLockstepSweep(schema, dcs, 16,
-                   static_cast<uint64_t>(GetParam()) * 9 + 2, 12,
-                   "mixed seed=" + std::to_string(GetParam()));
+  RunOracleSweep(schema, dcs, 16,
+                 static_cast<uint64_t>(GetParam()) * 9 + 2, 12,
+                 "mixed seed=" + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WatchedDispatchSweep, ::testing::Range(0, 6));
 
 // An unblocked binary constraint (no cross-variable equality) must keep
-// probing every op even under watched dispatch — it has no keys to watch.
+// probing every op — it has no keys to watch.
 TEST(WatchedDispatch, UnblockedConstraintAlwaysProbes) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs;
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t'.A & t.B >= t'.B)"));
-  RunLockstepSweep(schema, dcs, 14, 87, 10, "unblocked");
+  RunOracleSweep(schema, dcs, 14, 87, 10, "unblocked");
 }
 
 // Watched dispatch skips constraints whose watched key classes the changed
 // fact does not hit: inserting a fact with a unique A touches the A-keyed
-// FD's watcher map not at all, while the unwatched reference probes every
-// constraint on every op.
+// FD's watcher map not at all.
 TEST(WatchedDispatch, DispatchStatsCountSkips) {
   const auto schema = MakeAbcSchema();
   const std::vector<DenialConstraint> dcs = AbcFds(*schema);
@@ -154,8 +136,7 @@ TEST(WatchedDispatch, DispatchStatsCountSkips) {
   for (int64_t i = 0; i < 6; ++i) {
     db.Insert(Fact(0, {Value(100 + i), Value(7), Value(i % 2)}));
   }
-  IncrementalViolationIndex watched(schema, dcs, db, {},
-                                    IncrementalOptions{});
+  IncrementalViolationIndex watched(schema, dcs, db);
   EXPECT_GT(watched.NumWatchedKeys(), 0u);
   // A fresh fact with a never-seen A and the shared B: the A-keyed FD has
   // no watcher for its key, the B-keyed FD does.
@@ -166,11 +147,8 @@ TEST(WatchedDispatch, DispatchStatsCountSkips) {
   EXPECT_GT(stats.constraints_skipped, 0u);
   EXPECT_GT(stats.constraints_probed, 0u);
 
-  IncrementalViolationIndex unwatched(schema, dcs, db, {}, Unwatched());
-  unwatched.Apply(RepairOperation::Insertion(
-      Fact(0, {Value(999), Value(7), Value(5)})));
-  EXPECT_EQ(unwatched.dispatch_stats().constraints_skipped, 0u);
-  EXPECT_EQ(watched.NumMinimalSubsets(), unwatched.NumMinimalSubsets());
+  EXPECT_EQ(stats.constraints_probed + stats.constraints_skipped, dcs.size());
+  ExpectMatchesOracle(dcs, watched.db(), watched.Snapshot());
 }
 
 // Per-constraint counters: probing accumulates, fires bump activity, and
@@ -181,8 +159,7 @@ TEST(WatchedDispatch, ConstraintStatsAccumulate) {
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(ChainDc3());
   const Database start = MakeRandomDatabase(schema, 0, 18, 2, 91);
-  IncrementalViolationIndex index(schema, dcs, start, {},
-                                  IncrementalOptions{});
+  IncrementalViolationIndex index(schema, dcs, start);
   ScriptedWorkload workload(92, WorkloadDomain(2));
   for (int step = 0; step < 20; ++step) {
     index.Apply(workload.Next(index.db()));
@@ -208,52 +185,42 @@ TEST(WatchedDispatch, FdWatcherCountSharedGroupNotDoubleCounted) {
   for (int64_t i = 0; i < 8; ++i) {
     db.Insert(Fact(0, {Value(i % 4), Value(i), Value(0)}));
   }
-  IncrementalViolationIndex index(schema, dcs, db, {}, IncrementalOptions{});
+  IncrementalViolationIndex index(schema, dcs, db);
   EXPECT_EQ(index.ConstraintStatsFor(0).watcher_count, 4u);
 }
 
-// Measure-level parity through the session API: a watched session and an
-// unwatched session applying the same trajectory report bit-identical
-// measures, matching a fresh engine, with zero full-detection fallbacks.
+// Measure-level parity through the session API: a session applying a
+// random trajectory reports the measures of a fresh EvaluateOne over an
+// equal database, with zero full-detection fallbacks.
 TEST(WatchedDispatch, SessionMeasureParity) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(ChainDc3());
   const Database start = MakeRandomDatabase(schema, 0, 18, 3, 131);
 
-  MeasureSessionOptions watched_options;
-  MeasureSessionOptions unwatched_options;
-  unwatched_options.incremental = Unwatched();
-  MeasureSession watched(schema, dcs, watched_options);
-  MeasureSession unwatched(schema, dcs, unwatched_options);
-  const MeasureEngine fresh(schema, dcs, watched_options);
+  MeasureSession watched(schema, dcs);
+  const MeasureSession fresh(schema, dcs);
 
   const DbHandle wh = watched.Register(start);
-  const DbHandle uh = unwatched.Register(start);
   Database mirror = start;
   ScriptedWorkload workload(132, WorkloadDomain(3));
   for (int step = 0; step < 24; ++step) {
     const RepairOperation op = workload.Next(mirror);
     watched.Apply(wh, op);
-    unwatched.Apply(uh, op);
     op.ApplyInPlace(mirror);
     if (step % 6 != 5) continue;
-    const BatchReport expected = fresh.EvaluateAll(mirror);
-    for (const MeasureSession* session : {&watched, &unwatched}) {
-      const BatchReport actual =
-          session->Evaluate(session == &watched ? wh : uh);
-      EXPECT_EQ(expected.num_minimal_subsets, actual.num_minimal_subsets)
-          << "step " << step;
-      ASSERT_EQ(expected.measures.size(), actual.measures.size());
-      for (size_t m = 0; m < expected.measures.size(); ++m) {
-        EXPECT_EQ(expected.measures[m].name, actual.measures[m].name);
-        EXPECT_EQ(expected.measures[m].value, actual.measures[m].value)
-            << "step " << step << " " << expected.measures[m].name;
-      }
+    const BatchReport expected = fresh.EvaluateOne(mirror);
+    const BatchReport actual = watched.Evaluate(wh);
+    EXPECT_EQ(expected.num_minimal_subsets, actual.num_minimal_subsets)
+        << "step " << step;
+    ASSERT_EQ(expected.measures.size(), actual.measures.size());
+    for (size_t m = 0; m < expected.measures.size(); ++m) {
+      EXPECT_EQ(expected.measures[m].name, actual.measures[m].name);
+      EXPECT_EQ(expected.measures[m].value, actual.measures[m].value)
+          << "step " << step << " " << expected.measures[m].name;
     }
   }
   EXPECT_EQ(watched.num_full_detections(), 0u);
-  EXPECT_EQ(unwatched.num_full_detections(), 0u);
   // The session surfaces per-constraint stats for the handle.
   const std::vector<SessionConstraintStats> stats = watched.ConstraintStats(wh);
   ASSERT_EQ(stats.size(), dcs.size());
@@ -272,7 +239,7 @@ TEST(WatchedDispatchConcurrency, ConcurrentWatchedHandlesMatchSequential) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(ChainDc3());
-  MeasureSessionOptions options;  // watched + pruned defaults
+  SessionOptions options;
   options.auto_vacuum_threshold = 0.3;
 
   constexpr size_t kHandles = 3;
@@ -304,10 +271,10 @@ TEST(WatchedDispatchConcurrency, ConcurrentWatchedHandlesMatchSequential) {
   }
   for (std::thread& t : workers) t.join();
 
-  const MeasureEngine fresh(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
   for (size_t h = 0; h < kHandles; ++h) {
     EXPECT_TRUE(session.db(handles[h]) == mirrors[h]) << "handle " << h;
-    const BatchReport expected = fresh.EvaluateAll(mirrors[h]);
+    const BatchReport expected = fresh.EvaluateOne(mirrors[h]);
     const BatchReport actual = session.Evaluate(handles[h]);
     EXPECT_EQ(expected.num_minimal_subsets, actual.num_minimal_subsets)
         << "handle " << h;

@@ -23,7 +23,7 @@ timer noise — from tripping the relative gate.
 
 Self-relative mode:
     check_bench_regression.py --self=FILE
-        "--fast-column=blocked (s)" "--slow-column=nested loop (s)"
+        "--fast-column=session (s)" "--slow-column=fresh (s)"
         [--max-ratio=1.0] [--min-seconds=0.05]
 
 Both columns come from the SAME run on the SAME host, so runner speed
@@ -32,9 +32,9 @@ absolute baseline mode is not. A row fails when
 
     fast > slow * max_ratio  AND  fast - slow > min_seconds
 
-i.e. the supposedly cheaper strategy (hash blocking vs nested loop, the
-session's amortized path vs a fresh engine) stopped being cheaper by more
-than noise.
+i.e. the supposedly cheaper strategy (the session's amortized path vs a
+fresh EvaluateOne, incremental maintenance vs re-detection) stopped being
+cheaper by more than noise.
 
 Curve mode:
     check_bench_regression.py --curve=FILE

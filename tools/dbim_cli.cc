@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   // One session, one shared context: violation detection — the dominating
   // cost — runs once, and the measure loop, Shapley ranking, and repair
   // all reuse it.
-  MeasureSessionOptions options =
+  SessionOptions options =
       SessionOptionsFromFlags(argc, argv).WithRepairDeadline(30.0);
   MeasureSession session(spec.schema, spec.constraints, options);
   // One-shot workload: evaluate the loaded database on its own pool (no
