@@ -20,7 +20,7 @@ int Run(const BenchArgs& args) {
   SessionOptions options = args.Options();
   options.registry.include_mc = true;
   options.registry.mc_deadline_seconds = args.full ? 60.0 : 5.0;
-  options.only = {"I_MC"};
+  options.registry.only = {"I_MC"};
 
   Rng rng(args.seed);
   for (const char* mode : {"CONoise", "RNoise"}) {

@@ -49,7 +49,7 @@ CellResult RunCell(const BenchArgs& args, size_t clients, size_t sessions,
   options.session.registry.include_mc = false;
   // Polynomial measures only: the point is wire + scheduling latency, not
   // the NP-hard measures' search time (bench_fig5_imc covers those).
-  options.session.only = {"I_d", "I_MI", "I_P", "I_MV"};
+  options.session.registry.only = {"I_d", "I_MI", "I_P", "I_MV"};
   ServiceServer server(spec.schema, spec.relation, spec.constraints,
                        options);
   std::string error;

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   SessionOptions options;
   options.registry.include_mc = false;
-  options.only = {"I_d", "I_P", "I_lin_R"};
+  options.registry.only = {"I_d", "I_P", "I_lin_R"};
   MeasureSession session(dataset.schema, dataset.constraints, options);
   const DbHandle handle = session.Register(noisy);
 

@@ -79,8 +79,8 @@ namespace {
 // be able to lock the state, observe "nothing left to claim", and exit
 // without touching the caller's stack. The copied `compute` function may
 // hold caller-stack references, but it is only ever invoked for a
-// successfully claimed range, and the caller does not return while any
-// claimed range is still in flight.
+// successfully claimed range, and the caller does not return before it
+// has consumed every range — i.e. before every claimed compute finished.
 //
 // Claims always peel a *prefix* off the unclaimed territory [next, n), so
 // claim order equals ascending index order: the consumer's cursor range is
@@ -94,33 +94,27 @@ struct StealState {
   size_t grain = 1;
   size_t num_workers = 1;      // claim-sizing divisor (pool tasks + caller)
   size_t next = 0;             // begin of unclaimed territory; guarded
-  size_t computing = 0;        // claimed ranges in flight; guarded
-  bool cancel = false;         // guarded
   std::map<size_t, size_t> done;  // begin -> end, computed not consumed
   std::function<void(IndexRange)> compute;
 
   // Steals the next sub-range (a prefix of the unclaimed territory), or an
-  // empty range when cancelled or exhausted. Guided sizing: half the
-  // remainder split across the workers, floored at `grain`, so claims
-  // shrink geometrically toward the tail. Claim and in-flight accounting
-  // are one critical section, so the caller's drain ("computing == 0")
-  // can never miss a claimed range.
+  // empty range when exhausted. Guided sizing: half the remainder split
+  // across the workers, floored at `grain`, so claims shrink geometrically
+  // toward the tail.
   IndexRange Claim() {
     std::lock_guard<std::mutex> lock(mutex);
-    if (cancel || next >= n) return IndexRange{n, n};
+    if (next >= n) return IndexRange{n, n};
     const size_t remaining = n - next;
     const size_t len =
         std::min(remaining, std::max(grain, remaining / (2 * num_workers)));
     const IndexRange range{next, next + len};
     next = range.end;
-    ++computing;
     return range;
   }
 
   void MarkDone(IndexRange range) {
     std::lock_guard<std::mutex> lock(mutex);
     done.emplace(range.begin, range.end);
-    --computing;
     changed.notify_all();
   }
 
@@ -138,7 +132,7 @@ struct StealState {
 
 void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
                         const std::function<void(IndexRange)>& compute,
-                        const std::function<bool(IndexRange)>& consume) {
+                        const std::function<void(IndexRange)>& consume) {
   if (n == 0) return;
   grain = std::max<size_t>(grain, 1);
   if (num_threads <= 1 || n <= grain) {
@@ -179,8 +173,7 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
   // Claim() runs dry every index up to n has an owner (this thread or a
   // running worker), and owners always finish with MarkDone.
   size_t cursor = 0;
-  bool cancelled = false;
-  while (cursor < n && !cancelled) {
+  while (cursor < n) {
     IndexRange ready{0, 0};
     for (;;) {
       {
@@ -205,47 +198,12 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
       compute(helped);
       state->MarkDone(helped);
     }
-    if (!consume(ready)) {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      state->cancel = true;
-      cancelled = true;
-    }
+    consume(ready);
     cursor = ready.end;
   }
-  // Drain in-flight computes before returning: a worker mid-compute on a
-  // cancelled-but-claimed range still references caller buffers. Tasks
-  // that never started are NOT waited for — they hold only the shared
-  // state and exit via Claim() when the pool gets to them.
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->changed.wait(lock, [&] { return state->computing == 0; });
-}
-
-void OrderedParallelFor(size_t num_threads, size_t num_chunks,
-                        const std::function<void(size_t)>& compute,
-                        const std::function<bool(size_t)>& consume) {
-  if (num_chunks == 0) return;
-  if (num_threads <= 1 || num_chunks == 1) {
-    for (size_t c = 0; c < num_chunks; ++c) {
-      compute(c);
-      if (!consume(c)) break;
-    }
-    return;
-  }
-  // Discrete chunks ride the stealing core at grain 1: a claimed range is
-  // a run of chunk indices, computed left to right; consumption unrolls
-  // ranges back to per-chunk calls, preserving the original contract
-  // (ascending order, cancel stops everything unstarted).
-  OrderedStealingFor(
-      num_threads, num_chunks, 1,
-      [&](IndexRange range) {
-        for (size_t c = range.begin; c < range.end; ++c) compute(c);
-      },
-      [&](IndexRange range) {
-        for (size_t c = range.begin; c < range.end; ++c) {
-          if (!consume(c)) return false;
-        }
-        return true;
-      });
+  // Every range has been consumed, so no claimed compute is still in
+  // flight. Tasks that never started are NOT waited for — they hold only
+  // the shared state and exit via Claim() when the pool gets to them.
 }
 
 }  // namespace dbim

@@ -12,7 +12,7 @@
 namespace dbim {
 
 /// A small reusable worker pool. Tasks are fire-and-forget closures;
-/// callers coordinate completion themselves (see OrderedParallelFor, which
+/// callers coordinate completion themselves (see OrderedStealingFor, which
 /// is the intended way to consume the pool). The process-wide pool behind
 /// `Global()` is created lazily and grows on demand, so single-threaded
 /// callers never pay for a thread spawn.
@@ -76,48 +76,28 @@ struct IndexRange {
 /// `compute(range)` runs concurrently over disjoint sub-ranges covering
 /// [0, n) and must only write state owned by its range. `consume(range)`
 /// runs on the calling thread in ascending index order (consecutive
-/// ranges, lowest first); returning false cancels territory not yet
-/// claimed and stops consumption.
+/// ranges, lowest first), after that range's compute finished. Discrete
+/// tasks (one measure, one database) use grain 1 and loop over the range.
 ///
 /// Sub-range *boundaries* depend on scheduling, so determinism needs two
 /// (caller-checked) rules: `compute`'s observable output for a range must
 /// equal the concatenation of its outputs over any partition of that range
 /// (true for the detector's scan/probe/enumerate shards, which emit per
-/// row in row order, and for cooperative deadline polls aligned to global
-/// indices), and every cross-range decision (dedup, caps, truncation) must
+/// row in row order), and every cross-range decision (e.g. dedup) must
 /// live in `consume`. Under those rules the observable result is
 /// bit-identical for every `num_threads`, including 1.
+///
+/// The calling thread helps compute unclaimed sub-ranges while waiting,
+/// so a `compute` that itself calls OrderedStealingFor (nested fan-out
+/// from a pool worker) cannot deadlock on a saturated pool: every consumer
+/// can drive its own ranges to completion single-handedly.
 ///
 /// With `num_threads <= 1` (or n <= grain) everything runs inline on the
 /// calling thread as one compute + one consume of [0, n) — no pool, no
 /// synchronization.
 void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
                         const std::function<void(IndexRange)>& compute,
-                        const std::function<bool(IndexRange)>& consume);
-
-/// Deterministic ordered parallel-for over `num_chunks` chunks — the
-/// discrete-task sibling of OrderedStealingFor (chunks are opaque, so the
-/// scheduling grain is one chunk; it shares the same work-stealing core,
-/// claim-a-prefix scheduling and consumer helping).
-///
-/// `compute(chunk)` runs on pool workers in any order and must only write
-/// state owned by its chunk (e.g. a per-chunk output buffer preallocated by
-/// the caller). `consume(chunk)` runs on the calling thread in ascending
-/// chunk order, after that chunk's compute finished; returning false
-/// cancels chunks that have not started yet and stops consumption. Because
-/// every cross-chunk effect goes through `consume` in canonical order, the
-/// observable result is identical for every `num_threads`, including 1.
-///
-/// The calling thread helps compute unstarted chunks while waiting, so a
-/// `compute` that itself calls OrderedParallelFor (nested fan-out from a
-/// pool worker) cannot deadlock on a saturated pool: every consumer can
-/// drive its own chunks to completion single-handedly.
-///
-/// With `num_threads <= 1` (or a single chunk) everything runs inline on
-/// the calling thread — no pool, no synchronization.
-void OrderedParallelFor(size_t num_threads, size_t num_chunks,
-                        const std::function<void(size_t)>& compute,
-                        const std::function<bool(size_t)>& consume);
+                        const std::function<void(IndexRange)>& consume);
 
 }  // namespace dbim
 

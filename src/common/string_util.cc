@@ -1,7 +1,11 @@
 #include "common/string_util.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace dbim {
 
@@ -56,6 +60,51 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+bool ParseUint64(const std::string& token, uint64_t max, uint64_t* out,
+                 std::string* error) {
+  if (token.empty() || token.size() > 20) {
+    *error = "bad unsigned integer: " + token;
+    return false;
+  }
+  uint64_t v = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') {
+      *error = "bad unsigned integer: " + token;
+      return false;
+    }
+    if (v > (std::numeric_limits<uint64_t>::max() - (c - '0')) / 10) {
+      *error = "unsigned integer overflow: " + token;
+      return false;
+    }
+    v = v * 10 + (c - '0');
+  }
+  if (v > max) {
+    *error = "integer out of range: " + token;
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseDouble(const std::string& token, double* out, std::string* error) {
+  if (token.empty()) {
+    *error = "empty number";
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  // ERANGE underflow (subnormal results) is fine — strtod returned the
+  // nearest representable value; only overflow to +-HUGE_VAL is rejected.
+  const bool overflow = errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL);
+  if (end != token.c_str() + token.size() || overflow) {
+    *error = "bad number: " + token;
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace dbim

@@ -1,6 +1,7 @@
 #ifndef DBIM_COMMON_STRING_UTIL_H_
 #define DBIM_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,16 @@ std::string_view Trim(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses a plain decimal unsigned integer (digits only: no sign, no
+/// whitespace) no greater than `max`. Returns false and sets *error on
+/// anything else, including overflow.
+bool ParseUint64(const std::string& token, uint64_t max, uint64_t* out,
+                 std::string* error);
+
+/// Parses a whole token as a double (strtod syntax). Returns false and sets
+/// *error on an empty token, trailing bytes or overflow to infinity.
+bool ParseDouble(const std::string& token, double* out, std::string* error);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

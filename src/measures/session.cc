@@ -32,16 +32,7 @@ MeasureSession::MeasureSession(std::shared_ptr<const Schema> schema,
       detector_(schema_, std::move(constraints), options.detector),
       measures_(CreateMeasures(options.registry)),
       options_(std::move(options)),
-      pool_(std::make_shared<ValuePool>()) {
-  // Incremental maintenance covers any constraint arity (binary Sigma
-  // probes blocking buckets, k-ary Sigma re-enumerates witnesses through
-  // the changed fact); only capped/deadlined detection falls back to full
-  // detection per evaluation (a maintained MI set cannot reproduce a
-  // truncation point).
-  incremental_supported_ =
-      options_.detector.max_subsets == 0 &&
-      options_.detector.deadline_seconds == 0.0;
-}
+      pool_(std::make_shared<ValuePool>()) {}
 
 MeasureSession::HandleState& MeasureSession::State(DbHandle handle) {
   DBIM_CHECK_MSG(handle < handles_.size() && handles_[handle] != nullptr,
@@ -57,13 +48,14 @@ const MeasureSession::HandleState& MeasureSession::State(
 }
 
 DbHandle MeasureSession::Register(const Database& db) {
-  auto state = std::make_unique<HandleState>(db);  // copy, then re-key
+  Database copy = db;  // copy, then re-key
   std::unique_lock<std::shared_mutex> lock(session_mu_);
-  state->db.ReinternInto(pool_);
-  if (incremental_supported_) {
-    state->incremental = std::make_unique<IncrementalViolationIndex>(
-        schema_, detector_.constraints(), &state->db, options_.detector);
-  }
+  copy.ReinternInto(pool_);
+  // Incremental maintenance covers any constraint arity: binary Sigma
+  // probes blocking buckets, k-ary Sigma re-enumerates witnesses through
+  // the changed fact.
+  auto state = std::make_unique<HandleState>(
+      std::move(copy), schema_, detector_.constraints(), options_.detector);
   const DbHandle handle = static_cast<DbHandle>(handles_.size());
   handles_.push_back(std::move(state));
   ++num_registered_;
@@ -91,7 +83,7 @@ size_t MeasureSession::num_stored_subset_slots(DbHandle handle) const {
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   const HandleState& state = State(handle);
   std::lock_guard<std::mutex> handle_lock(state.mu);
-  return state.incremental ? state.incremental->NumStoredSlots() : 0;
+  return state.incremental.NumStoredSlots();
 }
 
 std::vector<SessionConstraintStats> MeasureSession::ConstraintStats(
@@ -105,19 +97,12 @@ std::vector<SessionConstraintStats> MeasureSession::ConstraintStats(
   for (size_t c = 0; c < constraints.size(); ++c) {
     SessionConstraintStats s;
     s.constraint = constraints[c].ToString(*schema_);
-    if (state.incremental) {
-      const IncrementalConstraintStats ics =
-          state.incremental->ConstraintStatsFor(c);
-      s.num_probes = ics.num_probes;
-      s.num_fires = ics.num_fires;
-      s.activity = ics.activity;
-      s.watcher_count = ics.watcher_count;
-    } else {
-      const DetectorConstraintStats dcs = detector_.constraint_stats(c);
-      s.num_probes = dcs.num_probes;
-      s.num_fires = dcs.num_fires;
-      s.activity = dcs.activity;
-    }
+    const IncrementalConstraintStats ics =
+        state.incremental.ConstraintStatsFor(c);
+    s.num_probes = ics.num_probes;
+    s.num_fires = ics.num_fires;
+    s.activity = ics.activity;
+    s.watcher_count = ics.watcher_count;
     out.push_back(std::move(s));
   }
   return out;
@@ -127,8 +112,7 @@ IncrementalDispatchStats MeasureSession::DispatchStats(DbHandle handle) const {
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   const HandleState& state = State(handle);
   std::lock_guard<std::mutex> handle_lock(state.mu);
-  return state.incremental ? state.incremental->dispatch_stats()
-                           : IncrementalDispatchStats{};
+  return state.incremental.dispatch_stats();
 }
 
 std::optional<FactId> MeasureSession::Apply(DbHandle handle,
@@ -145,13 +129,7 @@ std::optional<FactId> MeasureSession::Apply(DbHandle handle,
     if (options_.durability != nullptr) {
       options_.durability->OnApply(handle, op);
     }
-    if (state.incremental) {
-      inserted = state.incremental->Apply(op);
-    } else if (op.is_insertion()) {
-      inserted = state.db.Insert(op.insertion().fact);
-    } else {
-      op.ApplyInPlace(state.db);
-    }
+    inserted = state.incremental.Apply(op);
   }
   // The auto-vacuum hook runs with no lock held (Vacuum takes the session
   // lock exclusively itself), so an Apply that triggers it can never
@@ -185,11 +163,7 @@ size_t MeasureSession::NumMinimalSubsets(DbHandle handle) const {
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   const HandleState& state = State(handle);
   std::lock_guard<std::mutex> handle_lock(state.mu);
-  if (state.incremental != nullptr) {
-    return state.incremental->NumMinimalSubsets();
-  }
-  num_full_detections_.fetch_add(1, std::memory_order_relaxed);
-  return detector_.FindViolations(state.db).num_minimal_subsets();
+  return state.incremental.NumMinimalSubsets();
 }
 
 std::vector<std::pair<FactId, std::vector<Value>>> MeasureSession::CopyFacts(
@@ -207,42 +181,34 @@ std::vector<std::pair<FactId, std::vector<Value>>> MeasureSession::CopyFacts(
   return rows;
 }
 
-bool MeasureSession::Selected(const std::string& name) const {
-  if (options_.only.empty()) return true;
-  return std::find(options_.only.begin(), options_.only.end(),
-                   name) != options_.only.end();
-}
-
 std::vector<MeasureResult> MeasureSession::Evaluate(
     MeasureContext& context) const {
-  std::vector<InconsistencyMeasure*> selected;
-  selected.reserve(measures_.size());
-  for (const auto& measure : measures_) {
-    if (Selected(measure->name())) selected.push_back(measure.get());
-  }
-  std::vector<MeasureResult> results(selected.size());
+  std::vector<MeasureResult> results(measures_.size());
   auto evaluate_one = [&](size_t i) {
     MeasureResult& r = results[i];
-    r.name = selected[i]->name();
+    r.name = measures_[i]->name();
     Timer timer;
-    r.value = selected[i]->Evaluate(context);
+    r.value = measures_[i]->Evaluate(context);
     r.seconds = timer.Seconds();
   };
-  if (!options_.parallel_measures || selected.size() <= 1) {
-    for (size_t i = 0; i < selected.size(); ++i) evaluate_one(i);
+  if (!options_.parallel_measures || measures_.size() <= 1) {
+    for (size_t i = 0; i < measures_.size(); ++i) evaluate_one(i);
     return results;
   }
   // Concurrent evaluation: materialize the context's lazy members first so
   // every worker strictly reads shared state (and no measure's timer
   // absorbs detection or the conflict-graph build), then run one task per
-  // measure. Each task writes only its own results slot; the trivial
-  // ordered consume keeps registry order.
+  // measure. Each task writes only its own results slot, so registry order
+  // needs no consume step.
   context.Materialize();
   const size_t threads =
-      std::min(selected.size(), ThreadPool::HardwareThreads());
-  OrderedParallelFor(
-      threads, selected.size(), [&](size_t i) { evaluate_one(i); },
-      [](size_t) { return true; });
+      std::min(measures_.size(), ThreadPool::HardwareThreads());
+  OrderedStealingFor(
+      threads, measures_.size(), 1,
+      [&](IndexRange range) {
+        for (size_t i = range.begin; i < range.end; ++i) evaluate_one(i);
+      },
+      [](IndexRange) {});
   return results;
 }
 
@@ -252,24 +218,15 @@ BatchReport MeasureSession::ReportOn(MeasureContext& context,
   const ViolationSet& violations = context.violations();
   report.detection_seconds = detection_seconds;
   report.num_minimal_subsets = violations.num_minimal_subsets();
-  report.truncated = violations.truncated();
   report.measures = Evaluate(context);
   return report;
 }
 
 BatchReport MeasureSession::EvaluateState(const HandleState& state) const {
   std::lock_guard<std::mutex> handle_lock(state.mu);
-  if (state.incremental) {
-    Timer snapshot;
-    MeasureContext context(detector_, state.db,
-                           state.incremental->Snapshot());
-    return ReportOn(context, snapshot.Seconds());
-  }
-  num_full_detections_.fetch_add(1, std::memory_order_relaxed);
-  Timer detection;
-  MeasureContext context(detector_, state.db);
-  context.violations();
-  return ReportOn(context, detection.Seconds());
+  Timer snapshot;
+  MeasureContext context(detector_, state.db, state.incremental.Snapshot());
+  return ReportOn(context, snapshot.Seconds());
 }
 
 BatchReport MeasureSession::Evaluate(DbHandle handle) const {
@@ -292,10 +249,14 @@ std::vector<BatchReport> MeasureSession::EvaluateAll(
   const size_t threads = options_.batch_threads == 0
                              ? ThreadPool::HardwareThreads()
                              : options_.batch_threads;
-  OrderedParallelFor(
-      threads, handles.size(),
-      [&](size_t i) { reports[i] = EvaluateState(*states[i]); },
-      [](size_t) { return true; });
+  OrderedStealingFor(
+      threads, handles.size(), 1,
+      [&](IndexRange range) {
+        for (size_t i = range.begin; i < range.end; ++i) {
+          reports[i] = EvaluateState(*states[i]);
+        }
+      },
+      [](IndexRange) {});
   return reports;
 }
 
@@ -310,9 +271,7 @@ ViolationSet MeasureSession::Violations(DbHandle handle) const {
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   const HandleState& state = State(handle);
   std::lock_guard<std::mutex> handle_lock(state.mu);
-  if (state.incremental) return state.incremental->Snapshot();
-  num_full_detections_.fetch_add(1, std::memory_order_relaxed);
-  return detector_.FindViolations(state.db);
+  return state.incremental.Snapshot();
 }
 
 double MeasureSession::PoolWasteLocked() const {
@@ -354,8 +313,8 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
   // incremental indices under churn exactly like dead pool entries, and
   // the same threshold bounds both.
   for (auto& state : handles_) {
-    if (state != nullptr && state->incremental) {
-      state->incremental->CompactSlotsIfWasteful(waste_threshold);
+    if (state != nullptr) {
+      state->incremental.CompactSlotsIfWasteful(waste_threshold);
     }
   }
   // Retired dictionary slabs ride along too: growth retires (never frees)

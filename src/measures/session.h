@@ -82,20 +82,18 @@ struct ApproxSpec {
 ///                                          .WithParallelMeasures()
 ///                                          .WithAutoVacuum(0.5));
 struct SessionOptions {
-  /// Measure selection and per-measure budgets (I_MC / I_R deadlines).
+  /// Measure selection (`registry.only`: the measures constructed are
+  /// exactly the ones evaluated) and per-measure budgets (I_MC / I_R
+  /// deadlines).
   RegistryOptions registry;
 
-  /// Knobs for the shared detection pass (caps, deadline, and
-  /// `num_threads` for the sharded phases — reports are identical for
-  /// every thread count; see DetectorOptions).
+  /// Knobs for the shared detection pass (`num_threads` for the sharded
+  /// phases — reports are identical for every thread count; see
+  /// DetectorOptions).
   DetectorOptions detector;
 
-  /// Restrict evaluation to these measure names (empty = the full
-  /// registry). Unknown names are ignored.
-  std::vector<std::string> only;
-
   /// Evaluate independent measures concurrently on the shared context (one
-  /// task per selected measure on the process-wide pool, capped at the
+  /// task per measure on the process-wide pool, capped at the
   /// hardware thread count). The context is materialized first, so workers
   /// only read shared state; every measure is a pure function of it, so
   /// values and result order are bit-identical to sequential evaluation —
@@ -149,21 +147,14 @@ struct SessionOptions {
     batch_threads = n;
     return *this;
   }
-  /// Restricts evaluation to one more named measure.
+  /// Restricts evaluation to one more named measure (appends to
+  /// registry.only).
   SessionOptions& WithMeasure(std::string name) {
-    only.push_back(std::move(name));
+    registry.WithMeasure(std::move(name));
     return *this;
   }
   SessionOptions& WithIncludeMC(bool on = true) {
     registry.include_mc = on;
-    return *this;
-  }
-  SessionOptions& WithMaxSubsets(size_t n) {
-    detector.max_subsets = n;
-    return *this;
-  }
-  SessionOptions& WithDetectionDeadline(double seconds) {
-    detector.deadline_seconds = seconds;
     return *this;
   }
   SessionOptions& WithRepairDeadline(double seconds) {
@@ -200,10 +191,11 @@ struct MeasureResult {
 /// Result of evaluating a registry over one (Sigma, D) pair.
 struct BatchReport {
   /// Wall time spent obtaining MI_Sigma(D): the single FindViolations pass,
-  /// or — on a session handle with incremental maintenance — the snapshot
-  /// of the maintained set.
+  /// or — on a session handle — the snapshot of the maintained set.
   double detection_seconds = 0.0;
   size_t num_minimal_subsets = 0;
+  /// Always false: detection runs to completion. Kept because the EVALUATE
+  /// reply carries it as a wire token (always `0`).
   bool truncated = false;
   std::vector<MeasureResult> measures;
 
@@ -215,8 +207,7 @@ struct BatchReport {
 /// MeasureSession::ConstraintStats: partner candidates examined (probes),
 /// subsets contributed (fires), the decayed activity score ordering
 /// hottest-first probing, and the constraint's live watcher/bucket-key
-/// footprint. From the handle's incremental index when one exists,
-/// otherwise from the shared detector's cumulative pass-2 counters.
+/// footprint, all from the handle's incremental index.
 struct SessionConstraintStats {
   std::string constraint;  // rendered denial constraint
   uint64_t num_probes = 0;
@@ -235,19 +226,17 @@ struct SessionConstraintStats {
 /// dominates each evaluation (paper Section 6.2.3), so the session
 /// amortizes detection *state* across the trajectory:
 ///
-///  * `Register(db)` re-interns the database onto the session pool and —
-///    when detection is uncapped — builds an IncrementalViolationIndex on
-///    the shared eval kernel: binary constraints keep per-constraint
-///    blocking buckets across operations, k-ary constraints re-enumerate
-///    witnesses through the changed fact (anchored enumeration);
+///  * `Register(db)` re-interns the database onto the session pool and
+///    builds an IncrementalViolationIndex on the shared eval kernel:
+///    binary constraints keep per-constraint blocking buckets across
+///    operations, k-ary constraints re-enumerate witnesses through the
+///    changed fact (anchored enumeration);
 ///  * `Apply(handle, op)` mutates in place and maintains MI_Sigma(D) in
 ///    O(bucket) (binary) / O(k n^{k-1}) (k-ary) per operation instead of
-///    re-detecting (capped/deadlined detection falls back to full
-///    detection transparently);
-///  * `Evaluate(handle)` reports all selected measures; with incremental
-///    maintenance the "detection" step is a snapshot of the maintained
-///    set. Reports are bit-identical to EvaluateOne over an equal
-///    database;
+///    re-detecting;
+///  * `Evaluate(handle)` reports all measures; the "detection" step is a
+///    snapshot of the maintained set. Reports are bit-identical to
+///    EvaluateOne over an equal database;
 ///  * `EvaluateAll(handles)` batch-schedules evaluation across databases
 ///    on the process-wide thread pool (pipeline parallelism over e.g. a
 ///    trajectory's sample points);
@@ -308,16 +297,15 @@ class MeasureSession {
   size_t num_registered() const;
 
   /// Applies a repairing operation to the handle's database, maintaining
-  /// the incremental violation index when one exists, and runs the
-  /// auto-vacuum hook. Safe to call concurrently for distinct handles.
+  /// its incremental violation index, and runs the auto-vacuum hook. Safe
+  /// to call concurrently for distinct handles.
   /// Returns the identifier an insertion was stored under (the minimal
   /// unused id — what a remote client needs to address the fact later);
   /// nullopt for deletions, updates and inapplicable operations.
   std::optional<FactId> Apply(DbHandle handle, const RepairOperation& op);
 
-  /// Evaluates every selected measure over the handle's database. With
-  /// incremental maintenance no detection pass runs — the maintained MI
-  /// set is snapshotted instead.
+  /// Evaluates every measure over the handle's database. No detection pass
+  /// runs — the maintained MI set is snapshotted instead.
   BatchReport Evaluate(DbHandle handle) const;
 
   /// Batch evaluation across databases: one report per handle, scheduled
@@ -331,13 +319,13 @@ class MeasureSession {
   /// session's amortized path is benchmarked against.
   BatchReport EvaluateOne(const Database& db) const;
 
-  /// Evaluates the selected measures on a caller-provided context (which
-  /// may already hold cached violations — no re-detection happens here).
+  /// Evaluates the measures on a caller-provided context (which may
+  /// already hold cached violations — no re-detection happens here).
   std::vector<MeasureResult> Evaluate(MeasureContext& context) const;
 
-  /// The handle's current MI_Sigma(D): the maintained snapshot when
-  /// incremental, a full detection pass otherwise. Feed it to a
-  /// MeasureContext to share with Shapley ranking or repair planning.
+  /// The handle's current MI_Sigma(D): a snapshot of the maintained set.
+  /// Feed it to a MeasureContext to share with Shapley ranking or repair
+  /// planning.
   ViolationSet Violations(DbHandle handle) const;
 
   /// Fraction of shared-pool entries no registered database references.
@@ -356,18 +344,15 @@ class MeasureSession {
     return num_vacuums_.load(std::memory_order_relaxed);
   }
 
-  /// Full FindViolations passes run on behalf of registered handles — the
-  /// incremental-maintenance fallback counter. Zero for an uncapped
-  /// session, whatever the constraint arity: Evaluate snapshots instead of
-  /// re-detecting. (EvaluateOne, serving unregistered databases, is not
-  /// counted.)
-  size_t num_full_detections() const {
-    return num_full_detections_.load(std::memory_order_relaxed);
-  }
+  /// Full FindViolations passes run on behalf of registered handles:
+  /// always 0, since every handle owns an incremental index and Evaluate
+  /// snapshots it. Kept for callers that assert it. (EvaluateOne, serving
+  /// unregistered databases, never counted.)
+  size_t num_full_detections() const { return 0; }
 
-  /// Stored (live + dead) subset slots of the handle's incremental index;
-  /// 0 without one. Dead slots accumulate under churn until a vacuum
-  /// compacts them — the bound the churn regression tests assert.
+  /// Stored (live + dead) subset slots of the handle's incremental index.
+  /// Dead slots accumulate under churn until a vacuum compacts them — the
+  /// bound the churn regression tests assert.
   size_t num_stored_subset_slots(DbHandle handle) const;
 
   /// Number of live facts in the handle's database, read under the session
@@ -375,10 +360,9 @@ class MeasureSession {
   /// clients mutate or vacuum).
   size_t NumFacts(DbHandle handle) const;
 
-  /// |MI_Sigma(D)| of the handle right now: O(1) from the maintained
-  /// counter when incremental, a full (counted) detection pass otherwise.
-  /// The cheap signal the service's SUBSCRIBE watchers poll after every
-  /// Apply and window slide.
+  /// |MI_Sigma(D)| of the handle right now, O(1) from the maintained
+  /// counter. The cheap signal the service's SUBSCRIBE watchers poll after
+  /// every Apply and window slide.
   size_t NumMinimalSubsets(DbHandle handle) const;
 
   /// Runs `fn(const Database&)` on the handle's database under the session
@@ -405,7 +389,7 @@ class MeasureSession {
   std::vector<SessionConstraintStats> ConstraintStats(DbHandle handle) const;
 
   /// Watched-dispatch totals of the handle's incremental index (ops
-  /// applied, constraints probed vs skipped); zeros without an index.
+  /// applied, constraints probed vs skipped).
   IncrementalDispatchStats DispatchStats(DbHandle handle) const;
 
  private:
@@ -414,15 +398,19 @@ class MeasureSession {
     // lock (shared) by both.
     mutable std::mutex mu;
     Database db;
-    // Engaged when detection is uncapped; points at `db` (non-owning).
-    std::unique_ptr<IncrementalViolationIndex> incremental;
+    // Maintains MI_Sigma(db); points at `db` (non-owning), so it is
+    // declared after it.
+    IncrementalViolationIndex incremental;
 
-    explicit HandleState(Database database) : db(std::move(database)) {}
+    HandleState(Database database, std::shared_ptr<const Schema> schema,
+                const std::vector<DenialConstraint>& constraints,
+                const DetectorOptions& options)
+        : db(std::move(database)),
+          incremental(std::move(schema), constraints, &db, options) {}
   };
 
   HandleState& State(DbHandle handle);
   const HandleState& State(DbHandle handle) const;
-  bool Selected(const std::string& name) const;
   BatchReport ReportOn(MeasureContext& context, double detection_seconds) const;
   // Locks the handle's mutex for the duration of the evaluation.
   BatchReport EvaluateState(const HandleState& state) const;
@@ -434,7 +422,6 @@ class MeasureSession {
   std::vector<std::unique_ptr<InconsistencyMeasure>> measures_;
   SessionOptions options_;
   std::shared_ptr<ValuePool> pool_;
-  bool incremental_supported_ = false;
 
   // Guards the handle table and the shared pool's identity: shared for
   // per-handle work (Apply/Evaluate/Violations), exclusive for structural
@@ -446,7 +433,6 @@ class MeasureSession {
   size_t num_registered_ = 0;
   std::atomic<size_t> num_vacuums_{0};
   std::atomic<size_t> ops_since_vacuum_check_{0};
-  mutable std::atomic<size_t> num_full_detections_{0};
 };
 
 /// Renders per-constraint stats rows as a table — header {constraint,

@@ -61,51 +61,6 @@ bool SplitTokens(const std::string& line, std::vector<std::string>* out,
   return true;
 }
 
-bool ParseU64(const std::string& token, uint64_t max, uint64_t* out,
-              std::string* error) {
-  if (token.empty() || token.size() > 20) {
-    *error = "bad unsigned integer: " + token;
-    return false;
-  }
-  uint64_t v = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      *error = "bad unsigned integer: " + token;
-      return false;
-    }
-    if (v > (std::numeric_limits<uint64_t>::max() - (c - '0')) / 10) {
-      *error = "unsigned integer overflow: " + token;
-      return false;
-    }
-    v = v * 10 + (c - '0');
-  }
-  if (v > max) {
-    *error = "integer out of range: " + token;
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const std::string& token, double* out, std::string* error) {
-  if (token.empty()) {
-    *error = "empty number";
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  // ERANGE underflow (subnormal results) is fine — strtod returned the
-  // nearest representable value; only overflow to +-HUGE_VAL is rejected.
-  const bool overflow = errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL);
-  if (end != token.c_str() + token.size() || overflow) {
-    *error = "bad number: " + token;
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool DecodeSessionName(const std::string& token, std::string* out,
                        std::string* error) {
   if (!DecodeToken(token, out, error)) return false;
@@ -562,7 +517,7 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
       return DecodeSessionName(tokens[2], &out->session, error);
     case Verb::kStreamTick:
       if (!DecodeSessionName(tokens[2], &out->session, error)) return false;
-      return ParseU64(tokens[3], std::numeric_limits<uint64_t>::max(),
+      return ParseUint64(tokens[3], std::numeric_limits<uint64_t>::max(),
                       &out->tick, error);
     case Verb::kSubscribe:
       if (!DecodeSessionName(tokens[2], &out->session, error)) return false;
@@ -613,7 +568,7 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
       return false;
     }
     uint64_t id = 0;
-    if (!ParseU64(tokens[4], std::numeric_limits<FactId>::max(), &id, error))
+    if (!ParseUint64(tokens[4], std::numeric_limits<FactId>::max(), &id, error))
       return false;
     out->fact_id = static_cast<FactId>(id);
     return true;
@@ -626,9 +581,9 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
     }
     uint64_t id = 0;
     uint64_t attr = 0;
-    if (!ParseU64(tokens[4], std::numeric_limits<FactId>::max(), &id, error))
+    if (!ParseUint64(tokens[4], std::numeric_limits<FactId>::max(), &id, error))
       return false;
-    if (!ParseU64(tokens[5], 4096, &attr, error)) return false;
+    if (!ParseUint64(tokens[5], 4096, &attr, error)) return false;
     Value v;
     if (!DecodeValue(tokens[6], &v, error)) return false;
     out->fact_id = static_cast<FactId>(id);

@@ -45,6 +45,9 @@ namespace dbim {
 ///   t APPLY <session> DELETE <fact-id>   ; OK
 ///   t APPLY <session> UPDATE <fact-id> <attr-index> <value>  ; OK
 ///   t EVALUATE <session>       ; OK <facts> <subsets> <trunc01> (<m> <v>)*
+///                              ;   <trunc01> is always 0 (detection runs
+///                              ;   to completion); it stays in the reply
+///                              ;   for wire compatibility
 ///   t EVALUATE <session> APPROX <eps>
 ///                              ; sampling estimators instead of the exact
 ///                              ;   measures: OK <facts> <sample> <fraction>
@@ -65,6 +68,7 @@ namespace dbim {
 ///                              ;   answered after the push
 ///   t EVALUATE_ALL             ; ITEM <session> <facts> <subsets> <trunc01>
 ///                              ;      (<m> <v>)*   — then OK <count>
+///                              ;   (<trunc01> always 0, as for EVALUATE)
 ///   t STATS <session>          ; OK <constraint-stats-json>
 ///                              ;    <durability-stats-json>
 ///   t DUMP <session>           ; ITEM <fact-id> <value>... — then OK <count>

@@ -616,7 +616,7 @@ Response ServiceServer::DoEvaluateApprox(const std::string& tag,
   approx.eps = eps;
   approx.confidence = options_.session.approx.confidence;
   approx.seed = options_.session.approx.seed;
-  approx.only = options_.session.only;
+  approx.only = options_.session.registry.only;
   ApproxEvaluator evaluator(session_.detector(), std::move(approx));
   const ApproxReport report = session_.WithDatabase(
       handle, [&](const Database& db) { return evaluator.Evaluate(db); });

@@ -1,8 +1,9 @@
 #include "service/spec.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -104,50 +105,81 @@ ServiceSpec ExampleSpec() {
   return spec;
 }
 
-SessionOptions SessionOptionsFromFlags(int argc, char** argv) {
-  auto flag_value = [&](const char* name) -> std::string {
-    const std::string prefix = std::string("--") + name + "=";
-    for (int i = 1; i < argc; ++i) {
-      if (StartsWith(argv[i], prefix)) return argv[i] + prefix.size();
+std::optional<std::string> FlagValue(int argc, char** argv,
+                                     const char* name) {
+  const std::string prefix = std::string("--") + name + "=";
+  for (int i = 1; i < argc; ++i) {
+    if (StartsWith(argv[i], prefix)) {
+      return std::string(argv[i] + prefix.size());
     }
-    return "";
-  };
-  auto has_flag = [&](const char* name) {
-    const std::string flag = std::string("--") + name;
-    for (int i = 1; i < argc; ++i) {
-      if (flag == argv[i]) return true;
+  }
+  return std::nullopt;
+}
+
+bool HasFlag(int argc, char** argv, const char* name) {
+  const std::string flag = std::string("--") + name;
+  for (int i = 1; i < argc; ++i) {
+    if (flag == argv[i]) return true;
+  }
+  return false;
+}
+
+bool UintFlag(int argc, char** argv, const char* name, uint64_t min,
+              uint64_t max, uint64_t* out, std::string* error) {
+  const std::optional<std::string> value = FlagValue(argc, argv, name);
+  if (!value) return true;
+  uint64_t parsed = 0;
+  std::string parse_error;
+  if (!ParseUint64(*value, max, &parsed, &parse_error) || parsed < min) {
+    *error = StrFormat("--%s=%s: expected an integer >= %llu", name,
+                       value->c_str(), static_cast<unsigned long long>(min));
+    if (max != std::numeric_limits<uint64_t>::max()) {
+      *error += StrFormat(" and <= %llu", static_cast<unsigned long long>(max));
     }
     return false;
-  };
+  }
+  *out = parsed;
+  return true;
+}
 
-  SessionOptions options;
-  const std::string threads = flag_value("threads");
-  if (!threads.empty()) {
-    options.WithThreads(std::strtoull(threads.c_str(), nullptr, 10));
+bool SessionOptionsFromFlags(int argc, char** argv, SessionOptions* options,
+                             std::string* error) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  *options = SessionOptions();
+  uint64_t threads = options->detector.num_threads;
+  if (!UintFlag(argc, argv, "threads", 0, kMax, &threads, error)) return false;
+  options->WithThreads(threads)
+      .WithIncludeMC(HasFlag(argc, argv, "mc"))
+      .WithParallelMeasures(HasFlag(argc, argv, "parallel-measures"));
+  for (const std::string& name :
+       Split(FlagValue(argc, argv, "measures").value_or(""), ',')) {
+    if (!name.empty()) options->WithMeasure(name);
   }
-  options.WithIncludeMC(has_flag("mc"))
-      .WithParallelMeasures(has_flag("parallel-measures"));
-  for (const std::string& name : Split(flag_value("measures"), ',')) {
-    if (!name.empty()) options.WithMeasure(name);
-  }
-  const std::string window = flag_value("window");
-  if (!window.empty()) {
-    // "count:N" or "ticks:N"; anything else is ignored (window disabled).
-    const std::vector<std::string> parts = Split(window, ':');
-    if (parts.size() == 2) {
-      const uint64_t size = std::strtoull(parts[1].c_str(), nullptr, 10);
-      if (parts[0] == "count") {
-        options.WithWindow(WindowSpec::Kind::kCount, size);
-      } else if (parts[0] == "ticks") {
-        options.WithWindow(WindowSpec::Kind::kTicks, size);
-      }
+  if (const auto window = FlagValue(argc, argv, "window")) {
+    // "count:N" or "ticks:N".
+    const std::vector<std::string> parts = Split(*window, ':');
+    uint64_t size = 0;
+    std::string parse_error;
+    if (parts.size() != 2 || (parts[0] != "count" && parts[0] != "ticks") ||
+        !ParseUint64(parts[1], kMax, &size, &parse_error)) {
+      *error = "--window=" + *window + ": expected count:N or ticks:N";
+      return false;
     }
+    options->WithWindow(parts[0] == "count" ? WindowSpec::Kind::kCount
+                                            : WindowSpec::Kind::kTicks,
+                        size);
   }
-  const std::string approx = flag_value("approx");
-  if (!approx.empty()) {
-    options.WithApprox(std::strtod(approx.c_str(), nullptr));
+  if (const auto approx = FlagValue(argc, argv, "approx")) {
+    double eps = 0.0;
+    std::string parse_error;
+    if (!ParseDouble(*approx, &eps, &parse_error) || !(eps > 0.0) ||
+        eps > 1.0) {
+      *error = "--approx=" + *approx + ": expected a number in (0, 1]";
+      return false;
+    }
+    options->WithApprox(eps);
   }
-  return options;
+  return true;
 }
 
 }  // namespace dbim

@@ -1,7 +1,9 @@
 #ifndef DBIM_SERVICE_SPEC_H_
 #define DBIM_SERVICE_SPEC_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,9 +44,9 @@ bool LoadSpecFile(const std::string& path, ServiceSpec* spec,
 /// tests and the load generator need no spec file on disk.
 ServiceSpec ExampleSpec();
 
-/// Parses the session-engine flags shared by dbim_cli and dbimd into one
-/// SessionOptions — the single place the flag spelling maps onto the
-/// options struct, so no tool assembles it field-by-field:
+/// Parses the session-engine flags shared by dbim_cli and dbimd into
+/// *options — the single place the flag spelling maps onto the options
+/// struct, so no tool assembles it field-by-field:
 ///
 ///   --threads=N           detection worker threads (0 = hardware)
 ///   --measures=I_d,I_MI   restrict to the named measures
@@ -55,7 +57,24 @@ ServiceSpec ExampleSpec();
 ///                         logical ticks (see streaming/stream_session.h)
 ///   --approx=EPS          sampling-based estimators with absolute-rate
 ///                         error EPS in (0, 1] (see streaming/approx.h)
-SessionOptions SessionOptionsFromFlags(int argc, char** argv);
+///
+/// Returns false and sets *error on a malformed value (a non-numeric N, an
+/// unknown window kind, an EPS outside (0, 1]); the tools print it and
+/// exit 2.
+bool SessionOptionsFromFlags(int argc, char** argv, SessionOptions* options,
+                             std::string* error);
+
+/// The value of --name=VALUE in argv, or nullopt when the flag is absent.
+std::optional<std::string> FlagValue(int argc, char** argv, const char* name);
+
+/// Whether the bare flag --name is in argv.
+bool HasFlag(int argc, char** argv, const char* name);
+
+/// Reads the unsigned integer flag --name=N into *out. Returns true when
+/// the flag is absent (*out untouched) or N is a plain decimal integer in
+/// [min, max]; false with *error naming the flag otherwise.
+bool UintFlag(int argc, char** argv, const char* name, uint64_t min,
+              uint64_t max, uint64_t* out, std::string* error);
 
 }  // namespace dbim
 

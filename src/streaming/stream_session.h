@@ -16,8 +16,7 @@ namespace dbim {
 /// translated into batched Apply insert/delete operations — so the
 /// session's incremental violation index does all maintenance work and
 /// measures update per slide in O(footprint of the changed facts), never
-/// via full re-detection (num_full_detections() stays 0 on an uncapped
-/// binary-Sigma session). Memory is bounded by the window: expired facts
+/// via full re-detection. Memory is bounded by the window: expired facts
 /// leave the handle's database entirely.
 ///
 /// Two window kinds (WindowSpec):

@@ -12,34 +12,18 @@
 
 namespace dbim {
 
-/// Knobs for violation detection.
+/// Knobs for violation detection. Detection always runs to completion:
+/// every measure is a function of the whole of MI_Sigma(D).
 struct DetectorOptions {
-  /// Stop after this many minimal inconsistent subsets (0 = unlimited). A
-  /// truncated result is flagged on the ViolationSet.
-  size_t max_subsets = 0;
-
-  /// Wall-clock budget in seconds (0 = none). Checked at every merge point
-  /// (each emitted subset) and cooperatively inside enumeration shards —
-  /// every 1024 probe/scan rows, at poll points aligned to global row
-  /// indices — so even a violation-free run stops within a bounded slice
-  /// of the budget.
-  double deadline_seconds = 0.0;
-
   /// Worker threads for every enumeration phase of detection: the pass-1
   /// self-inconsistency scan, the blocking bucket build, the
   /// binary-constraint probe (blocking probe and nested-loop fallback),
   /// and the k-ary enumeration (sharded over outermost-variable rows).
   /// 1 = fully sequential on the calling thread (no pool involvement);
   /// 0 = one per hardware thread. Results are bit-identical for every
-  /// value: shards write into per-shard buffers that are merged — dedup,
-  /// caps, deadline and bucket j-order included — in the sequential path's
-  /// canonical order. Caveat: a finite deadline_seconds that expires
-  /// *mid-run* truncates at a wall-clock-dependent point of that canonical
-  /// order, so only runs whose deadline never fires (or is already expired
-  /// at entry) are reproducible across thread counts — the same
-  /// nondeterminism a re-run of the sequential path has. (Pre-expired
-  /// deadlines stay deterministic: cooperative polls land on global-index-
-  /// aligned rows, the same prefix for every sharding.)
+  /// value: shards write into per-shard buffers that are merged — dedup
+  /// and bucket j-order included — in the sequential path's canonical
+  /// order.
   size_t num_threads = 1;
 };
 
@@ -72,7 +56,8 @@ class ViolationDetector {
   /// All minimal inconsistent subsets of `db`.
   ViolationSet FindViolations(const Database& db) const;
 
-  /// Whether `db` satisfies every constraint (early exit on first witness).
+  /// Whether `db` satisfies every constraint. Runs sequentially and stops
+  /// at the first witness.
   bool Satisfies(const Database& db) const;
 
   /// Minimal inconsistent subsets that include fact `id` — the witnesses a
@@ -85,10 +70,9 @@ class ViolationDetector {
   DetectorConstraintStats constraint_stats(size_t c) const;
 
  private:
-  /// Shared detection pipeline; `options` may differ from options_ (e.g.
-  /// Satisfies caps max_subsets at 1 without copying the constraint set
-  /// into a throwaway probe detector).
-  ViolationSet Detect(const Database& db, const DetectorOptions& options) const;
+  /// Shared detection pipeline. `first_witness_only` is Satisfies' early
+  /// exit: it forces the sequential path and stops at the first subset.
+  ViolationSet Detect(const Database& db, bool first_witness_only) const;
 
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "common/value_pool.h"
 #include "constraints/dc.h"
 #include "relational/database.h"
@@ -168,50 +167,15 @@ inline bool KeyClassesEqual(const RowRef& a,
   return true;
 }
 
-/// Cooperative deadline polling: enumeration shards consult the wall clock
-/// every kDeadlinePollInterval iterations so a violation-free phase (which
-/// never reaches a merge point) still honors the deadline. Poll points are
-/// aligned to *global* iteration indices — multiples of the interval
-/// within the phase's canonical index space, independent of shard
-/// boundaries — and a shard that observes expiry stops there, so the
-/// ordered merge truncates at a canonical prefix of the discovery order
-/// for every thread count. Index 0 is never a poll point, so in the
-/// phases whose index space is linear in the input (the pass-1 scan, the
-/// binary probe, pass 3) an already-expired deadline still lets the first
-/// witness through — the "truncated result carries its first subset"
-/// behavior those callers rely on. The k-ary enumeration's inner-level
-/// polls trade that away deliberately: its first witness can sit
-/// O(n^{k-1}) nodes deep, which is exactly the unbounded
-/// work-between-polls gap the prefix-index polling closes, so a
-/// pre-expired deadline there may truncate to an empty (still canonical)
-/// result before any witness is reached.
-constexpr size_t kDeadlinePollInterval = 1024;
-
-inline bool PollDeadline(size_t global_index, const Deadline& deadline) {
-  return global_index != 0 && global_index % kDeadlinePollInterval == 0 &&
-         deadline.Expired();
-}
-
 /// K-ary (k >= 3) support-set enumeration over interned columns: the
 /// outermost variable ranges over rows [range.begin, range.end) of its
 /// relation; inner variables range over their full relations, allowing
 /// repeated facts across variables. Candidate supports (sorted,
 /// deduplicated fact ids, in the sequential enumeration's discovery order)
-/// go to `emit`, which returns false to stop the enumeration; candidates
-/// are minimality-filtered by the caller.
-///
-/// Deadline polls fire at every enumeration level on the *global prefix
-/// index* of the partial assignment — P_0 = i_0 for the outermost rows,
-/// P_v = P_{v-1} * n_v + i_v below, where n_v is variable v's relation
-/// size. Prefix indices are pure functions of the absolute row indices, so
-/// poll points land on the same nodes for every sharding (wrap-around on
-/// overflow keeps that property), and no more than kDeadlinePollInterval
-/// inner iterations separate consecutive clock checks even when one outer
-/// row fans out into O(n^{k-1}) inner work. Returns true when the
-/// enumeration stopped at an expired poll, false otherwise.
+/// go to `emit`; candidates are minimality-filtered by the caller.
 template <typename Emit>
-bool EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
-                   const Deadline& deadline, Emit&& emit) {
+void EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
+                   Emit&& emit) {
   const DenialConstraint& dc = eval.dc();
   const size_t k = dc.num_vars();
   std::vector<const Database::RelationBlock*> rels(k);
@@ -220,47 +184,35 @@ bool EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
   }
   std::vector<RowRef> assignment(k);
   std::vector<FactId> chosen(k, 0);
-  bool stopped = false;  // emit returned false
-  bool expired = false;  // deadline fired at a poll point
 
-  // Recursion over variables 1..k-1; `prefix` is the global prefix index
-  // of the assignment through `var - 1`.
-  auto recurse = [&](auto&& self, size_t var, uint64_t prefix) -> void {
+  // Recursion over variables 1..k-1.
+  auto recurse = [&](auto&& self, size_t var) -> void {
     if (var == k) {
       if (!eval.BodyHolds(assignment.data())) return;
       std::vector<FactId> support = chosen;
       std::sort(support.begin(), support.end());
       support.erase(std::unique(support.begin(), support.end()),
                     support.end());
-      if (!emit(std::move(support))) stopped = true;
+      emit(std::move(support));
       return;
     }
     const Database::RelationBlock& rel = *rels[var];
-    const uint64_t base = prefix * rel.num_rows();
-    for (uint32_t i = 0; i < rel.num_rows() && !stopped && !expired; ++i) {
-      if (PollDeadline(static_cast<size_t>(base + i), deadline)) {
-        expired = true;
-        return;
-      }
+    for (uint32_t i = 0; i < rel.num_rows(); ++i) {
       assignment[var] = RowRef{&rel, i};
       chosen[var] = rel.row_ids[i];
       if (!eval.ViableAt(var, assignment.data())) continue;
-      self(self, var + 1, base + i);
+      self(self, var + 1);
     }
   };
 
   const Database::RelationBlock& outer = *rels[0];
   for (uint32_t i = static_cast<uint32_t>(range.begin);
        i < static_cast<uint32_t>(range.end); ++i) {
-    if (PollDeadline(i, deadline)) return true;
     assignment[0] = RowRef{&outer, i};
     chosen[0] = outer.row_ids[i];
     if (!eval.ViableAt(0, assignment.data())) continue;
-    recurse(recurse, 1, i);
-    if (expired) return true;
-    if (stopped) return false;
+    recurse(recurse, 1);
   }
-  return false;
 }
 
 /// Anchored k-ary enumeration: every satisfying assignment whose support
@@ -273,8 +225,7 @@ bool EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
 /// full O(n^k) re-detection with O(k * n^{k-1}) work. `emit` receives the
 /// sorted, deduplicated support of each satisfying assignment (the same
 /// support may be emitted several times — once per derivation — matching
-/// the batch detector's per-assignment violation count). No deadline:
-/// incremental maintainers require uncapped evaluation.
+/// the batch detector's per-assignment violation count).
 template <typename Emit>
 void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
                            FactId anchor, Emit&& emit) {
@@ -409,8 +360,7 @@ class KAryBlockingIndex {
 /// at the step its last variable binds (the bind-order generalization of
 /// the ViableAt-per-level + final-BodyHolds filtering, which it replaces
 /// exactly). `index` must be maintained against precisely `db`'s live
-/// facts. No deadline: incremental maintainers require uncapped
-/// evaluation.
+/// facts.
 template <typename Emit>
 void EnumerateKAryAnchoredPruned(const DcEval& eval, const Database& db,
                                  FactId anchor, const KAryBlockingIndex& index,

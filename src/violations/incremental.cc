@@ -42,10 +42,6 @@ IncrementalViolationIndex::IncrementalViolationIndex(
 
 void IncrementalViolationIndex::BuildInitialState(
     const DetectorOptions& build_options) {
-  DBIM_CHECK_MSG(
-      build_options.max_subsets == 0 && build_options.deadline_seconds == 0.0,
-      "incremental index needs an uncapped initial detection");
-
   dc_states_.resize(constraints_.size());
   for (size_t c = 0; c < constraints_.size(); ++c) {
     if (constraints_[c].num_vars() >= 3) has_kary_ = true;

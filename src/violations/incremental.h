@@ -77,8 +77,7 @@ struct IncrementalDispatchStats {
 class IncrementalViolationIndex {
  public:
   /// Builds the index for `db`, which the index owns (one full detection
-  /// pass with `build_options`; the options must not cap or deadline the
-  /// pass — a truncated initial MI set would be silently wrong).
+  /// pass with `build_options`).
   IncrementalViolationIndex(std::shared_ptr<const Schema> schema,
                             std::vector<DenialConstraint> constraints,
                             Database db, DetectorOptions build_options = {});

@@ -30,8 +30,6 @@ class ViolationSet {
   /// minimal violations.
   void Add(std::vector<FactId> subset);
 
-  void set_truncated(bool t) { truncated_ = t; }
-
   const std::vector<std::vector<FactId>>& minimal_subsets() const {
     return subsets_;
   }
@@ -39,10 +37,6 @@ class ViolationSet {
   size_t num_minimal_violations() const { return num_minimal_violations_; }
 
   bool empty() const { return subsets_.empty(); }
-
-  /// Whether detection stopped early due to a cap or deadline; measures on a
-  /// truncated set are lower bounds.
-  bool truncated() const { return truncated_; }
 
   /// Union of all minimal subsets: the problematic facts, sorted.
   std::vector<FactId> ProblematicFacts() const;
@@ -62,7 +56,6 @@ class ViolationSet {
   std::vector<std::vector<FactId>> subsets_;
   std::unordered_set<uint64_t> seen_;  // canonical hashes for deduplication
   size_t num_minimal_violations_ = 0;
-  bool truncated_ = false;
 };
 
 }  // namespace dbim

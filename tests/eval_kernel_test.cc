@@ -126,10 +126,9 @@ TEST(EvalKernel, AnchoredEnumerationPartitionsFullEnumeration) {
 
     std::map<std::vector<FactId>, size_t> full;
     const size_t rows = db.relation_block(0).num_rows();
-    EnumerateKAry(eval, db, IndexRange{0, rows}, Deadline::Infinite(),
+    EnumerateKAry(eval, db, IndexRange{0, rows},
                   [&](std::vector<FactId> support) {
                     ++full[std::move(support)];
-                    return true;
                   });
 
     std::map<std::vector<FactId>, size_t> anchored_sum;
@@ -166,10 +165,9 @@ TEST(EvalKernel, CountDerivationsMatchesEnumeration) {
 
   std::map<std::vector<FactId>, size_t> full;
   const size_t rows = db.relation_block(0).num_rows();
-  EnumerateKAry(eval, db, IndexRange{0, rows}, Deadline::Infinite(),
+  EnumerateKAry(eval, db, IndexRange{0, rows},
                 [&](std::vector<FactId> support) {
                   ++full[std::move(support)];
-                  return true;
                 });
   ASSERT_FALSE(full.empty());
   for (const auto& [support, count] : full) {
@@ -197,19 +195,17 @@ TEST(EvalKernel, RangeShardingConcatenates) {
   const size_t rows = db.relation_block(0).num_rows();
 
   std::vector<std::vector<FactId>> whole;
-  EnumerateKAry(eval, db, IndexRange{0, rows}, Deadline::Infinite(),
+  EnumerateKAry(eval, db, IndexRange{0, rows},
                 [&](std::vector<FactId> support) {
                   whole.push_back(std::move(support));
-                  return true;
                 });
   for (const size_t split : {size_t{1}, rows / 2, rows - 1}) {
     std::vector<std::vector<FactId>> pieces;
     for (const IndexRange range :
          {IndexRange{0, split}, IndexRange{split, rows}}) {
-      EnumerateKAry(eval, db, range, Deadline::Infinite(),
+      EnumerateKAry(eval, db, range,
                     [&](std::vector<FactId> support) {
                       pieces.push_back(std::move(support));
-                      return true;
                     });
     }
     EXPECT_EQ(whole, pieces) << "split at " << split;

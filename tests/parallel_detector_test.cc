@@ -2,8 +2,8 @@
 // thread count the detection result must be bit-identical — the subsets
 // list order included — to the single-threaded path. This is the
 // enforcement arm of the deterministic-merge guarantee in
-// DetectorOptions::num_threads; any scheduling-dependent ordering,
-// deduplication, cap or deadline decision shows up here as a diff.
+// DetectorOptions::num_threads; any scheduling-dependent ordering or
+// deduplication decision shows up here as a diff.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +37,6 @@ void ExpectIdentical(const ViolationSet& expected, const ViolationSet& actual,
   EXPECT_EQ(expected.num_minimal_violations(),
             actual.num_minimal_violations())
       << where;
-  EXPECT_EQ(expected.truncated(), actual.truncated()) << where;
   EXPECT_EQ(expected.SelfInconsistentFacts(), actual.SelfInconsistentFacts())
       << where;
   EXPECT_EQ(expected.ProblematicFacts(), actual.ProblematicFacts()) << where;
@@ -48,13 +47,11 @@ void ExpectIdentical(const ViolationSet& expected, const ViolationSet& actual,
 // assertions.
 ViolationSet CheckParity(std::shared_ptr<const Schema> schema,
                          const std::vector<DenialConstraint>& dcs,
-                         const Database& db, DetectorOptions base,
-                         const std::string& where) {
-  base.num_threads = 1;
-  const ViolationDetector reference(schema, dcs, base);
+                         const Database& db, const std::string& where) {
+  const ViolationDetector reference(schema, dcs);
   ViolationSet expected = reference.FindViolations(db);
   for (const size_t threads : kThreadCounts) {
-    DetectorOptions options = base;
+    DetectorOptions options;
     options.num_threads = threads;
     const ViolationDetector detector(schema, dcs, options);
     ExpectIdentical(expected, detector.FindViolations(db),
@@ -95,7 +92,7 @@ TEST(ParallelParity, RandomizedFdSweep) {
                                     " domain=" + std::to_string(domain) +
                                     " keyed=" + std::to_string(keyed);
           const ViolationSet expected =
-              CheckParity(schema, dcs, db, DetectorOptions{}, where);
+              CheckParity(schema, dcs, db, where);
           SCOPED_TRACE(where);
           ExpectMatchesOracle(dcs, db, expected);
         }
@@ -112,7 +109,7 @@ TEST(ParallelParity, SelfInconsistentFacts) {
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B)"));
   for (const uint64_t seed : {11u, 12u, 13u}) {
     const Database db = MakeRandomDatabase(schema, 0, 60, 4, seed);
-    CheckParity(schema, dcs, db, DetectorOptions{},
+    CheckParity(schema, dcs, db,
                 "self-inconsistent seed=" + std::to_string(seed));
   }
 }
@@ -125,7 +122,7 @@ TEST(ParallelParity, KAryConstraints) {
     const auto inst = MakeCardinalityDcInstance(9, k);
     const ViolationSet expected =
         CheckParity(inst.schema, {inst.at_most_k_minus_1}, inst.db,
-                    DetectorOptions{}, "cardinality k=" + std::to_string(k));
+                    "cardinality k=" + std::to_string(k));
     EXPECT_FALSE(expected.empty());
   }
 }
@@ -140,58 +137,9 @@ TEST(ParallelParity, NoisyPaperDatasets) {
     Database db = dataset.data;
     Rng run = rng.Fork();
     for (int i = 0; i < 25; ++i) noise.Step(db, run);
-    CheckParity(dataset.schema, dataset.constraints, db, DetectorOptions{},
+    CheckParity(dataset.schema, dataset.constraints, db,
                 std::string("dataset ") + DatasetName(id));
   }
-}
-
-// max_subsets truncation must stop at the same canonical prefix for every
-// thread count — chunks computed beyond the stop point are discarded by
-// the ordered merge, never emitted.
-TEST(ParallelParity, TruncationByMaxSubsets) {
-  const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  const Database db = MakeRandomDatabase(schema, 0, 120, 3, 21);
-  DetectorOptions unlimited;
-  const ViolationDetector full(schema, dcs, unlimited);
-  const ViolationSet everything = full.FindViolations(db);
-  ASSERT_GT(everything.num_minimal_subsets(), 10u);
-
-  for (const size_t cap : {1u, 3u, 9u}) {
-    DetectorOptions options;
-    options.max_subsets = cap;
-    const ViolationSet expected = CheckParity(
-        schema, dcs, db, options, "cap=" + std::to_string(cap));
-    EXPECT_TRUE(expected.truncated());
-    EXPECT_EQ(expected.num_minimal_subsets(), cap);
-    // The truncated result is exactly the canonical prefix of the full one.
-    for (size_t s = 0; s < cap; ++s) {
-      EXPECT_EQ(expected.minimal_subsets()[s], everything.minimal_subsets()[s]);
-    }
-  }
-}
-
-// Deadlines are consulted only at merge points (canonical order), so the
-// two regimes every test can rely on — already expired and never expiring
-// — are exactly deterministic across thread counts too.
-TEST(ParallelParity, DeadlineRegimes) {
-  const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  const Database db = MakeRandomDatabase(schema, 0, 90, 3, 33);
-
-  DetectorOptions generous;
-  generous.deadline_seconds = 3600.0;
-  const ViolationSet untruncated =
-      CheckParity(schema, dcs, db, generous, "generous deadline");
-  EXPECT_FALSE(untruncated.truncated());
-
-  DetectorOptions expired;
-  expired.deadline_seconds = 1e-9;
-  const ViolationSet tiny = CheckParity(schema, dcs, db, expired,
-                                        "expired deadline");
-  EXPECT_TRUE(tiny.truncated());
-  EXPECT_EQ(tiny.num_minimal_subsets(), 1u);  // stops after the first Add
-  EXPECT_EQ(tiny.minimal_subsets()[0], untruncated.minimal_subsets()[0]);
 }
 
 // num_threads = 0 resolves to the hardware thread count and must agree
@@ -210,35 +158,28 @@ TEST(ParallelParity, AutoThreadCount) {
 }
 
 // End-to-end: identical BatchReports from MeasureSession::EvaluateOne for
-// every thread count, including a truncated detection pass. Measure values
-// must match bit-for-bit (same violations in, same arithmetic out);
-// timings are ignored.
+// every thread count. Measure values must match bit-for-bit (same
+// violations in, same arithmetic out); timings are ignored.
 TEST(ParallelParity, EvaluateOneBatchReports) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
   const Database db = MakeRandomDatabase(schema, 0, 100, 4, 77);
-  for (const size_t cap : {0u, 5u}) {
-    SessionOptions options;
-    options.registry.include_mc = false;
-    options.detector.max_subsets = cap;
-    options.detector.num_threads = 1;
-    const MeasureSession reference(schema, dcs, options);
-    const BatchReport expected = reference.EvaluateOne(db);
-    for (const size_t threads : kThreadCounts) {
-      options.detector.num_threads = threads;
-      const MeasureSession session(schema, dcs, options);
-      const BatchReport report = session.EvaluateOne(db);
-      const std::string where =
-          "cap=" + std::to_string(cap) + " threads=" + std::to_string(threads);
-      EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
-          << where;
-      EXPECT_EQ(expected.truncated, report.truncated) << where;
-      ASSERT_EQ(expected.measures.size(), report.measures.size()) << where;
-      for (size_t m = 0; m < expected.measures.size(); ++m) {
-        EXPECT_EQ(expected.measures[m].name, report.measures[m].name) << where;
-        EXPECT_EQ(expected.measures[m].value, report.measures[m].value)
-            << where << " measure " << expected.measures[m].name;
-      }
+  SessionOptions options;
+  options.registry.include_mc = false;
+  const MeasureSession reference(schema, dcs, options);
+  const BatchReport expected = reference.EvaluateOne(db);
+  for (const size_t threads : kThreadCounts) {
+    options.detector.num_threads = threads;
+    const MeasureSession session(schema, dcs, options);
+    const BatchReport report = session.EvaluateOne(db);
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
+        << where;
+    ASSERT_EQ(expected.measures.size(), report.measures.size()) << where;
+    for (size_t m = 0; m < expected.measures.size(); ++m) {
+      EXPECT_EQ(expected.measures[m].name, report.measures[m].name) << where;
+      EXPECT_EQ(expected.measures[m].value, report.measures[m].value)
+          << where << " measure " << expected.measures[m].name;
     }
   }
 }
@@ -263,7 +204,7 @@ TEST(ParallelParity, ShardedBucketBuildAndPassOne) {
             " domain=" + std::to_string(domain) +
             " keyed=" + std::to_string(sigma == &dcs);
         const ViolationSet expected =
-            CheckParity(schema, *sigma, db, DetectorOptions{}, where);
+            CheckParity(schema, *sigma, db, where);
         EXPECT_FALSE(expected.empty());
         EXPECT_FALSE(expected.SelfInconsistentFacts().empty());
         SCOPED_TRACE(where);
@@ -288,19 +229,19 @@ TEST(ParallelParity, ShardedKAryEnumeration) {
   const DenialConstraint dc(std::vector<RelationId>(3, 0), std::move(preds));
   for (const uint64_t seed : {7u, 8u}) {
     const Database db = MakeRandomDatabase(schema, 0, 150, 30, seed);
-    const ViolationSet expected =
-        CheckParity(schema, {dc}, db, DetectorOptions{},
-                    "sharded k-ary seed=" + std::to_string(seed));
+    const ViolationSet expected = CheckParity(
+        schema, {dc}, db, "sharded k-ary seed=" + std::to_string(seed));
     EXPECT_FALSE(expected.empty());
   }
 }
 
-// Cooperative deadline polling: a pre-expired deadline on a large
-// violation-free instance must truncate, in the blocked and the
-// nested-loop probe alike, even though no witness ever reaches a merge
-// point. Poll points are aligned to global row indices, so the (empty)
-// truncated result is still identical for every thread count.
-TEST(ParallelParity, CooperativeDeadlineCrossRelationProbe) {
+// Cross-relation probe sharding: t ranges over R, t' over S, 1500 rows
+// each, so the blocked probe (keyed DC) and the nested loop (keyless DC)
+// both split into many stolen sub-ranges. On the base instance R's A
+// never equals nor exceeds S's A, so both results are empty; five extra S
+// facts (A = 0, 3, ..., 12; B = -1) then create exactly the witnesses the
+// construction predicts, for every thread count.
+TEST(ParallelParity, ShardedCrossRelationProbe) {
   auto schema = std::make_shared<Schema>();
   const RelationId r = schema->AddRelation("R", {"A", "B"});
   const RelationId s = schema->AddRelation("S", {"A", "B"});
@@ -309,9 +250,6 @@ TEST(ParallelParity, CooperativeDeadlineCrossRelationProbe) {
     db.Insert(Fact(r, {Value(i), Value(i)}));
     db.Insert(Fact(s, {Value(i + 1000000), Value(i)}));
   }
-  // t in R, t' in S: R's A never equals (keyed DC, blocked probe) nor
-  // exceeds (keyless DC, nested-loop probe) S's A, so neither probe finds
-  // anything.
   std::vector<Predicate> keyed_preds;
   keyed_preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
   keyed_preds.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
@@ -323,91 +261,68 @@ TEST(ParallelParity, CooperativeDeadlineCrossRelationProbe) {
 
   for (const DenialConstraint* dc : {&keyed, &keyless}) {
     const std::string shape = dc == &keyed ? "keyed" : "keyless";
-    DetectorOptions generous;
-    generous.deadline_seconds = 3600.0;
-    const ViolationSet full = CheckParity(schema, {*dc}, db, generous,
-                                          "cooperative generous " + shape);
-    EXPECT_FALSE(full.truncated());
-    EXPECT_TRUE(full.empty());
-
-    DetectorOptions expired;
-    expired.deadline_seconds = 1e-9;
-    const ViolationSet tiny = CheckParity(schema, {*dc}, db, expired,
-                                          "cooperative expired " + shape);
-    EXPECT_TRUE(tiny.truncated());
-    EXPECT_TRUE(tiny.empty());
+    EXPECT_TRUE(CheckParity(schema, {*dc}, db, "cross-relation " + shape)
+                    .empty());
   }
+
+  Database dirty = db;
+  for (int64_t a = 0; a <= 12; a += 3) {
+    dirty.Insert(Fact(s, {Value(a), Value(int64_t{-1})}));
+  }
+  // Keyed: each extra S fact clashes with the one R fact sharing its A.
+  EXPECT_EQ(CheckParity(schema, {keyed}, dirty, "cross-relation keyed dirty")
+                .num_minimal_subsets(),
+            5u);
+  // Keyless: each extra S fact with A = a pairs with the R facts whose A
+  // exceeds a: sum over a of (1499 - a) = 5 * 1499 - 30.
+  EXPECT_EQ(
+      CheckParity(schema, {keyless}, dirty, "cross-relation keyless dirty")
+          .num_minimal_subsets(),
+      5u * 1499u - 30u);
 }
 
-// Same for the pass-1 self-inconsistency scan: a unary constraint whose
-// body never holds keeps the scan busy (FDs are TriviallyNotUnary and
-// skipped) without yielding a single witness; the pre-expired deadline
-// must stop the scan at the first global poll point — empty + truncated
-// for every thread count.
-TEST(ParallelParity, CooperativeDeadlinePassOneScan) {
+// Pass-1 scan sharding on a scan that finds nothing: a unary constraint
+// whose body never holds keeps the scan busy over 1500 rows (FDs are
+// TriviallyNotUnary and skipped) without yielding a single self-
+// inconsistent fact; the sharded scan and the pair phase after it must
+// still match the sequential result for every thread count.
+TEST(ParallelParity, ShardedBarrenPassOneScan) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.A)"));
   const Database db = MakeRandomDatabase(schema, 0, 1500, 100000, 5);
-  DetectorOptions expired;
-  expired.deadline_seconds = 1e-9;
-  const ViolationSet tiny =
-      CheckParity(schema, dcs, db, expired, "cooperative pass-1 expired");
-  EXPECT_TRUE(tiny.truncated());
-  EXPECT_TRUE(tiny.empty());
+  const ViolationSet expected =
+      CheckParity(schema, dcs, db, "barren pass-1 scan");
+  EXPECT_TRUE(expected.SelfInconsistentFacts().empty());
+  // The unary constraint adds nothing: same result as the FDs alone.
+  const ViolationDetector fds(schema, AbcFds(*schema));
+  ExpectIdentical(fds.FindViolations(db), expected, "barren vs FDs alone");
 }
 
-// Cooperative deadline polling inside the k-ary enumeration's *inner*
-// variable loops: polls land on global prefix indices (P_v = P_{v-1} * n_v
-// + i_v), so a pathological outer row no longer runs O(n^{k-1}) inner work
-// between clock checks — and a pre-expired deadline truncates at the same
-// canonical node for every thread count. Per-outer-row polls alone would
-// never fire on this 150-row instance (< 1024 outer rows), so a
-// pre-expired deadline on a violation-free body is noticed only by the
-// inner-loop polls.
-TEST(ParallelParity, CooperativeDeadlineKAryInnerLoops) {
+// K-ary inner loops: no predicate gates the outermost level of
+// !(t0.A = t1.A & t1.B = t2.B & t0.C != t2.C), so every (i0, i1) node is
+// visited and each outer row fans out into O(n^2) inner work. The
+// sharded enumeration must match the sequential one for every thread
+// count, and a body whose never-true predicate sits at the deepest
+// variable (t2.C < t2.C) runs the inner loops in full for an empty
+// result.
+TEST(ParallelParity, ShardedKAryInnerLoops) {
   const auto schema = MakeAbcSchema();
-  // !(t0.A = t1.A & t1.B = t2.B & t0.C != t2.C): no predicate gates the
-  // outermost level, so every (i0, i1) node is visited and the first
-  // inner-loop poll point is reached deterministically.
   std::vector<Predicate> preds;
   preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
   preds.emplace_back(Operand{1, 1}, CompareOp::kEq, Operand{2, 1});
   preds.emplace_back(Operand{0, 2}, CompareOp::kNe, Operand{2, 2});
   const DenialConstraint dc(std::vector<RelationId>(3, 0), std::move(preds));
   const Database db = MakeRandomDatabase(schema, 0, 150, 30, 19);
+  EXPECT_FALSE(CheckParity(schema, {dc}, db, "k-ary inner loops").empty());
 
-  DetectorOptions generous;
-  generous.deadline_seconds = 3600.0;
-  const ViolationSet full =
-      CheckParity(schema, {dc}, db, generous, "k-ary generous deadline");
-  EXPECT_FALSE(full.truncated());
-
-  DetectorOptions expired;
-  expired.deadline_seconds = 1e-9;
-  const ViolationSet tiny =
-      CheckParity(schema, {dc}, db, expired, "k-ary expired deadline");
-  EXPECT_TRUE(tiny.truncated());
-  // The truncated result is a canonical prefix of the full one.
-  ASSERT_LE(tiny.num_minimal_subsets(), full.num_minimal_subsets());
-  for (size_t s = 0; s < tiny.num_minimal_subsets(); ++s) {
-    EXPECT_EQ(tiny.minimal_subsets()[s], full.minimal_subsets()[s]);
-  }
-
-  // A violation-free k-ary body still stops at an inner poll point: the
-  // never-true predicate sits at the deepest variable (t2.C < t2.C), so
-  // the inner loops run in full without ever reaching a merge — empty +
-  // truncated, identically for every thread count.
   std::vector<Predicate> barren;
   barren.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
   barren.emplace_back(Operand{1, 1}, CompareOp::kEq, Operand{2, 1});
   barren.emplace_back(Operand{2, 2}, CompareOp::kLt, Operand{2, 2});
   const DenialConstraint never(std::vector<RelationId>(3, 0),
                                std::move(barren));
-  const ViolationSet empty_truncated =
-      CheckParity(schema, {never}, db, expired, "k-ary barren expired");
-  EXPECT_TRUE(empty_truncated.truncated());
-  EXPECT_TRUE(empty_truncated.empty());
+  EXPECT_TRUE(CheckParity(schema, {never}, db, "k-ary barren").empty());
 }
 
 // FindViolationsInvolving filters the full result; parity transfers.
@@ -459,7 +374,6 @@ TEST(ParallelParity, EvaluateOneParallelMeasuresFuzz) {
                                 " detector-threads=" + std::to_string(threads);
       EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
           << where;
-      EXPECT_EQ(expected.truncated, report.truncated) << where;
       ASSERT_EQ(expected.measures.size(), report.measures.size()) << where;
       for (size_t m = 0; m < expected.measures.size(); ++m) {
         EXPECT_EQ(expected.measures[m].name, report.measures[m].name) << where;
@@ -470,52 +384,42 @@ TEST(ParallelParity, EvaluateOneParallelMeasuresFuzz) {
   }
 }
 
-// Nested fan-out: a compute that itself runs an OrderedParallelFor (the
-// shape of parallel measures triggering parallel detection). The consumer
-// helps execute unstarted chunks, so this completes even when every pool
-// worker is occupied by an outer chunk; without helping it could deadlock
-// on a saturated pool.
-TEST(OrderedParallelForTest, NestedFanOutCompletes) {
+// ---- OrderedStealingFor: the one scheduler entry point, under every
+// detector phase and the session's measure / EvaluateAll fan-outs.
+
+// Nested fan-out at grain 1 (the shape of parallel measures triggering
+// parallel detection): a compute that itself runs an OrderedStealingFor.
+// The consumer helps execute unclaimed ranges, so this completes even when
+// every pool worker is occupied by an outer range; without helping it
+// could deadlock on a saturated pool.
+TEST(OrderedStealingForTest, NestedFanOutCompletes) {
   std::vector<size_t> outer_sums(8, 0);
-  OrderedParallelFor(
-      4, outer_sums.size(),
-      [&](size_t c) {
-        std::vector<size_t> inner(16, 0);
-        OrderedParallelFor(
-            4, inner.size(), [&](size_t i) { inner[i] = i + 1; },
-            [&](size_t i) {
-              outer_sums[c] += inner[i];
-              return true;
-            });
+  size_t consumed = 0;
+  OrderedStealingFor(
+      4, outer_sums.size(), 1,
+      [&](IndexRange outer) {
+        for (size_t c = outer.begin; c < outer.end; ++c) {
+          std::vector<size_t> inner(16, 0);
+          OrderedStealingFor(
+              4, inner.size(), 1,
+              [&](IndexRange r) {
+                for (size_t i = r.begin; i < r.end; ++i) inner[i] = i + 1;
+              },
+              [&](IndexRange r) {
+                for (size_t i = r.begin; i < r.end; ++i) {
+                  outer_sums[c] += inner[i];
+                }
+              });
+        }
       },
-      [&](size_t c) {
-        EXPECT_EQ(outer_sums[c], 136u);  // 1 + ... + 16
-        return true;
+      [&](IndexRange outer) {
+        for (size_t c = outer.begin; c < outer.end; ++c) {
+          EXPECT_EQ(outer_sums[c], 136u);  // 1 + ... + 16
+          ++consumed;
+        }
       });
+  EXPECT_EQ(consumed, outer_sums.size());
 }
-
-// The utility itself: ordered consumption with cancellation, every shape.
-TEST(OrderedParallelForTest, ConsumesInOrderAndCancels) {
-  for (const size_t threads : kThreadCounts) {
-    for (const size_t chunks : {0u, 1u, 7u, 64u}) {
-      std::vector<size_t> consumed;
-      std::vector<size_t> computed(chunks, 0);
-      OrderedParallelFor(
-          threads, chunks, [&](size_t c) { computed[c] = c + 1; },
-          [&](size_t c) {
-            EXPECT_EQ(computed[c], c + 1);  // compute happened-before
-            consumed.push_back(c);
-            return consumed.size() < 5;  // cancel after 5 chunks
-          });
-      const size_t expected = std::min<size_t>(chunks, 5);
-      ASSERT_EQ(consumed.size(), expected);
-      for (size_t c = 0; c < expected; ++c) EXPECT_EQ(consumed[c], c);
-    }
-  }
-}
-
-// ---- OrderedStealingFor: the work-stealing range scheduler both the
-// chunk-indexed OrderedParallelFor and the detector phases now ride on.
 
 // Claimed sub-ranges must be consumed as contiguous ascending coverage of
 // [0, n) — whatever the workers stole — and every index's compute must
@@ -538,36 +442,11 @@ TEST(OrderedStealingForTest, CoversRangeInAscendingOrder) {
                 EXPECT_EQ(computed[i], i + 1);
               }
               cursor = r.end;
-              return true;
             });
         EXPECT_EQ(cursor, n)
             << "threads=" << threads << " n=" << n << " grain=" << grain;
       }
     }
-  }
-}
-
-// Cancellation: consume vetoes after a fixed number of indices; the
-// consumed prefix must end exactly at the vetoed range's boundary and
-// nothing past it may ever be consumed, for every thread count.
-TEST(OrderedStealingForTest, CancellationStopsConsumptionAtVeto) {
-  for (const size_t threads : kThreadCounts) {
-    constexpr size_t kN = 500;
-    size_t consumed_end = 0;
-    size_t vetoed_at = kN + 1;
-    OrderedStealingFor(
-        threads, kN, 8, [](IndexRange) {},
-        [&](IndexRange r) {
-          EXPECT_EQ(r.begin, consumed_end);
-          consumed_end = r.end;
-          if (consumed_end >= 40) {
-            vetoed_at = consumed_end;
-            return false;
-          }
-          return true;
-        });
-    EXPECT_GE(consumed_end, 40u);
-    EXPECT_EQ(consumed_end, vetoed_at) << "consumed past the veto";
   }
 }
 
@@ -597,7 +476,6 @@ TEST(OrderedStealingForTest, SkewedCostComputesEachIndexOnce) {
         [&](IndexRange r) {
           EXPECT_EQ(r.begin, cursor);
           cursor = r.end;
-          return true;
         });
     EXPECT_EQ(cursor, kN);
     for (size_t i = 0; i < kN; ++i) {
@@ -623,10 +501,10 @@ TEST(ParallelParity, GiantHotBlockingBucket) {
                        Value(rng.UniformInt(0, 999))}));
   }
   const ViolationSet expected =
-      CheckParity(schema, dcs, db, DetectorOptions{}, "hot-bucket keyed");
+      CheckParity(schema, dcs, db, "hot-bucket keyed");
   EXPECT_FALSE(expected.empty());
-  const ViolationSet keyless = CheckParity(
-      schema, AbcKeyless(*schema), db, DetectorOptions{}, "hot-bucket keyless");
+  const ViolationSet keyless =
+      CheckParity(schema, AbcKeyless(*schema), db, "hot-bucket keyless");
   EXPECT_FALSE(keyless.empty());
 }
 
@@ -649,7 +527,7 @@ TEST(ParallelParity, SkewedKAryOuterRows) {
                        Value(rng.UniformInt(0, 50))}));
   }
   const ViolationSet expected =
-      CheckParity(schema, {dc}, db, DetectorOptions{}, "skewed k-ary");
+      CheckParity(schema, {dc}, db, "skewed k-ary");
   EXPECT_FALSE(expected.empty());
 }
 

@@ -306,6 +306,79 @@ std::string RandomLine(Rng& rng, size_t max_len) {
   return line;
 }
 
+// ----------------------------------------------------------- tool flags --
+
+// Runs SessionOptionsFromFlags over `flags` (argv[0] is a dummy).
+bool ParseFlags(std::vector<std::string> flags, SessionOptions* options,
+                std::string* error) {
+  flags.insert(flags.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& flag : flags) argv.push_back(flag.data());
+  return SessionOptionsFromFlags(static_cast<int>(argv.size()), argv.data(),
+                                 options, error);
+}
+
+TEST(SessionFlags, ParsesValidValues) {
+  SessionOptions options;
+  std::string error;
+  ASSERT_TRUE(ParseFlags({"--threads=3", "--measures=I_MI,I_d", "--mc",
+                          "--window=ticks:40", "--approx=0.25"},
+                         &options, &error))
+      << error;
+  EXPECT_EQ(options.detector.num_threads, 3u);
+  EXPECT_EQ(options.registry.only,
+            (std::vector<std::string>{"I_MI", "I_d"}));
+  EXPECT_TRUE(options.registry.include_mc);
+  EXPECT_EQ(options.window.kind, WindowSpec::Kind::kTicks);
+  EXPECT_EQ(options.window.size, 40u);
+  EXPECT_DOUBLE_EQ(options.approx.eps, 0.25);
+  // Absent flags keep the defaults.
+  ASSERT_TRUE(ParseFlags({}, &options, &error)) << error;
+  EXPECT_EQ(options.detector.num_threads, 1u);
+  EXPECT_FALSE(options.window.enabled());
+  EXPECT_FALSE(options.approx.enabled());
+}
+
+TEST(SessionFlags, RejectsMalformedNumber) {
+  for (const char* flag :
+       {"--threads=abc", "--threads=", "--threads=-1", "--threads=4x",
+        "--window=count:abc", "--approx=abc", "--approx=0", "--approx=2"}) {
+    SessionOptions options;
+    std::string error;
+    EXPECT_FALSE(ParseFlags({flag}, &options, &error)) << flag;
+    EXPECT_FALSE(error.empty()) << flag;
+  }
+}
+
+TEST(SessionFlags, RejectsBadWindowKind) {
+  for (const char* flag : {"--window=cuont:10", "--window=count",
+                           "--window=ticks:1:2"}) {
+    SessionOptions options;
+    std::string error;
+    EXPECT_FALSE(ParseFlags({flag}, &options, &error)) << flag;
+    EXPECT_NE(error.find("--window"), std::string::npos) << error;
+  }
+}
+
+TEST(SessionFlags, UintFlagChecksRange) {
+  std::string port_flag = "--port=70000";
+  std::string queue_flag = "--queue=0";
+  char tool[] = "tool";
+  char* argv[] = {tool, port_flag.data(), queue_flag.data()};
+  uint64_t value = 7;
+  std::string error;
+  EXPECT_TRUE(UintFlag(3, argv, "workers", 1, 64, &value, &error));
+  EXPECT_EQ(value, 7u);  // absent: untouched
+  EXPECT_FALSE(UintFlag(3, argv, "port", 0, 65535, &value, &error));
+  EXPECT_NE(error.find("--port"), std::string::npos) << error;
+  EXPECT_FALSE(UintFlag(3, argv, "queue", 1, 100, &value, &error));
+  std::string valid_flag = "--port=8080";
+  char* valid_argv[] = {tool, valid_flag.data()};
+  ASSERT_TRUE(UintFlag(2, valid_argv, "port", 0, 65535, &value, &error))
+      << error;
+  EXPECT_EQ(value, 8080u);
+}
+
 TEST(ProtocolFuzz, ParserNeverCrashesOnGarbage) {
   Rng rng(20210708);
   size_t accepted = 0;

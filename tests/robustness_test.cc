@@ -157,28 +157,6 @@ INSTANTIATE_TEST_SUITE_P(RandomDatabases, SubsetMonotonicitySweep,
 
 // ---- Failure injection on the detector ----
 
-TEST(DetectorRobustness, DeadlineZeroMeansNoDeadline) {
-  const auto example = testing::MakeRunningExample();
-  DetectorOptions options;
-  options.deadline_seconds = 0.0;
-  const ViolationDetector detector(example.schema, example.dcs, options);
-  EXPECT_FALSE(detector.FindViolations(example.d1).truncated());
-}
-
-TEST(DetectorRobustness, TruncatedResultsStayLowerBounds) {
-  const auto example = testing::MakeRunningExample();
-  for (size_t cap = 1; cap <= 9; ++cap) {
-    DetectorOptions options;
-    options.max_subsets = cap;
-    const ViolationDetector detector(example.schema, example.dcs, options);
-    const ViolationSet violations = detector.FindViolations(example.d1);
-    EXPECT_EQ(violations.num_minimal_subsets(), std::min<size_t>(cap, 7));
-    // Hitting the cap flags truncation even when the cap equals the true
-    // count — the detector cannot know there is nothing more to find.
-    EXPECT_EQ(violations.truncated(), cap <= 7);
-  }
-}
-
 TEST(DetectorRobustness, MeasuresOnEmptyDatabase) {
   const auto example = testing::MakeRunningExample();
   const ViolationDetector detector(example.schema, example.dcs);
@@ -201,16 +179,25 @@ TEST(DetectorRobustness, SingleFactDatabase) {
 
 TEST(MeasureContext, CachesDetectionAcrossMeasures) {
   const auto example = testing::MakeRunningExample();
-  DetectorOptions options;
-  options.max_subsets = 3;  // distinctive: truncates to 3 subsets
-  const ViolationDetector detector(example.schema, example.dcs, options);
+  const ViolationDetector detector(example.schema, example.dcs);
+  auto total_probes = [&] {
+    uint64_t probes = 0;
+    for (size_t c = 0; c < example.dcs.size(); ++c) {
+      probes += detector.constraint_stats(c).num_probes;
+    }
+    return probes;
+  };
   MeasureContext context(detector, example.d1);
   MiCountMeasure mi;
   ProblematicFactsMeasure ip;
-  // Both reads see the same (cached) truncated violation set.
-  EXPECT_DOUBLE_EQ(mi.Evaluate(context), 3.0);
-  EXPECT_LE(ip.Evaluate(context), 6.0);
-  EXPECT_TRUE(context.violations().truncated());
+  EXPECT_DOUBLE_EQ(mi.Evaluate(context), 7.0);
+  const uint64_t after_first = total_probes();
+  EXPECT_GT(after_first, 0u);
+  // The second measure reads the cached violation set: no detection pass
+  // runs, so the detector's probe counters do not move.
+  EXPECT_DOUBLE_EQ(ip.Evaluate(context), 5.0);
+  EXPECT_EQ(total_probes(), after_first);
+  EXPECT_EQ(&context.violations(), &context.violations());
 }
 
 // ---- Drastic consistency cross-check over all datasets ----

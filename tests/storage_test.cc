@@ -512,15 +512,21 @@ TEST(EvaluateOne, MatchesPerMeasureFreshEvaluation) {
   EXPECT_EQ(report.Find("no_such_measure"), nullptr);
 }
 
+// The registry filter is the one measure filter: measures() lists exactly
+// what is evaluated, in Table-2 order whatever the filter's order, and
+// unknown names are ignored.
 TEST(EvaluateOne, OnlyFilterSelectsMeasures) {
   const auto example = MakeRunningExample();
   SessionOptions options;
-  options.only = {"I_MI", "I_d"};
+  options.WithMeasure("I_MI").WithMeasure("I_d").WithMeasure("no_such");
   const MeasureSession session(example.schema, example.dcs, options);
   const BatchReport report = session.EvaluateOne(example.d1);
   ASSERT_EQ(report.measures.size(), 2u);
   EXPECT_EQ(report.measures[0].name, "I_d");
   EXPECT_EQ(report.measures[1].name, "I_MI");
+  ASSERT_EQ(session.measures().size(), 2u);
+  EXPECT_EQ(session.measures()[0]->name(), "I_d");
+  EXPECT_EQ(session.measures()[1]->name(), "I_MI");
 }
 
 TEST(EvaluateOne, ConsistentDatabaseScoresZeroEverywhere) {

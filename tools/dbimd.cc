@@ -26,12 +26,11 @@
 #include <csignal>
 #include <cstdio>
 #include <ctime>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
-#include "common/string_util.h"
 #include "service/server.h"
 #include "service/spec.h"
 #include "storage/durable_store.h"
@@ -39,22 +38,6 @@
 namespace {
 
 using namespace dbim;
-
-std::string FlagValue(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (StartsWith(argv[i], prefix)) return argv[i] + prefix.size();
-  }
-  return "";
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 int Usage() {
   std::fprintf(
@@ -76,7 +59,8 @@ int Usage() {
       "               power loss)\n"
       "  --wal-batch=N    group-commit batch cap (records per fsync)\n"
       "  --checkpoint-bytes=N  auto-checkpoint once the log exceeds N "
-      "bytes\n");
+      "bytes\n"
+      "A malformed flag value is an error (exit 2), never a silent 0.\n");
   return 2;
 }
 
@@ -86,7 +70,7 @@ void HandleSignal(int) { g_stop = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string spec_path = FlagValue(argc, argv, "spec");
+  const std::string spec_path = FlagValue(argc, argv, "spec").value_or("");
   const bool example = HasFlag(argc, argv, "example");
   if (spec_path.empty() == !example) return Usage();
 
@@ -101,40 +85,40 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Numeric flags are validated up front: a malformed value (e.g.
+  // --queue=abc) is a usage error, never a silent zero.
   ServiceOptions options;
-  options.port = 7411;
-  const std::string port_flag = FlagValue(argc, argv, "port");
-  if (!port_flag.empty()) {
-    options.port =
-        static_cast<uint16_t>(std::strtoul(port_flag.c_str(), nullptr, 10));
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  uint64_t port = 7411;
+  uint64_t workers = options.num_workers;
+  uint64_t queue = options.queue_capacity;
+  storage::DurabilityOptions durability;
+  uint64_t wal_batch = durability.group_commit_max_ops;
+  uint64_t checkpoint_bytes = durability.checkpoint_wal_bytes;
+  std::string flag_error;
+  if (!UintFlag(argc, argv, "port", 0, 65535, &port, &flag_error) ||
+      !UintFlag(argc, argv, "workers", 1, kMax, &workers, &flag_error) ||
+      !UintFlag(argc, argv, "queue", 1, kMax, &queue, &flag_error) ||
+      !UintFlag(argc, argv, "wal-batch", 1, kMax, &wal_batch, &flag_error) ||
+      !UintFlag(argc, argv, "checkpoint-bytes", 0, kMax, &checkpoint_bytes,
+                &flag_error) ||
+      !SessionOptionsFromFlags(argc, argv, &options.session, &flag_error)) {
+    std::fprintf(stderr, "flag error: %s\n", flag_error.c_str());
+    return 2;
   }
-  const std::string workers_flag = FlagValue(argc, argv, "workers");
-  if (!workers_flag.empty()) {
-    options.num_workers = std::strtoull(workers_flag.c_str(), nullptr, 10);
-  }
-  const std::string queue_flag = FlagValue(argc, argv, "queue");
-  if (!queue_flag.empty()) {
-    options.queue_capacity = std::strtoull(queue_flag.c_str(), nullptr, 10);
-  }
-  options.session = SessionOptionsFromFlags(argc, argv);
+  options.port = static_cast<uint16_t>(port);
+  options.num_workers = workers;
+  options.queue_capacity = queue;
 
   // Durability: an opened store wired into the server (which recovers every
   // logged session before accepting traffic).
   std::unique_ptr<storage::DurableSessionStore> store;
-  const std::string data_dir = FlagValue(argc, argv, "data-dir");
+  const std::string data_dir =
+      FlagValue(argc, argv, "data-dir").value_or("");
   if (!data_dir.empty()) {
-    storage::DurabilityOptions durability;
     durability.sync = !HasFlag(argc, argv, "no-sync");
-    const std::string batch_flag = FlagValue(argc, argv, "wal-batch");
-    if (!batch_flag.empty()) {
-      durability.group_commit_max_ops =
-          std::strtoull(batch_flag.c_str(), nullptr, 10);
-    }
-    const std::string ckpt_flag = FlagValue(argc, argv, "checkpoint-bytes");
-    if (!ckpt_flag.empty()) {
-      durability.checkpoint_wal_bytes =
-          std::strtoull(ckpt_flag.c_str(), nullptr, 10);
-    }
+    durability.group_commit_max_ops = wal_batch;
+    durability.checkpoint_wal_bytes = checkpoint_bytes;
     store = std::make_unique<storage::DurableSessionStore>(
         spec.schema, storage::CreateFlatFileBackend(data_dir), durability);
     std::string storage_error;
