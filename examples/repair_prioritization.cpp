@@ -71,10 +71,11 @@ int main(int argc, char** argv) {
               "country/continent", "Shapley", "marginal", "LP x_i");
   const size_t top = std::min<size_t>(ranked.size(), 12);
   for (size_t i = 0; i < top; ++i) {
-    const Fact& f = db.fact(ranked[i].id);
+    auto cell = [&](AttrIndex a) {
+      return db.pool().value(db.value_id(ranked[i].id, a)).ToString();
+    };
     std::printf("%-8u %-14s %-40s %10.3f %10.3f %10.2f\n", ranked[i].id,
-                f.value(6).ToString().c_str(),
-                (f.value(5).ToString() + "/" + f.value(4).ToString()).c_str(),
+                cell(6).c_str(), (cell(5) + "/" + cell(4)).c_str(),
                 ranked[i].shapley, ranked[i].marginal, ranked[i].lp_weight);
   }
   std::printf(

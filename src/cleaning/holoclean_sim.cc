@@ -76,19 +76,21 @@ void SimulatedHoloClean::CleanFdStyle(Database& db, const DenialConstraint& dc,
   // of the dependent attribute is the statistical repair target.
   std::unordered_map<std::vector<Value>, std::vector<FactId>, ValueVecHash>
       blocks;
+  const ValuePool& pool = db.pool();
   for (const FactId id : db.ids()) {
-    const Fact& f = db.fact(id);
-    if (f.relation() != rel) continue;
+    if (db.Locate(id).relation != rel) continue;
     std::vector<Value> key;
     key.reserve(shape->key.size());
-    for (const AttrIndex a : shape->key) key.push_back(f.value(a));
+    for (const AttrIndex a : shape->key) {
+      key.push_back(pool.value(db.value_id(id, a)));
+    }
     blocks[std::move(key)].push_back(id);
   }
   for (const auto& [key, members] : blocks) {
     if (members.size() < 2) continue;
     std::map<std::string, std::pair<Value, size_t>> counts;
     for (const FactId id : members) {
-      const Value& v = db.fact(id).value(shape->value);
+      const Value& v = pool.value(db.value_id(id, shape->value));
       auto& slot = counts[v.ToString()];
       slot.first = v;
       ++slot.second;
@@ -99,7 +101,10 @@ void SimulatedHoloClean::CleanFdStyle(Database& db, const DenialConstraint& dc,
           return a.second.second < b.second.second;
         });
     for (const FactId id : members) {
-      if (db.fact(id).value(shape->value) == majority->second.first) continue;
+      if (pool.value(db.value_id(id, shape->value)) ==
+          majority->second.first) {
+        continue;
+      }
       if (rng.Bernoulli(options_.cell_accuracy)) {
         db.UpdateValue(id, shape->value, majority->second.first);
       }
@@ -111,8 +116,8 @@ void SimulatedHoloClean::CleanUnary(Database& db, const DenialConstraint& dc,
                                     Rng& rng) const {
   const RelationId rel = dc.var_relation(0);
   for (const FactId id : db.ids()) {
-    const Fact& f = db.fact(id);
-    if (f.relation() != rel) continue;
+    if (db.Locate(id).relation != rel) continue;
+    const Fact f = db.fact(id);
     if (!dc.MakesSelfInconsistent(f)) continue;
     if (!rng.Bernoulli(options_.cell_accuracy)) continue;
     // Break the first predicate of the (fully satisfied) body: rewrite its
@@ -147,8 +152,8 @@ void SimulatedHoloClean::CleanGeneric(Database& db, const DenialConstraint& dc,
     if (subset.size() != 2) continue;
     if (!rng.Bernoulli(options_.cell_accuracy)) continue;
     if (!db.Contains(subset[0]) || !db.Contains(subset[1])) continue;
-    const Fact& f0 = db.fact(subset[0]);
-    const Fact& f1 = db.fact(subset[1]);
+    const Fact f0 = db.fact(subset[0]);
+    const Fact f1 = db.fact(subset[1]);
     if (!dc.BodyHolds(f0, f1) && !dc.BodyHolds(f1, f0)) continue;
     const bool order01 = dc.BodyHolds(f0, f1);
     const FactId first = order01 ? subset[0] : subset[1];
@@ -163,8 +168,9 @@ void SimulatedHoloClean::CleanGeneric(Database& db, const DenialConstraint& dc,
     const Predicate& p = *cross[rng.UniformIndex(cross.size())];
     const FactId lhs_fact = p.lhs().var == 0 ? first : second;
     const FactId rhs_fact = p.rhs_operand().var == 0 ? first : second;
-    db.UpdateValue(lhs_fact, p.lhs().attr,
-                   db.fact(rhs_fact).value(p.rhs_operand().attr));
+    db.UpdateValue(
+        lhs_fact, p.lhs().attr,
+        db.pool().value(db.value_id(rhs_fact, p.rhs_operand().attr)));
   }
 }
 

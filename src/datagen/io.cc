@@ -50,12 +50,14 @@ bool WriteDatabaseCsv(const Database& db, RelationId relation,
                       const std::string& path) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back(db.schema().relation(relation).attributes());
+  const size_t arity = rows.front().size();
   for (const FactId id : db.ids()) {
-    const Fact& f = db.fact(id);
-    if (f.relation() != relation) continue;
+    if (db.Locate(id).relation != relation) continue;
     std::vector<std::string> row;
-    row.reserve(f.arity());
-    for (const Value& v : f.values()) row.push_back(EncodeValue(v));
+    row.reserve(arity);
+    for (AttrIndex a = 0; a < arity; ++a) {
+      row.push_back(EncodeValue(db.pool().value(db.value_id(id, a))));
+    }
     rows.push_back(std::move(row));
   }
   return Csv::WriteFile(path, rows);

@@ -124,7 +124,7 @@ void CoNoiseGenerator::Step(const Database& db, Rng& rng,
     // Rejection-sample a fact of the variable's relation.
     for (int attempt = 0; attempt < 64; ++attempt) {
       const FactId id = ids[rng.UniformIndex(ids.size())];
-      if (db.fact(id).relation() == dc.var_relation(v)) {
+      if (db.Locate(id).relation == dc.var_relation(v)) {
         var_tuple[v] = CellAddr{id, 0};
         break;
       }
@@ -137,7 +137,7 @@ void CoNoiseGenerator::Step(const Database& db, Rng& rng,
     for (int attempt = 0; attempt < 64; ++attempt) {
       const FactId id = ids[rng.UniformIndex(ids.size())];
       if (id != var_tuple[0].id &&
-          db.fact(id).relation() == dc.var_relation(1)) {
+          db.Locate(id).relation == dc.var_relation(1)) {
         var_tuple[1].id = id;
         break;
       }
@@ -146,12 +146,12 @@ void CoNoiseGenerator::Step(const Database& db, Rng& rng,
 
   for (const Predicate& p : dc.predicates()) {
     const CellAddr lhs{var_tuple[p.lhs().var].id, p.lhs().attr};
-    const Value lhs_value = db.fact(lhs.id).value(lhs.attr);
+    const Value lhs_value = db.pool().value(db.value_id(lhs.id, lhs.attr));
     const Value rhs_value =
         p.rhs_is_constant()
             ? p.rhs_constant()
-            : db.fact(var_tuple[p.rhs_operand().var].id)
-                  .value(p.rhs_operand().attr);
+            : db.pool().value(db.value_id(var_tuple[p.rhs_operand().var].id,
+                                          p.rhs_operand().attr));
     if (EvalCompare(p.op(), lhs_value, rhs_value)) continue;
 
     const bool can_touch_rhs = !p.rhs_is_constant();
@@ -171,14 +171,14 @@ void CoNoiseGenerator::Step(const Database& db, Rng& rng,
     // Strict / disequality operators: re-draw one side from the active
     // domain so the predicate is satisfied.
     if (touch_lhs) {
-      const RelationId rel = db.fact(lhs.id).relation();
+      const RelationId rel = db.Locate(lhs.id).relation;
       const auto value =
           SatisfyingValue(domains_[rel][lhs.attr], p.op(), rhs_value, rng);
       if (value.has_value()) update(lhs.id, lhs.attr, *value);
     } else {
       const CellAddr rhs{var_tuple[p.rhs_operand().var].id,
                          p.rhs_operand().attr};
-      const RelationId rel = db.fact(rhs.id).relation();
+      const RelationId rel = db.Locate(rhs.id).relation;
       const auto value = SatisfyingValue(domains_[rel][rhs.attr],
                                          FlipOp(p.op()), lhs_value, rng);
       if (value.has_value()) update(rhs.id, rhs.attr, *value);
@@ -235,8 +235,8 @@ void RNoiseGenerator::Step(const Database& db, Rng& rng,
   for (int attempt = 0; attempt < 128; ++attempt) {
     const Column& col = columns_[rng.UniformIndex(columns_.size())];
     const FactId id = ids[rng.UniformIndex(ids.size())];
-    if (db.fact(id).relation() != col.relation) continue;
-    const Value current = db.fact(id).value(col.attr);
+    if (db.Locate(id).relation != col.relation) continue;
+    const Value current = db.pool().value(db.value_id(id, col.attr));
     if (rng.Bernoulli(typo_probability_)) {
       update(id, col.attr, MakeTypo(current, rng));
       return;
@@ -257,7 +257,10 @@ void RNoiseGenerator::Step(const Database& db, Rng& rng,
 size_t RNoiseGenerator::StepsForAlpha(const Database& db,
                                       double alpha) const {
   size_t cells = 0;
-  for (const FactId id : db.ids()) cells += db.fact(id).arity();
+  for (RelationId r = 0; r < db.schema().num_relations(); ++r) {
+    const Database::RelationBlock& block = db.relation_block(r);
+    cells += block.num_rows() * block.columns.size();
+  }
   return static_cast<size_t>(alpha * static_cast<double>(cells));
 }
 

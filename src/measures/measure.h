@@ -23,10 +23,7 @@ namespace dbim {
 /// SessionOptions::parallel_measures) race neither on first
 /// materialization nor afterwards — once set, both are only ever read.
 /// Everything else a measure reaches through the context is const:
-/// detection, ids()/deletion_cost()/pool() on the database, and the graph
-/// accessors. (The Database's lazily cached row-major fact(id) view is NOT
-/// part of that const surface and must not be called concurrently; no
-/// registry measure uses it.)
+/// detection, every const Database accessor, and the graph accessors.
 class MeasureContext {
  public:
   MeasureContext(const ViolationDetector& detector, const Database& db)

@@ -101,7 +101,6 @@ std::vector<SessionConstraintStats> MeasureSession::ConstraintStats(
         state.incremental.ConstraintStatsFor(c);
     s.num_probes = ics.num_probes;
     s.num_fires = ics.num_fires;
-    s.activity = ics.activity;
     s.watcher_count = ics.watcher_count;
     out.push_back(std::move(s));
   }
@@ -342,11 +341,10 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
 
 TablePrinter ConstraintStatsTable(
     const std::vector<SessionConstraintStats>& stats) {
-  TablePrinter table({"constraint", "probes", "fires", "activity",
-                      "watchers"});
+  TablePrinter table({"constraint", "probes", "fires", "watchers"});
   for (const SessionConstraintStats& s : stats) {
     table.AddRow({s.constraint, std::to_string(s.num_probes),
-                  std::to_string(s.num_fires), TablePrinter::Num(s.activity),
+                  std::to_string(s.num_fires),
                   std::to_string(s.watcher_count)});
   }
   return table;

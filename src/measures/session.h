@@ -205,14 +205,12 @@ struct BatchReport {
 
 /// Per-constraint maintenance counters surfaced by
 /// MeasureSession::ConstraintStats: partner candidates examined (probes),
-/// subsets contributed (fires), the decayed activity score ordering
-/// hottest-first probing, and the constraint's live watcher/bucket-key
+/// subsets contributed (fires) and the constraint's live watcher/bucket-key
 /// footprint, all from the handle's incremental index.
 struct SessionConstraintStats {
   std::string constraint;  // rendered denial constraint
   uint64_t num_probes = 0;
   uint64_t num_fires = 0;
-  double activity = 0.0;
   size_t watcher_count = 0;
 };
 
@@ -436,7 +434,7 @@ class MeasureSession {
 };
 
 /// Renders per-constraint stats rows as a table — header {constraint,
-/// probes, fires, activity, watchers} — so every surface that reports them
+/// probes, fires, watchers} — so every surface that reports them
 /// (dbim_cli --stats, the service STATS verb, the load generator) shares
 /// one text and one machine-readable (TablePrinter::ToJson) form.
 TablePrinter ConstraintStatsTable(

@@ -20,30 +20,6 @@ Database::Database(std::shared_ptr<const Schema> schema)
   }
 }
 
-Database::Database(const Database& other)
-    : schema_(other.schema_),
-      pool_(other.pool_),  // append-only, safely shared
-      blocks_(other.blocks_),
-      locators_(other.locators_),
-      free_ids_(other.free_ids_),
-      costs_(other.costs_),
-      domain_counts_(other.domain_counts_),
-      size_(other.size_) {}
-
-Database& Database::operator=(const Database& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  pool_ = other.pool_;
-  blocks_ = other.blocks_;
-  locators_ = other.locators_;
-  free_ids_ = other.free_ids_;
-  costs_ = other.costs_;
-  domain_counts_ = other.domain_counts_;
-  size_ = other.size_;
-  fact_cache_.clear();
-  return *this;
-}
-
 void Database::Emplace(FactId id, Fact fact) {
   const RelationId rel = fact.relation();
   DBIM_CHECK_MSG(rel < blocks_.size(), "unknown relation %u", rel);
@@ -61,7 +37,6 @@ void Database::Emplace(FactId id, Fact fact) {
   }
   if (id >= locators_.size()) locators_.resize(id + 1);
   locators_[id] = Locator{rel, row, true};
-  if (id < fact_cache_.size() && fact_cache_[id]) fact_cache_[id].reset();
   ++size_;
 }
 
@@ -116,27 +91,19 @@ void Database::Delete(FactId id) {
   locators_[id].live = false;
   free_ids_.insert(id);
   costs_.erase(id);
-  if (id < fact_cache_.size()) fact_cache_[id].reset();
   --size_;
 }
 
-const Fact& Database::fact(FactId id) const {
+Fact Database::fact(FactId id) const {
   DBIM_CHECK(Contains(id));
-  if (fact_cache_.size() < locators_.size()) {
-    fact_cache_.resize(locators_.size());
+  const Locator& loc = locators_[id];
+  const RelationBlock& block = blocks_[loc.relation];
+  std::vector<Value> values;
+  values.reserve(block.columns.size());
+  for (AttrIndex a = 0; a < block.columns.size(); ++a) {
+    values.push_back(pool_->value(block.columns[a][loc.row]));
   }
-  if (!fact_cache_[id]) {
-    const Locator& loc = locators_[id];
-    const RelationBlock& block = blocks_[loc.relation];
-    std::vector<Value> values;
-    values.reserve(block.columns.size());
-    for (AttrIndex a = 0; a < block.columns.size(); ++a) {
-      values.push_back(pool_->value(block.columns[a][loc.row]));
-    }
-    fact_cache_[id] =
-        std::make_unique<Fact>(loc.relation, std::move(values));
-  }
-  return *fact_cache_[id];
+  return Fact(loc.relation, std::move(values));
 }
 
 void Database::UpdateValue(FactId id, AttrIndex attr, Value v) {
@@ -154,13 +121,6 @@ void Database::UpdateValue(FactId id, AttrIndex attr, Value v) {
     if (--it->second == 0) counts.erase(it);
     ++counts[fresh];
     cell = fresh;
-  }
-  // Update the materialized fact in place (rather than dropping it) so that
-  // outstanding `const Fact&` references observe the new value, matching the
-  // behavior of the previous row-major storage.
-  if (id < fact_cache_.size() && fact_cache_[id]) {
-    fact_cache_[id]->set_value(attr, pool_->value(blocks_[loc.relation]
-                                                      .columns[attr][loc.row]));
   }
 }
 
@@ -318,8 +278,7 @@ void Database::ReinternInto(std::shared_ptr<ValuePool> target) {
   if (target == pool_) return;
   // Lazily remap live ids in column-scan order. Interning is
   // representation-exact, so the remap is injective on live ids and every
-  // cell round-trips bit-for-bit. (Cached row-major Facts hold value
-  // copies, so they stay valid across the remap.)
+  // cell round-trips bit-for-bit.
   std::vector<ValueId> remap(pool_->size(), kNullValueId);
   std::vector<char> mapped(pool_->size(), 0);
   mapped[kNullValueId] = 1;  // null is pre-interned as id 0 in every pool

@@ -24,11 +24,13 @@ using FactId = uint32_t;
 ///
 /// Storage is dictionary-encoded and columnar: every cell value is interned
 /// into a shared ValuePool and each relation keeps a struct-of-arrays of
-/// ValueId columns (one `std::vector<ValueId>` per attribute). Row-major
-/// `Fact`s are materialized on demand by `fact(id)` and cached until the
-/// fact mutates; the hot paths (violation detection, restriction, equality)
-/// run directly on the interned columns. Copies and restrictions share the
-/// (append-only) pool, so their cells remain id-comparable.
+/// ValueId columns (one `std::vector<ValueId>` per attribute); the columns
+/// are the only copy of the data. `fact(id)` builds a row-major `Fact` from
+/// them on each call; the hot paths (violation detection, restriction,
+/// equality) run directly on the interned columns. Copies and restrictions
+/// share the (append-only) pool, so their cells remain id-comparable.
+/// Const methods only read, so any number of threads may read one
+/// `const Database` concurrently.
 ///
 /// Each fact optionally carries a deletion cost (the paper's special `cost`
 /// attribute for the subset repair system); facts without one have unit
@@ -55,8 +57,8 @@ class Database {
 
   explicit Database(std::shared_ptr<const Schema> schema);
 
-  Database(const Database& other);
-  Database& operator=(const Database& other);
+  Database(const Database&) = default;
+  Database& operator=(const Database&) = default;
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
 
@@ -85,10 +87,10 @@ class Database {
     return id < locators_.size() && locators_[id].live;
   }
 
-  /// The fact mapped to `id` (must exist). The paper's `D[i]`. Materialized
-  /// from the columns on first use and cached; the reference stays valid
-  /// until the fact is deleted, and observes in-place UpdateValue calls.
-  const Fact& fact(FactId id) const;
+  /// The fact mapped to `id` (must exist), the paper's `D[i]`, built from
+  /// the columns. Single cells are cheaper to read as
+  /// `pool().value(value_id(id, attr))`.
+  Fact fact(FactId id) const;
 
   /// In-place attribute update `D[i].A <- c` (must exist).
   void UpdateValue(FactId id, AttrIndex attr, Value v);
@@ -237,9 +239,6 @@ class Database {
   // maintained on insert/delete/update, backing ActiveDomain.
   std::vector<std::vector<std::unordered_map<ValueId, uint32_t>>>
       domain_counts_;
-  // Lazily materialized row-major facts; entry reset on mutation. Not part
-  // of logical state (copies start empty).
-  mutable std::vector<std::unique_ptr<Fact>> fact_cache_;
   size_t size_ = 0;
 };
 

@@ -10,11 +10,12 @@ bool RepairOperation::IsApplicable(const Database& db) const {
   if (is_insertion()) return true;
   const UpdateOp& u = update();
   if (!db.Contains(u.id)) return false;
-  if (u.attr >= db.fact(u.id).arity()) return false;
+  const RelationId rel = db.Locate(u.id).relation;
+  if (u.attr >= db.schema().relation(rel).arity()) return false;
   // Setting an attribute to its current value is not "an actual change";
   // the paper requires cost 0 iff o(D) = D, and we model such operations as
   // not applicable.
-  return db.fact(u.id).value(u.attr) != u.value;
+  return db.pool().value(db.value_id(u.id, u.attr)) != u.value;
 }
 
 void RepairOperation::ApplyInPlace(Database& db) const {

@@ -37,11 +37,14 @@ Value UpdateRepairSystem::FreshValue(const Database& db) {
   // sentinel "outside the active domain" for every column: no DC predicate
   // can tie it to an existing value via equality.
   int64_t fresh = 1;
-  for (const FactId id : db.ids()) {
-    const Fact& f = db.fact(id);
-    for (const Value& v : f.values()) {
-      if (v.is_numeric()) {
-        fresh = std::max<int64_t>(fresh, static_cast<int64_t>(v.numeric()) + 1);
+  for (RelationId r = 0; r < db.schema().num_relations(); ++r) {
+    for (const std::vector<ValueId>& column : db.relation_block(r).columns) {
+      for (const ValueId cell : column) {
+        const Value& v = db.pool().value(cell);
+        if (v.is_numeric()) {
+          fresh =
+              std::max<int64_t>(fresh, static_cast<int64_t>(v.numeric()) + 1);
+        }
       }
     }
   }
@@ -63,10 +66,11 @@ std::vector<RepairOperation> UpdateRepairSystem::EnumerateOperations(
     }
   }
   for (const FactId id : db.ids()) {
-    const Fact& f = db.fact(id);
-    for (AttrIndex a = 0; a < f.arity(); ++a) {
-      for (const Value& v : domains[f.relation()][a]) {
-        if (v == f.value(a)) continue;
+    const RelationId rel = db.Locate(id).relation;
+    for (AttrIndex a = 0; a < domains[rel].size(); ++a) {
+      const Value& current = db.pool().value(db.value_id(id, a));
+      for (const Value& v : domains[rel][a]) {
+        if (v == current) continue;
         ops.push_back(RepairOperation::Update(id, a, v));
       }
       ops.push_back(RepairOperation::Update(id, a, fresh));

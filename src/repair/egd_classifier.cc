@@ -257,15 +257,23 @@ double SolveDifferentRelations(const BinaryAtomEgd& egd, const Database& db) {
   const DenialConstraint dc = egd.ToDenialConstraint();
   std::vector<FactId> left;
   std::vector<FactId> right;
+  std::vector<Fact> left_facts;
+  std::vector<Fact> right_facts;
   for (const FactId id : db.ids()) {
-    const RelationId r = db.fact(id).relation();
-    if (r == egd.rel1()) left.push_back(id);
-    if (r == egd.rel2()) right.push_back(id);
+    const RelationId r = db.Locate(id).relation;
+    if (r == egd.rel1()) {
+      left.push_back(id);
+      left_facts.push_back(db.fact(id));
+    }
+    if (r == egd.rel2()) {
+      right.push_back(id);
+      right_facts.push_back(db.fact(id));
+    }
   }
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   for (uint32_t i = 0; i < left.size(); ++i) {
     for (uint32_t j = 0; j < right.size(); ++j) {
-      if (dc.BodyHolds(db.fact(left[i]), db.fact(right[j]))) {
+      if (dc.BodyHolds(left_facts[i], right_facts[j])) {
         edges.emplace_back(i, j);
       }
     }
@@ -323,12 +331,14 @@ std::optional<double> SolveTractableEgdRepair(const BinaryAtomEgd& egd,
   DBIM_CHECK(form.has_value());
   if (form->pattern == Pattern::kPath) return std::nullopt;
 
+  const ValuePool& pool = db.pool();
   std::vector<Cell> cells;
   for (const FactId id : db.ids()) {
-    const Fact& f = db.fact(id);
-    if (f.relation() != egd.rel1()) continue;
-    DBIM_CHECK_MSG(f.arity() == 2, "binary-atom EGDs need binary facts");
-    Cell c{f.value(0), f.value(1), db.deletion_cost(id)};
+    if (db.Locate(id).relation != egd.rel1()) continue;
+    DBIM_CHECK_MSG(db.schema().relation(egd.rel1()).arity() == 2,
+                   "binary-atom EGDs need binary facts");
+    Cell c{pool.value(db.value_id(id, 0)), pool.value(db.value_id(id, 1)),
+           db.deletion_cost(id)};
     if (form->flip_columns) std::swap(c.a, c.b);
     cells.push_back(std::move(c));
   }

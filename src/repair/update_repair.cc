@@ -97,9 +97,9 @@ class UpdateSearch {
           ColumnCandidates(db, key.first, key.second, constraints, &ordered));
     }
     for (const FactId id : db.ids()) {
-      const Fact& f = db.fact(id);
+      const RelationId rel = db.Locate(id).relation;
       for (const auto& [key, slot] : column_slot) {
-        if (key.first != f.relation()) continue;
+        if (key.first != rel) continue;
         cells_.push_back(CellRef{id, key.second});
         cell_candidates_.push_back(&storage_[slot]);
       }
@@ -123,7 +123,8 @@ class UpdateSearch {
     if (remaining == 0) return detector_.Satisfies(work);
     for (size_t c = from; c < cells_.size(); ++c) {
       const CellRef cell = cells_[c];
-      const Value original = work.fact(cell.id).value(cell.attr);
+      const Value original =
+          work.pool().value(work.value_id(cell.id, cell.attr));
       for (const Value& candidate : *cell_candidates_[c]) {
         if (candidate == original) continue;
         work.UpdateValue(cell.id, cell.attr, candidate);

@@ -8,8 +8,8 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -23,12 +23,15 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 constexpr int kSendFlags = 0;
 #endif
 
-bool ParseSize(const std::string& token, size_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size() || errno == ERANGE) return false;
+constexpr uint64_t kMaxFactId = std::numeric_limits<FactId>::max();
+
+// A reply count through the checked ParseUint64: plain decimal digits, no
+// sign, no wrap-around.
+bool ParseCount(const std::string& token, size_t* out, std::string* error) {
+  uint64_t v = 0;
+  if (!ParseUint64(token, std::numeric_limits<size_t>::max(), &v, error)) {
+    return false;
+  }
   *out = static_cast<size_t>(v);
   return true;
 }
@@ -236,7 +239,7 @@ bool ServiceClient::RegisterAttach(const std::string& session,
     return false;
   }
   if (response.final.args.size() != 1 ||
-      !ParseSize(response.final.args[0], num_facts)) {
+      !ParseCount(response.final.args[0], num_facts, error)) {
     *error = "ATTACH reply carries no fact count";
     return false;
   }
@@ -248,13 +251,12 @@ bool ServiceClient::Checkpoint(uint64_t* epoch, std::string* error) {
   if (!AwaitOk(Issue(Request::MakeCheckpoint(), error), &response, error)) {
     return false;
   }
-  size_t parsed = 0;
   if (response.final.args.size() != 1 ||
-      !ParseSize(response.final.args[0], &parsed)) {
+      !ParseUint64(response.final.args[0],
+                   std::numeric_limits<uint64_t>::max(), epoch, error)) {
     *error = "CHECKPOINT reply carries no epoch";
     return false;
   }
-  *epoch = parsed;
   return true;
 }
 
@@ -266,9 +268,9 @@ bool ServiceClient::ApplyInsert(const std::string& session,
                &response, error)) {
     return false;
   }
-  size_t parsed = 0;
+  uint64_t parsed = 0;
   if (response.final.args.size() != 1 ||
-      !ParseSize(response.final.args[0], &parsed)) {
+      !ParseUint64(response.final.args[0], kMaxFactId, &parsed, error)) {
     *error = "INSERT reply carries no fact id";
     return false;
   }
@@ -300,8 +302,8 @@ bool ServiceClient::ParseReportArgs(const std::vector<std::string>& args,
     *error = "malformed report argument list";
     return false;
   }
-  if (!ParseSize(args[offset], &report->num_facts) ||
-      !ParseSize(args[offset + 1], &report->num_minimal_subsets)) {
+  if (!ParseCount(args[offset], &report->num_facts, error) ||
+      !ParseCount(args[offset + 1], &report->num_minimal_subsets, error)) {
     *error = "malformed report counts";
     return false;
   }
@@ -313,10 +315,8 @@ bool ServiceClient::ParseReportArgs(const std::vector<std::string>& args,
   for (size_t i = offset + 3; i + 1 < args.size(); i += 2) {
     std::string name;
     if (!DecodeToken(args[i], &name, error)) return false;
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(args[i + 1].c_str(), &end);
-    if (end != args[i + 1].c_str() + args[i + 1].size()) {
+    double value = 0.0;
+    if (!ParseDouble(args[i + 1], &value, error)) {
       *error = "malformed measure value: " + args[i + 1];
       return false;
     }
@@ -392,8 +392,8 @@ bool ServiceClient::Dump(
       *error = "DUMP item carries no fact id";
       return false;
     }
-    size_t id = 0;
-    if (!ParseSize(item.args[0], &id)) {
+    uint64_t id = 0;
+    if (!ParseUint64(item.args[0], kMaxFactId, &id, error)) {
       *error = "DUMP item has a malformed fact id";
       return false;
     }
@@ -422,23 +422,14 @@ bool ServiceClient::Vacuum(double threshold, bool* compacted,
   if (!AwaitOk(Issue(Request::Vacuum(threshold), error), &response, error)) {
     return false;
   }
-  *compacted =
-      response.final.args.size() == 1 && response.final.args[0] == "1";
+  const std::vector<std::string>& args = response.final.args;
+  if (args.size() != 1 || (args[0] != "0" && args[0] != "1")) {
+    *error = "malformed VACUUM reply";
+    return false;
+  }
+  *compacted = args[0] == "1";
   return true;
 }
-
-namespace {
-
-bool ParseWireDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 bool ServiceClient::EvaluateApprox(const std::string& session, double eps,
                                    WireApproxReport* report,
@@ -454,18 +445,18 @@ bool ServiceClient::EvaluateApprox(const std::string& session, double eps,
     *error = "malformed APPROX argument list";
     return false;
   }
-  if (!ParseSize(args[0], &report->num_facts) ||
-      !ParseSize(args[1], &report->sample_size) ||
-      !ParseWireDouble(args[2], &report->sample_fraction)) {
+  if (!ParseCount(args[0], &report->num_facts, error) ||
+      !ParseCount(args[1], &report->sample_size, error) ||
+      !ParseDouble(args[2], &report->sample_fraction, error)) {
     *error = "malformed APPROX counts";
     return false;
   }
   for (size_t i = 3; i + 3 < args.size(); i += 4) {
     WireApproxReport::Estimate e;
     if (!DecodeToken(args[i], &e.name, error)) return false;
-    if (!ParseWireDouble(args[i + 1], &e.estimate) ||
-        !ParseWireDouble(args[i + 2], &e.ci_low) ||
-        !ParseWireDouble(args[i + 3], &e.ci_high)) {
+    if (!ParseDouble(args[i + 1], &e.estimate, error) ||
+        !ParseDouble(args[i + 2], &e.ci_low, error) ||
+        !ParseDouble(args[i + 3], &e.ci_high, error)) {
       *error = "malformed APPROX estimate: " + e.name;
       return false;
     }
@@ -483,8 +474,8 @@ bool ServiceClient::StreamTick(const std::string& session, uint64_t tick,
     return false;
   }
   if (response.final.args.size() != 2 ||
-      !ParseSize(response.final.args[0], expired) ||
-      !ParseSize(response.final.args[1], live)) {
+      !ParseCount(response.final.args[0], expired, error) ||
+      !ParseCount(response.final.args[1], live, error)) {
     *error = "malformed STREAM_TICK reply";
     return false;
   }
@@ -498,7 +489,7 @@ bool ServiceClient::Subscribe(const std::string& session, double threshold,
   const std::string tag = Issue(Request::Subscribe(session, threshold), error);
   if (!AwaitOk(tag, &response, error)) return false;
   if (response.final.args.size() != 1 ||
-      !ParseSize(response.final.args[0], current)) {
+      !ParseCount(response.final.args[0], current, error)) {
     *error = "SUBSCRIBE reply carries no subset count";
     return false;
   }
@@ -520,7 +511,7 @@ bool ServiceClient::DrainPushed(const std::string& subscribe_tag,
     }
     PushedItem item;
     item.up = r.args[0] == "up";
-    if (!ParseWireDouble(r.args[1], &item.value)) {
+    if (!ParseDouble(r.args[1], &item.value, error)) {
       *error = "malformed SUBSCRIBE notification value";
       return false;
     }

@@ -29,12 +29,10 @@ struct DetectorOptions {
 
 /// Cumulative per-constraint detection counters: candidate subsets merged
 /// (probes) and subsets admitted into the result (fires) on behalf of one
-/// constraint, plus a decayed fire count (activity) that tracks recent fire
-/// history rather than all-time totals.
+/// constraint.
 struct DetectorConstraintStats {
   uint64_t num_probes = 0;
   uint64_t num_fires = 0;
-  double activity = 0.0;
 };
 
 /// Computes MI_Sigma(D) for a set of denial constraints — the exact result
@@ -78,11 +76,11 @@ class ViolationDetector {
   std::vector<DenialConstraint> constraints_;
   DetectorOptions options_;
 
-  // Pass-2 activity bookkeeping: decayed once per detection, bumped by each
-  // constraint's admitted subsets. Detect is const and may run concurrently
-  // from session threads, so updates are mutex-guarded.
-  mutable std::mutex activity_mu_;
-  mutable std::vector<DetectorConstraintStats> activity_;
+  // Pass-2 counters, bumped by each constraint's probes and admitted
+  // subsets. Detect is const and may run concurrently from session threads,
+  // so updates are mutex-guarded.
+  mutable std::mutex stats_mu_;
+  mutable std::vector<DetectorConstraintStats> stats_;
 };
 
 }  // namespace dbim

@@ -38,9 +38,11 @@ DenialConstraint ChainDc3() {
 // Reference: evaluate a DC body on materialized Facts.
 bool ReferenceBodyHolds(const DenialConstraint& dc, const Database& db,
                         const std::vector<FactId>& assignment) {
+  std::vector<Fact> owned;
+  owned.reserve(assignment.size());
+  for (const FactId id : assignment) owned.push_back(db.fact(id));
   std::vector<const Fact*> facts;
-  facts.reserve(assignment.size());
-  for (const FactId id : assignment) facts.push_back(&db.fact(id));
+  for (const Fact& f : owned) facts.push_back(&f);
   return dc.BodyHolds(facts);
 }
 

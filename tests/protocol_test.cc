@@ -242,6 +242,28 @@ TEST(ProtocolResponse, RejectsGarbage) {
   }
 }
 
+// A report's counts are plain decimal: a sign or a count past 2^64 - 1 is
+// a malformed reply, not a wrapped or clamped number.
+TEST(ProtocolReport, ParseReportArgsRejectsSignedAndOverflowingCounts) {
+  WireReport report;
+  std::string error;
+  ASSERT_TRUE(ServiceClient::ParseReportArgs({"3", "2", "0", "I_MI", "2"}, 0,
+                                             &report, &error))
+      << error;
+  EXPECT_EQ(report.num_facts, 3u);
+  EXPECT_EQ(report.num_minimal_subsets, 2u);
+  ASSERT_EQ(report.measures.size(), 1u);
+  EXPECT_EQ(report.measures[0].second, 2.0);
+  for (const char* bad : {"-1", "+3", "18446744073709551616"}) {
+    EXPECT_FALSE(
+        ServiceClient::ParseReportArgs({bad, "0", "0"}, 0, &report, &error))
+        << bad;
+    EXPECT_FALSE(
+        ServiceClient::ParseReportArgs({"0", bad, "0"}, 0, &report, &error))
+        << bad;
+  }
+}
+
 // ----------------------------------------------------------- line buffer --
 
 TEST(ProtocolLineBuffer, ReassemblesInterleavedPartialWrites) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -280,16 +281,45 @@ TEST(ColumnarDatabase, RandomizedOperationEquivalence) {
   EXPECT_TRUE(restricted.IsSubsetOf(db));
 }
 
-TEST(ColumnarDatabase, FactReferenceObservesInPlaceUpdate) {
+// Const accessors only read, so threads sharing one `const Database&`
+// need no lock and each sees what a single-threaded reader sees.
+TEST(ColumnarDatabase, ConcurrentConstReadersAreRaceFree) {
   const auto schema = MakeAbcSchema();
-  Database db(schema);
-  const FactId id = db.Insert(Fact(0, {Value(1), Value(2), Value(3)}));
-  const Fact& ref = db.fact(id);
-  EXPECT_EQ(ref.value(1), Value(2));
-  db.UpdateValue(id, 1, Value(99));
-  // The previously materialized reference stays valid and reflects the
-  // update, matching the old row-major storage semantics.
-  EXPECT_EQ(ref.value(1), Value(99));
+  const Database db = MakeRandomDatabase(schema, 0, 200, 8, 17);
+  struct Read {
+    std::vector<FactId> ids;
+    std::vector<Fact> facts;
+    std::vector<ValueId> cells;
+    std::vector<uint32_t> rows;
+  };
+  auto read_all = [&db] {
+    Read read;
+    read.ids = db.ids();
+    for (const FactId id : read.ids) {
+      read.facts.push_back(db.fact(id));
+      for (AttrIndex a = 0; a < 3; ++a) {
+        read.cells.push_back(db.value_id(id, a));
+      }
+      read.rows.push_back(db.Locate(id).row);
+    }
+    return read;
+  };
+  // The threads are the database's first readers; the reference read
+  // comes after they join.
+  constexpr int kThreads = 4;
+  std::vector<Read> reads(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { reads[t] = read_all(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const Read expected = read_all();
+  for (const Read& read : reads) {
+    EXPECT_EQ(read.ids, expected.ids);
+    EXPECT_EQ(read.facts, expected.facts);
+    EXPECT_EQ(read.cells, expected.cells);
+    EXPECT_EQ(read.rows, expected.rows);
+  }
 }
 
 TEST(ColumnarDatabase, PreservesValueKindsThroughInterning) {

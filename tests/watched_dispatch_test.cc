@@ -151,7 +151,7 @@ TEST(WatchedDispatch, DispatchStatsCountSkips) {
   ExpectMatchesOracle(dcs, watched.db(), watched.Snapshot());
 }
 
-// Per-constraint counters: probing accumulates, fires bump activity, and
+// Per-constraint counters: probing accumulates, every fire was probed, and
 // the watcher footprint reflects live buckets (binary) and bucket keys
 // (k-ary).
 TEST(WatchedDispatch, ConstraintStatsAccumulate) {
@@ -168,7 +168,7 @@ TEST(WatchedDispatch, ConstraintStatsAccumulate) {
   for (size_t c = 0; c < dcs.size(); ++c) {
     const IncrementalConstraintStats stats = index.ConstraintStatsFor(c);
     total_fires += stats.num_fires;
-    if (stats.num_fires > 0) EXPECT_GT(stats.activity, 0.0) << "dc " << c;
+    EXPECT_GE(stats.num_probes, stats.num_fires) << "dc " << c;
     EXPECT_GT(stats.watcher_count, 0u) << "dc " << c;  // domain 2: dense
   }
   EXPECT_GT(total_fires, 0u);
