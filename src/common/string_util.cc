@@ -88,6 +88,25 @@ bool ParseUint64(const std::string& token, uint64_t max, uint64_t* out,
   return true;
 }
 
+bool ParseInt64(const std::string& token, int64_t* out, std::string* error) {
+  const bool negative = !token.empty() && token[0] == '-';
+  const bool signed_token =
+      !token.empty() && (token[0] == '-' || token[0] == '+');
+  const uint64_t limit =
+      negative ? uint64_t{1} << 63
+               : static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
+  uint64_t magnitude = 0;
+  if (!ParseUint64(token.substr(signed_token ? 1 : 0), limit, &magnitude,
+                   error)) {
+    *error = "bad integer: " + token;
+    return false;
+  }
+  // -2^63 has no positive int64_t counterpart; negate in unsigned space.
+  *out = negative ? static_cast<int64_t>(0 - magnitude)
+                  : static_cast<int64_t>(magnitude);
+  return true;
+}
+
 bool ParseDouble(const std::string& token, double* out, std::string* error) {
   if (token.empty()) {
     *error = "empty number";
@@ -99,7 +118,7 @@ bool ParseDouble(const std::string& token, double* out, std::string* error) {
   // ERANGE underflow (subnormal results) is fine — strtod returned the
   // nearest representable value; only overflow to +-HUGE_VAL is rejected.
   const bool overflow = errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL);
-  if (end != token.c_str() + token.size() || overflow) {
+  if (end != token.c_str() + token.size() || overflow || std::isnan(v)) {
     *error = "bad number: " + token;
     return false;
   }

@@ -26,8 +26,14 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 bool ParseUint64(const std::string& token, uint64_t max, uint64_t* out,
                  std::string* error);
 
+/// Parses a plain decimal signed integer: an optional '+' or '-', then
+/// digits only (no whitespace), within int64_t. Returns false and sets
+/// *error on anything else, including overflow.
+bool ParseInt64(const std::string& token, int64_t* out, std::string* error);
+
 /// Parses a whole token as a double (strtod syntax). Returns false and sets
-/// *error on an empty token, trailing bytes or overflow to infinity.
+/// *error on an empty token, trailing bytes, overflow to infinity or a NaN
+/// (which no ordered comparison can place).
 bool ParseDouble(const std::string& token, double* out, std::string* error);
 
 /// printf-style formatting into a std::string.

@@ -1,6 +1,5 @@
 #include "datagen/io.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/csv.h"
@@ -24,24 +23,37 @@ std::string EncodeValue(const Value& v) {
   return "?:";
 }
 
-Value DecodeValue(const std::string& field) {
+// Decodes one typed cell ("i:", "d:", "s:", "?:"; anything else is an
+// untagged string). Fails on a malformed number or a NaN.
+bool DecodeValue(const std::string& field, Value* out) {
   if (field.size() >= 2 && field[1] == ':') {
     const std::string payload = field.substr(2);
+    std::string error;
     switch (field[0]) {
-      case 'i':
-        return Value(
-            static_cast<int64_t>(std::strtoll(payload.c_str(), nullptr, 10)));
-      case 'd':
-        return Value(std::strtod(payload.c_str(), nullptr));
+      case 'i': {
+        int64_t v = 0;
+        if (!ParseInt64(payload, &v, &error)) return false;
+        *out = Value(v);
+        return true;
+      }
+      case 'd': {
+        double v = 0.0;
+        if (!ParseDouble(payload, &v, &error)) return false;
+        *out = Value(v);
+        return true;
+      }
       case 's':
-        return Value(payload);
+        *out = Value(payload);
+        return true;
       case '?':
-        return Value();
+        *out = Value();
+        return true;
       default:
         break;  // fall through: treat as untagged string
     }
   }
-  return Value(field);
+  *out = Value(field);
+  return true;
 }
 
 }  // namespace
@@ -86,9 +98,13 @@ std::optional<Database> ReadDatabaseCsv(std::shared_ptr<const Schema> schema,
       return fail(StrFormat("row %zu has %zu columns, expected %zu", r,
                             row.size(), arity));
     }
-    std::vector<Value> values;
-    values.reserve(arity);
-    for (const std::string& field : row) values.push_back(DecodeValue(field));
+    std::vector<Value> values(arity);
+    for (AttrIndex a = 0; a < arity; ++a) {
+      if (!DecodeValue(row[a], &values[a])) {
+        return fail(StrFormat("row %zu column %s: bad value '%s'", r,
+                              (*rows)[0][a].c_str(), row[a].c_str()));
+      }
+    }
     db.Insert(Fact(relation, std::move(values)));
   }
   return db;

@@ -36,6 +36,17 @@ bool ParseCount(const std::string& token, size_t* out, std::string* error) {
   return true;
 }
 
+// A reply measure value. ParseDouble rejects NaN, but a measure that
+// gave up (I_MC past its budget) reports one, printed "nan" or "-nan".
+bool ParseMeasureValue(const std::string& token, double* out,
+                       std::string* error) {
+  if (token == "nan" || token == "-nan") {
+    *out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  return ParseDouble(token, out, error);
+}
+
 }  // namespace
 
 ServiceClient::~ServiceClient() { Close(); }
@@ -316,7 +327,7 @@ bool ServiceClient::ParseReportArgs(const std::vector<std::string>& args,
     std::string name;
     if (!DecodeToken(args[i], &name, error)) return false;
     double value = 0.0;
-    if (!ParseDouble(args[i + 1], &value, error)) {
+    if (!ParseMeasureValue(args[i + 1], &value, error)) {
       *error = "malformed measure value: " + args[i + 1];
       return false;
     }
@@ -454,9 +465,9 @@ bool ServiceClient::EvaluateApprox(const std::string& session, double eps,
   for (size_t i = 3; i + 3 < args.size(); i += 4) {
     WireApproxReport::Estimate e;
     if (!DecodeToken(args[i], &e.name, error)) return false;
-    if (!ParseDouble(args[i + 1], &e.estimate, error) ||
-        !ParseDouble(args[i + 2], &e.ci_low, error) ||
-        !ParseDouble(args[i + 3], &e.ci_high, error)) {
+    if (!ParseMeasureValue(args[i + 1], &e.estimate, error) ||
+        !ParseMeasureValue(args[i + 2], &e.ci_low, error) ||
+        !ParseMeasureValue(args[i + 3], &e.ci_high, error)) {
       *error = "malformed APPROX estimate: " + e.name;
       return false;
     }
@@ -511,7 +522,7 @@ bool ServiceClient::DrainPushed(const std::string& subscribe_tag,
     }
     PushedItem item;
     item.up = r.args[0] == "up";
-    if (!ParseDouble(r.args[1], &item.value, error)) {
+    if (!ParseMeasureValue(r.args[1], &item.value, error)) {
       *error = "malformed SUBSCRIBE notification value";
       return false;
     }

@@ -1,6 +1,5 @@
 #include "service/protocol.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -147,20 +146,12 @@ bool DecodeValue(const std::string& token, Value* out, std::string* error) {
     return true;
   }
   if (StartsWith(token, "i:")) {
-    const std::string body = token.substr(2);
-    if (body.empty() ||
-        (body.size() == 1 && (body[0] == '-' || body[0] == '+'))) {
+    int64_t v = 0;
+    if (!ParseInt64(token.substr(2), &v, error)) {
       *error = "bad int value: " + token;
       return false;
     }
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(body.c_str(), &end, 10);
-    if (end != body.c_str() + body.size() || errno == ERANGE) {
-      *error = "bad int value: " + token;
-      return false;
-    }
-    *out = Value(static_cast<int64_t>(v));
+    *out = Value(v);
     return true;
   }
   if (StartsWith(token, "d:")) {

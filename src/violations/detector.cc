@@ -10,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/value_pool.h"
 #include "violations/eval_kernel.h"
+#include "violations/order_index.h"
 
 namespace dbim {
 
@@ -87,62 +88,56 @@ void ParallelPhase(size_t num_threads, size_t n, ShardFn&& shard,
 // every surviving candidate pair — body verified, self-inconsistent facts
 // and reflexive matches filtered — to `emit(a, b)` (a < b or a == b
 // cross-relation) in the sequential path's discovery order (probe row
-// ascending, bucket/inner row order within). `emit` returning false stops
-// the shard; worker shards never stop (they buffer into chunk-private
-// vectors, and deduplication — global-order-dependent — is applied by the
-// ordered merge, making results bit-identical for any thread count), while
-// the sequential fast path merges inline and keeps the first-witness early
-// exit Satisfies relies on. Reads shared state (blocks, eval plan,
-// buckets) strictly read-only.
+// ascending, bucket row order within). Each probe row looks up its
+// blocking bucket (a keyless constraint has one bucket holding every
+// partner row) and visits the partners its order keys admit, ascending
+// (every partner when the constraint has no order key). `emit` returning
+// false stops the shard; worker shards never stop (they buffer into
+// chunk-private vectors, and deduplication — global-order-dependent — is
+// applied by the ordered merge, making results bit-identical for any
+// thread count), while the sequential fast path merges inline and keeps
+// the first-witness early exit Satisfies relies on. Reads shared state
+// (blocks, eval plan, ranks, buckets) strictly read-only.
 struct ProbeShardInput {
   const DcEval* eval;
   const Database::RelationBlock* r0;
   const Database::RelationBlock* r1;
   const BlockingKeys* keys;
-  const std::unordered_map<uint64_t, std::vector<uint32_t>>* buckets;
+  const OrderRanks* ranks;
+  const std::unordered_map<uint64_t, OrderIndex>* buckets;
   const std::unordered_set<FactId>* self_inconsistent;
-  bool blocked = false;
 };
 
 template <typename Emit>
 void ProbeShard(const ProbeShardInput& in, IndexRange range, Emit&& emit) {
   const DenialConstraint& dc = in.eval->dc();
   const bool same_relation = dc.var_relation(0) == dc.var_relation(1);
-  auto consider = [&](uint32_t i, uint32_t j) {
-    // i indexes r0 (variable t), j indexes r1 (variable t'). Returns
-    // false to stop the shard.
+  std::vector<uint32_t> scratch;
+  for (uint32_t i = static_cast<uint32_t>(range.begin);
+       i < static_cast<uint32_t>(range.end); ++i) {
+    const RowRef probe{in.r0, i};
+    const auto it = in.buckets->find(HashKeyClasses(probe, in.keys->var0));
+    if (it == in.buckets->end()) continue;
     const FactId a = in.r0->row_ids[i];
-    const FactId b = in.r1->row_ids[j];
-    if (a == b && same_relation) return true;
-    if (in.self_inconsistent->count(a) > 0 ||
-        in.self_inconsistent->count(b) > 0) {
-      return true;
-    }
-    const RowRef assignment[2] = {RowRef{in.r0, i}, RowRef{in.r1, j}};
-    if (!in.eval->BodyHolds(assignment)) return true;
-    return emit(std::min(a, b), std::max(a, b));
-  };
-  if (in.blocked) {
-    for (uint32_t i = static_cast<uint32_t>(range.begin);
-         i < static_cast<uint32_t>(range.end); ++i) {
-      const RowRef probe{in.r0, i};
-      const auto it = in.buckets->find(HashKeyClasses(probe, in.keys->var0));
-      if (it == in.buckets->end()) continue;
-      for (const uint32_t j : it->second) {
-        if (!KeyClassesEqual(probe, in.keys->var0, RowRef{in.r1, j},
-                             in.keys->var1)) {
-          continue;  // hash collision
-        }
-        if (!consider(i, j)) return;
-      }
-    }
-  } else {
-    for (uint32_t i = static_cast<uint32_t>(range.begin);
-         i < static_cast<uint32_t>(range.end); ++i) {
-      for (uint32_t j = 0; j < in.r1->num_rows(); ++j) {
-        if (!consider(i, j)) return;
-      }
-    }
+    const bool go_on = it->second.ForEachPartner(
+        *in.ranks, i, scratch, [&](uint32_t j) {
+          // i indexes r0 (variable t), j indexes r1 (variable t').
+          const RowRef partner{in.r1, j};
+          if (!KeyClassesEqual(probe, in.keys->var0, partner,
+                               in.keys->var1)) {
+            return true;  // hash collision
+          }
+          const FactId b = in.r1->row_ids[j];
+          if (a == b && same_relation) return true;
+          if (in.self_inconsistent->count(a) > 0 ||
+              in.self_inconsistent->count(b) > 0) {
+            return true;
+          }
+          const RowRef assignment[2] = {probe, partner};
+          if (!in.eval->BodyHolds(assignment)) return true;
+          return emit(std::min(a, b), std::max(a, b));
+        });
+    if (!go_on) return;
   }
 }
 
@@ -226,9 +221,11 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     if (state.stop) return std::move(state.result);
   }
 
-  // Pass 2: binary constraints in ascending index order — blocked on their
-  // cross-variable equality key, nested-loop when they have none; k-ary
-  // constraints through the kernel's sharded enumeration.
+  // Pass 2: constraints in ascending index order. A binary constraint
+  // blocks on its cross-variable equality key (a keyless one is a single
+  // bucket), and each probe row visits only the bucket partners that its
+  // leading cross-variable order predicates admit (all of them when it has
+  // none); k-ary constraints go through the kernel's sharded enumeration.
 
   std::vector<std::vector<FactId>> kary_candidates;
   // Probes one pass-2 constraint. `probes` counts candidates reaching the
@@ -270,55 +267,58 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     const Database::RelationBlock& r1 = db.relation_block(dc.var_relation(1));
 
     const BlockingKeys keys = ExtractBlockingKeys(dc);
+    const OrderRanks ranks(dc, pool, r0, r1);
+
+    // Hash var-1 side, probe with var-0 side; a keyless constraint hashes
+    // every row alike, into one bucket. Bucket keys are FNV mixes of
+    // interned class ids; bucket membership is verified with id compares,
+    // so the whole probe path is free of Value hashing. The build is
+    // sharded by j range into chunk-private maps; merging them in
+    // canonical ascending chunk order concatenates each bucket's row lists
+    // with ascending j — exactly the sequential build's bucket layout.
+    // (Which bucket a key lands in is key-determined, so per-chunk map
+    // iteration order is irrelevant.) Each bucket then builds its order
+    // index over its rows.
+    using BucketMap = std::unordered_map<uint64_t, OrderIndex>;
+    BucketMap buckets;
+    auto build_rows = [&](IndexRange range, BucketMap& map) {
+      for (uint32_t j = static_cast<uint32_t>(range.begin);
+           j < static_cast<uint32_t>(range.end); ++j) {
+        map[HashKeyClasses(RowRef{&r1, j}, keys.var1)].rows().push_back(j);
+      }
+    };
+    buckets.reserve(r1.num_rows());
+    if (num_threads <= 1 || r1.num_rows() < 2 * kMinProbeChunkRows) {
+      build_rows(IndexRange{0, r1.num_rows()}, buckets);
+    } else {
+      ParallelPhase<BucketMap>(
+          num_threads, r1.num_rows(),
+          [&](IndexRange range, BucketMap& map) {
+            map.reserve(range.size());
+            build_rows(range, map);
+          },
+          [&](BucketMap& map) {
+            for (auto& [key, bucket] : map) {
+              auto& dst = buckets[key].rows();
+              if (dst.empty()) {
+                dst = std::move(bucket.rows());
+              } else {
+                dst.insert(dst.end(), bucket.rows().begin(),
+                           bucket.rows().end());
+              }
+            }
+          });
+    }
+    for (auto& [key, bucket] : buckets) bucket.Build(ranks);
+
     ProbeShardInput shard_input;
     shard_input.eval = &eval;
     shard_input.r0 = &r0;
     shard_input.r1 = &r1;
     shard_input.keys = &keys;
-    shard_input.self_inconsistent = &state.self_inconsistent;
-    shard_input.blocked = !keys.empty();
-
-    // Hash var-1 side, probe with var-0 side. Bucket keys are FNV mixes
-    // of interned class ids; bucket membership is verified with id
-    // compares, so the whole probe path is free of Value hashing and
-    // comparison. The build is sharded by j range into chunk-private maps;
-    // merging them in canonical ascending chunk order concatenates each
-    // bucket's row lists with ascending j — exactly the sequential build's
-    // bucket layout, so the probe's discovery order is untouched. (Which
-    // bucket a key lands in is key-determined, so per-chunk map iteration
-    // order is irrelevant.)
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    if (shard_input.blocked) {
-      using BucketMap = std::unordered_map<uint64_t, std::vector<uint32_t>>;
-      auto build_rows = [&](IndexRange range, BucketMap& map) {
-        for (uint32_t j = static_cast<uint32_t>(range.begin);
-             j < static_cast<uint32_t>(range.end); ++j) {
-          map[HashKeyClasses(RowRef{&r1, j}, keys.var1)].push_back(j);
-        }
-      };
-      buckets.reserve(r1.num_rows());
-      if (num_threads <= 1 || r1.num_rows() < 2 * kMinProbeChunkRows) {
-        build_rows(IndexRange{0, r1.num_rows()}, buckets);
-      } else {
-        ParallelPhase<BucketMap>(
-            num_threads, r1.num_rows(),
-            [&](IndexRange range, BucketMap& map) {
-              map.reserve(range.size());
-              build_rows(range, map);
-            },
-            [&](BucketMap& map) {
-              for (auto& [key, rows] : map) {
-                auto& dst = buckets[key];
-                if (dst.empty()) {
-                  dst = std::move(rows);
-                } else {
-                  dst.insert(dst.end(), rows.begin(), rows.end());
-                }
-              }
-            });
-      }
-    }
+    shard_input.ranks = &ranks;
     shard_input.buckets = &buckets;
+    shard_input.self_inconsistent = &state.self_inconsistent;
 
     // Symmetric-pair dedup (FD-style bodies match both orders of a pair;
     // the per-constraint dedup keeps the (F, sigma) minimal-violation

@@ -17,8 +17,9 @@ namespace dbim {
 struct DetectorOptions {
   /// Worker threads for every enumeration phase of detection: the pass-1
   /// self-inconsistency scan, the blocking bucket build, the
-  /// binary-constraint probe (blocking probe and nested-loop fallback),
-  /// and the k-ary enumeration (sharded over outermost-variable rows).
+  /// binary-constraint probe (one order-index query per probe row, sharded
+  /// over probe rows), and the k-ary enumeration (sharded over
+  /// outermost-variable rows).
   /// 1 = fully sequential on the calling thread (no pool involvement);
   /// 0 = one per hardware thread. Results are bit-identical for every
   /// value: shards write into per-shard buffers that are merged — dedup

@@ -82,6 +82,28 @@ TEST(DatabaseCsv, ArityMismatchIsReported) {
   std::remove(path.c_str());
 }
 
+TEST(DatabaseCsv, MalformedTypedCellFailsTheRead) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId r = schema->AddRelation("R", {"A", "B"});
+  const std::string path = TempPath("dbim_io_malformed.csv");
+  for (const std::string bad :
+       {"d:nan", "d:-nan", "d:NaN", "d:", "d:1.5x", "i:", "i:12x", "i:-",
+        "i:1.5", "i:99999999999999999999"}) {
+    {
+      FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fputs(("A,B\ni:1,i:2\ni:3," + bad + "\n").c_str(), f);
+      std::fclose(f);
+    }
+    std::string error;
+    EXPECT_FALSE(ReadDatabaseCsv(schema, r, path, &error).has_value()) << bad;
+    // The error names the row and the column.
+    EXPECT_NE(error.find("row 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("column B"), std::string::npos) << error;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(DatabaseCsv, MissingFileIsReported) {
   auto schema = std::make_shared<Schema>();
   const RelationId r = schema->AddRelation("R", {"A"});

@@ -70,14 +70,15 @@ std::vector<DenialConstraint> AbcFds(const Schema& schema) {
 }
 
 // A DC with no cross-variable equality: no blocking key, so the detector
-// runs its nested-loop probe on it.
+// probes its one bucket through the order index.
 std::vector<DenialConstraint> AbcKeyless(const Schema& schema) {
   return {*ParseDc(schema, 0, "!(t.A < t'.A & t.B > t'.B)")};
 }
 
 // Seeds x sizes x domains (noise level: small domains collide constantly,
-// large domains rarely), over a keyed Sigma (blocked probe) and a keyless
-// one (nested-loop probe); every result is also checked against the oracle.
+// large domains rarely), over a keyed Sigma (pairwise bucket scan) and a
+// keyless one (order-index probe); every result is also checked against
+// the oracle.
 TEST(ParallelParity, RandomizedFdSweep) {
   const auto schema = MakeAbcSchema();
   for (const bool keyed : {true, false}) {
@@ -98,6 +99,34 @@ TEST(ParallelParity, RandomizedFdSweep) {
         }
       }
     }
+  }
+}
+
+// Random binary order DCs (1-3 cross order predicates, every operator in
+// both operand orientations, keyed and keyless, cross-attribute and
+// cross-relation, mixed with `!=`, constants and same-variable predicates)
+// on tie-heavy mixed-kind data large enough to shard the probe and the
+// bucket build: every thread count reproduces the sequential result in
+// order, the result is the oracle's, and Satisfies agrees with it.
+TEST(ParallelParity, OrderDcFuzz) {
+  const auto schema = testing::MakeRsSchema();
+  Rng rng(77);
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t num_order = 1 + trial % 3;
+    const RelationId r1 = (trial / 3) % 2 == 0 ? 0 : 1;
+    std::vector<DenialConstraint> dcs = {
+        testing::RandomOrderDc(rng, *schema, 0, r1, num_order)};
+    const size_t second_order = 1 + rng.UniformIndex(3);
+    dcs.push_back(testing::RandomOrderDc(rng, *schema, r1, 0, second_order));
+    const size_t facts = 150 + rng.UniformIndex(60);
+    const Database db = testing::MakeMixedDatabase(
+        schema, facts, trial % 2 == 0 ? 3 : 12, rng.UniformIndex(1 << 30));
+    std::string where = "trial " + std::to_string(trial) + ":";
+    for (const DenialConstraint& dc : dcs) where += " " + dc.ToString(*schema);
+    const ViolationSet expected = CheckParity(schema, dcs, db, where);
+    SCOPED_TRACE(where);
+    ExpectMatchesOracle(dcs, db, expected);
+    EXPECT_EQ(ViolationDetector(schema, dcs).Satisfies(db), expected.empty());
   }
 }
 
@@ -236,8 +265,8 @@ TEST(ParallelParity, ShardedKAryEnumeration) {
 }
 
 // Cross-relation probe sharding: t ranges over R, t' over S, 1500 rows
-// each, so the blocked probe (keyed DC) and the nested loop (keyless DC)
-// both split into many stolen sub-ranges. On the base instance R's A
+// each, so the keyed DC's bucket scan and the keyless DC's order-index
+// probe both split into many stolen sub-ranges. On the base instance R's A
 // never equals nor exceeds S's A, so both results are empty; five extra S
 // facts (A = 0, 3, ..., 12; B = -1) then create exactly the witnesses the
 // construction predicts, for every thread count.

@@ -105,8 +105,9 @@ TEST(ProtocolValue, RejectsIllTypedTokens) {
   Value out;
   std::string error;
   for (const std::string bad :
-       {"", "x", "i:", "i:abc", "i:1x", "d:", "d:nope", "7", "__",
-        "i:99999999999999999999999999"}) {
+       {"", "x", "i:", "i:abc", "i:1x", "i:-", "i:+", "i: 1", "d:", "d:nope",
+        "d:nan", "d:-nan", "d:NaN", "7", "__",
+        "i:99999999999999999999999999", "i:9223372036854775808"}) {
     EXPECT_FALSE(DecodeValue(bad, &out, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
@@ -512,6 +513,43 @@ TEST(ProtocolFuzzWire, ServerAnswersEveryGarbageLineExactlyOnce) {
       ASSERT_LE(terminals, batch_size) << "extra reply in batch " << batch;
     }
   }
+  client.Close();
+  server.Stop();
+}
+
+// A NaN cell cannot be ordered against anything, so the wire refuses it:
+// every spelling strtod would accept draws ERR, while a finite double in
+// the same position is applied.
+TEST(ProtocolFuzzWire, NanCellDrawsErr) {
+  const ServiceSpec spec = ExampleSpec();
+  ServiceServer server(spec.schema, spec.relation, spec.constraints,
+                       ServiceOptions());
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  // Sends one line and returns its terminal reply.
+  auto roundtrip = [&](const std::string& line) {
+    Response response;
+    EXPECT_TRUE(client.SendRawLine(line, &error)) << error;
+    do {
+      std::string reply;
+      EXPECT_TRUE(client.ReadRawLine(&reply, &error)) << error;
+      EXPECT_TRUE(ParseResponse(reply, &response, &error)) << reply;
+    } while (response.kind == ResponseKind::kItem);
+    return response;
+  };
+  ASSERT_TRUE(roundtrip("r REGISTER s").ok());
+  const size_t arity = spec.schema->relation(spec.relation).arity();
+  auto insert = [&](const std::string& first) {
+    std::string line = "a APPLY s INSERT " + first;
+    for (size_t i = 1; i < arity; ++i) line += " i:1";
+    return line;
+  };
+  for (const std::string nan : {"d:nan", "d:-nan", "d:NaN"}) {
+    EXPECT_EQ(roundtrip(insert(nan)).kind, ResponseKind::kErr) << nan;
+  }
+  EXPECT_TRUE(roundtrip(insert("d:1.5")).ok());
   client.Close();
   server.Stop();
 }

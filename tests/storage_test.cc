@@ -476,7 +476,8 @@ TEST(DetectorParity, RandomizedDetectionMatchesOracle) {
   const RelationId r = 0;
   // An FD-style DC (pure hash blocking), a mixed equality/order DC with a
   // constant predicate (blocking plus residual predicates), and a DC with
-  // no cross-variable equality (the nested-loop probe).
+  // no cross-variable equality (a single bucket probed through the order
+  // index).
   std::vector<DenialConstraint> dcs;
   dcs.push_back(DcBuilder(*schema, r)
                     .Cross("A", CompareOp::kEq, "A")

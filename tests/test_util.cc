@@ -126,6 +126,91 @@ Database MakeRandomDatabase(std::shared_ptr<const Schema> schema,
   return db;
 }
 
+std::shared_ptr<const Schema> MakeRsSchema() {
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("R", {"A", "B", "C", "D"});
+  schema->AddRelation("S", {"A", "B", "C", "D"});
+  return schema;
+}
+
+Database MakeMixedDatabase(std::shared_ptr<const Schema> schema,
+                           size_t facts_per_relation, int64_t domain,
+                           uint64_t seed) {
+  Rng rng(seed);
+  Database db(schema);
+  for (RelationId r = 0; r < schema->num_relations(); ++r) {
+    const size_t arity = schema->relation(r).arity();
+    for (size_t i = 0; i < facts_per_relation; ++i) {
+      std::vector<Value> values;
+      for (size_t a = 0; a < arity; ++a) {
+        const size_t kind = rng.UniformIndex(10);
+        const int64_t x = rng.UniformInt(0, domain - 1);
+        if (kind == 0) {
+          values.emplace_back();
+        } else if (kind <= 5) {
+          values.emplace_back(x);
+        } else if (kind <= 8) {
+          values.emplace_back(static_cast<double>(x) +
+                              (rng.Bernoulli(0.5) ? 0.0 : 0.5));
+        } else {
+          values.emplace_back(std::string(1, static_cast<char>('a' + x % 3)));
+        }
+      }
+      db.Insert(Fact(r, std::move(values)));
+    }
+  }
+  return db;
+}
+
+DenialConstraint RandomOrderDc(Rng& rng, const Schema& schema, RelationId r0,
+                               RelationId r1, size_t num_order) {
+  const CompareOp kOrderOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                 CompareOp::kGt, CompareOp::kGe};
+  const CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe,
+                               CompareOp::kLt, CompareOp::kLe,
+                               CompareOp::kGt, CompareOp::kGe};
+  const RelationId rels[2] = {r0, r1};
+  auto attr = [&](uint32_t var) {
+    return static_cast<AttrIndex>(
+        rng.UniformIndex(schema.relation(rels[var]).arity()));
+  };
+  // Predicates with their random draws sequenced (function arguments are
+  // evaluated in unspecified order), so a seed gives the same DC on every
+  // compiler. `cross` takes a random operand orientation.
+  auto compare = [&](uint32_t lhs_var, CompareOp op, uint32_t rhs_var) {
+    const AttrIndex lhs_attr = attr(lhs_var);
+    const AttrIndex rhs_attr = attr(rhs_var);
+    return Predicate(Operand{lhs_var, lhs_attr}, op,
+                     Operand{rhs_var, rhs_attr});
+  };
+  auto cross = [&](CompareOp op) {
+    const uint32_t lhs = static_cast<uint32_t>(rng.UniformIndex(2));
+    return compare(lhs, op, 1 - lhs);
+  };
+  std::vector<Predicate> preds;
+  for (size_t i = 0; i < num_order; ++i) {
+    preds.push_back(cross(kOrderOps[rng.UniformIndex(4)]));
+  }
+  if (rng.Bernoulli(0.4)) {
+    const AttrIndex a = attr(0);
+    const AttrIndex b = r0 == r1 ? a : attr(1);
+    preds.emplace_back(Operand{0, a}, CompareOp::kEq, Operand{1, b});
+  }
+  if (rng.Bernoulli(0.3)) preds.push_back(cross(CompareOp::kNe));
+  if (rng.Bernoulli(0.3)) {
+    const uint32_t var = static_cast<uint32_t>(rng.UniformIndex(2));
+    const AttrIndex a = attr(var);
+    const CompareOp op = kAllOps[rng.UniformIndex(6)];
+    preds.emplace_back(Operand{var, a}, op, Value(rng.UniformInt(0, 3)));
+  }
+  if (rng.Bernoulli(0.3)) {
+    const uint32_t var = static_cast<uint32_t>(rng.UniformIndex(2));
+    preds.push_back(compare(var, kAllOps[rng.UniformIndex(6)], var));
+  }
+  std::shuffle(preds.begin(), preds.end(), rng.engine());
+  return DenialConstraint({r0, r1}, std::move(preds));
+}
+
 ScriptedWorkload::ScriptedWorkload(uint64_t seed,
                                    ScriptedWorkloadOptions options)
     : rng_(seed),

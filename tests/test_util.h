@@ -60,6 +60,26 @@ std::vector<std::vector<FactId>> SortedSubsets(const ViolationSet& v);
 void ExpectMatchesOracle(const std::vector<DenialConstraint>& dcs,
                          const Database& db, const ViolationSet& v);
 
+/// Schema with two relations R(A,B,C,D) and S(A,B,C,D), for the
+/// order-predicate fuzz (cross-relation constraints need the second).
+std::shared_ptr<const Schema> MakeRsSchema();
+
+/// A random database over every relation of `schema`, `facts_per_relation`
+/// facts each, with tie-heavy mixed-kind cells: null, ints and doubles in
+/// [0, domain) (doubles are often whole, so 2 and 2.0 collide) and
+/// single-letter strings.
+Database MakeMixedDatabase(std::shared_ptr<const Schema> schema,
+                           size_t facts_per_relation, int64_t domain,
+                           uint64_t seed);
+
+/// A random binary DC over relations (r0, r1) with `num_order` cross-
+/// variable order predicates (every operator, either operand orientation,
+/// any attribute pair), mixed at random with a cross equality key, a `!=`,
+/// a constant comparison and a same-variable comparison, in shuffled body
+/// order.
+DenialConstraint RandomOrderDc(Rng& rng, const Schema& schema, RelationId r0,
+                               RelationId r1, size_t num_order);
+
 struct ScriptedWorkloadOptions {
   RelationId relation = 0;
   /// Integer draws come from [0, domain).
