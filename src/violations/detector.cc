@@ -88,10 +88,13 @@ void ParallelPhase(size_t num_threads, size_t n, ShardFn&& shard,
 // every surviving candidate pair — body verified, self-inconsistent facts
 // and reflexive matches filtered — to `emit(a, b)` (a < b or a == b
 // cross-relation) in the sequential path's discovery order (probe row
-// ascending, bucket row order within). Each probe row looks up its
-// blocking bucket (a keyless constraint has one bucket holding every
-// partner row) and visits the partners its order keys admit, ascending
-// (every partner when the constraint has no order key). `emit` returning
+// ascending, bucket row order within). A self-inconsistent probe fact is
+// skipped outright. Each other probe row looks up its blocking bucket (a
+// keyless constraint has one bucket holding every partner row) and visits,
+// ascending, the partners its order keys admit or, with no order key, the
+// partners of another `!=` class — at a cost proportional to those
+// partners, not to the bucket (see OrderIndex) — and every partner when
+// the constraint has neither. `emit` returning
 // false stops the shard; worker shards never stop (they buffer into
 // chunk-private vectors, and deduplication — global-order-dependent — is
 // applied by the ordered merge, making results bit-identical for any
@@ -119,6 +122,7 @@ void ProbeShard(const ProbeShardInput& in, IndexRange range, Emit&& emit) {
     const auto it = in.buckets->find(HashKeyClasses(probe, in.keys->var0));
     if (it == in.buckets->end()) continue;
     const FactId a = in.r0->row_ids[i];
+    if (in.self_inconsistent->count(a) > 0) continue;
     const bool go_on = it->second.ForEachPartner(
         *in.ranks, i, scratch, [&](uint32_t j) {
           // i indexes r0 (variable t), j indexes r1 (variable t').
@@ -129,10 +133,7 @@ void ProbeShard(const ProbeShardInput& in, IndexRange range, Emit&& emit) {
           }
           const FactId b = in.r1->row_ids[j];
           if (a == b && same_relation) return true;
-          if (in.self_inconsistent->count(a) > 0 ||
-              in.self_inconsistent->count(b) > 0) {
-            return true;
-          }
+          if (in.self_inconsistent->count(b) > 0) return true;
           const RowRef assignment[2] = {probe, partner};
           if (!in.eval->BodyHolds(assignment)) return true;
           return emit(std::min(a, b), std::max(a, b));
@@ -224,8 +225,10 @@ ViolationSet ViolationDetector::Detect(const Database& db,
   // Pass 2: constraints in ascending index order. A binary constraint
   // blocks on its cross-variable equality key (a keyless one is a single
   // bucket), and each probe row visits only the bucket partners that its
-  // leading cross-variable order predicates admit (all of them when it has
-  // none); k-ary constraints go through the kernel's sharded enumeration.
+  // leading cross-variable order predicates admit or, without one, that
+  // its first cross-variable `!=` admits (all of them when it has
+  // neither); k-ary constraints go through the kernel's sharded
+  // enumeration.
 
   std::vector<std::vector<FactId>> kary_candidates;
   // Probes one pass-2 constraint. `probes` counts candidates reaching the
@@ -448,19 +451,6 @@ ViolationSet ViolationDetector::FindViolations(const Database& db) const {
 
 bool ViolationDetector::Satisfies(const Database& db) const {
   return Detect(db, /*first_witness_only=*/true).empty();
-}
-
-ViolationSet ViolationDetector::FindViolationsInvolving(const Database& db,
-                                                        FactId id) const {
-  DBIM_CHECK(db.Contains(id));
-  ViolationSet all = FindViolations(db);
-  ViolationSet out;
-  for (const auto& subset : all.minimal_subsets()) {
-    if (std::binary_search(subset.begin(), subset.end(), id)) {
-      out.Add(subset);
-    }
-  }
-  return out;
 }
 
 }  // namespace dbim

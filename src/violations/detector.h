@@ -59,11 +59,6 @@ class ViolationDetector {
   /// at the first witness.
   bool Satisfies(const Database& db) const;
 
-  /// Minimal inconsistent subsets that include fact `id` — the witnesses a
-  /// deletion of `id` would resolve. Used by incremental measure updates and
-  /// the prioritization example.
-  ViolationSet FindViolationsInvolving(const Database& db, FactId id) const;
-
   /// Cumulative counters for constraint `c` across every detection this
   /// detector has run. Thread-safe.
   DetectorConstraintStats constraint_stats(size_t c) const;

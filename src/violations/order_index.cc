@@ -77,10 +77,42 @@ OrderRanks::OrderRanks(const DenialConstraint& dc, const ValuePool& pool,
     keys_.push_back(Key{probe_lhs ? p.op() : FlipOp(p.op()),
                         ranks_of(probe_col), ranks_of(partner_col)});
   }
+  if (!keys_.empty()) return;
+  for (const Predicate& p : dc.predicates()) {
+    if (!p.IsCrossVariable() || p.op() != CompareOp::kNe) continue;
+    const bool probe_lhs = p.lhs().var == 0;
+    ne_probe_ = &r0.class_columns[probe_lhs ? p.lhs().attr
+                                            : p.rhs_operand().attr];
+    ne_partner_ = &r1.class_columns[probe_lhs ? p.rhs_operand().attr
+                                              : p.lhs().attr];
+    return;
+  }
 }
 
 void OrderIndex::Build(const OrderRanks& ranks) {
-  if (ranks.num_keys() == 0) return;
+  if (ranks.num_keys() == 0) {
+    if (!ranks.has_ne()) return;
+    // Boyer–Moore vote: if some class holds a strict majority of the rows,
+    // it is the survivor. No verification pass is needed — when no class
+    // has a majority, every class holds at most half the rows, which is
+    // all the probe's cost bound asks of a class other than M.
+    uint32_t votes = 0;
+    for (const uint32_t j : rows_) {
+      const ValueId c = ranks.ne_partner(j);
+      if (votes == 0) {
+        majority_ = c;
+        votes = 1;
+      } else if (c == majority_) {
+        ++votes;
+      } else {
+        --votes;
+      }
+    }
+    for (const uint32_t j : rows_) {
+      if (ranks.ne_partner(j) != majority_) others_.push_back(j);
+    }
+    return;
+  }
   std::stable_sort(rows_.begin(), rows_.end(), [&](uint32_t a, uint32_t b) {
     return ranks.partner(0, a) < ranks.partner(0, b);
   });

@@ -11,6 +11,7 @@
 #include "test_util.h"
 #include "violations/conflict_graph.h"
 #include "violations/detector.h"
+#include "violations/order_index.h"
 
 namespace dbim {
 namespace {
@@ -200,16 +201,6 @@ TEST(Detector, TernaryWitnessSupersededByBinaryIsFiltered) {
 }
 
 
-TEST(Detector, FindViolationsInvolvingFiltersById) {
-  const auto example = MakeRunningExample();
-  const ViolationDetector detector(example.schema, example.dcs);
-  const ViolationSet involving =
-      detector.FindViolationsInvolving(example.d1, 1);
-  // f1 participates only in the pair {f1, f5}.
-  ASSERT_EQ(involving.num_minimal_subsets(), 1u);
-  EXPECT_EQ(involving.minimal_subsets()[0], (std::vector<FactId>{1, 5}));
-}
-
 TEST(Detector, ViolatingPairRatio) {
   const auto example = MakeRunningExample();
   const ViolationDetector detector(example.schema, example.dcs);
@@ -274,12 +265,40 @@ BruteForceDetection BruteForceDetect(const std::vector<DenialConstraint>& dcs,
   return out;
 }
 
+// Detection of `dcs` over `db` matches the oracle, reports in the
+// brute-force discovery order, Satisfies agrees with it, and every
+// constraint's counters match brute force.
+void ExpectMatchesBruteForce(std::shared_ptr<const Schema> schema,
+                             const std::vector<DenialConstraint>& dcs,
+                             const Database& db) {
+  const ViolationDetector detector(schema, dcs);
+  const ViolationSet violations = detector.FindViolations(db);
+  testing::ExpectMatchesOracle(dcs, db, violations);
+  const BruteForceDetection expected = BruteForceDetect(dcs, db);
+  EXPECT_EQ(violations.minimal_subsets(), expected.subsets);
+  for (size_t c = 0; c < dcs.size(); ++c) {
+    const DetectorConstraintStats actual = detector.constraint_stats(c);
+    EXPECT_EQ(actual.num_probes, expected.stats[c].num_probes) << c;
+    EXPECT_EQ(actual.num_fires, expected.stats[c].num_fires) << c;
+  }
+  EXPECT_EQ(ViolationDetector(schema, dcs).Satisfies(db), violations.empty());
+}
+
+std::string Describe(int trial, const std::vector<DenialConstraint>& dcs,
+                     const Schema& schema) {
+  std::string where = "trial " + std::to_string(trial) + ":";
+  for (const DenialConstraint& dc : dcs) where += " " + dc.ToString(schema);
+  return where;
+}
+
 // Random binary DCs with 1-3 cross order predicates (every operator, both
 // operand orientations, cross-attribute and cross-relation, mixed with
 // equality keys, `!=`, constants and same-variable predicates) over
-// tie-heavy mixed-kind data: the detector matches the oracle, reports in
-// the brute-force discovery order, Satisfies agrees with it, and every
-// constraint's counters match brute force.
+// tie-heavy mixed-kind data; then random `!=` DCs (1-2 cross `!=`, same-
+// or cross-attribute and cross-relation, keyed and keyless, mixed with
+// constants, same-variable predicates and sometimes one cross order
+// predicate, whose key then wins over the `!=` split) over columns of
+// every class shape the split distinguishes. Each must match brute force.
 TEST(Detector, OrderDcFuzzMatchesOracleAndCounters) {
   const auto schema = testing::MakeRsSchema();
   Rng rng(2024);
@@ -295,22 +314,90 @@ TEST(Detector, OrderDcFuzzMatchesOracleAndCounters) {
     const size_t facts = 8 + rng.UniformIndex(30);
     const Database db = testing::MakeMixedDatabase(schema, facts, domain,
                                                    rng.UniformIndex(1 << 30));
-    std::string where = "trial " + std::to_string(trial) + ":";
-    for (const DenialConstraint& dc : dcs) where += " " + dc.ToString(*schema);
-    SCOPED_TRACE(where);
-
-    const ViolationDetector detector(schema, dcs);
-    const ViolationSet violations = detector.FindViolations(db);
-    testing::ExpectMatchesOracle(dcs, db, violations);
-    const BruteForceDetection expected = BruteForceDetect(dcs, db);
-    EXPECT_EQ(violations.minimal_subsets(), expected.subsets);
-    for (size_t c = 0; c < dcs.size(); ++c) {
-      const DetectorConstraintStats actual = detector.constraint_stats(c);
-      EXPECT_EQ(actual.num_probes, expected.stats[c].num_probes) << c;
-      EXPECT_EQ(actual.num_fires, expected.stats[c].num_fires) << c;
+    SCOPED_TRACE(Describe(trial, dcs, *schema));
+    ExpectMatchesBruteForce(schema, dcs, db);
+  }
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t num_ne = 1 + trial % 2;
+    const RelationId r1 = (trial / 2) % 2 == 0 ? 0 : 1;
+    std::vector<DenialConstraint> dcs = {
+        testing::RandomNeDc(rng, *schema, 0, r1, num_ne, trial % 5 == 0)};
+    if (trial % 4 == 0) {
+      dcs.push_back(testing::RandomNeDc(rng, *schema, 1, 1, 1, false));
     }
-    EXPECT_EQ(ViolationDetector(schema, dcs).Satisfies(db),
-              violations.empty());
+    const size_t facts = 8 + rng.UniformIndex(30);
+    const Database db =
+        testing::MakeSkewedDatabase(schema, facts, rng.UniformIndex(1 << 30));
+    SCOPED_TRACE(Describe(trial, dcs, *schema));
+    ExpectMatchesBruteForce(schema, dcs, db);
+  }
+}
+
+// The `!=` split yields, for every probe class, exactly the bucket rows of
+// another class, ascending: on buckets with a strict majority class, two
+// tied classes, no majority, a single class, and (through a cross-
+// attribute `!=`) probe classes absent from the bucket. A ranked order key
+// takes precedence over the split.
+TEST(OrderIndex, NeSplitYieldsOtherClassesAscending) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId r = schema->AddRelation("R", {"A", "B"});
+  const std::vector<std::vector<int64_t>> bucket_shapes = {
+      {3, 1, 3, 3, 2, 3, 3},  // strict majority
+      {1, 2, 2, 1, 1, 2},     // tied
+      {1, 2, 3, 4, 1, 2, 5},  // no majority
+      {4, 4, 4, 4},           // single class
+      {2, 1, 1, 3, 3, 2, 1},  // majority candidate that is no majority
+      {7}};
+  for (const auto& b_cells : bucket_shapes) {
+    Database db(schema);
+    for (size_t i = 0; i < b_cells.size(); ++i) {
+      // A spans 0..5 and so holds classes that B lacks.
+      db.Insert(Fact(r, {Value(static_cast<int64_t>(i % 6)),
+                         Value(b_cells[i])}));
+    }
+    const Database::RelationBlock& block = db.relation_block(r);
+    // `t[probe] != t'[B]` with the probe variable on either side.
+    const std::pair<AttrIndex, bool> cases[] = {
+        {1, true}, {1, false}, {0, true}, {0, false}};
+    for (const auto& [probe_attr, probe_lhs] : cases) {
+      const Operand probe{0, probe_attr};
+      const Operand partner{1, 1};
+      const DenialConstraint dc(
+          {r, r}, {probe_lhs ? Predicate(probe, CompareOp::kNe, partner)
+                             : Predicate(partner, CompareOp::kNe, probe)});
+      SCOPED_TRACE(dc.ToString(*schema));
+      const OrderRanks ranks(dc, db.pool(), block, block);
+      ASSERT_EQ(ranks.num_keys(), 0u);
+      ASSERT_TRUE(ranks.has_ne());
+      OrderIndex index;
+      for (uint32_t j = 0; j < block.num_rows(); ++j) {
+        index.rows().push_back(j);
+      }
+      index.Build(ranks);
+      std::vector<uint32_t> scratch;
+      for (uint32_t i = 0; i < block.num_rows(); ++i) {
+        std::vector<uint32_t> expected;
+        for (uint32_t j = 0; j < block.num_rows(); ++j) {
+          if (block.class_columns[1][j] !=
+              block.class_columns[probe_attr][i]) {
+            expected.push_back(j);
+          }
+        }
+        std::vector<uint32_t> actual;
+        EXPECT_TRUE(index.ForEachPartner(ranks, i, scratch, [&](uint32_t j) {
+          actual.push_back(j);
+          return true;
+        }));
+        EXPECT_EQ(actual, expected) << "probe row " << i;
+      }
+    }
+    // A ranked order key wins over the `!=`.
+    const DenialConstraint ordered(
+        {r, r}, {Predicate(Operand{0, 1}, CompareOp::kNe, Operand{1, 1}),
+                 Predicate(Operand{0, 0}, CompareOp::kLt, Operand{1, 0})});
+    const OrderRanks ranks(ordered, db.pool(), block, block);
+    EXPECT_EQ(ranks.num_keys(), 1u);
+    EXPECT_FALSE(ranks.has_ne());
   }
 }
 

@@ -42,20 +42,31 @@ void ExpectIdentical(const ViolationSet& expected, const ViolationSet& actual,
   EXPECT_EQ(expected.ProblematicFacts(), actual.ProblematicFacts()) << where;
 }
 
-// Runs FindViolations under every thread count and checks each result
-// against the 1-thread reference. Returns the reference for further
-// assertions.
+// Runs FindViolations under every thread count and checks each result,
+// and each constraint's counters, against the 1-thread reference. Returns
+// the reference for further assertions.
 ViolationSet CheckParity(std::shared_ptr<const Schema> schema,
                          const std::vector<DenialConstraint>& dcs,
                          const Database& db, const std::string& where) {
   const ViolationDetector reference(schema, dcs);
   ViolationSet expected = reference.FindViolations(db);
+  std::vector<DetectorConstraintStats> expected_stats;
+  for (size_t c = 0; c < dcs.size(); ++c) {
+    expected_stats.push_back(reference.constraint_stats(c));
+  }
   for (const size_t threads : kThreadCounts) {
     DetectorOptions options;
     options.num_threads = threads;
     const ViolationDetector detector(schema, dcs, options);
     ExpectIdentical(expected, detector.FindViolations(db),
                     where + " threads=" + std::to_string(threads));
+    for (size_t c = 0; c < dcs.size(); ++c) {
+      const DetectorConstraintStats stats = detector.constraint_stats(c);
+      EXPECT_EQ(expected_stats[c].num_probes, stats.num_probes)
+          << where << " probes c=" << c << " threads=" << threads;
+      EXPECT_EQ(expected_stats[c].num_fires, stats.num_fires)
+          << where << " fires c=" << c << " threads=" << threads;
+    }
     EXPECT_EQ(reference.Satisfies(db), detector.Satisfies(db))
         << where << " Satisfies threads=" << threads;
   }
@@ -105,9 +116,12 @@ TEST(ParallelParity, RandomizedFdSweep) {
 // Random binary order DCs (1-3 cross order predicates, every operator in
 // both operand orientations, keyed and keyless, cross-attribute and
 // cross-relation, mixed with `!=`, constants and same-variable predicates)
-// on tie-heavy mixed-kind data large enough to shard the probe and the
-// bucket build: every thread count reproduces the sequential result in
-// order, the result is the oracle's, and Satisfies agrees with it.
+// on tie-heavy mixed-kind data, then random `!=` DCs (1-2 cross `!=`,
+// keyed and keyless, sometimes beside one cross order predicate) on
+// columns of every class shape the `!=` split distinguishes — all large
+// enough to shard the probe and the bucket build: every thread count
+// reproduces the sequential result and counters in order, the result is
+// the oracle's, and Satisfies agrees with it.
 TEST(ParallelParity, OrderDcFuzz) {
   const auto schema = testing::MakeRsSchema();
   Rng rng(77);
@@ -122,6 +136,21 @@ TEST(ParallelParity, OrderDcFuzz) {
     const Database db = testing::MakeMixedDatabase(
         schema, facts, trial % 2 == 0 ? 3 : 12, rng.UniformIndex(1 << 30));
     std::string where = "trial " + std::to_string(trial) + ":";
+    for (const DenialConstraint& dc : dcs) where += " " + dc.ToString(*schema);
+    const ViolationSet expected = CheckParity(schema, dcs, db, where);
+    SCOPED_TRACE(where);
+    ExpectMatchesOracle(dcs, db, expected);
+    EXPECT_EQ(ViolationDetector(schema, dcs).Satisfies(db), expected.empty());
+  }
+  for (int trial = 0; trial < 24; ++trial) {
+    const RelationId r1 = trial % 2 == 0 ? 0 : 1;
+    std::vector<DenialConstraint> dcs = {testing::RandomNeDc(
+        rng, *schema, 0, r1, 1 + (trial / 2) % 2, trial % 5 == 0)};
+    dcs.push_back(testing::RandomNeDc(rng, *schema, r1, 0, 1, false));
+    const size_t facts = 150 + rng.UniformIndex(60);
+    const Database db =
+        testing::MakeSkewedDatabase(schema, facts, rng.UniformIndex(1 << 30));
+    std::string where = "ne trial " + std::to_string(trial) + ":";
     for (const DenialConstraint& dc : dcs) where += " " + dc.ToString(*schema);
     const ViolationSet expected = CheckParity(schema, dcs, db, where);
     SCOPED_TRACE(where);
@@ -352,23 +381,6 @@ TEST(ParallelParity, ShardedKAryInnerLoops) {
   const DenialConstraint never(std::vector<RelationId>(3, 0),
                                std::move(barren));
   EXPECT_TRUE(CheckParity(schema, {never}, db, "k-ary barren").empty());
-}
-
-// FindViolationsInvolving filters the full result; parity transfers.
-TEST(ParallelParity, FindViolationsInvolving) {
-  const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  const Database db = MakeRandomDatabase(schema, 0, 50, 3, 88);
-  DetectorOptions sequential;
-  const ViolationDetector reference(schema, dcs, sequential);
-  DetectorOptions parallel;
-  parallel.num_threads = 8;
-  const ViolationDetector detector(schema, dcs, parallel);
-  for (const FactId id : db.ids()) {
-    ExpectIdentical(reference.FindViolationsInvolving(db, id),
-                    detector.FindViolationsInvolving(db, id),
-                    "involving fact " + std::to_string(id));
-  }
 }
 
 // Concurrent measure evaluation is behind SessionOptions::

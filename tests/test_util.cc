@@ -162,52 +162,142 @@ Database MakeMixedDatabase(std::shared_ptr<const Schema> schema,
   return db;
 }
 
-DenialConstraint RandomOrderDc(Rng& rng, const Schema& schema, RelationId r0,
-                               RelationId r1, size_t num_order) {
-  const CompareOp kOrderOps[] = {CompareOp::kLt, CompareOp::kLe,
-                                 CompareOp::kGt, CompareOp::kGe};
-  const CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe,
-                               CompareOp::kLt, CompareOp::kLe,
-                               CompareOp::kGt, CompareOp::kGe};
-  const RelationId rels[2] = {r0, r1};
-  auto attr = [&](uint32_t var) {
+Database MakeSkewedDatabase(std::shared_ptr<const Schema> schema,
+                            size_t facts_per_relation, uint64_t seed) {
+  enum Shape { kMajority, kTied, kSpread, kSingle, kNullHeavy, kShifted };
+  Rng rng(seed);
+  Database db(schema);
+  for (RelationId r = 0; r < schema->num_relations(); ++r) {
+    const size_t arity = schema->relation(r).arity();
+    std::vector<size_t> shapes(arity);
+    for (size_t& shape : shapes) shape = rng.UniformIndex(6);
+    for (size_t i = 0; i < facts_per_relation; ++i) {
+      std::vector<Value> values;
+      for (size_t a = 0; a < arity; ++a) {
+        int64_t x = 0;
+        switch (shapes[a]) {
+          case kMajority:
+            x = rng.Bernoulli(0.7) ? 0 : rng.UniformInt(1, 3);
+            break;
+          case kTied:
+            x = rng.UniformInt(0, 1);
+            break;
+          case kSpread:
+            x = rng.UniformInt(0, 5);
+            break;
+          case kSingle:
+            x = 1;
+            break;
+          case kNullHeavy:
+            x = rng.Bernoulli(0.7) ? -1 : rng.UniformInt(0, 2);
+            break;
+          default:  // kShifted: partly disjoint from every other column
+            x = rng.UniformInt(0, 2) + static_cast<int64_t>(2 * r + a);
+            break;
+        }
+        if (x < 0) {
+          values.emplace_back();
+        } else if (rng.Bernoulli(0.3)) {
+          values.emplace_back(static_cast<double>(x));
+        } else {
+          values.emplace_back(x);
+        }
+      }
+      db.Insert(Fact(r, std::move(values)));
+    }
+  }
+  return db;
+}
+
+namespace {
+
+const CompareOp kOrderOps[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                               CompareOp::kGe};
+const CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                             CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+
+// Random predicates over the two variables of a binary DC on (r0, r1),
+// with their random draws sequenced (function arguments are evaluated in
+// unspecified order), so a seed gives the same DC on every compiler.
+class PredicateDraws {
+ public:
+  PredicateDraws(Rng& rng, const Schema& schema, RelationId r0,
+                 RelationId r1)
+      : rng_(rng), schema_(schema), rels_{r0, r1} {}
+
+  AttrIndex Attr(uint32_t var) {
     return static_cast<AttrIndex>(
-        rng.UniformIndex(schema.relation(rels[var]).arity()));
-  };
-  // Predicates with their random draws sequenced (function arguments are
-  // evaluated in unspecified order), so a seed gives the same DC on every
-  // compiler. `cross` takes a random operand orientation.
-  auto compare = [&](uint32_t lhs_var, CompareOp op, uint32_t rhs_var) {
-    const AttrIndex lhs_attr = attr(lhs_var);
-    const AttrIndex rhs_attr = attr(rhs_var);
+        rng_.UniformIndex(schema_.relation(rels_[var]).arity()));
+  }
+  Predicate Compare(uint32_t lhs_var, CompareOp op, uint32_t rhs_var) {
+    const AttrIndex lhs_attr = Attr(lhs_var);
+    const AttrIndex rhs_attr = Attr(rhs_var);
     return Predicate(Operand{lhs_var, lhs_attr}, op,
                      Operand{rhs_var, rhs_attr});
-  };
-  auto cross = [&](CompareOp op) {
-    const uint32_t lhs = static_cast<uint32_t>(rng.UniformIndex(2));
-    return compare(lhs, op, 1 - lhs);
-  };
+  }
+  // A cross-variable comparison in a random operand orientation.
+  Predicate Cross(CompareOp op) {
+    const uint32_t lhs = static_cast<uint32_t>(rng_.UniformIndex(2));
+    return Compare(lhs, op, 1 - lhs);
+  }
+  // The tail both generators share: maybe a cross equality key, then
+  // maybe the extras (a `!=` when `with_ne`, a constant comparison, a
+  // same-variable comparison), then a shuffle of the whole body.
+  void AddKeyAndExtras(std::vector<Predicate>& preds, double key_p,
+                       bool with_ne) {
+    if (rng_.Bernoulli(key_p)) {
+      const AttrIndex a = Attr(0);
+      const AttrIndex b = rels_[0] == rels_[1] ? a : Attr(1);
+      preds.emplace_back(Operand{0, a}, CompareOp::kEq, Operand{1, b});
+    }
+    if (with_ne && rng_.Bernoulli(0.3)) preds.push_back(Cross(CompareOp::kNe));
+    if (rng_.Bernoulli(0.3)) {
+      const uint32_t var = static_cast<uint32_t>(rng_.UniformIndex(2));
+      const AttrIndex a = Attr(var);
+      const CompareOp op = kAllOps[rng_.UniformIndex(6)];
+      preds.emplace_back(Operand{var, a}, op, Value(rng_.UniformInt(0, 3)));
+    }
+    if (rng_.Bernoulli(0.3)) {
+      const uint32_t var = static_cast<uint32_t>(rng_.UniformIndex(2));
+      preds.push_back(Compare(var, kAllOps[rng_.UniformIndex(6)], var));
+    }
+    std::shuffle(preds.begin(), preds.end(), rng_.engine());
+  }
+
+ private:
+  Rng& rng_;
+  const Schema& schema_;
+  const RelationId rels_[2];
+};
+
+}  // namespace
+
+DenialConstraint RandomOrderDc(Rng& rng, const Schema& schema, RelationId r0,
+                               RelationId r1, size_t num_order) {
+  PredicateDraws draw(rng, schema, r0, r1);
   std::vector<Predicate> preds;
   for (size_t i = 0; i < num_order; ++i) {
-    preds.push_back(cross(kOrderOps[rng.UniformIndex(4)]));
+    preds.push_back(draw.Cross(kOrderOps[rng.UniformIndex(4)]));
   }
-  if (rng.Bernoulli(0.4)) {
-    const AttrIndex a = attr(0);
-    const AttrIndex b = r0 == r1 ? a : attr(1);
-    preds.emplace_back(Operand{0, a}, CompareOp::kEq, Operand{1, b});
+  draw.AddKeyAndExtras(preds, 0.4, /*with_ne=*/true);
+  return DenialConstraint({r0, r1}, std::move(preds));
+}
+
+DenialConstraint RandomNeDc(Rng& rng, const Schema& schema, RelationId r0,
+                            RelationId r1, size_t num_ne, bool with_order) {
+  PredicateDraws draw(rng, schema, r0, r1);
+  std::vector<Predicate> preds;
+  for (size_t i = 0; i < num_ne; ++i) {
+    if (rng.Bernoulli(0.5)) {
+      preds.push_back(draw.Cross(CompareOp::kNe));
+      continue;
+    }
+    const uint32_t lhs = static_cast<uint32_t>(rng.UniformIndex(2));
+    const AttrIndex a = draw.Attr(0);
+    preds.emplace_back(Operand{lhs, a}, CompareOp::kNe, Operand{1 - lhs, a});
   }
-  if (rng.Bernoulli(0.3)) preds.push_back(cross(CompareOp::kNe));
-  if (rng.Bernoulli(0.3)) {
-    const uint32_t var = static_cast<uint32_t>(rng.UniformIndex(2));
-    const AttrIndex a = attr(var);
-    const CompareOp op = kAllOps[rng.UniformIndex(6)];
-    preds.emplace_back(Operand{var, a}, op, Value(rng.UniformInt(0, 3)));
-  }
-  if (rng.Bernoulli(0.3)) {
-    const uint32_t var = static_cast<uint32_t>(rng.UniformIndex(2));
-    preds.push_back(compare(var, kAllOps[rng.UniformIndex(6)], var));
-  }
-  std::shuffle(preds.begin(), preds.end(), rng.engine());
+  if (with_order) preds.push_back(draw.Cross(kOrderOps[rng.UniformIndex(4)]));
+  draw.AddKeyAndExtras(preds, 0.5, /*with_ne=*/false);
   return DenialConstraint({r0, r1}, std::move(preds));
 }
 

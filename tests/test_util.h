@@ -72,6 +72,15 @@ Database MakeMixedDatabase(std::shared_ptr<const Schema> schema,
                            size_t facts_per_relation, int64_t domain,
                            uint64_t seed);
 
+/// A random database like MakeMixedDatabase's (nulls, ints and whole
+/// doubles, so 2 and 2.0 share a class), but each column draws from its
+/// own random shape, so blocking buckets see every class layout the `!=`
+/// split distinguishes: a strict majority class, two tied classes, many
+/// small classes, a single class, mostly nulls, or a range shifted per
+/// relation and attribute (a probe class often absent from the bucket).
+Database MakeSkewedDatabase(std::shared_ptr<const Schema> schema,
+                            size_t facts_per_relation, uint64_t seed);
+
 /// A random binary DC over relations (r0, r1) with `num_order` cross-
 /// variable order predicates (every operator, either operand orientation,
 /// any attribute pair), mixed at random with a cross equality key, a `!=`,
@@ -79,6 +88,14 @@ Database MakeMixedDatabase(std::shared_ptr<const Schema> schema,
 /// order.
 DenialConstraint RandomOrderDc(Rng& rng, const Schema& schema, RelationId r0,
                                RelationId r1, size_t num_order);
+
+/// A random binary DC over relations (r0, r1) with `num_ne` cross-variable
+/// `!=` predicates (same- or cross-attribute, either operand orientation)
+/// and, with `with_order`, one cross order predicate, mixed at random with
+/// a cross equality key, a constant comparison and a same-variable
+/// comparison, in shuffled body order.
+DenialConstraint RandomNeDc(Rng& rng, const Schema& schema, RelationId r0,
+                            RelationId r1, size_t num_ne, bool with_order);
 
 struct ScriptedWorkloadOptions {
   RelationId relation = 0;
