@@ -155,15 +155,11 @@ MisCountResult CountMaximalIndependentSets(const SimpleGraph& g,
   const Deadline deadline(options.deadline_seconds);
   const auto [comp, num_comps] = g.Components();
 
-  for (size_t c = 0; c < num_comps; ++c) {
-    std::vector<uint32_t> members;
-    for (uint32_t v = 0; v < g.num_vertices(); ++v) {
-      if (comp[v] == c) members.push_back(v);
-    }
-    if (members.size() == 1) continue;  // exactly one MIS: the vertex itself
-    const SimpleGraph sub = g.InducedSubgraph(members);
+  for (const GraphPart& component : g.Split(comp, num_comps)) {
+    // A lone vertex has exactly one MIS: the vertex itself.
+    if (component.members.size() == 1) continue;
     MisCountResult part;
-    MisCounter counter(sub, deadline, &part);
+    MisCounter counter(component.graph, deadline, &part);
     counter.Run();
     total.nodes += part.nodes;
     total.count *= part.count;

@@ -1,7 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
 
 #include "common/check.h"
 
@@ -58,21 +58,42 @@ std::pair<std::vector<uint32_t>, size_t> SimpleGraph::Components() const {
 
 SimpleGraph SimpleGraph::InducedSubgraph(
     const std::vector<uint32_t>& vertices) const {
-  std::unordered_map<uint32_t, uint32_t> relabel;
-  relabel.reserve(vertices.size());
-  for (uint32_t i = 0; i < vertices.size(); ++i) {
-    relabel.emplace(vertices[i], i);
-  }
+  DBIM_CHECK(std::adjacent_find(vertices.begin(), vertices.end(),
+                                std::greater_equal<>()) == vertices.end());
+  DBIM_CHECK(vertices.empty() || vertices.back() < n_);
+  std::vector<uint32_t> local(n_, UINT32_MAX);
+  for (uint32_t i = 0; i < vertices.size(); ++i) local[vertices[i]] = i;
   SimpleGraph out(vertices.size());
+  // Relabelling is monotone, so each kept edge keeps a < b.
   for (const auto& [a, b] : edges_) {
-    const auto ia = relabel.find(a);
-    const auto ib = relabel.find(b);
-    if (ia != relabel.end() && ib != relabel.end()) {
-      out.AddEdge(ia->second, ib->second);
+    if (local[a] != UINT32_MAX && local[b] != UINT32_MAX) {
+      out.edges_.emplace_back(local[a], local[b]);
     }
   }
   out.Normalize();
   return out;
+}
+
+std::vector<GraphPart> SimpleGraph::Split(
+    const std::vector<uint32_t>& label, size_t num_parts) const {
+  DBIM_CHECK(label.size() == n_);
+  std::vector<GraphPart> parts(num_parts);
+  std::vector<uint32_t> local(n_);
+  for (uint32_t v = 0; v < n_; ++v) {
+    DBIM_CHECK(label[v] < num_parts);
+    GraphPart& part = parts[label[v]];
+    local[v] = static_cast<uint32_t>(part.members.size());
+    part.members.push_back(v);
+  }
+  for (GraphPart& part : parts) part.graph.n_ = part.members.size();
+  // Relabelling is monotone within a class, so each edge keeps a < b.
+  for (const auto& [a, b] : edges_) {
+    if (label[a] == label[b]) {
+      parts[label[a]].graph.edges_.emplace_back(local[a], local[b]);
+    }
+  }
+  for (GraphPart& part : parts) part.graph.Normalize();
+  return parts;
 }
 
 }  // namespace dbim

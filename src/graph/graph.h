@@ -8,6 +8,8 @@
 
 namespace dbim {
 
+struct GraphPart;
+
 /// A plain undirected graph on vertices 0..n-1 with an edge list. Parallel
 /// edges and self-loops are not stored (AddEdge deduplicates lazily via
 /// Normalize). This is the currency of the combinatorial solvers; the
@@ -35,13 +37,26 @@ class SimpleGraph {
   /// components).
   std::pair<std::vector<uint32_t>, size_t> Components() const;
 
-  /// The subgraph induced by `vertices` (relabelled 0..k-1 in the given
-  /// order).
+  /// The subgraph induced by `vertices` (strictly ascending), relabelled
+  /// 0..k-1 in that order.
   SimpleGraph InducedSubgraph(const std::vector<uint32_t>& vertices) const;
+
+  /// Splits the graph along `label` (a class in [0, num_parts) per vertex,
+  /// e.g. from Components()) in one pass over the vertices and one over the
+  /// edges. Part c equals InducedSubgraph() of class c's members.
+  std::vector<GraphPart> Split(const std::vector<uint32_t>& label,
+                               size_t num_parts) const;
 
  private:
   size_t n_;
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
+};
+
+/// One class of a vertex partition (see SimpleGraph::Split): its vertices,
+/// ascending, and the subgraph they induce, relabelled 0..k-1 in that order.
+struct GraphPart {
+  std::vector<uint32_t> members;
+  SimpleGraph graph{0};
 };
 
 }  // namespace dbim

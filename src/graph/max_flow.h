@@ -11,14 +11,18 @@ namespace dbim {
 /// weighted fractional vertex-cover LP (min s-t cut on the bipartite double
 /// cover). Capacities are doubles because fact deletion costs are; a small
 /// epsilon guards residual comparisons.
+///
+/// AddEdge records edges; Solve lays them out in CSR form (one contiguous
+/// arc range per node, arcs in edge insertion order), so the augmenting
+/// paths, the flow's rounding and the cut depend only on AddEdge order.
 class MaxFlow {
  public:
   explicit MaxFlow(size_t num_nodes);
 
-  /// Adds a directed edge with the given capacity; returns its index.
-  size_t AddEdge(uint32_t from, uint32_t to, double capacity);
+  /// Adds a directed edge with the given capacity. Only before Solve().
+  void AddEdge(uint32_t from, uint32_t to, double capacity);
 
-  /// Runs Dinic from s to t and returns the max-flow value.
+  /// Runs Dinic from s to t and returns the max-flow value. Runs once.
   double Solve(uint32_t s, uint32_t t);
 
   /// After Solve(): whether `v` is on the source side of the min cut.
@@ -26,9 +30,14 @@ class MaxFlow {
 
  private:
   struct Edge {
+    uint32_t from;
     uint32_t to;
     double cap;
-    size_t rev;  // index of reverse edge in adj_[to]
+  };
+  struct Arc {
+    uint32_t to;
+    uint32_t rev;  // index of the paired arc in arcs_
+    double cap;
   };
 
   bool Bfs(uint32_t s, uint32_t t);
@@ -36,9 +45,12 @@ class MaxFlow {
 
   static constexpr double kEps = 1e-9;
 
-  std::vector<std::vector<Edge>> adj_;
-  std::vector<int32_t> level_;
-  std::vector<size_t> iter_;
+  size_t num_nodes_;
+  std::vector<Edge> edges_;        // recorded by AddEdge, laid out by Solve
+  std::vector<uint32_t> first_;    // node v's arcs: [first_[v], first_[v+1])
+  std::vector<Arc> arcs_;
+  std::vector<int32_t> level_;     // empty until Solve() runs
+  std::vector<uint32_t> iter_;
 };
 
 }  // namespace dbim

@@ -27,24 +27,16 @@ bool IsCograph(const SimpleGraph& g) {
   if (n <= 1) return true;
   const auto [comp, num_comps] = g.Components();
   if (num_comps > 1) {
-    for (size_t c = 0; c < num_comps; ++c) {
-      std::vector<uint32_t> members;
-      for (uint32_t v = 0; v < n; ++v) {
-        if (comp[v] == c) members.push_back(v);
-      }
-      if (!IsCograph(g.InducedSubgraph(members))) return false;
+    for (const GraphPart& part : g.Split(comp, num_comps)) {
+      if (!IsCograph(part.graph)) return false;
     }
     return true;
   }
   const SimpleGraph co = Complement(g);
   const auto [co_comp, co_num] = co.Components();
   if (co_num == 1) return false;  // connected and co-connected => has a P4
-  for (size_t c = 0; c < co_num; ++c) {
-    std::vector<uint32_t> members;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (co_comp[v] == c) members.push_back(v);
-    }
-    if (!IsCograph(g.InducedSubgraph(members))) return false;
+  for (const GraphPart& part : g.Split(co_comp, co_num)) {
+    if (!IsCograph(part.graph)) return false;
   }
   return true;
 }

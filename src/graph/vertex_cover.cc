@@ -219,13 +219,9 @@ VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
   const Deadline deadline(options.deadline_seconds);
   const auto [comp, num_comps] = g.Components();
 
-  for (size_t c = 0; c < num_comps; ++c) {
-    std::vector<uint32_t> members;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (comp[v] == c) members.push_back(v);
-    }
-    if (members.size() < 2) continue;
-    const SimpleGraph sub = g.InducedSubgraph(members);
+  for (const GraphPart& part : g.Split(comp, num_comps)) {
+    const std::vector<uint32_t>& members = part.members;
+    const SimpleGraph& sub = part.graph;
     if (sub.num_edges() == 0) continue;
     std::vector<double> sub_w(members.size());
     for (uint32_t i = 0; i < members.size(); ++i) {

@@ -11,7 +11,8 @@ double MiCountMeasure::Evaluate(MeasureContext& context) const {
 }
 
 double ProblematicFactsMeasure::Evaluate(MeasureContext& context) const {
-  return static_cast<double>(context.violations().ProblematicFacts().size());
+  // The conflict graph's vertices are exactly the problematic facts.
+  return static_cast<double>(context.conflict_graph().num_vertices());
 }
 
 double MinimalViolationsMeasure::Evaluate(MeasureContext& context) const {

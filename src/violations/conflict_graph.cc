@@ -9,40 +9,60 @@ namespace dbim {
 ConflictGraph ConflictGraph::Build(const Database& db,
                                    const ViolationSet& violations) {
   ConflictGraph g;
-  const std::vector<FactId> problematic = violations.ProblematicFacts();
-  g.fact_of_ = problematic;
-  g.vertex_of_.reserve(problematic.size());
-  for (uint32_t v = 0; v < problematic.size(); ++v) {
-    g.vertex_of_.emplace(problematic[v], v);
+  const auto& subsets = violations.minimal_subsets();
+  // One key per occurrence of a fact in a subset: (fact id << 32 | running
+  // occurrence index). Sorting the keys groups each fact's occurrences in
+  // ascending fact order, which numbers the vertices and tells every
+  // occurrence its vertex.
+  std::vector<uint64_t> keys;
+  for (const auto& subset : subsets) {
+    for (const FactId id : subset) {
+      keys.push_back(static_cast<uint64_t>(id) << 32 | keys.size());
+    }
   }
-  g.self_inconsistent_.assign(problematic.size(), false);
-  g.weights_.resize(problematic.size());
-  for (uint32_t v = 0; v < problematic.size(); ++v) {
-    g.weights_[v] = db.deletion_cost(problematic[v]);
+  std::sort(keys.begin(), keys.end());
+  std::vector<uint32_t> vertex_at(keys.size());
+  for (const uint64_t key : keys) {
+    const FactId id = static_cast<FactId>(key >> 32);
+    if (g.fact_of_.empty() || g.fact_of_.back() != id) {
+      g.fact_of_.push_back(id);
+    }
+    vertex_at[static_cast<uint32_t>(key)] =
+        static_cast<uint32_t>(g.fact_of_.size() - 1);
   }
-  for (const auto& subset : violations.minimal_subsets()) {
+
+  const size_t n = g.fact_of_.size();
+  g.self_inconsistent_.assign(n, false);
+  g.weights_.resize(n);
+  for (uint32_t v = 0; v < n; ++v) {
+    g.weights_[v] = db.deletion_cost(g.fact_of_[v]);
+  }
+  const uint32_t* at = vertex_at.data();
+  for (const auto& subset : subsets) {
     if (subset.size() == 1) {
-      const uint32_t v = g.vertex_of(subset[0]);
-      if (!g.self_inconsistent_[v]) {
-        g.self_inconsistent_[v] = true;
+      if (!g.self_inconsistent_[at[0]]) {
+        g.self_inconsistent_[at[0]] = true;
         ++g.num_self_inconsistent_;
       }
     } else if (subset.size() == 2) {
-      g.edges_.emplace_back(g.vertex_of(subset[0]), g.vertex_of(subset[1]));
+      g.edges_.emplace_back(at[0], at[1]);
     } else {
-      std::vector<uint32_t> he;
-      he.reserve(subset.size());
-      for (const FactId id : subset) he.push_back(g.vertex_of(id));
-      g.hyperedges_.push_back(std::move(he));
+      g.hyperedges_.emplace_back(at, at + subset.size());
     }
+    at += subset.size();
   }
   return g;
 }
 
 uint32_t ConflictGraph::vertex_of(FactId id) const {
-  const auto it = vertex_of_.find(id);
-  DBIM_CHECK_MSG(it != vertex_of_.end(), "fact %u is not problematic", id);
-  return it->second;
+  const auto it = std::lower_bound(fact_of_.begin(), fact_of_.end(), id);
+  DBIM_CHECK_MSG(it != fact_of_.end() && *it == id,
+                 "fact %u is not problematic", id);
+  return static_cast<uint32_t>(it - fact_of_.begin());
+}
+
+bool ConflictGraph::IsProblematic(FactId id) const {
+  return std::binary_search(fact_of_.begin(), fact_of_.end(), id);
 }
 
 std::vector<std::vector<uint32_t>> ConflictGraph::AdjacencyLists() const {

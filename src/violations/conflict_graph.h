@@ -2,7 +2,6 @@
 #define DBIM_VIOLATIONS_CONFLICT_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +23,10 @@ namespace dbim {
 ///    sets must exclude them;
 ///  * weights: per-fact deletion costs, so that minimum weighted vertex
 ///    cover equals I_R and the fractional relaxation equals I_lin_R.
+///
+/// Vertices are numbered by ascending fact id (one sort, no hash table), so
+/// fact -> vertex is a binary search over `fact_of_`. Edges and hyperedges
+/// keep the order of `minimal_subsets()`.
 class ConflictGraph {
  public:
   static ConflictGraph Build(const Database& db,
@@ -34,9 +37,7 @@ class ConflictGraph {
 
   /// Vertex of a fact; the fact must be problematic.
   uint32_t vertex_of(FactId id) const;
-  bool IsProblematic(FactId id) const {
-    return vertex_of_.count(id) > 0;
-  }
+  bool IsProblematic(FactId id) const;
 
   const std::vector<std::pair<uint32_t, uint32_t>>& edges() const {
     return edges_;
@@ -57,8 +58,7 @@ class ConflictGraph {
   std::vector<std::vector<uint32_t>> AdjacencyLists() const;
 
  private:
-  std::vector<FactId> fact_of_;
-  std::unordered_map<FactId, uint32_t> vertex_of_;
+  std::vector<FactId> fact_of_;  // ascending
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
   std::vector<std::vector<uint32_t>> hyperedges_;
   std::vector<bool> self_inconsistent_;

@@ -30,13 +30,21 @@ namespace {
 struct DetectionState {
   ViolationSet result;
   std::unordered_set<FactId> self_inconsistent;
+  // A fact set violating several constraints is derived once per
+  // constraint: one element of MI, but one minimal violation per
+  // derivation. `seen` holds the canonical hashes of result's subsets.
+  std::unordered_set<uint64_t> seen;
   // Satisfies' early exit: stop once the result holds one subset. Only the
   // sequential path (which Satisfies forces) checks `stop` mid-phase.
   bool first_witness_only = false;
   bool stop = false;
 
   void Admit(std::vector<FactId> subset) {
-    result.Add(std::move(subset));
+    if (seen.insert(SubsetKey(subset)).second) {
+      result.Add(std::move(subset));
+    } else {
+      result.AddRederivation();
+    }
     stop = first_witness_only;
   }
 };

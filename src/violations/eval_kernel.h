@@ -291,6 +291,17 @@ inline uint64_t HashPoolValues(const ValuePool& pool, const RowRef& r,
   return h;
 }
 
+/// FNV-1a over a sorted fact-id set: the canonical key under which the
+/// detector and the incremental index each keep MI's subsets distinct.
+inline uint64_t SubsetKey(const std::vector<FactId>& subset) {
+  uint64_t h = 1469598103934665603ull;
+  for (const FactId id : subset) {
+    h ^= id;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// Persistent equality-key buckets for pruned anchored probes of one k-ary
 /// (>= 3 variable) constraint. For every ordered variable pair (u, v) with
 /// a non-empty PairBlockingKeys, the facts of var_relation(v) are bucketed

@@ -225,16 +225,6 @@ uint32_t IncrementalViolationIndex::RecoverMultiplicity(
   return multiplicity;
 }
 
-uint64_t IncrementalViolationIndex::SubsetKey(
-    const std::vector<FactId>& subset) const {
-  uint64_t h = 1469598103934665603ull;
-  for (const FactId id : subset) {
-    h ^= id;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 uint64_t IncrementalViolationIndex::KeyHashOverAttrs(
     const std::vector<AttrIndex>& attrs, FactId id) const {
   // Semantic value hashes (equal values hash alike, and the hash survives a
@@ -587,12 +577,12 @@ size_t IncrementalViolationIndex::NumProblematicFacts() const {
 }
 
 ViolationSet IncrementalViolationIndex::Snapshot() const {
+  // by_key_ keeps live slots distinct, so each is added once, carrying its
+  // derivation count.
   ViolationSet out;
+  out.Reserve(live_subsets_);
   for (const StoredSubset& stored : subsets_) {
-    if (!stored.alive) continue;
-    // Add dedups the subset list but counts every call, so adding the
-    // subset `multiplicity` times reproduces num_minimal_violations().
-    for (uint32_t m = 0; m < stored.multiplicity; ++m) out.Add(stored.facts);
+    if (stored.alive) out.Add(stored.facts, stored.multiplicity);
   }
   return out;
 }

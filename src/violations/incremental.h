@@ -116,10 +116,11 @@ class IncrementalViolationIndex {
   bool IsConsistent() const { return live_subsets_ == 0; }
 
   /// Materializes the current MI set (e.g. to hand to ConflictGraph or a
-  /// MeasureContext). Subset order is maintenance order, not the batch
-  /// detector's discovery order; every measure value is invariant to it
-  /// (the conflict graph numbers vertices by sorted fact id and normalizes
-  /// its edge list).
+  /// MeasureContext): one copy of each live slot with its multiplicity, no
+  /// dedup pass (slots are distinct by construction). Subset order is
+  /// maintenance order, not the batch detector's discovery order; every
+  /// measure value is invariant to it (the conflict graph numbers vertices
+  /// by sorted fact id, and the repair measures normalize its edge list).
   ViolationSet Snapshot() const;
 
   /// Stored subset slots, live + dead. Dead slots accumulate under
@@ -245,7 +246,6 @@ class IncrementalViolationIndex {
   // the maintained witness store.
   bool IsMinimalCandidate(const std::vector<FactId>& candidate) const;
   void RecomputeSelfInconsistent(const std::vector<DcEval>& evals, FactId id);
-  uint64_t SubsetKey(const std::vector<FactId>& subset) const;
 
   uint64_t KeyHashOverAttrs(const std::vector<AttrIndex>& attrs,
                             FactId id) const;

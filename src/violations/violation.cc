@@ -1,31 +1,15 @@
 #include "violations/violation.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/check.h"
 
 namespace dbim {
 
-namespace {
-
-// FNV-1a over the id sequence; subsets are sorted so the hash is canonical.
-uint64_t SubsetKey(const std::vector<FactId>& subset) {
-  uint64_t h = 1469598103934665603ull;
-  for (const FactId id : subset) {
-    h ^= id;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-void ViolationSet::Add(std::vector<FactId> subset) {
+void ViolationSet::Add(std::vector<FactId> subset, size_t multiplicity) {
   DBIM_CHECK(!subset.empty());
   DBIM_CHECK(std::is_sorted(subset.begin(), subset.end()));
-  ++num_minimal_violations_;
-  if (!seen_.insert(SubsetKey(subset)).second) return;
+  num_minimal_violations_ += multiplicity;
   subsets_.push_back(std::move(subset));
 }
 

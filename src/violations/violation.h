@@ -2,7 +2,6 @@
 #define DBIM_VIOLATIONS_VIOLATION_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "relational/database.h"
@@ -13,9 +12,11 @@ namespace dbim {
 /// bookkeeping the measures need:
 ///
 ///  * `minimal_subsets()` — each element is a sorted set of fact ids E with
-///    E inconsistent and every proper subset consistent. Deduplicated across
-///    constraints (MI is a set of fact sets, so a pair violating two DCs
-///    appears once — this matters for I_MI on the running example).
+///    E inconsistent and every proper subset consistent. MI is a set of fact
+///    sets, so a pair violating two DCs appears once (this matters for I_MI
+///    on the running example). Keeping the list duplicate-free is the
+///    producer's job: the detector dedups across constraints, and the
+///    incremental index's slots are distinct by construction.
 ///  * `self_inconsistent()` — facts f with {f} inconsistent ("contradictory
 ///    tuples"); these are exactly the singleton minimal subsets.
 ///  * `num_minimal_violations()` — the count of (F, sigma) pairs from the
@@ -25,10 +26,16 @@ class ViolationSet {
  public:
   ViolationSet() = default;
 
-  /// Adds a minimal inconsistent subset (sorted, distinct ids); duplicates
-  /// across constraints are ignored for the subset list but still counted as
-  /// minimal violations.
-  void Add(std::vector<FactId> subset);
+  /// Appends a minimal inconsistent subset (sorted, distinct ids) not yet in
+  /// the set, counting it as `multiplicity` minimal violations (one per
+  /// constraint or assignment that derives it).
+  void Add(std::vector<FactId> subset, size_t multiplicity = 1);
+
+  /// Counts one more derivation of a subset already in the set (the same
+  /// fact set violating another constraint).
+  void AddRederivation() { ++num_minimal_violations_; }
+
+  void Reserve(size_t num_subsets) { subsets_.reserve(num_subsets); }
 
   const std::vector<std::vector<FactId>>& minimal_subsets() const {
     return subsets_;
@@ -54,7 +61,6 @@ class ViolationSet {
 
  private:
   std::vector<std::vector<FactId>> subsets_;
-  std::unordered_set<uint64_t> seen_;  // canonical hashes for deduplication
   size_t num_minimal_violations_ = 0;
 };
 

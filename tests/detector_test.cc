@@ -470,5 +470,53 @@ TEST(ConflictGraph, AdjacencyListsMatchEdges) {
   EXPECT_EQ(degree_sum, 2 * graph.edges().size());
 }
 
+// A hand-made MI set, added out of id order, with singletons, pairs and a
+// triple: vertices ascend by fact id whatever the input order, every
+// lookup resolves, and edges keep the input order.
+TEST(ConflictGraph, BuildsFromHandMadeSetOutOfIdOrder) {
+  const auto schema = testing::MakeAbcSchema();
+  Database db = testing::MakeRandomDatabase(schema, 0, 20, 5, 3);
+  const std::vector<FactId> ids = db.ids();
+  ASSERT_EQ(ids.size(), 20u);
+  for (const FactId id : ids) db.set_deletion_cost(id, 0.5 + id);
+  auto f = [&](size_t i) { return ids[i]; };
+  ViolationSet violations;
+  violations.Add({f(11), f(16)});
+  violations.Add({f(12)});
+  violations.Add({f(3), f(5), f(16)});
+  violations.Add({f(5), f(11)});
+  violations.Add({f(1)});
+  violations.Add({f(3), f(8)});
+  const ConflictGraph graph = ConflictGraph::Build(db, violations);
+
+  const std::vector<FactId> problematic = {f(1), f(3),  f(5), f(8),
+                                           f(11), f(12), f(16)};
+  ASSERT_EQ(graph.num_vertices(), problematic.size());
+  for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
+    EXPECT_EQ(graph.fact_of(v), problematic[v]);
+    EXPECT_EQ(graph.vertex_of(problematic[v]), v);
+    EXPECT_TRUE(graph.IsProblematic(problematic[v]));
+    EXPECT_EQ(graph.weights()[v], db.deletion_cost(problematic[v]));
+  }
+  // Absent ids below, between and above the problematic ones.
+  for (const size_t i : {size_t{0}, size_t{4}, size_t{9}, size_t{13},
+                         size_t{17}, size_t{19}}) {
+    EXPECT_FALSE(graph.IsProblematic(f(i))) << i;
+  }
+  auto v = [&](size_t i) { return graph.vertex_of(f(i)); };
+  const std::vector<std::pair<uint32_t, uint32_t>> edges = {
+      {v(11), v(16)}, {v(5), v(11)}, {v(3), v(8)}};
+  EXPECT_EQ(graph.edges(), edges);
+  const std::vector<std::vector<uint32_t>> hyperedges = {
+      {v(3), v(5), v(16)}};
+  EXPECT_EQ(graph.hyperedges(), hyperedges);
+  EXPECT_EQ(graph.num_self_inconsistent(), 2u);
+  for (uint32_t u = 0; u < graph.num_vertices(); ++u) {
+    const bool expected = u == v(1) || u == v(12);
+    EXPECT_EQ(graph.self_inconsistent()[u], expected) << u;
+  }
+  EXPECT_DEATH(graph.vertex_of(f(4)), "not problematic");
+}
+
 }  // namespace
 }  // namespace dbim

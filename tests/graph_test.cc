@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "graph/max_flow.h"
 #include "graph/p4_free.h"
 #include "graph/vertex_cover.h"
+#include "lp/covering.h"
 
 namespace dbim {
 namespace {
@@ -108,6 +111,51 @@ TEST(SimpleGraph, InducedSubgraph) {
   EXPECT_EQ(sub.num_edges(), 2u);
 }
 
+// Split along the components (and along an arbitrary labelling): each
+// part holds its class's vertices ascending and exactly the edges inside
+// the class, relabelled by rank and sorted.
+TEST(SimpleGraph, SplitYieldsInducedSubgraphs) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const SimpleGraph g = RandomGraph(12, 0.15, seed);
+    Rng rng(seed);
+    std::vector<uint32_t> arbitrary(g.num_vertices());
+    for (auto& label : arbitrary) {
+      label = static_cast<uint32_t>(rng.UniformIndex(3));
+    }
+    const auto [comp, num_comps] = g.Components();
+    for (const auto& [label, num_parts] :
+         {std::make_pair(comp, num_comps),
+          std::make_pair(arbitrary, size_t{3})}) {
+      const std::vector<GraphPart> parts = g.Split(label, num_parts);
+      ASSERT_EQ(parts.size(), num_parts);
+      for (uint32_t c = 0; c < num_parts; ++c) {
+        std::vector<uint32_t> members;
+        std::vector<uint32_t> rank(g.num_vertices());
+        for (uint32_t v = 0; v < g.num_vertices(); ++v) {
+          if (label[v] != c) continue;
+          rank[v] = static_cast<uint32_t>(members.size());
+          members.push_back(v);
+        }
+        std::vector<std::pair<uint32_t, uint32_t>> edges;
+        for (const auto& [a, b] : g.edges()) {
+          if (label[a] == c && label[b] == c) {
+            edges.emplace_back(rank[a], rank[b]);
+          }
+        }
+        std::sort(edges.begin(), edges.end());
+        EXPECT_EQ(parts[c].members, members);
+        EXPECT_EQ(parts[c].graph.num_vertices(), members.size());
+        EXPECT_EQ(parts[c].graph.edges(), edges);
+      }
+    }
+  }
+  // A class label or an induced vertex outside the graph is refused.
+  SimpleGraph g(3);
+  g.AddEdge(0, 1);
+  EXPECT_DEATH(g.Split({0, 2, 0}, 2), "label\\[v\\] < num_parts");
+  EXPECT_DEATH(g.InducedSubgraph({1, 3}), "vertices.back\\(\\) < n_");
+}
+
 // ---- Matching / Konig ----
 
 TEST(HopcroftKarp, PerfectMatchingOnCycle) {
@@ -166,6 +214,69 @@ TEST(MaxFlow, MinCutSides) {
   EXPECT_FALSE(flow.SourceSide(1));  // bottleneck is 0 -> 1
 }
 
+TEST(MaxFlow, SourceSideNeedsSolveAndRange) {
+  MaxFlow flow(3);
+  flow.AddEdge(0, 1, 1.0);
+  EXPECT_DEATH(flow.SourceSide(0), "before Solve");
+  flow.AddEdge(1, 2, 1.0);
+  EXPECT_DOUBLE_EQ(flow.Solve(0, 2), 1.0);
+  EXPECT_DEATH(flow.SourceSide(3), "out of range");
+}
+
+// Capacity of the cut (S, V \ S): the edges leaving S.
+double CutCapacity(const std::vector<std::tuple<uint32_t, uint32_t, double>>&
+                       edges,
+                   const std::vector<bool>& in_s) {
+  double cap = 0.0;
+  for (const auto& [from, to, c] : edges) {
+    if (in_s[from] && !in_s[to]) cap += c;
+  }
+  return cap;
+}
+
+class MaxFlowSweep : public ::testing::TestWithParam<int> {};
+
+// Max-flow = min-cut against brute force over every s-t cut of a random
+// network with parallel and antiparallel edges; the reported source side
+// is itself a minimum cut.
+TEST_P(MaxFlowSweep, MatchesBruteForceMinCut) {
+  Rng rng(GetParam() * 7919 + 5);
+  const size_t n = 2 + rng.UniformIndex(9);
+  const uint32_t s = 0;
+  const uint32_t t = static_cast<uint32_t>(n - 1);
+  std::vector<std::tuple<uint32_t, uint32_t, double>> edges;
+  const size_t m = rng.UniformIndex(3 * n + 1);
+  for (size_t e = 0; e < m; ++e) {
+    const auto from = static_cast<uint32_t>(rng.UniformIndex(n));
+    const auto to = static_cast<uint32_t>(rng.UniformIndex(n));
+    if (from == to) continue;
+    const double cap = GetParam() % 2 == 0
+                           ? static_cast<double>(rng.UniformIndex(6))
+                           : 5.0 * rng.UniformDouble();
+    edges.emplace_back(from, to, cap);
+  }
+  MaxFlow flow(n);
+  for (const auto& [from, to, cap] : edges) flow.AddEdge(from, to, cap);
+  const double value = flow.Solve(s, t);
+
+  double brute = 1e18;
+  std::vector<bool> in_s(n);
+  for (uint64_t mask = 0; mask < (1ull << n); ++mask) {
+    if (!((mask >> s) & 1ull) || ((mask >> t) & 1ull)) continue;
+    for (uint32_t v = 0; v < n; ++v) in_s[v] = (mask >> v) & 1ull;
+    brute = std::min(brute, CutCapacity(edges, in_s));
+  }
+  EXPECT_NEAR(value, brute, 1e-7);
+
+  for (uint32_t v = 0; v < n; ++v) in_s[v] = flow.SourceSide(v);
+  EXPECT_TRUE(in_s[s]);
+  EXPECT_FALSE(in_s[t]);
+  EXPECT_NEAR(CutCapacity(edges, in_s), value, 1e-7);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomNetworks, MaxFlowSweep,
+                         ::testing::Range(1, 41));
+
 // ---- Fractional vertex cover ----
 
 TEST(FractionalVc, TriangleIsHalfEverywhere) {
@@ -203,8 +314,23 @@ TEST_P(FractionalVcSweep, HalfIntegralFeasibleAndBelowIntegral) {
   const size_t n = 4 + rng.UniformIndex(7);
   const SimpleGraph g = RandomGraph(n, 0.35, GetParam() * 977 + 1);
   std::vector<double> w(n);
-  for (auto& x : w) x = 1.0 + rng.UniformIndex(4);
+  // Odd params draw integer weights, even ones non-integer weights.
+  const bool integer = GetParam() % 2 == 1;
+  for (auto& x : w) {
+    x = integer ? 1.0 + rng.UniformIndex(4) : 0.1 + 3.0 * rng.UniformDouble();
+  }
   const auto lp = FractionalVertexCover(g, w);
+  // Independent oracle: the covering LP's optimum from the simplex.
+  CoveringProblem problem;
+  problem.costs = w;
+  for (const auto& [a, b] : g.edges()) problem.sets.push_back({a, b});
+  if (!problem.sets.empty()) {
+    const LpSolution simplex = SolveCoveringLpRelaxation(problem);
+    ASSERT_EQ(simplex.status, LpStatus::kOptimal);
+    EXPECT_NEAR(lp.value, simplex.objective, 1e-7);
+  } else {
+    EXPECT_EQ(lp.value, 0.0);
+  }
   // Half-integrality.
   for (const double x : lp.x) {
     EXPECT_TRUE(std::fabs(x) < 1e-7 || std::fabs(x - 0.5) < 1e-7 ||
