@@ -147,12 +147,13 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
   state->grain = grain;
   state->compute = compute;
 
-  ThreadPool& pool = ThreadPool::Global();
-  pool.EnsureWorkers(num_threads);
   // The calling thread is a worker too; submit one task fewer than the
   // requested parallelism, and never more tasks than grain-sized slices.
+  // More pool threads would only take turns, each growing a malloc arena.
   const size_t pool_tasks =
       std::min(num_threads - 1, std::max<size_t>(n / grain, 1) - 1);
+  ThreadPool& pool = ThreadPool::Global();
+  pool.EnsureWorkers(num_threads - 1);
   state->num_workers = pool_tasks + 1;
   for (size_t w = 0; w < pool_tasks; ++w) {
     pool.Submit([state] { state->RunWorker(); });

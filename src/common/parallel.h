@@ -62,13 +62,13 @@ struct IndexRange {
 
 /// Work-stealing ordered parallel-for over the index range [0, n).
 ///
-/// Workers (pool threads plus the calling thread, which helps while
-/// waiting) repeatedly *steal* sub-ranges from a shared queue of unclaimed
-/// territory: each claim peels a prefix off the remainder, sized
-/// adaptively — half the remaining work divided among the workers, never
-/// below `grain` — so early claims are coarse (low scheduling overhead)
-/// and the tail is fine-grained (no worker idles while another grinds
-/// through a fat region). A skewed per-index cost distribution therefore
+/// Workers (up to `num_threads - 1` pool threads plus the calling thread,
+/// which helps while waiting) repeatedly *steal* sub-ranges from a shared
+/// queue of unclaimed territory: each claim peels a prefix off the
+/// remainder, sized adaptively — half the remaining work divided among
+/// the workers, never below `grain` — so early claims are coarse (low
+/// scheduling overhead) and the tail is fine-grained (no worker idles
+/// while another grinds through a fat region). A skewed per-index cost distribution therefore
 /// cannot serialize the run on the fattest static chunk: hungry workers
 /// keep peeling sub-chunks off the territory that chunk would have owned
 /// under a fixed split.
@@ -82,10 +82,11 @@ struct IndexRange {
 /// Sub-range *boundaries* depend on scheduling, so determinism needs two
 /// (caller-checked) rules: `compute`'s observable output for a range must
 /// equal the concatenation of its outputs over any partition of that range
-/// (true for the detector's scan/probe/enumerate shards, which emit per
-/// row in row order), and every cross-range decision (e.g. dedup) must
-/// live in `consume`. Under those rules the observable result is
-/// bit-identical for every `num_threads`, including 1.
+/// (true for the detector's probe, whose ranges emit per probe row in row
+/// order, even when one range spans several constraints), and every
+/// cross-range decision (e.g. dedup) must live in `consume`. Under those
+/// rules the observable result is bit-identical for every `num_threads`,
+/// including 1.
 ///
 /// The calling thread helps compute unclaimed sub-ranges while waiting,
 /// so a `compute` that itself calls OrderedStealingFor (nested fan-out

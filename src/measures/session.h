@@ -87,8 +87,8 @@ struct SessionOptions {
   /// deadlines).
   RegistryOptions registry;
 
-  /// Knobs for the shared detection pass (`num_threads` for the sharded
-  /// phases — reports are identical for every thread count; see
+  /// Knobs for the shared detection pass (`num_threads` for its
+  /// fan-outs — reports are identical for every thread count; see
   /// DetectorOptions).
   DetectorOptions detector;
 
@@ -134,7 +134,7 @@ struct SessionOptions {
 
   // Builder-style setters (each returns *this for chaining).
 
-  /// Detection threads for the sharded enumeration phases.
+  /// Detection threads (DetectorOptions::num_threads).
   SessionOptions& WithThreads(size_t n) {
     detector.num_threads = n;
     return *this;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,13 +21,11 @@ namespace {
 // (violations/eval_kernel.h): predicate plans, interned-row evaluation,
 // blocking-key hashing and the k-ary enumeration all live there, shared
 // with the incremental index. What remains here is the batch pipeline —
-// pass structure, sharding, the ordered merges that make results
-// bit-identical for every thread count. Detection always runs to
+// pass structure, its three fan-outs and the ordered merges that make
+// results bit-identical for every thread count. Detection always runs to
 // completion; the one early exit is Satisfies' first witness.
 
 // Shared mutable state threaded through the detection passes.
-// (BlockingKeys / ExtractBlockingKeys live in constraints/dc.h, shared with
-// the incremental index's per-fact probes.)
 struct DetectionState {
   ViolationSet result;
   std::unordered_set<FactId> self_inconsistent;
@@ -34,8 +33,8 @@ struct DetectionState {
   // constraint: one element of MI, but one minimal violation per
   // derivation. `seen` holds the canonical hashes of result's subsets.
   std::unordered_set<uint64_t> seen;
-  // Satisfies' early exit: stop once the result holds one subset. Only the
-  // sequential path (which Satisfies forces) checks `stop` mid-phase.
+  // Satisfies' early exit: stop once the result holds one subset. Only
+  // the one-constraint-at-a-time walk (which Satisfies forces) checks `stop`.
   bool first_witness_only = false;
   bool stop = false;
 
@@ -49,106 +48,134 @@ struct DetectionState {
   }
 };
 
-// Scheduling grain shared by every parallel phase (pass-1 scan, bucket
-// build, probe, k-ary enumeration): the work-stealing scheduler never
-// claims a sub-range smaller than this many rows, bounding per-claim
-// scheduling overhead. Claims start much coarser and shrink toward the
-// tail (see OrderedStealingFor), so skewed per-row costs cannot serialize
-// a phase on one fat chunk.
+// Probe fan-out grain: the fewest rows a stolen range holds, bar the last.
 constexpr size_t kMinProbeChunkRows = 64;
 
-// Parallel-path scaffolding shared by the sharded phases (pass-1 scan,
-// bucket build, k-ary enumeration, binary probe): work-stealing workers
-// run `shard(range, buffer)` over scheduler-chosen sub-ranges of [0, n),
-// and the range-private buffers are consumed in canonical ascending index
-// order with `merge`. Because every shard emits per row in row order and
-// all cross-range decisions live in `merge`, the merged stream is the
-// sequential discovery order no matter where the scheduler cut the range
-// boundaries — the concatenation rule OrderedStealingFor's determinism
-// contract requires.
-template <typename Buffer, typename ShardFn, typename MergeFn>
-void ParallelPhase(size_t num_threads, size_t n, ShardFn&& shard,
-                   MergeFn&& merge) {
-  std::mutex mu;
-  std::map<size_t, Buffer> results;  // keyed by range.begin
-  OrderedStealingFor(
-      num_threads, n, kMinProbeChunkRows,
-      [&](IndexRange range) {
-        Buffer buffer;
-        shard(range, buffer);
-        std::lock_guard<std::mutex> lock(mu);
-        results.emplace(range.begin, std::move(buffer));
-      },
-      [&](IndexRange range) {
-        Buffer buffer;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          const auto it = results.find(range.begin);
-          buffer = std::move(it->second);
-          results.erase(it);  // range consumed; free the buffer eagerly
-        }
-        merge(buffer);
-      });
-}
+// One pass-2 constraint. Its probe rows are variable 0's rows (a binary
+// constraint's probe side, a k-ary constraint's outermost variable); they
+// occupy [offset, end()) of the probe-row space that concatenates every
+// plan in constraint order. A binary plan's partner index (blocking keys,
+// order ranks, buckets) is built by BuildIndex and dropped by Release once
+// every probe row is merged.
+struct ProbePlan {
+  size_t dci = 0;
+  DcEval eval;
+  const Database::RelationBlock* r0 = nullptr;
+  const Database::RelationBlock* r1 = nullptr;  // binary only
+  size_t offset = 0;
+  BlockingKeys keys;
+  std::optional<OrderRanks> ranks;
+  std::unordered_map<uint64_t, OrderIndex> buckets;
+  // Symmetric-pair dedup: FD-style bodies match both orders of a pair,
+  // and the per-constraint dedup keeps the (F, sigma) minimal-violation
+  // count honest.
+  std::unordered_set<uint64_t> seen_pairs;
+  // `probes` counts candidates reaching the merge, `fires` subsets
+  // admitted; k-ary candidates count when merged (pre-minimality),
+  // matching the incremental index's accounting.
+  uint64_t probes = 0;
+  uint64_t fires = 0;
 
-// One shard of the binary-constraint probe phase: probes rows
-// [range.begin, range.end) of the variable-0 relation block and feeds
-// every surviving candidate pair — body verified, self-inconsistent facts
-// and reflexive matches filtered — to `emit(a, b)` (a < b or a == b
-// cross-relation) in the sequential path's discovery order (probe row
-// ascending, bucket row order within). A self-inconsistent probe fact is
-// skipped outright. Each other probe row looks up its blocking bucket (a
-// keyless constraint has one bucket holding every partner row) and visits,
-// ascending, the partners its order keys admit or, with no order key, the
-// partners of another `!=` class — at a cost proportional to those
-// partners, not to the bucket (see OrderIndex) — and every partner when
-// the constraint has neither. `emit` returning
-// false stops the shard; worker shards never stop (they buffer into
-// chunk-private vectors, and deduplication — global-order-dependent — is
-// applied by the ordered merge, making results bit-identical for any
-// thread count), while the sequential fast path merges inline and keeps
-// the first-witness early exit Satisfies relies on. Reads shared state
-// (blocks, eval plan, ranks, buckets) strictly read-only.
-struct ProbeShardInput {
-  const DcEval* eval;
-  const Database::RelationBlock* r0;
-  const Database::RelationBlock* r1;
-  const BlockingKeys* keys;
-  const OrderRanks* ranks;
-  const std::unordered_map<uint64_t, OrderIndex>* buckets;
-  const std::unordered_set<FactId>* self_inconsistent;
+  bool kary() const { return eval.dc().num_vars() >= 3; }
+  size_t num_rows() const { return r0->num_rows(); }
+  size_t end() const { return offset + num_rows(); }
 };
 
-template <typename Emit>
-void ProbeShard(const ProbeShardInput& in, IndexRange range, Emit&& emit) {
-  const DenialConstraint& dc = in.eval->dc();
+// Builds a binary plan's partner index. The var-1 side is hashed into
+// buckets by blocking key (a keyless constraint hashes every row alike,
+// into one bucket), rows appended in ascending j; then each bucket builds
+// its order index. Bucket keys are FNV mixes of interned class ids and the
+// probe verifies membership with id compares, so no Value is hashed. In a
+// self-join on one key, a one-row bucket pairs its row only with itself,
+// so it is never built: its row waits in `lone` until a second one joins.
+void BuildIndex(ProbePlan& plan, const ValuePool& pool) {
+  if (plan.kary()) return;
+  const DenialConstraint& dc = plan.eval.dc();
+  plan.keys = ExtractBlockingKeys(dc);
+  plan.ranks.emplace(dc, pool, *plan.r0, *plan.r1);
+  plan.buckets.reserve(plan.keys.empty() ? 1 : plan.r1->num_rows());
+  const bool self_join =
+      plan.r0 == plan.r1 && plan.keys.var0 == plan.keys.var1;
+  std::unordered_map<uint64_t, uint32_t> lone;
+  for (uint32_t j = 0; j < plan.r1->num_rows(); ++j) {
+    const uint64_t key = HashKeyClasses(RowRef{plan.r1, j}, plan.keys.var1);
+    auto it = plan.buckets.find(key);
+    if (it == plan.buckets.end() && self_join) {
+      const auto [first, fresh] = lone.emplace(key, j);
+      if (fresh) continue;
+      it = plan.buckets.try_emplace(key).first;
+      it->second.rows().push_back(first->second);
+      lone.erase(first);
+    } else if (it == plan.buckets.end()) {
+      it = plan.buckets.try_emplace(key).first;
+    }
+    it->second.rows().push_back(j);
+  }
+  plan.buckets.rehash(0);  // give back the slots reserved for a bucket a row
+  for (auto& [key, bucket] : plan.buckets) bucket.Build(*plan.ranks);
+}
+
+// Frees everything of a fully merged plan but its counters.
+void Release(ProbePlan& plan) {
+  std::unordered_map<uint64_t, OrderIndex>().swap(plan.buckets);
+  std::unordered_set<uint64_t>().swap(plan.seen_pairs);
+  plan.ranks.reset();
+}
+
+// Probes rows [range.begin, range.end) of a plan's probe block in row
+// order, reading the blocks, the plan and the self-inconsistent set only.
+// K-ary: the kernel's enumeration with the outermost variable over the
+// range feeds candidate supports to `on_support`. Binary: surviving pairs
+// (body verified, self-inconsistent facts and reflexive matches filtered)
+// go to `on_pair(a, b)` (a < b, or a == b cross-relation) in discovery
+// order: probe row ascending, bucket row order within. Each probe row
+// looks up its blocking bucket and visits, ascending, the partners its
+// order keys admit or, with no order key, the partners of another `!=`
+// class, at a cost proportional to those partners rather than the bucket
+// (see OrderIndex); every partner when the constraint has neither.
+// `on_pair` returning false stops the probe.
+template <typename OnPair, typename OnSupport>
+void ProbeRows(const ProbePlan& plan, const Database& db,
+               const std::unordered_set<FactId>& self_inconsistent,
+               IndexRange range, OnPair&& on_pair, OnSupport&& on_support) {
+  if (plan.kary()) {
+    EnumerateKAry(plan.eval, db, range, on_support);
+    return;
+  }
+  const DenialConstraint& dc = plan.eval.dc();
   const bool same_relation = dc.var_relation(0) == dc.var_relation(1);
   std::vector<uint32_t> scratch;
   for (uint32_t i = static_cast<uint32_t>(range.begin);
        i < static_cast<uint32_t>(range.end); ++i) {
-    const RowRef probe{in.r0, i};
-    const auto it = in.buckets->find(HashKeyClasses(probe, in.keys->var0));
-    if (it == in.buckets->end()) continue;
-    const FactId a = in.r0->row_ids[i];
-    if (in.self_inconsistent->count(a) > 0) continue;
+    const RowRef probe{plan.r0, i};
+    const auto it = plan.buckets.find(HashKeyClasses(probe, plan.keys.var0));
+    if (it == plan.buckets.end()) continue;
+    const FactId a = plan.r0->row_ids[i];
+    if (self_inconsistent.count(a) > 0) continue;
     const bool go_on = it->second.ForEachPartner(
-        *in.ranks, i, scratch, [&](uint32_t j) {
+        *plan.ranks, i, scratch, [&](uint32_t j) {
           // i indexes r0 (variable t), j indexes r1 (variable t').
-          const RowRef partner{in.r1, j};
-          if (!KeyClassesEqual(probe, in.keys->var0, partner,
-                               in.keys->var1)) {
+          const RowRef partner{plan.r1, j};
+          if (!KeyClassesEqual(probe, plan.keys.var0, partner,
+                               plan.keys.var1)) {
             return true;  // hash collision
           }
-          const FactId b = in.r1->row_ids[j];
+          const FactId b = plan.r1->row_ids[j];
           if (a == b && same_relation) return true;
-          if (in.self_inconsistent->count(b) > 0) return true;
+          if (self_inconsistent.count(b) > 0) return true;
           const RowRef assignment[2] = {probe, partner};
-          if (!in.eval->BodyHolds(assignment)) return true;
-          return emit(std::min(a, b), std::max(a, b));
+          if (!plan.eval.BodyHolds(assignment)) return true;
+          return on_pair(std::min(a, b), std::max(a, b));
         });
     if (!go_on) return;
   }
 }
+
+// What one stolen probe range found for one plan, in discovery order.
+struct PlanCandidates {
+  std::vector<std::pair<FactId, FactId>> pairs;  // binary
+  std::vector<std::vector<FactId>> supports;     // k-ary
+};
 
 }  // namespace
 
@@ -174,51 +201,57 @@ ViolationSet ViolationDetector::Detect(const Database& db,
   state.first_witness_only = first_witness_only;
 
   const ValuePool& pool = db.pool();
-  size_t num_threads = options_.num_threads == 0
-                           ? ThreadPool::HardwareThreads()
-                           : options_.num_threads;
-  // Satisfies runs sequentially: worker shards never stop mid-chunk, so a
-  // threaded probe would compute and buffer every in-flight chunk before
-  // the merge sees the first witness.
-  if (first_witness_only) num_threads = 1;
+  // Satisfies runs sequentially (see pass 2).
+  const size_t num_threads = first_witness_only ? 1
+                             : options_.num_threads == 0
+                                 ? ThreadPool::HardwareThreads()
+                                 : options_.num_threads;
+
+  // Detection makes three fan-outs, however many constraints Sigma holds:
+  // the pass-1 scan (one task per single-relation constraint), the index
+  // build (one task per pass-2 constraint) and one probe over the
+  // concatenated probe rows of every pass-2 constraint (at one thread,
+  // pass 2 walks the constraints in turn instead). Each task writes only
+  // state its range owns, and every decision that depends on global order
+  // (set inserts, pair dedup, admission, counters) runs in the ordered
+  // consume, so results are bit-identical for every thread count.
 
   // Pass 1: self-inconsistent facts. These are the singleton minimal
-  // subsets, and they disqualify any larger subset containing them. The
-  // scan over each constraint's relation block is sharded by row range;
-  // chunk-private hit buffers merge (set inserts, order-insensitive), so
-  // the set content is the same for every thread count.
+  // subsets, and they disqualify any larger subset containing them. Each
+  // single-relation constraint scans its block into a private hit buffer;
+  // the buffers merge by set insert, so the set is order-insensitive.
+  std::vector<const DenialConstraint*> scans;
   for (const DenialConstraint& dc : constraints_) {
-    if (dc.TriviallyNotUnary()) continue;
-    const RelationId rel0 = dc.var_relation(0);
-    bool single_relation = true;
-    for (const RelationId r : dc.var_relations()) {
-      if (r != rel0) single_relation = false;
+    const std::vector<RelationId>& rels = dc.var_relations();
+    if (!dc.TriviallyNotUnary() &&
+        std::all_of(rels.begin(), rels.end(),
+                    [&](RelationId r) { return r == rels[0]; })) {
+      scans.push_back(&dc);
     }
-    if (!single_relation) continue;
-    const DcEval eval(dc, pool);
-    const Database::RelationBlock& block = db.relation_block(rel0);
-    auto scan_rows = [&](IndexRange range, std::vector<FactId>& hits) {
-      std::vector<RowRef> assignment;
-      for (uint32_t i = static_cast<uint32_t>(range.begin);
-           i < static_cast<uint32_t>(range.end); ++i) {
-        assignment.assign(dc.num_vars(), RowRef{&block, i});
-        if (eval.BodyHolds(assignment.data())) {
-          hits.push_back(block.row_ids[i]);
-        }
-      }
-    };
-    auto merge_hits = [&](std::vector<FactId>& hits) {
-      state.self_inconsistent.insert(hits.begin(), hits.end());
-    };
-    if (num_threads <= 1 || block.num_rows() < 2 * kMinProbeChunkRows) {
-      std::vector<FactId> hits;
-      scan_rows(IndexRange{0, block.num_rows()}, hits);
-      merge_hits(hits);
-      continue;
-    }
-    ParallelPhase<std::vector<FactId>>(num_threads, block.num_rows(),
-                                       scan_rows, merge_hits);
   }
+  std::vector<std::vector<FactId>> hits(scans.size());
+  OrderedStealingFor(
+      num_threads, scans.size(), 1,
+      [&](IndexRange range) {
+        for (size_t s = range.begin; s < range.end; ++s) {
+          const DenialConstraint& dc = *scans[s];
+          const DcEval eval(dc, pool);
+          const Database::RelationBlock& block =
+              db.relation_block(dc.var_relation(0));
+          std::vector<RowRef> assignment;
+          for (uint32_t i = 0; i < block.num_rows(); ++i) {
+            assignment.assign(dc.num_vars(), RowRef{&block, i});
+            if (eval.BodyHolds(assignment.data())) {
+              hits[s].push_back(block.row_ids[i]);
+            }
+          }
+        }
+      },
+      [&](IndexRange range) {
+        for (size_t s = range.begin; s < range.end; ++s) {
+          state.self_inconsistent.insert(hits[s].begin(), hits[s].end());
+        }
+      });
   // Singleton subsets are emitted in id order so the result layout is a
   // pure function of (Sigma, D) — the anchor of the parallel-parity
   // guarantee below.
@@ -230,159 +263,124 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     if (state.stop) return std::move(state.result);
   }
 
-  // Pass 2: constraints in ascending index order. A binary constraint
-  // blocks on its cross-variable equality key (a keyless one is a single
-  // bucket), and each probe row visits only the bucket partners that its
-  // leading cross-variable order predicates admit or, without one, that
-  // its first cross-variable `!=` admits (all of them when it has
-  // neither); k-ary constraints go through the kernel's sharded
-  // enumeration.
-
-  std::vector<std::vector<FactId>> kary_candidates;
-  // Probes one pass-2 constraint. `probes` counts candidates reaching the
-  // merge point, `fires` subsets admitted into the result; k-ary candidates
-  // count when merged (pre-minimality), matching the incremental index's
-  // accounting.
-  auto probe_constraint = [&](const DenialConstraint& dc, uint64_t& probes,
-                              uint64_t& fires) {
-    const DcEval eval(dc, pool);
-    if (dc.num_vars() >= 3) {
-      // The enumeration is sharded over outermost-variable row ranges;
-      // inner variables stay exhaustive, so concatenating shard outputs in
-      // ascending chunk order reproduces the sequential discovery order.
-      const Database::RelationBlock& outer =
-          db.relation_block(dc.var_relation(0));
-      auto merge_support = [&](std::vector<FactId> support) {
-        ++probes;
-        ++fires;
-        kary_candidates.push_back(std::move(support));
-      };
-      if (num_threads <= 1 || outer.num_rows() < 2 * kMinProbeChunkRows) {
-        EnumerateKAry(eval, db, IndexRange{0, outer.num_rows()},
-                      merge_support);
-        return;
-      }
-      ParallelPhase<std::vector<std::vector<FactId>>>(
-          num_threads, outer.num_rows(),
-          [&](IndexRange range, std::vector<std::vector<FactId>>& found) {
-            EnumerateKAry(eval, db, range, [&](std::vector<FactId> support) {
-              found.push_back(std::move(support));
-            });
-          },
-          [&](std::vector<std::vector<FactId>>& found) {
-            for (auto& support : found) merge_support(std::move(support));
-          });
-      return;
-    }
-    const Database::RelationBlock& r0 = db.relation_block(dc.var_relation(0));
-    const Database::RelationBlock& r1 = db.relation_block(dc.var_relation(1));
-
-    const BlockingKeys keys = ExtractBlockingKeys(dc);
-    const OrderRanks ranks(dc, pool, r0, r1);
-
-    // Hash var-1 side, probe with var-0 side; a keyless constraint hashes
-    // every row alike, into one bucket. Bucket keys are FNV mixes of
-    // interned class ids; bucket membership is verified with id compares,
-    // so the whole probe path is free of Value hashing. The build is
-    // sharded by j range into chunk-private maps; merging them in
-    // canonical ascending chunk order concatenates each bucket's row lists
-    // with ascending j — exactly the sequential build's bucket layout.
-    // (Which bucket a key lands in is key-determined, so per-chunk map
-    // iteration order is irrelevant.) Each bucket then builds its order
-    // index over its rows.
-    using BucketMap = std::unordered_map<uint64_t, OrderIndex>;
-    BucketMap buckets;
-    auto build_rows = [&](IndexRange range, BucketMap& map) {
-      for (uint32_t j = static_cast<uint32_t>(range.begin);
-           j < static_cast<uint32_t>(range.end); ++j) {
-        map[HashKeyClasses(RowRef{&r1, j}, keys.var1)].rows().push_back(j);
-      }
-    };
-    buckets.reserve(r1.num_rows());
-    if (num_threads <= 1 || r1.num_rows() < 2 * kMinProbeChunkRows) {
-      build_rows(IndexRange{0, r1.num_rows()}, buckets);
-    } else {
-      ParallelPhase<BucketMap>(
-          num_threads, r1.num_rows(),
-          [&](IndexRange range, BucketMap& map) {
-            map.reserve(range.size());
-            build_rows(range, map);
-          },
-          [&](BucketMap& map) {
-            for (auto& [key, bucket] : map) {
-              auto& dst = buckets[key].rows();
-              if (dst.empty()) {
-                dst = std::move(bucket.rows());
-              } else {
-                dst.insert(dst.end(), bucket.rows().begin(),
-                           bucket.rows().end());
-              }
-            }
-          });
-    }
-    for (auto& [key, bucket] : buckets) bucket.Build(ranks);
-
-    ProbeShardInput shard_input;
-    shard_input.eval = &eval;
-    shard_input.r0 = &r0;
-    shard_input.r1 = &r1;
-    shard_input.keys = &keys;
-    shard_input.ranks = &ranks;
-    shard_input.buckets = &buckets;
-    shard_input.self_inconsistent = &state.self_inconsistent;
-
-    // Symmetric-pair dedup (FD-style bodies match both orders of a pair;
-    // the per-constraint dedup keeps the (F, sigma) minimal-violation
-    // count honest) depends on global candidate order, so it only ever
-    // advances on this thread, in canonical discovery order.
-    std::unordered_set<uint64_t> seen_pairs;
-    auto merge_candidate = [&](FactId a, FactId b) {
-      ++probes;
-      const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-      if (!seen_pairs.insert(key).second) return;
-      ++fires;
-      state.Admit({a, b});
-    };
-
-    if (num_threads <= 1) {
-      // Sequential fast path: candidates merge inline, pair by pair, so
-      // Satisfies exits at the first witness with no buffering.
-      ProbeShard(shard_input, IndexRange{0, r0.num_rows()},
-                 [&](FactId a, FactId b) {
-                   merge_candidate(a, b);
-                   return !state.stop;
-                 });
-      return;
-    }
-
-    // Parallel path: the probe phase is sharded by probe-row range.
-    // Stealing workers fill range-private candidate buffers; the ordered
-    // merge below consumes them on this thread in ascending index order.
-    // Concatenating ranges in order reproduces the sequential discovery
-    // order exactly, so the resulting ViolationSet is bit-identical for
-    // every thread count.
-    ParallelPhase<std::vector<std::pair<FactId, FactId>>>(
-        num_threads, r0.num_rows(),
-        [&](IndexRange range, std::vector<std::pair<FactId, FactId>>& found) {
-          ProbeShard(shard_input, range, [&](FactId a, FactId b) {
-            found.emplace_back(a, b);
-            return true;
-          });
-        },
-        [&](const std::vector<std::pair<FactId, FactId>>& found) {
-          for (const auto& [a, b] : found) merge_candidate(a, b);
-        });
-  };
+  // Pass 2: the binary and k-ary constraints, in ascending index order.
+  std::vector<ProbePlan> plans;
+  size_t probe_rows = 0;
   for (size_t dci = 0; dci < constraints_.size(); ++dci) {
-    if (state.stop) break;
     const DenialConstraint& dc = constraints_[dci];
     if (dc.num_vars() == 1) continue;  // covered by pass 1
-    uint64_t probes = 0;
-    uint64_t fires = 0;
-    probe_constraint(dc, probes, fires);
+    ProbePlan& plan = plans.emplace_back();
+    plan.dci = dci;
+    plan.eval = DcEval(dc, pool);
+    plan.r0 = &db.relation_block(dc.var_relation(0));
+    if (!plan.kary()) plan.r1 = &db.relation_block(dc.var_relation(1));
+    plan.offset = probe_rows;
+    probe_rows += plan.num_rows();
+  }
+
+  std::vector<std::vector<FactId>> kary_candidates;
+  auto merge_pair = [&](ProbePlan& plan, FactId a, FactId b) {
+    ++plan.probes;
+    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
+    if (!plan.seen_pairs.insert(key).second) return;
+    ++plan.fires;
+    state.Admit({a, b});
+  };
+  auto merge_support = [&](ProbePlan& plan, std::vector<FactId> support) {
+    ++plan.probes;
+    ++plan.fires;
+    kary_candidates.push_back(std::move(support));
+  };
+
+  if (num_threads == 1) {
+    // Sequentially, the plans go one at a time through the same build and
+    // probe, merging pair by pair: no candidate is buffered, one index is
+    // alive at a time, and Satisfies stops at the first witness without
+    // building the index of any later constraint.
+    for (ProbePlan& plan : plans) {
+      BuildIndex(plan, pool);
+      ProbeRows(
+          plan, db, state.self_inconsistent, IndexRange{0, plan.num_rows()},
+          [&](FactId a, FactId b) {
+            merge_pair(plan, a, b);
+            return !state.stop;
+          },
+          [&](std::vector<FactId> support) {
+            merge_support(plan, std::move(support));
+          });
+      Release(plan);
+      if (state.stop) break;
+    }
+  } else {
+    OrderedStealingFor(
+        num_threads, plans.size(), 1,
+        [&](IndexRange range) {
+          for (size_t p = range.begin; p < range.end; ++p) {
+            BuildIndex(plans[p], pool);
+          }
+        },
+        [](IndexRange) {});
+
+    // One probe over the concatenated probe rows: a stolen range may span
+    // several plans, and maps onto each one's local row sub-range. The
+    // range-private candidate buffers are consumed in ascending range
+    // order, which is constraint order, then row order: the sequential
+    // discovery order. A plan is released as soon as the consume cursor
+    // passes its last probe row; no later range reads it.
+    std::mutex mu;
+    std::map<size_t, std::vector<PlanCandidates>> found;  // by range.begin
+    size_t released = 0;
+    OrderedStealingFor(
+        num_threads, probe_rows, kMinProbeChunkRows,
+        [&](IndexRange range) {
+          std::vector<PlanCandidates> out(plans.size());
+          for (size_t p = 0; p < plans.size(); ++p) {
+            const ProbePlan& plan = plans[p];
+            if (plan.end() <= range.begin) continue;
+            if (plan.offset >= range.end) break;
+            const IndexRange local{
+                std::max(range.begin, plan.offset) - plan.offset,
+                std::min(range.end, plan.end()) - plan.offset};
+            PlanCandidates& mine = out[p];
+            ProbeRows(
+                plan, db, state.self_inconsistent, local,
+                [&](FactId a, FactId b) {
+                  mine.pairs.emplace_back(a, b);
+                  return true;
+                },
+                [&](std::vector<FactId> support) {
+                  mine.supports.push_back(std::move(support));
+                });
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          found.emplace(range.begin, std::move(out));
+        },
+        [&](IndexRange range) {
+          std::vector<PlanCandidates> in;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            const auto it = found.find(range.begin);
+            in = std::move(it->second);
+            found.erase(it);
+          }
+          for (size_t p = 0; p < in.size(); ++p) {
+            for (const auto& [a, b] : in[p].pairs) merge_pair(plans[p], a, b);
+            for (auto& support : in[p].supports) {
+              merge_support(plans[p], std::move(support));
+            }
+          }
+          while (released < plans.size() &&
+                 plans[released].end() <= range.end) {
+            Release(plans[released++]);
+          }
+        });
+  }
+  {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_[dci].num_probes += probes;
-    stats_[dci].num_fires += fires;
+    for (const ProbePlan& plan : plans) {
+      stats_[plan.dci].num_probes += plan.probes;
+      stats_[plan.dci].num_fires += plan.fires;
+    }
   }
 
   // Pass 3: minimality filter for k-ary candidate supports. A candidate

@@ -15,16 +15,15 @@ namespace dbim {
 /// Knobs for violation detection. Detection always runs to completion:
 /// every measure is a function of the whole of MI_Sigma(D).
 struct DetectorOptions {
-  /// Worker threads for every enumeration phase of detection: the pass-1
-  /// self-inconsistency scan, the blocking bucket build, the
-  /// binary-constraint probe (one order-index query per probe row, sharded
-  /// over probe rows), and the k-ary enumeration (sharded over
-  /// outermost-variable rows).
-  /// 1 = fully sequential on the calling thread (no pool involvement);
+  /// Worker threads for detection, which makes three fan-outs whatever
+  /// the number of constraints: the pass-1 self-inconsistency scan (one
+  /// task per single-relation constraint), the index build (one task per
+  /// binary constraint) and one probe over the concatenated probe rows of
+  /// every binary and k-ary constraint, split into work-stealing ranges.
+  /// 1 = sequential on the calling thread, one constraint at a time;
   /// 0 = one per hardware thread. Results are bit-identical for every
-  /// value: shards write into per-shard buffers that are merged — dedup
-  /// and bucket j-order included — in the sequential path's canonical
-  /// order.
+  /// value: tasks write range-private buffers, merged (dedup included) in
+  /// the sequential order.
   size_t num_threads = 1;
 };
 
@@ -55,8 +54,8 @@ class ViolationDetector {
   /// All minimal inconsistent subsets of `db`.
   ViolationSet FindViolations(const Database& db) const;
 
-  /// Whether `db` satisfies every constraint. Runs sequentially and stops
-  /// at the first witness.
+  /// Whether `db` satisfies every constraint. Runs sequentially, one
+  /// constraint at a time, and stops at the first witness.
   bool Satisfies(const Database& db) const;
 
   /// Cumulative counters for constraint `c` across every detection this
@@ -65,7 +64,8 @@ class ViolationDetector {
 
  private:
   /// Shared detection pipeline. `first_witness_only` is Satisfies' early
-  /// exit: it forces the sequential path and stops at the first subset.
+  /// exit: it walks the constraints one at a time and stops at the first
+  /// subset.
   ViolationSet Detect(const Database& db, bool first_witness_only) const;
 
   std::shared_ptr<const Schema> schema_;

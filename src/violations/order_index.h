@@ -101,7 +101,7 @@ class OrderRanks {
 /// whenever one exists), so the walk is at most twice the partners it
 /// yields. Either way a probe row costs O(its partners), not O(bucket).
 ///
-/// Read-only after Build(), so probe shards share it freely.
+/// Read-only after Build(), so concurrent probe ranges share it freely.
 class OrderIndex {
  public:
   /// The partner rows, ascending. Append-only before Build().

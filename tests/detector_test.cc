@@ -86,6 +86,36 @@ TEST(Detector, SatisfiesProbesLessThanFindViolations) {
   EXPECT_LT(satisfies_probes, find_probes);
 }
 
+// Satisfies walks the constraints one at a time and stops at the first
+// witness, however many threads the detector is configured for: on an
+// instance that violates every constraint, the witness comes from
+// constraint 0, and no later binary constraint merges a single candidate
+// (each one's probes stay 0, although a full detection then finds
+// candidates for every one of them).
+TEST(Detector, SatisfiesStopsAcrossConstraints) {
+  const auto schema = testing::MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t'.A & t.C > t'.C)"));
+  Database db(schema);
+  db.Insert(Fact(0, {Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{5})}));
+  db.Insert(Fact(0, {Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{4})}));
+  db.Insert(Fact(0, {Value(int64_t{2}), Value(int64_t{1}), Value(int64_t{3})}));
+  DetectorOptions options;
+  options.num_threads = 2;
+  const ViolationDetector detector(schema, dcs, options);
+  ASSERT_FALSE(detector.Satisfies(db));
+  EXPECT_GT(detector.constraint_stats(0).num_probes, 0u);
+  for (size_t c = 1; c < dcs.size(); ++c) {
+    EXPECT_EQ(detector.constraint_stats(c).num_probes, 0u) << c;
+  }
+  detector.FindViolations(db);
+  for (size_t c = 1; c < dcs.size(); ++c) {
+    EXPECT_GT(detector.constraint_stats(c).num_probes, 0u) << c;
+  }
+}
+
 TEST(Detector, RunningExampleMatchesOracle) {
   const auto example = MakeRunningExample();
   // Sigma's FDs scan their blocking buckets pairwise; the added DC has no

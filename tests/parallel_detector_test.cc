@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,14 +48,17 @@ void ExpectIdentical(const ViolationSet& expected, const ViolationSet& actual,
 // the reference for further assertions.
 ViolationSet CheckParity(std::shared_ptr<const Schema> schema,
                          const std::vector<DenialConstraint>& dcs,
-                         const Database& db, const std::string& where) {
+                         const Database& db, const std::string& where,
+                         const std::vector<size_t>& thread_counts = {
+                             std::begin(kThreadCounts),
+                             std::end(kThreadCounts)}) {
   const ViolationDetector reference(schema, dcs);
   ViolationSet expected = reference.FindViolations(db);
   std::vector<DetectorConstraintStats> expected_stats;
   for (size_t c = 0; c < dcs.size(); ++c) {
     expected_stats.push_back(reference.constraint_stats(c));
   }
-  for (const size_t threads : kThreadCounts) {
+  for (const size_t threads : thread_counts) {
     DetectorOptions options;
     options.num_threads = threads;
     const ViolationDetector detector(schema, dcs, options);
@@ -119,9 +123,9 @@ TEST(ParallelParity, RandomizedFdSweep) {
 // on tie-heavy mixed-kind data, then random `!=` DCs (1-2 cross `!=`,
 // keyed and keyless, sometimes beside one cross order predicate) on
 // columns of every class shape the `!=` split distinguishes — all large
-// enough to shard the probe and the bucket build: every thread count
-// reproduces the sequential result and counters in order, the result is
-// the oracle's, and Satisfies agrees with it.
+// enough to shard the probe: every thread count reproduces the sequential
+// result and counters in order, the result is the oracle's, and Satisfies
+// agrees with it.
 TEST(ParallelParity, OrderDcFuzz) {
   const auto schema = testing::MakeRsSchema();
   Rng rng(77);
@@ -242,11 +246,11 @@ TEST(ParallelParity, EvaluateOneBatchReports) {
   }
 }
 
-// Large enough that every sharded phase actually chunks (>= 2 chunks of
-// >= 64 rows): the pass-1 scan, the blocking bucket build, and the probe
-// all run their parallel paths and must still merge to the sequential
-// result, including the bucket j-order the probe's discovery order
-// depends on.
+// Large enough that each constraint's probe rows split into several
+// stolen ranges (>= 2 ranges of >= 64 rows): the pass-1 scan, the
+// per-constraint index build and the probe run in parallel and must still
+// merge to the sequential result, including the bucket j-order the
+// probe's discovery order depends on.
 TEST(ParallelParity, ShardedBucketBuildAndPassOne) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
@@ -269,6 +273,45 @@ TEST(ParallelParity, ShardedBucketBuildAndPassOne) {
         ExpectMatchesOracle(*sigma, db, expected);
       }
     }
+  }
+}
+
+// The probe runs over the concatenated probe rows of every binary and
+// k-ary constraint. Here every relation holds fewer rows than the 64-row
+// probe grain, so one stolen range covers several constraints of mixed
+// shapes: unary DCs on both relations (self-inconsistent facts), FDs on
+// both, a keyless order DC, a keyed cross-relation order DC and a 3-ary
+// DC. Each range must still map onto the right per-constraint rows, and
+// the merge must reproduce the sequential subsets, their order, the
+// rederivations, the counters and Satisfies at every thread count.
+TEST(ParallelParity, StolenRangesSpanConstraints) {
+  const auto schema = testing::MakeRsSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B & t.B < t.C)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.C < t'.C & t.D > t'.D)"));
+  std::vector<Predicate> cross;
+  cross.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+  cross.emplace_back(Operand{0, 1}, CompareOp::kLt, Operand{1, 2});
+  dcs.emplace_back(std::vector<RelationId>{0, 1}, std::move(cross));
+  dcs.push_back(*ParseDc(*schema, 1, "!(t.C > t.D)"));
+  dcs.push_back(*ParseDc(*schema, 1, "!(t.B = t'.B & t.C != t'.C)"));
+  std::vector<Predicate> chain;
+  chain.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+  chain.emplace_back(Operand{1, 1}, CompareOp::kEq, Operand{2, 1});
+  chain.emplace_back(Operand{0, 3}, CompareOp::kNe, Operand{2, 3});
+  dcs.emplace_back(std::vector<RelationId>(3, 0), std::move(chain));
+  for (const uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
+    const Database db = testing::MakeMixedDatabase(schema, 40, 4, seed);
+    const std::string where = "spanning seed=" + std::to_string(seed);
+    const ViolationSet expected =
+        CheckParity(schema, dcs, db, where, {1, 2, 3, 8});
+    EXPECT_FALSE(expected.SelfInconsistentFacts().empty()) << where;
+    EXPECT_GT(expected.num_minimal_subsets(),
+              expected.SelfInconsistentFacts().size())
+        << where;
+    SCOPED_TRACE(where);
+    ExpectMatchesOracle(dcs, db, expected);
   }
 }
 
@@ -339,11 +382,11 @@ TEST(ParallelParity, ShardedCrossRelationProbe) {
       5u * 1499u - 30u);
 }
 
-// Pass-1 scan sharding on a scan that finds nothing: a unary constraint
-// whose body never holds keeps the scan busy over 1500 rows (FDs are
+// A pass-1 scan that finds nothing: a unary constraint whose body never
+// holds keeps its scan task busy over 1500 rows (FDs are
 // TriviallyNotUnary and skipped) without yielding a single self-
-// inconsistent fact; the sharded scan and the pair phase after it must
-// still match the sequential result for every thread count.
+// inconsistent fact; the scan and the sharded probe after it must still
+// match the sequential result for every thread count.
 TEST(ParallelParity, ShardedBarrenPassOneScan) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
@@ -529,8 +572,7 @@ TEST(OrderedStealingForTest, SkewedCostComputesEachIndexOnce) {
 // skewed k-ary outer loop — the workloads that serialized the old static
 // chunking — must stay bit-identical across thread counts.
 
-// 60% of rows share one blocking key, so one bucket dominates both the
-// bucket build and the probe phase.
+// 60% of rows share one blocking key, so one bucket dominates the probe.
 TEST(ParallelParity, GiantHotBlockingBucket) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
