@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "violations/detector.h"
+#include "violations/eval_kernel.h"
 
 namespace dbim {
 
@@ -117,17 +118,21 @@ void SimulatedHoloClean::CleanUnary(Database& db, const DenialConstraint& dc,
   const RelationId rel = dc.var_relation(0);
   for (const FactId id : db.ids()) {
     if (db.Locate(id).relation != rel) continue;
-    const Fact f = db.fact(id);
-    if (!dc.MakesSelfInconsistent(f)) continue;
+    // Compiled at check time: an earlier fix may have interned a value
+    // that gives a constant predicate its class.
+    if (!MakesSelfInconsistentInterned(DcEval(dc, db.pool()), db, id)) {
+      continue;
+    }
     if (!rng.Bernoulli(options_.cell_accuracy)) continue;
     // Break the first predicate of the (fully satisfied) body: rewrite its
     // left attribute so the negated comparison holds against the right side
     // (a constant or another attribute of the same fact).
     const Predicate& p = dc.predicates()[rng.UniformIndex(
         dc.predicates().size())];
-    const Value target = p.rhs_is_constant()
-                             ? p.rhs_constant()
-                             : f.value(p.rhs_operand().attr);
+    const Value target =
+        p.rhs_is_constant()
+            ? p.rhs_constant()
+            : db.pool().value(db.value_id(id, p.rhs_operand().attr));
     const CompareOp want = NegateOp(p.op());
     std::vector<Value> candidates = db.ActiveDomain(rel, p.lhs().attr);
     candidates.push_back(target);  // equality/bounds often fixable in place
@@ -152,10 +157,18 @@ void SimulatedHoloClean::CleanGeneric(Database& db, const DenialConstraint& dc,
     if (subset.size() != 2) continue;
     if (!rng.Bernoulli(options_.cell_accuracy)) continue;
     if (!db.Contains(subset[0]) || !db.Contains(subset[1])) continue;
-    const Fact f0 = db.fact(subset[0]);
-    const Fact f1 = db.fact(subset[1]);
-    if (!dc.BodyHolds(f0, f1) && !dc.BodyHolds(f1, f0)) continue;
-    const bool order01 = dc.BodyHolds(f0, f1);
+    // Compiled at check time, as in CleanUnary.
+    const DcEval eval(dc, db.pool());
+    auto holds = [&](FactId t0, FactId t1) {
+      if (db.Locate(t0).relation != dc.var_relation(0) ||
+          db.Locate(t1).relation != dc.var_relation(1)) {
+        return false;
+      }
+      const RowRef assignment[2] = {BindFact(db, t0), BindFact(db, t1)};
+      return eval.BodyHolds(assignment);
+    };
+    const bool order01 = holds(subset[0], subset[1]);
+    if (!order01 && !holds(subset[1], subset[0])) continue;
     const FactId first = order01 ? subset[0] : subset[1];
     const FactId second = order01 ? subset[1] : subset[0];
     // Break a random cross predicate by equalizing its two cells (for

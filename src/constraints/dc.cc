@@ -22,45 +22,6 @@ RelationId DenialConstraint::var_relation(uint32_t var) const {
   return var_relations_[var];
 }
 
-bool DenialConstraint::BodyHolds(
-    const std::vector<const Fact*>& assignment) const {
-  DBIM_CHECK(assignment.size() == var_relations_.size());
-  for (const Predicate& p : predicates_) {
-    const Value& lhs = assignment[p.lhs().var]->value(p.lhs().attr);
-    const Value& rhs = p.rhs_is_constant()
-                           ? p.rhs_constant()
-                           : assignment[p.rhs_operand().var]->value(
-                                 p.rhs_operand().attr);
-    if (!EvalCompare(p.op(), lhs, rhs)) return false;
-  }
-  return true;
-}
-
-bool DenialConstraint::BodyHolds(const Fact& t0, const Fact& t1) const {
-  // Allocation-free fast path: this runs once per candidate pair of the
-  // detector's join, i.e. potentially billions of times.
-  DBIM_CHECK(num_vars() == 2);
-  const Fact* assignment[2] = {&t0, &t1};
-  for (const Predicate& p : predicates_) {
-    const Value& lhs = assignment[p.lhs().var]->value(p.lhs().attr);
-    const Value& rhs = p.rhs_is_constant()
-                           ? p.rhs_constant()
-                           : assignment[p.rhs_operand().var]->value(
-                                 p.rhs_operand().attr);
-    if (!EvalCompare(p.op(), lhs, rhs)) return false;
-  }
-  return true;
-}
-
-bool DenialConstraint::MakesSelfInconsistent(const Fact& f) const {
-  std::vector<const Fact*> assignment(num_vars(), &f);
-  if (f.relation() != var_relations_[0]) return false;
-  for (const RelationId r : var_relations_) {
-    if (r != f.relation()) return false;
-  }
-  return BodyHolds(assignment);
-}
-
 bool DenialConstraint::TriviallyNotUnary() const {
   for (const Predicate& p : predicates_) {
     if (!p.IsCrossVariable()) continue;
@@ -74,14 +35,6 @@ bool DenialConstraint::TriviallyNotUnary() const {
     }
   }
   return false;
-}
-
-bool DenialConstraint::IsEqualityOnly() const {
-  if (num_vars() != 2) return false;
-  for (const Predicate& p : predicates_) {
-    if (p.IsCrossVariable() && p.op() != CompareOp::kEq) return false;
-  }
-  return true;
 }
 
 std::string DenialConstraint::ToString(const Schema& schema) const {

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "constraints/predicate.h"
-#include "relational/database.h"
-#include "relational/fact.h"
 #include "relational/schema.h"
 
 namespace dbim {
@@ -35,28 +33,10 @@ class DenialConstraint {
   }
   const std::vector<Predicate>& predicates() const { return predicates_; }
 
-  /// Evaluates the (conjunctive) body on an assignment of facts to the tuple
-  /// variables; `assignment[i]` instantiates t_i. True means the assignment
-  /// witnesses a violation.
-  bool BodyHolds(const std::vector<const Fact*>& assignment) const;
-
-  /// Convenience for the dominant binary case.
-  bool BodyHolds(const Fact& t0, const Fact& t1) const;
-
-  /// True if the single-variable body holds on `f` (num_vars() == 1), or if
-  /// a k-variable body holds with every variable mapped to `f`. A fact with
-  /// this property is self-inconsistent.
-  bool MakesSelfInconsistent(const Fact& f) const;
-
   /// True if some predicate can only be satisfied with t_i != t_j facts for
   /// syntactic reasons (e.g. contains `t[A] != t'[A]` between the two vars),
   /// meaning the DC can never yield unary violations. Used as a fast path.
   bool TriviallyNotUnary() const;
-
-  /// Whether all cross-variable predicates are equalities and the body has
-  /// exactly two variables — the "FD-style" shape that enables pure hash
-  /// blocking in the detector.
-  bool IsEqualityOnly() const;
 
   /// Renders as `!( P1 & P2 & ... )`.
   std::string ToString(const Schema& schema) const;

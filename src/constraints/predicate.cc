@@ -58,8 +58,6 @@ CompareOp FlipOp(CompareOp op) {
   return op;
 }
 
-bool IsEquality(CompareOp op) { return op == CompareOp::kEq; }
-
 std::string ToString(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:

@@ -22,10 +22,6 @@ CompareOp NegateOp(CompareOp op);
 /// The operator `rho'` with `a rho b  <=>  b rho' a`.
 CompareOp FlipOp(CompareOp op);
 
-/// Whether the operator is an equality-type operator (only `=`), used by the
-/// violation detector to choose hash-blocking keys.
-bool IsEquality(CompareOp op);
-
 std::string ToString(CompareOp op);
 
 /// Parses "=", "!=", "<>", "<", "<=", ">", ">=".

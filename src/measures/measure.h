@@ -86,10 +86,6 @@ class InconsistencyMeasure {
     MeasureContext context(detector, db);
     return Evaluate(context);
   }
-
-  /// Whether the value is exact for hyperedge witnesses (minimal
-  /// inconsistent subsets of size >= 3) or only defined for binary ones.
-  virtual bool SupportsHyperedges() const { return true; }
 };
 
 }  // namespace dbim

@@ -31,10 +31,6 @@ struct RegistryOptions {
   std::vector<std::string> only;
 
   // Builder-style setters, mirroring SessionOptions (each returns *this).
-  RegistryOptions& WithMcDeadline(double seconds) {
-    mc_deadline_seconds = seconds;
-    return *this;
-  }
   RegistryOptions& WithRepairDeadline(double seconds) {
     repair_deadline_seconds = seconds;
     return *this;

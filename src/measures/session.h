@@ -143,10 +143,6 @@ struct SessionOptions {
     parallel_measures = on;
     return *this;
   }
-  SessionOptions& WithBatchThreads(size_t n) {
-    batch_threads = n;
-    return *this;
-  }
   /// Restricts evaluation to one more named measure (appends to
   /// registry.only).
   SessionOptions& WithMeasure(std::string name) {

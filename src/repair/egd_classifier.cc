@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/string_util.h"
 #include "graph/max_flow.h"
+#include "violations/detector.h"
 
 namespace dbim {
 
@@ -254,30 +255,33 @@ double SolveSameRelation(Pattern pattern, int cx, int cy,
 // witness pairs one R1 fact with one R2 fact), so minimum weighted vertex
 // cover is a minimum s-t cut.
 double SolveDifferentRelations(const BinaryAtomEgd& egd, const Database& db) {
-  const DenialConstraint dc = egd.ToDenialConstraint();
   std::vector<FactId> left;
   std::vector<FactId> right;
-  std::vector<Fact> left_facts;
-  std::vector<Fact> right_facts;
+  std::unordered_map<FactId, uint32_t> index_of;  // position in left/right
   for (const FactId id : db.ids()) {
     const RelationId r = db.Locate(id).relation;
     if (r == egd.rel1()) {
+      index_of[id] = static_cast<uint32_t>(left.size());
       left.push_back(id);
-      left_facts.push_back(db.fact(id));
     }
     if (r == egd.rel2()) {
+      index_of[id] = static_cast<uint32_t>(right.size());
       right.push_back(id);
-      right_facts.push_back(db.fact(id));
     }
   }
+  // The two variables range over different relations, so every minimal
+  // subset is one (R1, R2) pair; sorting by (left, right) position gives
+  // MaxFlow the arc order of a left-major nested loop.
+  const ViolationSet violations =
+      ViolationDetector(db.schema_ptr(), {egd.ToDenialConstraint()})
+          .FindViolations(db);
   std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (uint32_t i = 0; i < left.size(); ++i) {
-    for (uint32_t j = 0; j < right.size(); ++j) {
-      if (dc.BodyHolds(left_facts[i], right_facts[j])) {
-        edges.emplace_back(i, j);
-      }
-    }
+  for (const std::vector<FactId>& pair : violations.minimal_subsets()) {
+    const bool first_left = db.Locate(pair[0]).relation == egd.rel1();
+    edges.emplace_back(index_of.at(pair[first_left ? 0 : 1]),
+                       index_of.at(pair[first_left ? 1 : 0]));
   }
+  std::sort(edges.begin(), edges.end());
   if (edges.empty()) return 0.0;
   double inf = 1.0;
   for (const FactId id : db.ids()) inf += db.deletion_cost(id);

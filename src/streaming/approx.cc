@@ -65,23 +65,14 @@ class NeighborhoodProbe {
     for (const DcEval& eval : evals_) {
       const DenialConstraint& dc = eval.dc();
       if (dc.num_vars() != 2) continue;
-      BinaryState state;
-      state.eval = &eval;
-      state.keys = ExtractBlockingKeys(dc);
-      if (!state.keys.empty()) {
-        const Database::RelationBlock& rel0 =
-            db.relation_block(dc.var_relation(0));
-        for (uint32_t row = 0; row < rel0.num_rows(); ++row) {
-          const RowRef r{&rel0, row};
-          state.bucket_var0[HashKeyClasses(r, state.keys.var0)].push_back(
-              rel0.row_ids[row]);
-        }
-        const Database::RelationBlock& rel1 =
-            db.relation_block(dc.var_relation(1));
-        for (uint32_t row = 0; row < rel1.num_rows(); ++row) {
-          const RowRef r{&rel1, row};
-          state.bucket_var1[HashKeyClasses(r, state.keys.var1)].push_back(
-              rel1.row_ids[row]);
+      BlockingKeys keys = ExtractBlockingKeys(dc);
+      BinaryState state{&eval,
+                        {KeyBuckets{dc.var_relation(0), std::move(keys.var0)},
+                         KeyBuckets{dc.var_relation(1), std::move(keys.var1)}}};
+      for (KeyBuckets& side : state.buckets) {
+        const Database::RelationBlock& rel = db.relation_block(side.relation);
+        for (uint32_t row = 0; row < rel.num_rows(); ++row) {
+          side.Add(db.pool(), RowRef{&rel, row});
         }
       }
       binary_.push_back(std::move(state));
@@ -134,12 +125,9 @@ class NeighborhoodProbe {
  private:
   struct BinaryState {
     const DcEval* eval = nullptr;
-    BlockingKeys keys;
-    // Facts of var_relation(0) by var0-key hash, and of var_relation(1) by
-    // var1-key hash; empty when the constraint has no cross-variable
-    // equality (probes then scan the partner relation).
-    std::unordered_map<uint64_t, std::vector<FactId>> bucket_var0;
-    std::unordered_map<uint64_t, std::vector<FactId>> bucket_var1;
+    // Facts of var_relation(v) by their side-v key; a constraint without a
+    // cross-variable equality keeps each relation in one bucket.
+    KeyBuckets buckets[2];
   };
 
   /// Violating partners of f under one binary constraint, both variable
@@ -151,28 +139,16 @@ class NeighborhoodProbe {
     for (uint32_t var = 0; var < 2; ++var) {
       if (dc.var_relation(var) != frel) continue;
       const uint32_t other = 1 - var;
-      auto try_partner = [&](FactId g) {
-        if (g == f) return;
-        const Database::RowLocation gloc = db_.Locate(g);
-        const RowRef gr{&db_.relation_block(gloc.relation), gloc.row};
+      const std::vector<FactId>* bucket = state.buckets[other].Find(
+          state.buckets[var].Hash(db_.pool(), fr));
+      if (bucket == nullptr) continue;
+      for (const FactId g : *bucket) {
+        if (g == f) continue;
         RowRef assignment[2];
         assignment[var] = fr;
-        assignment[other] = gr;
+        assignment[other] = BindFact(db_, g);
         if (state.eval->BodyHolds(assignment)) out->push_back(g);
-      };
-      if (state.keys.empty()) {
-        const Database::RelationBlock& rel =
-            db_.relation_block(dc.var_relation(other));
-        for (uint32_t row = 0; row < rel.num_rows(); ++row) {
-          try_partner(rel.row_ids[row]);
-        }
-        continue;
       }
-      const auto& probe_attrs = var == 0 ? state.keys.var0 : state.keys.var1;
-      const auto& buckets = var == 0 ? state.bucket_var1 : state.bucket_var0;
-      const auto it = buckets.find(HashKeyClasses(fr, probe_attrs));
-      if (it == buckets.end()) continue;
-      for (const FactId g : it->second) try_partner(g);
     }
   }
 

@@ -21,7 +21,7 @@ KAryBlockingIndex::KAryBlockingIndex(const DenialConstraint& dc)
       }
       if (group < 0) {
         group = static_cast<int>(groups_.size());
-        groups_.push_back(Group{rel, keys.v_attrs, {}});
+        groups_.push_back(KeyBuckets{rel, keys.v_attrs, {}});
       }
       group_of_[v * k_ + u] = group;
       pair_keys_[v * k_ + u] = std::move(keys);
@@ -29,34 +29,35 @@ KAryBlockingIndex::KAryBlockingIndex(const DenialConstraint& dc)
   }
 }
 
+void KeyBuckets::Remove(const ValuePool& pool, const RowRef& row) {
+  const auto it = buckets.find(Hash(pool, row));
+  DBIM_CHECK(it != buckets.end());
+  std::vector<FactId>& bucket = it->second;
+  const auto pos = std::find(bucket.begin(), bucket.end(), row.fact_id());
+  DBIM_CHECK(pos != bucket.end());
+  bucket.erase(pos);  // preserve order: probes stay deterministic
+  if (bucket.empty()) buckets.erase(it);
+}
+
 void KAryBlockingIndex::Add(const Database& db, FactId id) {
   const Database::RowLocation loc = db.Locate(id);
   const RowRef row{&db.relation_block(loc.relation), loc.row};
-  for (Group& group : groups_) {
-    if (group.relation != loc.relation) continue;
-    group.buckets[HashPoolValues(db.pool(), row, group.attrs)].push_back(id);
+  for (KeyBuckets& group : groups_) {
+    if (group.relation == loc.relation) group.Add(db.pool(), row);
   }
 }
 
 void KAryBlockingIndex::Remove(const Database& db, FactId id) {
   const Database::RowLocation loc = db.Locate(id);
   const RowRef row{&db.relation_block(loc.relation), loc.row};
-  for (Group& group : groups_) {
-    if (group.relation != loc.relation) continue;
-    const uint64_t h = HashPoolValues(db.pool(), row, group.attrs);
-    const auto it = group.buckets.find(h);
-    DBIM_CHECK(it != group.buckets.end());
-    auto& bucket = it->second;
-    const auto pos = std::find(bucket.begin(), bucket.end(), id);
-    DBIM_CHECK(pos != bucket.end());
-    bucket.erase(pos);  // preserve order: probes stay deterministic
-    if (bucket.empty()) group.buckets.erase(it);
+  for (KeyBuckets& group : groups_) {
+    if (group.relation == loc.relation) group.Remove(db.pool(), row);
   }
 }
 
 size_t KAryBlockingIndex::num_bucket_keys() const {
   size_t n = 0;
-  for (const Group& group : groups_) n += group.buckets.size();
+  for (const KeyBuckets& group : groups_) n += group.num_keys();
   return n;
 }
 

@@ -144,9 +144,9 @@ class DcEval {
 /// FNV-1a over the semantic class ids of the blocking-key attributes.
 /// Equal key tuples have equal class ids, so hashing the class ids
 /// partitions exactly like hashing the underlying values — without a
-/// single Value::Hash call. (The incremental index's persistent buckets
-/// hash pool value hashes instead, which survive a re-intern; this id mix
-/// is for within-one-pass partitioning.)
+/// single Value::Hash call. (Persistent KeyBuckets hash pool value hashes
+/// instead — HashPoolValues — which survive a re-intern; this id mix is
+/// for within-one-pass partitioning.)
 inline uint64_t HashKeyClasses(const RowRef& r,
                                const std::vector<AttrIndex>& attrs) {
   uint64_t h = 1469598103934665603ull;
@@ -215,67 +215,6 @@ void EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
   }
 }
 
-/// Anchored k-ary enumeration: every satisfying assignment whose support
-/// contains the fact `anchor`, each assignment exactly once — the anchor
-/// occupies the first variable position bound to it, so earlier positions
-/// exclude the anchor and later positions may rebind it. This is the
-/// incremental-maintenance mode: after an insert or update of `anchor`,
-/// the witnesses flowing through it are exactly the minimal-subset
-/// candidates that can have appeared, so re-enumerating them replaces a
-/// full O(n^k) re-detection with O(k * n^{k-1}) work. `emit` receives the
-/// sorted, deduplicated support of each satisfying assignment (the same
-/// support may be emitted several times — once per derivation — matching
-/// the batch detector's per-assignment violation count).
-template <typename Emit>
-void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
-                           FactId anchor, Emit&& emit) {
-  const DenialConstraint& dc = eval.dc();
-  const size_t k = dc.num_vars();
-  const Database::RowLocation anchor_loc = db.Locate(anchor);
-  std::vector<const Database::RelationBlock*> rels(k);
-  for (uint32_t v = 0; v < k; ++v) {
-    rels[v] = &db.relation_block(dc.var_relation(v));
-  }
-  std::vector<RowRef> assignment(k);
-  std::vector<FactId> chosen(k, 0);
-
-  for (size_t anchor_pos = 0; anchor_pos < k; ++anchor_pos) {
-    if (dc.var_relation(static_cast<uint32_t>(anchor_pos)) !=
-        anchor_loc.relation) {
-      continue;
-    }
-    auto recurse = [&](auto&& self, size_t var) -> void {
-      if (var == k) {
-        if (!eval.BodyHolds(assignment.data())) return;
-        std::vector<FactId> support = chosen;
-        std::sort(support.begin(), support.end());
-        support.erase(std::unique(support.begin(), support.end()),
-                      support.end());
-        emit(std::move(support));
-        return;
-      }
-      if (var == anchor_pos) {
-        assignment[var] = RowRef{rels[var], anchor_loc.row};
-        chosen[var] = anchor;
-        if (eval.ViableAt(var, assignment.data())) self(self, var + 1);
-        return;
-      }
-      const Database::RelationBlock& rel = *rels[var];
-      for (uint32_t i = 0; i < rel.num_rows(); ++i) {
-        // Before the anchor position the anchor itself is excluded, so an
-        // assignment binding it at several positions is discovered only at
-        // the earliest one.
-        if (var < anchor_pos && rel.row_ids[i] == anchor) continue;
-        assignment[var] = RowRef{&rel, i};
-        chosen[var] = rel.row_ids[i];
-        if (!eval.ViableAt(var, assignment.data())) continue;
-        self(self, var + 1);
-      }
-    };
-    recurse(recurse, 0);
-  }
-}
-
 /// FNV-1a over the pool's semantic *value* hashes of `attrs` of one row —
 /// the vacuum-survivable twin of HashKeyClasses: the hash is a function of
 /// the Value, not the id, so it is stable across a shared-pool re-intern,
@@ -302,25 +241,50 @@ inline uint64_t SubsetKey(const std::vector<FactId>& subset) {
   return h;
 }
 
-/// Persistent equality-key buckets for pruned anchored probes of one k-ary
-/// (>= 3 variable) constraint. For every ordered variable pair (u, v) with
-/// a non-empty PairBlockingKeys, the facts of var_relation(v) are bucketed
-/// by the semantic-value hash of their v-side key attributes, so an
-/// anchored enumeration that has already bound t_u enumerates t_v's
-/// matching bucket instead of the full relation. Distinct pairs whose
-/// (relation, v-side attribute list) coincide share one physical bucket
-/// group — a chain constraint's (0,1)/(1,0) pairs cost one map, not two.
-/// Bucket keys are HashPoolValues hashes, so the index survives a
-/// shared-pool vacuum/re-intern exactly like the incremental index's
-/// binary blocking buckets.
+/// Persistent equality-key buckets: the live facts of `relation` keyed by
+/// the HashPoolValues hash of their `attrs` cells. Keys hash semantic
+/// values, so the buckets survive a shared-pool vacuum/re-intern; bucket
+/// order is insertion order (Remove preserves it), so probes stay
+/// deterministic. With no attrs every fact shares one bucket. The one
+/// bucket type behind the incremental index's binary blocking groups,
+/// KAryBlockingIndex and the sampling estimators' neighborhood probe.
+struct KeyBuckets {
+  RelationId relation = 0;
+  std::vector<AttrIndex> attrs;
+  std::unordered_map<uint64_t, std::vector<FactId>> buckets;
+
+  uint64_t Hash(const ValuePool& pool, const RowRef& row) const {
+    return HashPoolValues(pool, row, attrs);
+  }
+  /// Facts whose key tuple hashes to `hash`; nullptr when none. Collisions
+  /// are possible — callers re-check the body's equality predicates, as
+  /// everywhere else in the kernel.
+  const std::vector<FactId>* Find(uint64_t hash) const {
+    const auto it = buckets.find(hash);
+    return it == buckets.end() ? nullptr : &it->second;
+  }
+  void Add(const ValuePool& pool, const RowRef& row) {
+    buckets[Hash(pool, row)].push_back(row.fact_id());
+  }
+  /// Must run before the fact's cells change: the key is recomputed from
+  /// them.
+  void Remove(const ValuePool& pool, const RowRef& row);
+  size_t num_keys() const { return buckets.size(); }
+};
+
+/// Equality-key buckets for anchored probes of one k-ary (>= 3 variable)
+/// constraint. For every ordered variable pair (u, v) with a non-empty
+/// PairBlockingKeys, the facts of var_relation(v) are bucketed by their
+/// v-side key attributes, so an anchored enumeration that has already
+/// bound t_u enumerates t_v's matching bucket instead of the full
+/// relation. Distinct pairs whose (relation, v-side attribute list)
+/// coincide share one bucket group — a chain constraint's (0,1)/(1,0)
+/// pairs cost one map, not two. A constraint without cross-variable
+/// equalities gets an index with no groups, under which the anchored
+/// enumeration scans every variable's relation.
 class KAryBlockingIndex {
  public:
   explicit KAryBlockingIndex(const DenialConstraint& dc);
-
-  /// Whether any variable pair carries an equality key. An index without
-  /// keys prunes nothing; callers should fall back to the unpruned
-  /// anchored enumeration.
-  bool has_keys() const { return !groups_.empty(); }
 
   /// Enters/removes `id` in every bucket group over its relation. Remove
   /// must run before the fact's values change (the key is recomputed from
@@ -334,14 +298,7 @@ class KAryBlockingIndex {
   const PairBlockingKeys& pair_keys(size_t v, size_t u) const {
     return pair_keys_[v * k_ + u];
   }
-
-  /// Facts of the group's relation whose key tuple hashes to `hash`;
-  /// nullptr when empty. Collisions are possible — callers re-check the
-  /// body's equality predicates, as everywhere else in the kernel.
-  const std::vector<FactId>* Bucket(int group, uint64_t hash) const {
-    const auto it = groups_[group].buckets.find(hash);
-    return it == groups_[group].buckets.end() ? nullptr : &it->second;
-  }
+  const KeyBuckets& group(int g) const { return groups_[g]; }
 
   size_t num_groups() const { return groups_.size(); }
   /// Live bucket keys across all groups — the k-ary analogue of the
@@ -349,33 +306,36 @@ class KAryBlockingIndex {
   size_t num_bucket_keys() const;
 
  private:
-  struct Group {
-    RelationId relation;
-    std::vector<AttrIndex> attrs;  // v-side key attrs, hashed per fact
-    std::unordered_map<uint64_t, std::vector<FactId>> buckets;
-  };
-
   size_t k_;
   std::vector<PairBlockingKeys> pair_keys_;  // [v * k_ + u]
   std::vector<int> group_of_;                // [v * k_ + u] -> group or -1
-  std::vector<Group> groups_;
+  std::vector<KeyBuckets> groups_;
 };
 
-/// Pruned anchored enumeration: the same emission *multiset* as
-/// EnumerateKAryAnchored (discovery order may differ), but each inner
-/// variable with an equality key against an already-bound variable
-/// enumerates its matching bucket of `index` instead of the full relation,
-/// shrinking anchored neighborhoods from O(n^{k-1}) toward O(bucket^{k-1}).
+/// Anchored k-ary enumeration: every satisfying assignment whose support
+/// contains the fact `anchor`, each assignment exactly once — the anchor
+/// occupies the first variable position bound to it, so earlier positions
+/// exclude the anchor and later positions may rebind it. This is the
+/// incremental-maintenance mode: after an insert or update of `anchor`,
+/// the witnesses flowing through it are exactly the minimal-subset
+/// candidates that can have appeared. `emit` receives the sorted,
+/// deduplicated support of each satisfying assignment (the same support
+/// may be emitted several times — once per derivation — matching the
+/// batch detector's per-assignment violation count); discovery order is
+/// unspecified, the emission multiset is fixed.
+///
+/// Each inner variable with an equality key against an already-bound
+/// variable enumerates its matching bucket of `index` instead of the full
+/// relation, shrinking anchored neighborhoods from O(n^{k-1}) toward
+/// O(bucket^{k-1}); a variable with no such key scans its relation.
 /// Binding proceeds anchor-position-first so the changed fact's key values
 /// prune every keyed variable; each predicate is evaluated exactly once,
-/// at the step its last variable binds (the bind-order generalization of
-/// the ViableAt-per-level + final-BodyHolds filtering, which it replaces
-/// exactly). `index` must be maintained against precisely `db`'s live
-/// facts.
+/// at the step its last variable binds. `index` must be maintained against
+/// precisely `db`'s live facts.
 template <typename Emit>
-void EnumerateKAryAnchoredPruned(const DcEval& eval, const Database& db,
-                                 FactId anchor, const KAryBlockingIndex& index,
-                                 Emit&& emit) {
+void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
+                           FactId anchor, const KAryBlockingIndex& index,
+                           Emit&& emit) {
   const DenialConstraint& dc = eval.dc();
   const size_t k = dc.num_vars();
   const Database::RowLocation anchor_loc = db.Locate(anchor);
@@ -439,7 +399,7 @@ void EnumerateKAryAnchoredPruned(const DcEval& eval, const Database& db,
       auto try_row = [&](uint32_t row) {
         // Before the anchor position the anchor itself is excluded, so an
         // assignment binding it at several positions is discovered only at
-        // the earliest one — the unpruned enumeration's exactly-once rule.
+        // the earliest one.
         if (var < anchor_pos && rel.row_ids[row] == anchor) return;
         assignment[var] = RowRef{&rel, row};
         chosen[var] = rel.row_ids[row];
@@ -455,7 +415,7 @@ void EnumerateKAryAnchoredPruned(const DcEval& eval, const Database& db,
         if (group < 0) continue;
         const uint64_t target = HashPoolValues(
             pool, assignment[u], index.pair_keys(var, u).u_attrs);
-        const std::vector<FactId>* bucket = index.Bucket(group, target);
+        const std::vector<FactId>* bucket = index.group(group).Find(target);
         if (bucket != nullptr) {
           for (const FactId id : *bucket) try_row(db.Locate(id).row);
         }
@@ -470,7 +430,7 @@ void EnumerateKAryAnchoredPruned(const DcEval& eval, const Database& db,
 /// Whether `id` is self-inconsistent under `eval`'s constraint: the body
 /// holds with every tuple variable bound to the fact. False when the
 /// constraint spans several relations or another relation than the
-/// fact's — the interned twin of DenialConstraint::MakesSelfInconsistent.
+/// fact's.
 bool MakesSelfInconsistentInterned(const DcEval& eval, const Database& db,
                                    FactId id);
 

@@ -65,7 +65,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
   bucket_groups_.clear();
   groups_by_rel_.assign(num_rels, {});
   watch_probes_by_rel_.assign(num_rels, {});
-  probe_sig_.assign(constraints_.size(), {-1, -1});
   stats_.assign(constraints_.size(), {});
   kary_indexes_.resize(constraints_.size());
 
@@ -84,7 +83,7 @@ void IncrementalViolationIndex::BuildDispatchTables() {
         return static_cast<int>(g);
     }
     const int g = static_cast<int>(bucket_groups_.size());
-    bucket_groups_.push_back(BucketGroup{rel, attrs, {}});
+    bucket_groups_.push_back(KeyBuckets{rel, attrs, {}});
     groups_by_rel_[rel].push_back(static_cast<uint32_t>(g));
     return g;
   };
@@ -114,63 +113,41 @@ void IncrementalViolationIndex::BuildDispatchTables() {
           push_unique(unblocked_by_rel_[rel], c);
         }
       }
-      if (state.blocked) {
-        for (uint32_t side = 0; side < 2; ++side) {
-          const RelationId rel = dc.var_relation(side);
-          const std::vector<AttrIndex>& attrs =
-              side == 0 ? state.keys.var0 : state.keys.var1;
-          int sig = -1;
-          for (size_t s = 0; s < signatures_.size(); ++s) {
-            if (signatures_[s].relation == rel &&
-                signatures_[s].attrs == attrs) {
-              sig = static_cast<int>(s);
-              break;
-            }
-          }
-          if (sig < 0) {
-            sig = static_cast<int>(signatures_.size());
-            signatures_.push_back(KeySignature{rel, attrs});
-          }
-          probe_sig_[c][side] = sig;
-        }
-        // A watch probe per distinct (probe signature, partner group) on
-        // the probing relation: ops hash each signature once and a
-        // non-empty partner bucket at that key marks every constraint in
-        // the probe a candidate. The partner bucket doubles as the watcher
-        // list — no registration state, presence is the watch.
-        for (int probe_side = 0; probe_side < 2; ++probe_side) {
-          const RelationId rel = dc.var_relation(probe_side);
-          const uint32_t sig =
-              static_cast<uint32_t>(probe_sig_[c][probe_side]);
-          const uint32_t group =
-              static_cast<uint32_t>(state.group[1 - probe_side]);
-          auto& probes = watch_probes_by_rel_[rel];
-          auto it = std::find_if(
-              probes.begin(), probes.end(), [&](const WatchProbe& p) {
-                return p.sig == sig && p.group == group;
-              });
-          if (it == probes.end()) {
-            probes.push_back(WatchProbe{sig, group, {c}});
-          } else if (it->constraints.back() != c) {
-            it->constraints.push_back(c);
-          }
+      // A watch probe per distinct (probe group, partner group) on the
+      // probing relation: ops hash each probe group's key once and a
+      // non-empty partner bucket at that key marks every constraint in
+      // the probe a candidate. The partner bucket doubles as the watcher
+      // list — no registration state, presence is the watch.
+      for (int probe_side = 0; state.blocked && probe_side < 2;
+           ++probe_side) {
+        const uint32_t own = static_cast<uint32_t>(state.group[probe_side]);
+        const uint32_t partner =
+            static_cast<uint32_t>(state.group[1 - probe_side]);
+        auto& probes = watch_probes_by_rel_[dc.var_relation(probe_side)];
+        auto it = std::find_if(
+            probes.begin(), probes.end(), [&](const WatchProbe& p) {
+              return p.probe_group == own && p.partner_group == partner;
+            });
+        if (it == probes.end()) {
+          probes.push_back(WatchProbe{own, partner, {c}});
+        } else if (it->constraints.back() != c) {
+          it->constraints.push_back(c);
         }
       }
     } else if (dc.num_vars() >= 3) {
       for (const RelationId r : dc.var_relations()) {
         push_unique(kary_by_rel_[r], c);
       }
-      auto index = std::make_unique<KAryBlockingIndex>(dc);
-      if (index->has_keys()) kary_indexes_[c] = std::move(index);
+      kary_indexes_[c] = std::make_unique<KAryBlockingIndex>(dc);
     }
   }
 
-  // Order each relation's watch probes by signature so the per-op probe
-  // computes each distinct signature hash exactly once.
+  // Order each relation's watch probes by probe group so the per-op probe
+  // computes each distinct key hash exactly once.
   for (auto& probes : watch_probes_by_rel_) {
     std::stable_sort(probes.begin(), probes.end(),
                      [](const WatchProbe& a, const WatchProbe& b) {
-                       return a.sig < b.sig;
+                       return a.probe_group < b.probe_group;
                      });
   }
 }
@@ -225,37 +202,18 @@ uint32_t IncrementalViolationIndex::RecoverMultiplicity(
   return multiplicity;
 }
 
-uint64_t IncrementalViolationIndex::KeyHashOverAttrs(
-    const std::vector<AttrIndex>& attrs, FactId id) const {
-  // Semantic value hashes (equal values hash alike, and the hash survives a
-  // pool re-intern), mixed like the batch detector's key hash.
-  const ValuePool& pool = db_->pool();
-  uint64_t h = 1469598103934665603ull;
-  for (const AttrIndex a : attrs) {
-    h ^= static_cast<uint64_t>(pool.hash(db_->value_id(id, a)));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t IncrementalViolationIndex::SideKeyHash(const DcState& state,
-                                                int side, FactId id) const {
-  return KeyHashOverAttrs(side == 0 ? state.keys.var0 : state.keys.var1, id);
-}
-
 void IncrementalViolationIndex::AddToBinaryBuckets(FactId id) {
-  const RelationId rel = db_->Locate(id).relation;
-  for (const uint32_t g : groups_by_rel_[rel]) {
-    BucketGroup& group = bucket_groups_[g];
-    const uint64_t key = KeyHashOverAttrs(group.attrs, id);
-    group.bucket[key].push_back(id);
+  const Database::RowLocation loc = db_->Locate(id);
+  const RowRef row{&db_->relation_block(loc.relation), loc.row};
+  for (const uint32_t g : groups_by_rel_[loc.relation]) {
+    bucket_groups_[g].Add(db_->pool(), row);
   }
 }
 
 void IncrementalViolationIndex::AddToKAryIndexes(FactId id) {
   if (!has_kary_) return;
   for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
-    if (kary_indexes_[c]) kary_indexes_[c]->Add(*db_, id);
+    kary_indexes_[c]->Add(*db_, id);
   }
 }
 
@@ -267,21 +225,14 @@ void IncrementalViolationIndex::AddToBuckets(FactId id) {
 void IncrementalViolationIndex::RemoveFromBuckets(FactId id) {
   // Must run before the fact's values change: the bucket key is recomputed
   // from the current cells.
-  const RelationId rel = db_->Locate(id).relation;
-  for (const uint32_t g : groups_by_rel_[rel]) {
-    BucketGroup& group = bucket_groups_[g];
-    const uint64_t key = KeyHashOverAttrs(group.attrs, id);
-    const auto it = group.bucket.find(key);
-    DBIM_CHECK(it != group.bucket.end());
-    auto& bucket = it->second;
-    const auto pos = std::find(bucket.begin(), bucket.end(), id);
-    DBIM_CHECK(pos != bucket.end());
-    bucket.erase(pos);  // preserve order: probes stay deterministic
-    if (bucket.empty()) group.bucket.erase(it);
+  const Database::RowLocation loc = db_->Locate(id);
+  const RowRef row{&db_->relation_block(loc.relation), loc.row};
+  for (const uint32_t g : groups_by_rel_[loc.relation]) {
+    bucket_groups_[g].Remove(db_->pool(), row);
   }
   if (has_kary_) {
-    for (const uint32_t c : kary_by_rel_[rel]) {
-      if (kary_indexes_[c]) kary_indexes_[c]->Remove(*db_, id);
+    for (const uint32_t c : kary_by_rel_[loc.relation]) {
+      kary_indexes_[c]->Remove(*db_, id);
     }
   }
 }
@@ -398,31 +349,19 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
     // equal semantic hashes, so the partner side's bucket is the candidate
     // set. Hash collisions are rejected by the body check (the body
     // contains the key equalities), on interned class ids only.
-    if (loc.relation == dc.var_relation(0)) {
+    for (int side = 0; side < 2; ++side) {
+      if (loc.relation != dc.var_relation(side)) continue;
+      const bool id_is_var0 = side == 0;
       if (state.blocked) {
-        const auto& partner = bucket_groups_[state.group[1]].bucket;
-        const auto it = partner.find(SideKeyHash(state, 0, id));
-        if (it != partner.end()) {
-          for (const FactId other : it->second) try_partner(other, true);
-        }
+        const std::vector<FactId>* bucket =
+            bucket_groups_[state.group[1 - side]].Find(
+                bucket_groups_[state.group[side]].Hash(db_->pool(), self));
+        if (bucket == nullptr) continue;
+        for (const FactId other : *bucket) try_partner(other, id_is_var0);
       } else {
         for (const FactId other :
-             db_->relation_block(dc.var_relation(1)).row_ids) {
-          try_partner(other, true);
-        }
-      }
-    }
-    if (loc.relation == dc.var_relation(1)) {
-      if (state.blocked) {
-        const auto& partner = bucket_groups_[state.group[0]].bucket;
-        const auto it = partner.find(SideKeyHash(state, 1, id));
-        if (it != partner.end()) {
-          for (const FactId other : it->second) try_partner(other, false);
-        }
-      } else {
-        for (const FactId other :
-             db_->relation_block(dc.var_relation(0)).row_ids) {
-          try_partner(other, false);
+             db_->relation_block(dc.var_relation(1 - side)).row_ids) {
+          try_partner(other, id_is_var0);
         }
       }
     }
@@ -430,7 +369,7 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
     stats_[c].fires += hit.size();
   };
 
-  // Watched dispatch: one signature hash per distinct key shape over the
+  // Watched dispatch: one key hash per distinct probe group over the
   // relation, then one partner-bucket presence check per watch probe. A
   // non-empty bucket at the key means the probe's constraints have a live
   // partner there; everything else is skipped. Unblocked constraints scan
@@ -440,14 +379,13 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
   candidates.assign(unblocked_by_rel_[loc.relation].begin(),
                     unblocked_by_rel_[loc.relation].end());
   uint64_t h = 0;
-  uint32_t hashed_sig = UINT32_MAX;
+  uint32_t hashed_group = UINT32_MAX;
   for (const WatchProbe& probe : watch_probes_by_rel_[loc.relation]) {
-    if (probe.sig != hashed_sig) {
-      h = KeyHashOverAttrs(signatures_[probe.sig].attrs, id);
-      hashed_sig = probe.sig;
+    if (probe.probe_group != hashed_group) {
+      h = bucket_groups_[probe.probe_group].Hash(db_->pool(), self);
+      hashed_group = probe.probe_group;
     }
-    const auto& bucket = bucket_groups_[probe.group].bucket;
-    if (bucket.find(h) == bucket.end()) continue;
+    if (bucket_groups_[probe.partner_group].Find(h) == nullptr) continue;
     candidates.insert(candidates.end(), probe.constraints.begin(),
                       probe.constraints.end());
   }
@@ -471,9 +409,9 @@ void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
   // id is fresh), so existing witnesses can only *suppress* candidates,
   // never the other way around.
   // Only constraints with a variable over the changed fact's relation can
-  // anchor it; candidates aggregate into an ordered map, so the pruned
-  // (keyed) and unpruned (keyless) enumerations, whose discovery orders
-  // differ, feed candidates downstream in one canonical order.
+  // anchor it; candidates aggregate into an ordered map, so they feed
+  // downstream in one canonical order whatever the enumeration's
+  // discovery order.
   std::map<std::vector<FactId>, uint32_t> counts;
   for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
     uint64_t emissions = 0;
@@ -481,12 +419,7 @@ void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
       ++emissions;
       ++counts[std::move(support)];
     };
-    if (kary_indexes_[c]) {
-      EnumerateKAryAnchoredPruned(evals[c], *db_, id, *kary_indexes_[c],
-                                  emit);
-    } else {
-      EnumerateKAryAnchored(evals[c], *db_, id, emit);
-    }
+    EnumerateKAryAnchored(evals[c], *db_, id, *kary_indexes_[c], emit);
     stats_[c].probes += emissions;
     stats_[c].fires += emissions;
   }
@@ -621,12 +554,11 @@ IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
   if (dc.num_vars() == 2 && dc_states_[c].blocked) {
     // Both sides of a single-relation FD-shaped constraint share one
     // bucket group; count that group's keys once, not per side.
-    out.watcher_count = bucket_groups_[dc_states_[c].group[0]].bucket.size();
+    out.watcher_count = bucket_groups_[dc_states_[c].group[0]].num_keys();
     if (dc_states_[c].group[1] != dc_states_[c].group[0]) {
-      out.watcher_count +=
-          bucket_groups_[dc_states_[c].group[1]].bucket.size();
+      out.watcher_count += bucket_groups_[dc_states_[c].group[1]].num_keys();
     }
-  } else if (dc.num_vars() >= 3 && kary_indexes_[c] != nullptr) {
+  } else if (dc.num_vars() >= 3) {
     out.watcher_count = kary_indexes_[c]->num_bucket_keys();
   }
   return out;
@@ -639,9 +571,9 @@ size_t IncrementalViolationIndex::NumWatchedKeys() const {
   size_t keys = 0;
   for (const auto& probes : watch_probes_by_rel_) {
     for (const WatchProbe& probe : probes) {
-      if (counted[probe.group]) continue;
-      counted[probe.group] = true;
-      keys += bucket_groups_[probe.group].bucket.size();
+      if (counted[probe.partner_group]) continue;
+      counted[probe.partner_group] = true;
+      keys += bucket_groups_[probe.partner_group].num_keys();
     }
   }
   return keys;
@@ -655,13 +587,14 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
   std::vector<std::unordered_map<uint64_t, std::vector<FactId>>> expected(
       bucket_groups_.size());
   db_->ForEachId([&](FactId id) {
-    const RelationId rel = db_->Locate(id).relation;
-    for (const uint32_t g : groups_by_rel_[rel]) {
-      expected[g][KeyHashOverAttrs(bucket_groups_[g].attrs, id)].push_back(id);
+    const Database::RowLocation loc = db_->Locate(id);
+    const RowRef row{&db_->relation_block(loc.relation), loc.row};
+    for (const uint32_t g : groups_by_rel_[loc.relation]) {
+      expected[g][bucket_groups_[g].Hash(db_->pool(), row)].push_back(id);
     }
   });
   for (size_t g = 0; g < bucket_groups_.size(); ++g) {
-    const auto& actual = bucket_groups_[g].bucket;
+    const auto& actual = bucket_groups_[g].buckets;
     if (actual.size() != expected[g].size()) {
       if (error != nullptr) {
         *error = StrFormat("group %zu holds %zu keys, rebuild implies %zu", g,
@@ -686,18 +619,18 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
     }
   }
   // Watch-table completeness: every blocked (constraint, probe side) is
-  // covered by exactly one probe carrying its signature and partner group.
+  // covered by exactly one probe carrying its own and its partner's group.
   for (uint32_t c = 0; c < constraints_.size(); ++c) {
     const DcState& state = dc_states_[c];
     if (constraints_[c].num_vars() != 2 || !state.blocked) continue;
     for (int probe_side = 0; probe_side < 2; ++probe_side) {
-      const uint32_t sig = static_cast<uint32_t>(probe_sig_[c][probe_side]);
-      const uint32_t group =
+      const uint32_t own = static_cast<uint32_t>(state.group[probe_side]);
+      const uint32_t partner =
           static_cast<uint32_t>(state.group[1 - probe_side]);
       size_t covered = 0;
       for (const WatchProbe& probe :
            watch_probes_by_rel_[constraints_[c].var_relation(probe_side)]) {
-        if (probe.sig == sig && probe.group == group &&
+        if (probe.probe_group == own && probe.partner_group == partner &&
             std::find(probe.constraints.begin(), probe.constraints.end(),
                       c) != probe.constraints.end()) {
           ++covered;

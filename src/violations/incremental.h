@@ -1,7 +1,6 @@
 #ifndef DBIM_VIOLATIONS_INCREMENTAL_H_
 #define DBIM_VIOLATIONS_INCREMENTAL_H_
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,7 +32,7 @@ struct IncrementalConstraintStats {
 /// Aggregate dispatch counters across Apply calls: how many binary
 /// constraint probes the watcher layer ran vs skipped. Skipped probes are
 /// the watched-dispatch win — ops whose key classes no constraint
-/// watches fall through in O(signatures over the relation).
+/// watches fall through in O(key groups over the relation).
 struct IncrementalDispatchStats {
   uint64_t num_ops = 0;              // probing ops (inserts + updates)
   uint64_t constraints_probed = 0;   // binary probe bodies executed
@@ -51,20 +50,21 @@ struct IncrementalDispatchStats {
 /// fact. Both directions run on the shared eval kernel
 /// (violations/eval_kernel.h), the same core the batch detector drives:
 ///
-///  * binary constraints probe the changed fact against per-constraint
-///    hash-blocking buckets maintained across operations (O(bucket) per
-///    op; constraints without an equality key fall back to a scan of the
-///    partner relation), comparing interned class ids only — no row-major
-///    `Fact` is ever materialized;
-///  * k-ary (>= 3 variable) constraints use the kernel's *anchored*
-///    enumeration: every satisfying assignment through the changed fact,
-///    O(k * n^{k-1}) instead of the O(n^k) full re-detection, with new
+///  * binary constraints probe the changed fact against KeyBuckets groups
+///    maintained across operations (O(bucket) per op; constraints without
+///    an equality key scan the partner relation), comparing interned
+///    class ids only — no row-major `Fact` is ever materialized;
+///  * k-ary (>= 3 variable) constraints use the kernel's anchored
+///    enumeration (EnumerateKAryAnchored) over a per-constraint
+///    KAryBlockingIndex: every satisfying assignment through the changed
+///    fact, bucket-sized work for keyed variables and a relation scan for
+///    keyless ones, instead of the O(n^k) full re-detection, with new
 ///    candidates minimality-filtered against the live witness store the
 ///    same way the batch detector's pass 3 filters them.
 ///
-/// Bucket keys hash the *semantic value* of the blocking attributes (via
-/// the pool's precomputed hashes), not raw ValueIds — so the index survives
-/// a shared-pool vacuum/re-intern (see MeasureSession::Vacuum) untouched:
+/// Every bucket keys on HashPoolValues — the *semantic value* of the
+/// blocking attributes, not raw ValueIds — so the index survives a
+/// shared-pool vacuum/re-intern (see MeasureSession::Vacuum) untouched:
 /// every piece of its state is keyed by FactId or value semantics.
 ///
 /// The index also maintains the per-derivation minimal-violation count the
@@ -155,8 +155,8 @@ class IncrementalViolationIndex {
   /// from-scratch rebuild would produce — every shared bucket holds
   /// precisely the live facts hashing to its key (no stale entries, no
   /// empties left behind), and every blocked (constraint, probe side) is
-  /// covered by exactly one watch probe with the matching signature and
-  /// partner group. On failure fills `*error` and returns false.
+  /// covered by exactly one watch probe with its own and its partner's
+  /// bucket group. On failure fills `*error` and returns false.
   bool CheckWatcherInvariant(std::string* error) const;
 
  private:
@@ -165,56 +165,35 @@ class IncrementalViolationIndex {
     uint32_t multiplicity = 1;  // # derivations (constraints/assignments)
     bool alive = true;
   };
-  // Per-constraint blocking state: group[v] names the shared bucket group
-  // (below) holding the facts of var_relation(v) keyed by the semantic
-  // hash of their side-v key attributes. Only binary constraints block;
-  // empty keys (no cross-variable equality) leave `blocked` false and the
-  // probe falls back to scanning the partner relation. K-ary constraints
-  // carry no persistent state — the anchored enumeration reads the live
-  // columns directly.
+  // Per-constraint blocking state of a binary constraint: group[v] names
+  // the shared bucket group (below) holding the facts of var_relation(v)
+  // keyed by their side-v key attributes. Empty keys (no cross-variable
+  // equality) leave `blocked` false and the probe scans the partner
+  // relation. K-ary constraints block through kary_indexes_ instead.
   struct DcState {
     BlockingKeys keys;
     bool blocked = false;
     int group[2] = {-1, -1};
   };
 
-  // One physical bucket map per distinct (relation, key-attribute list):
-  // every blocked side with that shape would bucket exactly the same facts
-  // under exactly the same keys, so constraints share the map instead of
-  // each maintaining a copy — per-op bucket maintenance scales with
-  // distinct key shapes, not with |Sigma|.
-  struct BucketGroup {
-    RelationId relation;
-    std::vector<AttrIndex> attrs;
-    std::unordered_map<uint64_t, std::vector<FactId>> bucket;
-  };
-
-  // One watched-dispatch probe per distinct (probe signature, partner
-  // bucket group) pair over a relation: an op on that relation hashes its
-  // key attributes once per signature, and a non-empty partner bucket at
-  // that key is precisely "some fact can pair with the changed one under
-  // these constraints" — the listed constraints become probe candidates,
+  // One watched-dispatch probe per distinct (probe group, partner group)
+  // pair over a relation: an op on that relation hashes its key
+  // attributes once per probe group (the probing side's own bucket group,
+  // whose attrs are its key), and a non-empty partner bucket at that key
+  // is precisely "some fact can pair with the changed one under these
+  // constraints" — the listed constraints become probe candidates,
   // everything else is skipped. The shared bucket doubles as the watcher
   // list: no registration state to maintain, presence IS the watch.
   struct WatchProbe {
-    uint32_t sig;
-    uint32_t group;
+    uint32_t probe_group;
+    uint32_t partner_group;
     std::vector<uint32_t> constraints;
   };
 
-  // A deduplicated probe-key signature: probing side `s` of blocked binary
-  // constraint `c` hashes the fact's (var_relation(s), side-s key attrs)
-  // tuple. Constraints sharing a signature share one hash computation per
-  // op, so dispatch cost scales with distinct key shapes, not |Sigma|.
-  struct KeySignature {
-    RelationId relation;
-    std::vector<AttrIndex> attrs;
-  };
-
   void BuildInitialState(const DetectorOptions& build_options);
-  // Per-relation dispatch tables + probe-key signatures + the k-ary
-  // pruning indexes. Pure derivation from constraints_; called
-  // once before facts enter the buckets.
+  // Per-relation dispatch tables, bucket groups, watch probes and the
+  // k-ary pruning indexes. Pure derivation from constraints_; called once
+  // before facts enter the buckets.
   void BuildDispatchTables();
   // The violation-count multiplicity of a freshly detected minimal subset:
   // one for the pass-1 singleton Add, one per binary constraint deriving
@@ -247,9 +226,6 @@ class IncrementalViolationIndex {
   bool IsMinimalCandidate(const std::vector<FactId>& candidate) const;
   void RecomputeSelfInconsistent(const std::vector<DcEval>& evals, FactId id);
 
-  uint64_t KeyHashOverAttrs(const std::vector<AttrIndex>& attrs,
-                            FactId id) const;
-  uint64_t SideKeyHash(const DcState& state, int side, FactId id) const;
   // Bucket maintenance is split so Apply can order it around the probe:
   // the k-ary indexes must hold the changed fact *before* ProbeFact (the
   // anchored enumeration binds inner variables from them, repeated-fact
@@ -276,20 +252,19 @@ class IncrementalViolationIndex {
   std::vector<std::vector<uint32_t>> unblocked_by_rel_;  // ... without a key
   std::vector<std::vector<uint32_t>> kary_by_rel_;       // k-ary cs touching rel
   std::vector<std::vector<uint32_t>> selfinc_by_rel_;    // unary-capable cs
-  // Shared blocking buckets (one per distinct key shape) and the groups
-  // living over each relation — the bucket maintenance walk.
-  std::vector<BucketGroup> bucket_groups_;
+  // Shared blocking buckets, one per distinct (relation, key attrs): every
+  // blocked side with that shape would bucket exactly the same facts under
+  // exactly the same keys, so per-op maintenance scales with distinct key
+  // shapes, not |Sigma|. groups_by_rel_ is the bucket maintenance walk.
+  std::vector<KeyBuckets> bucket_groups_;
   std::vector<std::vector<uint32_t>> groups_by_rel_;
 
   // --- watched dispatch ---
-  std::vector<KeySignature> signatures_;
-  std::vector<std::array<int, 2>> probe_sig_;       // (c, side) -> sig or -1
-  // rel -> watch probes, ordered by signature so the probe hashes each
-  // distinct signature once per op.
+  // rel -> watch probes, ordered by probe group so the probe hashes each
+  // distinct key shape once per op.
   std::vector<std::vector<WatchProbe>> watch_probes_by_rel_;
 
-  // --- anchored pruning (entries non-null iff the constraint has at least
-  // one keyed variable pair) ---
+  // --- anchored pruning (non-null exactly for the k-ary constraints) ---
   std::vector<std::unique_ptr<KAryBlockingIndex>> kary_indexes_;
 
   // --- per-constraint counters ---

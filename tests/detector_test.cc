@@ -16,7 +16,9 @@
 namespace dbim {
 namespace {
 
+using testing::BodyHolds;
 using testing::MakeRunningExample;
+using testing::MakesSelfInconsistent;
 
 TEST(Detector, RunningExampleD1MinimalSubsets) {
   const auto example = MakeRunningExample();
@@ -264,7 +266,7 @@ BruteForceDetection BruteForceDetect(const std::vector<DenialConstraint>& dcs,
   std::set<std::vector<FactId>> admitted;
   for (size_t i = 0; i < facts.size(); ++i) {
     for (const DenialConstraint& dc : dcs) {
-      if (dc.MakesSelfInconsistent(facts[i])) contradictory[i] = true;
+      if (MakesSelfInconsistent(dc, facts[i])) contradictory[i] = true;
     }
     if (contradictory[i]) {
       out.subsets.push_back({ids[i]});
@@ -279,7 +281,7 @@ BruteForceDetection BruteForceDetect(const std::vector<DenialConstraint>& dcs,
         if (i == j || contradictory[i] || contradictory[j]) continue;
         if (facts[i].relation() != dc.var_relation(0) ||
             facts[j].relation() != dc.var_relation(1) ||
-            !dc.BodyHolds(facts[i], facts[j])) {
+            !BodyHolds(dc, facts[i], facts[j])) {
           continue;
         }
         ++stats.num_probes;

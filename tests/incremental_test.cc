@@ -189,6 +189,17 @@ DenialConstraint ChainDc3() {
   return DenialConstraint(std::vector<RelationId>(3, 0), std::move(preds));
 }
 
+// The keyless 3-ary chain !(t0.A < t1.A & t1.B < t2.B & t0.C != t2.C): no
+// cross-variable equality, so its pruning index holds no groups and the
+// anchored enumeration scans every variable's relation.
+DenialConstraint KeylessChainDc3() {
+  std::vector<Predicate> preds;
+  preds.emplace_back(Operand{0, 0}, CompareOp::kLt, Operand{1, 0});
+  preds.emplace_back(Operand{1, 1}, CompareOp::kLt, Operand{2, 1});
+  preds.emplace_back(Operand{0, 2}, CompareOp::kNe, Operand{2, 2});
+  return DenialConstraint(std::vector<RelationId>(3, 0), std::move(preds));
+}
+
 // A 4-ary "at most 3 duplicates of (A)" style constraint with order tie
 // breaks, to reach supports of size up to 4 and repeated-fact assignments:
 // !(t0.A = t1.A & t1.A = t2.A & t2.A = t3.A & t0.B < t3.B).
@@ -246,6 +257,11 @@ class KAryIncrementalSweep : public ::testing::TestWithParam<int> {};
 TEST_P(KAryIncrementalSweep, PureChainDc) {
   RunKArySweep({ChainDc3()}, 24, 3, GetParam() * 3 + 1,
                "chain seed=" + std::to_string(GetParam()));
+}
+
+TEST_P(KAryIncrementalSweep, KeylessChainDc) {
+  RunKArySweep({KeylessChainDc3()}, 20, 3, GetParam() * 5 + 4,
+               "keyless seed=" + std::to_string(GetParam()));
 }
 
 TEST_P(KAryIncrementalSweep, MixedBinaryAndKAry) {

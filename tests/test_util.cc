@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace dbim::testing {
@@ -14,6 +15,31 @@ std::shared_ptr<const Schema> MakeAbcSchema() {
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("R", {"A", "B", "C"});
   return schema;
+}
+
+bool BodyHolds(const DenialConstraint& dc,
+               const std::vector<const Fact*>& assignment) {
+  DBIM_CHECK(assignment.size() == dc.num_vars());
+  for (const Predicate& p : dc.predicates()) {
+    const Value& lhs = assignment[p.lhs().var]->value(p.lhs().attr);
+    const Value& rhs = p.rhs_is_constant()
+                           ? p.rhs_constant()
+                           : assignment[p.rhs_operand().var]->value(
+                                 p.rhs_operand().attr);
+    if (!EvalCompare(p.op(), lhs, rhs)) return false;
+  }
+  return true;
+}
+
+bool BodyHolds(const DenialConstraint& dc, const Fact& t0, const Fact& t1) {
+  return BodyHolds(dc, {&t0, &t1});
+}
+
+bool MakesSelfInconsistent(const DenialConstraint& dc, const Fact& f) {
+  for (const RelationId r : dc.var_relations()) {
+    if (r != f.relation()) return false;
+  }
+  return BodyHolds(dc, std::vector<const Fact*>(dc.num_vars(), &f));
 }
 
 NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
@@ -36,7 +62,7 @@ NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
     const size_t k = dc.num_vars();
     if (k > 2) counted = false;
     for (size_t i = 0; i < n; ++i) {
-      if (dc.MakesSelfInconsistent(facts[i])) contradictory.insert(ids[i]);
+      if (MakesSelfInconsistent(dc, facts[i])) contradictory.insert(ids[i]);
     }
     if (k < 2 || n == 0) continue;
     std::vector<size_t> pick(k, 0);  // odometer over [0, n)^k
@@ -48,7 +74,7 @@ NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
         typed = typed && assignment[v]->relation() ==
                              dc.var_relation(static_cast<uint32_t>(v));
       }
-      if (typed && dc.BodyHolds(assignment)) {
+      if (typed && BodyHolds(dc, assignment)) {
         std::vector<FactId> support;
         for (const size_t i : pick) support.push_back(ids[i]);
         std::sort(support.begin(), support.end());

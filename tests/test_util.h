@@ -11,6 +11,7 @@
 #include "constraints/fd.h"
 #include "datagen/running_example.h"
 #include "relational/database.h"
+#include "relational/fact.h"
 #include "relational/operations.h"
 #include "relational/schema.h"
 #include "violations/violation.h"
@@ -30,6 +31,21 @@ Database MakeRandomDatabase(std::shared_ptr<const Schema> schema,
 /// Schema with a single relation R(A,B,C).
 std::shared_ptr<const Schema> MakeAbcSchema();
 
+/// The Fact-based constraint evaluator, independent of the interned eval
+/// kernel (violations/eval_kernel.h) it is the oracle for: the body of
+/// `dc` on materialized Facts, `assignment[i]` instantiating t_i, with
+/// plain Value comparisons (no pool, no class ids). True means the
+/// assignment witnesses a violation.
+bool BodyHolds(const DenialConstraint& dc,
+               const std::vector<const Fact*>& assignment);
+
+/// The binary case of BodyHolds: t0 instantiates t_0, t1 instantiates t_1.
+bool BodyHolds(const DenialConstraint& dc, const Fact& t0, const Fact& t1);
+
+/// Whether every variable of `dc` ranges over f's relation and the body
+/// holds with all of them bound to `f` — f is self-inconsistent.
+bool MakesSelfInconsistent(const DenialConstraint& dc, const Fact& f);
+
 /// MI_Sigma(D) computed the slow, obviously correct way — the reference the
 /// detector and the incremental index are checked against.
 struct NaiveMi {
@@ -43,9 +59,9 @@ struct NaiveMi {
 };
 
 /// Enumerates every fact, pair and k-tuple of `db` and evaluates each
-/// constraint on materialized Facts with DenialConstraint::BodyHolds /
-/// MakesSelfInconsistent (no eval kernel, no blocking, no pool class
-/// ids), then keeps the supports with no inconsistent proper subset.
+/// constraint on materialized Facts with the BodyHolds /
+/// MakesSelfInconsistent above (no eval kernel, no blocking, no pool
+/// class ids), then keeps the supports with no inconsistent proper subset.
 /// O(|Sigma| n^k): a few hundred facts for binary Sigma, a few dozen
 /// for k-ary.
 NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
