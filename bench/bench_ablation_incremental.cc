@@ -3,8 +3,10 @@
 // case re-evaluates the measure after every repairing operation; the
 // incremental index turns each step from a full O(n^2) join (binary
 // Sigma) or O(n^k) enumeration (k-ary Sigma) into a probe of the changed
-// fact — blocking buckets for binary constraints, anchored witness
-// re-enumeration for k-ary ones, both on the shared eval kernel. This
+// fact — blocking buckets for binary constraints, whose partner indexes
+// (a `!=` class split or dynamic order runs) let a probe cost its
+// partners rather than its bucket, anchored witness re-enumeration for
+// k-ary ones, both on the shared eval kernel. This
 // bench repairs noisy instances fact by fact and times both strategies
 // end to end; the CI gate (check_bench_regression.py --self) asserts the
 // incremental column never exceeds the from-scratch column.

@@ -2,9 +2,20 @@
 // violation maintenance under a high-churn mutation stream, for two
 // strategies over the *same* recorded operation trace:
 //
-//   watched    — IncrementalViolationIndex (watched-key dispatch for
-//                binary constraints, anchored-probe pruning for k-ary),
+//   watched    — IncrementalViolationIndex (watched-key dispatch and
+//                output-sensitive partner indexes for binary constraints,
+//                anchored-probe pruning for k-ary),
 //   scratch    — full ViolationDetector::FindViolations after every op.
+//
+// `candidates` and `fires` sum the index's per-constraint counters
+// (IncrementalViolationIndex::ConstraintStatsFor) over the replay: the
+// partners its probes examined and the witnesses they derived. Both are a
+// pure function of --seed and --scale. A binary probe yields only the
+// partners its constraint's indexed predicates admit — a `!=` class split
+// (the FDs) or a dynamic dominance query (order-keyed: Tax's salary/rate
+// shape; order-keyless: an FD written with two order predicates and no
+// equality key, so the whole relation is one bucket) — so candidates stay
+// close to fires instead of growing with the bucket.
 //
 // The trace is generated once (deterministic in --seed) and replayed
 // verbatim per strategy, so both walk identical databases and must end on
@@ -15,8 +26,10 @@
 // The CI gate (check_bench_regression.py --self) asserts "watched (s)"
 // never exceeds "scratch (s)" beyond timer noise on the workloads the
 // index was built for: wide Sigma where each op's key classes overlap few
-// constraints (fd-mesh), and k-ary Sigma where the anchored probe can
-// prune through partner buckets (kary-chain, mixed).
+// constraints (fd-mesh), order constraints with and without a key
+// (order-keyed, order-keyless), and k-ary Sigma where the anchored probe
+// can prune through partner buckets (kary-chain, mixed). CI also gates the
+// candidates column exactly per row at --scale=0.5.
 //
 // Large-scale regime: `--scale=1000 --skip-scratch` pushes the fd-mesh
 // row to 1M tuples / 400k ops. --skip-scratch is required there — a full
@@ -92,6 +105,12 @@ std::vector<RepairOperation> MakeTrace(const Database& initial,
   return ops;
 }
 
+// The index's per-constraint work over one replay, summed over Sigma.
+struct ReplayCounts {
+  uint64_t candidates = 0;
+  uint64_t fires = 0;
+};
+
 // Replays the trace through an IncrementalViolationIndex; construction is
 // outside the timer — the bench measures steady-state churn, not build.
 // `*fresh` receives one full detection of the final database.
@@ -99,11 +118,17 @@ double ReplayIndex(std::shared_ptr<const Schema> schema,
                    const std::vector<DenialConstraint>& dcs,
                    const Database& initial,
                    const std::vector<RepairOperation>& ops,
-                   ViolationSet* final, ViolationSet* fresh) {
+                   ViolationSet* final, ViolationSet* fresh,
+                   ReplayCounts* counts) {
   IncrementalViolationIndex index(schema, dcs, initial);
   Timer timer;
   for (const RepairOperation& op : ops) index.Apply(op);
   const double seconds = timer.Seconds();
+  for (size_t c = 0; c < dcs.size(); ++c) {
+    const IncrementalConstraintStats stats = index.ConstraintStatsFor(c);
+    counts->candidates += stats.num_probes;
+    counts->fires += stats.num_fires;
+  }
   *final = index.Snapshot();
   *fresh = ViolationDetector(std::move(schema), dcs).FindViolations(index.db());
   return seconds;
@@ -139,8 +164,9 @@ bool RunRow(TablePrinter& table, const char* label, size_t n,
 
   ViolationSet watched_final;
   ViolationSet fresh_final;
-  const double watched_s =
-      ReplayIndex(schema, dcs, initial, ops, &watched_final, &fresh_final);
+  ReplayCounts counts;
+  const double watched_s = ReplayIndex(schema, dcs, initial, ops,
+                                       &watched_final, &fresh_final, &counts);
 
   // The maintained state must agree with detection up to subset order,
   // violation multiplicities included.
@@ -171,7 +197,8 @@ bool RunRow(TablePrinter& table, const char* label, size_t n,
        std::move(scratch_cell),
        TablePrinter::Num(
            watched_s > 0 ? static_cast<double>(ops.size()) / watched_s : 0.0,
-           0)});
+           0),
+       std::to_string(counts.candidates), std::to_string(counts.fires)});
   return true;
 }
 
@@ -214,11 +241,14 @@ int Run(const BenchArgs& args) {
       "Seconds to replay one recorded high-churn trace (30% delete /\n"
       "30% insert / 40% update) per maintenance strategy. fd-mesh is a\n"
       "wide binary Sigma (every ordered attribute pair an FD) with\n"
-      "mostly-sparse keys, the watched-dispatch sweet spot; kary-chain\n"
-      "and mixed exercise anchored-probe pruning.");
+      "mostly-sparse keys, the watched-dispatch sweet spot; order-keyed\n"
+      "and order-keyless replay one order constraint on the same\n"
+      "instance; kary-chain and mixed exercise anchored-probe pruning.\n"
+      "candidates / fires: partners the index examined / witnesses found.");
 
   TablePrinter table({"workload", "#tuples", "#Sigma", "ops", "watched (s)",
-                      "scratch (s)", "watched ops/s"});
+                      "scratch (s)", "watched ops/s", "candidates",
+                      "fires"});
 
   // fd-mesh: R(A0..A7), all 56 ordered-pair FDs. A0 is drawn from a small
   // domain (dense buckets, real violations); the rest from ~8n distinct
@@ -242,6 +272,39 @@ int Run(const BenchArgs& args) {
     const Database initial = MakeInstance(schema, n, kAttrs, draw, args.seed);
     if (!RunRow(table, "fd-mesh", n, schema, dcs, initial,
                 args.SampleSize(400, 2000), kAttrs, draw, args.seed + 1,
+                args.skip_scratch)) {
+      return 1;
+    }
+
+    // order-keyed: Tax's salary/rate shape, keyed on the dense A0 —
+    // !(t.A0 = t'.A0 & t.A1 > t'.A1 & t.A2 < t'.A2).
+    std::vector<DenialConstraint> keyed;
+    {
+      std::vector<Predicate> preds;
+      preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+      preds.emplace_back(Operand{0, 1}, CompareOp::kGt, Operand{1, 1});
+      preds.emplace_back(Operand{0, 2}, CompareOp::kLt, Operand{1, 2});
+      keyed.emplace_back(std::vector<RelationId>(2, 0), std::move(preds));
+    }
+    if (!RunRow(table, "order-keyed", n, schema, keyed, initial,
+                args.SampleSize(400, 2000), kAttrs, draw, args.seed + 5,
+                args.skip_scratch)) {
+      return 1;
+    }
+
+    // order-keyless: the FD A1 -> A2 with its key written as two order
+    // predicates, so it has no equality key —
+    // !(t.A1 <= t'.A1 & t.A1 >= t'.A1 & t.A2 != t'.A2).
+    std::vector<DenialConstraint> keyless;
+    {
+      std::vector<Predicate> preds;
+      preds.emplace_back(Operand{0, 1}, CompareOp::kLe, Operand{1, 1});
+      preds.emplace_back(Operand{0, 1}, CompareOp::kGe, Operand{1, 1});
+      preds.emplace_back(Operand{0, 2}, CompareOp::kNe, Operand{1, 2});
+      keyless.emplace_back(std::vector<RelationId>(2, 0), std::move(preds));
+    }
+    if (!RunRow(table, "order-keyless", n, schema, keyless, initial,
+                args.SampleSize(400, 2000), kAttrs, draw, args.seed + 6,
                 args.skip_scratch)) {
       return 1;
     }

@@ -222,12 +222,13 @@ struct SessionConstraintStats {
 ///
 ///  * `Register(db)` re-interns the database onto the session pool and
 ///    builds an IncrementalViolationIndex on the shared eval kernel:
-///    binary constraints keep per-constraint blocking buckets across
-///    operations, k-ary constraints re-enumerate witnesses through the
-///    changed fact (anchored enumeration);
-///  * `Apply(handle, op)` mutates in place and maintains MI_Sigma(D) in
-///    O(bucket) (binary) / O(k n^{k-1}) (k-ary) per operation instead of
-///    re-detecting;
+///    binary constraints keep shared blocking buckets, with partner
+///    indexes inside them, across operations, k-ary constraints
+///    re-enumerate witnesses through the changed fact (anchored
+///    enumeration);
+///  * `Apply(handle, op)` mutates in place and maintains MI_Sigma(D) at
+///    the cost of the changed fact's partners (binary) / O(k n^{k-1})
+///    (k-ary) per operation instead of re-detecting;
 ///  * `Evaluate(handle)` reports all measures; the "detection" step is a
 ///    snapshot of the maintained set. Reports are bit-identical to
 ///    EvaluateOne over an equal database;

@@ -65,17 +65,4 @@ bool ConflictGraph::IsProblematic(FactId id) const {
   return std::binary_search(fact_of_.begin(), fact_of_.end(), id);
 }
 
-std::vector<std::vector<uint32_t>> ConflictGraph::AdjacencyLists() const {
-  std::vector<std::vector<uint32_t>> adj(num_vertices());
-  for (const auto& [a, b] : edges_) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-  for (auto& nbrs : adj) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
-  return adj;
-}
-
 }  // namespace dbim

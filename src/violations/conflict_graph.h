@@ -53,10 +53,6 @@ class ConflictGraph {
   bool HasHyperedges() const { return !hyperedges_.empty(); }
   size_t num_self_inconsistent() const { return num_self_inconsistent_; }
 
-  /// Adjacency lists over the edge set (hyperedges not included), with
-  /// neighbor lists sorted and deduplicated.
-  std::vector<std::vector<uint32_t>> AdjacencyLists() const;
-
  private:
   std::vector<FactId> fact_of_;  // ascending
   std::vector<std::pair<uint32_t, uint32_t>> edges_;

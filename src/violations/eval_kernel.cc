@@ -29,14 +29,16 @@ KAryBlockingIndex::KAryBlockingIndex(const DenialConstraint& dc)
   }
 }
 
-void KeyBuckets::Remove(const ValuePool& pool, const RowRef& row) {
-  const auto it = buckets.find(Hash(pool, row));
+const std::vector<FactId>* KeyBuckets::Remove(uint64_t hash, FactId id) {
+  const auto it = buckets.find(hash);
   DBIM_CHECK(it != buckets.end());
   std::vector<FactId>& bucket = it->second;
-  const auto pos = std::find(bucket.begin(), bucket.end(), row.fact_id());
+  const auto pos = std::find(bucket.begin(), bucket.end(), id);
   DBIM_CHECK(pos != bucket.end());
   bucket.erase(pos);  // preserve order: probes stay deterministic
-  if (bucket.empty()) buckets.erase(it);
+  if (!bucket.empty()) return &bucket;
+  buckets.erase(it);
+  return nullptr;
 }
 
 void KAryBlockingIndex::Add(const Database& db, FactId id) {

@@ -264,11 +264,22 @@ struct KeyBuckets {
     return it == buckets.end() ? nullptr : &it->second;
   }
   void Add(const ValuePool& pool, const RowRef& row) {
-    buckets[Hash(pool, row)].push_back(row.fact_id());
+    Add(Hash(pool, row), row.fact_id());
+  }
+  /// Adds `id` under its key hash `hash`; returns its bucket.
+  const std::vector<FactId>& Add(uint64_t hash, FactId id) {
+    std::vector<FactId>& bucket = buckets[hash];
+    bucket.push_back(id);
+    return bucket;
   }
   /// Must run before the fact's cells change: the key is recomputed from
   /// them.
-  void Remove(const ValuePool& pool, const RowRef& row);
+  void Remove(const ValuePool& pool, const RowRef& row) {
+    Remove(Hash(pool, row), row.fact_id());
+  }
+  /// Removes `id` from under its key hash `hash`; returns what is left of
+  /// its bucket, nullptr when nothing is (the bucket is then erased).
+  const std::vector<FactId>* Remove(uint64_t hash, FactId id);
   size_t num_keys() const { return buckets.size(); }
 };
 

@@ -9,6 +9,37 @@
 
 namespace dbim {
 
+namespace {
+
+// Whether predicate `b` says what `a` says with t and t' swapped.
+bool SwapsTo(const Predicate& a, const Predicate& b) {
+  auto swap = [](const Operand& o) { return Operand{1 - o.var, o.attr}; };
+  const Operand lhs = swap(a.lhs());
+  if (a.rhs_is_constant() || b.rhs_is_constant()) {
+    return a.rhs_is_constant() && b.rhs_is_constant() && a.op() == b.op() &&
+           b.lhs() == lhs && a.rhs_constant() == b.rhs_constant();
+  }
+  const Operand rhs = swap(a.rhs_operand());
+  return (b.op() == a.op() && b.lhs() == lhs && b.rhs_operand() == rhs) ||
+         (b.op() == FlipOp(a.op()) && b.lhs() == rhs &&
+          b.rhs_operand() == lhs);
+}
+
+// Whether a binary body holds on (t, t') exactly when it holds on (t', t):
+// both variables range over one relation and swapping them maps the
+// predicate set onto itself. Then probing the changed fact as t alone
+// finds every pair, and the t' probe could only re-find them.
+bool SwapSymmetric(const DenialConstraint& dc) {
+  if (dc.var_relation(0) != dc.var_relation(1)) return false;
+  const std::vector<Predicate>& preds = dc.predicates();
+  return std::all_of(preds.begin(), preds.end(), [&](const Predicate& a) {
+    return std::any_of(preds.begin(), preds.end(),
+                       [&](const Predicate& b) { return SwapsTo(a, b); });
+  });
+}
+
+}  // namespace
+
 IncrementalViolationIndex::IncrementalViolationIndex(
     std::shared_ptr<const Schema> schema,
     std::vector<DenialConstraint> constraints, Database db,
@@ -34,14 +65,22 @@ IncrementalViolationIndex::IncrementalViolationIndex(
 void IncrementalViolationIndex::BuildInitialState(
     const DetectorOptions& build_options) {
   dc_states_.resize(constraints_.size());
-  for (size_t c = 0; c < constraints_.size(); ++c) {
-    if (constraints_[c].num_vars() >= 3) has_kary_ = true;
-    if (constraints_[c].num_vars() != 2) continue;
-    dc_states_[c].keys = ExtractBlockingKeys(constraints_[c]);
-    dc_states_[c].blocked = !dc_states_[c].keys.empty();
+  for (const DenialConstraint& dc : constraints_) {
+    if (dc.num_vars() >= 3) has_kary_ = true;
   }
   BuildDispatchTables();
-  db_->ForEachId([&](FactId id) { AddToBuckets(id); });
+  // The buckets first, fact by fact; the partner indexes are then
+  // bulk-built from them.
+  db_->ForEachId([&](FactId id) {
+    if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
+    const Database::RowLocation loc = db_->Locate(id);
+    const RowRef row{&db_->relation_block(loc.relation), loc.row};
+    for (const uint32_t g : groups_by_rel_[loc.relation]) {
+      bucket_groups_[g].Add(db_->pool(), row);
+    }
+    AddToKAryIndexes(id);
+  });
+  RebuildPartnerIndexes();
 
   const ViolationDetector detector(schema_, constraints_, build_options);
   const ViolationSet initial = detector.FindViolations(*db_);
@@ -59,7 +98,6 @@ void IncrementalViolationIndex::BuildInitialState(
 void IncrementalViolationIndex::BuildDispatchTables() {
   const size_t num_rels = schema_->num_relations();
   binary_by_rel_.assign(num_rels, {});
-  unblocked_by_rel_.assign(num_rels, {});
   kary_by_rel_.assign(num_rels, {});
   selfinc_by_rel_.assign(num_rels, {});
   bucket_groups_.clear();
@@ -75,7 +113,7 @@ void IncrementalViolationIndex::BuildDispatchTables() {
     if (list.empty() || list.back() != c) list.push_back(c);
   };
 
-  // Shared bucket group for (rel, attrs): any two blocked sides with the
+  // Shared bucket group for (rel, attrs): any two binary sides with the
   // same shape bucket exactly the same facts under exactly the same keys.
   auto group_for = [&](RelationId rel, const std::vector<AttrIndex>& attrs) {
     for (size_t g = 0; g < bucket_groups_.size(); ++g) {
@@ -85,7 +123,60 @@ void IncrementalViolationIndex::BuildDispatchTables() {
     const int g = static_cast<int>(bucket_groups_.size());
     bucket_groups_.push_back(KeyBuckets{rel, attrs, {}});
     groups_by_rel_[rel].push_back(static_cast<uint32_t>(g));
+    indexes_by_group_.emplace_back();
     return g;
+  };
+
+  // Shared partner index for (partner group, kind, partner attrs).
+  auto index_for = [&](uint32_t group, bool order,
+                       const std::vector<AttrIndex>& attrs) {
+    for (size_t i = 0; i < partner_indexes_.size(); ++i) {
+      const PartnerIndex& index = partner_indexes_[i];
+      if (index.group == group && index.order == order &&
+          index.attrs == attrs) {
+        return static_cast<int>(i);
+      }
+    }
+    const int i = static_cast<int>(partner_indexes_.size());
+    partner_indexes_.emplace_back();
+    partner_indexes_.back().group = group;
+    partner_indexes_.back().order = order;
+    partner_indexes_.back().attrs = attrs;
+    indexes_by_group_[group].push_back(static_cast<uint32_t>(i));
+    return i;
+  };
+
+  // The probe with the changed fact bound to variable `s` indexes the
+  // body's first two cross order predicates (the detector's OrderRanks
+  // choice) or, with none, its first cross `!=`, over the partner group.
+  auto plan_side = [&](const DenialConstraint& dc, uint32_t s,
+                       uint32_t partner_group) {
+    SidePlan plan;
+    std::vector<AttrIndex> partner_attrs;
+    bool order = false;
+    for (const bool want_order : {true, false}) {
+      for (const Predicate& p : dc.predicates()) {
+        if (!p.IsCrossVariable() || partner_attrs.size() == 2) continue;
+        const bool is_order =
+            p.op() != CompareOp::kEq && p.op() != CompareOp::kNe;
+        if (want_order ? !is_order : p.op() != CompareOp::kNe) continue;
+        const bool probe_lhs = p.lhs().var == s;
+        const size_t k = partner_attrs.size();
+        plan.probe_attrs[k] = probe_lhs ? p.lhs().attr : p.rhs_operand().attr;
+        plan.ops[k] = probe_lhs ? p.op() : FlipOp(p.op());
+        partner_attrs.push_back(probe_lhs ? p.rhs_operand().attr
+                                          : p.lhs().attr);
+        if (!want_order) break;
+      }
+      if (!partner_attrs.empty()) {
+        order = want_order;
+        break;
+      }
+    }
+    if (!partner_attrs.empty()) {
+      plan.index = index_for(partner_group, order, partner_attrs);
+    }
+    return plan;
   };
 
   for (uint32_t c = 0; c < constraints_.size(); ++c) {
@@ -102,24 +193,23 @@ void IncrementalViolationIndex::BuildDispatchTables() {
     }
     if (dc.num_vars() == 2) {
       DcState& state = dc_states_[c];
+      const BlockingKeys keys = ExtractBlockingKeys(dc);
       for (uint32_t side = 0; side < 2; ++side) {
         const RelationId rel = dc.var_relation(side);
         push_unique(binary_by_rel_[rel], c);
-        if (state.blocked) {
-          const std::vector<AttrIndex>& attrs =
-              side == 0 ? state.keys.var0 : state.keys.var1;
-          state.group[side] = group_for(rel, attrs);
-        } else {
-          push_unique(unblocked_by_rel_[rel], c);
-        }
+        state.group[side] = group_for(rel, side == 0 ? keys.var0 : keys.var1);
+      }
+      state.symmetric = SwapSymmetric(dc);
+      for (uint32_t side = 0; side < (state.symmetric ? 1u : 2u); ++side) {
+        state.side[side] = plan_side(
+            dc, side, static_cast<uint32_t>(state.group[1 - side]));
       }
       // A watch probe per distinct (probe group, partner group) on the
       // probing relation: ops hash each probe group's key once and a
       // non-empty partner bucket at that key marks every constraint in
       // the probe a candidate. The partner bucket doubles as the watcher
       // list — no registration state, presence is the watch.
-      for (int probe_side = 0; state.blocked && probe_side < 2;
-           ++probe_side) {
+      for (int probe_side = 0; probe_side < 2; ++probe_side) {
         const uint32_t own = static_cast<uint32_t>(state.group[probe_side]);
         const uint32_t partner =
             static_cast<uint32_t>(state.group[1 - probe_side]);
@@ -202,11 +292,116 @@ uint32_t IncrementalViolationIndex::RecoverMultiplicity(
   return multiplicity;
 }
 
+OrderRuns::Entry IncrementalViolationIndex::EntryOf(
+    const PartnerIndex& index, const RowRef& row) const {
+  OrderRuns::Entry entry;
+  entry.id = row.fact_id();
+  entry.stamp = stamps_[entry.id];
+  for (size_t k = 0; k < index.attrs.size(); ++k) {
+    entry.key[k] = row.class_at(index.attrs[k]);
+  }
+  return entry;
+}
+
+void IncrementalViolationIndex::AddToPartnerIndex(
+    PartnerIndex& index, uint64_t h, const RowRef& row,
+    const std::vector<FactId>& members) {
+  const FactId id = row.fact_id();
+  if (index.order) {
+    index.runs.try_emplace(h, index.attrs.size())
+        .first->second.Insert(db_->pool(), stamps_, EntryOf(index, row));
+    return;
+  }
+  // A bucket of one fact keeps no split (the probe reads that fact from the
+  // group bucket), so the split starts with the bucket's second fact,
+  // taking in the first.
+  if (members.size() < 2) return;
+  ClassSplit& split = index.splits[h];
+  if (members.size() == 2) {
+    const FactId first = members[0] == id ? members[1] : members[0];
+    split.Add(BindFact(*db_, first).class_at(index.attrs[0]), first);
+  }
+  split.Add(row.class_at(index.attrs[0]), id);
+}
+
+void IncrementalViolationIndex::ClassSplit::Add(ValueId c, FactId id) {
+  const auto it = std::find_if(classes.begin(), classes.end(),
+                               [&](const auto& cls) { return cls.first == c; });
+  if (it == classes.end()) {
+    classes.emplace_back(c, std::vector<FactId>{id});
+  } else {
+    it->second.push_back(id);
+  }
+}
+
+void IncrementalViolationIndex::RemoveFromPartnerIndex(
+    PartnerIndex& index, uint64_t h, const RowRef& row,
+    const std::vector<FactId>* members) {
+  if (index.order) {
+    const auto it = index.runs.find(h);
+    DBIM_CHECK(it != index.runs.end());
+    it->second.Tombstone(db_->pool(), stamps_);
+    if (it->second.num_live() == 0) index.runs.erase(it);
+    return;
+  }
+  // Down to one fact, the bucket drops its split.
+  if (members == nullptr || members->size() < 2) {
+    index.splits.erase(h);
+    return;
+  }
+  const auto split = index.splits.find(h);
+  DBIM_CHECK(split != index.splits.end());
+  split->second.Remove(row.class_at(index.attrs[0]), row.fact_id());
+}
+
+void IncrementalViolationIndex::ClassSplit::Remove(ValueId c, FactId id) {
+  const auto cls = std::find_if(
+      classes.begin(), classes.end(),
+      [&](const auto& entry) { return entry.first == c; });
+  DBIM_CHECK(cls != classes.end());
+  std::vector<FactId>& facts = cls->second;
+  const auto pos = std::find(facts.begin(), facts.end(), id);
+  DBIM_CHECK(pos != facts.end());
+  facts.erase(pos);
+  if (facts.empty()) classes.erase(cls);
+}
+
+void IncrementalViolationIndex::RebuildPartnerIndexes() {
+  const ValuePool& pool = db_->pool();
+  for (PartnerIndex& index : partner_indexes_) {
+    index.splits.clear();
+    index.runs.clear();
+    for (const auto& [h, facts] : bucket_groups_[index.group].buckets) {
+      if (!index.order) {
+        if (facts.size() < 2) continue;
+        ClassSplit& split = index.splits[h];
+        for (const FactId id : facts) {
+          split.Add(BindFact(*db_, id).class_at(index.attrs[0]), id);
+        }
+        continue;
+      }
+      std::vector<OrderRuns::Entry> entries;
+      entries.reserve(facts.size());
+      for (const FactId id : facts) {
+        entries.push_back(EntryOf(index, BindFact(*db_, id)));
+      }
+      index.runs.try_emplace(h, index.attrs.size())
+          .first->second.Assign(pool, std::move(entries));
+    }
+  }
+  partner_generation_ = pool.generation();
+}
+
 void IncrementalViolationIndex::AddToBinaryBuckets(FactId id) {
+  if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
   const Database::RowLocation loc = db_->Locate(id);
   const RowRef row{&db_->relation_block(loc.relation), loc.row};
   for (const uint32_t g : groups_by_rel_[loc.relation]) {
-    bucket_groups_[g].Add(db_->pool(), row);
+    const uint64_t h = bucket_groups_[g].Hash(db_->pool(), row);
+    const std::vector<FactId>& members = bucket_groups_[g].Add(h, id);
+    for (const uint32_t i : indexes_by_group_[g]) {
+      AddToPartnerIndex(partner_indexes_[i], h, row, members);
+    }
   }
 }
 
@@ -217,18 +412,18 @@ void IncrementalViolationIndex::AddToKAryIndexes(FactId id) {
   }
 }
 
-void IncrementalViolationIndex::AddToBuckets(FactId id) {
-  AddToBinaryBuckets(id);
-  AddToKAryIndexes(id);
-}
-
 void IncrementalViolationIndex::RemoveFromBuckets(FactId id) {
   // Must run before the fact's values change: the bucket key is recomputed
   // from the current cells.
   const Database::RowLocation loc = db_->Locate(id);
   const RowRef row{&db_->relation_block(loc.relation), loc.row};
+  ++stamps_[id];  // kills the fact's OrderRuns entries
   for (const uint32_t g : groups_by_rel_[loc.relation]) {
-    bucket_groups_[g].Remove(db_->pool(), row);
+    const uint64_t h = bucket_groups_[g].Hash(db_->pool(), row);
+    const std::vector<FactId>* members = bucket_groups_[g].Remove(h, id);
+    for (const uint32_t i : indexes_by_group_[g]) {
+      RemoveFromPartnerIndex(partner_indexes_[i], h, row, members);
+    }
   }
   if (has_kary_) {
     for (const uint32_t c : kary_by_rel_[loc.relation]) {
@@ -316,68 +511,111 @@ bool IncrementalViolationIndex::IsMinimalCandidate(
   return true;
 }
 
+template <typename Fn>
+void IncrementalViolationIndex::ForEachPartner(const SidePlan& plan,
+                                               uint32_t partner_group,
+                                               uint64_t h, const RowRef& self,
+                                               Fn&& fn) const {
+  if (plan.index < 0) {
+    const std::vector<FactId>* bucket = bucket_groups_[partner_group].Find(h);
+    if (bucket == nullptr) return;
+    for (const FactId other : *bucket) fn(other);
+    return;
+  }
+  const PartnerIndex& index = partner_indexes_[plan.index];
+  if (!index.order) {
+    const ValueId own = self.class_at(plan.probe_attrs[0]);
+    const auto it = index.splits.find(h);
+    if (it == index.splits.end()) {  // at most one fact: no split
+      const std::vector<FactId>* bucket = bucket_groups_[partner_group].Find(h);
+      if (bucket == nullptr) return;
+      for (const FactId other : *bucket) {
+        if (BindFact(*db_, other).class_at(index.attrs[0]) != own) fn(other);
+      }
+      return;
+    }
+    for (const auto& [c, facts] : it->second.classes) {
+      if (c == own) continue;
+      for (const FactId other : facts) fn(other);
+    }
+    return;
+  }
+  const auto it = index.runs.find(h);
+  if (it == index.runs.end()) return;
+  const ValuePool& pool = db_->pool();
+  OrderRuns::Probe probe;
+  for (size_t k = 0; k < index.attrs.size(); ++k) {
+    probe.op[k] = plan.ops[k];
+    probe.value[k] = &pool.value(self.class_at(plan.probe_attrs[k]));
+  }
+  it->second.ForEachPartner(pool, probe, stamps_, fn);
+}
+
 void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
                                             FactId id) {
   const Database::RowLocation loc = db_->Locate(id);
   const RowRef self{&db_->relation_block(loc.relation), loc.row};
 
-  // Commits `id`'s pairs under constraint `c` in the canonical discovery
-  // order (side-0 probe then side-1, bucket order within), with the
-  // per-constraint pair dedup no matter how many orientations match.
-  // Committing a pair touches only the witness store, never the buckets or
-  // the self-inconsistent set this probe reads.
+  // Commits `id`'s pairs under constraint `c`: side 0 (the fact as t),
+  // then, unless the body is symmetric, side 1 (the fact as t'), each in
+  // partner-index order, with the per-constraint pair dedup no matter how
+  // many orientations match. Committing a pair touches only the witness
+  // store, never the buckets, the partner indexes or the self-inconsistent
+  // set this probe reads.
   auto probe_constraint = [&](uint32_t c) {
     const DenialConstraint& dc = constraints_[c];
     const DcState& state = dc_states_[c];
     const DcEval& eval = evals[c];
-    std::unordered_set<FactId> hit;
+    std::vector<FactId>& hits = probe_hits_;
+    hits.clear();
     uint64_t probes = 0;
-    auto try_partner = [&](FactId other, bool id_is_var0) {
-      if (other == id) return;  // reflexive: that is self-inconsistency
-      ++probes;
-      if (hit.count(other) > 0) return;
-      if (self_inconsistent_.count(other) > 0) return;
-      const RowRef partner = BindFact(*db_, other);
-      RowRef assignment[2];
-      assignment[id_is_var0 ? 0 : 1] = self;
-      assignment[id_is_var0 ? 1 : 0] = partner;
-      if (!eval.BodyHolds(assignment)) return;
-      hit.insert(other);
-      IndexSubset({id, other}, 1);
-    };
-    // The probe hashes its own side's key attributes; equal key values mean
-    // equal semantic hashes, so the partner side's bucket is the candidate
-    // set. Hash collisions are rejected by the body check (the body
-    // contains the key equalities), on interned class ids only.
-    for (int side = 0; side < 2; ++side) {
+    size_t side0_hits = 0;
+    for (int side = 0; side < (state.symmetric ? 1 : 2); ++side) {
       if (loc.relation != dc.var_relation(side)) continue;
-      const bool id_is_var0 = side == 0;
-      if (state.blocked) {
-        const std::vector<FactId>* bucket =
-            bucket_groups_[state.group[1 - side]].Find(
-                bucket_groups_[state.group[side]].Hash(db_->pool(), self));
-        if (bucket == nullptr) continue;
-        for (const FactId other : *bucket) try_partner(other, id_is_var0);
-      } else {
-        for (const FactId other :
-             db_->relation_block(dc.var_relation(1 - side)).row_ids) {
-          try_partner(other, id_is_var0);
+      auto try_partner = [&](FactId other) {
+        if (other == id) return;  // reflexive: that is self-inconsistency
+        ++probes;
+        if (self_inconsistent_.count(other) > 0) return;
+        // Only a pair side 0 already committed can come up again on side 1.
+        if (side == 1 && std::binary_search(hits.begin(),
+                                            hits.begin() + side0_hits, other)) {
+          return;
         }
+        RowRef assignment[2];
+        assignment[side] = self;
+        assignment[1 - side] = BindFact(*db_, other);
+        if (!eval.BodyHolds(assignment)) return;
+        hits.push_back(other);
+        IndexSubset({id, other}, 1);
+      };
+      // The probe hashes its own side's key attributes; equal key values
+      // mean equal semantic hashes, so the partner side's bucket holds the
+      // candidates. Hash collisions are rejected by the body check (the
+      // body contains the key equalities), on interned class ids only.
+      const uint32_t partner_group =
+          static_cast<uint32_t>(state.group[1 - side]);
+      ForEachPartner(state.side[side], partner_group,
+                     bucket_groups_[state.group[side]].Hash(db_->pool(), self),
+                     self, try_partner);
+      if (side == 0 && !state.symmetric) {
+        std::sort(hits.begin(), hits.end());
+        side0_hits = hits.size();
       }
     }
     stats_[c].probes += probes;
-    stats_[c].fires += hit.size();
+    stats_[c].fires += hits.size();
   };
 
   // Watched dispatch: one key hash per distinct probe group over the
   // relation, then one partner-bucket presence check per watch probe. A
   // non-empty bucket at the key means the probe's constraints have a live
-  // partner there; everything else is skipped. Unblocked constraints scan
-  // and are always candidates. A blocked constraint the watch probes skip
-  // would have found only empty buckets — identical results, less work.
+  // partner there; everything else is skipped. A keyless constraint's
+  // partner bucket is its whole partner relation, so it is a candidate
+  // whenever that relation holds another fact. A constraint the watch
+  // probes skip would have found only empty buckets — identical results,
+  // less work.
   std::vector<uint32_t>& candidates = probe_candidates_;
-  candidates.assign(unblocked_by_rel_[loc.relation].begin(),
-                    unblocked_by_rel_[loc.relation].end());
+  candidates.clear();
   uint64_t h = 0;
   uint32_t hashed_group = UINT32_MAX;
   for (const WatchProbe& probe : watch_probes_by_rel_[loc.relation]) {
@@ -470,6 +708,9 @@ void IncrementalViolationIndex::ProbeFact(const std::vector<DcEval>& evals,
 std::optional<FactId> IncrementalViolationIndex::Apply(
     const RepairOperation& op) {
   if (!op.IsApplicable(*db_)) return std::nullopt;
+  if (db_->pool().generation() != partner_generation_) {
+    RebuildPartnerIndexes();
+  }
   if (op.is_deletion()) {
     const FactId id = op.deletion().id;
     RemoveSubsetsInvolving(id);
@@ -551,7 +792,7 @@ IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
   out.num_probes = stats_[c].probes;
   out.num_fires = stats_[c].fires;
   const DenialConstraint& dc = constraints_[c];
-  if (dc.num_vars() == 2 && dc_states_[c].blocked) {
+  if (dc.num_vars() == 2) {
     // Both sides of a single-relation FD-shaped constraint share one
     // bucket group; count that group's keys once, not per side.
     out.watcher_count = bucket_groups_[dc_states_[c].group[0]].num_keys();
@@ -618,11 +859,11 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
       }
     }
   }
-  // Watch-table completeness: every blocked (constraint, probe side) is
+  // Watch-table completeness: every (binary constraint, probe side) is
   // covered by exactly one probe carrying its own and its partner's group.
   for (uint32_t c = 0; c < constraints_.size(); ++c) {
     const DcState& state = dc_states_[c];
-    if (constraints_[c].num_vars() != 2 || !state.blocked) continue;
+    if (constraints_[c].num_vars() != 2) continue;
     for (int probe_side = 0; probe_side < 2; ++probe_side) {
       const uint32_t own = static_cast<uint32_t>(state.group[probe_side]);
       const uint32_t partner =
@@ -643,6 +884,73 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
               probe_side, covered);
         }
         return false;
+      }
+    }
+  }
+  // Partner indexes: each must equal a rebuild from the buckets just
+  // verified. A vacuum leaves their class ids stale until the next Apply
+  // rebuilds them, so stale ones are not compared.
+  if (partner_generation_ != db_->pool().generation()) return true;
+  for (size_t i = 0; i < partner_indexes_.size(); ++i) {
+    const PartnerIndex& index = partner_indexes_[i];
+    auto fail = [&](const char* what) {
+      if (error != nullptr) {
+        *error = StrFormat("partner index %zu: %s", i, what);
+      }
+      return false;
+    };
+    const auto& buckets = bucket_groups_[index.group].buckets;
+    size_t split_buckets = 0;  // buckets of two facts or more
+    for (const auto& [h, facts] : buckets) split_buckets += facts.size() > 1;
+    if ((index.order ? index.runs.size() : index.splits.size()) !=
+        (index.order ? buckets.size() : split_buckets)) {
+      return fail("bucket keys differ from its group's");
+    }
+    for (const auto& [h, facts] : buckets) {
+      std::vector<FactId> expected(facts);
+      std::sort(expected.begin(), expected.end());
+      if (!index.order) {
+        if (facts.size() < 2) continue;
+        const auto it = index.splits.find(h);
+        if (it == index.splits.end()) return fail("bucket missing");
+        std::map<ValueId, std::vector<FactId>> want;
+        std::map<ValueId, std::vector<FactId>> got;
+        for (const FactId id : expected) {
+          want[BindFact(*db_, id).class_at(index.attrs[0])].push_back(id);
+        }
+        for (const auto& [c, members] : it->second.classes) {
+          if (members.empty() || got.count(c) > 0) {
+            return fail("empty or repeated class");
+          }
+          std::vector<FactId>& sorted = got[c];
+          sorted = members;
+          std::sort(sorted.begin(), sorted.end());
+        }
+        if (got != want) return fail("class split differs from rebuild");
+        continue;
+      }
+      const auto it = index.runs.find(h);
+      if (it == index.runs.end()) return fail("bucket missing");
+      if (!it->second.WellFormed(db_->pool(), stamps_)) {
+        return fail("order runs malformed or over their tombstone bound");
+      }
+      std::vector<FactId> live;
+      bool keys_current = true;
+      it->second.ForEachEntry([&](const OrderRuns::Entry& e) {
+        if (stamps_[e.id] != e.stamp) return;
+        live.push_back(e.id);
+        if (!db_->Contains(e.id)) {
+          keys_current = false;
+          return;
+        }
+        const OrderRuns::Entry now = EntryOf(index, BindFact(*db_, e.id));
+        if (now.key[0] != e.key[0] || now.key[1] != e.key[1]) {
+          keys_current = false;
+        }
+      });
+      std::sort(live.begin(), live.end());
+      if (!keys_current || live != expected) {
+        return fail("live order entries differ from rebuild");
       }
     }
   }

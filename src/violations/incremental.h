@@ -12,13 +12,16 @@
 #include "relational/operations.h"
 #include "violations/detector.h"
 #include "violations/eval_kernel.h"
+#include "violations/order_index.h"
 #include "violations/violation.h"
 
 namespace dbim {
 
-/// Per-constraint maintenance counters. `num_probes` counts candidate
-/// partners examined (binary) resp. satisfying assignments enumerated
-/// (k-ary) on behalf of the constraint during Apply; `num_fires` counts
+/// Per-constraint maintenance counters. `num_probes` counts the partners
+/// the witness index yields (binary: partner facts whose key and indexed
+/// `!=` or order predicates hold, each checked against the full body)
+/// resp. satisfying assignments enumerated (k-ary) on behalf of the
+/// constraint during Apply; `num_fires` counts
 /// violation derivations it contributed. `watcher_count` is the
 /// constraint's live watched-key count: non-empty partner buckets (binary)
 /// resp. bucket keys of its pruning index (k-ary). Counters cover
@@ -51,9 +54,16 @@ struct IncrementalDispatchStats {
 /// (violations/eval_kernel.h), the same core the batch detector drives:
 ///
 ///  * binary constraints probe the changed fact against KeyBuckets groups
-///    maintained across operations (O(bucket) per op; constraints without
-///    an equality key scan the partner relation), comparing interned
-///    class ids only — no row-major `Fact` is ever materialized;
+///    maintained across operations (a constraint without an equality key
+///    has one bucket per relation). Within its partner bucket, a probe
+///    enumerates only the partners the constraint's indexed predicates
+///    admit: with order predicates, an OrderRuns dominance query on the
+///    first two; otherwise, with a cross `!=`, every class of the partner's
+///    `!=` attribute but the probe's own. A probe thus costs its partners
+///    (plus O(log^3 bucket) resp. the number of classes), not its bucket,
+///    and a body that reads the same with t and t' swapped (every FD)
+///    probes one side only. Checks compare interned class ids only — no
+///    row-major `Fact` is ever materialized;
 ///  * k-ary (>= 3 variable) constraints use the kernel's anchored
 ///    enumeration (EnumerateKAryAnchored) over a per-constraint
 ///    KAryBlockingIndex: every satisfying assignment through the changed
@@ -63,9 +73,10 @@ struct IncrementalDispatchStats {
 ///    same way the batch detector's pass 3 filters them.
 ///
 /// Every bucket keys on HashPoolValues — the *semantic value* of the
-/// blocking attributes, not raw ValueIds — so the index survives a
-/// shared-pool vacuum/re-intern (see MeasureSession::Vacuum) untouched:
-/// every piece of its state is keyed by FactId or value semantics.
+/// blocking attributes, not raw ValueIds — so the buckets survive a
+/// shared-pool vacuum/re-intern (see MeasureSession::Vacuum) untouched.
+/// The partner indexes inside them hold class ids; the first Apply after
+/// the pool's generation moves rebuilds them from the buckets.
 ///
 /// The index also maintains the per-derivation minimal-violation count the
 /// detector reports (a subset violating two constraints counts twice; a
@@ -154,9 +165,15 @@ class IncrementalViolationIndex {
   /// Test hook: whether the maintained watch state is exactly what a
   /// from-scratch rebuild would produce — every shared bucket holds
   /// precisely the live facts hashing to its key (no stale entries, no
-  /// empties left behind), and every blocked (constraint, probe side) is
+  /// empties left behind), every (binary constraint, probe side) is
   /// covered by exactly one watch probe with its own and its partner's
-  /// bucket group. On failure fills `*error` and returns false.
+  /// bucket group, and every partner index equals a rebuild from those
+  /// buckets: the same `!=` classes holding the same facts, resp. order
+  /// runs that are well formed (OrderRuns::WellFormed), whose live entries
+  /// are exactly the bucket's facts under their current keys, and whose
+  /// tombstones do not outnumber them. Partner indexes a vacuum left
+  /// stale (rebuilt by the next Apply) are not compared. On failure fills
+  /// `*error` and returns false.
   bool CheckWatcherInvariant(std::string* error) const;
 
  private:
@@ -165,15 +182,48 @@ class IncrementalViolationIndex {
     uint32_t multiplicity = 1;  // # derivations (constraints/assignments)
     bool alive = true;
   };
+  // How the probe with the changed fact as one variable reaches its
+  // partners: the partner index it queries, and the probe-side attributes
+  // of that index's predicates with their operators oriented
+  // `probe op partner`. No index (-1) when the body indexes nothing but
+  // its key: then every fact of the partner bucket is admitted.
+  struct SidePlan {
+    int index = -1;
+    AttrIndex probe_attrs[2] = {0, 0};
+    CompareOp ops[2] = {CompareOp::kNe, CompareOp::kNe};
+  };
   // Per-constraint blocking state of a binary constraint: group[v] names
   // the shared bucket group (below) holding the facts of var_relation(v)
-  // keyed by their side-v key attributes. Empty keys (no cross-variable
-  // equality) leave `blocked` false and the probe scans the partner
-  // relation. K-ary constraints block through kary_indexes_ instead.
+  // keyed by their side-v key attributes — none for a keyless constraint,
+  // whose group is one bucket per relation. side[s] plans the probe with
+  // the changed fact bound to variable s; a symmetric body (the same with
+  // t and t' swapped) probes side 0 only, which finds every pair. K-ary
+  // constraints block through kary_indexes_ instead.
   struct DcState {
-    BlockingKeys keys;
-    bool blocked = false;
     int group[2] = {-1, -1};
+    bool symmetric = false;
+    SidePlan side[2];
+  };
+
+  // One bucket's facts split by the class of the partner-side `!=`
+  // attribute: a probe of class c walks every class but c. Only buckets of
+  // two facts or more keep one; a one-fact bucket's fact is checked as is.
+  struct ClassSplit {
+    std::vector<std::pair<ValueId, std::vector<FactId>>> classes;
+
+    void Add(ValueId c, FactId id);
+    void Remove(ValueId c, FactId id);
+  };
+  // The witness index of one bucket group under one partner-side shape:
+  // per bucket key, the bucket's facts split on a `!=` attribute or held
+  // in OrderRuns on one or two order attributes. Probe sides whose
+  // partner group, kind and attributes coincide share one.
+  struct PartnerIndex {
+    uint32_t group = 0;
+    bool order = false;
+    std::vector<AttrIndex> attrs;  // the `!=` attribute, or the order keys
+    std::unordered_map<uint64_t, ClassSplit> splits;  // !order
+    std::unordered_map<uint64_t, OrderRuns> runs;     // order
   };
 
   // One watched-dispatch probe per distinct (probe group, partner group)
@@ -236,8 +286,27 @@ class IncrementalViolationIndex {
   // dispatch entirely.
   void AddToBinaryBuckets(FactId id);
   void AddToKAryIndexes(FactId id);
-  void AddToBuckets(FactId id);
   void RemoveFromBuckets(FactId id);
+
+  // Partner-index maintenance, after the index's group bucket took resp.
+  // gave up the fact: `h` is the fact's key hash in that group, `members`
+  // the bucket's facts now (nullptr: none left). Removal must run before
+  // the fact's cells change.
+  void AddToPartnerIndex(PartnerIndex& index, uint64_t h, const RowRef& row,
+                         const std::vector<FactId>& members);
+  void RemoveFromPartnerIndex(PartnerIndex& index, uint64_t h,
+                              const RowRef& row,
+                              const std::vector<FactId>* members);
+  // The fact's OrderRuns entry under `index`: its current stamp and keys.
+  OrderRuns::Entry EntryOf(const PartnerIndex& index, const RowRef& row) const;
+  // Rebuilds every partner index from its bucket group against the
+  // current pool: at build time, and when a vacuum moved the generation.
+  void RebuildPartnerIndexes();
+  // Calls `fn(other)` for every partner `plan`'s index admits in the
+  // partner group's bucket at hash `h`, the probe row being `self`.
+  template <typename Fn>
+  void ForEachPartner(const SidePlan& plan, uint32_t partner_group,
+                      uint64_t h, const RowRef& self, Fn&& fn) const;
 
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;
@@ -248,16 +317,24 @@ class IncrementalViolationIndex {
   std::vector<DcState> dc_states_;  // parallel to constraints_
 
   // --- dispatch tables (indexed by RelationId) ---
-  std::vector<std::vector<uint32_t>> binary_by_rel_;     // binary cs touching rel
-  std::vector<std::vector<uint32_t>> unblocked_by_rel_;  // ... without a key
-  std::vector<std::vector<uint32_t>> kary_by_rel_;       // k-ary cs touching rel
-  std::vector<std::vector<uint32_t>> selfinc_by_rel_;    // unary-capable cs
+  std::vector<std::vector<uint32_t>> binary_by_rel_;   // binary cs touching rel
+  std::vector<std::vector<uint32_t>> kary_by_rel_;     // k-ary cs touching rel
+  std::vector<std::vector<uint32_t>> selfinc_by_rel_;  // unary-capable cs
   // Shared blocking buckets, one per distinct (relation, key attrs): every
-  // blocked side with that shape would bucket exactly the same facts under
+  // binary side with that shape would bucket exactly the same facts under
   // exactly the same keys, so per-op maintenance scales with distinct key
   // shapes, not |Sigma|. groups_by_rel_ is the bucket maintenance walk.
   std::vector<KeyBuckets> bucket_groups_;
   std::vector<std::vector<uint32_t>> groups_by_rel_;
+
+  // --- partner indexes (see PartnerIndex), maintained with the buckets ---
+  std::vector<PartnerIndex> partner_indexes_;
+  std::vector<std::vector<uint32_t>> indexes_by_group_;
+  // FactId -> stamp, bumped whenever the fact leaves its buckets: an
+  // OrderRuns entry is live while it carries its fact's current stamp.
+  std::vector<uint32_t> stamps_;
+  // Pool generation the partner indexes' class ids belong to.
+  uint64_t partner_generation_ = 0;
 
   // --- watched dispatch ---
   // rel -> watch probes, ordered by probe group so the probe hashes each
@@ -286,6 +363,7 @@ class IncrementalViolationIndex {
   // synchronized per index, so reuse is safe and keeps allocations off the
   // per-op hot path) ---
   std::vector<uint32_t> probe_candidates_;
+  std::vector<FactId> probe_hits_;
   IncrementalDispatchStats dispatch_stats_;
   std::vector<StoredSubset> subsets_;
   size_t live_subsets_ = 0;

@@ -491,17 +491,6 @@ TEST(ConflictGraph, WeightsReflectDeletionCosts) {
   EXPECT_DOUBLE_EQ(graph.weights()[graph.vertex_of(3)], 1.0);
 }
 
-TEST(ConflictGraph, AdjacencyListsMatchEdges) {
-  const auto example = MakeRunningExample();
-  const ViolationDetector detector(example.schema, example.dcs);
-  const ConflictGraph graph = ConflictGraph::Build(
-      example.d2, detector.FindViolations(example.d2));
-  const auto adj = graph.AdjacencyLists();
-  size_t degree_sum = 0;
-  for (const auto& nbrs : adj) degree_sum += nbrs.size();
-  EXPECT_EQ(degree_sum, 2 * graph.edges().size());
-}
-
 // A hand-made MI set, added out of id order, with singletons, pairs and a
 // triple: vertices ascend by fact id whatever the input order, every
 // lookup resolves, and edges keep the input order.

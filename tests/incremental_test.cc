@@ -3,11 +3,15 @@
 // constraint shapes, and long randomized sequences.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "common/rng.h"
 #include "constraints/parser.h"
 #include "constraints/predicate.h"
 #include "datagen/datasets.h"
 #include "datagen/noise.h"
+#include "measures/session.h"
 #include "test_util.h"
 #include "violations/incremental.h"
 
@@ -16,6 +20,7 @@ namespace {
 
 using testing::MakeAbcSchema;
 using testing::MakeRandomDatabase;
+using testing::MakeRsSchema;
 using testing::MakeRunningExample;
 
 // Full-recompute reference.
@@ -306,6 +311,256 @@ TEST(KAryIncremental, SelfInconsistencyTransitions) {
   // And back.
   index.Apply(RepairOperation::Update(a, 0, Value(5)));
   ExpectAgrees(index, schema, dcs, "recovered");
+}
+
+// ---- differential fuzz of the binary probe shapes ----
+//
+// Every binary shape the partner indexes distinguish — `!=` class splits
+// (symmetric, asymmetric, cross-relation), order runs with one and two
+// keys (keyed and keyless, strict and non-strict, tie-heavy), and a mixed
+// null/int/double/string order column with NaNs and integers past 2^53 —
+// driven by random insert/delete/update trajectories over R(A,B,C,D) and
+// S(A,B,C,D). A standalone index and a MeasureSession replay the same
+// ops; halfway through, the session vacuums (Vacuum(0.0)) and the index's
+// database is re-interned into a fresh pool the same way. After every op
+// the index must hold the watcher invariant, agree with fresh detection
+// (subsets, violation count, problematic facts), equal the session's
+// view, and, on at most 12 facts, the brute-force oracle.
+
+// Cell draws: small ints, or with `mixed` every kind an order column can
+// hold — null, ints, whole and half doubles (2 and 2.0 share a class),
+// one-letter strings, NaN, and integers of magnitude 2^53 to 2^53 + 2,
+// which tie in pairs under a double comparison. No double equals one of
+// those integers: Value equality between them is not transitive (2^53 + 1
+// equals the double 2^53, which equals 2^53), so the pool's classes, and
+// with them every detection result, would depend on interning order.
+Value DrawCell(Rng& rng, int64_t domain, bool mixed) {
+  const int64_t x = rng.UniformInt(0, domain - 1);
+  if (!mixed) return Value(x);
+  switch (rng.UniformIndex(12)) {
+    case 0:
+      return Value();
+    case 1:
+    case 2:
+    case 3:
+      return Value(x);
+    case 4:
+    case 5:
+      return Value(static_cast<double>(x));
+    case 6:
+      return Value(static_cast<double>(x) + 0.5);
+    case 7:
+    case 8:
+      return Value(std::string(1, static_cast<char>('a' + x % 3)));
+    case 9:
+      return Value(std::nan(""));
+    case 10:
+      return Value((int64_t{1} << 53) + x % 3);
+    default:
+      return Value(-(int64_t{1} << 53) - x % 3);
+  }
+}
+
+// The oracle evaluates `!=` on a NaN cell the IEEE way (NaN != NaN), the
+// kernel by class id (a NaN cell equals itself), so a NaN makes a fact
+// self-inconsistent under an FD for the oracle only. Instances holding a
+// NaN are compared against fresh detection, which shares the kernel's
+// semantics, and not against the oracle.
+bool HasNan(const Database& db) {
+  bool nan = false;
+  db.ForEachId([&](FactId id) {
+    const Fact fact = db.fact(id);
+    for (const Value& v : fact.values()) {
+      if (v.kind() == Value::Kind::kDouble && std::isnan(v.as_double())) {
+        nan = true;
+      }
+    }
+  });
+  return nan;
+}
+
+void RunShapeFuzz(const std::vector<DenialConstraint>& dcs, bool mixed,
+                  size_t facts_per_relation, uint64_t seed, int steps,
+                  const std::string& where) {
+  const auto schema = MakeRsSchema();
+  constexpr int64_t kDomain = 4;
+  Rng rng(seed);
+  auto cells = [&] {
+    std::vector<Value> values;
+    for (int a = 0; a < 4; ++a) values.push_back(DrawCell(rng, kDomain, mixed));
+    return values;
+  };
+  Database start(schema);
+  for (RelationId r = 0; r < schema->num_relations(); ++r) {
+    for (size_t i = 0; i < facts_per_relation; ++i) {
+      start.Insert(Fact(r, cells()));
+    }
+  }
+  IncrementalViolationIndex index(schema, dcs, start);
+  MeasureSession session(schema, dcs);
+  const DbHandle handle = session.Register(start);
+  // A value minted per op, so every update leaves dead pool entries behind
+  // for the vacuum to drop.
+  int64_t fresh = 1000;
+
+  for (int step = 0; step <= steps; ++step) {
+    const std::vector<FactId> ids = index.db().ids();
+    RepairOperation op = RepairOperation::Deletion(0);
+    const size_t kind = ids.size() < 3 ? 1 : rng.UniformIndex(3);
+    if (kind == 0) {
+      op = RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]);
+    } else if (kind == 1) {
+      const RelationId r = static_cast<RelationId>(rng.UniformIndex(2));
+      op = RepairOperation::Insertion(Fact(r, cells()));
+    } else {
+      Value v = rng.UniformIndex(5) == 0 ? Value(fresh++)
+                                         : DrawCell(rng, kDomain, mixed);
+      op = RepairOperation::Update(ids[rng.UniformIndex(ids.size())],
+                                   static_cast<AttrIndex>(rng.UniformIndex(4)),
+                                   std::move(v));
+    }
+    if (step > 0) {
+      EXPECT_EQ(index.Apply(op), session.Apply(handle, op));
+    }
+    if (step == steps / 2) {
+      // A cell set to a fresh value twice leaves the first one dead, so
+      // the vacuum has something to drop.
+      for (int twice = 0; twice < 2; ++twice) {
+        const RepairOperation mint = RepairOperation::Update(
+            index.db().ids().front(), 3, Value(fresh++));
+        index.Apply(mint);
+        session.Apply(handle, mint);
+      }
+      ASSERT_TRUE(session.Vacuum(0.0));
+      index.mutable_db().ReinternInto(std::make_shared<ValuePool>());
+    }
+    const std::string at = where + " step " + std::to_string(step);
+    SCOPED_TRACE(at);
+    std::string error;
+    ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << error;
+    ExpectAgrees(index, schema, dcs, at);
+    const ViolationSet maintained = index.Snapshot();
+    EXPECT_EQ(testing::SortedSubsets(maintained),
+              testing::SortedSubsets(session.Violations(handle)));
+    if (index.db().ids().size() <= 12 && !HasNan(index.db())) {
+      testing::ExpectMatchesOracle(dcs, index.db(), maintained);
+    }
+  }
+  EXPECT_EQ(session.num_vacuums(), 1u);
+}
+
+// Shapes over MakeRsSchema: attributes A=0, B=1, C=2, D=3.
+std::vector<DenialConstraint> FuzzShape(const std::string& name) {
+  const auto schema = MakeRsSchema();
+  auto parse = [&](const char* text) { return *ParseDc(*schema, 0, text); };
+  if (name == "symmetric_fd") return {parse("!(t.A = t'.A & t.B != t'.B)")};
+  if (name == "asymmetric_ne") return {parse("!(t.A = t'.A & t.B != t'.C)")};
+  if (name == "cross_relation_fd") {
+    std::vector<Predicate> preds;
+    preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+    preds.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
+    return {DenialConstraint(std::vector<RelationId>{0, 1}, std::move(preds))};
+  }
+  if (name == "one_order_key") return {parse("!(t.A = t'.A & t.B < t'.C)")};
+  if (name == "two_order_keys") {
+    return {parse("!(t.A = t'.A & t.B > t'.B & t.C < t'.C)")};
+  }
+  if (name == "non_strict_ties") {
+    return {parse("!(t.A = t'.A & t.B <= t'.B & t.C >= t'.D)"),
+            parse("!(t.A = t'.A & t.D >= t'.C)")};
+  }
+  if (name == "keyless_order") return {parse("!(t.B < t'.B & t.C > t'.C)")};
+  if (name == "cross_relation_order") {
+    std::vector<Predicate> preds;
+    preds.emplace_back(Operand{1, 2}, CompareOp::kLe, Operand{0, 1});
+    preds.emplace_back(Operand{0, 3}, CompareOp::kGt, Operand{1, 3});
+    return {DenialConstraint(std::vector<RelationId>{0, 1}, std::move(preds))};
+  }
+  // Every shape at once, sharing buckets and partner indexes.
+  std::vector<DenialConstraint> all;
+  for (const char* shape :
+       {"symmetric_fd", "asymmetric_ne", "cross_relation_fd", "one_order_key",
+        "two_order_keys", "non_strict_ties", "keyless_order",
+        "cross_relation_order"}) {
+    for (DenialConstraint& dc : FuzzShape(shape)) all.push_back(std::move(dc));
+  }
+  return all;
+}
+
+class BinaryShapeFuzz
+    : public ::testing::TestWithParam<std::tuple<std::string, bool, int>> {};
+
+TEST_P(BinaryShapeFuzz, MatchesDetectionAndOracle) {
+  const auto& [shape, mixed, seed] = GetParam();
+  const std::vector<DenialConstraint> dcs = FuzzShape(shape);
+  const std::string where = shape + (mixed ? " mixed" : " ints") +
+                            " seed=" + std::to_string(seed);
+  // Small: the oracle checks every step. Larger: bucket populations reach
+  // several order runs and their tombstone rebuilds.
+  RunShapeFuzz(dcs, mixed, 5, static_cast<uint64_t>(seed) * 31 + 7, 24,
+               where + " small");
+  RunShapeFuzz(dcs, mixed, 30, static_cast<uint64_t>(seed) * 37 + 11, 80,
+               where + " large");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BinaryShapeFuzz,
+    ::testing::Combine(
+        ::testing::Values("symmetric_fd", "asymmetric_ne", "cross_relation_fd",
+                          "one_order_key", "two_order_keys", "non_strict_ties",
+                          "keyless_order", "cross_relation_order", "all"),
+        ::testing::Bool(), ::testing::Range(0, 3)),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_mixed_" : "_ints_") +
+             std::to_string(std::get<2>(info.param));
+    });
+
+// With no unary constraint in Sigma, a constraint whose body is exactly
+// its key plus its indexed predicates — an FD (`!=` split), Tax's
+// salary/rate DC (two order keys) and a keyless order DC — is probed at
+// exactly its output: every partner the index yields is a witness. Keys
+// are drawn dense (buckets of about ten facts) and sparse (mostly one
+// fact, whose bucket keeps no `!=` split) over a small value domain.
+TEST(OutputSensitivity, ProbesEqualFiresWhenTheIndexCoversTheBody) {
+  const auto schema = MakeRsSchema();
+  const std::vector<DenialConstraint> dcs = {
+      *ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"),
+      *ParseDc(*schema, 0, "!(t.A = t'.A & t.B > t'.B & t.C < t'.C)"),
+      *ParseDc(*schema, 0, "!(t.D <= t'.D & t.C > t'.C)"),
+  };
+  for (const int64_t key_domain : {6, 60}) {
+    SCOPED_TRACE("key domain " + std::to_string(key_domain));
+    Rng rng(404 + key_domain);
+    auto cells = [&] {
+      std::vector<Value> values = {Value(rng.UniformInt(0, key_domain - 1))};
+      for (int a = 1; a < 4; ++a) values.emplace_back(rng.UniformInt(0, 3));
+      return Fact(0, std::move(values));
+    };
+    Database start(schema);
+    for (int i = 0; i < 60; ++i) start.Insert(cells());
+    IncrementalViolationIndex index(schema, dcs, start);
+    for (int step = 0; step < 200; ++step) {
+      const std::vector<FactId> ids = index.db().ids();
+      if (rng.UniformIndex(4) == 0) {
+        index.Apply(
+            RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]));
+      } else if (rng.UniformIndex(3) == 0) {
+        index.Apply(RepairOperation::Insertion(cells()));
+      } else {
+        const AttrIndex attr = static_cast<AttrIndex>(rng.UniformIndex(4));
+        index.Apply(RepairOperation::Update(
+            ids[rng.UniformIndex(ids.size())], attr,
+            Value(rng.UniformInt(0, attr == 0 ? key_domain - 1 : 3))));
+      }
+    }
+    ExpectAgrees(index, schema, dcs, "after trajectory");
+    for (size_t c = 0; c < dcs.size(); ++c) {
+      const IncrementalConstraintStats stats = index.ConstraintStatsFor(c);
+      EXPECT_GT(stats.num_fires, 0u) << "dc " << c;
+      EXPECT_EQ(stats.num_probes, stats.num_fires) << "dc " << c;
+    }
+  }
 }
 
 // ---- slot compaction ----

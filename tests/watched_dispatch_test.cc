@@ -114,10 +114,24 @@ TEST_P(WatchedDispatchSweep, MixedBinaryUnaryKArySigmaMatchesOracle) {
                  "mixed seed=" + std::to_string(GetParam()));
 }
 
+// Order constraints keyed and keyless beside an FD: the order runs and
+// the `!=` split are checked against a rebuild after every op.
+TEST_P(WatchedDispatchSweep, OrderSigmaMatchesOracle) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs = AbcFds(*schema);
+  dcs.push_back(
+      *ParseDc(*schema, 0, "!(t.A = t'.A & t.B > t'.B & t.C < t'.C)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.B <= t'.B & t.C > t'.C)"));
+  RunOracleSweep(schema, dcs, 18,
+                 static_cast<uint64_t>(GetParam()) * 7 + 5, 16,
+                 "order seed=" + std::to_string(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WatchedDispatchSweep, ::testing::Range(0, 6));
 
-// An unblocked binary constraint (no cross-variable equality) must keep
-// probing every op — it has no keys to watch.
+// A keyless binary constraint (no cross-variable equality) has one bucket
+// per relation, so it probes on every op while the relation holds another
+// fact, through its order runs.
 TEST(WatchedDispatch, UnblockedConstraintAlwaysProbes) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs;
