@@ -11,7 +11,7 @@
 #include "common/parallel.h"
 #include "common/value_pool.h"
 #include "violations/eval_kernel.h"
-#include "violations/order_index.h"
+#include "violations/witness_index.h"
 
 namespace dbim {
 
@@ -27,24 +27,37 @@ namespace {
 
 // Shared mutable state threaded through the detection passes.
 struct DetectionState {
-  ViolationSet result;
-  std::unordered_set<FactId> self_inconsistent;
-  // A fact set violating several constraints is derived once per
+  // The admitted subsets in discovery order, each with its derivation
+  // count. A fact set violating several constraints is derived once per
   // constraint: one element of MI, but one minimal violation per
-  // derivation. `seen` holds the canonical hashes of result's subsets.
-  std::unordered_set<uint64_t> seen;
+  // derivation. The counts ride in the one vector the result grows, so
+  // the subsets' own allocations stay as compact as a plain list's.
+  struct Admitted {
+    std::vector<FactId> subset;
+    uint32_t derivations = 0;
+  };
+  std::vector<Admitted> admitted;
+  std::unordered_set<FactId> self_inconsistent;
+  // Canonical hash of each admitted subset -> its slot in `admitted`.
+  std::unordered_map<uint64_t, size_t> seen;
   // Satisfies' early exit: stop once the result holds one subset. Only
   // the one-constraint-at-a-time walk (which Satisfies forces) checks `stop`.
   bool first_witness_only = false;
   bool stop = false;
 
   void Admit(std::vector<FactId> subset) {
-    if (seen.insert(SubsetKey(subset)).second) {
-      result.Add(std::move(subset));
-    } else {
-      result.AddRederivation();
-    }
+    const auto [it, fresh] =
+        seen.try_emplace(SubsetKey(subset), admitted.size());
+    if (fresh) admitted.push_back({std::move(subset), 0});
+    ++admitted[it->second].derivations;
     stop = first_witness_only;
+  }
+
+  ViolationSet Result() {
+    ViolationSet result;
+    result.Reserve(admitted.size());
+    for (Admitted& a : admitted) result.Add(std::move(a.subset), a.derivations);
+    return result;
   }
 };
 
@@ -54,18 +67,14 @@ constexpr size_t kMinProbeChunkRows = 64;
 // One pass-2 constraint. Its probe rows are variable 0's rows (a binary
 // constraint's probe side, a k-ary constraint's outermost variable); they
 // occupy [offset, end()) of the probe-row space that concatenates every
-// plan in constraint order. A binary plan's partner index (blocking keys,
-// order ranks, buckets) is built by BuildIndex and dropped by Release once
-// every probe row is merged.
+// plan in constraint order. A binary plan probes the witness index on its
+// constraint's side-0 plan.
 struct ProbePlan {
   size_t dci = 0;
   DcEval eval;
   const Database::RelationBlock* r0 = nullptr;
   const Database::RelationBlock* r1 = nullptr;  // binary only
   size_t offset = 0;
-  BlockingKeys keys;
-  std::optional<OrderRanks> ranks;
-  std::unordered_map<uint64_t, OrderIndex> buckets;
   // Symmetric-pair dedup: FD-style bodies match both orders of a pair,
   // and the per-constraint dedup keeps the (F, sigma) minimal-violation
   // count honest.
@@ -81,61 +90,20 @@ struct ProbePlan {
   size_t end() const { return offset + num_rows(); }
 };
 
-// Builds a binary plan's partner index. The var-1 side is hashed into
-// buckets by blocking key (a keyless constraint hashes every row alike,
-// into one bucket), rows appended in ascending j; then each bucket builds
-// its order index. Bucket keys are FNV mixes of interned class ids and the
-// probe verifies membership with id compares, so no Value is hashed. In a
-// self-join on one key, a one-row bucket pairs its row only with itself,
-// so it is never built: its row waits in `lone` until a second one joins.
-void BuildIndex(ProbePlan& plan, const ValuePool& pool) {
-  if (plan.kary()) return;
-  const DenialConstraint& dc = plan.eval.dc();
-  plan.keys = ExtractBlockingKeys(dc);
-  plan.ranks.emplace(dc, pool, *plan.r0, *plan.r1);
-  plan.buckets.reserve(plan.keys.empty() ? 1 : plan.r1->num_rows());
-  const bool self_join =
-      plan.r0 == plan.r1 && plan.keys.var0 == plan.keys.var1;
-  std::unordered_map<uint64_t, uint32_t> lone;
-  for (uint32_t j = 0; j < plan.r1->num_rows(); ++j) {
-    const uint64_t key = HashKeyClasses(RowRef{plan.r1, j}, plan.keys.var1);
-    auto it = plan.buckets.find(key);
-    if (it == plan.buckets.end() && self_join) {
-      const auto [first, fresh] = lone.emplace(key, j);
-      if (fresh) continue;
-      it = plan.buckets.try_emplace(key).first;
-      it->second.rows().push_back(first->second);
-      lone.erase(first);
-    } else if (it == plan.buckets.end()) {
-      it = plan.buckets.try_emplace(key).first;
-    }
-    it->second.rows().push_back(j);
-  }
-  plan.buckets.rehash(0);  // give back the slots reserved for a bucket a row
-  for (auto& [key, bucket] : plan.buckets) bucket.Build(*plan.ranks);
-}
-
-// Frees everything of a fully merged plan but its counters.
-void Release(ProbePlan& plan) {
-  std::unordered_map<uint64_t, OrderIndex>().swap(plan.buckets);
-  std::unordered_set<uint64_t>().swap(plan.seen_pairs);
-  plan.ranks.reset();
-}
-
 // Probes rows [range.begin, range.end) of a plan's probe block in row
-// order, reading the blocks, the plan and the self-inconsistent set only.
-// K-ary: the kernel's enumeration with the outermost variable over the
-// range feeds candidate supports to `on_support`. Binary: surviving pairs
-// (body verified, self-inconsistent facts and reflexive matches filtered)
-// go to `on_pair(a, b)` (a < b, or a == b cross-relation) in discovery
-// order: probe row ascending, bucket row order within. Each probe row
-// looks up its blocking bucket and visits, ascending, the partners its
-// order keys admit or, with no order key, the partners of another `!=`
-// class, at a cost proportional to those partners rather than the bucket
-// (see OrderIndex); every partner when the constraint has neither.
-// `on_pair` returning false stops the probe.
+// order, reading the blocks, the witness index, the plan and the
+// self-inconsistent set only. K-ary: the kernel's enumeration with the
+// outermost variable over the range feeds candidate supports to
+// `on_support`. Binary: surviving pairs (body verified, self-inconsistent
+// facts and reflexive matches filtered) go to `on_pair(a, b)` (a < b, or
+// a == b cross-relation) in discovery order: probe row ascending, partner
+// row ascending within. Each probe row visits only the partners its
+// constraint's indexed predicates admit (see WitnessIndex), at a cost
+// proportional to those partners rather than to its bucket. `on_pair`
+// returning false stops the probe.
 template <typename OnPair, typename OnSupport>
 void ProbeRows(const ProbePlan& plan, const Database& db,
+               const WitnessIndex& index,
                const std::unordered_set<FactId>& self_inconsistent,
                IndexRange range, OnPair&& on_pair, OnSupport&& on_support) {
   if (plan.kary()) {
@@ -144,30 +112,26 @@ void ProbeRows(const ProbePlan& plan, const Database& db,
   }
   const DenialConstraint& dc = plan.eval.dc();
   const bool same_relation = dc.var_relation(0) == dc.var_relation(1);
-  std::vector<uint32_t> scratch;
+  std::vector<uint32_t> partners;
   for (uint32_t i = static_cast<uint32_t>(range.begin);
        i < static_cast<uint32_t>(range.end); ++i) {
-    const RowRef probe{plan.r0, i};
-    const auto it = plan.buckets.find(HashKeyClasses(probe, plan.keys.var0));
-    if (it == plan.buckets.end()) continue;
     const FactId a = plan.r0->row_ids[i];
     if (self_inconsistent.count(a) > 0) continue;
-    const bool go_on = it->second.ForEachPartner(
-        *plan.ranks, i, scratch, [&](uint32_t j) {
-          // i indexes r0 (variable t), j indexes r1 (variable t').
-          const RowRef partner{plan.r1, j};
-          if (!KeyClassesEqual(probe, plan.keys.var0, partner,
-                               plan.keys.var1)) {
-            return true;  // hash collision
-          }
-          const FactId b = plan.r1->row_ids[j];
-          if (a == b && same_relation) return true;
-          if (self_inconsistent.count(b) > 0) return true;
-          const RowRef assignment[2] = {probe, partner};
-          if (!plan.eval.BodyHolds(assignment)) return true;
-          return on_pair(std::min(a, b), std::max(a, b));
-        });
-    if (!go_on) return;
+    const RowRef probe{plan.r0, i};
+    partners.clear();
+    index.ForEachPartner(db, plan.dci, 0, probe, [&](FactId b) {
+      partners.push_back(db.Locate(b).row);
+    });
+    std::sort(partners.begin(), partners.end());
+    for (const uint32_t j : partners) {
+      // i indexes r0 (variable t), j indexes r1 (variable t').
+      const FactId b = plan.r1->row_ids[j];
+      if (a == b && same_relation) continue;
+      if (self_inconsistent.count(b) > 0) continue;
+      const RowRef assignment[2] = {probe, RowRef{plan.r1, j}};
+      if (!plan.eval.BodyHolds(assignment)) continue;
+      if (!on_pair(std::min(a, b), std::max(a, b))) return;
+    }
   }
 }
 
@@ -196,25 +160,26 @@ DetectorConstraintStats ViolationDetector::constraint_stats(size_t c) const {
 }
 
 ViolationSet ViolationDetector::Detect(const Database& db,
-                                       bool first_witness_only) const {
+                                       const WitnessIndex* index) const {
   DetectionState state;
-  state.first_witness_only = first_witness_only;
+  state.first_witness_only = index == nullptr;
 
   const ValuePool& pool = db.pool();
   // Satisfies runs sequentially (see pass 2).
-  const size_t num_threads = first_witness_only ? 1
+  const size_t num_threads = index == nullptr ? 1
                              : options_.num_threads == 0
                                  ? ThreadPool::HardwareThreads()
                                  : options_.num_threads;
 
   // Detection makes three fan-outs, however many constraints Sigma holds:
-  // the pass-1 scan (one task per single-relation constraint), the index
-  // build (one task per pass-2 constraint) and one probe over the
-  // concatenated probe rows of every pass-2 constraint (at one thread,
-  // pass 2 walks the constraints in turn instead). Each task writes only
-  // state its range owns, and every decision that depends on global order
-  // (set inserts, pair dedup, admission, counters) runs in the ordered
-  // consume, so results are bit-identical for every thread count.
+  // the witness index build (WitnessIndex::Build, one task per bucket
+  // group, run by the caller), the pass-1 scan (one task per
+  // single-relation constraint) and one probe over the concatenated probe
+  // rows of every pass-2 constraint (at one thread, pass 2 walks the
+  // constraints in turn instead). Each task writes only state its range
+  // owns, and every decision that depends on global order (set inserts,
+  // pair dedup, admission, counters) runs in the ordered consume, so
+  // results are bit-identical for every thread count.
 
   // Pass 1: self-inconsistent facts. These are the singleton minimal
   // subsets, and they disqualify any larger subset containing them. Each
@@ -260,7 +225,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
   std::sort(singletons.begin(), singletons.end());
   for (const FactId id : singletons) {
     state.Admit({id});
-    if (state.stop) return std::move(state.result);
+    if (state.stop) return state.Result();
   }
 
   // Pass 2: the binary and k-ary constraints, in ascending index order.
@@ -293,14 +258,21 @@ ViolationSet ViolationDetector::Detect(const Database& db,
   };
 
   if (num_threads == 1) {
-    // Sequentially, the plans go one at a time through the same build and
-    // probe, merging pair by pair: no candidate is buffered, one index is
-    // alive at a time, and Satisfies stops at the first witness without
-    // building the index of any later constraint.
+    // Sequentially, the plans go one at a time through the probe, merging
+    // pair by pair: no candidate is buffered. Satisfies builds each binary
+    // constraint's part of the index alone, just before its probe, so it
+    // stops at the first witness without building the index of any later
+    // constraint.
+    std::optional<WitnessIndex> own;
+    if (index == nullptr) own.emplace(constraints_, schema_->num_relations());
     for (ProbePlan& plan : plans) {
-      BuildIndex(plan, pool);
+      if (own.has_value() && !plan.kary()) {
+        const std::vector<uint32_t> only = {static_cast<uint32_t>(plan.dci)};
+        own->Build(db, 1, &only);
+      }
       ProbeRows(
-          plan, db, state.self_inconsistent, IndexRange{0, plan.num_rows()},
+          plan, db, own.has_value() ? *own : *index, state.self_inconsistent,
+          IndexRange{0, plan.num_rows()},
           [&](FactId a, FactId b) {
             merge_pair(plan, a, b);
             return !state.stop;
@@ -308,28 +280,16 @@ ViolationSet ViolationDetector::Detect(const Database& db,
           [&](std::vector<FactId> support) {
             merge_support(plan, std::move(support));
           });
-      Release(plan);
       if (state.stop) break;
     }
   } else {
-    OrderedStealingFor(
-        num_threads, plans.size(), 1,
-        [&](IndexRange range) {
-          for (size_t p = range.begin; p < range.end; ++p) {
-            BuildIndex(plans[p], pool);
-          }
-        },
-        [](IndexRange) {});
-
     // One probe over the concatenated probe rows: a stolen range may span
     // several plans, and maps onto each one's local row sub-range. The
     // range-private candidate buffers are consumed in ascending range
     // order, which is constraint order, then row order: the sequential
-    // discovery order. A plan is released as soon as the consume cursor
-    // passes its last probe row; no later range reads it.
+    // discovery order.
     std::mutex mu;
     std::map<size_t, std::vector<PlanCandidates>> found;  // by range.begin
-    size_t released = 0;
     OrderedStealingFor(
         num_threads, probe_rows, kMinProbeChunkRows,
         [&](IndexRange range) {
@@ -343,7 +303,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
                 std::min(range.end, plan.end()) - plan.offset};
             PlanCandidates& mine = out[p];
             ProbeRows(
-                plan, db, state.self_inconsistent, local,
+                plan, db, *index, state.self_inconsistent, local,
                 [&](FactId a, FactId b) {
                   mine.pairs.emplace_back(a, b);
                   return true;
@@ -368,10 +328,6 @@ ViolationSet ViolationDetector::Detect(const Database& db,
             for (auto& support : in[p].supports) {
               merge_support(plans[p], std::move(support));
             }
-          }
-          while (released < plans.size() &&
-                 plans[released].end() <= range.end) {
-            Release(plans[released++]);
           }
         });
   }
@@ -412,7 +368,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
       witnesses.push_back(subset);
       for (const FactId id : subset) postings[id].push_back(slot);
     };
-    for (const auto& sub : state.result.minimal_subsets()) post(sub);
+    for (const auto& a : state.admitted) post(a.subset);
     std::vector<uint32_t> visited;
     uint32_t stamp = 0;
     for (const auto& cand : kary_candidates) {
@@ -448,15 +404,24 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     }
   }
 
-  return std::move(state.result);
+  return state.Result();
 }
 
 ViolationSet ViolationDetector::FindViolations(const Database& db) const {
-  return Detect(db, /*first_witness_only=*/false);
+  WitnessIndex index(constraints_, schema_->num_relations());
+  index.Build(db, options_.num_threads);
+  return Detect(db, &index);
+}
+
+ViolationSet ViolationDetector::FindViolations(
+    const Database& db, const WitnessIndex& index) const {
+  DBIM_CHECK(index.num_constraints() == constraints_.size());
+  DBIM_CHECK(!index.stale(db.pool()));
+  return Detect(db, &index);
 }
 
 bool ViolationDetector::Satisfies(const Database& db) const {
-  return Detect(db, /*first_witness_only=*/true).empty();
+  return Detect(db, nullptr).empty();
 }
 
 }  // namespace dbim

@@ -12,14 +12,17 @@
 
 namespace dbim {
 
+class WitnessIndex;
+
 /// Knobs for violation detection. Detection always runs to completion:
 /// every measure is a function of the whole of MI_Sigma(D).
 struct DetectorOptions {
   /// Worker threads for detection, which makes three fan-outs whatever
-  /// the number of constraints: the pass-1 self-inconsistency scan (one
-  /// task per single-relation constraint), the index build (one task per
-  /// binary constraint) and one probe over the concatenated probe rows of
-  /// every binary and k-ary constraint, split into work-stealing ranges.
+  /// the number of constraints: the witness index build (one task per
+  /// bucket group, WitnessIndex::Build), the pass-1 self-inconsistency
+  /// scan (one task per single-relation constraint) and one probe over the
+  /// concatenated probe rows of every binary and k-ary constraint, split
+  /// into work-stealing ranges.
   /// 1 = sequential on the calling thread, one constraint at a time;
   /// 0 = one per hardware thread. Results are bit-identical for every
   /// value: tasks write range-private buffers, merged (dedup included) in
@@ -51,11 +54,20 @@ class ViolationDetector {
   }
   const Schema& schema() const { return *schema_; }
 
-  /// All minimal inconsistent subsets of `db`.
+  /// All minimal inconsistent subsets of `db`, each with its derivation
+  /// count. Builds a temporary witness index.
   ViolationSet FindViolations(const Database& db) const;
 
+  /// The same, probing `index`, which the caller built (and may go on to
+  /// maintain) over exactly `db`'s live facts for this detector's
+  /// constraints.
+  ViolationSet FindViolations(const Database& db,
+                              const WitnessIndex& index) const;
+
   /// Whether `db` satisfies every constraint. Runs sequentially, one
-  /// constraint at a time, and stops at the first witness.
+  /// constraint at a time, and stops at the first witness: each binary
+  /// constraint's part of the witness index is built just before its
+  /// probe.
   bool Satisfies(const Database& db) const;
 
   /// Cumulative counters for constraint `c` across every detection this
@@ -63,10 +75,11 @@ class ViolationDetector {
   DetectorConstraintStats constraint_stats(size_t c) const;
 
  private:
-  /// Shared detection pipeline. `first_witness_only` is Satisfies' early
-  /// exit: it walks the constraints one at a time and stops at the first
-  /// subset.
-  ViolationSet Detect(const Database& db, bool first_witness_only) const;
+  /// Shared detection pipeline over the built witness index `index`. A
+  /// null `index` is Satisfies' early exit: it walks the constraints one
+  /// at a time, builds each one's part of an index of its own, and stops
+  /// at the first subset.
+  ViolationSet Detect(const Database& db, const WitnessIndex* index) const;
 
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;

@@ -141,32 +141,6 @@ class DcEval {
   std::vector<PredicatePlan> plan_;
 };
 
-/// FNV-1a over the semantic class ids of the blocking-key attributes.
-/// Equal key tuples have equal class ids, so hashing the class ids
-/// partitions exactly like hashing the underlying values — without a
-/// single Value::Hash call. (Persistent KeyBuckets hash pool value hashes
-/// instead — HashPoolValues — which survive a re-intern; this id mix is
-/// for within-one-pass partitioning.)
-inline uint64_t HashKeyClasses(const RowRef& r,
-                               const std::vector<AttrIndex>& attrs) {
-  uint64_t h = 1469598103934665603ull;
-  for (const AttrIndex a : attrs) {
-    h ^= r.class_at(a);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-inline bool KeyClassesEqual(const RowRef& a,
-                            const std::vector<AttrIndex>& attrs_a,
-                            const RowRef& b,
-                            const std::vector<AttrIndex>& attrs_b) {
-  for (size_t i = 0; i < attrs_a.size(); ++i) {
-    if (a.class_at(attrs_a[i]) != b.class_at(attrs_b[i])) return false;
-  }
-  return true;
-}
-
 /// K-ary (k >= 3) support-set enumeration over interned columns: the
 /// outermost variable ranges over rows [range.begin, range.end) of its
 /// relation; inner variables range over their full relations, allowing
@@ -215,11 +189,11 @@ void EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
   }
 }
 
-/// FNV-1a over the pool's semantic *value* hashes of `attrs` of one row —
-/// the vacuum-survivable twin of HashKeyClasses: the hash is a function of
-/// the Value, not the id, so it is stable across a shared-pool re-intern,
-/// and ids of one semantic class hash alike, so binding the class column
-/// (as RowRef does) and binding the exact column agree.
+/// FNV-1a over the pool's semantic *value* hashes of `attrs` of one row:
+/// the blocking-key hash of every bucket. The hash is a function of the
+/// Value, not the id, so it is stable across a shared-pool re-intern, and
+/// ids of one semantic class hash alike, so binding the class column (as
+/// RowRef does) and binding the exact column agree.
 inline uint64_t HashPoolValues(const ValuePool& pool, const RowRef& r,
                                const std::vector<AttrIndex>& attrs) {
   uint64_t h = 1469598103934665603ull;
@@ -246,8 +220,9 @@ inline uint64_t SubsetKey(const std::vector<FactId>& subset) {
 /// values, so the buckets survive a shared-pool vacuum/re-intern; bucket
 /// order is insertion order (Remove preserves it), so probes stay
 /// deterministic. With no attrs every fact shares one bucket. The one
-/// bucket type behind the incremental index's binary blocking groups,
-/// KAryBlockingIndex and the sampling estimators' neighborhood probe.
+/// bucket type behind the witness index's bucket groups (detector and
+/// incremental index alike), KAryBlockingIndex and the sampling
+/// estimators' neighborhood probe.
 struct KeyBuckets {
   RelationId relation = 0;
   std::vector<AttrIndex> attrs;

@@ -9,37 +9,6 @@
 
 namespace dbim {
 
-namespace {
-
-// Whether predicate `b` says what `a` says with t and t' swapped.
-bool SwapsTo(const Predicate& a, const Predicate& b) {
-  auto swap = [](const Operand& o) { return Operand{1 - o.var, o.attr}; };
-  const Operand lhs = swap(a.lhs());
-  if (a.rhs_is_constant() || b.rhs_is_constant()) {
-    return a.rhs_is_constant() && b.rhs_is_constant() && a.op() == b.op() &&
-           b.lhs() == lhs && a.rhs_constant() == b.rhs_constant();
-  }
-  const Operand rhs = swap(a.rhs_operand());
-  return (b.op() == a.op() && b.lhs() == lhs && b.rhs_operand() == rhs) ||
-         (b.op() == FlipOp(a.op()) && b.lhs() == rhs &&
-          b.rhs_operand() == lhs);
-}
-
-// Whether a binary body holds on (t, t') exactly when it holds on (t', t):
-// both variables range over one relation and swapping them maps the
-// predicate set onto itself. Then probing the changed fact as t alone
-// finds every pair, and the t' probe could only re-find them.
-bool SwapSymmetric(const DenialConstraint& dc) {
-  if (dc.var_relation(0) != dc.var_relation(1)) return false;
-  const std::vector<Predicate>& preds = dc.predicates();
-  return std::all_of(preds.begin(), preds.end(), [&](const Predicate& a) {
-    return std::any_of(preds.begin(), preds.end(),
-                       [&](const Predicate& b) { return SwapsTo(a, b); });
-  });
-}
-
-}  // namespace
-
 IncrementalViolationIndex::IncrementalViolationIndex(
     std::shared_ptr<const Schema> schema,
     std::vector<DenialConstraint> constraints, Database db,
@@ -47,7 +16,8 @@ IncrementalViolationIndex::IncrementalViolationIndex(
     : schema_(std::move(schema)),
       constraints_(std::move(constraints)),
       owned_(std::move(db)),
-      db_(&*owned_) {
+      db_(&*owned_),
+      witness_(constraints_, schema_->num_relations()) {
   BuildInitialState(build_options);
 }
 
@@ -57,42 +27,30 @@ IncrementalViolationIndex::IncrementalViolationIndex(
     DetectorOptions build_options)
     : schema_(std::move(schema)),
       constraints_(std::move(constraints)),
-      db_(db) {
+      db_(db),
+      witness_(constraints_, schema_->num_relations()) {
   DBIM_CHECK(db_ != nullptr);
   BuildInitialState(build_options);
 }
 
 void IncrementalViolationIndex::BuildInitialState(
     const DetectorOptions& build_options) {
-  dc_states_.resize(constraints_.size());
   for (const DenialConstraint& dc : constraints_) {
     if (dc.num_vars() >= 3) has_kary_ = true;
   }
   BuildDispatchTables();
-  // The buckets first, fact by fact; the partner indexes are then
-  // bulk-built from them.
-  db_->ForEachId([&](FactId id) {
-    if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
-    const Database::RowLocation loc = db_->Locate(id);
-    const RowRef row{&db_->relation_block(loc.relation), loc.row};
-    for (const uint32_t g : groups_by_rel_[loc.relation]) {
-      bucket_groups_[g].Add(db_->pool(), row);
-    }
-    AddToKAryIndexes(id);
-  });
-  RebuildPartnerIndexes();
-
+  // One witness index build, probed by the initial detection and then
+  // maintained by Apply; the detection's per-subset derivation counts seed
+  // the witness store.
+  witness_.Build(*db_, build_options.num_threads);
+  if (has_kary_) db_->ForEachId([&](FactId id) { AddToKAryIndexes(id); });
   const ViolationDetector detector(schema_, constraints_, build_options);
-  const ViolationSet initial = detector.FindViolations(*db_);
-  const std::vector<DcEval>& evals = CompileEvals();
-  for (const auto& subset : initial.minimal_subsets()) {
-    if (subset.size() == 1) self_inconsistent_.insert(subset[0]);
-    IndexSubset(subset, RecoverMultiplicity(evals, subset));
+  const ViolationSet initial = detector.FindViolations(*db_, witness_);
+  const auto& subsets = initial.minimal_subsets();
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    if (subsets[i].size() == 1) self_inconsistent_.insert(subsets[i][0]);
+    IndexSubset(subsets[i], initial.multiplicities()[i]);
   }
-  DBIM_CHECK_MSG(
-      num_minimal_violations_ == initial.num_minimal_violations(),
-      "incremental build lost violation multiplicities (%zu vs %zu)",
-      num_minimal_violations_, initial.num_minimal_violations());
 }
 
 void IncrementalViolationIndex::BuildDispatchTables() {
@@ -100,8 +58,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
   binary_by_rel_.assign(num_rels, {});
   kary_by_rel_.assign(num_rels, {});
   selfinc_by_rel_.assign(num_rels, {});
-  bucket_groups_.clear();
-  groups_by_rel_.assign(num_rels, {});
   watch_probes_by_rel_.assign(num_rels, {});
   stats_.assign(constraints_.size(), {});
   kary_indexes_.resize(constraints_.size());
@@ -111,72 +67,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
   // to keep every per-relation list sorted and duplicate-free.
   auto push_unique = [](std::vector<uint32_t>& list, uint32_t c) {
     if (list.empty() || list.back() != c) list.push_back(c);
-  };
-
-  // Shared bucket group for (rel, attrs): any two binary sides with the
-  // same shape bucket exactly the same facts under exactly the same keys.
-  auto group_for = [&](RelationId rel, const std::vector<AttrIndex>& attrs) {
-    for (size_t g = 0; g < bucket_groups_.size(); ++g) {
-      if (bucket_groups_[g].relation == rel && bucket_groups_[g].attrs == attrs)
-        return static_cast<int>(g);
-    }
-    const int g = static_cast<int>(bucket_groups_.size());
-    bucket_groups_.push_back(KeyBuckets{rel, attrs, {}});
-    groups_by_rel_[rel].push_back(static_cast<uint32_t>(g));
-    indexes_by_group_.emplace_back();
-    return g;
-  };
-
-  // Shared partner index for (partner group, kind, partner attrs).
-  auto index_for = [&](uint32_t group, bool order,
-                       const std::vector<AttrIndex>& attrs) {
-    for (size_t i = 0; i < partner_indexes_.size(); ++i) {
-      const PartnerIndex& index = partner_indexes_[i];
-      if (index.group == group && index.order == order &&
-          index.attrs == attrs) {
-        return static_cast<int>(i);
-      }
-    }
-    const int i = static_cast<int>(partner_indexes_.size());
-    partner_indexes_.emplace_back();
-    partner_indexes_.back().group = group;
-    partner_indexes_.back().order = order;
-    partner_indexes_.back().attrs = attrs;
-    indexes_by_group_[group].push_back(static_cast<uint32_t>(i));
-    return i;
-  };
-
-  // The probe with the changed fact bound to variable `s` indexes the
-  // body's first two cross order predicates (the detector's OrderRanks
-  // choice) or, with none, its first cross `!=`, over the partner group.
-  auto plan_side = [&](const DenialConstraint& dc, uint32_t s,
-                       uint32_t partner_group) {
-    SidePlan plan;
-    std::vector<AttrIndex> partner_attrs;
-    bool order = false;
-    for (const bool want_order : {true, false}) {
-      for (const Predicate& p : dc.predicates()) {
-        if (!p.IsCrossVariable() || partner_attrs.size() == 2) continue;
-        const bool is_order =
-            p.op() != CompareOp::kEq && p.op() != CompareOp::kNe;
-        if (want_order ? !is_order : p.op() != CompareOp::kNe) continue;
-        const bool probe_lhs = p.lhs().var == s;
-        const size_t k = partner_attrs.size();
-        plan.probe_attrs[k] = probe_lhs ? p.lhs().attr : p.rhs_operand().attr;
-        plan.ops[k] = probe_lhs ? p.op() : FlipOp(p.op());
-        partner_attrs.push_back(probe_lhs ? p.rhs_operand().attr
-                                          : p.lhs().attr);
-        if (!want_order) break;
-      }
-      if (!partner_attrs.empty()) {
-        order = want_order;
-        break;
-      }
-    }
-    if (!partner_attrs.empty()) {
-      plan.index = index_for(partner_group, order, partner_attrs);
-    }
-    return plan;
   };
 
   for (uint32_t c = 0; c < constraints_.size(); ++c) {
@@ -192,17 +82,9 @@ void IncrementalViolationIndex::BuildDispatchTables() {
       if (single_relation) push_unique(selfinc_by_rel_[dc.var_relation(0)], c);
     }
     if (dc.num_vars() == 2) {
-      DcState& state = dc_states_[c];
-      const BlockingKeys keys = ExtractBlockingKeys(dc);
+      const WitnessIndex::DcPlan& state = witness_.plan(c);
       for (uint32_t side = 0; side < 2; ++side) {
-        const RelationId rel = dc.var_relation(side);
-        push_unique(binary_by_rel_[rel], c);
-        state.group[side] = group_for(rel, side == 0 ? keys.var0 : keys.var1);
-      }
-      state.symmetric = SwapSymmetric(dc);
-      for (uint32_t side = 0; side < (state.symmetric ? 1u : 2u); ++side) {
-        state.side[side] = plan_side(
-            dc, side, static_cast<uint32_t>(state.group[1 - side]));
+        push_unique(binary_by_rel_[dc.var_relation(side)], c);
       }
       // A watch probe per distinct (probe group, partner group) on the
       // probing relation: ops hash each probe group's key once and a
@@ -263,148 +145,6 @@ const std::vector<DcEval>& IncrementalViolationIndex::CompileEvals() {
   return evals_cache_;
 }
 
-uint32_t IncrementalViolationIndex::RecoverMultiplicity(
-    const std::vector<DcEval>& evals, const std::vector<FactId>& subset) const {
-  // Pass 1 emits each self-inconsistent fact once, no matter how many
-  // constraints make it contradictory; the binary probe and the k-ary
-  // enumeration then count one derivation per (constraint, orientation)
-  // resp. per satisfying assignment.
-  uint32_t multiplicity = subset.size() == 1 ? 1 : 0;
-  for (size_t c = 0; c < constraints_.size(); ++c) {
-    const DenialConstraint& dc = constraints_[c];
-    if (dc.num_vars() == 2 && subset.size() == 2) {
-      const DcEval& eval = evals[c];
-      const Database::RowLocation la = db_->Locate(subset[0]);
-      const Database::RowLocation lb = db_->Locate(subset[1]);
-      const RowRef a{&db_->relation_block(la.relation), la.row};
-      const RowRef b{&db_->relation_block(lb.relation), lb.row};
-      const RowRef fwd[2] = {a, b};
-      const RowRef rev[2] = {b, a};
-      const bool ab = la.relation == dc.var_relation(0) &&
-                      lb.relation == dc.var_relation(1) && eval.BodyHolds(fwd);
-      const bool ba = !ab && lb.relation == dc.var_relation(0) &&
-                      la.relation == dc.var_relation(1) && eval.BodyHolds(rev);
-      if (ab || ba) ++multiplicity;
-    } else if (dc.num_vars() >= 3) {
-      multiplicity += CountDerivations(evals[c], *db_, subset);
-    }
-  }
-  return multiplicity;
-}
-
-OrderRuns::Entry IncrementalViolationIndex::EntryOf(
-    const PartnerIndex& index, const RowRef& row) const {
-  OrderRuns::Entry entry;
-  entry.id = row.fact_id();
-  entry.stamp = stamps_[entry.id];
-  for (size_t k = 0; k < index.attrs.size(); ++k) {
-    entry.key[k] = row.class_at(index.attrs[k]);
-  }
-  return entry;
-}
-
-void IncrementalViolationIndex::AddToPartnerIndex(
-    PartnerIndex& index, uint64_t h, const RowRef& row,
-    const std::vector<FactId>& members) {
-  const FactId id = row.fact_id();
-  if (index.order) {
-    index.runs.try_emplace(h, index.attrs.size())
-        .first->second.Insert(db_->pool(), stamps_, EntryOf(index, row));
-    return;
-  }
-  // A bucket of one fact keeps no split (the probe reads that fact from the
-  // group bucket), so the split starts with the bucket's second fact,
-  // taking in the first.
-  if (members.size() < 2) return;
-  ClassSplit& split = index.splits[h];
-  if (members.size() == 2) {
-    const FactId first = members[0] == id ? members[1] : members[0];
-    split.Add(BindFact(*db_, first).class_at(index.attrs[0]), first);
-  }
-  split.Add(row.class_at(index.attrs[0]), id);
-}
-
-void IncrementalViolationIndex::ClassSplit::Add(ValueId c, FactId id) {
-  const auto it = std::find_if(classes.begin(), classes.end(),
-                               [&](const auto& cls) { return cls.first == c; });
-  if (it == classes.end()) {
-    classes.emplace_back(c, std::vector<FactId>{id});
-  } else {
-    it->second.push_back(id);
-  }
-}
-
-void IncrementalViolationIndex::RemoveFromPartnerIndex(
-    PartnerIndex& index, uint64_t h, const RowRef& row,
-    const std::vector<FactId>* members) {
-  if (index.order) {
-    const auto it = index.runs.find(h);
-    DBIM_CHECK(it != index.runs.end());
-    it->second.Tombstone(db_->pool(), stamps_);
-    if (it->second.num_live() == 0) index.runs.erase(it);
-    return;
-  }
-  // Down to one fact, the bucket drops its split.
-  if (members == nullptr || members->size() < 2) {
-    index.splits.erase(h);
-    return;
-  }
-  const auto split = index.splits.find(h);
-  DBIM_CHECK(split != index.splits.end());
-  split->second.Remove(row.class_at(index.attrs[0]), row.fact_id());
-}
-
-void IncrementalViolationIndex::ClassSplit::Remove(ValueId c, FactId id) {
-  const auto cls = std::find_if(
-      classes.begin(), classes.end(),
-      [&](const auto& entry) { return entry.first == c; });
-  DBIM_CHECK(cls != classes.end());
-  std::vector<FactId>& facts = cls->second;
-  const auto pos = std::find(facts.begin(), facts.end(), id);
-  DBIM_CHECK(pos != facts.end());
-  facts.erase(pos);
-  if (facts.empty()) classes.erase(cls);
-}
-
-void IncrementalViolationIndex::RebuildPartnerIndexes() {
-  const ValuePool& pool = db_->pool();
-  for (PartnerIndex& index : partner_indexes_) {
-    index.splits.clear();
-    index.runs.clear();
-    for (const auto& [h, facts] : bucket_groups_[index.group].buckets) {
-      if (!index.order) {
-        if (facts.size() < 2) continue;
-        ClassSplit& split = index.splits[h];
-        for (const FactId id : facts) {
-          split.Add(BindFact(*db_, id).class_at(index.attrs[0]), id);
-        }
-        continue;
-      }
-      std::vector<OrderRuns::Entry> entries;
-      entries.reserve(facts.size());
-      for (const FactId id : facts) {
-        entries.push_back(EntryOf(index, BindFact(*db_, id)));
-      }
-      index.runs.try_emplace(h, index.attrs.size())
-          .first->second.Assign(pool, std::move(entries));
-    }
-  }
-  partner_generation_ = pool.generation();
-}
-
-void IncrementalViolationIndex::AddToBinaryBuckets(FactId id) {
-  if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
-  const Database::RowLocation loc = db_->Locate(id);
-  const RowRef row{&db_->relation_block(loc.relation), loc.row};
-  for (const uint32_t g : groups_by_rel_[loc.relation]) {
-    const uint64_t h = bucket_groups_[g].Hash(db_->pool(), row);
-    const std::vector<FactId>& members = bucket_groups_[g].Add(h, id);
-    for (const uint32_t i : indexes_by_group_[g]) {
-      AddToPartnerIndex(partner_indexes_[i], h, row, members);
-    }
-  }
-}
-
 void IncrementalViolationIndex::AddToKAryIndexes(FactId id) {
   if (!has_kary_) return;
   for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
@@ -412,21 +152,10 @@ void IncrementalViolationIndex::AddToKAryIndexes(FactId id) {
   }
 }
 
-void IncrementalViolationIndex::RemoveFromBuckets(FactId id) {
-  // Must run before the fact's values change: the bucket key is recomputed
-  // from the current cells.
-  const Database::RowLocation loc = db_->Locate(id);
-  const RowRef row{&db_->relation_block(loc.relation), loc.row};
-  ++stamps_[id];  // kills the fact's OrderRuns entries
-  for (const uint32_t g : groups_by_rel_[loc.relation]) {
-    const uint64_t h = bucket_groups_[g].Hash(db_->pool(), row);
-    const std::vector<FactId>* members = bucket_groups_[g].Remove(h, id);
-    for (const uint32_t i : indexes_by_group_[g]) {
-      RemoveFromPartnerIndex(partner_indexes_[i], h, row, members);
-    }
-  }
+void IncrementalViolationIndex::RemoveFromIndexes(FactId id) {
+  witness_.Remove(*db_, id);
   if (has_kary_) {
-    for (const uint32_t c : kary_by_rel_[loc.relation]) {
+    for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
       kary_indexes_[c]->Remove(*db_, id);
     }
   }
@@ -511,46 +240,6 @@ bool IncrementalViolationIndex::IsMinimalCandidate(
   return true;
 }
 
-template <typename Fn>
-void IncrementalViolationIndex::ForEachPartner(const SidePlan& plan,
-                                               uint32_t partner_group,
-                                               uint64_t h, const RowRef& self,
-                                               Fn&& fn) const {
-  if (plan.index < 0) {
-    const std::vector<FactId>* bucket = bucket_groups_[partner_group].Find(h);
-    if (bucket == nullptr) return;
-    for (const FactId other : *bucket) fn(other);
-    return;
-  }
-  const PartnerIndex& index = partner_indexes_[plan.index];
-  if (!index.order) {
-    const ValueId own = self.class_at(plan.probe_attrs[0]);
-    const auto it = index.splits.find(h);
-    if (it == index.splits.end()) {  // at most one fact: no split
-      const std::vector<FactId>* bucket = bucket_groups_[partner_group].Find(h);
-      if (bucket == nullptr) return;
-      for (const FactId other : *bucket) {
-        if (BindFact(*db_, other).class_at(index.attrs[0]) != own) fn(other);
-      }
-      return;
-    }
-    for (const auto& [c, facts] : it->second.classes) {
-      if (c == own) continue;
-      for (const FactId other : facts) fn(other);
-    }
-    return;
-  }
-  const auto it = index.runs.find(h);
-  if (it == index.runs.end()) return;
-  const ValuePool& pool = db_->pool();
-  OrderRuns::Probe probe;
-  for (size_t k = 0; k < index.attrs.size(); ++k) {
-    probe.op[k] = plan.ops[k];
-    probe.value[k] = &pool.value(self.class_at(plan.probe_attrs[k]));
-  }
-  it->second.ForEachPartner(pool, probe, stamps_, fn);
-}
-
 void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
                                             FactId id) {
   const Database::RowLocation loc = db_->Locate(id);
@@ -564,7 +253,7 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
   // set this probe reads.
   auto probe_constraint = [&](uint32_t c) {
     const DenialConstraint& dc = constraints_[c];
-    const DcState& state = dc_states_[c];
+    const WitnessIndex::DcPlan& state = witness_.plan(c);
     const DcEval& eval = evals[c];
     std::vector<FactId>& hits = probe_hits_;
     hits.clear();
@@ -588,15 +277,9 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
         hits.push_back(other);
         IndexSubset({id, other}, 1);
       };
-      // The probe hashes its own side's key attributes; equal key values
-      // mean equal semantic hashes, so the partner side's bucket holds the
-      // candidates. Hash collisions are rejected by the body check (the
-      // body contains the key equalities), on interned class ids only.
-      const uint32_t partner_group =
-          static_cast<uint32_t>(state.group[1 - side]);
-      ForEachPartner(state.side[side], partner_group,
-                     bucket_groups_[state.group[side]].Hash(db_->pool(), self),
-                     self, try_partner);
+      // Hash collisions are rejected by the body check (the body contains
+      // the key equalities), on interned class ids only.
+      witness_.ForEachPartner(*db_, c, side, self, try_partner);
       if (side == 0 && !state.symmetric) {
         std::sort(hits.begin(), hits.end());
         side0_hits = hits.size();
@@ -620,10 +303,10 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
   uint32_t hashed_group = UINT32_MAX;
   for (const WatchProbe& probe : watch_probes_by_rel_[loc.relation]) {
     if (probe.probe_group != hashed_group) {
-      h = bucket_groups_[probe.probe_group].Hash(db_->pool(), self);
+      h = witness_.group(probe.probe_group).Hash(db_->pool(), self);
       hashed_group = probe.probe_group;
     }
-    if (bucket_groups_[probe.partner_group].Find(h) == nullptr) continue;
+    if (witness_.group(probe.partner_group).Find(h) == nullptr) continue;
     candidates.insert(candidates.end(), probe.constraints.begin(),
                       probe.constraints.end());
   }
@@ -708,20 +391,18 @@ void IncrementalViolationIndex::ProbeFact(const std::vector<DcEval>& evals,
 std::optional<FactId> IncrementalViolationIndex::Apply(
     const RepairOperation& op) {
   if (!op.IsApplicable(*db_)) return std::nullopt;
-  if (db_->pool().generation() != partner_generation_) {
-    RebuildPartnerIndexes();
-  }
+  if (witness_.stale(db_->pool())) witness_.RebuildPartnerIndexes(*db_);
   if (op.is_deletion()) {
     const FactId id = op.deletion().id;
     RemoveSubsetsInvolving(id);
     self_inconsistent_.erase(id);
-    RemoveFromBuckets(id);
+    RemoveFromIndexes(id);
     db_->Delete(id);
     return std::nullopt;
   }
   // The probe runs between the two halves of bucket maintenance: k-ary
   // indexes first (anchored enumeration reads them), binary buckets after
-  // (see AddToBinaryBuckets — a self-watcher would defeat watched
+  // (see AddToKAryIndexes — a self-watcher would defeat watched
   // dispatch). The binary probe never matched the fact's reflexive bucket
   // entry, so results are unchanged by the ordering.
   if (op.is_insertion()) {
@@ -730,19 +411,19 @@ std::optional<FactId> IncrementalViolationIndex::Apply(
     const std::vector<DcEval>& evals = CompileEvals();
     RecomputeSelfInconsistent(evals, id);
     ProbeFact(evals, id);
-    AddToBinaryBuckets(id);
+    witness_.Add(*db_, id);
     return id;
   }
   const UpdateOp& update = op.update();
   const FactId id = update.id;
   RemoveSubsetsInvolving(id);
-  RemoveFromBuckets(id);
+  RemoveFromIndexes(id);
   db_->UpdateValue(id, update.attr, update.value);
   AddToKAryIndexes(id);
   const std::vector<DcEval>& evals = CompileEvals();
   RecomputeSelfInconsistent(evals, id);
   ProbeFact(evals, id);
-  AddToBinaryBuckets(id);
+  witness_.Add(*db_, id);
   return std::nullopt;
 }
 
@@ -795,9 +476,10 @@ IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
   if (dc.num_vars() == 2) {
     // Both sides of a single-relation FD-shaped constraint share one
     // bucket group; count that group's keys once, not per side.
-    out.watcher_count = bucket_groups_[dc_states_[c].group[0]].num_keys();
-    if (dc_states_[c].group[1] != dc_states_[c].group[0]) {
-      out.watcher_count += bucket_groups_[dc_states_[c].group[1]].num_keys();
+    const WitnessIndex::DcPlan& plan = witness_.plan(c);
+    out.watcher_count = witness_.group(plan.group[0]).num_keys();
+    if (plan.group[1] != plan.group[0]) {
+      out.watcher_count += witness_.group(plan.group[1]).num_keys();
     }
   } else if (dc.num_vars() >= 3) {
     out.watcher_count = kary_indexes_[c]->num_bucket_keys();
@@ -808,13 +490,13 @@ IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
 size_t IncrementalViolationIndex::NumWatchedKeys() const {
   // Distinct bucket keys of groups some watch probe reads — each key class
   // a constraint is currently watching for partners.
-  std::vector<bool> counted(bucket_groups_.size(), false);
+  std::vector<bool> counted(witness_.num_groups(), false);
   size_t keys = 0;
   for (const auto& probes : watch_probes_by_rel_) {
     for (const WatchProbe& probe : probes) {
       if (counted[probe.partner_group]) continue;
       counted[probe.partner_group] = true;
-      keys += bucket_groups_[probe.partner_group].num_keys();
+      keys += witness_.group(probe.partner_group).num_keys();
     }
   }
   return keys;
@@ -822,47 +504,11 @@ size_t IncrementalViolationIndex::NumWatchedKeys() const {
 
 bool IncrementalViolationIndex::CheckWatcherInvariant(
     std::string* error) const {
-  // The maintained buckets must be exactly what a from-scratch rebuild
-  // over the live database produces: same keys, same per-key membership
-  // (order-insensitive), no empty buckets left behind.
-  std::vector<std::unordered_map<uint64_t, std::vector<FactId>>> expected(
-      bucket_groups_.size());
-  db_->ForEachId([&](FactId id) {
-    const Database::RowLocation loc = db_->Locate(id);
-    const RowRef row{&db_->relation_block(loc.relation), loc.row};
-    for (const uint32_t g : groups_by_rel_[loc.relation]) {
-      expected[g][bucket_groups_[g].Hash(db_->pool(), row)].push_back(id);
-    }
-  });
-  for (size_t g = 0; g < bucket_groups_.size(); ++g) {
-    const auto& actual = bucket_groups_[g].buckets;
-    if (actual.size() != expected[g].size()) {
-      if (error != nullptr) {
-        *error = StrFormat("group %zu holds %zu keys, rebuild implies %zu", g,
-                           actual.size(), expected[g].size());
-      }
-      return false;
-    }
-    for (const auto& [key, bucket] : actual) {
-      if (bucket.empty()) {
-        if (error != nullptr) *error = "empty bucket left in group map";
-        return false;
-      }
-      const auto it = expected[g].find(key);
-      std::vector<FactId> got(bucket);
-      std::sort(got.begin(), got.end());
-      if (it == expected[g].end() || it->second != got) {
-        if (error != nullptr) {
-          *error = StrFormat("group %zu bucket diverges from rebuild", g);
-        }
-        return false;
-      }
-    }
-  }
+  if (!witness_.CheckInvariant(*db_, error)) return false;
   // Watch-table completeness: every (binary constraint, probe side) is
   // covered by exactly one probe carrying its own and its partner's group.
   for (uint32_t c = 0; c < constraints_.size(); ++c) {
-    const DcState& state = dc_states_[c];
+    const WitnessIndex::DcPlan& state = witness_.plan(c);
     if (constraints_[c].num_vars() != 2) continue;
     for (int probe_side = 0; probe_side < 2; ++probe_side) {
       const uint32_t own = static_cast<uint32_t>(state.group[probe_side]);
@@ -884,73 +530,6 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
               probe_side, covered);
         }
         return false;
-      }
-    }
-  }
-  // Partner indexes: each must equal a rebuild from the buckets just
-  // verified. A vacuum leaves their class ids stale until the next Apply
-  // rebuilds them, so stale ones are not compared.
-  if (partner_generation_ != db_->pool().generation()) return true;
-  for (size_t i = 0; i < partner_indexes_.size(); ++i) {
-    const PartnerIndex& index = partner_indexes_[i];
-    auto fail = [&](const char* what) {
-      if (error != nullptr) {
-        *error = StrFormat("partner index %zu: %s", i, what);
-      }
-      return false;
-    };
-    const auto& buckets = bucket_groups_[index.group].buckets;
-    size_t split_buckets = 0;  // buckets of two facts or more
-    for (const auto& [h, facts] : buckets) split_buckets += facts.size() > 1;
-    if ((index.order ? index.runs.size() : index.splits.size()) !=
-        (index.order ? buckets.size() : split_buckets)) {
-      return fail("bucket keys differ from its group's");
-    }
-    for (const auto& [h, facts] : buckets) {
-      std::vector<FactId> expected(facts);
-      std::sort(expected.begin(), expected.end());
-      if (!index.order) {
-        if (facts.size() < 2) continue;
-        const auto it = index.splits.find(h);
-        if (it == index.splits.end()) return fail("bucket missing");
-        std::map<ValueId, std::vector<FactId>> want;
-        std::map<ValueId, std::vector<FactId>> got;
-        for (const FactId id : expected) {
-          want[BindFact(*db_, id).class_at(index.attrs[0])].push_back(id);
-        }
-        for (const auto& [c, members] : it->second.classes) {
-          if (members.empty() || got.count(c) > 0) {
-            return fail("empty or repeated class");
-          }
-          std::vector<FactId>& sorted = got[c];
-          sorted = members;
-          std::sort(sorted.begin(), sorted.end());
-        }
-        if (got != want) return fail("class split differs from rebuild");
-        continue;
-      }
-      const auto it = index.runs.find(h);
-      if (it == index.runs.end()) return fail("bucket missing");
-      if (!it->second.WellFormed(db_->pool(), stamps_)) {
-        return fail("order runs malformed or over their tombstone bound");
-      }
-      std::vector<FactId> live;
-      bool keys_current = true;
-      it->second.ForEachEntry([&](const OrderRuns::Entry& e) {
-        if (stamps_[e.id] != e.stamp) return;
-        live.push_back(e.id);
-        if (!db_->Contains(e.id)) {
-          keys_current = false;
-          return;
-        }
-        const OrderRuns::Entry now = EntryOf(index, BindFact(*db_, e.id));
-        if (now.key[0] != e.key[0] || now.key[1] != e.key[1]) {
-          keys_current = false;
-        }
-      });
-      std::sort(live.begin(), live.end());
-      if (!keys_current || live != expected) {
-        return fail("live order entries differ from rebuild");
       }
     }
   }

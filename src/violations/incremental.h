@@ -12,8 +12,8 @@
 #include "relational/operations.h"
 #include "violations/detector.h"
 #include "violations/eval_kernel.h"
-#include "violations/order_index.h"
 #include "violations/violation.h"
+#include "violations/witness_index.h"
 
 namespace dbim {
 
@@ -53,17 +53,18 @@ struct IncrementalDispatchStats {
 /// fact. Both directions run on the shared eval kernel
 /// (violations/eval_kernel.h), the same core the batch detector drives:
 ///
-///  * binary constraints probe the changed fact against KeyBuckets groups
-///    maintained across operations (a constraint without an equality key
-///    has one bucket per relation). Within its partner bucket, a probe
-///    enumerates only the partners the constraint's indexed predicates
-///    admit: with order predicates, an OrderRuns dominance query on the
-///    first two; otherwise, with a cross `!=`, every class of the partner's
-///    `!=` attribute but the probe's own. A probe thus costs its partners
-///    (plus O(log^3 bucket) resp. the number of classes), not its bucket,
-///    and a body that reads the same with t and t' swapped (every FD)
-///    probes one side only. Checks compare interned class ids only — no
-///    row-major `Fact` is ever materialized;
+///  * binary constraints probe the changed fact against the WitnessIndex
+///    (violations/witness_index.h) that the initial detection probed: the
+///    index is bulk-built once, handed to the detector, and then kept up
+///    to date here. Within its partner bucket, a probe enumerates only the
+///    partners the constraint's indexed predicates admit: with order
+///    predicates, an OrderRuns dominance query on the first two;
+///    otherwise, with a cross `!=`, every class of the partner's `!=`
+///    attribute but the probe's own. A probe thus costs its partners (plus
+///    O(log^3 bucket) resp. the number of classes), not its bucket, and a
+///    body that reads the same with t and t' swapped (every FD) probes one
+///    side only. Checks compare interned class ids only — no row-major
+///    `Fact` is ever materialized;
 ///  * k-ary (>= 3 variable) constraints use the kernel's anchored
 ///    enumeration (EnumerateKAryAnchored) over a per-constraint
 ///    KAryBlockingIndex: every satisfying assignment through the changed
@@ -80,12 +81,13 @@ struct IncrementalDispatchStats {
 ///
 /// The index also maintains the per-derivation minimal-violation count the
 /// detector reports (a subset violating two constraints counts twice; a
-/// k-ary subset counts once per satisfying assignment), so Snapshot()
-/// reproduces ViolationSet::num_minimal_violations() exactly.
+/// k-ary subset counts once per satisfying assignment), starting from the
+/// initial detection's per-subset multiplicities, so Snapshot() reproduces
+/// ViolationSet::multiplicities() and num_minimal_violations() exactly.
 class IncrementalViolationIndex {
  public:
-  /// Builds the index for `db`, which the index owns (one full detection
-  /// pass with `build_options`).
+  /// Builds the index for `db`, which the index owns: one witness index
+  /// build and one full detection pass probing it, with `build_options`.
   IncrementalViolationIndex(std::shared_ptr<const Schema> schema,
                             std::vector<DenialConstraint> constraints,
                             Database db, DetectorOptions build_options = {});
@@ -163,17 +165,12 @@ class IncrementalViolationIndex {
   size_t NumWatchedKeys() const;
 
   /// Test hook: whether the maintained watch state is exactly what a
-  /// from-scratch rebuild would produce — every shared bucket holds
-  /// precisely the live facts hashing to its key (no stale entries, no
-  /// empties left behind), every (binary constraint, probe side) is
-  /// covered by exactly one watch probe with its own and its partner's
-  /// bucket group, and every partner index equals a rebuild from those
-  /// buckets: the same `!=` classes holding the same facts, resp. order
-  /// runs that are well formed (OrderRuns::WellFormed), whose live entries
-  /// are exactly the bucket's facts under their current keys, and whose
-  /// tombstones do not outnumber them. Partner indexes a vacuum left
-  /// stale (rebuilt by the next Apply) are not compared. On failure fills
-  /// `*error` and returns false.
+  /// from-scratch rebuild would produce — the witness index passes
+  /// WitnessIndex::CheckInvariant (partner indexes a vacuum left stale,
+  /// rebuilt by the next Apply, are not compared), and every (binary
+  /// constraint, probe side) is covered by exactly one watch probe with
+  /// its own and its partner's bucket group. On failure fills `*error`
+  /// and returns false.
   bool CheckWatcherInvariant(std::string* error) const;
 
  private:
@@ -182,50 +179,6 @@ class IncrementalViolationIndex {
     uint32_t multiplicity = 1;  // # derivations (constraints/assignments)
     bool alive = true;
   };
-  // How the probe with the changed fact as one variable reaches its
-  // partners: the partner index it queries, and the probe-side attributes
-  // of that index's predicates with their operators oriented
-  // `probe op partner`. No index (-1) when the body indexes nothing but
-  // its key: then every fact of the partner bucket is admitted.
-  struct SidePlan {
-    int index = -1;
-    AttrIndex probe_attrs[2] = {0, 0};
-    CompareOp ops[2] = {CompareOp::kNe, CompareOp::kNe};
-  };
-  // Per-constraint blocking state of a binary constraint: group[v] names
-  // the shared bucket group (below) holding the facts of var_relation(v)
-  // keyed by their side-v key attributes — none for a keyless constraint,
-  // whose group is one bucket per relation. side[s] plans the probe with
-  // the changed fact bound to variable s; a symmetric body (the same with
-  // t and t' swapped) probes side 0 only, which finds every pair. K-ary
-  // constraints block through kary_indexes_ instead.
-  struct DcState {
-    int group[2] = {-1, -1};
-    bool symmetric = false;
-    SidePlan side[2];
-  };
-
-  // One bucket's facts split by the class of the partner-side `!=`
-  // attribute: a probe of class c walks every class but c. Only buckets of
-  // two facts or more keep one; a one-fact bucket's fact is checked as is.
-  struct ClassSplit {
-    std::vector<std::pair<ValueId, std::vector<FactId>>> classes;
-
-    void Add(ValueId c, FactId id);
-    void Remove(ValueId c, FactId id);
-  };
-  // The witness index of one bucket group under one partner-side shape:
-  // per bucket key, the bucket's facts split on a `!=` attribute or held
-  // in OrderRuns on one or two order attributes. Probe sides whose
-  // partner group, kind and attributes coincide share one.
-  struct PartnerIndex {
-    uint32_t group = 0;
-    bool order = false;
-    std::vector<AttrIndex> attrs;  // the `!=` attribute, or the order keys
-    std::unordered_map<uint64_t, ClassSplit> splits;  // !order
-    std::unordered_map<uint64_t, OrderRuns> runs;     // order
-  };
-
   // One watched-dispatch probe per distinct (probe group, partner group)
   // pair over a relation: an op on that relation hashes its key
   // attributes once per probe group (the probing side's own bucket group,
@@ -241,18 +194,10 @@ class IncrementalViolationIndex {
   };
 
   void BuildInitialState(const DetectorOptions& build_options);
-  // Per-relation dispatch tables, bucket groups, watch probes and the
-  // k-ary pruning indexes. Pure derivation from constraints_; called once
-  // before facts enter the buckets.
+  // Per-relation dispatch tables, watch probes and the k-ary pruning
+  // indexes. Pure derivation from constraints_ and the witness index's
+  // plans; called once before facts enter the indexes.
   void BuildDispatchTables();
-  // The violation-count multiplicity of a freshly detected minimal subset:
-  // one for the pass-1 singleton Add, one per binary constraint deriving
-  // the pair in some orientation, one per k-ary satisfying assignment with
-  // exactly this support. `evals` holds one compiled evaluator per
-  // constraint (hoisted by the caller — the build recovers thousands of
-  // subsets against the same pool).
-  uint32_t RecoverMultiplicity(const std::vector<DcEval>& evals,
-                               const std::vector<FactId>& subset) const;
   // One compiled evaluator per constraint against the current pool,
   // cached across ops: compilation binds pool state only through
   // FindClass on constant-equality predicates, and every event that could
@@ -276,37 +221,18 @@ class IncrementalViolationIndex {
   bool IsMinimalCandidate(const std::vector<FactId>& candidate) const;
   void RecomputeSelfInconsistent(const std::vector<DcEval>& evals, FactId id);
 
-  // Bucket maintenance is split so Apply can order it around the probe:
+  // Index maintenance is split so Apply can order it around the probe:
   // the k-ary indexes must hold the changed fact *before* ProbeFact (the
   // anchored enumeration binds inner variables from them, repeated-fact
-  // assignments included), while the binary buckets take it *after* — the
+  // assignments included), while the witness index takes it *after* — the
   // probe never matched the fact's own reflexive entry anyway, and adding
   // it late keeps the watcher map free of self-watchers, which would make
   // every same-attribute FD a candidate on every op and defeat watched
   // dispatch entirely.
-  void AddToBinaryBuckets(FactId id);
   void AddToKAryIndexes(FactId id);
-  void RemoveFromBuckets(FactId id);
-
-  // Partner-index maintenance, after the index's group bucket took resp.
-  // gave up the fact: `h` is the fact's key hash in that group, `members`
-  // the bucket's facts now (nullptr: none left). Removal must run before
-  // the fact's cells change.
-  void AddToPartnerIndex(PartnerIndex& index, uint64_t h, const RowRef& row,
-                         const std::vector<FactId>& members);
-  void RemoveFromPartnerIndex(PartnerIndex& index, uint64_t h,
-                              const RowRef& row,
-                              const std::vector<FactId>* members);
-  // The fact's OrderRuns entry under `index`: its current stamp and keys.
-  OrderRuns::Entry EntryOf(const PartnerIndex& index, const RowRef& row) const;
-  // Rebuilds every partner index from its bucket group against the
-  // current pool: at build time, and when a vacuum moved the generation.
-  void RebuildPartnerIndexes();
-  // Calls `fn(other)` for every partner `plan`'s index admits in the
-  // partner group's bucket at hash `h`, the probe row being `self`.
-  template <typename Fn>
-  void ForEachPartner(const SidePlan& plan, uint32_t partner_group,
-                      uint64_t h, const RowRef& self, Fn&& fn) const;
+  // Must run before the fact's values change (keys are recomputed from the
+  // current cells).
+  void RemoveFromIndexes(FactId id);
 
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;
@@ -314,27 +240,12 @@ class IncrementalViolationIndex {
   Database* db_;
   bool has_kary_ = false;
 
-  std::vector<DcState> dc_states_;  // parallel to constraints_
-
   // --- dispatch tables (indexed by RelationId) ---
   std::vector<std::vector<uint32_t>> binary_by_rel_;   // binary cs touching rel
   std::vector<std::vector<uint32_t>> kary_by_rel_;     // k-ary cs touching rel
   std::vector<std::vector<uint32_t>> selfinc_by_rel_;  // unary-capable cs
-  // Shared blocking buckets, one per distinct (relation, key attrs): every
-  // binary side with that shape would bucket exactly the same facts under
-  // exactly the same keys, so per-op maintenance scales with distinct key
-  // shapes, not |Sigma|. groups_by_rel_ is the bucket maintenance walk.
-  std::vector<KeyBuckets> bucket_groups_;
-  std::vector<std::vector<uint32_t>> groups_by_rel_;
-
-  // --- partner indexes (see PartnerIndex), maintained with the buckets ---
-  std::vector<PartnerIndex> partner_indexes_;
-  std::vector<std::vector<uint32_t>> indexes_by_group_;
-  // FactId -> stamp, bumped whenever the fact leaves its buckets: an
-  // OrderRuns entry is live while it carries its fact's current stamp.
-  std::vector<uint32_t> stamps_;
-  // Pool generation the partner indexes' class ids belong to.
-  uint64_t partner_generation_ = 0;
+  // --- the binary constraints' buckets and partner indexes ---
+  WitnessIndex witness_;
 
   // --- watched dispatch ---
   // rel -> watch probes, ordered by probe group so the probe hashes each

@@ -11,6 +11,7 @@ void ViolationSet::Add(std::vector<FactId> subset, size_t multiplicity) {
   DBIM_CHECK(std::is_sorted(subset.begin(), subset.end()));
   num_minimal_violations_ += multiplicity;
   subsets_.push_back(std::move(subset));
+  multiplicities_.push_back(static_cast<uint32_t>(multiplicity));
 }
 
 std::vector<FactId> ViolationSet::ProblematicFacts() const {

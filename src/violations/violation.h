@@ -21,7 +21,11 @@ namespace dbim {
 ///    tuples"); these are exactly the singleton minimal subsets.
 ///  * `num_minimal_violations()` — the count of (F, sigma) pairs from the
 ///    paper's Section 5.3 discussion, where the same fact set is counted
-///    once per constraint it violates.
+///    once per constraint it violates: the sum of the per-subset
+///    `multiplicities()`, the number of derivations of a subset (one per
+///    binary constraint it violates, one per satisfying assignment of a
+///    k-ary constraint with exactly that support, and one for a
+///    contradictory fact's singleton).
 class ViolationSet {
  public:
   ViolationSet() = default;
@@ -31,16 +35,19 @@ class ViolationSet {
   /// constraint or assignment that derives it).
   void Add(std::vector<FactId> subset, size_t multiplicity = 1);
 
-  /// Counts one more derivation of a subset already in the set (the same
-  /// fact set violating another constraint).
-  void AddRederivation() { ++num_minimal_violations_; }
-
-  void Reserve(size_t num_subsets) { subsets_.reserve(num_subsets); }
+  void Reserve(size_t num_subsets) {
+    subsets_.reserve(num_subsets);
+    multiplicities_.reserve(num_subsets);
+  }
 
   const std::vector<std::vector<FactId>>& minimal_subsets() const {
     return subsets_;
   }
   size_t num_minimal_subsets() const { return subsets_.size(); }
+  /// Derivations of each subset, parallel to minimal_subsets().
+  const std::vector<uint32_t>& multiplicities() const {
+    return multiplicities_;
+  }
   size_t num_minimal_violations() const { return num_minimal_violations_; }
 
   bool empty() const { return subsets_.empty(); }
@@ -61,6 +68,7 @@ class ViolationSet {
 
  private:
   std::vector<std::vector<FactId>> subsets_;
+  std::vector<uint32_t> multiplicities_;  // parallel to subsets_
   size_t num_minimal_violations_ = 0;
 };
 

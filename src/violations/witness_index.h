@@ -1,0 +1,407 @@
+#ifndef DBIM_VIOLATIONS_WITNESS_INDEX_H_
+#define DBIM_VIOLATIONS_WITNESS_INDEX_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "common/value_pool.h"
+#include "constraints/dc.h"
+#include "constraints/predicate.h"
+#include "relational/database.h"
+#include "violations/eval_kernel.h"
+
+namespace dbim {
+
+/// The witness index of a constraint set's binary constraints: blocking
+/// buckets keyed on each constraint's equality key and, inside each
+/// bucket, a partner index, so that a probe fact enumerates only the
+/// partners that satisfy the constraint's indexed predicates instead of
+/// scanning its bucket:
+///  * order predicates: the first two cross-variable ones, as a dominance
+///    query over OrderRuns, O(log^3 n + k) per probe;
+///  * otherwise the first cross-variable `!=` (an FD's `t.B != t'.B`): the
+///    bucket sorted by the partner's `!=` class (ClassSplit), O(log n + k)
+///    per probe.
+/// The batch detector bulk-builds it and probes it read-only; the
+/// incremental index builds it once the same way and keeps it up to date
+/// under Apply. Every reported partner is still re-checked against the
+/// full body by the caller; the index only decides which facts to look
+/// at, and it never drops one whose indexed predicates hold.
+
+/// A merge-sort tree over keys[0, n) by position: level L holds every
+/// aligned block of 2^L positions sorted by key (stably), each key with the
+/// position it came from. A query's positions [lo, hi) split into
+/// O(log n) aligned blocks, and in each block the keys in [a, b) are one
+/// binary-searched run: O(log^2 n + k) per query. OrderRuns lays the
+/// second key of each of its runs out in one.
+class SortTree {
+ public:
+  SortTree() = default;
+  explicit SortTree(const std::vector<uint32_t>& keys);
+
+  /// Calls `fn(position)` for every position in [lo, hi) whose key lies in
+  /// [a, b).
+  template <typename Fn>
+  void ForEach(size_t lo, size_t hi, uint32_t a, uint32_t b, Fn&& fn) const {
+    // Canonical decomposition: from `lo`, the widest aligned block that
+    // fits before `hi`.
+    while (lo < hi) {
+      size_t level = FloorLog2(hi - lo);
+      if (lo != 0) level = std::min<size_t>(level, __builtin_ctzll(lo));
+      const size_t width = size_t{1} << level;
+      const Level& lv = levels_[level];
+      const auto block = lv.keys.begin() + lo;
+      const auto from = std::lower_bound(block, block + width, a);
+      const auto to = std::lower_bound(from, block + width, b);
+      for (auto it = from; it != to; ++it) fn(lv.pos[it - lv.keys.begin()]);
+      lo += width;
+    }
+  }
+
+  /// Test hook: whether this is the tree SortTree(keys) builds, up to the
+  /// order of equal keys within a block.
+  bool WellFormed(const std::vector<uint32_t>& keys) const;
+
+ private:
+  struct Level {
+    std::vector<uint32_t> keys;
+    std::vector<uint32_t> pos;  // aligned with keys
+  };
+
+  static size_t FloorLog2(size_t x) { return 63 - __builtin_clzll(x); }
+
+  std::vector<Level> levels_;
+};
+
+/// One bucket's partner facts over one or two order keys (IEJoin-style;
+/// Khayyat et al., VLDB 2015), kept up to date under inserts and removals
+/// by the logarithmic method (Bentley & Saxe, *Decomposable Searching
+/// Problems I*, 1980). The facts sit in O(log n) static runs of decreasing
+/// size. Each run holds its entries sorted on the first key and, with a
+/// second key, a merge-sort tree over that order, and is ranked over its
+/// own distinct key values, so a probe binary-searches its values once per
+/// run and key, then walks rank runs: O(log^3 n + k) per probe. A bulk
+/// build assigns a whole bucket as one run.
+///
+/// An insert merges the new entry with every trailing run no larger than
+/// what joins it so far (a binary counter's carry), in one rebuild, so an
+/// entry takes part in O(log n) rebuilds. A
+/// removal only tombstones: an entry is live while its stamp equals its
+/// fact's current stamp (the caller bumps a fact's stamp whenever it
+/// leaves its buckets), and once the dead entries outnumber the live ones
+/// the bucket rebuilds into one run, so tombstones never outnumber the
+/// live entries a bucket stores.
+///
+/// Keys are class ids of one pool generation, ordered by OrderKeyLess;
+/// after a vacuum re-interns the database the owner rebuilds the bucket.
+/// A key value that OrderKeyLess cannot place (a NaN) sends its entry to
+/// an unranked list that every probe walks, and a NaN probe value admits
+/// every rank of its key, so the index never drops a partner whose
+/// indexed predicates hold; the caller re-checks the full body.
+class OrderRuns {
+ public:
+  struct Entry {
+    FactId id = 0;
+    uint32_t stamp = 0;
+    ValueId key[2] = {0, 0};  // partner-side key classes
+  };
+
+  /// The probe side: key k holds when `value[k] op[k] partner key k`,
+  /// value[k] a class id.
+  struct Probe {
+    CompareOp op[2] = {CompareOp::kLt, CompareOp::kLt};
+    ValueId value[2] = {0, 0};
+  };
+
+  explicit OrderRuns(size_t num_keys = 1) : num_keys_(num_keys) {}
+
+  /// Replaces the contents with `entries`, all live, as one run.
+  void Assign(const ValuePool& pool, std::vector<Entry> entries);
+  /// Adds a live entry (its stamp must be its fact's current stamp).
+  void Insert(const ValuePool& pool, const std::vector<uint32_t>& stamps,
+              const Entry& entry);
+  /// Records that one live entry just died (its fact's stamp moved).
+  void Tombstone(const ValuePool& pool, const std::vector<uint32_t>& stamps);
+
+  size_t num_live() const { return live_; }
+
+  /// Calls `fn(id)` for every live entry whose indexed keys hold against
+  /// `probe`, each once, in a deterministic order.
+  template <typename Fn>
+  void ForEachPartner(const ValuePool& pool, const Probe& probe,
+                      const std::vector<uint32_t>& stamps, Fn&& fn) const {
+    auto visit = [&](const Entry& e) {
+      if (stamps[e.id] == e.stamp) fn(e.id);
+    };
+    for (const Entry& e : unranked_) visit(e);
+    for (const Run& run : runs_) {
+      const auto [a, b] =
+          RankRange(pool, run.bounds[0], probe.op[0], probe.value[0]);
+      const size_t begin = run.rank_starts[a];
+      const size_t end = run.rank_starts[b];
+      if (num_keys_ == 1) {
+        for (size_t i = begin; i < end; ++i) visit(run.entries[i]);
+        continue;
+      }
+      const auto [a1, b1] =
+          RankRange(pool, run.bounds[1], probe.op[1], probe.value[1]);
+      run.second.ForEach(begin, end, a1, b1,
+                         [&](uint32_t pos) { visit(run.entries[pos]); });
+    }
+  }
+
+  /// Calls `fn(entry)` for every stored entry, live or dead.
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    for (const Entry& e : unranked_) fn(e);
+    for (const Run& run : runs_) {
+      for (const Entry& e : run.entries) fn(e);
+    }
+  }
+
+  /// Test hook: whether the counters match the stamps, the tombstones are
+  /// within their bound (dead <= live), and every run is well formed —
+  /// entries sorted on their first-key rank, ranks naming their key's
+  /// place among the run's distinct values, the second key's SortTree the
+  /// one its ranks build, and only NaN-keyed entries unranked.
+  bool WellFormed(const ValuePool& pool,
+                  const std::vector<uint32_t>& stamps) const;
+
+ private:
+  // A key class as OrderKeyLess orders it: its kind's rank, then its
+  // number (an integer through its double) or its string, which alone is
+  // read from the pool.
+  struct Bound {
+    double number = 0;
+    ValueId id = 0;
+    int rank = 0;
+  };
+  struct Run {
+    std::vector<Entry> entries;    // sorted on the first key's rank
+    // rank_starts[r]: the first entry of first-key rank r or above; one
+    // past the last rank, the number of entries.
+    std::vector<uint32_t> rank_starts;
+    std::vector<Bound> bounds[2];  // one class per rank, ascending
+    SortTree second;               // second-key ranks, by position
+  };
+  static Bound BoundOf(const ValuePool& pool, ValueId id);
+  // OrderKeyLess on bounds.
+  static bool Less(const ValuePool& pool, const Bound& a, const Bound& b);
+  // The ranks [a, b) of `bounds` whose values q satisfy `p op q` for the
+  // class p, or a superset where OrderKeyLess cannot decide exactly (see
+  // .cc).
+  static std::pair<uint32_t, uint32_t> RankRange(
+      const ValuePool& pool, const std::vector<Bound>& bounds, CompareOp op,
+      ValueId p);
+
+  bool Unranked(const ValuePool& pool, const Entry& e) const;
+  Run BuildRun(const ValuePool& pool, std::vector<Entry> entries) const;
+  // Moves the live entries of runs [from, end), with `live`, into one run.
+  void MergeFrom(const ValuePool& pool, const std::vector<uint32_t>& stamps,
+                 size_t from, std::vector<Entry> live);
+
+  size_t num_keys_;
+  std::vector<Run> runs_;        // sizes decreasing
+  std::vector<Entry> unranked_;  // NaN-keyed entries, walked by every probe
+  size_t live_ = 0;
+  size_t dead_ = 0;
+};
+
+/// One bucket's facts, each with the class of its partner-side `!=`
+/// attribute, sorted by (class, fact): a probe of class c binary-searches
+/// c's run and walks every fact outside it, so it costs O(log bucket) plus
+/// its partners, however the classes are shaped. Only buckets of two facts
+/// or more keep one; a one-fact bucket's fact is checked as is.
+struct ClassSplit {
+  std::vector<std::pair<ValueId, FactId>> members;  // sorted
+
+  void Add(ValueId c, FactId id) {
+    const std::pair<ValueId, FactId> m(c, id);
+    members.insert(std::lower_bound(members.begin(), members.end(), m), m);
+  }
+  void Remove(ValueId c, FactId id);
+
+  /// Calls `fn(id)` for every fact whose class is not `c`.
+  template <typename Fn>
+  void ForEachOutside(ValueId c, Fn&& fn) const {
+    if (members.front().first == members.back().first) {  // one class
+      if (members.front().first != c) {
+        for (const auto& m : members) fn(m.second);
+      }
+      return;
+    }
+    const auto lo = std::lower_bound(members.begin(), members.end(),
+                                     std::pair<ValueId, FactId>(c, 0));
+    const auto hi = std::upper_bound(
+        lo, members.end(), std::pair<ValueId, FactId>(c, UINT32_MAX));
+    for (auto it = members.begin(); it != lo; ++it) fn(it->second);
+    for (auto it = hi; it != members.end(); ++it) fn(it->second);
+  }
+};
+
+/// The witness index itself (see the top of this file). Bucket groups are
+/// shared: every binary side with the same (relation, key attributes)
+/// buckets exactly the same facts under exactly the same keys, so one
+/// KeyBuckets serves them all. Partner indexes are shared the same way by
+/// the probe sides whose partner group, kind and attributes coincide.
+/// Buckets key on HashPoolValues, the semantic values of the key cells, so
+/// they survive a shared-pool vacuum/re-intern; the partner indexes hold
+/// class ids and must be rebuilt (RebuildPartnerIndexes) once the pool's
+/// generation moves.
+class WitnessIndex {
+ public:
+  /// How the probe with the probe fact bound to one variable reaches its
+  /// partners: the partner index it queries, and the probe-side attributes
+  /// of that index's predicates with their operators oriented
+  /// `probe op partner`. No index (-1) when the body indexes nothing but
+  /// its key: then every fact of the partner bucket is admitted.
+  struct SidePlan {
+    int index = -1;
+    AttrIndex probe_attrs[2] = {0, 0};
+    CompareOp ops[2] = {CompareOp::kNe, CompareOp::kNe};
+  };
+  /// The blocking plan of one binary constraint: group[v] names the bucket
+  /// group holding the facts of var_relation(v) keyed by their side-v key
+  /// attributes (a keyless constraint's group is one bucket per relation).
+  /// side[s] plans the probe with the probe fact bound to variable s; a
+  /// symmetric body (the same with t and t' swapped, as every FD) plans
+  /// side 0 only, which finds every pair. Other constraints keep the
+  /// default: no groups.
+  struct DcPlan {
+    int group[2] = {-1, -1};
+    bool symmetric = false;
+    SidePlan side[2];
+  };
+
+  /// Plans the groups and partner indexes of every binary constraint of
+  /// `constraints`; holds no facts until Build.
+  WitnessIndex(const std::vector<DenialConstraint>& constraints,
+               size_t num_relations);
+
+  /// Replaces the contents with `db`'s live facts: one task per bucket
+  /// group fills the group from its relation block, then builds the
+  /// group's partner indexes. `num_threads` follows
+  /// DetectorOptions::num_threads (0 = one per hardware thread). With
+  /// `only`, just the groups and partner indexes that the binary
+  /// constraints listed there plan are built; the others are left empty.
+  void Build(const Database& db, size_t num_threads,
+             const std::vector<uint32_t>* only = nullptr);
+
+  /// Enters resp. removes a live fact of `db` in every group over its
+  /// relation and in their partner indexes. Remove must run before the
+  /// fact's cells change: its keys are recomputed from them.
+  void Add(const Database& db, FactId id);
+  void Remove(const Database& db, FactId id);
+
+  /// Whether the partner indexes' class ids belong to another pool
+  /// generation than `pool`'s (a vacuum re-interned the database).
+  bool stale(const ValuePool& pool) const {
+    return generation_ != pool.generation();
+  }
+  /// Rebuilds every partner index from its group against `db`'s pool.
+  void RebuildPartnerIndexes(const Database& db);
+
+  size_t num_constraints() const { return plans_.size(); }
+  const DcPlan& plan(size_t c) const { return plans_[c]; }
+  size_t num_groups() const { return groups_.size(); }
+  const KeyBuckets& group(size_t g) const { return groups_[g]; }
+
+  /// Calls `fn(partner)` for every fact that constraint `c`'s side-`side`
+  /// plan admits against the probe row `self` (bound to variable `side`):
+  /// the facts of the partner bucket at self's key whose indexed
+  /// predicates hold (and possibly hash collisions, which the body check
+  /// rejects), each once, self included if it qualifies. Reads the index
+  /// only, so concurrent probes may share it.
+  template <typename Fn>
+  void ForEachPartner(const Database& db, size_t c, int side,
+                      const RowRef& self, Fn&& fn) const;
+
+  /// Test hook: whether the index is exactly what a build over `db` would
+  /// produce — every bucket holds precisely the live facts hashing to its
+  /// key (no stale entries, no empties left behind), and every partner
+  /// index equals a rebuild from its group's buckets: the same `!=`
+  /// classes holding the same facts, resp. order runs that are well
+  /// formed (OrderRuns::WellFormed), whose live entries are exactly the
+  /// bucket's facts under their current keys, and whose tombstones do not
+  /// outnumber them. Stale partner indexes (see stale()) are not
+  /// compared. On failure fills `*error` and returns false.
+  bool CheckInvariant(const Database& db, std::string* error) const;
+
+ private:
+  // The partner index of one bucket group under one partner-side shape:
+  // per bucket key, the bucket's facts split on a `!=` attribute or held
+  // in OrderRuns on one or two order attributes.
+  struct PartnerIndex {
+    uint32_t group = 0;
+    bool order = false;
+    std::vector<AttrIndex> attrs;  // the `!=` attribute, or the order keys
+    std::unordered_map<uint64_t, ClassSplit> splits;  // !order
+    std::unordered_map<uint64_t, OrderRuns> runs;     // order
+  };
+
+  // Builds `index` from its group's buckets, against db's pool.
+  void BuildPartnerIndex(const Database& db, PartnerIndex& index) const;
+  // The fact's OrderRuns entry under `index`: its current stamp and keys.
+  OrderRuns::Entry EntryOf(const PartnerIndex& index, const RowRef& row) const;
+
+  std::vector<DcPlan> plans_;  // parallel to the constraints
+  std::vector<KeyBuckets> groups_;
+  std::vector<std::vector<uint32_t>> groups_by_rel_;
+  std::vector<PartnerIndex> indexes_;
+  std::vector<std::vector<uint32_t>> indexes_by_group_;
+  // FactId -> stamp, bumped whenever the fact leaves its buckets: an
+  // OrderRuns entry is live while it carries its fact's current stamp.
+  std::vector<uint32_t> stamps_;
+  // Pool generation the partner indexes' class ids belong to.
+  uint64_t generation_ = 0;
+};
+
+template <typename Fn>
+void WitnessIndex::ForEachPartner(const Database& db, size_t c, int side,
+                                  const RowRef& self, Fn&& fn) const {
+  const DcPlan& dc = plans_[c];
+  const SidePlan& plan = dc.side[side];
+  const ValuePool& pool = db.pool();
+  // The probe hashes its own side's key attributes; equal key values mean
+  // equal semantic hashes, so the partner side's bucket holds the
+  // candidates.
+  const uint64_t h = groups_[dc.group[side]].Hash(pool, self);
+  const KeyBuckets& partners = groups_[dc.group[1 - side]];
+  if (plan.index < 0) {
+    const std::vector<FactId>* bucket = partners.Find(h);
+    if (bucket == nullptr) return;
+    for (const FactId other : *bucket) fn(other);
+    return;
+  }
+  const PartnerIndex& index = indexes_[plan.index];
+  if (!index.order) {
+    const ValueId own = self.class_at(plan.probe_attrs[0]);
+    const auto it = index.splits.find(h);
+    if (it != index.splits.end()) {
+      it->second.ForEachOutside(own, fn);
+      return;
+    }
+    const std::vector<FactId>* bucket = partners.Find(h);  // one fact
+    if (bucket != nullptr &&
+        BindFact(db, bucket->front()).class_at(index.attrs[0]) != own) {
+      fn(bucket->front());
+    }
+    return;
+  }
+  const auto it = index.runs.find(h);
+  if (it == index.runs.end()) return;
+  OrderRuns::Probe probe;
+  for (size_t k = 0; k < index.attrs.size(); ++k) {
+    probe.op[k] = plan.ops[k];
+    probe.value[k] = self.class_at(plan.probe_attrs[k]);
+  }
+  it->second.ForEachPartner(pool, probe, stamps_, fn);
+}
+
+}  // namespace dbim
+
+#endif  // DBIM_VIOLATIONS_WITNESS_INDEX_H_

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,7 +12,7 @@
 #include "test_util.h"
 #include "violations/conflict_graph.h"
 #include "violations/detector.h"
-#include "violations/order_index.h"
+#include "violations/witness_index.h"
 
 namespace dbim {
 namespace {
@@ -243,16 +244,23 @@ TEST(Detector, ViolatingPairRatio) {
 
 // ---- Order-predicate probe ----
 
-// What detection of a binary Sigma over a freshly built database must
-// report, computed by brute force from the detector's contract: the
-// contradictory facts in id order, then per constraint the body-holding
-// ordered pairs (f, f') of distinct facts, neither contradictory, in
-// discovery order (f ascending, then f' ascending — a fresh database keeps
-// insertion order in its rows), deduplicated across the whole result.
-// Each constraint probes every such pair and fires once per unordered
-// pair.
+// What detection over a freshly built database must report, computed by
+// brute force from the detector's contract: the contradictory facts in id
+// order; then per binary constraint the body-holding ordered pairs
+// (f, f') of distinct facts, neither contradictory, in discovery order
+// (f ascending, then f' ascending — a fresh database keeps insertion order
+// in its rows), deduplicated across the whole result; then the minimal
+// supports of the k-ary constraints' satisfying assignments not already
+// reported, by size, then lexicographically. A binary constraint probes
+// every such pair and fires once per unordered pair; a k-ary constraint
+// probes and fires once per satisfying assignment. Each subset's
+// multiplicity counts its derivations: one for a contradictory fact's
+// singleton, one per binary constraint deriving the pair in either
+// orientation, and one per k-ary satisfying assignment with exactly that
+// support.
 struct BruteForceDetection {
   std::vector<std::vector<FactId>> subsets;
+  std::vector<uint32_t> multiplicities;  // parallel to subsets
   std::vector<DetectorConstraintStats> stats;
 };
 
@@ -263,18 +271,26 @@ BruteForceDetection BruteForceDetect(const std::vector<DenialConstraint>& dcs,
   for (const FactId id : ids) facts.push_back(db.fact(id));
   std::vector<bool> contradictory(facts.size(), false);
   BruteForceDetection out;
-  std::set<std::vector<FactId>> admitted;
+  std::map<std::vector<FactId>, size_t> admitted;  // subset -> slot
+  auto admit = [&](std::vector<FactId> subset, uint32_t derivations) {
+    const auto [it, fresh] = admitted.emplace(subset, out.subsets.size());
+    if (fresh) {
+      out.subsets.push_back(std::move(subset));
+      out.multiplicities.push_back(derivations);
+    } else {
+      out.multiplicities[it->second] += derivations;
+    }
+  };
   for (size_t i = 0; i < facts.size(); ++i) {
     for (const DenialConstraint& dc : dcs) {
       if (MakesSelfInconsistent(dc, facts[i])) contradictory[i] = true;
     }
-    if (contradictory[i]) {
-      out.subsets.push_back({ids[i]});
-      admitted.insert({ids[i]});
-    }
+    if (contradictory[i]) admit({ids[i]}, 1);
   }
-  for (const DenialConstraint& dc : dcs) {
-    DetectorConstraintStats stats;
+  out.stats.resize(dcs.size());
+  for (size_t c = 0; c < dcs.size(); ++c) {
+    const DenialConstraint& dc = dcs[c];
+    if (dc.num_vars() != 2) continue;
     std::set<std::vector<FactId>> fired;
     for (size_t i = 0; i < facts.size(); ++i) {
       for (size_t j = 0; j < facts.size(); ++j) {
@@ -284,22 +300,76 @@ BruteForceDetection BruteForceDetect(const std::vector<DenialConstraint>& dcs,
             !BodyHolds(dc, facts[i], facts[j])) {
           continue;
         }
-        ++stats.num_probes;
+        ++out.stats[c].num_probes;
         const std::vector<FactId> pair = {std::min(ids[i], ids[j]),
                                           std::max(ids[i], ids[j])};
         if (!fired.insert(pair).second) continue;
-        ++stats.num_fires;
-        if (admitted.insert(pair).second) out.subsets.push_back(pair);
+        ++out.stats[c].num_fires;
+        admit(pair, 1);
       }
     }
-    out.stats.push_back(stats);
+  }
+  // K-ary: every assignment (facts may repeat across variables), counted
+  // per support.
+  std::map<std::vector<FactId>, uint32_t> supports;
+  for (size_t c = 0; c < dcs.size(); ++c) {
+    const DenialConstraint& dc = dcs[c];
+    if (dc.num_vars() < 3) continue;
+    std::vector<size_t> pick(dc.num_vars(), 0);
+    std::vector<const Fact*> assignment(dc.num_vars());
+    auto assign = [&](auto&& self, size_t var) -> void {
+      if (var == dc.num_vars()) {
+        if (!BodyHolds(dc, assignment)) return;
+        ++out.stats[c].num_probes;
+        ++out.stats[c].num_fires;
+        std::vector<FactId> support;
+        for (const size_t i : pick) support.push_back(ids[i]);
+        std::sort(support.begin(), support.end());
+        support.erase(std::unique(support.begin(), support.end()),
+                      support.end());
+        ++supports[support];
+        return;
+      }
+      for (size_t i = 0; i < facts.size(); ++i) {
+        if (facts[i].relation() != dc.var_relation(var)) continue;
+        pick[var] = i;
+        assignment[var] = &facts[i];
+        self(self, var + 1);
+      }
+    };
+    assign(assign, 0);
+  }
+  std::vector<std::pair<std::vector<FactId>, uint32_t>> by_size(
+      supports.begin(), supports.end());
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first.size() < b.first.size();
+                   });
+  std::set<FactId> contradictory_ids;
+  for (size_t i = 0; i < facts.size(); ++i) {
+    if (contradictory[i]) contradictory_ids.insert(ids[i]);
+  }
+  for (auto& [support, count] : by_size) {
+    bool minimal = true;
+    for (const FactId id : support) {
+      if (contradictory_ids.count(id) > 0) minimal = support.size() == 1;
+    }
+    for (const auto& [subset, slot] : admitted) {
+      if (subset.size() < support.size() &&
+          std::includes(support.begin(), support.end(), subset.begin(),
+                        subset.end())) {
+        minimal = false;
+      }
+    }
+    if (minimal) admit(support, count);
   }
   return out;
 }
 
 // Detection of `dcs` over `db` matches the oracle, reports in the
-// brute-force discovery order, Satisfies agrees with it, and every
-// constraint's counters match brute force.
+// brute-force discovery order with the brute-force multiplicities,
+// Satisfies agrees with it, and every constraint's counters match brute
+// force.
 void ExpectMatchesBruteForce(std::shared_ptr<const Schema> schema,
                              const std::vector<DenialConstraint>& dcs,
                              const Database& db) {
@@ -308,6 +378,7 @@ void ExpectMatchesBruteForce(std::shared_ptr<const Schema> schema,
   testing::ExpectMatchesOracle(dcs, db, violations);
   const BruteForceDetection expected = BruteForceDetect(dcs, db);
   EXPECT_EQ(violations.minimal_subsets(), expected.subsets);
+  EXPECT_EQ(violations.multiplicities(), expected.multiplicities);
   for (size_t c = 0; c < dcs.size(); ++c) {
     const DetectorConstraintStats actual = detector.constraint_stats(c);
     EXPECT_EQ(actual.num_probes, expected.stats[c].num_probes) << c;
@@ -365,12 +436,67 @@ TEST(Detector, OrderDcFuzzMatchesOracleAndCounters) {
   }
 }
 
-// The `!=` split yields, for every probe class, exactly the bucket rows of
-// another class, ascending: on buckets with a strict majority class, two
-// tied classes, no majority, a single class, and (through a cross-
-// attribute `!=`) probe classes absent from the bucket. A ranked order key
-// takes precedence over the split.
-TEST(OrderIndex, NeSplitYieldsOtherClassesAscending) {
+// Unary, binary and k-ary constraints together, the k-ary ones chained on
+// equality keys, keyless with an order predicate, across relations and
+// repeating facts across variables: each subset's derivation count, the
+// discovery order and every constraint's counters match brute force.
+TEST(Detector, MixedArityMultiplicitiesMatchBruteForce) {
+  const auto schema = testing::MakeRsSchema();
+  auto ternary = [](std::vector<RelationId> rels,
+                    std::vector<Predicate> preds) {
+    return DenialConstraint(std::move(rels), std::move(preds));
+  };
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(ternary({0, 0, 0}, {Predicate(Operand{0, 0}, CompareOp::kEq,
+                                              Operand{1, 0}),
+                                    Predicate(Operand{1, 1}, CompareOp::kEq,
+                                              Operand{2, 1}),
+                                    Predicate(Operand{0, 2}, CompareOp::kNe,
+                                              Operand{2, 2})}));
+  dcs.push_back(ternary({0, 1, 1}, {Predicate(Operand{0, 0}, CompareOp::kEq,
+                                              Operand{1, 0}),
+                                    Predicate(Operand{0, 0}, CompareOp::kEq,
+                                              Operand{2, 0}),
+                                    Predicate(Operand{1, 3}, CompareOp::kNe,
+                                              Operand{2, 3})}));
+  dcs.push_back(ternary({1, 1, 1}, {Predicate(Operand{0, 1}, CompareOp::kLt,
+                                              Operand{1, 1}),
+                                    Predicate(Operand{1, 2}, CompareOp::kLe,
+                                              Operand{2, 2}),
+                                    Predicate(Operand{0, 3}, CompareOp::kEq,
+                                              Operand{2, 3})}));
+  dcs.push_back(*ParseDc(*schema, 1, "!(t.C < t.D)"));
+  Rng rng(77);
+  size_t kary_subsets = 0;
+  size_t rederived = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const Database db = testing::MakeMixedDatabase(
+        schema, 3 + rng.UniformIndex(6), trial % 3 == 0 ? 2 : 4,
+        rng.UniformIndex(1 << 30));
+    SCOPED_TRACE(Describe(trial, dcs, *schema));
+    ExpectMatchesBruteForce(schema, dcs, db);
+    const BruteForceDetection expected = BruteForceDetect(dcs, db);
+    for (size_t i = 0; i < expected.subsets.size(); ++i) {
+      kary_subsets += expected.subsets[i].size() == 3;
+      rederived += expected.multiplicities[i] > 1;
+    }
+  }
+  // The instances exercise what the test is about.
+  EXPECT_GT(kary_subsets, 0u);
+  EXPECT_GT(rederived, 0u);
+}
+
+// The witness index yields, for every probe, exactly the facts of the
+// partner bucket whose indexed predicates hold, whether it was bulk-built
+// or entered fact by fact, and both pass CheckInvariant, which compares
+// them with a rebuild. The `!=` split is exercised on buckets with a strict
+// majority class, two tied classes, no majority, a single class, a
+// majority candidate that is no majority and a single fact, and (through a
+// cross-attribute `!=`) with probe classes absent from the bucket, on both
+// probe sides. An order key wins over the `!=`: the index then yields the
+// facts its order predicate admits.
+TEST(WitnessIndex, YieldsIndexedPartnersBulkOrFactByFact) {
   auto schema = std::make_shared<Schema>();
   const RelationId r = schema->AddRelation("R", {"A", "B"});
   const std::vector<std::vector<int64_t>> bucket_shapes = {
@@ -380,56 +506,69 @@ TEST(OrderIndex, NeSplitYieldsOtherClassesAscending) {
       {4, 4, 4, 4},           // single class
       {2, 1, 1, 3, 3, 2, 1},  // majority candidate that is no majority
       {7}};
-  for (const auto& b_cells : bucket_shapes) {
-    Database db(schema);
-    for (size_t i = 0; i < b_cells.size(); ++i) {
-      // A spans 0..5 and so holds classes that B lacks.
-      db.Insert(Fact(r, {Value(static_cast<int64_t>(i % 6)),
-                         Value(b_cells[i])}));
-    }
-    const Database::RelationBlock& block = db.relation_block(r);
-    // `t[probe] != t'[B]` with the probe variable on either side.
-    const std::pair<AttrIndex, bool> cases[] = {
-        {1, true}, {1, false}, {0, true}, {0, false}};
-    for (const auto& [probe_attr, probe_lhs] : cases) {
+  // Each constraint with the constraint of its indexed predicate alone.
+  std::vector<DenialConstraint> dcs;
+  std::vector<DenialConstraint> indexed;
+  for (const AttrIndex probe_attr : {AttrIndex{1}, AttrIndex{0}}) {
+    for (const bool probe_lhs : {true, false}) {
+      // `t[probe] != t'[B]`, keyless: one bucket.
       const Operand probe{0, probe_attr};
       const Operand partner{1, 1};
       const DenialConstraint dc(
           {r, r}, {probe_lhs ? Predicate(probe, CompareOp::kNe, partner)
                              : Predicate(partner, CompareOp::kNe, probe)});
-      SCOPED_TRACE(dc.ToString(*schema));
-      const OrderRanks ranks(dc, db.pool(), block, block);
-      ASSERT_EQ(ranks.num_keys(), 0u);
-      ASSERT_TRUE(ranks.has_ne());
-      OrderIndex index;
-      for (uint32_t j = 0; j < block.num_rows(); ++j) {
-        index.rows().push_back(j);
-      }
-      index.Build(ranks);
-      std::vector<uint32_t> scratch;
-      for (uint32_t i = 0; i < block.num_rows(); ++i) {
-        std::vector<uint32_t> expected;
-        for (uint32_t j = 0; j < block.num_rows(); ++j) {
-          if (block.class_columns[1][j] !=
-              block.class_columns[probe_attr][i]) {
-            expected.push_back(j);
+      dcs.push_back(dc);
+      indexed.push_back(dc);
+    }
+  }
+  dcs.push_back(DenialConstraint(
+      {r, r}, {Predicate(Operand{0, 1}, CompareOp::kNe, Operand{1, 1}),
+               Predicate(Operand{0, 0}, CompareOp::kLt, Operand{1, 0})}));
+  indexed.push_back(DenialConstraint(
+      {r, r}, {Predicate(Operand{0, 0}, CompareOp::kLt, Operand{1, 0})}));
+
+  for (const auto& b_cells : bucket_shapes) {
+    Database db(schema);
+    WitnessIndex by_fact(dcs, schema->num_relations());
+    by_fact.Build(db, 1);
+    for (size_t i = 0; i < b_cells.size(); ++i) {
+      // A spans 0..5 and so holds classes that B lacks.
+      const FactId id = db.Insert(
+          Fact(r, {Value(static_cast<int64_t>(i % 6)), Value(b_cells[i])}));
+      by_fact.Add(db, id);
+    }
+    WitnessIndex bulk(dcs, schema->num_relations());
+    bulk.Build(db, 2);
+    const std::vector<FactId> ids = db.ids();
+    for (const WitnessIndex* index : {&bulk, &by_fact}) {
+      SCOPED_TRACE(index == &bulk ? "bulk" : "fact by fact");
+      std::string error;
+      ASSERT_TRUE(index->CheckInvariant(db, &error)) << error;
+      for (size_t c = 0; c < dcs.size(); ++c) {
+        SCOPED_TRACE(dcs[c].ToString(*schema));
+        const WitnessIndex::DcPlan& plan = index->plan(c);
+        ASSERT_GE(plan.side[0].index, 0);
+        for (int side = 0; side < (plan.symmetric ? 1 : 2); ++side) {
+          for (const FactId self : ids) {
+            std::vector<FactId> expected;
+            for (const FactId other : ids) {
+              const Fact& s = db.fact(self);
+              const Fact& o = db.fact(other);
+              if (side == 0 ? BodyHolds(indexed[c], s, o)
+                            : BodyHolds(indexed[c], o, s)) {
+                expected.push_back(other);
+              }
+            }
+            std::vector<FactId> actual;
+            index->ForEachPartner(db, c, side, BindFact(db, self),
+                                  [&](FactId id) { actual.push_back(id); });
+            std::sort(actual.begin(), actual.end());
+            EXPECT_EQ(actual, expected)
+                << "side " << side << " probe fact " << self;
           }
         }
-        std::vector<uint32_t> actual;
-        EXPECT_TRUE(index.ForEachPartner(ranks, i, scratch, [&](uint32_t j) {
-          actual.push_back(j);
-          return true;
-        }));
-        EXPECT_EQ(actual, expected) << "probe row " << i;
       }
     }
-    // A ranked order key wins over the `!=`.
-    const DenialConstraint ordered(
-        {r, r}, {Predicate(Operand{0, 1}, CompareOp::kNe, Operand{1, 1}),
-                 Predicate(Operand{0, 0}, CompareOp::kLt, Operand{1, 0})});
-    const OrderRanks ranks(ordered, db.pool(), block, block);
-    EXPECT_EQ(ranks.num_keys(), 1u);
-    EXPECT_FALSE(ranks.has_ne());
   }
 }
 

@@ -134,12 +134,13 @@ TEST(EvalKernel, BlockingKeyHashRespectsValueEquality) {
     for (const FactId b : ids) {
       const RowRef ra = BindFact(db, a);
       const RowRef rb = BindFact(db, b);
-      const bool equal_keys = KeyClassesEqual(ra, keys.var0, rb, keys.var1);
+      const bool equal_keys =
+          ra.class_at(keys.var0[0]) == rb.class_at(keys.var1[0]);
       EXPECT_EQ(equal_keys,
                 db.fact(a).value(0) == db.fact(b).value(0));
       if (equal_keys) {
-        EXPECT_EQ(HashKeyClasses(ra, keys.var0),
-                  HashKeyClasses(rb, keys.var1));
+        EXPECT_EQ(HashPoolValues(db.pool(), ra, keys.var0),
+                  HashPoolValues(db.pool(), rb, keys.var1));
       }
     }
   }

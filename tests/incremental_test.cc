@@ -183,6 +183,88 @@ TEST_P(IncrementalSweep, RandomOperationSequencesAgreeWithScratch) {
 INSTANTIATE_TEST_SUITE_P(AllDatasets, IncrementalSweep,
                          ::testing::Range(0, 24));
 
+// Each subset with its derivation count, sorted: a ViolationSet up to
+// order.
+std::vector<std::pair<std::vector<FactId>, uint32_t>> WithMultiplicities(
+    const ViolationSet& v) {
+  std::vector<std::pair<std::vector<FactId>, uint32_t>> out;
+  for (size_t i = 0; i < v.num_minimal_subsets(); ++i) {
+    out.emplace_back(v.minimal_subsets()[i], v.multiplicities()[i]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The build the session's Register runs: one witness index build, probed
+// by the initial detection and then maintained by Apply. At 1 and 2 build
+// threads, on every dataset generator (dirtied by RNoise), the built index
+// passes CheckWatcherInvariant and its snapshot equals a fresh detection
+// subset by subset and multiplicity by multiplicity; it then tracks the
+// brute-force oracle and fresh detection through 200 random ops on at
+// most 12 facts.
+TEST(Incremental, RegisterBuildMatchesDetectionAndSurvivesOps) {
+  constexpr size_t kMaxFacts = 12;
+  size_t initial_subsets = 0;
+  size_t inconsistent_steps = 0;
+  for (const DatasetId id : AllDatasets()) {
+    for (const size_t threads : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(std::string(DatasetName(id)) +
+                   " threads=" + std::to_string(threads));
+      const Dataset dataset = MakeDataset(id, kMaxFacts, 5);
+      const std::vector<DenialConstraint>& dcs = dataset.constraints;
+      Database dirty = dataset.data;
+      const RNoiseGenerator noise(dirty, dcs, 0.0);
+      Rng rng(static_cast<uint64_t>(id) * 11 + threads);
+      for (int step = 0; step < 8; ++step) noise.Step(dirty, rng);
+      DetectorOptions options;
+      options.num_threads = threads;
+      IncrementalViolationIndex index(dataset.schema, dcs, dirty, options);
+      const ViolationDetector detector(dataset.schema, dcs);
+      std::string error;
+      ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << error;
+      EXPECT_EQ(WithMultiplicities(index.Snapshot()),
+                WithMultiplicities(detector.FindViolations(index.db())));
+      initial_subsets += index.NumMinimalSubsets();
+
+      // Inserts copy a fact of the dirtied start; updates copy another
+      // live fact's cell, so keys collide and constraints fire.
+      std::vector<Fact> donors;
+      for (const FactId fid : dirty.ids()) donors.push_back(dirty.fact(fid));
+      for (int op = 0; op < 200; ++op) {
+        const std::vector<FactId> ids = index.db().ids();
+        size_t kind = rng.UniformIndex(3);
+        if (ids.empty()) kind = 1;
+        if (kind == 1 && ids.size() >= kMaxFacts) kind = 0;
+        if (kind == 0) {
+          index.Apply(
+              RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]));
+        } else if (kind == 1) {
+          index.Apply(RepairOperation::Insertion(
+              donors[rng.UniformIndex(donors.size())]));
+        } else {
+          const FactId target = ids[rng.UniformIndex(ids.size())];
+          const Fact donor =
+              index.db().fact(ids[rng.UniformIndex(ids.size())]);
+          const AttrIndex attr =
+              static_cast<AttrIndex>(rng.UniformIndex(donor.arity()));
+          index.Apply(
+              RepairOperation::Update(target, attr, donor.value(attr)));
+        }
+        SCOPED_TRACE("op " + std::to_string(op));
+        ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << error;
+        const ViolationSet maintained = index.Snapshot();
+        testing::ExpectMatchesOracle(dcs, index.db(), maintained);
+        ASSERT_EQ(WithMultiplicities(maintained),
+                  WithMultiplicities(detector.FindViolations(index.db())));
+        inconsistent_steps += !index.IsConsistent();
+      }
+    }
+  }
+  // The instances exercise what the test is about.
+  EXPECT_GT(initial_subsets, 0u);
+  EXPECT_GT(inconsistent_steps, 1000u);
+}
+
 // ---- k-ary incremental maintenance (anchored re-enumeration) ----
 
 // The 3-ary chain !(t0.A = t1.A & t1.B = t2.B & t0.C != t2.C).
@@ -521,7 +603,7 @@ INSTANTIATE_TEST_SUITE_P(
 // salary/rate DC (two order keys) and a keyless order DC — is probed at
 // exactly its output: every partner the index yields is a witness. Keys
 // are drawn dense (buckets of about ten facts) and sparse (mostly one
-// fact, whose bucket keeps no `!=` split) over a small value domain.
+// fact per bucket) over a small value domain.
 TEST(OutputSensitivity, ProbesEqualFiresWhenTheIndexCoversTheBody) {
   const auto schema = MakeRsSchema();
   const std::vector<DenialConstraint> dcs = {

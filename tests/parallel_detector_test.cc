@@ -31,10 +31,12 @@ using testing::MakeRandomDatabase;
 
 const size_t kThreadCounts[] = {1, 2, 4, 8};
 
-// Full observable state of a ViolationSet, order included.
+// Full observable state of a ViolationSet, order and per-subset
+// multiplicities included.
 void ExpectIdentical(const ViolationSet& expected, const ViolationSet& actual,
                      const std::string& where) {
   EXPECT_EQ(expected.minimal_subsets(), actual.minimal_subsets()) << where;
+  EXPECT_EQ(expected.multiplicities(), actual.multiplicities()) << where;
   EXPECT_EQ(expected.num_minimal_violations(),
             actual.num_minimal_violations())
       << where;

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Bench-regression gate: compare detect-time columns against a baseline,
-or two columns of one run against each other (self-relative mode).
+two columns of one run against each other (self-relative mode), or
+deterministic work counters against their exact expected values.
 
 Baseline mode:
     check_bench_regression.py CURRENT BASELINE [CURRENT BASELINE ...]
@@ -60,6 +61,19 @@ rows come from one run on one host, so runner speed cancels out like in
 FAST <= SLOW * RATIO + min_seconds — e.g. striped interning must cost
 within 5% of the single-mutex pool when there is no concurrency to win.
 
+Exact mode:
+    check_bench_regression.py --exact=FILE --expected=JSON
+        [--exact-column=candidates]
+
+For hardware-independent counters, which must not move at all. FILE is
+either a perfbench result line ({"correct", ..., "metrics": {NAME:
+{"value": V}}}, the last stdout line of perfbench/run.py) or a bench table
+as above. JSON maps names to expected numbers: metric names for a result
+line; row labels for a table, whose --exact-column cell is compared, and
+whose row labels must be exactly the expected names. Numbers compare
+exactly (cells are parsed; 12.0 equals 12). Any mismatch, missing name or
+a result line with "correct": false fails.
+
 Exit codes: 0 = OK, 1 = regression, 2 = structural mismatch / bad input.
 """
 
@@ -82,6 +96,63 @@ def load(path):
         if key not in doc:
             fail(f"{path}: missing key '{key}'")
     return doc
+
+
+def exact_number(value, where):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = value
+    else:
+        try:
+            number = int(str(value))
+        except ValueError:
+            try:
+                number = float(str(value))
+            except ValueError:
+                fail(f"{where}: non-numeric value {value!r}")
+    if isinstance(number, float) and number.is_integer():
+        number = int(number)
+    return number
+
+
+def check_exact(path, expected, column):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"cannot load {path}: {e}")
+    if not isinstance(expected, dict) or not expected:
+        fail("--expected must be a non-empty JSON object")
+    want = {k: exact_number(v, f"expected {k}") for k, v in expected.items()}
+    mismatches = []
+    if "metrics" in doc:
+        if doc.get("correct") is False:
+            mismatches.append(('"correct"', True, False))
+        got = {}
+        for name in want:
+            if name in doc["metrics"]:
+                got[name] = exact_number(doc["metrics"][name]["value"], name)
+    else:
+        for key in ("header", "rows"):
+            if key not in doc:
+                fail(f"{path}: neither a perfbench result nor a bench table")
+        if column is None:
+            fail("--exact on a bench table needs --exact-column")
+        if column not in doc["header"]:
+            fail(f"column '{column}' absent from {path}")
+        idx = doc["header"].index(column)
+        got = {row[0]: exact_number(row[idx], row[0]) for row in doc["rows"]}
+        for label in got:
+            if label not in want:
+                mismatches.append((label, "no value", got[label]))
+    print(f"== {path}: exact counters")
+    for name, value in want.items():
+        actual = got.get(name)
+        ok = actual == value
+        print(f"   {name}: expected {value}, got {actual}  "
+              f"{'ok' if ok else 'MISMATCH'}")
+        if not ok:
+            mismatches.append((name, value, actual))
+    return mismatches
 
 
 def check_pair(current_path, baseline_path, column, threshold, min_seconds):
@@ -225,6 +296,9 @@ def main(argv):
     curve_columns = []
     curve_tolerance = 0.30
     overhead_pairs = []
+    exact_path = None
+    expected = None
+    exact_column = None
     paths = []
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
@@ -254,6 +328,15 @@ def main(argv):
             if len(parts) != 3:
                 fail("--overhead-pair expects FAST|SLOW|RATIO")
             overhead_pairs.append((parts[0], parts[1], float(parts[2])))
+        elif arg.startswith("--exact="):
+            exact_path = arg.split("=", 1)[1]
+        elif arg.startswith("--expected="):
+            try:
+                expected = json.loads(arg.split("=", 1)[1])
+            except json.JSONDecodeError as e:
+                fail(f"--expected is not JSON: {e}")
+        elif arg.startswith("--exact-column="):
+            exact_column = arg.split("=", 1)[1]
         elif arg in ("--help", "-h"):
             print(__doc__)
             return 0
@@ -261,6 +344,20 @@ def main(argv):
             fail(f"unknown flag {arg}")
         else:
             paths.append(arg)
+
+    if exact_path is not None:
+        if expected is None:
+            fail("--exact needs --expected")
+        if paths:
+            fail("--exact takes no positional CURRENT/BASELINE files")
+        mismatches = check_exact(exact_path, expected, exact_column)
+        if mismatches:
+            print(f"\n{len(mismatches)} counter mismatch(es):")
+            for name, want, got in mismatches:
+                print(f"   {name}: expected {want}, got {got}")
+            return 1
+        print("\nexact counters OK")
+        return 0
 
     if curve_path is not None:
         if not curve_columns and not overhead_pairs:
