@@ -39,13 +39,9 @@ int Run(const BenchArgs& args) {
 
     SimpleGraph g(cg.num_vertices());
     std::vector<double> weights = cg.weights();
-    std::vector<bool> skip(cg.num_vertices(), false);
     double forced = 0.0;
     for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-      if (cg.self_inconsistent()[v]) {
-        skip[v] = true;
-        forced += cg.weights()[v];
-      }
+      if (cg.self_inconsistent()[v]) forced += cg.weights()[v];
     }
     for (const auto& [a, b] : cg.edges()) g.AddEdge(a, b);
     g.Normalize();

@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -24,42 +23,6 @@ namespace {
 // pass structure, its three fan-outs and the ordered merges that make
 // results bit-identical for every thread count. Detection always runs to
 // completion; the one early exit is Satisfies' first witness.
-
-// Shared mutable state threaded through the detection passes.
-struct DetectionState {
-  // The admitted subsets in discovery order, each with its derivation
-  // count. A fact set violating several constraints is derived once per
-  // constraint: one element of MI, but one minimal violation per
-  // derivation. The counts ride in the one vector the result grows, so
-  // the subsets' own allocations stay as compact as a plain list's.
-  struct Admitted {
-    std::vector<FactId> subset;
-    uint32_t derivations = 0;
-  };
-  std::vector<Admitted> admitted;
-  std::unordered_set<FactId> self_inconsistent;
-  // Canonical hash of each admitted subset -> its slot in `admitted`.
-  std::unordered_map<uint64_t, size_t> seen;
-  // Satisfies' early exit: stop once the result holds one subset. Only
-  // the one-constraint-at-a-time walk (which Satisfies forces) checks `stop`.
-  bool first_witness_only = false;
-  bool stop = false;
-
-  void Admit(std::vector<FactId> subset) {
-    const auto [it, fresh] =
-        seen.try_emplace(SubsetKey(subset), admitted.size());
-    if (fresh) admitted.push_back({std::move(subset), 0});
-    ++admitted[it->second].derivations;
-    stop = first_witness_only;
-  }
-
-  ViolationSet Result() {
-    ViolationSet result;
-    result.Reserve(admitted.size());
-    for (Admitted& a : admitted) result.Add(std::move(a.subset), a.derivations);
-    return result;
-  }
-};
 
 // Probe fan-out grain: the fewest rows a stolen range holds, bar the last.
 constexpr size_t kMinProbeChunkRows = 64;
@@ -91,8 +54,8 @@ struct ProbePlan {
 };
 
 // Probes rows [range.begin, range.end) of a plan's probe block in row
-// order, reading the blocks, the witness index, the plan and the
-// self-inconsistent set only. K-ary: the kernel's enumeration with the
+// order, reading the blocks, the witness index, the plan and the store's
+// self-inconsistent facts only. K-ary: the kernel's enumeration with the
 // outermost variable over the range feeds candidate supports to
 // `on_support`. Binary: surviving pairs (body verified, self-inconsistent
 // facts and reflexive matches filtered) go to `on_pair(a, b)` (a < b, or
@@ -103,8 +66,7 @@ struct ProbePlan {
 // returning false stops the probe.
 template <typename OnPair, typename OnSupport>
 void ProbeRows(const ProbePlan& plan, const Database& db,
-               const WitnessIndex& index,
-               const std::unordered_set<FactId>& self_inconsistent,
+               const WitnessIndex& index, const WitnessStore& store,
                IndexRange range, OnPair&& on_pair, OnSupport&& on_support) {
   if (plan.kary()) {
     EnumerateKAry(plan.eval, db, range, on_support);
@@ -116,7 +78,7 @@ void ProbeRows(const ProbePlan& plan, const Database& db,
   for (uint32_t i = static_cast<uint32_t>(range.begin);
        i < static_cast<uint32_t>(range.end); ++i) {
     const FactId a = plan.r0->row_ids[i];
-    if (self_inconsistent.count(a) > 0) continue;
+    if (store.IsSelfInconsistent(a)) continue;
     const RowRef probe{plan.r0, i};
     partners.clear();
     index.ForEachPartner(db, plan.dci, 0, probe, [&](FactId b) {
@@ -127,7 +89,7 @@ void ProbeRows(const ProbePlan& plan, const Database& db,
       // i indexes r0 (variable t), j indexes r1 (variable t').
       const FactId b = plan.r1->row_ids[j];
       if (a == b && same_relation) continue;
-      if (self_inconsistent.count(b) > 0) continue;
+      if (store.IsSelfInconsistent(b)) continue;
       const RowRef assignment[2] = {probe, RowRef{plan.r1, j}};
       if (!plan.eval.BodyHolds(assignment)) continue;
       if (!on_pair(std::min(a, b), std::max(a, b))) return;
@@ -159,10 +121,15 @@ DetectorConstraintStats ViolationDetector::constraint_stats(size_t c) const {
   return stats_[c];
 }
 
-ViolationSet ViolationDetector::Detect(const Database& db,
+WitnessStore ViolationDetector::Detect(const Database& db,
                                        const WitnessIndex* index) const {
-  DetectionState state;
-  state.first_witness_only = index == nullptr;
+  // The admitted subsets in discovery order, each with its derivation
+  // count: a fact set violating several constraints is one element of MI,
+  // but one minimal violation per derivation.
+  WitnessStore store;
+  // Satisfies' early exit: stop once the store holds one subset. Only the
+  // one-constraint-at-a-time walk (which Satisfies forces) checks it.
+  auto stop = [&] { return index == nullptr && !store.empty(); };
 
   const ValuePool& pool = db.pool();
   // Satisfies runs sequentially (see pass 2).
@@ -177,14 +144,14 @@ ViolationSet ViolationDetector::Detect(const Database& db,
   // single-relation constraint) and one probe over the concatenated probe
   // rows of every pass-2 constraint (at one thread, pass 2 walks the
   // constraints in turn instead). Each task writes only state its range
-  // owns, and every decision that depends on global order (set inserts,
-  // pair dedup, admission, counters) runs in the ordered consume, so
-  // results are bit-identical for every thread count.
+  // owns, and every decision that depends on global order (pair dedup,
+  // admission, counters) runs in the ordered consume, so results are
+  // bit-identical for every thread count.
 
   // Pass 1: self-inconsistent facts. These are the singleton minimal
   // subsets, and they disqualify any larger subset containing them. Each
   // single-relation constraint scans its block into a private hit buffer;
-  // the buffers merge by set insert, so the set is order-insensitive.
+  // the buffers merge into one sorted, duplicate-free list.
   std::vector<const DenialConstraint*> scans;
   for (const DenialConstraint& dc : constraints_) {
     const std::vector<RelationId>& rels = dc.var_relations();
@@ -212,20 +179,20 @@ ViolationSet ViolationDetector::Detect(const Database& db,
           }
         }
       },
-      [&](IndexRange range) {
-        for (size_t s = range.begin; s < range.end; ++s) {
-          state.self_inconsistent.insert(hits[s].begin(), hits[s].end());
-        }
-      });
-  // Singleton subsets are emitted in id order so the result layout is a
+      [](IndexRange) {});
+  // Singleton subsets are admitted in id order so the result layout is a
   // pure function of (Sigma, D) — the anchor of the parallel-parity
   // guarantee below.
-  std::vector<FactId> singletons(state.self_inconsistent.begin(),
-                                 state.self_inconsistent.end());
+  std::vector<FactId> singletons;
+  for (const std::vector<FactId>& h : hits) {
+    singletons.insert(singletons.end(), h.begin(), h.end());
+  }
   std::sort(singletons.begin(), singletons.end());
+  singletons.erase(std::unique(singletons.begin(), singletons.end()),
+                   singletons.end());
   for (const FactId id : singletons) {
-    state.Admit({id});
-    if (state.stop) return state.Result();
+    store.Admit({id});
+    if (stop()) return store;
   }
 
   // Pass 2: the binary and k-ary constraints, in ascending index order.
@@ -249,7 +216,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
     if (!plan.seen_pairs.insert(key).second) return;
     ++plan.fires;
-    state.Admit({a, b});
+    store.Admit({a, b});
   };
   auto merge_support = [&](ProbePlan& plan, std::vector<FactId> support) {
     ++plan.probes;
@@ -271,16 +238,16 @@ ViolationSet ViolationDetector::Detect(const Database& db,
         own->Build(db, 1, &only);
       }
       ProbeRows(
-          plan, db, own.has_value() ? *own : *index, state.self_inconsistent,
+          plan, db, own.has_value() ? *own : *index, store,
           IndexRange{0, plan.num_rows()},
           [&](FactId a, FactId b) {
             merge_pair(plan, a, b);
-            return !state.stop;
+            return !stop();
           },
           [&](std::vector<FactId> support) {
             merge_support(plan, std::move(support));
           });
-      if (state.stop) break;
+      if (stop()) break;
     }
   } else {
     // One probe over the concatenated probe rows: a stolen range may span
@@ -303,7 +270,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
                 std::min(range.end, plan.end()) - plan.offset};
             PlanCandidates& mine = out[p];
             ProbeRows(
-                plan, db, *index, state.self_inconsistent, local,
+                plan, db, *index, store, local,
                 [&](FactId a, FactId b) {
                   mine.pairs.emplace_back(a, b);
                   return true;
@@ -339,82 +306,20 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     }
   }
 
-  // Pass 3: minimality filter for k-ary candidate supports. A candidate
-  // survives iff no singleton/pair of the result and no other (smaller)
-  // candidate is a proper subset of it. Prior witnesses are indexed by
-  // member fact, so each candidate scans only the witnesses sharing one of
-  // its members — O(sum of its members' posting lists) — instead of the
-  // whole result + accepted lists (the old O(c^2) scan). The candidate
-  // order is canonical (size, then lexicographic), so admissions are the
-  // same on every run.
-  if (!kary_candidates.empty() && !state.stop) {
-    std::sort(kary_candidates.begin(), kary_candidates.end(),
-              [](const auto& a, const auto& b) {
-                if (a.size() != b.size()) return a.size() < b.size();
-                return a < b;
-              });
-    auto contains = [](const std::vector<FactId>& big,
-                       const std::vector<FactId>& small) {
-      return std::includes(big.begin(), big.end(), small.begin(), small.end());
-    };
-    // Witness store: the singletons/pairs already in the result, then the
-    // accepted candidates as they are admitted. postings maps a member fact
-    // to its witness slots; visited stamps deduplicate slots shared by
-    // several members of one candidate.
-    std::vector<std::vector<FactId>> witnesses;
-    std::unordered_map<FactId, std::vector<uint32_t>> postings;
-    auto post = [&](const std::vector<FactId>& subset) {
-      const uint32_t slot = static_cast<uint32_t>(witnesses.size());
-      witnesses.push_back(subset);
-      for (const FactId id : subset) postings[id].push_back(slot);
-    };
-    for (const auto& a : state.admitted) post(a.subset);
-    std::vector<uint32_t> visited;
-    uint32_t stamp = 0;
-    for (const auto& cand : kary_candidates) {
-      bool minimal = true;
-      for (const FactId id : cand) {
-        if (state.self_inconsistent.count(id) > 0) {
-          minimal = cand.size() == 1;
-          break;
-        }
-      }
-      if (minimal) {
-        ++stamp;
-        visited.resize(witnesses.size(), 0);
-        for (const FactId id : cand) {
-          const auto it = postings.find(id);
-          if (it == postings.end()) continue;
-          for (const uint32_t slot : it->second) {
-            if (visited[slot] == stamp) continue;
-            visited[slot] = stamp;
-            const auto& sub = witnesses[slot];
-            if (sub.size() < cand.size() && contains(cand, sub)) {
-              minimal = false;
-              break;
-            }
-          }
-          if (!minimal) break;
-        }
-      }
-      if (!minimal) continue;
-      post(cand);
-      state.Admit(cand);
-      if (state.stop) break;
-    }
-  }
-
-  return state.Result();
+  // Pass 3: the k-ary candidates, minimality-filtered against the
+  // singletons and pairs admitted above and against each other.
+  if (!stop()) store.AdmitKAry(std::move(kary_candidates));
+  return store;
 }
 
 ViolationSet ViolationDetector::FindViolations(const Database& db) const {
   WitnessIndex index(constraints_, schema_->num_relations());
   index.Build(db, options_.num_threads);
-  return Detect(db, &index);
+  return Detect(db, &index).Snapshot();
 }
 
-ViolationSet ViolationDetector::FindViolations(
-    const Database& db, const WitnessIndex& index) const {
+WitnessStore ViolationDetector::FindWitnesses(const Database& db,
+                                              const WitnessIndex& index) const {
   DBIM_CHECK(index.num_constraints() == constraints_.size());
   DBIM_CHECK(!index.stale(db.pool()));
   return Detect(db, &index);

@@ -55,14 +55,14 @@ class ViolationDetector {
   const Schema& schema() const { return *schema_; }
 
   /// All minimal inconsistent subsets of `db`, each with its derivation
-  /// count. Builds a temporary witness index.
+  /// count, in discovery order. Builds a temporary witness index.
   ViolationSet FindViolations(const Database& db) const;
 
-  /// The same, probing `index`, which the caller built (and may go on to
-  /// maintain) over exactly `db`'s live facts for this detector's
-  /// constraints.
-  ViolationSet FindViolations(const Database& db,
-                              const WitnessIndex& index) const;
+  /// The same subsets as a WitnessStore, probing `index`, which the caller
+  /// built (and may go on to maintain) over exactly `db`'s live facts for
+  /// this detector's constraints. The incremental index adopts the store.
+  WitnessStore FindWitnesses(const Database& db,
+                             const WitnessIndex& index) const;
 
   /// Whether `db` satisfies every constraint. Runs sequentially, one
   /// constraint at a time, and stops at the first witness: each binary
@@ -79,7 +79,7 @@ class ViolationDetector {
   /// null `index` is Satisfies' early exit: it walks the constraints one
   /// at a time, builds each one's part of an index of its own, and stops
   /// at the first subset.
-  ViolationSet Detect(const Database& db, const WitnessIndex* index) const;
+  WitnessStore Detect(const Database& db, const WitnessIndex* index) const;
 
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;

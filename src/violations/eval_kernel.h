@@ -204,17 +204,6 @@ inline uint64_t HashPoolValues(const ValuePool& pool, const RowRef& r,
   return h;
 }
 
-/// FNV-1a over a sorted fact-id set: the canonical key under which the
-/// detector and the incremental index each keep MI's subsets distinct.
-inline uint64_t SubsetKey(const std::vector<FactId>& subset) {
-  uint64_t h = 1469598103934665603ull;
-  for (const FactId id : subset) {
-    h ^= id;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Persistent equality-key buckets: the live facts of `relation` keyed by
 /// the HashPoolValues hash of their `attrs` cells. Keys hash semantic
 /// values, so the buckets survive a shared-pool vacuum/re-intern; bucket

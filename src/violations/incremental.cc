@@ -1,7 +1,6 @@
 #include "violations/incremental.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -40,17 +39,12 @@ void IncrementalViolationIndex::BuildInitialState(
   }
   BuildDispatchTables();
   // One witness index build, probed by the initial detection and then
-  // maintained by Apply; the detection's per-subset derivation counts seed
-  // the witness store.
+  // maintained by Apply; the store that detection fills is the one Apply
+  // maintains.
   witness_.Build(*db_, build_options.num_threads);
   if (has_kary_) db_->ForEachId([&](FactId id) { AddToKAryIndexes(id); });
-  const ViolationDetector detector(schema_, constraints_, build_options);
-  const ViolationSet initial = detector.FindViolations(*db_, witness_);
-  const auto& subsets = initial.minimal_subsets();
-  for (size_t i = 0; i < subsets.size(); ++i) {
-    if (subsets[i].size() == 1) self_inconsistent_.insert(subsets[i][0]);
-    IndexSubset(subsets[i], initial.multiplicities()[i]);
-  }
+  store_ = ViolationDetector(schema_, constraints_, build_options)
+               .FindWitnesses(*db_, witness_);
 }
 
 void IncrementalViolationIndex::BuildDispatchTables() {
@@ -161,85 +155,6 @@ void IncrementalViolationIndex::RemoveFromIndexes(FactId id) {
   }
 }
 
-void IncrementalViolationIndex::IndexSubset(std::vector<FactId> subset,
-                                            uint32_t multiplicity) {
-  std::sort(subset.begin(), subset.end());
-  const uint64_t key = SubsetKey(subset);
-  const auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    // Same subset derived by another constraint/assignment: only the
-    // violation count changes.
-    subsets_[it->second].multiplicity += multiplicity;
-    num_minimal_violations_ += multiplicity;
-    return;
-  }
-  const uint32_t slot = static_cast<uint32_t>(subsets_.size());
-  for (const FactId id : subset) {
-    postings_[id].push_back(slot);
-    ++problematic_count_[id];
-  }
-  by_key_.emplace(key, slot);
-  subsets_.push_back(StoredSubset{std::move(subset), multiplicity, true});
-  ++live_subsets_;
-  num_minimal_violations_ += multiplicity;
-}
-
-void IncrementalViolationIndex::RemoveSubsetsInvolving(FactId id) {
-  const auto it = postings_.find(id);
-  if (it == postings_.end()) return;
-  for (const uint32_t slot : it->second) {
-    StoredSubset& stored = subsets_[slot];
-    if (!stored.alive) continue;
-    stored.alive = false;
-    --live_subsets_;
-    num_minimal_violations_ -= stored.multiplicity;
-    by_key_.erase(SubsetKey(stored.facts));
-    for (const FactId member : stored.facts) {
-      const auto cnt = problematic_count_.find(member);
-      if (cnt != problematic_count_.end() && --cnt->second == 0) {
-        problematic_count_.erase(cnt);
-      }
-    }
-  }
-  postings_.erase(it);
-}
-
-void IncrementalViolationIndex::RecomputeSelfInconsistent(
-    const std::vector<DcEval>& evals, FactId id) {
-  bool selfinc = false;
-  for (const uint32_t c : selfinc_by_rel_[db_->Locate(id).relation]) {
-    if (MakesSelfInconsistentInterned(evals[c], *db_, id)) {
-      selfinc = true;
-      break;
-    }
-  }
-  if (selfinc) {
-    self_inconsistent_.insert(id);
-  } else {
-    self_inconsistent_.erase(id);
-  }
-}
-
-bool IncrementalViolationIndex::IsMinimalCandidate(
-    const std::vector<FactId>& candidate) const {
-  // Pass-3 criterion against the live witness store: reject iff some live
-  // strictly-smaller subset is contained in the candidate. The member
-  // postings bound the scan to witnesses sharing a fact with it.
-  for (const FactId member : candidate) {
-    const auto it = postings_.find(member);
-    if (it == postings_.end()) continue;
-    for (const uint32_t slot : it->second) {
-      const StoredSubset& stored = subsets_[slot];
-      if (!stored.alive || stored.facts.size() >= candidate.size()) continue;
-      if (std::includes(candidate.begin(), candidate.end(),
-                        stored.facts.begin(), stored.facts.end())) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
                                             FactId id) {
   const Database::RowLocation loc = db_->Locate(id);
@@ -248,9 +163,9 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
   // Commits `id`'s pairs under constraint `c`: side 0 (the fact as t),
   // then, unless the body is symmetric, side 1 (the fact as t'), each in
   // partner-index order, with the per-constraint pair dedup no matter how
-  // many orientations match. Committing a pair touches only the witness
-  // store, never the buckets, the partner indexes or the self-inconsistent
-  // set this probe reads.
+  // many orientations match. Committing a pair adds a slot to the witness
+  // store and never touches the buckets, the partner indexes or the
+  // store's self-inconsistent facts this probe reads.
   auto probe_constraint = [&](uint32_t c) {
     const DenialConstraint& dc = constraints_[c];
     const WitnessIndex::DcPlan& state = witness_.plan(c);
@@ -264,7 +179,7 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
       auto try_partner = [&](FactId other) {
         if (other == id) return;  // reflexive: that is self-inconsistency
         ++probes;
-        if (self_inconsistent_.count(other) > 0) return;
+        if (store_.IsSelfInconsistent(other)) return;
         // Only a pair side 0 already committed can come up again on side 1.
         if (side == 1 && std::binary_search(hits.begin(),
                                             hits.begin() + side0_hits, other)) {
@@ -275,7 +190,7 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
         assignment[1 - side] = BindFact(*db_, other);
         if (!eval.BodyHolds(assignment)) return;
         hits.push_back(other);
-        IndexSubset({id, other}, 1);
+        store_.Admit({std::min(id, other), std::max(id, other)});
       };
       // Hash collisions are rejected by the body check (the body contains
       // the key equalities), on interned class ids only.
@@ -324,64 +239,44 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
 
 void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
                                           FactId id) {
-  // Anchored re-enumeration: support -> derivation count, aggregated
-  // across constraints and assignments. Every new witness contains `id`,
-  // and nothing already stored does (its subsets were just removed, or the
-  // id is fresh), so existing witnesses can only *suppress* candidates,
-  // never the other way around.
-  // Only constraints with a variable over the changed fact's relation can
-  // anchor it; candidates aggregate into an ordered map, so they feed
-  // downstream in one canonical order whatever the enumeration's
-  // discovery order.
-  std::map<std::vector<FactId>, uint32_t> counts;
+  // Anchored re-enumeration: every support through `id`, one per
+  // derivation, across the constraints with a variable over its relation.
+  // Every new witness contains `id`, and nothing already stored does (its
+  // subsets were just removed, or the id is fresh), so existing witnesses
+  // can only *suppress* candidates, never the other way around. The store
+  // aggregates the supports and admits them in one canonical order,
+  // whatever the enumeration's discovery order.
+  std::vector<std::vector<FactId>> supports;
   for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
-    uint64_t emissions = 0;
-    auto emit = [&](std::vector<FactId> support) {
-      ++emissions;
-      ++counts[std::move(support)];
-    };
-    EnumerateKAryAnchored(evals[c], *db_, id, *kary_indexes_[c], emit);
-    stats_[c].probes += emissions;
-    stats_[c].fires += emissions;
+    const size_t before = supports.size();
+    EnumerateKAryAnchored(evals[c], *db_, id, *kary_indexes_[c],
+                          [&](std::vector<FactId> support) {
+                            supports.push_back(std::move(support));
+                          });
+    stats_[c].probes += supports.size() - before;
+    stats_[c].fires += supports.size() - before;
   }
-  if (counts.empty()) return;
-  // Pass-3 candidate order — size-major, lexicographic within a size class
-  // (the map iterates lexicographically) — so smaller new witnesses are
-  // stored before the larger ones they must suppress.
-  std::vector<std::pair<std::vector<FactId>, uint32_t>> candidates(
-      std::make_move_iterator(counts.begin()),
-      std::make_move_iterator(counts.end()));
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first.size() < b.first.size();
-                   });
-  for (auto& [support, multiplicity] : candidates) {
-    bool minimal = true;
-    for (const FactId member : support) {
-      if (self_inconsistent_.count(member) > 0) {
-        minimal = support.size() == 1;
-        break;
-      }
-    }
-    if (minimal && support.size() > 1) minimal = IsMinimalCandidate(support);
-    if (minimal) IndexSubset(std::move(support), multiplicity);
-  }
+  store_.AdmitKAry(std::move(supports));
 }
 
 void IncrementalViolationIndex::ProbeFact(const std::vector<DcEval>& evals,
                                           FactId id) {
   ++dispatch_stats_.num_ops;
-  if (self_inconsistent_.count(id) > 0) {
+  const RelationId relation = db_->Locate(id).relation;
+  const std::vector<uint32_t>& selfinc = selfinc_by_rel_[relation];
+  if (std::any_of(selfinc.begin(), selfinc.end(), [&](uint32_t c) {
+        return MakesSelfInconsistentInterned(evals[c], *db_, id);
+      })) {
     // The only minimal subset through a contradictory fact is its
     // singleton: one derivation for the pass-1 Add, plus one per k-ary
     // constraint whose body holds with every variable on the fact.
     uint32_t multiplicity = 1;
     if (has_kary_) {
-      for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
+      for (const uint32_t c : kary_by_rel_[relation]) {
         multiplicity += CountDerivations(evals[c], *db_, {id});
       }
     }
-    IndexSubset({id}, multiplicity);
+    store_.Admit({id}, multiplicity);
     return;
   }
   ProbeBinary(evals, id);
@@ -394,8 +289,7 @@ std::optional<FactId> IncrementalViolationIndex::Apply(
   if (witness_.stale(db_->pool())) witness_.RebuildPartnerIndexes(*db_);
   if (op.is_deletion()) {
     const FactId id = op.deletion().id;
-    RemoveSubsetsInvolving(id);
-    self_inconsistent_.erase(id);
+    store_.RemoveInvolving(id);
     RemoveFromIndexes(id);
     db_->Delete(id);
     return std::nullopt;
@@ -408,62 +302,19 @@ std::optional<FactId> IncrementalViolationIndex::Apply(
   if (op.is_insertion()) {
     const FactId id = db_->Insert(op.insertion().fact);
     AddToKAryIndexes(id);
-    const std::vector<DcEval>& evals = CompileEvals();
-    RecomputeSelfInconsistent(evals, id);
-    ProbeFact(evals, id);
+    ProbeFact(CompileEvals(), id);
     witness_.Add(*db_, id);
     return id;
   }
   const UpdateOp& update = op.update();
   const FactId id = update.id;
-  RemoveSubsetsInvolving(id);
+  store_.RemoveInvolving(id);
   RemoveFromIndexes(id);
   db_->UpdateValue(id, update.attr, update.value);
   AddToKAryIndexes(id);
-  const std::vector<DcEval>& evals = CompileEvals();
-  RecomputeSelfInconsistent(evals, id);
-  ProbeFact(evals, id);
+  ProbeFact(CompileEvals(), id);
   witness_.Add(*db_, id);
   return std::nullopt;
-}
-
-size_t IncrementalViolationIndex::NumProblematicFacts() const {
-  return problematic_count_.size();
-}
-
-ViolationSet IncrementalViolationIndex::Snapshot() const {
-  // by_key_ keeps live slots distinct, so each is added once, carrying its
-  // derivation count.
-  ViolationSet out;
-  out.Reserve(live_subsets_);
-  for (const StoredSubset& stored : subsets_) {
-    if (stored.alive) out.Add(stored.facts, stored.multiplicity);
-  }
-  return out;
-}
-
-void IncrementalViolationIndex::CompactSlots() {
-  if (live_subsets_ == subsets_.size()) return;
-  std::vector<StoredSubset> live;
-  live.reserve(live_subsets_);
-  for (StoredSubset& stored : subsets_) {
-    if (stored.alive) live.push_back(std::move(stored));
-  }
-  subsets_ = std::move(live);
-  // Rebuild the member postings and the canonical-key map against the new
-  // slot numbering; dead entries (and dead slots inside surviving posting
-  // lists) vanish. Posting order is irrelevant to results — minimality
-  // checks are boolean and removals mark whole slots.
-  postings_.clear();
-  by_key_.clear();
-  by_key_.reserve(subsets_.size());
-  for (uint32_t slot = 0; slot < static_cast<uint32_t>(subsets_.size());
-       ++slot) {
-    for (const FactId member : subsets_[slot].facts) {
-      postings_[member].push_back(slot);
-    }
-    by_key_.emplace(SubsetKey(subsets_[slot].facts), slot);
-  }
 }
 
 IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
@@ -533,16 +384,6 @@ bool IncrementalViolationIndex::CheckWatcherInvariant(
       }
     }
   }
-  return true;
-}
-
-bool IncrementalViolationIndex::CompactSlotsIfWasteful(
-    double waste_threshold) {
-  if (subsets_.empty() || live_subsets_ == subsets_.size()) return false;
-  const double waste = 1.0 - static_cast<double>(live_subsets_) /
-                                 static_cast<double>(subsets_.size());
-  if (waste <= waste_threshold) return false;
-  CompactSlots();
   return true;
 }
 

@@ -4,8 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "constraints/dc.h"
@@ -70,8 +68,8 @@ struct IncrementalDispatchStats {
 ///    KAryBlockingIndex: every satisfying assignment through the changed
 ///    fact, bucket-sized work for keyed variables and a relation scan for
 ///    keyless ones, instead of the O(n^k) full re-detection, with new
-///    candidates minimality-filtered against the live witness store the
-///    same way the batch detector's pass 3 filters them.
+///    candidates minimality-filtered by the same WitnessStore::AdmitKAry
+///    the batch detector's pass 3 runs.
 ///
 /// Every bucket keys on HashPoolValues — the *semantic value* of the
 /// blocking attributes, not raw ValueIds — so the buckets survive a
@@ -79,11 +77,12 @@ struct IncrementalDispatchStats {
 /// The partner indexes inside them hold class ids; the first Apply after
 /// the pool's generation moves rebuilds them from the buckets.
 ///
-/// The index also maintains the per-derivation minimal-violation count the
-/// detector reports (a subset violating two constraints counts twice; a
-/// k-ary subset counts once per satisfying assignment), starting from the
-/// initial detection's per-subset multiplicities, so Snapshot() reproduces
-/// ViolationSet::multiplicities() and num_minimal_violations() exactly.
+/// MI itself lives in a WitnessStore (violations/violation.h): the index
+/// adopts the store its initial detection filled, with every subset's
+/// derivation count (a subset violating two constraints counts twice; a
+/// k-ary subset counts once per satisfying assignment), so Snapshot()
+/// reproduces ViolationSet::multiplicities() and num_minimal_violations()
+/// exactly.
 class IncrementalViolationIndex {
  public:
   /// Builds the index for `db`, which the index owns: one witness index
@@ -117,39 +116,42 @@ class IncrementalViolationIndex {
   std::optional<FactId> Apply(const RepairOperation& op);
 
   /// Number of minimal inconsistent subsets (the I_MI value).
-  size_t NumMinimalSubsets() const { return live_subsets_; }
+  size_t NumMinimalSubsets() const { return store_.num_live(); }
 
   /// Number of minimal-violation derivations — matches
   /// ViolationSet::num_minimal_violations() of a fresh detection.
-  size_t NumMinimalViolations() const { return num_minimal_violations_; }
+  size_t NumMinimalViolations() const {
+    return store_.num_minimal_violations();
+  }
 
-  /// Number of problematic facts (the I_P value).
-  size_t NumProblematicFacts() const;
+  /// Number of problematic facts (the I_P value), counted on demand.
+  size_t NumProblematicFacts() const { return store_.NumMembers(); }
 
-  bool IsConsistent() const { return live_subsets_ == 0; }
+  bool IsConsistent() const { return store_.empty(); }
 
   /// Materializes the current MI set (e.g. to hand to ConflictGraph or a
-  /// MeasureContext): one copy of each live slot with its multiplicity, no
-  /// dedup pass (slots are distinct by construction). Subset order is
+  /// MeasureContext): one copy of each live slot with its multiplicity
+  /// (the store's slots are distinct fact sets). Subset order is
   /// maintenance order, not the batch detector's discovery order; every
   /// measure value is invariant to it (the conflict graph numbers vertices
   /// by sorted fact id, and the repair measures normalize its edge list).
-  ViolationSet Snapshot() const;
+  ViolationSet Snapshot() const { return store_.Snapshot(); }
 
   /// Stored subset slots, live + dead. Dead slots accumulate under
-  /// sustained churn (RemoveSubsetsInvolving only marks); CompactSlots
-  /// reclaims them.
-  size_t NumStoredSlots() const { return subsets_.size(); }
+  /// sustained churn (a removal only marks them); CompactSlots reclaims
+  /// them.
+  size_t NumStoredSlots() const { return store_.num_slots(); }
 
-  /// Rebuilds `subsets_`, the member postings and the canonical-key map
-  /// without dead slots. O(live state); all public counters are untouched.
-  /// MeasureSession::Vacuum runs this alongside its pool compaction so
-  /// long trajectories stay bounded.
-  void CompactSlots();
+  /// Drops the dead slots (WitnessStore::Compact). O(live state); all
+  /// public counters are untouched. MeasureSession::Vacuum runs this
+  /// alongside its pool compaction so long trajectories stay bounded.
+  void CompactSlots() { store_.Compact(); }
 
   /// CompactSlots when the dead-slot fraction exceeds `waste_threshold`.
   /// Returns whether compaction ran.
-  bool CompactSlotsIfWasteful(double waste_threshold);
+  bool CompactSlotsIfWasteful(double waste_threshold) {
+    return store_.CompactIfWasteful(waste_threshold);
+  }
 
   /// Apply-time maintenance counters for constraint `c` (see
   /// IncrementalConstraintStats).
@@ -174,11 +176,6 @@ class IncrementalViolationIndex {
   bool CheckWatcherInvariant(std::string* error) const;
 
  private:
-  struct StoredSubset {
-    std::vector<FactId> facts;
-    uint32_t multiplicity = 1;  // # derivations (constraints/assignments)
-    bool alive = true;
-  };
   // One watched-dispatch probe per distinct (probe group, partner group)
   // pair over a relation: an op on that relation hashes its key
   // attributes once per probe group (the probing side's own bucket group,
@@ -207,19 +204,13 @@ class IncrementalViolationIndex {
   // cache, O(|Sigma|) evaluator construction dominates the per-op cost on
   // wide constraint sets.
   const std::vector<DcEval>& CompileEvals();
-  void IndexSubset(std::vector<FactId> subset, uint32_t multiplicity);
-  void RemoveSubsetsInvolving(FactId id);
-  // (Re)derives all minimal subsets involving `id` and inserts new ones.
+  // (Re)derives all minimal subsets involving `id` and admits new ones.
   void ProbeFact(const std::vector<DcEval>& evals, FactId id);
   // Binary-constraint probes through the blocking buckets.
   void ProbeBinary(const std::vector<DcEval>& evals, FactId id);
-  // K-ary anchored re-enumeration + pass-3-equivalent minimality filter.
+  // K-ary anchored re-enumeration, admitted through the store's pass-3
+  // minimality filter.
   void ProbeKAry(const std::vector<DcEval>& evals, FactId id);
-  // True when no live smaller subset is a proper subset of `candidate`
-  // (which must be sorted) — the batch pass-3 minimality criterion against
-  // the maintained witness store.
-  bool IsMinimalCandidate(const std::vector<FactId>& candidate) const;
-  void RecomputeSelfInconsistent(const std::vector<DcEval>& evals, FactId id);
 
   // Index maintenance is split so Apply can order it around the probe:
   // the k-ary indexes must hold the changed fact *before* ProbeFact (the
@@ -276,13 +267,8 @@ class IncrementalViolationIndex {
   std::vector<uint32_t> probe_candidates_;
   std::vector<FactId> probe_hits_;
   IncrementalDispatchStats dispatch_stats_;
-  std::vector<StoredSubset> subsets_;
-  size_t live_subsets_ = 0;
-  size_t num_minimal_violations_ = 0;
-  std::unordered_map<FactId, std::vector<uint32_t>> postings_;  // fact->slots
-  std::unordered_map<uint64_t, uint32_t> by_key_;  // canonical key -> slot
-  std::unordered_set<FactId> self_inconsistent_;
-  std::unordered_map<FactId, size_t> problematic_count_;  // live memberships
+  // MI_Sigma(D), with its self-inconsistent facts.
+  WitnessStore store_;
 };
 
 }  // namespace dbim

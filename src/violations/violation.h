@@ -2,6 +2,9 @@
 #define DBIM_VIOLATIONS_VIOLATION_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "relational/database.h"
@@ -14,9 +17,9 @@ namespace dbim {
 ///  * `minimal_subsets()` — each element is a sorted set of fact ids E with
 ///    E inconsistent and every proper subset consistent. MI is a set of fact
 ///    sets, so a pair violating two DCs appears once (this matters for I_MI
-///    on the running example). Keeping the list duplicate-free is the
-///    producer's job: the detector dedups across constraints, and the
-///    incremental index's slots are distinct by construction.
+///    on the running example). Both producers, the detector and the
+///    incremental index, fill a WitnessStore, whose slots are distinct fact
+///    sets; a ViolationSet is that store's snapshot.
 ///  * `self_inconsistent()` — facts f with {f} inconsistent ("contradictory
 ///    tuples"); these are exactly the singleton minimal subsets.
 ///  * `num_minimal_violations()` — the count of (F, sigma) pairs from the
@@ -70,6 +73,96 @@ class ViolationSet {
   std::vector<std::vector<FactId>> subsets_;
   std::vector<uint32_t> multiplicities_;  // parallel to subsets_
   size_t num_minimal_violations_ = 0;
+};
+
+/// MI_Sigma(D) while it is built and maintained: the one store that decides
+/// which fact sets MI holds. ViolationDetector fills it and hands it out as
+/// a ViolationSet; IncrementalViolationIndex adopts the one its initial
+/// detection filled and keeps it current under Apply.
+///
+/// A slot holds a sorted fact set (a range of one array holding every
+/// slot's facts back to back), its derivation count and an alive flag.
+/// Slots are distinct fact sets: a canonical key map (a hash of the fact
+/// ids) finds a subset's slot, and a key hit counts only when the fact
+/// sets are equal, so two subsets whose keys collide take two slots.
+/// Member postings (fact -> slots holding it) serve the k-ary minimality
+/// filter and RemoveInvolving; they are built on first need, so a store
+/// that only ever admits singletons and pairs (a detection with no k-ary
+/// constraint) never builds them. The facts with a live singleton slot are
+/// the self-inconsistent facts.
+class WitnessStore {
+ public:
+  /// Admits `subset` (sorted, distinct ids: a singleton or a pair) with
+  /// `derivations` derivations. A live slot holding the same fact set only
+  /// gains the derivations.
+  void Admit(std::initializer_list<FactId> subset, uint32_t derivations = 1) {
+    AdmitRange(subset.begin(), subset.end(), derivations);
+  }
+
+  /// Admits the minimal subsets among the candidate supports of k-ary
+  /// constraints (each sorted, distinct ids), one per satisfying
+  /// assignment. Equal supports are one candidate whose derivations they
+  /// are. Candidates go in canonical order, size-major and lexicographic
+  /// within a size, so a smaller witness is stored before the larger
+  /// candidates it suppresses. A candidate is admitted iff it holds no
+  /// self-inconsistent fact (bar its own singleton) and no live smaller
+  /// subset.
+  void AdmitKAry(std::vector<std::vector<FactId>> supports);
+
+  /// Kills every live slot holding `id`. Slots are only marked dead;
+  /// Compact reclaims them.
+  void RemoveInvolving(FactId id);
+
+  bool IsSelfInconsistent(FactId id) const {
+    return self_inconsistent_.count(id) > 0;
+  }
+  bool empty() const { return num_live_ == 0; }
+  size_t num_live() const { return num_live_; }
+  /// Live plus dead slots.
+  size_t num_slots() const { return slots_.size(); }
+  size_t num_minimal_violations() const { return num_minimal_violations_; }
+  /// Facts held by some live slot.
+  size_t NumMembers() const;
+
+  /// Drops the dead slots, keeping the live ones in order. O(live state);
+  /// the postings are rebuilt on their next use.
+  void Compact();
+  /// Compact when the dead fraction of the slots exceeds
+  /// `waste_threshold`. Returns whether it ran.
+  bool CompactIfWasteful(double waste_threshold);
+
+  /// The live slots in slot order.
+  ViolationSet Snapshot() const;
+
+ private:
+  struct Slot {
+    size_t begin = 0;  // of its facts in facts_
+    uint32_t size = 0;
+    uint32_t derivations = 0;
+    bool alive = true;
+  };
+  const FactId* begin(const Slot& slot) const {
+    return facts_.data() + slot.begin;
+  }
+  const FactId* end(const Slot& slot) const {
+    return begin(slot) + slot.size;
+  }
+
+  void AdmitRange(const FactId* first, const FactId* last,
+                  uint32_t derivations);
+  void BuildPostings();
+  // No live smaller subset is contained in `candidate`, and no member of it
+  // is self-inconsistent unless it is that member's singleton.
+  bool IsMinimal(const std::vector<FactId>& candidate) const;
+
+  std::vector<Slot> slots_;
+  std::vector<FactId> facts_;  // every slot's facts, dead ones included
+  size_t num_live_ = 0;
+  size_t num_minimal_violations_ = 0;
+  std::unordered_multimap<uint64_t, uint32_t> by_key_;  // live slots only
+  bool has_postings_ = false;
+  std::unordered_map<FactId, std::vector<uint32_t>> postings_;
+  std::unordered_set<FactId> self_inconsistent_;
 };
 
 }  // namespace dbim

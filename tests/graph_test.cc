@@ -9,15 +9,17 @@
 #include "graph/bron_kerbosch.h"
 #include "graph/fractional_vc.h"
 #include "graph/graph.h"
-#include "graph/matching.h"
 #include "graph/max_cut.h"
 #include "graph/max_flow.h"
 #include "graph/p4_free.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
+#include "oracle/hopcroft_karp.h"
 
 namespace dbim {
 namespace {
+
+using testing::HopcroftKarp;
 
 SimpleGraph RandomGraph(size_t n, double p, uint64_t seed) {
   Rng rng(seed);
@@ -167,6 +169,7 @@ TEST(HopcroftKarp, PerfectMatchingOnCycle) {
 TEST(HopcroftKarp, StarGraph) {
   HopcroftKarp hk(1, 5, {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}});
   EXPECT_EQ(hk.MaxMatching(), 1u);
+  EXPECT_EQ(hk.MaxMatching(), 1u) << "a second call reports the same size";
 }
 
 TEST(HopcroftKarp, KonigCoverMatchesMatching) {

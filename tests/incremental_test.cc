@@ -395,6 +395,51 @@ TEST(KAryIncremental, SelfInconsistencyTransitions) {
   ExpectAgrees(index, schema, dcs, "recovered");
 }
 
+// A subset's identity is its fact set, not its 64-bit key:
+// {899, 947, 948} and {898, 947, 208029} share an FNV-1a key, and both are
+// minimal here, so each takes its own slot with its one derivation — in
+// fresh detection, in the store Register adopts, and when Apply completes
+// the second triple.
+TEST(WitnessStore, CollidingSubsetKeysStayDistinct) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId r = schema->AddRelation("R", {"P", "K"});
+  // Fact t of a triple has P = 1, t' has P = 2 and t'' has P = 3, and t
+  // shares t'''s K. Fact 208029 starts outside its triple.
+  const std::vector<DenialConstraint> dcs = {*ParseDc(
+      *schema, r, "!(t.P = 1 & t'.P = 2 & t''.P = 3 & t.K = t''.K)")};
+  Database db(schema);
+  for (FactId id = 0; id <= 208029; ++id) {
+    int64_t p = 0;
+    int64_t k = 0;
+    if (id == 899 || id == 948) k = 1;
+    if (id == 898 || id == 208029) k = 2;
+    if (id == 898 || id == 899) p = 1;
+    if (id == 947) p = 2;
+    if (id == 948) p = 3;
+    ASSERT_EQ(db.Insert(Fact(r, {Value(p), Value(k)})), id);
+  }
+  IncrementalViolationIndex index(schema, dcs, db);
+  EXPECT_EQ(index.NumMinimalSubsets(), 1u);
+
+  index.Apply(RepairOperation::Update(208029, 0, Value(3)));
+  const std::vector<std::vector<FactId>> triples = {{899, 947, 948},
+                                                    {898, 947, 208029}};
+  const ViolationSet maintained = index.Snapshot();
+  EXPECT_EQ(maintained.minimal_subsets(), triples);
+  EXPECT_EQ(maintained.multiplicities(), (std::vector<uint32_t>{1, 1}));
+
+  const ViolationSet fresh = ViolationDetector(schema, dcs).FindViolations(
+      index.db());
+  EXPECT_EQ(fresh.minimal_subsets(),
+            (std::vector<std::vector<FactId>>{triples[1], triples[0]}));
+  EXPECT_EQ(fresh.num_minimal_violations(), 2u);
+
+  IncrementalViolationIndex registered(schema, dcs, index.db());
+  EXPECT_EQ(registered.NumMinimalSubsets(), 2u);
+  EXPECT_EQ(registered.NumMinimalViolations(), 2u);
+  EXPECT_EQ(registered.NumProblematicFacts(), 5u);
+}
+
 // ---- differential fuzz of the binary probe shapes ----
 //
 // Every binary shape the partner indexes distinguish — `!=` class splits

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "constraints/parser.h"
 #include "datagen/datasets.h"
 #include "datagen/noise.h"
 #include "measures/registry.h"
 #include "lp/covering.h"
 #include "measures/repair_measures.h"
+#include "oracle/hopcroft_karp.h"
 #include "test_util.h"
 #include "violations/detector.h"
 
@@ -91,6 +93,34 @@ TEST_P(LinRepairCrossCheck, FlowAndSimplexAgree) {
   const LpSolution lp = SolveCoveringLpRelaxation(problem);
   ASSERT_EQ(lp.status, LpStatus::kOptimal);
   EXPECT_NEAR(flow_value, lp.objective, 1e-7);
+}
+
+// Unit-cost I_lin_R against an oracle that shares no solver with it: every
+// self-inconsistent fact is deleted outright, and the fractional vertex
+// cover of the rest of the conflict graph is half the maximum matching of
+// its bipartite double cover (König duality), found by Hopcroft–Karp.
+TEST_P(LinRepairCrossCheck, EqualsHalfTheDoubleCoverMatching) {
+  auto schema = testing::MakeAbcSchema();
+  const Database db = testing::MakeRandomDatabase(schema, 0, 14, 3,
+                                                  GetParam() * 977 + 3);
+  std::vector<DenialConstraint> dcs = ToDenialConstraints(
+      {FunctionalDependency::Make(*schema, 0, {"A"}, {"B"}),
+       FunctionalDependency::Make(*schema, 0, {"B"}, {"C"})});
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = 0 & t.C = 0)"));
+  const ViolationDetector detector(schema, dcs);
+  MeasureContext context(detector, db);
+  const ConflictGraph& cg = context.conflict_graph();
+  ASSERT_FALSE(cg.HasHyperedges());
+  std::vector<std::pair<uint32_t, uint32_t>> double_cover;
+  for (const auto& [a, b] : cg.edges()) {
+    double_cover.emplace_back(a, b);
+    double_cover.emplace_back(b, a);
+  }
+  testing::HopcroftKarp matching(cg.num_vertices(), cg.num_vertices(),
+                                 double_cover);
+  const double expected = static_cast<double>(cg.num_self_inconsistent()) +
+                          0.5 * static_cast<double>(matching.MaxMatching());
+  EXPECT_NEAR(LinRepairMeasure().Evaluate(context), expected, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomDatabases, LinRepairCrossCheck,

@@ -1,11 +1,12 @@
-#include "graph/matching.h"
+#include "oracle/hopcroft_karp.h"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 
 #include "common/check.h"
 
-namespace dbim {
+namespace dbim::testing {
 
 namespace {
 constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
@@ -66,13 +67,13 @@ bool HopcroftKarp::Dfs(uint32_t u) {
 }
 
 size_t HopcroftKarp::MaxMatching() {
-  size_t matching = 0;
   while (Bfs()) {
     for (uint32_t u = 0; u < n_left_; ++u) {
-      if (match_left_[u] < 0 && Dfs(u)) ++matching;
+      if (match_left_[u] < 0) Dfs(u);
     }
   }
-  return matching;
+  return n_left_ - static_cast<size_t>(std::count(
+                       match_left_.begin(), match_left_.end(), -1));
 }
 
 std::pair<std::vector<bool>, std::vector<bool>> HopcroftKarp::MinVertexCover()
@@ -109,4 +110,4 @@ std::pair<std::vector<bool>, std::vector<bool>> HopcroftKarp::MinVertexCover()
   return {std::move(cover_left), std::move(cover_right)};
 }
 
-}  // namespace dbim
+}  // namespace dbim::testing

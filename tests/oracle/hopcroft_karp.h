@@ -1,19 +1,20 @@
-#ifndef DBIM_GRAPH_MATCHING_H_
-#define DBIM_GRAPH_MATCHING_H_
+#ifndef DBIM_TESTS_ORACLE_HOPCROFT_KARP_H_
+#define DBIM_TESTS_ORACLE_HOPCROFT_KARP_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-namespace dbim {
+namespace dbim::testing {
 
 /// Hopcroft–Karp maximum bipartite matching. Left vertices 0..n_left-1,
 /// right vertices 0..n_right-1, edges as (left, right) pairs.
 ///
-/// Used for the unit-cost I_lin_R fast path: the fractional vertex-cover
-/// optimum of a graph equals half the maximum matching of its bipartite
-/// double cover (König duality on the double cover).
+/// The unit-cost I_lin_R oracle: the fractional vertex-cover optimum of a
+/// graph equals half the maximum matching of its bipartite double cover
+/// (König duality on the double cover), independently of the max-flow
+/// LinRepairMeasure solves it with.
 class HopcroftKarp {
  public:
   HopcroftKarp(size_t n_left, size_t n_right,
@@ -42,6 +43,6 @@ class HopcroftKarp {
   std::vector<uint32_t> dist_;
 };
 
-}  // namespace dbim
+}  // namespace dbim::testing
 
-#endif  // DBIM_GRAPH_MATCHING_H_
+#endif  // DBIM_TESTS_ORACLE_HOPCROFT_KARP_H_
