@@ -66,9 +66,10 @@ class NeighborhoodProbe {
       const DenialConstraint& dc = eval.dc();
       if (dc.num_vars() != 2) continue;
       BlockingKeys keys = ExtractBlockingKeys(dc);
-      BinaryState state{&eval,
-                        {KeyBuckets{dc.var_relation(0), std::move(keys.var0)},
-                         KeyBuckets{dc.var_relation(1), std::move(keys.var1)}}};
+      BinaryState state{
+          &eval,
+          {KeyBuckets{dc.var_relation(0), std::move(keys.var0), {}},
+           KeyBuckets{dc.var_relation(1), std::move(keys.var1), {}}}};
       for (KeyBuckets& side : state.buckets) {
         const Database::RelationBlock& rel = db.relation_block(side.relation);
         for (uint32_t row = 0; row < rel.num_rows(); ++row) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <optional>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -24,24 +22,29 @@ namespace {
 // results bit-identical for every thread count. Detection always runs to
 // completion; the one early exit is Satisfies' first witness.
 
-// Probe fan-out grain: the fewest rows a stolen range holds, bar the last.
+// Probe fan-out grain: the fewest probe rows a stolen range holds, bar the
+// last.
 constexpr size_t kMinProbeChunkRows = 64;
 
-// One pass-2 constraint. Its probe rows are variable 0's rows (a binary
-// constraint's probe side, a k-ary constraint's outermost variable); they
-// occupy [offset, end()) of the probe-row space that concatenates every
-// plan in constraint order. A binary plan probes the witness index on its
-// constraint's side-0 plan.
+// What the probe of one pass-2 constraint found. Binary: the
+// (probe row, partner row) pairs, row i of r0 (variable t) and row j of r1
+// (variable t'), whose body holds, packed as i << 32 | j; a symmetric body
+// holds on both orientations of a pair, so it keeps the one with i < j
+// only. K-ary: the candidate supports in the enumeration's order.
+struct Found {
+  std::vector<uint64_t> pairs;
+  std::vector<std::vector<FactId>> supports;
+};
+
+// One pass-2 constraint: its compiled body, its relation blocks, what its
+// probe found and its counters.
 struct ProbePlan {
   size_t dci = 0;
   DcEval eval;
   const Database::RelationBlock* r0 = nullptr;
   const Database::RelationBlock* r1 = nullptr;  // binary only
-  size_t offset = 0;
-  // Symmetric-pair dedup: FD-style bodies match both orders of a pair,
-  // and the per-constraint dedup keeps the (F, sigma) minimal-violation
-  // count honest.
-  std::unordered_set<uint64_t> seen_pairs;
+  bool symmetric = false;                       // binary only
+  Found found;
   // `probes` counts candidates reaching the merge, `fires` subsets
   // admitted; k-ary candidates count when merged (pre-minimality),
   // matching the incremental index's accounting.
@@ -49,59 +52,77 @@ struct ProbePlan {
   uint64_t fires = 0;
 
   bool kary() const { return eval.dc().num_vars() >= 3; }
-  size_t num_rows() const { return r0->num_rows(); }
-  size_t end() const { return offset + num_rows(); }
 };
 
-// Probes rows [range.begin, range.end) of a plan's probe block in row
-// order, reading the blocks, the witness index, the plan and the store's
-// self-inconsistent facts only. K-ary: the kernel's enumeration with the
-// outermost variable over the range feeds candidate supports to
-// `on_support`. Binary: surviving pairs (body verified, self-inconsistent
-// facts and reflexive matches filtered) go to `on_pair(a, b)` (a < b, or
-// a == b cross-relation) in discovery order: probe row ascending, partner
-// row ascending within. Each probe row visits only the partners its
-// constraint's indexed predicates admit (see WitnessIndex), at a cost
-// proportional to those partners rather than to its bucket. `on_pair`
-// returning false stops the probe.
-template <typename OnPair, typename OnSupport>
-void ProbeRows(const ProbePlan& plan, const Database& db,
-               const WitnessIndex& index, const WitnessStore& store,
-               IndexRange range, OnPair&& on_pair, OnSupport&& on_support) {
+// One stretch of pass-2 work: `rows` rows of the probe-row space, from
+// `offset` on, any slice of which probes alone. Binary: one probe bucket
+// of the witness index (its facts probe one at a time against partners
+// found once, at its key) or one `!=` split of PairSplits (its members'
+// cross-class pairs); k-ary: the rows of the outermost variable.
+struct ProbeUnit {
+  uint32_t plan = 0;
+  size_t offset = 0;
+  uint32_t rows = 0;
+  uint64_t key = 0;
+  const std::vector<FactId>* facts = nullptr;
+  const ClassSplit* split = nullptr;
+};
+
+// Probes rows [lo, hi) of `unit` into `out`, reading the blocks, the
+// witness index, the plan and the store's self-inconsistent facts only.
+// Binary pairs are kept only when their body holds, neither fact is
+// self-inconsistent and they are not one fact twice; each candidate pair
+// of a unit comes up once, a symmetric body's once per unordered pair.
+// K-ary: the kernel's enumeration with the outermost variable over
+// [lo, hi) feeds candidate supports to `out`.
+void ProbeSlice(const ProbePlan& plan, const ProbeUnit& unit, size_t lo,
+                size_t hi, const Database& db, const WitnessIndex& index,
+                const WitnessStore& store, Found& out) {
   if (plan.kary()) {
-    EnumerateKAry(plan.eval, db, range, on_support);
+    EnumerateKAry(plan.eval, db, IndexRange{lo, hi},
+                  [&](std::vector<FactId> support) {
+                    out.supports.push_back(std::move(support));
+                  });
     return;
   }
-  const DenialConstraint& dc = plan.eval.dc();
-  const bool same_relation = dc.var_relation(0) == dc.var_relation(1);
-  std::vector<uint32_t> partners;
-  for (uint32_t i = static_cast<uint32_t>(range.begin);
-       i < static_cast<uint32_t>(range.end); ++i) {
-    const FactId a = plan.r0->row_ids[i];
-    if (store.IsSelfInconsistent(a)) continue;
-    const RowRef probe{plan.r0, i};
-    partners.clear();
-    index.ForEachPartner(db, plan.dci, 0, probe, [&](FactId b) {
-      partners.push_back(db.Locate(b).row);
-    });
-    std::sort(partners.begin(), partners.end());
-    for (const uint32_t j : partners) {
-      // i indexes r0 (variable t), j indexes r1 (variable t').
-      const FactId b = plan.r1->row_ids[j];
-      if (a == b && same_relation) continue;
-      if (store.IsSelfInconsistent(b)) continue;
-      const RowRef assignment[2] = {probe, RowRef{plan.r1, j}};
-      if (!plan.eval.BodyHolds(assignment)) continue;
-      if (!on_pair(std::min(a, b), std::max(a, b))) return;
+  // Pass 2 probes before it admits a pair: the live subsets are the
+  // self-inconsistent facts' singletons.
+  const bool any_self_inconsistent = !store.empty();
+  auto excluded = [&](FactId id) {
+    return any_self_inconsistent && store.IsSelfInconsistent(id);
+  };
+  auto try_pair = [&](uint32_t i, uint32_t j) {
+    const RowRef assignment[2] = {RowRef{plan.r0, i}, RowRef{plan.r1, j}};
+    if (plan.eval.BodyHolds(assignment)) {
+      out.pairs.push_back(static_cast<uint64_t>(i) << 32 | j);
     }
+  };
+  if (unit.split != nullptr) {
+    unit.split->ForEachCrossPair(lo, hi, [&](FactId x, FactId y) {
+      if (excluded(x) || excluded(y)) return;
+      const uint32_t rx = db.Locate(x).row;
+      const uint32_t ry = db.Locate(y).row;
+      try_pair(std::min(rx, ry), std::max(rx, ry));
+    });
+    return;
+  }
+  const WitnessIndex::Partners at = index.FindPartners(plan.dci, 0, unit.key);
+  if (at.empty()) return;
+  const bool same_relation = plan.r0 == plan.r1;
+  for (size_t k = lo; k < hi; ++k) {
+    const FactId a = (*unit.facts)[k];
+    if (excluded(a)) continue;
+    const uint32_t i = db.Locate(a).row;
+    index.ForEachPartner(db, at, RowRef{plan.r0, i}, [&](FactId b) {
+      if (excluded(b)) return;
+      const uint32_t j = db.Locate(b).row;
+      // One fact twice is self-inconsistency, not a pair; a symmetric
+      // body's j < i is the pair that probe row j finds as (j, i).
+      if (same_relation && (plan.symmetric ? j <= i : j == i)) return;
+      try_pair(i, j);
+    });
   }
 }
-
-// What one stolen probe range found for one plan, in discovery order.
-struct PlanCandidates {
-  std::vector<std::pair<FactId, FactId>> pairs;  // binary
-  std::vector<std::vector<FactId>> supports;     // k-ary
-};
 
 }  // namespace
 
@@ -141,12 +162,12 @@ WitnessStore ViolationDetector::Detect(const Database& db,
   // Detection makes three fan-outs, however many constraints Sigma holds:
   // the witness index build (WitnessIndex::Build, one task per bucket
   // group, run by the caller), the pass-1 scan (one task per
-  // single-relation constraint) and one probe over the concatenated probe
-  // rows of every pass-2 constraint (at one thread, pass 2 walks the
-  // constraints in turn instead). Each task writes only state its range
-  // owns, and every decision that depends on global order (pair dedup,
-  // admission, counters) runs in the ordered consume, so results are
-  // bit-identical for every thread count.
+  // single-relation constraint) and one probe over the concatenated units
+  // of every pass-2 constraint (probe buckets, pair-walked `!=` splits and
+  // k-ary outer rows). Each task writes only state its range owns, and
+  // every decision that depends on global order (pair order and dedup,
+  // admission, counters) runs in the sequential merge after it, so results
+  // are bit-identical for every thread count.
 
   // Pass 1: self-inconsistent facts. These are the singleton minimal
   // subsets, and they disqualify any larger subset containing them. Each
@@ -197,7 +218,6 @@ WitnessStore ViolationDetector::Detect(const Database& db,
 
   // Pass 2: the binary and k-ary constraints, in ascending index order.
   std::vector<ProbePlan> plans;
-  size_t probe_rows = 0;
   for (size_t dci = 0; dci < constraints_.size(); ++dci) {
     const DenialConstraint& dc = constraints_[dci];
     if (dc.num_vars() == 1) continue;  // covered by pass 1
@@ -205,98 +225,145 @@ WitnessStore ViolationDetector::Detect(const Database& db,
     plan.dci = dci;
     plan.eval = DcEval(dc, pool);
     plan.r0 = &db.relation_block(dc.var_relation(0));
-    if (!plan.kary()) plan.r1 = &db.relation_block(dc.var_relation(1));
-    plan.offset = probe_rows;
-    probe_rows += plan.num_rows();
+    if (plan.kary()) continue;
+    plan.r1 = &db.relation_block(dc.var_relation(1));
   }
 
-  std::vector<std::vector<FactId>> kary_candidates;
-  auto merge_pair = [&](ProbePlan& plan, FactId a, FactId b) {
-    ++plan.probes;
-    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    if (!plan.seen_pairs.insert(key).second) return;
-    ++plan.fires;
-    store.Admit({a, b});
-  };
-  auto merge_support = [&](ProbePlan& plan, std::vector<FactId> support) {
-    ++plan.probes;
-    ++plan.fires;
-    kary_candidates.push_back(std::move(support));
-  };
-
-  if (num_threads == 1) {
-    // Sequentially, the plans go one at a time through the probe, merging
-    // pair by pair: no candidate is buffered. Satisfies builds each binary
-    // constraint's part of the index alone, just before its probe, so it
-    // stops at the first witness without building the index of any later
-    // constraint.
-    std::optional<WitnessIndex> own;
-    if (index == nullptr) own.emplace(constraints_, schema_->num_relations());
-    for (ProbePlan& plan : plans) {
-      if (own.has_value() && !plan.kary()) {
-        const std::vector<uint32_t> only = {static_cast<uint32_t>(plan.dci)};
-        own->Build(db, 1, &only);
+  // Probes plans [first, last) against `probe_index`, bucket by bucket:
+  // one fan-out over the concatenated rows of their units, where a stolen
+  // range probes its slice of every unit it meets into a range-private
+  // buffer. The buffers are consumed in ascending range order, so k-ary
+  // supports keep the sequential order; binary pairs are sorted by the
+  // merge, whatever order the buckets came in.
+  auto probe = [&](size_t first, size_t last,
+                   const WitnessIndex& probe_index) {
+    std::vector<ProbeUnit> units;
+    size_t rows = 0;
+    auto add = [&](ProbeUnit unit) {
+      if (unit.rows == 0) return;
+      unit.offset = rows;
+      rows += unit.rows;
+      units.push_back(unit);
+    };
+    for (size_t p = first; p < last; ++p) {
+      ProbePlan& plan = plans[p];
+      ProbeUnit unit;
+      unit.plan = static_cast<uint32_t>(p);
+      if (plan.kary()) {
+        unit.rows = plan.r0->num_rows();
+        add(unit);
+        continue;
       }
-      ProbeRows(
-          plan, db, own.has_value() ? *own : *index, store,
-          IndexRange{0, plan.num_rows()},
-          [&](FactId a, FactId b) {
-            merge_pair(plan, a, b);
-            return !stop();
-          },
-          [&](std::vector<FactId> support) {
-            merge_support(plan, std::move(support));
-          });
-      if (stop()) break;
+      const WitnessIndex::DcPlan& blocking = probe_index.plan(plan.dci);
+      plan.symmetric = blocking.symmetric;
+      if (const auto* splits = probe_index.PairSplits(plan.dci)) {
+        for (const auto& [key, split] : *splits) {
+          if (split.one_class()) continue;
+          unit.split = &split;
+          unit.rows = static_cast<uint32_t>(split.members.size());
+          add(unit);
+        }
+        continue;
+      }
+      for (const auto& [key, facts] :
+           probe_index.group(blocking.group[0]).buckets) {
+        unit.key = key;
+        unit.facts = &facts;
+        unit.rows = static_cast<uint32_t>(facts.size());
+        add(unit);
+      }
     }
-  } else {
-    // One probe over the concatenated probe rows: a stolen range may span
-    // several plans, and maps onto each one's local row sub-range. The
-    // range-private candidate buffers are consumed in ascending range
-    // order, which is constraint order, then row order: the sequential
-    // discovery order.
     std::mutex mu;
-    std::map<size_t, std::vector<PlanCandidates>> found;  // by range.begin
+    std::map<size_t, std::vector<Found>> by_range;  // by range.begin
     OrderedStealingFor(
-        num_threads, probe_rows, kMinProbeChunkRows,
+        num_threads, rows, kMinProbeChunkRows,
         [&](IndexRange range) {
-          std::vector<PlanCandidates> out(plans.size());
-          for (size_t p = 0; p < plans.size(); ++p) {
-            const ProbePlan& plan = plans[p];
-            if (plan.end() <= range.begin) continue;
-            if (plan.offset >= range.end) break;
-            const IndexRange local{
-                std::max(range.begin, plan.offset) - plan.offset,
-                std::min(range.end, plan.end()) - plan.offset};
-            PlanCandidates& mine = out[p];
-            ProbeRows(
-                plan, db, *index, store, local,
-                [&](FactId a, FactId b) {
-                  mine.pairs.emplace_back(a, b);
-                  return true;
-                },
-                [&](std::vector<FactId> support) {
-                  mine.supports.push_back(std::move(support));
-                });
+          std::vector<Found> out(last - first);
+          auto it = std::upper_bound(
+              units.begin(), units.end(), range.begin,
+              [](size_t row, const ProbeUnit& u) { return row < u.offset; });
+          for (--it; it != units.end() && it->offset < range.end; ++it) {
+            ProbeSlice(plans[it->plan], *it,
+                       std::max(range.begin, it->offset) - it->offset,
+                       std::min(range.end, it->offset + it->rows) - it->offset,
+                       db, probe_index, store, out[it->plan - first]);
           }
           std::lock_guard<std::mutex> lock(mu);
-          found.emplace(range.begin, std::move(out));
+          by_range.emplace(range.begin, std::move(out));
         },
         [&](IndexRange range) {
-          std::vector<PlanCandidates> in;
+          std::vector<Found> in;
           {
             std::lock_guard<std::mutex> lock(mu);
-            const auto it = found.find(range.begin);
+            const auto it = by_range.find(range.begin);
             in = std::move(it->second);
-            found.erase(it);
+            by_range.erase(it);
           }
           for (size_t p = 0; p < in.size(); ++p) {
-            for (const auto& [a, b] : in[p].pairs) merge_pair(plans[p], a, b);
+            Found& to = plans[first + p].found;
+            to.pairs.insert(to.pairs.end(), in[p].pairs.begin(),
+                            in[p].pairs.end());
             for (auto& support : in[p].supports) {
-              merge_support(plans[p], std::move(support));
+              to.supports.push_back(std::move(support));
             }
           }
         });
+  };
+
+  // Merges one probed plan. Binary pairs go in in (probe row, partner row)
+  // order, the order a row-by-row probe finds them in, so the result
+  // layout and the counters are a pure function of (Sigma, D). A
+  // candidate is one orientation of a pair whose body holds: a symmetric
+  // body's pair counts both, and any other body's pair holding both ways
+  // goes in at its first orientation only.
+  std::vector<std::vector<FactId>> kary_candidates;
+  auto merge = [&](ProbePlan& plan) {
+    if (plan.kary()) {
+      plan.probes += plan.found.supports.size();
+      plan.fires += plan.found.supports.size();
+      for (auto& support : plan.found.supports) {
+        kary_candidates.push_back(std::move(support));
+      }
+      return;
+    }
+    std::vector<uint64_t>& pairs = plan.found.pairs;
+    std::sort(pairs.begin(), pairs.end());
+    const bool same_relation = plan.r0 == plan.r1;
+    for (const uint64_t ij : pairs) {
+      const uint32_t i = static_cast<uint32_t>(ij >> 32);
+      const uint32_t j = static_cast<uint32_t>(ij);
+      plan.probes += plan.symmetric ? 2 : 1;
+      if (!plan.symmetric && same_relation && j < i &&
+          std::binary_search(pairs.begin(), pairs.end(),
+                             static_cast<uint64_t>(j) << 32 | i)) {
+        continue;
+      }
+      ++plan.fires;
+      const FactId a = plan.r0->row_ids[i];
+      const FactId b = plan.r1->row_ids[j];
+      store.Admit({std::min(a, b), std::max(a, b)});
+      if (stop()) return;
+    }
+  };
+
+  if (index != nullptr) {
+    probe(0, plans.size(), *index);
+    for (ProbePlan& plan : plans) merge(plan);
+  } else {
+    // Satisfies probes one constraint at a time and builds each binary
+    // constraint's part of the index alone, just before its probe, so it
+    // stops at the first witness without building the index of any later
+    // constraint.
+    WitnessIndex own(constraints_, schema_->num_relations());
+    for (size_t p = 0; p < plans.size() && !stop(); ++p) {
+      if (!plans[p].kary()) {
+        const std::vector<uint32_t> only = {
+            static_cast<uint32_t>(plans[p].dci)};
+        own.Build(db, 1, &only);
+      }
+      probe(p, p + 1, own);
+      merge(plans[p]);
+    }
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

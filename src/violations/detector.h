@@ -20,13 +20,16 @@ struct DetectorOptions {
   /// Worker threads for detection, which makes three fan-outs whatever
   /// the number of constraints: the witness index build (one task per
   /// bucket group, WitnessIndex::Build), the pass-1 self-inconsistency
-  /// scan (one task per single-relation constraint) and one probe over the
-  /// concatenated probe rows of every binary and k-ary constraint, split
-  /// into work-stealing ranges.
-  /// 1 = sequential on the calling thread, one constraint at a time;
-  /// 0 = one per hardware thread. Results are bit-identical for every
-  /// value: tasks write range-private buffers, merged (dedup included) in
-  /// the sequential order.
+  /// scan (one task per single-relation constraint) and one bucket-major
+  /// probe, split into work-stealing ranges over the concatenated units of
+  /// every binary and k-ary constraint: a binary constraint's probe
+  /// buckets (each looks its partners up once) or, for an FD-like body,
+  /// its multi-class `!=` splits (each walks its cross-class pairs), and a
+  /// k-ary constraint's outermost-variable rows.
+  /// 1 = sequential on the calling thread; 0 = one per hardware thread.
+  /// Results are bit-identical for every value: tasks write range-private
+  /// buffers, and each constraint's pairs are sorted into (probe row,
+  /// partner row) order before they are deduplicated and admitted.
   size_t num_threads = 1;
 };
 

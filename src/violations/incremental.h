@@ -59,7 +59,7 @@ struct IncrementalDispatchStats {
 ///    predicates, an OrderRuns dominance query on the first two;
 ///    otherwise, with a cross `!=`, every class of the partner's `!=`
 ///    attribute but the probe's own. A probe thus costs its partners (plus
-///    O(log^3 bucket) resp. the number of classes), not its bucket, and a
+///    O(log^2 bucket) resp. O(log bucket)), not its bucket, and a
 ///    body that reads the same with t and t' swapped (every FD) probes one
 ///    side only. Checks compare interned class ids only — no row-major
 ///    `Fact` is ever materialized;

@@ -66,52 +66,43 @@ bool SwapSymmetric(const DenialConstraint& dc) {
 
 }  // namespace
 
-SortTree::SortTree(const std::vector<uint32_t>& keys) {
-  const size_t n = keys.size();
-  if (n == 0) return;
-  levels_.resize(FloorLog2(n) + 1);
-  levels_[0].keys = keys;
-  levels_[0].pos.resize(n);
-  std::iota(levels_[0].pos.begin(), levels_[0].pos.end(), 0u);
-  // Level L merges the sorted halves of every aligned 2^L block of L - 1.
-  for (size_t level = 1; level < levels_.size(); ++level) {
-    const Level& below = levels_[level - 1];
-    Level& lv = levels_[level];
-    lv.keys.resize(n);
-    lv.pos.resize(n);
-    const size_t half = size_t{1} << (level - 1);
-    for (size_t begin = 0; begin < n; begin += 2 * half) {
-      const size_t mid = std::min(begin + half, n);
-      const size_t end = std::min(begin + 2 * half, n);
-      size_t a = begin, b = mid, out = begin;
-      while (a < mid || b < end) {
-        const bool take_left =
-            b == end || (a < mid && below.keys[a] <= below.keys[b]);
-        const size_t from = take_left ? a++ : b++;
-        lv.keys[out] = below.keys[from];
-        lv.pos[out] = below.pos[from];
-        ++out;
+MinMaxTable::MinMaxTable(std::vector<uint32_t> keys)
+    : keys_(std::move(keys)) {
+  const size_t n = keys_.size();
+  // Level L's window at i is the better of level L - 1's windows at i and
+  // i + 2^(L-1); level 0's window at i is position i itself.
+  auto build = [&](std::vector<std::vector<uint32_t>>& table, auto better) {
+    for (size_t level = 1; (size_t{1} << level) <= n; ++level) {
+      const size_t half = size_t{1} << (level - 1);
+      std::vector<uint32_t>& cur = table.emplace_back(n - 2 * half + 1);
+      for (size_t i = 0; i < cur.size(); ++i) {
+        const size_t a = level == 1 ? i : table[level - 2][i];
+        const size_t b = level == 1 ? i + half : table[level - 2][i + half];
+        cur[i] = static_cast<uint32_t>(better(keys_[b], keys_[a]) ? b : a);
       }
     }
-  }
+  };
+  build(min_, [](uint32_t x, uint32_t y) { return x < y; });
+  build(max_, [](uint32_t x, uint32_t y) { return x > y; });
 }
 
-bool SortTree::WellFormed(const std::vector<uint32_t>& keys) const {
+bool MinMaxTable::WellFormed(const std::vector<uint32_t>& keys) const {
+  if (keys_ != keys) return false;
   const size_t n = keys.size();
-  if (levels_.size() != (n == 0 ? 0 : FloorLog2(n) + 1)) return false;
-  for (size_t level = 0; level < levels_.size(); ++level) {
-    const Level& lv = levels_[level];
-    if (lv.keys.size() != n || lv.pos.size() != n) return false;
-    const size_t width = size_t{1} << level;
-    for (size_t begin = 0; begin < n; begin += width) {
-      const size_t end = std::min(begin + width, n);
-      std::vector<uint32_t> block(lv.pos.begin() + begin, lv.pos.begin() + end);
-      std::sort(block.begin(), block.end());
-      for (size_t i = begin; i < end; ++i) {
-        if (block[i - begin] != i || keys[lv.pos[i]] != lv.keys[i]) {
-          return false;
-        }
-        if (i > begin && lv.keys[i - 1] > lv.keys[i]) return false;
+  const size_t levels = n == 0 ? 0 : FloorLog2(n);
+  if (min_.size() != levels || max_.size() != levels) return false;
+  for (size_t level = 1; level <= levels; ++level) {
+    const size_t half = size_t{1} << (level - 1);
+    for (const bool is_max : {false, true}) {
+      const auto& table = is_max ? max_ : min_;
+      if (table[level - 1].size() != n - 2 * half + 1) return false;
+      for (size_t i = 0; i < table[level - 1].size(); ++i) {
+        const size_t a = level == 1 ? i : table[level - 2][i];
+        const size_t b = level == 1 ? i + half : table[level - 2][i + half];
+        const uint32_t want = is_max ? std::max(keys[a], keys[b])
+                                     : std::min(keys[a], keys[b]);
+        const uint32_t got = table[level - 1][i];
+        if (got < i || got >= i + 2 * half || keys[got] != want) return false;
       }
     }
   }
@@ -189,16 +180,22 @@ OrderRuns::Run OrderRuns::BuildRun(const ValuePool& pool,
   Run run;
   const size_t n = entries.size();
   std::vector<uint32_t> ranks[2];
+  std::vector<std::pair<ValueId, uint32_t>> by_class(n);  // (class, position)
   for (size_t k = 0; k < num_keys_; ++k) {
-    std::vector<ValueId> classes(n);
-    for (size_t i = 0; i < n; ++i) classes[i] = entries[i].key[k];
-    std::sort(classes.begin(), classes.end());
-    classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-    std::vector<Bound> of_class(classes.size());
-    for (size_t c = 0; c < classes.size(); ++c) {
-      of_class[c] = BoundOf(pool, classes[c]);
+    for (size_t i = 0; i < n; ++i) {
+      by_class[i] = {entries[i].key[k], static_cast<uint32_t>(i)};
     }
-    std::vector<uint32_t> by_value(classes.size());
+    std::sort(by_class.begin(), by_class.end());
+    // The distinct classes, each with where its stretch of by_class ends.
+    std::vector<Bound> of_class;
+    std::vector<uint32_t> class_end;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + 1 == n || by_class[i + 1].first != by_class[i].first) {
+        of_class.push_back(BoundOf(pool, by_class[i].first));
+        class_end.push_back(static_cast<uint32_t>(i + 1));
+      }
+    }
+    std::vector<uint32_t> by_value(of_class.size());
     std::iota(by_value.begin(), by_value.end(), 0u);
     std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
       return Less(pool, of_class[a], of_class[b]);
@@ -206,37 +203,32 @@ OrderRuns::Run OrderRuns::BuildRun(const ValuePool& pool,
     // One rank per tie class of OrderKeyLess, represented by its first
     // class.
     std::vector<Bound>& bounds = run.bounds[k];
-    std::vector<uint32_t> rank_of(classes.size());
+    ranks[k].resize(n);
     for (const uint32_t c : by_value) {
       if (bounds.empty() || Less(pool, bounds.back(), of_class[c])) {
         bounds.push_back(of_class[c]);
       }
-      rank_of[c] = static_cast<uint32_t>(bounds.size() - 1);
-    }
-    ranks[k].resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      ranks[k][i] = rank_of[std::lower_bound(classes.begin(), classes.end(),
-                                             entries[i].key[k]) -
-                            classes.begin()];
+      const uint32_t rank = static_cast<uint32_t>(bounds.size() - 1);
+      for (uint32_t i = c == 0 ? 0 : class_end[c - 1]; i < class_end[c]; ++i) {
+        ranks[k][by_class[i].second] = rank;
+      }
     }
   }
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return ranks[0][a] < ranks[0][b];
-  });
-  run.entries.resize(n);
+  // A counting sort on the first key's rank, stable in position.
   run.rank_starts.assign(run.bounds[0].size() + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    run.entries[i] = entries[perm[i]];
-    ++run.rank_starts[ranks[0][i] + 1];
-  }
+  for (size_t i = 0; i < n; ++i) ++run.rank_starts[ranks[0][i] + 1];
   std::partial_sum(run.rank_starts.begin(), run.rank_starts.end(),
                    run.rank_starts.begin());
-  if (num_keys_ == 1) return run;
-  std::vector<uint32_t> second(n);
-  for (size_t i = 0; i < n; ++i) second[i] = ranks[1][perm[i]];
-  run.second = SortTree(second);
+  std::vector<uint32_t> next(run.rank_starts.begin(),
+                             run.rank_starts.end() - 1);
+  run.entries.resize(n);
+  std::vector<uint32_t> second(num_keys_ == 1 ? 0 : n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t to = next[ranks[0][i]]++;
+    run.entries[to] = entries[i];
+    if (num_keys_ == 2) second[to] = ranks[1][i];
+  }
+  if (num_keys_ == 2) run.second = MinMaxTable(std::move(second));
   return run;
 }
 
@@ -534,6 +526,44 @@ void WitnessIndex::BuildPartnerIndex(const Database& db,
     index.runs.try_emplace(h, index.attrs.size())
         .first->second.Assign(db.pool(), std::move(entries));
   }
+}
+
+WitnessIndex::Partners WitnessIndex::FindPartners(size_t c, int side,
+                                                  uint64_t key) const {
+  const DcPlan& dc = plans_[c];
+  Partners at;
+  at.plan_ = &dc.side[side];
+  const KeyBuckets& partners = groups_[dc.group[1 - side]];
+  if (at.plan_->index < 0) {
+    at.bucket_ = partners.Find(key);
+    return at;
+  }
+  const PartnerIndex& index = indexes_[at.plan_->index];
+  at.attrs_ = &index.attrs;
+  if (index.order) {
+    const auto it = index.runs.find(key);
+    if (it != index.runs.end()) at.runs_ = &it->second;
+    return at;
+  }
+  const auto it = index.splits.find(key);
+  if (it != index.splits.end()) {
+    at.split_ = &it->second;
+  } else {
+    at.bucket_ = partners.Find(key);  // one fact, or none
+  }
+  return at;
+}
+
+const std::unordered_map<uint64_t, ClassSplit>* WitnessIndex::PairSplits(
+    size_t c) const {
+  const DcPlan& dc = plans_[c];
+  const SidePlan& side = dc.side[0];
+  if (!dc.symmetric || side.index < 0 || dc.group[0] != dc.group[1]) {
+    return nullptr;
+  }
+  const PartnerIndex& index = indexes_[side.index];
+  if (index.order || index.attrs[0] != side.probe_attrs[0]) return nullptr;
+  return &index.splits;
 }
 
 void WitnessIndex::RebuildPartnerIndexes(const Database& db) {

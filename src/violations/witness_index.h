@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,59 +23,97 @@ namespace dbim {
 /// partners that satisfy the constraint's indexed predicates instead of
 /// scanning its bucket:
 ///  * order predicates: the first two cross-variable ones, as a dominance
-///    query over OrderRuns, O(log^3 n + k) per probe;
+///    query over OrderRuns, O(log^2 n + k) per probe;
 ///  * otherwise the first cross-variable `!=` (an FD's `t.B != t'.B`): the
 ///    bucket sorted by the partner's `!=` class (ClassSplit), O(log n + k)
-///    per probe.
+///    per probe, or O(1 + k) per bucket for a body symmetric in t and t'
+///    whose probe and partner `!=` attribute coincide (every FD), which
+///    walks the bucket's cross-class pairs (PairSplits).
 /// The batch detector bulk-builds it and probes it read-only; the
 /// incremental index builds it once the same way and keeps it up to date
 /// under Apply. Every reported partner is still re-checked against the
 /// full body by the caller; the index only decides which facts to look
 /// at, and it never drops one whose indexed predicates hold.
 
-/// A merge-sort tree over keys[0, n) by position: level L holds every
-/// aligned block of 2^L positions sorted by key (stably), each key with the
-/// position it came from. A query's positions [lo, hi) split into
-/// O(log n) aligned blocks, and in each block the keys in [a, b) are one
-/// binary-searched run: O(log^2 n + k) per query. OrderRuns lays the
-/// second key of each of its runs out in one.
-class SortTree {
+/// Three-sided range reporting over keys[0, n) by position: the positions
+/// in [lo, hi) whose key lies below a bound, or at or above one. Range-
+/// minimum and range-maximum sparse tables find the extreme key of any
+/// position range in O(1); a query reports that extreme if it qualifies
+/// and goes on into both sides of it, or stops: O(1 + k) per query, with
+/// an explicit stack of at most log2 n ranges. O(n log n) to build and to
+/// store. OrderRuns lays the second key of each of its runs out in one:
+/// a probe's rank range of that key is always a prefix or a suffix of its
+/// ranks (see OrderRuns::RankRange), so one side of it is open.
+class MinMaxTable {
  public:
-  SortTree() = default;
-  explicit SortTree(const std::vector<uint32_t>& keys);
+  MinMaxTable() = default;
+  explicit MinMaxTable(std::vector<uint32_t> keys);
 
-  /// Calls `fn(position)` for every position in [lo, hi) whose key lies in
-  /// [a, b).
+  /// Calls `fn(position)` for every position in [lo, hi) whose key is
+  /// below `bound`, in a deterministic order.
   template <typename Fn>
-  void ForEach(size_t lo, size_t hi, uint32_t a, uint32_t b, Fn&& fn) const {
-    // Canonical decomposition: from `lo`, the widest aligned block that
-    // fits before `hi`.
-    while (lo < hi) {
-      size_t level = FloorLog2(hi - lo);
-      if (lo != 0) level = std::min<size_t>(level, __builtin_ctzll(lo));
-      const size_t width = size_t{1} << level;
-      const Level& lv = levels_[level];
-      const auto block = lv.keys.begin() + lo;
-      const auto from = std::lower_bound(block, block + width, a);
-      const auto to = std::lower_bound(from, block + width, b);
-      for (auto it = from; it != to; ++it) fn(lv.pos[it - lv.keys.begin()]);
-      lo += width;
-    }
+  void ForEachBelow(size_t lo, size_t hi, uint32_t bound, Fn&& fn) const {
+    Report<false>(lo, hi, bound, fn);
+  }
+  /// Calls `fn(position)` for every position in [lo, hi) whose key is at
+  /// least `bound`, in a deterministic order.
+  template <typename Fn>
+  void ForEachAtLeast(size_t lo, size_t hi, uint32_t bound, Fn&& fn) const {
+    Report<true>(lo, hi, bound, fn);
   }
 
-  /// Test hook: whether this is the tree SortTree(keys) builds, up to the
-  /// order of equal keys within a block.
+  /// Test hook: whether this is the table MinMaxTable(keys) builds, up to
+  /// which of several equal extremes a window names.
   bool WellFormed(const std::vector<uint32_t>& keys) const;
 
  private:
-  struct Level {
-    std::vector<uint32_t> keys;
-    std::vector<uint32_t> pos;  // aligned with keys
-  };
-
   static size_t FloorLog2(size_t x) { return 63 - __builtin_clzll(x); }
 
-  std::vector<Level> levels_;
+  // The position of the minimum (kMax: maximum) key in [lo, hi), lo < hi:
+  // the better of the two windows of width 2^level that cover the range.
+  template <bool kMax>
+  uint32_t Extreme(size_t lo, size_t hi) const {
+    if (hi - lo == 1) return static_cast<uint32_t>(lo);
+    const size_t level = FloorLog2(hi - lo);
+    const std::vector<uint32_t>& table = (kMax ? max_ : min_)[level - 1];
+    const uint32_t a = table[lo];
+    const uint32_t b = table[hi - (size_t{1} << level)];
+    return (kMax ? keys_[b] > keys_[a] : keys_[b] < keys_[a]) ? b : a;
+  }
+
+  template <bool kMax, typename Fn>
+  void Report(size_t lo, size_t hi, uint32_t bound, Fn& fn) const {
+    // Every range taken either reports its extreme and splits around it or
+    // ends the branch: 2k + 1 ranges for k reports. Going on into the
+    // smaller side while stacking the larger at least halves the range per
+    // stacked entry, so the stack never holds more than log2 n + 1.
+    std::pair<size_t, size_t> stack[65];
+    size_t depth = 0;
+    for (;;) {
+      if (lo < hi) {
+        const uint32_t m = Extreme<kMax>(lo, hi);
+        if (kMax ? keys_[m] >= bound : keys_[m] < bound) {
+          fn(m);
+          if (m - lo < hi - m - 1) {
+            stack[depth++] = {m + 1, hi};
+            hi = m;
+          } else {
+            stack[depth++] = {lo, m};
+            lo = m + 1;
+          }
+          continue;
+        }
+      }
+      if (depth == 0) return;
+      std::tie(lo, hi) = stack[--depth];
+    }
+  }
+
+  std::vector<uint32_t> keys_;
+  // min_[L - 1][i] (max_ alike): the position of the least (greatest) key
+  // in [i, i + 2^L), for every L >= 1 with 2^L <= n.
+  std::vector<std::vector<uint32_t>> min_;
+  std::vector<std::vector<uint32_t>> max_;
 };
 
 /// One bucket's partner facts over one or two order keys (IEJoin-style;
@@ -82,10 +121,15 @@ class SortTree {
 /// by the logarithmic method (Bentley & Saxe, *Decomposable Searching
 /// Problems I*, 1980). The facts sit in O(log n) static runs of decreasing
 /// size. Each run holds its entries sorted on the first key and, with a
-/// second key, a merge-sort tree over that order, and is ranked over its
-/// own distinct key values, so a probe binary-searches its values once per
-/// run and key, then walks rank runs: O(log^3 n + k) per probe. A bulk
-/// build assigns a whole bucket as one run.
+/// second key, a MinMaxTable over that order, and is ranked over its own
+/// distinct key values, so a probe binary-searches its values once per run
+/// and key, O(log n), and then reports its partners of the run in O(1 + k)
+/// (a rank prefix or suffix of the first key is one stretch of positions;
+/// one of the second key is a three-sided query on it): O(log^2 n + k) per
+/// probe. A run of n entries builds in O(n log n): one sort of (class,
+/// position) pairs per key, one sort of its distinct classes by value and
+/// a counting sort on the first key's rank. A bulk build assigns a whole
+/// bucket as one run.
 ///
 /// An insert merges the new entry with every trailing run no larger than
 /// what joins it so far (a binary counter's carry), in one rebuild, so an
@@ -149,8 +193,14 @@ class OrderRuns {
       }
       const auto [a1, b1] =
           RankRange(pool, run.bounds[1], probe.op[1], probe.value[1]);
-      run.second.ForEach(begin, end, a1, b1,
-                         [&](uint32_t pos) { visit(run.entries[pos]); });
+      auto visit_at = [&](uint32_t pos) { visit(run.entries[pos]); };
+      if (a1 > 0) {
+        run.second.ForEachAtLeast(begin, end, a1, visit_at);
+      } else if (b1 < run.bounds[1].size()) {
+        run.second.ForEachBelow(begin, end, b1, visit_at);
+      } else {
+        for (size_t i = begin; i < end; ++i) visit_at(i);
+      }
     }
   }
 
@@ -166,8 +216,8 @@ class OrderRuns {
   /// Test hook: whether the counters match the stamps, the tombstones are
   /// within their bound (dead <= live), and every run is well formed —
   /// entries sorted on their first-key rank, ranks naming their key's
-  /// place among the run's distinct values, the second key's SortTree the
-  /// one its ranks build, and only NaN-keyed entries unranked.
+  /// place among the run's distinct values, the second key's MinMaxTable
+  /// the one its ranks build, and only NaN-keyed entries unranked.
   bool WellFormed(const ValuePool& pool,
                   const std::vector<uint32_t>& stamps) const;
 
@@ -186,14 +236,14 @@ class OrderRuns {
     // past the last rank, the number of entries.
     std::vector<uint32_t> rank_starts;
     std::vector<Bound> bounds[2];  // one class per rank, ascending
-    SortTree second;               // second-key ranks, by position
+    MinMaxTable second;            // second-key ranks, by position
   };
   static Bound BoundOf(const ValuePool& pool, ValueId id);
   // OrderKeyLess on bounds.
   static bool Less(const ValuePool& pool, const Bound& a, const Bound& b);
   // The ranks [a, b) of `bounds` whose values q satisfy `p op q` for the
   // class p, or a superset where OrderKeyLess cannot decide exactly (see
-  // .cc).
+  // .cc). Always a prefix (a == 0) or a suffix (b == bounds.size()).
   static std::pair<uint32_t, uint32_t> RankRange(
       const ValuePool& pool, const std::vector<Bound>& bounds, CompareOp op,
       ValueId p);
@@ -214,8 +264,10 @@ class OrderRuns {
 /// One bucket's facts, each with the class of its partner-side `!=`
 /// attribute, sorted by (class, fact): a probe of class c binary-searches
 /// c's run and walks every fact outside it, so it costs O(log bucket) plus
-/// its partners, however the classes are shaped. Only buckets of two facts
-/// or more keep one; a one-fact bucket's fact is checked as is.
+/// its partners, however the classes are shaped; a walk over every pair of
+/// distinct classes costs O(1) on a one-class split and O(bucket + pairs)
+/// otherwise. Only buckets of two facts or more keep one; a one-fact
+/// bucket's fact is checked as is.
 struct ClassSplit {
   std::vector<std::pair<ValueId, FactId>> members;  // sorted
 
@@ -228,7 +280,7 @@ struct ClassSplit {
   /// Calls `fn(id)` for every fact whose class is not `c`.
   template <typename Fn>
   void ForEachOutside(ValueId c, Fn&& fn) const {
-    if (members.front().first == members.back().first) {  // one class
+    if (one_class()) {
       if (members.front().first != c) {
         for (const auto& m : members) fn(m.second);
       }
@@ -240,6 +292,25 @@ struct ClassSplit {
         lo, members.end(), std::pair<ValueId, FactId>(c, UINT32_MAX));
     for (auto it = members.begin(); it != lo; ++it) fn(it->second);
     for (auto it = hi; it != members.end(); ++it) fn(it->second);
+  }
+
+  bool one_class() const {
+    return members.front().first == members.back().first;
+  }
+
+  /// Calls `fn(x, y)` for every pair of members of distinct classes whose
+  /// earlier member x (in member order) sits at a position in [lo, hi):
+  /// over [0, members.size()), each cross-class pair once.
+  template <typename Fn>
+  void ForEachCrossPair(size_t lo, size_t hi, Fn&& fn) const {
+    const size_t n = members.size();
+    size_t later = lo;  // the first member of a class after member i's
+    for (size_t i = lo; i < hi; ++i) {
+      while (later < n && members[later].first == members[i].first) ++later;
+      for (size_t j = later; j < n; ++j) {
+        fn(members[i].second, members[j].second);
+      }
+    }
   }
 };
 
@@ -275,6 +346,25 @@ class WitnessIndex {
     int group[2] = {-1, -1};
     bool symmetric = false;
     SidePlan side[2];
+  };
+
+  /// Constraint `c`'s partners at one bucket key for its side-`side`
+  /// probes: found once (FindPartners), then walked for every probe fact
+  /// of the bucket (ForEachPartner). Empty when no partner lies there.
+  class Partners {
+   public:
+    bool empty() const {
+      return bucket_ == nullptr && split_ == nullptr && runs_ == nullptr;
+    }
+
+   private:
+    friend class WitnessIndex;
+    const SidePlan* plan_ = nullptr;
+    const std::vector<AttrIndex>* attrs_ = nullptr;  // the index's
+    // The bucket itself: unindexed, or one fact under a `!=` index.
+    const std::vector<FactId>* bucket_ = nullptr;
+    const ClassSplit* split_ = nullptr;
+    const OrderRuns* runs_ = nullptr;
   };
 
   /// Plans the groups and partner indexes of every binary constraint of
@@ -318,7 +408,29 @@ class WitnessIndex {
   /// only, so concurrent probes may share it.
   template <typename Fn>
   void ForEachPartner(const Database& db, size_t c, int side,
+                      const RowRef& self, Fn&& fn) const {
+    // The probe hashes its own side's key attributes; equal key values mean
+    // equal semantic hashes, so the partner side's bucket holds the
+    // candidates.
+    const uint64_t key = groups_[plans_[c].group[side]].Hash(db.pool(), self);
+    ForEachPartner(db, FindPartners(c, side, key), self, fn);
+  }
+
+  /// The bucket-major form of the probe above: constraint `c`'s side-`side`
+  /// partners at the bucket key `key` (self's key), looked up once for
+  /// every probe fact of that bucket.
+  Partners FindPartners(size_t c, int side, uint64_t key) const;
+  template <typename Fn>
+  void ForEachPartner(const Database& db, const Partners& at,
                       const RowRef& self, Fn&& fn) const;
+
+  /// The `!=` splits, by bucket key, whose cross-class pairs are exactly
+  /// constraint `c`'s side-0 candidates, each unordered pair once: when
+  /// the body is symmetric, both variables share one bucket group and the
+  /// split is on the probe's own `!=` attribute (every FD). A bucket with
+  /// no split or a one-class split then holds no candidate. nullptr for
+  /// other constraints.
+  const std::unordered_map<uint64_t, ClassSplit>* PairSplits(size_t c) const;
 
   /// Test hook: whether the index is exactly what a build over `db` would
   /// produce — every bucket holds precisely the live facts hashing to its
@@ -361,45 +473,32 @@ class WitnessIndex {
 };
 
 template <typename Fn>
-void WitnessIndex::ForEachPartner(const Database& db, size_t c, int side,
+void WitnessIndex::ForEachPartner(const Database& db, const Partners& at,
                                   const RowRef& self, Fn&& fn) const {
-  const DcPlan& dc = plans_[c];
-  const SidePlan& plan = dc.side[side];
-  const ValuePool& pool = db.pool();
-  // The probe hashes its own side's key attributes; equal key values mean
-  // equal semantic hashes, so the partner side's bucket holds the
-  // candidates.
-  const uint64_t h = groups_[dc.group[side]].Hash(pool, self);
-  const KeyBuckets& partners = groups_[dc.group[1 - side]];
+  const SidePlan& plan = *at.plan_;
+  if (at.runs_ != nullptr) {
+    OrderRuns::Probe probe;
+    for (size_t k = 0; k < at.attrs_->size(); ++k) {
+      probe.op[k] = plan.ops[k];
+      probe.value[k] = self.class_at(plan.probe_attrs[k]);
+    }
+    at.runs_->ForEachPartner(db.pool(), probe, stamps_, fn);
+    return;
+  }
+  if (at.split_ != nullptr) {
+    at.split_->ForEachOutside(self.class_at(plan.probe_attrs[0]), fn);
+    return;
+  }
+  if (at.bucket_ == nullptr) return;
   if (plan.index < 0) {
-    const std::vector<FactId>* bucket = partners.Find(h);
-    if (bucket == nullptr) return;
-    for (const FactId other : *bucket) fn(other);
+    for (const FactId other : *at.bucket_) fn(other);
     return;
   }
-  const PartnerIndex& index = indexes_[plan.index];
-  if (!index.order) {
-    const ValueId own = self.class_at(plan.probe_attrs[0]);
-    const auto it = index.splits.find(h);
-    if (it != index.splits.end()) {
-      it->second.ForEachOutside(own, fn);
-      return;
-    }
-    const std::vector<FactId>* bucket = partners.Find(h);  // one fact
-    if (bucket != nullptr &&
-        BindFact(db, bucket->front()).class_at(index.attrs[0]) != own) {
-      fn(bucket->front());
-    }
-    return;
+  const FactId only = at.bucket_->front();  // a one-fact `!=` bucket
+  if (BindFact(db, only).class_at((*at.attrs_)[0]) !=
+      self.class_at(plan.probe_attrs[0])) {
+    fn(only);
   }
-  const auto it = index.runs.find(h);
-  if (it == index.runs.end()) return;
-  OrderRuns::Probe probe;
-  for (size_t k = 0; k < index.attrs.size(); ++k) {
-    probe.op[k] = plan.ops[k];
-    probe.value[k] = self.class_at(plan.probe_attrs[k]);
-  }
-  it->second.ForEachPartner(pool, probe, stamps_, fn);
 }
 
 }  // namespace dbim

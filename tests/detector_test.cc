@@ -487,6 +487,45 @@ TEST(Detector, MixedArityMultiplicitiesMatchBruteForce) {
   EXPECT_GT(rederived, 0u);
 }
 
+// Bucket-major detection treats these shapes apart (see
+// MakeBucketShapesDatabase and BucketShapeDcs): one-fact, one-class,
+// majority-class and all-distinct buckets, self-inconsistent facts inside a
+// multi-class bucket and a probe bucket with no partner bucket, under an FD
+// walked pair by pair from its `!=` splits, a symmetric body whose probe and
+// partner `!=` attributes differ, a cross-relation FD and `<=`/`>=` ties
+// that fire both orientations of a pair. Each constraint alone and all of
+// them together match brute force: result order, multiplicities and
+// counters.
+TEST(Detector, BucketShapesMatchBruteForce) {
+  const auto schema = testing::MakeRsSchema();
+  const std::vector<DenialConstraint> all = testing::BucketShapeDcs(*schema);
+  bool ties_fire_both_ways = false;
+  bool self_inconsistent = false;
+  int trial = 0;
+  for (const size_t scale : {2u, 3u, 5u, 9u}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      const Database db =
+          testing::MakeBucketShapesDatabase(schema, scale, seed);
+      for (size_t c = 0; c <= all.size(); ++c) {
+        const std::vector<DenialConstraint> dcs =
+            c == all.size() ? all : std::vector<DenialConstraint>{all[c]};
+        SCOPED_TRACE(Describe(trial++, dcs, *schema));
+        ExpectMatchesBruteForce(schema, dcs, db);
+      }
+      const BruteForceDetection ties = BruteForceDetect({all[3]}, db);
+      ties_fire_both_ways |=
+          ties.stats[0].num_probes > ties.stats[0].num_fires;
+      self_inconsistent |= !ViolationDetector(schema, all)
+                                .FindViolations(db)
+                                .SelfInconsistentFacts()
+                                .empty();
+    }
+  }
+  // The instances exercise what the test is about.
+  EXPECT_TRUE(ties_fire_both_ways);
+  EXPECT_TRUE(self_inconsistent);
+}
+
 // The witness index yields, for every probe, exactly the facts of the
 // partner bucket whose indexed predicates hold, whether it was bulk-built
 // or entered fact by fact, and both pass CheckInvariant, which compares
@@ -570,6 +609,170 @@ TEST(WitnessIndex, YieldsIndexedPartnersBulkOrFactByFact) {
       }
     }
   }
+}
+
+// Whether the order index admits the partner key `q` against the probe key
+// `p` under `p op q`: a NaN on either side admits, a probe integer beyond
+// 2^53 reads a strict comparison as non-strict (it ties with the integers
+// that round to its double), and otherwise the index ranks keys by kind
+// (null, number, string), then numbers through their double, then strings.
+bool OrderIndexAdmits(const Value& p, CompareOp op, const Value& q) {
+  auto is_nan = [](const Value& v) {
+    return v.kind() == Value::Kind::kDouble && std::isnan(v.as_double());
+  };
+  if (is_nan(p) || is_nan(q)) return true;
+  auto rank = [](const Value& v) {
+    return v.is_null() ? 0 : v.is_numeric() ? 1 : 2;
+  };
+  auto less = [&](const Value& x, const Value& y) {
+    if (rank(x) != rank(y)) return rank(x) < rank(y);
+    if (rank(x) == 1) return x.numeric() < y.numeric();
+    return rank(x) == 2 && x.as_string() < y.as_string();
+  };
+  const int64_t wide = int64_t{1} << 53;
+  const bool relax = p.kind() == Value::Kind::kInt &&
+                     (p.as_int() >= wide || p.as_int() <= -wide);
+  switch (op) {
+    case CompareOp::kLt:
+      return relax ? !less(q, p) : less(p, q);
+    case CompareOp::kLe:
+      return !less(q, p);
+    case CompareOp::kGt:
+      return relax ? !less(p, q) : less(q, p);
+    default:
+      return !less(p, q);
+  }
+}
+
+// One keyless order bucket of thousands of entries under the 16 bodies
+// `t.A op t'.A & t.B op' t'.B`, every operator in both positions, which
+// share one OrderRuns. The keys mix tie-heavy small integers with whole
+// doubles of the same values, nulls, strings, NaNs and integers beyond
+// +-2^53 that round to one double. The index is bulk-built, and entered
+// fact by fact (carry merges rebuild runs of every size), then churned by
+// a long run of removals (tombstones, and full rebuilds once they
+// outnumber the live entries) and inserts. Each time both pass
+// CheckInvariant, and every probe, on either side, yields exactly the
+// entries the index's ranking admits (an entry with a NaN key is admitted
+// by every probe), thousands of them for some probe of every body.
+TEST(WitnessIndex, LargeOrderBucketMatchesBruteForce) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId r = schema->AddRelation("R", {"A", "B"});
+  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                           CompareOp::kGe};
+  std::vector<DenialConstraint> dcs;
+  for (const CompareOp op0 : ops) {
+    for (const CompareOp op1 : ops) {
+      dcs.push_back(DenialConstraint(
+          {r, r}, {Predicate(Operand{0, 0}, op0, Operand{1, 0}),
+                   Predicate(Operand{0, 1}, op1, Operand{1, 1})}));
+    }
+  }
+  Rng rng(4096);
+  const int64_t wide = int64_t{1} << 53;
+  auto cell = [&]() -> Value {
+    const size_t kind = rng.UniformIndex(100);
+    const int64_t x = rng.UniformInt(0, 99);
+    if (kind < 60) return Value(x);
+    if (kind < 80) return Value(static_cast<double>(x));
+    if (kind < 85) return Value();
+    if (kind < 90) return Value(std::string(1, static_cast<char>('a' + x % 4)));
+    if (kind < 92) return Value(std::nan(""));
+    if (kind < 96) return Value(wide + x % 3);
+    return Value(-wide - x % 3);
+  };
+
+  Database db(schema);
+  WitnessIndex by_fact(dcs, schema->num_relations());
+  by_fact.Build(db, 1);
+  std::vector<FactId> churnable;
+  auto insert = [&](Value a, Value b) {
+    const FactId id = db.Insert(Fact(r, {std::move(a), std::move(b)}));
+    by_fact.Add(db, id);
+    return id;
+  };
+  // Low, high and middle keys, so that every body has a probe with
+  // thousands of partners, and NaN, wide-integer and null keys.
+  std::vector<FactId> probes;
+  for (const auto& [a, b] : std::vector<std::pair<Value, Value>>{
+           {Value(3), Value(3)},
+           {Value(3), Value(96)},
+           {Value(96), Value(3)},
+           {Value(96.0), Value(96)},
+           {Value(50), Value(50.0)},
+           {Value(std::nan("")), Value(10)},
+           {Value(wide + 1), Value(wide)},
+           {Value(-wide - 1), Value("b")},
+           {Value(), Value(7)}}) {
+    probes.push_back(insert(a, b));
+  }
+  while (db.size() < 4200) churnable.push_back(insert(cell(), cell()));
+
+  auto check = [&](const std::string& stage) {
+    SCOPED_TRACE(stage);
+    ASSERT_GE(db.size(), 4096u);
+    WitnessIndex bulk(dcs, schema->num_relations());
+    bulk.Build(db, 2);
+    std::vector<std::pair<FactId, Fact>> facts;
+    db.ForEachId([&](FactId id) { facts.emplace_back(id, db.fact(id)); });
+    for (size_t c = 0; c < dcs.size(); ++c) {
+      SCOPED_TRACE(dcs[c].ToString(*schema));
+      size_t largest = 0;
+      for (int side = 0; side < 2; ++side) {
+        for (const FactId self : probes) {
+          const Fact probe = db.fact(self);
+          std::vector<FactId> expected;
+          for (const auto& [id, partner] : facts) {
+            bool admitted = true;
+            for (size_t k = 0; k < 2; ++k) {
+              const CompareOp op =
+                  side == 0 ? dcs[c].predicates()[k].op()
+                            : FlipOp(dcs[c].predicates()[k].op());
+              admitted = admitted &&
+                         OrderIndexAdmits(probe.value(k), op, partner.value(k));
+            }
+            const auto nan = [](const Value& v) {
+              return v.kind() == Value::Kind::kDouble &&
+                     std::isnan(v.as_double());
+            };
+            if (admitted || nan(partner.value(0)) || nan(partner.value(1))) {
+              expected.push_back(id);
+            }
+          }
+          for (const WitnessIndex* index : {&bulk, &by_fact}) {
+            std::vector<FactId> actual;
+            index->ForEachPartner(db, c, side, BindFact(db, self),
+                                  [&](FactId id) { actual.push_back(id); });
+            std::sort(actual.begin(), actual.end());
+            EXPECT_EQ(actual, expected)
+                << (index == &bulk ? "bulk" : "fact by fact") << " side "
+                << side << " probe fact " << self;
+          }
+          largest = std::max(largest, expected.size());
+        }
+      }
+      EXPECT_GE(largest, 1000u);
+    }
+    for (const WitnessIndex* index : {&bulk, &by_fact}) {
+      std::string error;
+      EXPECT_TRUE(index->CheckInvariant(db, &error)) << error;
+    }
+  };
+  check("entered fact by fact");
+  // Churn: the first half removes three facts for every one it inserts,
+  // down to about half the bucket, the second half the other way round.
+  for (int step = 0; step < 8000; ++step) {
+    if ((step % 4 == 3) == (step < 4000)) {
+      churnable.push_back(insert(cell(), cell()));
+      continue;
+    }
+    const size_t at = rng.UniformIndex(churnable.size());
+    by_fact.Remove(db, churnable[at]);
+    db.Delete(churnable[at]);
+    churnable[at] = churnable.back();
+    churnable.pop_back();
+  }
+  check("after a long run of removals and inserts");
 }
 
 // Values on which Value::operator< may not be a strict weak order — a NaN,

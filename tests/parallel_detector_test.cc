@@ -165,6 +165,30 @@ TEST(ParallelParity, OrderDcFuzz) {
   }
 }
 
+// Every bucket shape bucket-major detection treats apart (see
+// MakeBucketShapesDatabase and BucketShapeDcs), with buckets large enough
+// that stolen ranges split them and span several of them and several
+// constraints: every thread count reproduces the sequential result and
+// counters in order, each constraint alone and all together, and the
+// result is the oracle's.
+TEST(ParallelParity, BucketShapes) {
+  const auto schema = testing::MakeRsSchema();
+  const std::vector<DenialConstraint> all = testing::BucketShapeDcs(*schema);
+  for (const size_t scale : {40u, 130u}) {
+    const Database db = testing::MakeBucketShapesDatabase(schema, scale, 5);
+    for (size_t c = 0; c <= all.size(); ++c) {
+      const std::vector<DenialConstraint> dcs =
+          c == all.size() ? all : std::vector<DenialConstraint>{all[c]};
+      const std::string where =
+          "scale=" + std::to_string(scale) + " constraint=" +
+          (c == all.size() ? std::string("all") : std::to_string(c));
+      const ViolationSet expected = CheckParity(schema, dcs, db, where);
+      SCOPED_TRACE(where);
+      ExpectMatchesOracle(dcs, db, expected);
+    }
+  }
+}
+
 // Unary constraints produce self-inconsistent facts, which both gate the
 // pair phase (minimality) and exercise the singleton ordering.
 TEST(ParallelParity, SelfInconsistentFacts) {

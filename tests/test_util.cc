@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "constraints/parser.h"
 
 namespace dbim::testing {
 
@@ -233,6 +234,60 @@ Database MakeSkewedDatabase(std::shared_ptr<const Schema> schema,
     }
   }
   return db;
+}
+
+Database MakeBucketShapesDatabase(std::shared_ptr<const Schema> schema,
+                                  size_t scale, uint64_t seed) {
+  enum Shape { kOneFact, kOneClass, kMajority, kDistinct, kSelfInconsistent };
+  Rng rng(seed);
+  Database db(schema);
+  for (RelationId r = 0; r < 2; ++r) {
+    for (int64_t key = 0; key < (r == 0 ? 6 : 5); ++key) {
+      // Key 5, in R only, is the fact-free probe bucket's.
+      const size_t shape = key == 5 ? kOneFact : static_cast<size_t>(key);
+      const size_t facts = shape == kOneFact ? 1 : scale;
+      for (size_t i = 0; i < facts; ++i) {
+        int64_t b = 0;
+        switch (shape) {
+          case kOneClass:
+            b = 1;
+            break;
+          case kMajority:
+            b = i + 1 == facts ? 3 : 2;
+            break;
+          case kDistinct:
+            b = 100 + static_cast<int64_t>(i);
+            break;
+          case kSelfInconsistent:
+            b = rng.UniformInt(0, 2);
+            break;
+          default:
+            b = rng.UniformInt(0, 2);
+        }
+        const int64_t c = rng.UniformInt(0, 2);
+        const int64_t d = shape == kSelfInconsistent && rng.Bernoulli(0.3)
+                              ? c - 1
+                              : c + rng.UniformInt(0, 1);
+        db.Insert(Fact(r, {Value(key), Value(b), Value(c), Value(d)}));
+      }
+    }
+  }
+  return db;
+}
+
+std::vector<DenialConstraint> BucketShapeDcs(const Schema& schema) {
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(
+      *ParseDc(schema, 0, "!(t.A = t'.A & t.B != t'.C & t.C != t'.B)"));
+  dcs.push_back(DenialConstraint(
+      {0, 1}, {Predicate(Operand{0, 0}, CompareOp::kEq, Operand{1, 0}),
+               Predicate(Operand{0, 1}, CompareOp::kNe, Operand{1, 1})}));
+  dcs.push_back(*ParseDc(
+      schema, 0, "!(t.A = t'.A & t.B != t'.B & t.C <= t'.C & t.D >= t'.D)"));
+  dcs.push_back(*ParseDc(schema, 1, "!(t.A = t'.A & t.C != t'.C)"));
+  dcs.push_back(*ParseDc(schema, 0, "!(t.C > t.D)"));
+  return dcs;
 }
 
 namespace {

@@ -97,6 +97,26 @@ Database MakeMixedDatabase(std::shared_ptr<const Schema> schema,
 Database MakeSkewedDatabase(std::shared_ptr<const Schema> schema,
                             size_t facts_per_relation, uint64_t seed);
 
+/// R and S of MakeRsSchema with their equality key A blocking them into
+/// every bucket shape bucket-major detection treats apart, each multi-fact
+/// bucket `scale` facts: a one-fact bucket, one whose B is one class, one
+/// with a majority B class, one whose B values are all distinct, and one of
+/// a few B classes holding facts that BucketShapeDcs' unary constraint
+/// makes self-inconsistent (C > D there only); R also has a key absent
+/// from S. C and D draw from a tiny domain, so `<=`/`>=` tie constantly,
+/// and B meets C's domain in every bucket but the all-distinct one.
+Database MakeBucketShapesDatabase(std::shared_ptr<const Schema> schema,
+                                  size_t scale, uint64_t seed);
+
+/// The constraints over MakeBucketShapesDatabase, on R unless named: the
+/// FD A -> B (a symmetric body whose `!=` split is on the probe's own
+/// attribute), `t.A = t'.A & t.B != t'.C & t.C != t'.B` (symmetric, but
+/// probe and partner `!=` attributes differ), the cross-relation FD
+/// R.A -> S.B, `t.A = t'.A & t.B != t'.B & t.C <= t'.C & t.D >= t'.D`
+/// (not symmetric, but ties fire both orientations of a pair), the FD
+/// A -> C on S, and the unary `!(t.C > t.D)`.
+std::vector<DenialConstraint> BucketShapeDcs(const Schema& schema);
+
 /// A random binary DC over relations (r0, r1) with `num_order` cross-
 /// variable order predicates (every operator, either operand orientation,
 /// any attribute pair), mixed at random with a cross equality key, a `!=`,
