@@ -7,10 +7,9 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
-#include "graph/fractional_vc.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
-#include "measures/repair_measures.h"
+#include "measures/measure.h"
 
 namespace dbim::bench {
 namespace {
@@ -37,35 +36,21 @@ int Run(const BenchArgs& args) {
     const ConflictGraph& cg = context.conflict_graph();
     if (cg.HasHyperedges()) continue;  // all experiment DCs are binary
 
-    SimpleGraph g(cg.num_vertices());
-    std::vector<double> weights = cg.weights();
-    double forced = 0.0;
-    for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-      if (cg.self_inconsistent()[v]) forced += cg.weights()[v];
-    }
-    for (const auto& [a, b] : cg.edges()) g.AddEdge(a, b);
-    g.Normalize();
-
-    // Exact cover with stats.
-    const VertexCoverResult cover = MinWeightVertexCover(g, weights);
-    const double exact = forced + cover.value;
-
-    // Fractional: flow path, with kernel statistics.
+    // Fractional: the context's flow path, with kernel statistics.
     Timer flow_timer;
-    const FractionalVcResult lp = FractionalVertexCover(g, weights);
+    const FractionalVcResult& lp = context.fractional_cover();
     const double flow_seconds = flow_timer.Seconds();
     size_t kernel = 0;
     for (const double x : lp.x) {
       if (x > 0.25 && x < 0.75) ++kernel;
     }
-    const double fractional = forced + lp.value;
+
+    // Exact cover with stats, kernelized by that LP.
+    const VertexCoverResult cover =
+        MinWeightVertexCover(cg.graph(), cg.weights(), lp.x, {});
 
     // Simplex path on the identical covering LP.
-    CoveringProblem problem;
-    problem.costs = weights;
-    for (const auto& [a, b] : g.edges()) {
-      problem.sets.push_back({std::min(a, b), std::max(a, b)});
-    }
+    const CoveringProblem problem = cg.ToCovering();
     Timer simplex_timer;
     double simplex_seconds = -1.0;
     if (problem.sets.size() <= 4000) {  // dense tableau guard
@@ -74,9 +59,9 @@ int Run(const BenchArgs& args) {
     }
 
     table.AddRow(
-        {DatasetName(id), std::to_string(g.num_edges()),
-         TablePrinter::Num(exact, 1), TablePrinter::Num(fractional, 1),
-         TablePrinter::Num(fractional > 0 ? exact / fractional : 1.0, 4),
+        {DatasetName(id), std::to_string(cg.graph().num_edges()),
+         TablePrinter::Num(cover.value, 1), TablePrinter::Num(lp.value, 1),
+         TablePrinter::Num(lp.value > 0 ? cover.value / lp.value : 1.0, 4),
          std::to_string(kernel), std::to_string(cover.bb_nodes),
          TablePrinter::Num(flow_seconds, 4),
          simplex_seconds < 0 ? "skipped" : TablePrinter::Num(simplex_seconds, 4)});

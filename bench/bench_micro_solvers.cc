@@ -68,7 +68,8 @@ void BM_ExactVertexCover(benchmark::State& state) {
   const SimpleGraph g = RandomGraph(n, 3.0 / static_cast<double>(n), 5);
   const std::vector<double> w(n, 1.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MinWeightVertexCover(g, w));
+    benchmark::DoNotOptimize(
+        MinWeightVertexCover(g, w, FractionalVertexCover(g, w).x, {}));
   }
 }
 BENCHMARK(BM_ExactVertexCover)->Arg(50)->Arg(200)->Arg(1000);

@@ -24,8 +24,10 @@ struct FractionalVcResult {
 /// double cover, which is a minimum s-t cut (computed with Dinic). The LP
 /// always has a half-integral optimal solution, which this returns.
 ///
-/// This is the I_lin_R fast path for binary denial constraints and the
-/// kernelization oracle (Nemhauser–Trotter) for exact I_R.
+/// MeasureContext::fractional_cover() solves it once per context on binary
+/// denial constraints (I_lin_R, and the Nemhauser–Trotter kernel of exact
+/// I_R); MinWeightVertexCover's branch & bound solves it per node as its
+/// lower bound.
 FractionalVcResult FractionalVertexCover(const SimpleGraph& g,
                                          const std::vector<double>& weights);
 

@@ -15,7 +15,18 @@ void SimpleGraph::AddEdge(uint32_t a, uint32_t b) {
 }
 
 void SimpleGraph::Normalize() {
-  std::sort(edges_.begin(), edges_.end());
+  // Every edge has a < b < n_, so two stable counting sorts, by b and then
+  // by a, sort the list in O(n + E); duplicates end up adjacent.
+  std::vector<std::pair<uint32_t, uint32_t>> sorted(edges_.size());
+  for (const bool by_first : {false, true}) {
+    std::vector<uint32_t> start(n_ + 1, 0);
+    for (const auto& e : edges_) ++start[(by_first ? e.first : e.second) + 1];
+    for (size_t v = 0; v < n_; ++v) start[v + 1] += start[v];
+    for (const auto& e : edges_) {
+      sorted[start[by_first ? e.first : e.second]++] = e;
+    }
+    edges_.swap(sorted);
+  }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 }
 

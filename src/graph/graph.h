@@ -12,8 +12,8 @@ struct GraphPart;
 
 /// A plain undirected graph on vertices 0..n-1 with an edge list. Parallel
 /// edges and self-loops are not stored (AddEdge deduplicates lazily via
-/// Normalize). This is the currency of the combinatorial solvers; the
-/// conflict graph of a database is converted into it by the measures.
+/// Normalize). This is the currency of the combinatorial solvers; a
+/// database's ConflictGraph keeps its binary witnesses as one.
 class SimpleGraph {
  public:
   explicit SimpleGraph(size_t n) : n_(n) {}
@@ -27,7 +27,7 @@ class SimpleGraph {
   /// Adds an undirected edge (a != b required).
   void AddEdge(uint32_t a, uint32_t b);
 
-  /// Sorts the edge list and removes duplicates.
+  /// Sorts the edge list (radix, O(n + E)) and removes duplicates.
   void Normalize();
 
   /// Sorted, deduplicated adjacency lists.

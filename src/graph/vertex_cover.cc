@@ -209,51 +209,42 @@ class BnbSolver {
 
 VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
                                        const std::vector<double>& weights,
+                                       const std::vector<double>& x,
                                        const VertexCoverOptions& options) {
   const size_t n = g.num_vertices();
-  DBIM_CHECK(weights.size() == n);
+  DBIM_CHECK(weights.size() == n && x.size() == n);
   VertexCoverResult result;
   result.in_cover.assign(n, false);
-  if (g.num_edges() == 0) return result;
+
+  // Nemhauser–Trotter: from a half-integral LP optimum, the 1-vertices are
+  // in some optimal cover and the 0-vertices in none; only the
+  // half-vertices need branching.
+  std::vector<uint32_t> kernel;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (x[v] > 0.75) {
+      result.in_cover[v] = true;
+      result.value += weights[v];
+    } else if (x[v] > 0.25) {
+      kernel.push_back(v);
+    }
+  }
+  if (kernel.empty()) return result;
 
   const Deadline deadline(options.deadline_seconds);
-  const auto [comp, num_comps] = g.Components();
-
-  for (const GraphPart& part : g.Split(comp, num_comps)) {
-    const std::vector<uint32_t>& members = part.members;
-    const SimpleGraph& sub = part.graph;
-    if (sub.num_edges() == 0) continue;
-    std::vector<double> sub_w(members.size());
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      sub_w[i] = weights[members[i]];
+  const SimpleGraph kernel_graph = g.InducedSubgraph(kernel);
+  const auto [comp, num_comps] = kernel_graph.Components();
+  for (const GraphPart& part : kernel_graph.Split(comp, num_comps)) {
+    if (part.graph.num_edges() == 0) continue;
+    std::vector<double> part_w(part.members.size());
+    for (uint32_t i = 0; i < part.members.size(); ++i) {
+      part_w[i] = weights[kernel[part.members[i]]];
     }
-
-    // Nemhauser–Trotter: from a half-integral LP optimum, the 1-vertices
-    // are in some optimal cover and the 0-vertices in none; only the
-    // half-vertices need branching.
-    const FractionalVcResult lp = FractionalVertexCover(sub, sub_w);
-    std::vector<uint32_t> kernel;
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      if (lp.x[i] > 0.75) {
-        result.in_cover[members[i]] = true;
-        result.value += sub_w[i];
-      } else if (lp.x[i] > 0.25) {
-        kernel.push_back(i);
-      }
-    }
-    if (kernel.empty()) continue;
-    const SimpleGraph kernel_graph = sub.InducedSubgraph(kernel);
-    if (kernel_graph.num_edges() == 0) continue;
-    std::vector<double> kernel_w(kernel.size());
-    for (uint32_t i = 0; i < kernel.size(); ++i) {
-      kernel_w[i] = sub_w[kernel[i]];
-    }
-    BnbSolver solver(kernel_graph, kernel_w, deadline, &result.bb_nodes);
+    BnbSolver solver(part.graph, part_w, deadline, &result.bb_nodes);
     const auto [value, cover, optimal] = solver.Solve();
     result.value += value;
     if (!optimal) result.optimal = false;
-    for (uint32_t i = 0; i < kernel.size(); ++i) {
-      if (cover[i]) result.in_cover[members[kernel[i]]] = true;
+    for (uint32_t i = 0; i < part.members.size(); ++i) {
+      if (cover[i]) result.in_cover[kernel[part.members[i]]] = true;
     }
   }
   return result;

@@ -33,14 +33,18 @@ struct VertexCoverResult {
 /// constraints whose minimal inconsistent subsets all have size two (FDs and
 /// all the experiment DC sets), on the conflict graph.
 ///
-/// Pipeline: connected-component decomposition, Nemhauser–Trotter
-/// kernelization via the fractional LP (variables at 0 are excluded, at 1
-/// included; only the half-integral kernel is branched on), then branch &
-/// bound on a maximum-degree vertex with the fractional LP as lower bound
-/// and a greedy cover as incumbent.
+/// `x` is a half-integral optimum of the fractional vertex-cover LP of `g`
+/// (every entry 0, 1/2 or 1), such as FractionalVertexCover's, or the
+/// MeasureContext's fractional cover, which also sets a self-inconsistent
+/// (isolated) vertex to 1. Pipeline: Nemhauser–Trotter kernelization by
+/// `x` (its 1-vertices join the cover, its 0-vertices stay out, only the
+/// 1/2-vertices are branched on), connected components of that kernel,
+/// then branch & bound per component on a maximum-degree vertex with the
+/// fractional LP as lower bound and a greedy cover as incumbent.
 VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
                                        const std::vector<double>& weights,
-                                       const VertexCoverOptions& options = {});
+                                       const std::vector<double>& x,
+                                       const VertexCoverOptions& options);
 
 }  // namespace dbim
 

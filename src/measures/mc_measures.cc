@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "graph/bron_kerbosch.h"
-#include "graph/graph.h"
 
 namespace dbim {
 
@@ -50,22 +49,20 @@ double MaxConsistentSubsetsMeasure::CountMaxConsistent(
     MeasureContext& context) const {
   const ConflictGraph& cg = context.conflict_graph();
 
-  // Self-inconsistent facts belong to no consistent subset; the count runs
-  // over the remaining problematic vertices. Non-problematic facts are in
-  // every maximal consistent subset and do not affect the count.
-  std::vector<uint32_t> live;
-  std::vector<uint32_t> relabel(cg.num_vertices(), UINT32_MAX);
-  for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-    if (!cg.self_inconsistent()[v]) {
-      relabel[v] = static_cast<uint32_t>(live.size());
-      live.push_back(v);
-    }
-  }
-
+  // Self-inconsistent facts belong to no consistent subset, and
+  // non-problematic facts are in every maximal consistent subset: neither
+  // affects the count. A self-inconsistent vertex is isolated in the graph,
+  // so it lies in every maximal independent set and leaves their count be.
   if (cg.HasHyperedges()) {
-    if (live.size() > options_.max_hyper_vertices) return kNan;
+    // The enumeration runs over the remaining problematic vertices only.
+    std::vector<uint32_t> relabel(cg.num_vertices(), UINT32_MAX);
+    uint32_t live = 0;
+    for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
+      if (!cg.self_inconsistent()[v]) relabel[v] = live++;
+    }
+    if (live > options_.max_hyper_vertices) return kNan;
     std::vector<std::vector<uint32_t>> edges;
-    for (const auto& [a, b] : cg.edges()) {
+    for (const auto& [a, b] : cg.graph().edges()) {
       edges.push_back({relabel[a], relabel[b]});
     }
     for (const auto& he : cg.hyperedges()) {
@@ -73,17 +70,13 @@ double MaxConsistentSubsetsMeasure::CountMaxConsistent(
       for (const uint32_t v : he) e.push_back(relabel[v]);
       edges.push_back(std::move(e));
     }
-    return CountMisHypergraph(live.size(), edges);
+    return CountMisHypergraph(live, edges);
   }
 
-  SimpleGraph g(live.size());
-  for (const auto& [a, b] : cg.edges()) {
-    g.AddEdge(relabel[a], relabel[b]);
-  }
-  g.Normalize();
   MisCountOptions options;
   options.deadline_seconds = options_.deadline_seconds;
-  const MisCountResult result = CountMaximalIndependentSets(g, options);
+  const MisCountResult result =
+      CountMaximalIndependentSets(cg.graph(), options);
   if (!result.complete) return kNan;
   return result.count;
 }

@@ -1,11 +1,7 @@
 #include "measures/repair_measures.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
-#include "common/check.h"
-#include "graph/fractional_vc.h"
-#include "graph/graph.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
 
@@ -13,129 +9,55 @@ namespace dbim {
 
 namespace {
 
-// Decomposition shared by I_R and I_lin_R: forced cost of self-inconsistent
-// facts plus a covering structure over the remaining problematic vertices.
-struct RepairInstance {
-  double forced_cost = 0.0;
-  std::vector<uint32_t> live;            // conflict-graph vertices to cover
-  std::vector<uint32_t> relabel;         // cg vertex -> live index
-  std::vector<double> weights;           // per live vertex
-  SimpleGraph graph{0};                  // binary witnesses
-  std::vector<std::vector<uint32_t>> hyper;  // size >= 3 witnesses
-};
-
-RepairInstance BuildInstance(const ConflictGraph& cg) {
-  RepairInstance inst;
-  inst.relabel.assign(cg.num_vertices(), UINT32_MAX);
-  for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-    if (cg.self_inconsistent()[v]) {
-      inst.forced_cost += cg.weights()[v];
-    } else {
-      inst.relabel[v] = static_cast<uint32_t>(inst.live.size());
-      inst.live.push_back(v);
-      inst.weights.push_back(cg.weights()[v]);
-    }
+// A minimum-cost deletion set as (cost, membership per conflict-graph
+// vertex): the vertex cover kernelized by the context's fractional cover,
+// or the covering ILP when witnesses have size >= 3.
+std::pair<double, std::vector<bool>> SolveRepair(MeasureContext& context,
+                                                 double deadline_seconds) {
+  const ConflictGraph& cg = context.conflict_graph();
+  if (cg.HasHyperedges()) {
+    CoveringOptions options;
+    options.deadline_seconds = deadline_seconds;
+    CoveringResult ilp = SolveCoveringIlp(cg.ToCovering(), options);
+    return {ilp.value, std::move(ilp.chosen)};
   }
-  inst.graph = SimpleGraph(inst.live.size());
-  for (const auto& [a, b] : cg.edges()) {
-    // Minimality guarantees neither endpoint is self-inconsistent.
-    inst.graph.AddEdge(inst.relabel[a], inst.relabel[b]);
-  }
-  inst.graph.Normalize();
-  for (const auto& he : cg.hyperedges()) {
-    std::vector<uint32_t> e;
-    for (const uint32_t v : he) e.push_back(inst.relabel[v]);
-    std::sort(e.begin(), e.end());
-    inst.hyper.push_back(std::move(e));
-  }
-  return inst;
-}
-
-CoveringProblem ToCovering(const RepairInstance& inst) {
-  CoveringProblem problem;
-  problem.costs = inst.weights;
-  for (const auto& [a, b] : inst.graph.edges()) {
-    problem.sets.push_back({std::min(a, b), std::max(a, b)});
-  }
-  for (const auto& e : inst.hyper) problem.sets.push_back(e);
-  return problem;
+  VertexCoverOptions options;
+  options.deadline_seconds = deadline_seconds;
+  VertexCoverResult cover = MinWeightVertexCover(
+      cg.graph(), cg.weights(), context.fractional_cover().x, options);
+  return {cover.value, std::move(cover.in_cover)};
 }
 
 }  // namespace
 
 double MinRepairMeasure::Evaluate(MeasureContext& context) const {
-  const RepairInstance inst = BuildInstance(context.conflict_graph());
-  if (inst.hyper.empty()) {
-    VertexCoverOptions options;
-    options.deadline_seconds = options_.deadline_seconds;
-    return inst.forced_cost +
-           MinWeightVertexCover(inst.graph, inst.weights, options).value;
-  }
-  CoveringOptions options;
-  options.deadline_seconds = options_.deadline_seconds;
-  return inst.forced_cost + SolveCoveringIlp(ToCovering(inst), options).value;
+  return SolveRepair(context, options_.deadline_seconds).first;
 }
 
 std::vector<FactId> MinRepairMeasure::OptimalRepair(
     MeasureContext& context) const {
   const ConflictGraph& cg = context.conflict_graph();
-  const RepairInstance inst = BuildInstance(cg);
+  const std::vector<bool> chosen =
+      SolveRepair(context, options_.deadline_seconds).second;
   std::vector<FactId> repair;
   for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-    if (cg.self_inconsistent()[v]) repair.push_back(cg.fact_of(v));
+    if (chosen[v]) repair.push_back(cg.fact_of(v));
   }
-  std::vector<bool> chosen;
-  if (inst.hyper.empty()) {
-    VertexCoverOptions options;
-    options.deadline_seconds = options_.deadline_seconds;
-    chosen = MinWeightVertexCover(inst.graph, inst.weights, options).in_cover;
-  } else {
-    CoveringOptions options;
-    options.deadline_seconds = options_.deadline_seconds;
-    chosen = SolveCoveringIlp(ToCovering(inst), options).chosen;
-  }
-  for (uint32_t i = 0; i < inst.live.size(); ++i) {
-    if (chosen[i]) repair.push_back(cg.fact_of(inst.live[i]));
-  }
-  std::sort(repair.begin(), repair.end());
   return repair;
 }
 
 double LinRepairMeasure::Evaluate(MeasureContext& context) const {
-  const RepairInstance inst = BuildInstance(context.conflict_graph());
-  if (inst.hyper.empty()) {
-    return inst.forced_cost +
-           FractionalVertexCover(inst.graph, inst.weights).value;
-  }
-  const LpSolution lp = SolveCoveringLpRelaxation(ToCovering(inst));
-  DBIM_CHECK_MSG(lp.status == LpStatus::kOptimal,
-                 "covering LP unsolved (status %d)",
-                 static_cast<int>(lp.status));
-  return inst.forced_cost + lp.objective;
+  return context.fractional_cover().value;
 }
 
 std::vector<std::pair<FactId, double>> LinRepairMeasure::FractionalSolution(
     MeasureContext& context) const {
   const ConflictGraph& cg = context.conflict_graph();
-  const RepairInstance inst = BuildInstance(cg);
+  const std::vector<double>& x = context.fractional_cover().x;
   std::vector<std::pair<FactId, double>> solution;
   for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-    if (cg.self_inconsistent()[v]) {
-      solution.emplace_back(cg.fact_of(v), 1.0);
-    }
+    solution.emplace_back(cg.fact_of(v), x[v]);
   }
-  std::vector<double> x;
-  if (inst.hyper.empty()) {
-    x = FractionalVertexCover(inst.graph, inst.weights).x;
-  } else {
-    const LpSolution lp = SolveCoveringLpRelaxation(ToCovering(inst));
-    DBIM_CHECK(lp.status == LpStatus::kOptimal);
-    x = lp.x;
-  }
-  for (uint32_t i = 0; i < inst.live.size(); ++i) {
-    solution.emplace_back(cg.fact_of(inst.live[i]), x[i]);
-  }
-  std::sort(solution.begin(), solution.end());
   return solution;
 }
 

@@ -19,10 +19,12 @@ struct RepairMeasureOptions {
 /// only classical measure satisfying all four properties; NP-hard in
 /// general (paper Theorem 1 pins the frontier already for single EGDs).
 ///
-/// Computation: self-inconsistent facts are forced deletions; the rest is a
-/// minimum weighted vertex cover of the conflict graph (exact branch &
-/// bound with Nemhauser–Trotter kernelization), or a covering ILP when
-/// minimal witnesses have size >= 3.
+/// Computation: a minimum weighted vertex cover of the conflict graph,
+/// kernelized by the context's fractional cover (the LP I_lin_R reads):
+/// its 1-vertices, self-inconsistent facts among them, are deleted, and
+/// exact branch & bound runs on each component of its 1/2-vertices only.
+/// With minimal witnesses of size >= 3 it is the covering ILP of
+/// ConflictGraph::ToCovering instead.
 class MinRepairMeasure : public InconsistencyMeasure {
  public:
   explicit MinRepairMeasure(RepairMeasureOptions options = {})
@@ -44,10 +46,10 @@ class MinRepairMeasure : public InconsistencyMeasure {
 /// all four properties, Theorem 2) and computable in polynomial time for
 /// arbitrary DC sets.
 ///
-/// Computation: self-inconsistent facts contribute their full cost (their
-/// covering constraint forces x = 1); binary witnesses form the fractional
-/// weighted vertex-cover LP, solved exactly via max-flow on the bipartite
-/// double cover; hyperedge witnesses fall back to the simplex.
+/// Computation: reads MeasureContext::fractional_cover(), solved once per
+/// context — the max-flow fractional vertex cover on the bipartite double
+/// cover for binary witnesses, with self-inconsistent facts at x = 1 (their
+/// singleton set forces it), or the simplex when hyperedges occur.
 class LinRepairMeasure : public InconsistencyMeasure {
  public:
   std::string name() const override { return "I_lin_R"; }

@@ -1,7 +1,5 @@
 #include "measures/soft_repair.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "lp/covering.h"
 
@@ -9,26 +7,16 @@ namespace dbim {
 
 double SoftRepairMeasure::Evaluate(MeasureContext& context) const {
   DBIM_CHECK(options_.violation_penalty >= 0.0);
-  const ConflictGraph& cg = context.conflict_graph();
 
   // Variables: one deletion per problematic fact, then one slack per
   // minimal inconsistent subset priced at the violation penalty. Each
   // covering set is its witness plus its own slack; choosing the slack
   // "pays the fine" instead of repairing.
-  CoveringProblem problem;
-  problem.costs = cg.weights();
-  auto add_set = [&](std::vector<uint32_t> base) {
-    const uint32_t slack = static_cast<uint32_t>(problem.costs.size());
+  CoveringProblem problem = context.conflict_graph().ToCovering();
+  for (auto& set : problem.sets) {
+    set.push_back(static_cast<uint32_t>(problem.costs.size()));
     problem.costs.push_back(options_.violation_penalty);
-    base.push_back(slack);
-    std::sort(base.begin(), base.end());
-    problem.sets.push_back(std::move(base));
-  };
-  for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-    if (cg.self_inconsistent()[v]) add_set({v});
   }
-  for (const auto& [a, b] : cg.edges()) add_set({a, b});
-  for (const auto& he : cg.hyperedges()) add_set(he);
 
   if (problem.sets.empty()) return 0.0;
   if (options_.relaxed) {

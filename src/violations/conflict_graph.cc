@@ -32,6 +32,7 @@ ConflictGraph ConflictGraph::Build(const Database& db,
   }
 
   const size_t n = g.fact_of_.size();
+  g.graph_ = SimpleGraph(n);
   g.self_inconsistent_.assign(n, false);
   g.weights_.resize(n);
   for (uint32_t v = 0; v < n; ++v) {
@@ -45,12 +46,13 @@ ConflictGraph ConflictGraph::Build(const Database& db,
         ++g.num_self_inconsistent_;
       }
     } else if (subset.size() == 2) {
-      g.edges_.emplace_back(at[0], at[1]);
+      g.graph_.AddEdge(at[0], at[1]);
     } else {
       g.hyperedges_.emplace_back(at, at + subset.size());
     }
     at += subset.size();
   }
+  g.graph_.Normalize();
   return g;
 }
 
@@ -63,6 +65,17 @@ uint32_t ConflictGraph::vertex_of(FactId id) const {
 
 bool ConflictGraph::IsProblematic(FactId id) const {
   return std::binary_search(fact_of_.begin(), fact_of_.end(), id);
+}
+
+CoveringProblem ConflictGraph::ToCovering() const {
+  CoveringProblem problem;
+  problem.costs = weights_;
+  for (uint32_t v = 0; v < num_vertices(); ++v) {
+    if (self_inconsistent_[v]) problem.sets.push_back({v});
+  }
+  for (const auto& [a, b] : graph_.edges()) problem.sets.push_back({a, b});
+  for (const auto& e : hyperedges_) problem.sets.push_back(e);
+  return problem;
 }
 
 }  // namespace dbim

@@ -2,9 +2,10 @@
 #define DBIM_VIOLATIONS_CONFLICT_GRAPH_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "graph/graph.h"
+#include "lp/covering.h"
 #include "relational/database.h"
 #include "violations/violation.h"
 
@@ -16,8 +17,11 @@ namespace dbim {
 ///  * vertices: the problematic facts (facts occurring in some minimal
 ///    inconsistent subset) — non-problematic facts are irrelevant to every
 ///    measure that consumes this structure;
-///  * edges: size-2 minimal subsets (the paper's conflict graph for FDs);
-///  * hyperedges: minimal subsets of size >= 3 (general DCs);
+///  * graph: the size-2 minimal subsets (the paper's conflict graph for
+///    FDs) as one SimpleGraph over the vertices, edges sorted. A
+///    self-inconsistent vertex is an isolated vertex of it: minimality
+///    keeps every larger witness off a fact that is inconsistent alone;
+///  * hyperedges: minimal subsets of size >= 3 (general DCs), each sorted;
 ///  * self-inconsistent flags: singleton minimal subsets; such facts belong
 ///    to no consistent subset, so covers must include them and independent
 ///    sets must exclude them;
@@ -25,8 +29,8 @@ namespace dbim {
 ///    cover equals I_R and the fractional relaxation equals I_lin_R.
 ///
 /// Vertices are numbered by ascending fact id (one sort, no hash table), so
-/// fact -> vertex is a binary search over `fact_of_`. Edges and hyperedges
-/// keep the order of `minimal_subsets()`.
+/// fact -> vertex is a binary search over `fact_of_`. Hyperedges keep the
+/// order of `minimal_subsets()`.
 class ConflictGraph {
  public:
   static ConflictGraph Build(const Database& db,
@@ -39,9 +43,7 @@ class ConflictGraph {
   uint32_t vertex_of(FactId id) const;
   bool IsProblematic(FactId id) const;
 
-  const std::vector<std::pair<uint32_t, uint32_t>>& edges() const {
-    return edges_;
-  }
+  const SimpleGraph& graph() const { return graph_; }
   const std::vector<std::vector<uint32_t>>& hyperedges() const {
     return hyperedges_;
   }
@@ -53,9 +55,14 @@ class ConflictGraph {
   bool HasHyperedges() const { return !hyperedges_.empty(); }
   size_t num_self_inconsistent() const { return num_self_inconsistent_; }
 
+  /// The paper's Figure 2 covering problem over the vertices: one set per
+  /// minimal inconsistent subset — the singletons in vertex order, then
+  /// the edges, then the hyperedges — priced by `weights()`.
+  CoveringProblem ToCovering() const;
+
  private:
   std::vector<FactId> fact_of_;  // ascending
-  std::vector<std::pair<uint32_t, uint32_t>> edges_;
+  SimpleGraph graph_{0};
   std::vector<std::vector<uint32_t>> hyperedges_;
   std::vector<bool> self_inconsistent_;
   std::vector<double> weights_;

@@ -813,7 +813,7 @@ TEST(ConflictGraph, BuildsFromRunningExample) {
   const ViolationSet violations = detector.FindViolations(example.d1);
   const ConflictGraph graph = ConflictGraph::Build(example.d1, violations);
   EXPECT_EQ(graph.num_vertices(), 5u);
-  EXPECT_EQ(graph.edges().size(), 7u);
+  EXPECT_EQ(graph.graph().num_edges(), 7u);
   EXPECT_FALSE(graph.HasHyperedges());
   EXPECT_EQ(graph.num_self_inconsistent(), 0u);
   // Vertex <-> fact mapping round-trips.
@@ -835,7 +835,8 @@ TEST(ConflictGraph, WeightsReflectDeletionCosts) {
 
 // A hand-made MI set, added out of id order, with singletons, pairs and a
 // triple: vertices ascend by fact id whatever the input order, every
-// lookup resolves, and edges keep the input order.
+// lookup resolves, edges come out sorted, and the covering problem holds
+// one set per minimal subset.
 TEST(ConflictGraph, BuildsFromHandMadeSetOutOfIdOrder) {
   const auto schema = testing::MakeAbcSchema();
   Database db = testing::MakeRandomDatabase(schema, 0, 20, 5, 3);
@@ -868,8 +869,9 @@ TEST(ConflictGraph, BuildsFromHandMadeSetOutOfIdOrder) {
   }
   auto v = [&](size_t i) { return graph.vertex_of(f(i)); };
   const std::vector<std::pair<uint32_t, uint32_t>> edges = {
-      {v(11), v(16)}, {v(5), v(11)}, {v(3), v(8)}};
-  EXPECT_EQ(graph.edges(), edges);
+      {v(3), v(8)}, {v(5), v(11)}, {v(11), v(16)}};
+  EXPECT_EQ(graph.graph().edges(), edges);
+  EXPECT_EQ(graph.graph().num_vertices(), graph.num_vertices());
   const std::vector<std::vector<uint32_t>> hyperedges = {
       {v(3), v(5), v(16)}};
   EXPECT_EQ(graph.hyperedges(), hyperedges);
@@ -878,6 +880,12 @@ TEST(ConflictGraph, BuildsFromHandMadeSetOutOfIdOrder) {
     const bool expected = u == v(1) || u == v(12);
     EXPECT_EQ(graph.self_inconsistent()[u], expected) << u;
   }
+  const CoveringProblem covering = graph.ToCovering();
+  EXPECT_EQ(covering.costs, graph.weights());
+  const std::vector<std::vector<uint32_t>> sets = {
+      {v(1)}, {v(12)}, {v(3), v(8)}, {v(5), v(11)}, {v(11), v(16)},
+      {v(3), v(5), v(16)}};
+  EXPECT_EQ(covering.sets, sets);
   EXPECT_DEATH(graph.vertex_of(f(4)), "not problematic");
 }
 

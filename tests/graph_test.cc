@@ -11,15 +11,17 @@
 #include "graph/graph.h"
 #include "graph/max_cut.h"
 #include "graph/max_flow.h"
-#include "graph/p4_free.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
 #include "oracle/hopcroft_karp.h"
+#include "oracle/p4_free.h"
 
 namespace dbim {
 namespace {
 
+using testing::FindInducedP4;
 using testing::HopcroftKarp;
+using testing::IsP4Free;
 
 SimpleGraph RandomGraph(size_t n, double p, uint64_t seed) {
   Rng rng(seed);
@@ -90,6 +92,26 @@ TEST(SimpleGraph, NormalizeDeduplicates) {
   g.AddEdge(1, 2);
   g.Normalize();
   EXPECT_EQ(g.num_edges(), 2u);
+  // Random edges with repeats, in random order and orientation: the result
+  // is the sorted, deduplicated list.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const size_t n = 2 + rng.UniformIndex(30);
+    SimpleGraph h(n);
+    std::vector<std::pair<uint32_t, uint32_t>> expected;
+    for (size_t i = rng.UniformIndex(4 * n); i > 0; --i) {
+      const auto a = static_cast<uint32_t>(rng.UniformIndex(n));
+      const auto b =
+          static_cast<uint32_t>((a + 1 + rng.UniformIndex(n - 1)) % n);
+      h.AddEdge(a, b);
+      expected.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    h.Normalize();
+    EXPECT_EQ(h.edges(), expected) << seed;
+  }
 }
 
 TEST(SimpleGraph, Components) {
@@ -367,7 +389,8 @@ TEST_P(VertexCoverSweep, MatchesBruteForce) {
   std::vector<double> w(n);
   const bool weighted = GetParam() % 2 == 0;
   for (auto& x : w) x = weighted ? 1.0 + rng.UniformIndex(5) : 1.0;
-  const auto result = MinWeightVertexCover(g, w);
+  const auto result =
+      MinWeightVertexCover(g, w, FractionalVertexCover(g, w).x, {});
   EXPECT_TRUE(result.optimal);
   EXPECT_NEAR(result.value, BruteMinVertexCover(g, w), 1e-7);
   // Returned cover is feasible and has the reported weight.
@@ -381,12 +404,70 @@ TEST_P(VertexCoverSweep, MatchesBruteForce) {
   }
 }
 
+// Disjoint odd cycles, shuffled among isolated vertices: on unit weights
+// the LP is 1/2 on every cycle vertex, so the 1/2-kernel falls apart into
+// one component per cycle. The isolated vertices are passed with x = 1, as
+// the measure context passes self-inconsistent facts, so they join the
+// cover on top of the brute-force optimum of the graph.
+TEST_P(VertexCoverSweep, OddCyclesWithForcedIsolatedVertices) {
+  Rng rng(GetParam() * 53 + 11);
+  std::vector<size_t> cycles;
+  size_t n = 0;
+  for (size_t k = 2 + rng.UniformIndex(2); k > 0; --k) {
+    cycles.push_back(3 + 2 * rng.UniformIndex(2));
+    n += cycles.back();
+  }
+  const size_t num_isolated = 1 + rng.UniformIndex(3);
+  n += num_isolated;
+  std::vector<uint32_t> label(n);
+  for (uint32_t v = 0; v < n; ++v) label[v] = v;
+  std::shuffle(label.begin(), label.end(), rng.engine());
+  SimpleGraph g(n);
+  size_t next = 0;
+  for (const size_t len : cycles) {
+    for (size_t i = 0; i < len; ++i) {
+      g.AddEdge(label[next + i], label[next + (i + 1) % len]);
+    }
+    next += len;
+  }
+  g.Normalize();
+  // Odd params draw unit weights, even ones non-dyadic weights.
+  const bool unit = GetParam() % 2 == 1;
+  std::vector<double> w(n);
+  for (auto& x : w) x = unit ? 1.0 : 0.3 + 0.7 * rng.UniformIndex(5);
+
+  std::vector<double> x = FractionalVertexCover(g, w).x;
+  double isolated_weight = 0.0;
+  for (size_t i = next; i < n; ++i) {
+    x[label[i]] = 1.0;
+    isolated_weight += w[label[i]];
+  }
+  if (unit) {
+    for (size_t i = 0; i < next; ++i) EXPECT_EQ(x[label[i]], 0.5);
+  }
+  const auto result = MinWeightVertexCover(g, w, x, {});
+  EXPECT_TRUE(result.optimal);
+  EXPECT_NEAR(result.value, BruteMinVertexCover(g, w) + isolated_weight,
+              1e-9);
+  double cover_weight = 0.0;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (result.in_cover[v]) cover_weight += w[v];
+  }
+  EXPECT_NEAR(cover_weight, result.value, 1e-9);
+  for (size_t i = next; i < n; ++i) EXPECT_TRUE(result.in_cover[label[i]]);
+  for (const auto& [a, b] : g.edges()) {
+    EXPECT_TRUE(result.in_cover[a] || result.in_cover[b]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, VertexCoverSweep,
                          ::testing::Range(1, 31));
 
 TEST(VertexCover, EmptyGraph) {
   SimpleGraph g(5);
-  const auto result = MinWeightVertexCover(g, std::vector<double>(5, 1.0));
+  const std::vector<double> w(5, 1.0);
+  const auto result =
+      MinWeightVertexCover(g, w, FractionalVertexCover(g, w).x, {});
   EXPECT_DOUBLE_EQ(result.value, 0.0);
 }
 
@@ -395,7 +476,9 @@ TEST(VertexCover, K4NeedsThree) {
   for (uint32_t a = 0; a < 4; ++a) {
     for (uint32_t b = a + 1; b < 4; ++b) g.AddEdge(a, b);
   }
-  const auto result = MinWeightVertexCover(g, std::vector<double>(4, 1.0));
+  const std::vector<double> w(4, 1.0);
+  const auto result =
+      MinWeightVertexCover(g, w, FractionalVertexCover(g, w).x, {});
   EXPECT_DOUBLE_EQ(result.value, 3.0);
 }
 

@@ -83,7 +83,7 @@ TEST_P(LinRepairCrossCheck, FlowAndSimplexAgree) {
   CoveringProblem problem;
   const auto& cg = context.conflict_graph();
   problem.costs.assign(cg.num_vertices(), 1.0);
-  for (const auto& [a, b] : cg.edges()) {
+  for (const auto& [a, b] : cg.graph().edges()) {
     problem.sets.push_back({std::min(a, b), std::max(a, b)});
   }
   if (problem.sets.empty()) {
@@ -112,7 +112,7 @@ TEST_P(LinRepairCrossCheck, EqualsHalfTheDoubleCoverMatching) {
   const ConflictGraph& cg = context.conflict_graph();
   ASSERT_FALSE(cg.HasHyperedges());
   std::vector<std::pair<uint32_t, uint32_t>> double_cover;
-  for (const auto& [a, b] : cg.edges()) {
+  for (const auto& [a, b] : cg.graph().edges()) {
     double_cover.emplace_back(a, b);
     double_cover.emplace_back(b, a);
   }

@@ -1,12 +1,16 @@
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include <gtest/gtest.h>
 
+#include "constraints/parser.h"
 #include "measures/basic_measures.h"
 #include "measures/mc_measures.h"
 #include "measures/registry.h"
 #include "measures/repair_measures.h"
 #include "measures/shapley.h"
+#include "oracle/repair_oracle.h"
 #include "test_util.h"
 #include "violations/detector.h"
 
@@ -207,6 +211,88 @@ TEST(RepairMeasures, HonorsDeletionCosts) {
   // for 45. Choosing {2, 4} costs 20; {3, 5, 2} = 12; {3, 5, 4} = 12;
   // {2, 4} dominated. Minimum is 12.
   EXPECT_DOUBLE_EQ(exact.EvaluateFresh(detector, weighted), 12.0);
+}
+
+// ---- The repair measures against their definitions ----
+
+// I_R, I_lin_R, OptimalRepair and FractionalSolution on small random
+// databases with non-dyadic deletion costs, against the exhaustive oracles
+// of oracle/repair_oracle.h. Sigma is the FD A -> B (one conflict
+// component per A value) and a unary DC (self-inconsistent facts), plus on
+// every other database a ternary DC whose witnesses are hyperedges (the
+// covering ILP and simplex path).
+TEST(RepairOracle, MeasuresMatchTheirDefinitions) {
+  const auto schema = testing::MakeAbcSchema();
+  std::vector<DenialConstraint> binary = ToDenialConstraints(
+      {FunctionalDependency::Make(*schema, 0, {"A"}, {"B"})});
+  binary.push_back(*ParseDc(*schema, 0, "!(t.A = 0 & t.C = 0)"));
+  std::vector<DenialConstraint> kary = binary;
+  kary.push_back(*ParseDc(
+      *schema, 0, "!(t.B = t'.B & t'.B = t''.B & t.C < t'.C & t'.C < t''.C)"));
+  size_t self_inconsistent = 0;
+  size_t components = 0;
+  size_t hyperedges = 0;
+  size_t gaps = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Database db = testing::MakeRandomDatabase(
+        schema, 0, 8 + rng.UniformIndex(5), 3, seed * 7919);
+    for (const FactId id : db.ids()) {
+      db.set_deletion_cost(
+          id, 0.1 * static_cast<double>(1 + rng.UniformIndex(29)));
+    }
+    const std::vector<DenialConstraint>& dcs = seed % 2 == 0 ? kary : binary;
+    const ViolationDetector detector(schema, dcs);
+    MeasureContext context(detector, db);
+    const double i_r = MinRepairMeasure().Evaluate(context);
+    const double i_lin_r = LinRepairMeasure().Evaluate(context);
+    EXPECT_NEAR(i_r, testing::NaiveMinRepair(dcs, db), 1e-9);
+    EXPECT_NEAR(i_lin_r, testing::NaiveLinRepair(dcs, db), 1e-7);
+
+    // One optimal repair: consistent, and it weighs I_R.
+    const std::vector<FactId> repair =
+        MinRepairMeasure().OptimalRepair(context);
+    EXPECT_TRUE(testing::SatisfiesAfterDeleting(dcs, db, repair));
+    double repair_cost = 0.0;
+    for (const FactId id : repair) repair_cost += db.deletion_cost(id);
+    EXPECT_NEAR(repair_cost, i_r, 1e-9);
+
+    // The fractional solution: in [0, 1], covers every minimal subset, and
+    // weighs I_lin_R.
+    std::map<FactId, double> x;
+    double weight = 0.0;
+    for (const auto& [id, value] :
+         LinRepairMeasure().FractionalSolution(context)) {
+      EXPECT_GE(value, -1e-9);
+      EXPECT_LE(value, 1.0 + 1e-9);
+      x[id] = value;
+      weight += value * db.deletion_cost(id);
+    }
+    EXPECT_NEAR(weight, i_lin_r, 1e-7);
+    for (const auto& subset : testing::NaiveMinimalSubsets(dcs, db).subsets) {
+      double covered = 0.0;
+      for (const FactId id : subset) covered += x[id];
+      EXPECT_GE(covered, 1.0 - 1e-7);
+    }
+
+    const ConflictGraph& cg = context.conflict_graph();
+    if (cg.num_self_inconsistent() > 0) ++self_inconsistent;
+    if (cg.HasHyperedges()) ++hyperedges;
+    if (i_r > i_lin_r + 1e-9) ++gaps;
+    const auto [comp, num_comps] = cg.graph().Components();
+    std::vector<size_t> size(num_comps, 0);
+    for (const uint32_t c : comp) ++size[c];
+    if (std::count_if(size.begin(), size.end(),
+                      [](size_t s) { return s >= 2; }) >= 2) {
+      ++components;
+    }
+  }
+  // The sweep reaches every case the oracles are meant to cover.
+  EXPECT_GE(self_inconsistent, 100u);
+  EXPECT_GE(components, 100u);
+  EXPECT_GE(hyperedges, 40u);
+  EXPECT_GE(gaps, 30u);
 }
 
 // ---- Shapley attribution ----

@@ -1,8 +1,8 @@
-#include "graph/p4_free.h"
+#include "oracle/p4_free.h"
 
 #include <vector>
 
-namespace dbim {
+namespace dbim::testing {
 
 namespace {
 
@@ -70,4 +70,4 @@ std::vector<uint32_t> FindInducedP4(const SimpleGraph& g) {
   return {};
 }
 
-}  // namespace dbim
+}  // namespace dbim::testing

@@ -1,10 +1,10 @@
-#ifndef DBIM_GRAPH_P4_FREE_H_
-#define DBIM_GRAPH_P4_FREE_H_
+#ifndef DBIM_TESTS_ORACLE_P4_FREE_H_
+#define DBIM_TESTS_ORACLE_P4_FREE_H_
 
 #include <cstddef>
 #include "graph/graph.h"
 
-namespace dbim {
+namespace dbim::testing {
 
 /// Whether `g` is P4-free (a cograph): no induced path on four vertices.
 ///
@@ -12,7 +12,8 @@ namespace dbim {
 /// maximal consistent subsets (I_MC) under a fixed FD set is tractable
 /// exactly when every conflict graph the FD set can produce is P4-free.
 /// This checker is the executable side of that frontier: given a concrete
-/// conflict graph, it certifies membership in the tractable class.
+/// conflict graph, it certifies membership in the tractable class. It is
+/// the cograph-recognition oracle for a linear-time cotree recognizer.
 ///
 /// Uses the cotree characterization: a graph is a cograph iff every induced
 /// subgraph with >= 2 vertices is disconnected or co-disconnected, checked
@@ -24,6 +25,6 @@ bool IsP4Free(const SimpleGraph& g);
 /// tests and small graphs.
 std::vector<uint32_t> FindInducedP4(const SimpleGraph& g);
 
-}  // namespace dbim
+}  // namespace dbim::testing
 
-#endif  // DBIM_GRAPH_P4_FREE_H_
+#endif  // DBIM_TESTS_ORACLE_P4_FREE_H_
