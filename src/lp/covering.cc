@@ -42,7 +42,7 @@ class CoveringSolver {
                  const CoveringOptions& options)
       : problem_(problem), deadline_(options.deadline_seconds) {}
 
-  CoveringResult Solve() {
+  CoveringResult Solve(const std::vector<double>& root_x) {
     result_.chosen.assign(problem_.costs.size(), false);
     // Greedy incumbent.
     std::vector<bool> greedy = GreedyCover();
@@ -50,7 +50,7 @@ class CoveringSolver {
     best_value_ = Weight(greedy);
 
     std::vector<char> var_state(problem_.costs.size(), 0);
-    Recurse(var_state, problem_.sets, 0.0);
+    Recurse(var_state, problem_.sets, 0.0, &root_x);
 
     result_.value = best_value_;
     result_.chosen = best_cover_;
@@ -103,9 +103,11 @@ class CoveringSolver {
   }
 
   // `sets` holds the still-uncovered sets with excluded variables intact
-  // (they are skipped during propagation).
+  // (they are skipped during propagation). `root_x`, at the root only, is
+  // the relaxation's optimum (see SolveCoveringIlp), and null elsewhere.
   void Recurse(std::vector<char> var_state,
-               std::vector<std::vector<uint32_t>> sets, double cost) {
+               std::vector<std::vector<uint32_t>> sets, double cost,
+               const std::vector<double>* root_x) {
     ++result_.bb_nodes;
     if (deadline_.Expired()) {
       result_.optimal = false;
@@ -157,16 +159,25 @@ class CoveringSolver {
     }
 
     // LP bound + branching variable (most fractional, ties by cost).
-    const LpModel relaxation = BuildRelaxation(problem_, var_state, sets);
-    const LpSolution lp = SolveLp(relaxation);
-    if (lp.status == LpStatus::kInfeasible) return;
     double lower = cost;
     std::vector<double> x_full(var_state.size(), 0.0);
-    if (lp.status == LpStatus::kOptimal) {
-      lower += lp.objective;
-      int k = 0;
+    if (root_x != nullptr) {
       for (uint32_t v = 0; v < var_state.size(); ++v) {
-        if (var_state[v] == 0) x_full[v] = lp.x[static_cast<size_t>(k++)];
+        if (var_state[v] != 0) continue;
+        x_full[v] = (*root_x)[v];
+        lower += problem_.costs[v] * x_full[v];
+      }
+    } else {
+      const LpModel relaxation = BuildRelaxation(problem_, var_state, sets);
+      const LpSolution lp = SolveLp(relaxation);
+      ++result_.lp_solves;
+      if (lp.status == LpStatus::kInfeasible) return;
+      if (lp.status == LpStatus::kOptimal) {
+        lower += lp.objective;
+        int k = 0;
+        for (uint32_t v = 0; v < var_state.size(); ++v) {
+          if (var_state[v] == 0) x_full[v] = lp.x[static_cast<size_t>(k++)];
+        }
       }
     }
     if (lower >= best_value_ - kEps) return;
@@ -195,12 +206,12 @@ class CoveringSolver {
     {
       std::vector<char> state = var_state;
       state[branch] = 1;
-      Recurse(std::move(state), sets, cost + problem_.costs[branch]);
+      Recurse(std::move(state), sets, cost + problem_.costs[branch], nullptr);
     }
     {
       std::vector<char> state = var_state;
       state[branch] = 2;
-      Recurse(std::move(state), std::move(sets), cost);
+      Recurse(std::move(state), std::move(sets), cost, nullptr);
     }
   }
 
@@ -214,7 +225,9 @@ class CoveringSolver {
 }  // namespace
 
 CoveringResult SolveCoveringIlp(const CoveringProblem& problem,
+                                const std::vector<double>& root_x,
                                 const CoveringOptions& options) {
+  DBIM_CHECK(root_x.size() == problem.costs.size());
   for (const auto& set : problem.sets) {
     DBIM_CHECK(!set.empty());
     DBIM_CHECK(std::is_sorted(set.begin(), set.end()));
@@ -225,7 +238,7 @@ CoveringResult SolveCoveringIlp(const CoveringProblem& problem,
     return r;
   }
   CoveringSolver solver(problem, options);
-  return solver.Solve();
+  return solver.Solve(root_x);
 }
 
 LpSolution SolveCoveringLpRelaxation(const CoveringProblem& problem) {

@@ -32,6 +32,7 @@ struct CoveringResult {
   std::vector<bool> chosen;
   bool optimal = true;
   size_t bb_nodes = 0;
+  size_t lp_solves = 0;  // simplex runs, the root's never among them
 };
 
 /// Exact 0/1 covering via branch & bound: unit-propagation of singleton
@@ -39,7 +40,13 @@ struct CoveringResult {
 /// on the most fractional LP variable. This is the general I_R solver for
 /// denial constraints with minimal witnesses of any size; the vertex-cover
 /// solver is the specialized (and faster) path when all sets have size two.
+/// `root_x` is an optimal solution of the problem's LP relaxation
+/// (SolveCoveringLpRelaxation), the root node's bound: at the root, unit
+/// propagation forces only the singleton sets' variables, which the
+/// relaxation sets to 1 too, so its other variables solve the root's own
+/// LP and the root runs no simplex of its own.
 CoveringResult SolveCoveringIlp(const CoveringProblem& problem,
+                                const std::vector<double>& root_x,
                                 const CoveringOptions& options = {});
 
 /// The LP relaxation of the same instance (the definition of I_lin_R).

@@ -18,7 +18,8 @@ std::pair<double, std::vector<bool>> SolveRepair(MeasureContext& context,
   if (cg.HasHyperedges()) {
     CoveringOptions options;
     options.deadline_seconds = deadline_seconds;
-    CoveringResult ilp = SolveCoveringIlp(cg.ToCovering(), options);
+    CoveringResult ilp = SolveCoveringIlp(
+        cg.ToCovering(), context.fractional_cover().x, options);
     return {ilp.value, std::move(ilp.chosen)};
   }
   VertexCoverOptions options;

@@ -298,8 +298,9 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
   if (PoolWasteLocked() > waste_threshold) {
     // Re-intern every registered database into one fresh pool, in handle
     // order: values shared across databases are interned once, dead
-    // entries are dropped. FactId-keyed violation state and the
-    // semantic-hash blocking buckets survive untouched.
+    // entries are dropped. FactId-keyed violation state survives
+    // untouched; each index's class-keyed buckets are rebuilt by its next
+    // Apply.
     auto fresh = std::make_shared<ValuePool>();
     for (auto& state : handles_) {
       if (state != nullptr) state->db.ReinternInto(fresh);

@@ -19,14 +19,12 @@ double SoftRepairMeasure::Evaluate(MeasureContext& context) const {
   }
 
   if (problem.sets.empty()) return 0.0;
-  if (options_.relaxed) {
-    const LpSolution lp = SolveCoveringLpRelaxation(problem);
-    DBIM_CHECK(lp.status == LpStatus::kOptimal);
-    return lp.objective;
-  }
+  const LpSolution lp = SolveCoveringLpRelaxation(problem);
+  DBIM_CHECK(lp.status == LpStatus::kOptimal);
+  if (options_.relaxed) return lp.objective;
   CoveringOptions covering_options;
   covering_options.deadline_seconds = options_.deadline_seconds;
-  return SolveCoveringIlp(problem, covering_options).value;
+  return SolveCoveringIlp(problem, lp.x, covering_options).value;
 }
 
 }  // namespace dbim

@@ -68,13 +68,10 @@ class NeighborhoodProbe {
       BlockingKeys keys = ExtractBlockingKeys(dc);
       BinaryState state{
           &eval,
-          {KeyBuckets{dc.var_relation(0), std::move(keys.var0), {}},
-           KeyBuckets{dc.var_relation(1), std::move(keys.var1), {}}}};
+          {KeyBuckets(dc.var_relation(0), std::move(keys.var0)),
+           KeyBuckets(dc.var_relation(1), std::move(keys.var1))}};
       for (KeyBuckets& side : state.buckets) {
-        const Database::RelationBlock& rel = db.relation_block(side.relation);
-        for (uint32_t row = 0; row < rel.num_rows(); ++row) {
-          side.Add(db.pool(), RowRef{&rel, row});
-        }
+        side.Build(db.relation_block(side.relation()));
       }
       binary_.push_back(std::move(state));
     }
@@ -132,18 +129,17 @@ class NeighborhoodProbe {
   };
 
   /// Violating partners of f under one binary constraint, both variable
-  /// orientations. Bucket collisions are rejected by BodyHolds, exactly
-  /// like the batch detector's hash blocking.
+  /// orientations.
   void CollectPartners(const BinaryState& state, FactId f, RelationId frel,
                        const RowRef& fr, std::vector<FactId>* out) {
     const DenialConstraint& dc = state.eval->dc();
     for (uint32_t var = 0; var < 2; ++var) {
       if (dc.var_relation(var) != frel) continue;
       const uint32_t other = 1 - var;
-      const std::vector<FactId>* bucket = state.buckets[other].Find(
-          state.buckets[var].Hash(db_.pool(), fr));
-      if (bucket == nullptr) continue;
-      for (const FactId g : *bucket) {
+      const KeyBuckets& partners = state.buckets[other];
+      const uint32_t b = partners.Find(fr, state.buckets[var].attrs());
+      if (b == KeyBuckets::kNone) continue;
+      for (const FactId g : partners.facts(b)) {
         if (g == f) continue;
         RowRef assignment[2];
         assignment[var] = fr;

@@ -16,7 +16,7 @@ namespace {
 
 // The detector is a *driver* over the shared eval kernel
 // (violations/eval_kernel.h): predicate plans, interned-row evaluation,
-// blocking-key hashing and the k-ary enumeration all live there, shared
+// blocking buckets and the k-ary enumeration all live there, shared
 // with the incremental index. What remains here is the batch pipeline —
 // pass structure, its three fan-outs and the ordered merges that make
 // results bit-identical for every thread count. Detection always runs to
@@ -63,8 +63,8 @@ struct ProbeUnit {
   uint32_t plan = 0;
   size_t offset = 0;
   uint32_t rows = 0;
-  uint64_t key = 0;
-  const std::vector<FactId>* facts = nullptr;
+  uint32_t bucket = 0;
+  FactSpan facts;
   const ClassSplit* split = nullptr;
 };
 
@@ -106,11 +106,12 @@ void ProbeSlice(const ProbePlan& plan, const ProbeUnit& unit, size_t lo,
     });
     return;
   }
-  const WitnessIndex::Partners at = index.FindPartners(plan.dci, 0, unit.key);
+  const WitnessIndex::Partners at =
+      index.FindPartners(plan.dci, 0, unit.bucket);
   if (at.empty()) return;
   const bool same_relation = plan.r0 == plan.r1;
   for (size_t k = lo; k < hi; ++k) {
-    const FactId a = (*unit.facts)[k];
+    const FactId a = unit.facts[k];
     if (excluded(a)) continue;
     const uint32_t i = db.Locate(a).row;
     index.ForEachPartner(db, at, RowRef{plan.r0, i}, [&](FactId b) {
@@ -257,19 +258,19 @@ WitnessStore ViolationDetector::Detect(const Database& db,
       const WitnessIndex::DcPlan& blocking = probe_index.plan(plan.dci);
       plan.symmetric = blocking.symmetric;
       if (const auto* splits = probe_index.PairSplits(plan.dci)) {
-        for (const auto& [key, split] : *splits) {
-          if (split.one_class()) continue;
+        for (const ClassSplit& split : *splits) {
+          if (split.members.empty() || split.one_class()) continue;
           unit.split = &split;
           unit.rows = static_cast<uint32_t>(split.members.size());
           add(unit);
         }
         continue;
       }
-      for (const auto& [key, facts] :
-           probe_index.group(blocking.group[0]).buckets) {
-        unit.key = key;
-        unit.facts = &facts;
-        unit.rows = static_cast<uint32_t>(facts.size());
+      const KeyBuckets& group = probe_index.group(blocking.group[0]);
+      for (uint32_t b = 0; b < group.bucket_bound(); ++b) {
+        unit.bucket = b;
+        unit.facts = group.facts(b);
+        unit.rows = unit.facts.size;
         add(unit);
       }
     }

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/parallel.h"
@@ -16,7 +15,7 @@ namespace dbim {
 
 /// The constraint-evaluation kernel shared by the batch ViolationDetector
 /// and the IncrementalViolationIndex: predicate evaluation, blocking-key
-/// hashing and witness enumeration, all expressed over interned `ValueId`
+/// buckets and witness enumeration, all expressed over interned `ValueId`
 /// columns. Every witness either evaluator ever reports flows through this
 /// one core, which is what keeps batch detection, per-fact incremental
 /// probes and anchored k-ary re-enumeration bit-for-bit consistent.
@@ -189,62 +188,107 @@ void EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
   }
 }
 
-/// FNV-1a over the pool's semantic *value* hashes of `attrs` of one row:
-/// the blocking-key hash of every bucket. The hash is a function of the
-/// Value, not the id, so it is stable across a shared-pool re-intern, and
-/// ids of one semantic class hash alike, so binding the class column (as
-/// RowRef does) and binding the exact column agree.
-inline uint64_t HashPoolValues(const ValuePool& pool, const RowRef& r,
-                               const std::vector<AttrIndex>& attrs) {
-  uint64_t h = 1469598103934665603ull;
-  for (const AttrIndex a : attrs) {
-    h ^= static_cast<uint64_t>(pool.hash(r.class_at(a)));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// A read-only view of one bucket's facts, in insertion order. Valid
+/// until the next Add, Remove or Build of its KeyBuckets.
+struct FactSpan {
+  const FactId* data = nullptr;
+  uint32_t size = 0;
 
-/// Persistent equality-key buckets: the live facts of `relation` keyed by
-/// the HashPoolValues hash of their `attrs` cells. Keys hash semantic
-/// values, so the buckets survive a shared-pool vacuum/re-intern; bucket
-/// order is insertion order (Remove preserves it), so probes stay
-/// deterministic. With no attrs every fact shares one bucket. The one
-/// bucket type behind the witness index's bucket groups (detector and
-/// incremental index alike), KAryBlockingIndex and the sampling
-/// estimators' neighborhood probe.
-struct KeyBuckets {
-  RelationId relation = 0;
-  std::vector<AttrIndex> attrs;
-  std::unordered_map<uint64_t, std::vector<FactId>> buckets;
+  const FactId* begin() const { return data; }
+  const FactId* end() const { return data + size; }
+  bool empty() const { return size == 0; }
+  FactId front() const { return data[0]; }
+  FactId operator[](size_t i) const { return data[i]; }
+};
 
-  uint64_t Hash(const ValuePool& pool, const RowRef& row) const {
-    return HashPoolValues(pool, row, attrs);
+/// Equality-key buckets: the live facts of `relation()` keyed by the class
+/// ids their `attrs()` cells hold. Class ids are exact (equal iff the
+/// values are equal, across relations too, and 1 equals 1.0), so a bucket
+/// holds exactly the facts whose key values are equal, with no hash
+/// collisions. Buckets have dense ids below bucket_bound(); an empty one is
+/// free and reused by the next new key. A flat open-addressing table finds
+/// a key's bucket, a one-fact bucket holds its fact inline, and a larger
+/// one holds a vector of its facts in insertion order (Remove preserves
+/// it), so probes stay deterministic. With no attrs every fact shares one
+/// bucket. Keys belong to one pool generation: after a vacuum re-interns
+/// the database the owner rebuilds the buckets. The one bucket type behind
+/// the witness index's bucket groups (detector and incremental index
+/// alike), KAryBlockingIndex and the sampling estimators' neighborhood
+/// probe.
+class KeyBuckets {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  KeyBuckets(RelationId relation, std::vector<AttrIndex> attrs)
+      : relation_(relation), attrs_(std::move(attrs)) {}
+
+  RelationId relation() const { return relation_; }
+  const std::vector<AttrIndex>& attrs() const { return attrs_; }
+
+  /// Replaces the contents with the rows of `block`: one stable radix sort
+  /// of the rows on their key classes, O(rows) per class digit, lays every
+  /// bucket out at its exact size in row order, with bucket ids ascending
+  /// in key order. With `bucket_of_row`, also records each row's bucket.
+  void Build(const Database::RelationBlock& block,
+             std::vector<uint32_t>* bucket_of_row = nullptr);
+
+  /// The bucket whose key is the classes `row` holds at `row_attrs` (as
+  /// many as attrs(): a partner side's key attributes), or kNone.
+  uint32_t Find(const RowRef& row,
+                const std::vector<AttrIndex>& row_attrs) const;
+  uint32_t Find(const RowRef& row) const { return Find(row, attrs_); }
+  /// The bucket of the key `key` (attrs().size() class ids), or kNone.
+  uint32_t FindKey(const ValueId* key) const;
+
+  FactSpan facts(uint32_t b) const {
+    const Bucket& bucket = buckets_[b];
+    return {bucket.size == 1 ? &bucket.one : bucket.many.data(), bucket.size};
   }
-  /// Facts whose key tuple hashes to `hash`; nullptr when none. Collisions
-  /// are possible — callers re-check the body's equality predicates, as
-  /// everywhere else in the kernel.
-  const std::vector<FactId>* Find(uint64_t hash) const {
-    const auto it = buckets.find(hash);
-    return it == buckets.end() ? nullptr : &it->second;
+  /// Bucket b's key: attrs().size() class ids.
+  const ValueId* key(uint32_t b) const {
+    return keys_.data() + size_t{b} * attrs_.size();
   }
-  void Add(const ValuePool& pool, const RowRef& row) {
-    Add(Hash(pool, row), row.fact_id());
+  uint32_t bucket_bound() const {
+    return static_cast<uint32_t>(buckets_.size());
   }
-  /// Adds `id` under its key hash `hash`; returns its bucket.
-  const std::vector<FactId>& Add(uint64_t hash, FactId id) {
-    std::vector<FactId>& bucket = buckets[hash];
-    bucket.push_back(id);
-    return bucket;
+  /// Non-empty buckets.
+  size_t num_keys() const { return num_keys_; }
+
+  /// Appends the fact of `row` to its key's bucket, opening the bucket if
+  /// the key is new; returns the bucket.
+  uint32_t Add(const RowRef& row);
+  /// Removes the fact of `row` from its bucket; returns the bucket, free
+  /// if it emptied. Must run before the fact's cells change: the key is
+  /// read from them.
+  uint32_t Remove(const RowRef& row);
+
+ private:
+  struct Bucket {
+    uint32_t size = 0;
+    FactId one = 0;             // size == 1
+    std::vector<FactId> many;   // size >= 2
+  };
+
+  // The first slot on the linear probe sequence of the key whose i-th
+  // class is key_at(i) that `stop` accepts; the table is at most half
+  // full, so every sequence ends.
+  template <typename KeyAt, typename Stop>
+  size_t Probe(const KeyAt& key_at, const Stop& stop) const;
+  template <typename KeyAt>
+  uint32_t Lookup(const KeyAt& key_at) const;
+  auto KeyOf(uint32_t b) const {
+    return [k = key(b)](size_t i) { return k[i]; };
   }
-  /// Must run before the fact's cells change: the key is recomputed from
-  /// them.
-  void Remove(const ValuePool& pool, const RowRef& row) {
-    Remove(Hash(pool, row), row.fact_id());
-  }
-  /// Removes `id` from under its key hash `hash`; returns what is left of
-  /// its bucket, nullptr when nothing is (the bucket is then erased).
-  const std::vector<FactId>* Remove(uint64_t hash, FactId id);
-  size_t num_keys() const { return buckets.size(); }
+  // A table of at least twice `keys` slots, holding every non-empty bucket.
+  void Rehash(size_t keys);
+
+  RelationId relation_;
+  std::vector<AttrIndex> attrs_;
+  std::vector<Bucket> buckets_;
+  std::vector<ValueId> keys_;        // bucket b's key at b * attrs_.size()
+  std::vector<uint32_t> table_;      // bucket ids, kNone where free
+  std::vector<uint32_t> free_ids_;   // empty buckets
+  size_t num_keys_ = 0;
 };
 
 /// Equality-key buckets for anchored probes of one k-ary (>= 3 variable)
@@ -254,13 +298,16 @@ struct KeyBuckets {
 /// bound t_u enumerates t_v's matching bucket instead of the full
 /// relation. Distinct pairs whose (relation, v-side attribute list)
 /// coincide share one bucket group — a chain constraint's (0,1)/(1,0)
-/// pairs cost one map, not two. A constraint without cross-variable
+/// pairs cost one group, not two. A constraint without cross-variable
 /// equalities gets an index with no groups, under which the anchored
 /// enumeration scans every variable's relation.
 class KAryBlockingIndex {
  public:
   explicit KAryBlockingIndex(const DenialConstraint& dc);
 
+  /// Replaces every bucket group's contents with `db`'s live facts, one
+  /// KeyBuckets::Build per group.
+  void Build(const Database& db);
   /// Enters/removes `id` in every bucket group over its relation. Remove
   /// must run before the fact's values change (the key is recomputed from
   /// the current cells) — the incremental index's bucket discipline.
@@ -314,7 +361,6 @@ void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
   const DenialConstraint& dc = eval.dc();
   const size_t k = dc.num_vars();
   const Database::RowLocation anchor_loc = db.Locate(anchor);
-  const ValuePool& pool = db.pool();
   const std::vector<Predicate>& preds = dc.predicates();
   std::vector<const Database::RelationBlock*> rels(k);
   for (uint32_t v = 0; v < k; ++v) {
@@ -381,18 +427,17 @@ void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
         if (viable(step)) self(self, step + 1);
       };
       // Prune through the first bound partner carrying an equality key:
-      // only rows whose key tuple hashes like the partner's can satisfy
-      // the body (the equality predicates re-checked by `viable` reject
-      // hash collisions).
+      // only rows whose key values equal the partner's can satisfy the
+      // body.
       for (size_t s = 0; s < step; ++s) {
         const size_t u = order[s];
         const int group = index.group_of(var, u);
         if (group < 0) continue;
-        const uint64_t target = HashPoolValues(
-            pool, assignment[u], index.pair_keys(var, u).u_attrs);
-        const std::vector<FactId>* bucket = index.group(group).Find(target);
-        if (bucket != nullptr) {
-          for (const FactId id : *bucket) try_row(db.Locate(id).row);
+        const KeyBuckets& buckets = index.group(group);
+        const uint32_t b =
+            buckets.Find(assignment[u], index.pair_keys(var, u).u_attrs);
+        if (b != KeyBuckets::kNone) {
+          for (const FactId id : buckets.facts(b)) try_row(db.Locate(id).row);
         }
         return;
       }

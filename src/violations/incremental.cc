@@ -41,10 +41,16 @@ void IncrementalViolationIndex::BuildInitialState(
   // One witness index build, probed by the initial detection and then
   // maintained by Apply; the store that detection fills is the one Apply
   // maintains.
-  witness_.Build(*db_, build_options.num_threads);
-  if (has_kary_) db_->ForEachId([&](FactId id) { AddToKAryIndexes(id); });
+  BuildIndexes(build_options.num_threads);
   store_ = ViolationDetector(schema_, constraints_, build_options)
                .FindWitnesses(*db_, witness_);
+}
+
+void IncrementalViolationIndex::BuildIndexes(size_t num_threads) {
+  witness_.Build(*db_, num_threads);
+  for (const auto& index : kary_indexes_) {
+    if (index != nullptr) index->Build(*db_);
+  }
 }
 
 void IncrementalViolationIndex::BuildDispatchTables() {
@@ -81,9 +87,9 @@ void IncrementalViolationIndex::BuildDispatchTables() {
         push_unique(binary_by_rel_[dc.var_relation(side)], c);
       }
       // A watch probe per distinct (probe group, partner group) on the
-      // probing relation: ops hash each probe group's key once and a
-      // non-empty partner bucket at that key marks every constraint in
-      // the probe a candidate. The partner bucket doubles as the watcher
+      // probing relation: a partner bucket at the op's key in the probe
+      // group's attributes marks every constraint in the probe a
+      // candidate. The partner bucket doubles as the watcher
       // list — no registration state, presence is the watch.
       for (int probe_side = 0; probe_side < 2; ++probe_side) {
         const uint32_t own = static_cast<uint32_t>(state.group[probe_side]);
@@ -106,15 +112,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
       }
       kary_indexes_[c] = std::make_unique<KAryBlockingIndex>(dc);
     }
-  }
-
-  // Order each relation's watch probes by probe group so the per-op probe
-  // computes each distinct key hash exactly once.
-  for (auto& probes : watch_probes_by_rel_) {
-    std::stable_sort(probes.begin(), probes.end(),
-                     [](const WatchProbe& a, const WatchProbe& b) {
-                       return a.probe_group < b.probe_group;
-                     });
   }
 }
 
@@ -192,8 +189,6 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
         hits.push_back(other);
         store_.Admit({std::min(id, other), std::max(id, other)});
       };
-      // Hash collisions are rejected by the body check (the body contains
-      // the key equalities), on interned class ids only.
       witness_.ForEachPartner(*db_, c, side, self, try_partner);
       if (side == 0 && !state.symmetric) {
         std::sort(hits.begin(), hits.end());
@@ -204,24 +199,21 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
     stats_[c].fires += hits.size();
   };
 
-  // Watched dispatch: one key hash per distinct probe group over the
-  // relation, then one partner-bucket presence check per watch probe. A
-  // non-empty bucket at the key means the probe's constraints have a live
-  // partner there; everything else is skipped. A keyless constraint's
-  // partner bucket is its whole partner relation, so it is a candidate
-  // whenever that relation holds another fact. A constraint the watch
-  // probes skip would have found only empty buckets — identical results,
-  // less work.
+  // Watched dispatch: one partner-bucket presence check per watch probe,
+  // at the key the fact holds in the probe group's attributes. A bucket at
+  // the key means the probe's constraints have a live partner there;
+  // everything else is skipped. A keyless constraint's partner bucket is
+  // its whole partner relation, so it is a candidate whenever that
+  // relation holds another fact. A constraint the watch probes skip would
+  // have found only empty buckets — identical results, less work.
   std::vector<uint32_t>& candidates = probe_candidates_;
   candidates.clear();
-  uint64_t h = 0;
-  uint32_t hashed_group = UINT32_MAX;
   for (const WatchProbe& probe : watch_probes_by_rel_[loc.relation]) {
-    if (probe.probe_group != hashed_group) {
-      h = witness_.group(probe.probe_group).Hash(db_->pool(), self);
-      hashed_group = probe.probe_group;
+    if (witness_.group(probe.partner_group)
+            .Find(self, witness_.group(probe.probe_group).attrs()) ==
+        KeyBuckets::kNone) {
+      continue;
     }
-    if (witness_.group(probe.partner_group).Find(h) == nullptr) continue;
     candidates.insert(candidates.end(), probe.constraints.begin(),
                       probe.constraints.end());
   }
@@ -286,7 +278,7 @@ void IncrementalViolationIndex::ProbeFact(const std::vector<DcEval>& evals,
 std::optional<FactId> IncrementalViolationIndex::Apply(
     const RepairOperation& op) {
   if (!op.IsApplicable(*db_)) return std::nullopt;
-  if (witness_.stale(db_->pool())) witness_.RebuildPartnerIndexes(*db_);
+  if (witness_.stale(db_->pool())) BuildIndexes(1);
   if (op.is_deletion()) {
     const FactId id = op.deletion().id;
     store_.RemoveInvolving(id);

@@ -71,11 +71,10 @@ struct IncrementalDispatchStats {
 ///    candidates minimality-filtered by the same WitnessStore::AdmitKAry
 ///    the batch detector's pass 3 runs.
 ///
-/// Every bucket keys on HashPoolValues — the *semantic value* of the
-/// blocking attributes, not raw ValueIds — so the buckets survive a
-/// shared-pool vacuum/re-intern (see MeasureSession::Vacuum) untouched.
-/// The partner indexes inside them hold class ids; the first Apply after
-/// the pool's generation moves rebuilds them from the buckets.
+/// The buckets and partner indexes key on class ids, which a shared-pool
+/// vacuum/re-intern (see MeasureSession::Vacuum) reassigns: the first
+/// Apply after the pool's generation moves builds every index again from
+/// the database, in one call (BuildIndexes).
 ///
 /// MI itself lives in a WitnessStore (violations/violation.h): the index
 /// adopts the store its initial detection filled, with every subset's
@@ -168,8 +167,8 @@ class IncrementalViolationIndex {
 
   /// Test hook: whether the maintained watch state is exactly what a
   /// from-scratch rebuild would produce — the witness index passes
-  /// WitnessIndex::CheckInvariant (partner indexes a vacuum left stale,
-  /// rebuilt by the next Apply, are not compared), and every (binary
+  /// WitnessIndex::CheckInvariant (of an index a vacuum left stale,
+  /// rebuilt by the next Apply, only bucket membership), and every (binary
   /// constraint, probe side) is covered by exactly one watch probe with
   /// its own and its partner's bucket group. On failure fills `*error`
   /// and returns false.
@@ -177,13 +176,13 @@ class IncrementalViolationIndex {
 
  private:
   // One watched-dispatch probe per distinct (probe group, partner group)
-  // pair over a relation: an op on that relation hashes its key
-  // attributes once per probe group (the probing side's own bucket group,
-  // whose attrs are its key), and a non-empty partner bucket at that key
-  // is precisely "some fact can pair with the changed one under these
-  // constraints" — the listed constraints become probe candidates,
-  // everything else is skipped. The shared bucket doubles as the watcher
-  // list: no registration state to maintain, presence IS the watch.
+  // pair over a relation: an op on that relation reads its key in the
+  // probe group's attributes (the probing side's own bucket group), and a
+  // partner bucket at that key is precisely "some fact can pair with the
+  // changed one under these constraints" — the listed constraints become
+  // probe candidates, everything else is skipped. The shared bucket
+  // doubles as the watcher list: no registration state to maintain,
+  // presence IS the watch.
   struct WatchProbe {
     uint32_t probe_group;
     uint32_t partner_group;
@@ -191,6 +190,9 @@ class IncrementalViolationIndex {
   };
 
   void BuildInitialState(const DetectorOptions& build_options);
+  // Bulk-builds the witness index and the k-ary pruning indexes from the
+  // database, against its current pool.
+  void BuildIndexes(size_t num_threads);
   // Per-relation dispatch tables, watch probes and the k-ary pruning
   // indexes. Pure derivation from constraints_ and the witness index's
   // plans; called once before facts enter the indexes.
@@ -239,8 +241,7 @@ class IncrementalViolationIndex {
   WitnessIndex witness_;
 
   // --- watched dispatch ---
-  // rel -> watch probes, ordered by probe group so the probe hashes each
-  // distinct key shape once per op.
+  // rel -> watch probes.
   std::vector<std::vector<WatchProbe>> watch_probes_by_rel_;
 
   // --- anchored pruning (non-null exactly for the k-ary constraints) ---

@@ -1,10 +1,12 @@
 #include "violations/witness_index.h"
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 #include "common/string_util.h"
 
 namespace dbim {
@@ -69,17 +71,30 @@ bool SwapSymmetric(const DenialConstraint& dc) {
 MinMaxTable::MinMaxTable(std::vector<uint32_t> keys)
     : keys_(std::move(keys)) {
   const size_t n = keys_.size();
+  const size_t size = n < 2 ? 0 : Offset(FloorLog2(n) + 1);
   // Level L's window at i is the better of level L - 1's windows at i and
-  // i + 2^(L-1); level 0's window at i is position i itself.
-  auto build = [&](std::vector<std::vector<uint32_t>>& table, auto better) {
-    for (size_t level = 1; (size_t{1} << level) <= n; ++level) {
+  // i + 2^(L-1), which lie n - 2^(L-1) + 1 slots back; level 0's window at
+  // i is position i itself. The windows' extreme keys ride along level by
+  // level, so the loop reads no key by position and vectorizes.
+  auto build = [&](std::vector<uint32_t>& table, auto better) {
+    table.resize(size);
+    std::vector<uint32_t> prev_key(keys_);
+    std::vector<uint32_t> cur_key(n);
+    for (size_t level = 1; Offset(level) < size; ++level) {
       const size_t half = size_t{1} << (level - 1);
-      std::vector<uint32_t>& cur = table.emplace_back(n - 2 * half + 1);
-      for (size_t i = 0; i < cur.size(); ++i) {
-        const size_t a = level == 1 ? i : table[level - 2][i];
-        const size_t b = level == 1 ? i + half : table[level - 2][i + half];
-        cur[i] = static_cast<uint32_t>(better(keys_[b], keys_[a]) ? b : a);
+      uint32_t* cur = table.data() + Offset(level);
+      const uint32_t* prev = level == 1 ? nullptr : cur - (n - half + 1);
+      const uint32_t* pk = prev_key.data();
+      uint32_t* ck = cur_key.data();
+      for (size_t i = 0; i + 2 * half <= n; ++i) {
+        const uint32_t a = level == 1 ? static_cast<uint32_t>(i) : prev[i];
+        const uint32_t b =
+            level == 1 ? static_cast<uint32_t>(i + half) : prev[i + half];
+        const bool take_b = better(pk[i + half], pk[i]);
+        cur[i] = take_b ? b : a;
+        ck[i] = take_b ? pk[i + half] : pk[i];
       }
+      prev_key.swap(cur_key);
     }
   };
   build(min_, [](uint32_t x, uint32_t y) { return x < y; });
@@ -87,22 +102,26 @@ MinMaxTable::MinMaxTable(std::vector<uint32_t> keys)
 }
 
 bool MinMaxTable::WellFormed(const std::vector<uint32_t>& keys) const {
-  if (keys_ != keys) return false;
   const size_t n = keys.size();
-  const size_t levels = n == 0 ? 0 : FloorLog2(n);
-  if (min_.size() != levels || max_.size() != levels) return false;
-  for (size_t level = 1; level <= levels; ++level) {
+  const size_t size = n < 2 ? 0 : Offset(FloorLog2(n) + 1);
+  if (keys_ != keys || min_.size() != size || max_.size() != size) {
+    return false;
+  }
+  // Each window names a position inside it holding the better key of the
+  // two windows of the level below.
+  for (size_t level = 1; Offset(level) < size; ++level) {
     const size_t half = size_t{1} << (level - 1);
     for (const bool is_max : {false, true}) {
-      const auto& table = is_max ? max_ : min_;
-      if (table[level - 1].size() != n - 2 * half + 1) return false;
-      for (size_t i = 0; i < table[level - 1].size(); ++i) {
-        const size_t a = level == 1 ? i : table[level - 2][i];
-        const size_t b = level == 1 ? i + half : table[level - 2][i + half];
+      const uint32_t* cur = (is_max ? max_ : min_).data() + Offset(level);
+      const uint32_t* prev = level == 1 ? nullptr : cur - (n - half + 1);
+      for (size_t i = 0; i + 2 * half <= n; ++i) {
+        const size_t a = level == 1 ? i : prev[i];
+        const size_t b = level == 1 ? i + half : prev[i + half];
         const uint32_t want = is_max ? std::max(keys[a], keys[b])
                                      : std::min(keys[a], keys[b]);
-        const uint32_t got = table[level - 1][i];
-        if (got < i || got >= i + 2 * half || keys[got] != want) return false;
+        if (cur[i] < i || cur[i] >= i + 2 * half || keys[cur[i]] != want) {
+          return false;
+        }
       }
     }
   }
@@ -176,30 +195,54 @@ bool OrderRuns::Unranked(const ValuePool& pool, const Entry& e) const {
 }
 
 OrderRuns::Run OrderRuns::BuildRun(const ValuePool& pool,
-                                   std::vector<Entry> entries) const {
+                                   const std::vector<Entry>& entries) const {
   Run run;
   const size_t n = entries.size();
   std::vector<uint32_t> ranks[2];
-  std::vector<std::pair<ValueId, uint32_t>> by_class(n);  // (class, position)
+  // The positions, ascending, sorted stably on key k's class.
+  std::vector<uint32_t> by_class(n);
+  std::vector<uint32_t> scratch;
   for (size_t k = 0; k < num_keys_; ++k) {
-    for (size_t i = 0; i < n; ++i) {
-      by_class[i] = {entries[i].key[k], static_cast<uint32_t>(i)};
-    }
-    std::sort(by_class.begin(), by_class.end());
+    std::iota(by_class.begin(), by_class.end(), 0u);
+    StableRadixSort(by_class, scratch,
+                    [&](uint32_t i) { return entries[i].key[k]; });
     // The distinct classes, each with where its stretch of by_class ends.
     std::vector<Bound> of_class;
     std::vector<uint32_t> class_end;
     for (size_t i = 0; i < n; ++i) {
-      if (i + 1 == n || by_class[i + 1].first != by_class[i].first) {
-        of_class.push_back(BoundOf(pool, by_class[i].first));
+      const ValueId c = entries[by_class[i]].key[k];
+      if (i + 1 == n || entries[by_class[i + 1]].key[k] != c) {
+        of_class.push_back(BoundOf(pool, c));
+        if (of_class.back().rank == 1 && std::isnan(of_class.back().number)) {
+          return Run();  // a NaN key: no run holds it
+        }
         class_end.push_back(static_cast<uint32_t>(i + 1));
       }
     }
     std::vector<uint32_t> by_value(of_class.size());
     std::iota(by_value.begin(), by_value.end(), 0u);
-    std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
-      return Less(pool, of_class[a], of_class[b]);
-    });
+    if (std::all_of(of_class.begin(), of_class.end(),
+                    [](const Bound& b) { return b.rank < 2; })) {
+      // Nulls and numbers: a radix sort on an order-preserving image of
+      // the double, below which null sits at 0.
+      std::vector<uint64_t> image(of_class.size(), 0);
+      for (size_t c = 0; c < of_class.size(); ++c) {
+        uint64_t bits;
+        std::memcpy(&bits, &of_class[c].number, sizeof bits);
+        if (of_class[c].rank == 1) {
+          image[c] = bits >> 63 ? ~bits : bits | uint64_t{1} << 63;
+        }
+      }
+      for (const int shift : {0, 32}) {
+        StableRadixSort(by_value, scratch, [&](uint32_t c) {
+          return static_cast<uint32_t>(image[c] >> shift);
+        });
+      }
+    } else {
+      std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
+        return Less(pool, of_class[a], of_class[b]);
+      });
+    }
     // One rank per tie class of OrderKeyLess, represented by its first
     // class.
     std::vector<Bound>& bounds = run.bounds[k];
@@ -210,7 +253,7 @@ OrderRuns::Run OrderRuns::BuildRun(const ValuePool& pool,
       }
       const uint32_t rank = static_cast<uint32_t>(bounds.size() - 1);
       for (uint32_t i = c == 0 ? 0 : class_end[c - 1]; i < class_end[c]; ++i) {
-        ranks[k][by_class[i].second] = rank;
+        ranks[k][by_class[i]] = rank;
       }
     }
   }
@@ -245,7 +288,9 @@ void OrderRuns::MergeFrom(const ValuePool& pool,
     }
   }
   runs_.resize(from);
-  if (!live.empty()) runs_.push_back(BuildRun(pool, std::move(live)));
+  if (live.empty()) return;
+  runs_.push_back(BuildRun(pool, live));
+  DBIM_CHECK(!runs_.back().entries.empty());  // NaN keys never reach a run
 }
 
 void OrderRuns::Assign(const ValuePool& pool, std::vector<Entry> entries) {
@@ -253,12 +298,17 @@ void OrderRuns::Assign(const ValuePool& pool, std::vector<Entry> entries) {
   dead_ = 0;
   runs_.clear();
   unranked_.clear();
-  const auto ranked = std::stable_partition(
-      entries.begin(), entries.end(),
-      [&](const Entry& e) { return !Unranked(pool, e); });
-  unranked_.assign(ranked, entries.end());
-  entries.erase(ranked, entries.end());
-  if (!entries.empty()) runs_.push_back(BuildRun(pool, std::move(entries)));
+  if (entries.empty()) return;
+  Run run = BuildRun(pool, entries);
+  if (run.entries.empty()) {  // some entry has a NaN key
+    const auto ranked = std::stable_partition(
+        entries.begin(), entries.end(),
+        [&](const Entry& e) { return !Unranked(pool, e); });
+    unranked_.assign(ranked, entries.end());
+    entries.erase(ranked, entries.end());
+    if (!entries.empty()) run = BuildRun(pool, entries);
+  }
+  if (!run.entries.empty()) runs_.push_back(std::move(run));
 }
 
 void OrderRuns::Insert(const ValuePool& pool,
@@ -365,12 +415,12 @@ WitnessIndex::WitnessIndex(const std::vector<DenialConstraint>& constraints,
     : plans_(constraints.size()), groups_by_rel_(num_relations) {
   auto group_for = [&](RelationId rel, const std::vector<AttrIndex>& attrs) {
     for (size_t g = 0; g < groups_.size(); ++g) {
-      if (groups_[g].relation == rel && groups_[g].attrs == attrs) {
+      if (groups_[g].relation() == rel && groups_[g].attrs() == attrs) {
         return static_cast<int>(g);
       }
     }
     const int g = static_cast<int>(groups_.size());
-    groups_.push_back(KeyBuckets{rel, attrs, {}});
+    groups_.emplace_back(rel, attrs);
     groups_by_rel_[rel].push_back(static_cast<uint32_t>(g));
     indexes_by_group_.emplace_back();
     return g;
@@ -455,36 +505,29 @@ void WitnessIndex::Build(const Database& db, size_t num_threads,
       if (side.index >= 0) wanted_index[side.index] = true;
     }
   }
-  std::vector<uint32_t> tasks;
-  for (uint32_t g = 0; g < groups_.size(); ++g) {
-    groups_[g].buckets.clear();
-    if (wanted_group[g]) tasks.push_back(g);
-  }
-  for (PartnerIndex& index : indexes_) {
-    index.splits.clear();
-    index.runs.clear();
-  }
   size_t id_bound = 0;
   db.ForEachId([&](FactId id) { id_bound = size_t{id} + 1; });
   stamps_.assign(id_bound, 0);
   generation_ = db.pool().generation();
 
-  // Each task writes its own group and that group's partner indexes only.
+  // Each task writes its own group and that group's partner indexes only;
+  // a group that is not wanted is built empty.
+  const Database::RelationBlock none;
   OrderedStealingFor(
       num_threads == 0 ? ThreadPool::HardwareThreads() : num_threads,
-      tasks.size(), 1,
+      groups_.size(), 1,
       [&](IndexRange range) {
-        for (size_t t = range.begin; t < range.end; ++t) {
-          KeyBuckets& group = groups_[tasks[t]];
-          const Database::RelationBlock& block =
-              db.relation_block(group.relation);
-          if (!group.attrs.empty()) group.buckets.reserve(block.num_rows());
-          for (uint32_t row = 0; row < block.num_rows(); ++row) {
-            group.Add(group.Hash(db.pool(), RowRef{&block, row}),
-                      block.row_ids[row]);
-          }
-          for (const uint32_t i : indexes_by_group_[tasks[t]]) {
-            if (wanted_index[i]) BuildPartnerIndex(db, indexes_[i]);
+        std::vector<uint32_t> bucket_of_row;
+        for (size_t g = range.begin; g < range.end; ++g) {
+          KeyBuckets& group = groups_[g];
+          group.Build(
+              wanted_group[g] ? db.relation_block(group.relation()) : none,
+              &bucket_of_row);
+          for (const uint32_t i : indexes_by_group_[g]) {
+            PartnerIndex& index = indexes_[i];
+            index.splits.clear();
+            index.runs.clear();
+            if (wanted_index[i]) BuildPartnerIndex(db, bucket_of_row, index);
           }
         }
       },
@@ -503,59 +546,85 @@ OrderRuns::Entry WitnessIndex::EntryOf(const PartnerIndex& index,
 }
 
 void WitnessIndex::BuildPartnerIndex(const Database& db,
+                                     const std::vector<uint32_t>& bucket_of_row,
                                      PartnerIndex& index) const {
-  index.splits.clear();
-  index.runs.clear();
-  for (const auto& [h, facts] : groups_[index.group].buckets) {
-    if (!index.order) {
-      if (facts.size() < 2) continue;
-      ClassSplit& split = index.splits[h];
-      split.members.reserve(facts.size());
-      for (const FactId id : facts) {
-        split.members.emplace_back(BindFact(db, id).class_at(index.attrs[0]),
-                                   id);
-      }
-      std::sort(split.members.begin(), split.members.end());
-      continue;
+  const KeyBuckets& group = groups_[index.group];
+  const Database::RelationBlock& block = db.relation_block(group.relation());
+  const uint32_t bound = group.bucket_bound();
+  if (index.order) {
+    // Each bucket's entries in row order, dealt out from one pass over the
+    // rows.
+    std::vector<std::vector<OrderRuns::Entry>> entries(bound);
+    for (uint32_t b = 0; b < bound; ++b) {
+      entries[b].reserve(group.facts(b).size);
     }
-    std::vector<OrderRuns::Entry> entries;
-    entries.reserve(facts.size());
-    for (const FactId id : facts) {
-      entries.push_back(EntryOf(index, BindFact(db, id)));
+    for (uint32_t r = 0; r < block.num_rows(); ++r) {
+      entries[bucket_of_row[r]].push_back(EntryOf(index, RowRef{&block, r}));
     }
-    index.runs.try_emplace(h, index.attrs.size())
-        .first->second.Assign(db.pool(), std::move(entries));
+    index.runs.assign(bound, OrderRuns(index.attrs.size()));
+    for (uint32_t b = 0; b < bound; ++b) {
+      index.runs[b].Assign(db.pool(), std::move(entries[b]));
+    }
+    return;
+  }
+  // The rows of the multi-fact buckets in fact order, sorted stably on
+  // their class and dealt out to their buckets: each split comes out
+  // sorted by (class, fact).
+  index.splits.assign(bound, {});
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < block.num_rows(); ++r) {
+    if (group.facts(bucket_of_row[r]).size > 1) rows.push_back(r);
+  }
+  std::vector<uint32_t> scratch;
+  if (!std::is_sorted(block.row_ids.begin(), block.row_ids.end())) {
+    StableRadixSort(rows, scratch,
+                    [&](uint32_t r) { return block.row_ids[r]; });
+  }
+  const ValueId* column = block.class_columns[index.attrs[0]].data();
+  StableRadixSort(rows, scratch, [column](uint32_t r) { return column[r]; });
+  for (uint32_t b = 0; b < bound; ++b) {
+    const uint32_t size = group.facts(b).size;
+    if (size > 1) index.splits[b].members.reserve(size);
+  }
+  for (const uint32_t r : rows) {
+    index.splits[bucket_of_row[r]].members.emplace_back(column[r],
+                                                        block.row_ids[r]);
   }
 }
 
-WitnessIndex::Partners WitnessIndex::FindPartners(size_t c, int side,
-                                                  uint64_t key) const {
+WitnessIndex::Partners WitnessIndex::PartnersAt(size_t c, int side,
+                                                uint32_t b) const {
   const DcPlan& dc = plans_[c];
   Partners at;
   at.plan_ = &dc.side[side];
-  const KeyBuckets& partners = groups_[dc.group[1 - side]];
+  if (b == KeyBuckets::kNone) return at;
   if (at.plan_->index < 0) {
-    at.bucket_ = partners.Find(key);
+    at.bucket_ = groups_[dc.group[1 - side]].facts(b);
     return at;
   }
   const PartnerIndex& index = indexes_[at.plan_->index];
   at.attrs_ = &index.attrs;
   if (index.order) {
-    const auto it = index.runs.find(key);
-    if (it != index.runs.end()) at.runs_ = &it->second;
-    return at;
-  }
-  const auto it = index.splits.find(key);
-  if (it != index.splits.end()) {
-    at.split_ = &it->second;
+    at.runs_ = &index.runs[b];
+  } else if (index.splits[b].members.empty()) {
+    at.bucket_ = groups_[dc.group[1 - side]].facts(b);  // one fact
   } else {
-    at.bucket_ = partners.Find(key);  // one fact, or none
+    at.split_ = &index.splits[b];
   }
   return at;
 }
 
-const std::unordered_map<uint64_t, ClassSplit>* WitnessIndex::PairSplits(
-    size_t c) const {
+WitnessIndex::Partners WitnessIndex::FindPartners(
+    size_t c, int side, uint32_t probe_bucket) const {
+  const DcPlan& dc = plans_[c];
+  const KeyBuckets& own = groups_[dc.group[side]];
+  const KeyBuckets& partners = groups_[dc.group[1 - side]];
+  return PartnersAt(c, side,
+                    &own == &partners ? probe_bucket
+                                      : partners.FindKey(own.key(probe_bucket)));
+}
+
+const std::vector<ClassSplit>* WitnessIndex::PairSplits(size_t c) const {
   const DcPlan& dc = plans_[c];
   const SidePlan& side = dc.side[0];
   if (!dc.symmetric || side.index < 0 || dc.group[0] != dc.group[1]) {
@@ -566,30 +635,49 @@ const std::unordered_map<uint64_t, ClassSplit>* WitnessIndex::PairSplits(
   return &index.splits;
 }
 
-void WitnessIndex::RebuildPartnerIndexes(const Database& db) {
-  for (PartnerIndex& index : indexes_) BuildPartnerIndex(db, index);
-  generation_ = db.pool().generation();
+WitnessIndex::Counts WitnessIndex::counts() const {
+  Counts counts;
+  for (const KeyBuckets& group : groups_) {
+    counts.bucket_keys += group.num_keys();
+    for (uint32_t b = 0; b < group.bucket_bound(); ++b) {
+      counts.one_fact_buckets += group.facts(b).size == 1;
+    }
+  }
+  for (const PartnerIndex& index : indexes_) {
+    for (const ClassSplit& split : index.splits) {
+      counts.split_members += split.members.size();
+    }
+    for (const OrderRuns& runs : index.runs) {
+      runs.ForEachEntry([&](const OrderRuns::Entry&) {
+        ++counts.order_entries;
+      });
+    }
+  }
+  return counts;
 }
 
 void WitnessIndex::Add(const Database& db, FactId id) {
   if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
-  const Database::RowLocation loc = db.Locate(id);
-  const RowRef row{&db.relation_block(loc.relation), loc.row};
-  for (const uint32_t g : groups_by_rel_[loc.relation]) {
-    const uint64_t h = groups_[g].Hash(db.pool(), row);
-    const std::vector<FactId>& members = groups_[g].Add(h, id);
+  const RowRef row = BindFact(db, id);
+  for (const uint32_t g : groups_by_rel_[db.Locate(id).relation]) {
+    KeyBuckets& group = groups_[g];
+    const uint32_t b = group.Add(row);
+    const FactSpan members = group.facts(b);
     for (const uint32_t i : indexes_by_group_[g]) {
       PartnerIndex& index = indexes_[i];
       if (index.order) {
-        index.runs.try_emplace(h, index.attrs.size())
-            .first->second.Insert(db.pool(), stamps_, EntryOf(index, row));
+        if (index.runs.size() <= b) {
+          index.runs.resize(b + 1, OrderRuns(index.attrs.size()));
+        }
+        index.runs[b].Insert(db.pool(), stamps_, EntryOf(index, row));
         continue;
       }
+      if (index.splits.size() <= b) index.splits.resize(b + 1);
       // The split starts with the bucket's second fact, taking in the
       // first.
-      if (members.size() < 2) continue;
-      ClassSplit& split = index.splits[h];
-      if (members.size() == 2) {
+      if (members.size < 2) continue;
+      ClassSplit& split = index.splits[b];
+      if (members.size == 2) {
         const FactId first = members[0] == id ? members[1] : members[0];
         split.Add(BindFact(db, first).class_at(index.attrs[0]), first);
       }
@@ -599,115 +687,106 @@ void WitnessIndex::Add(const Database& db, FactId id) {
 }
 
 void WitnessIndex::Remove(const Database& db, FactId id) {
-  const Database::RowLocation loc = db.Locate(id);
-  const RowRef row{&db.relation_block(loc.relation), loc.row};
+  const RowRef row = BindFact(db, id);
   ++stamps_[id];  // kills the fact's OrderRuns entries
-  for (const uint32_t g : groups_by_rel_[loc.relation]) {
-    const uint64_t h = groups_[g].Hash(db.pool(), row);
-    const std::vector<FactId>* members = groups_[g].Remove(h, id);
+  for (const uint32_t g : groups_by_rel_[db.Locate(id).relation]) {
+    KeyBuckets& group = groups_[g];
+    const uint32_t b = group.Remove(row);
+    const uint32_t left = group.facts(b).size;
     for (const uint32_t i : indexes_by_group_[g]) {
       PartnerIndex& index = indexes_[i];
       if (index.order) {
-        const auto it = index.runs.find(h);
-        DBIM_CHECK(it != index.runs.end());
-        it->second.Tombstone(db.pool(), stamps_);
-        if (it->second.num_live() == 0) index.runs.erase(it);
+        if (left == 0) {
+          index.runs[b] = OrderRuns(index.attrs.size());
+        } else {
+          index.runs[b].Tombstone(db.pool(), stamps_);
+        }
         continue;
       }
       // Down to one fact, the bucket drops its split.
-      if (members == nullptr || members->size() < 2) {
-        index.splits.erase(h);
-        continue;
+      if (left < 2) {
+        index.splits[b] = ClassSplit();
+      } else {
+        index.splits[b].Remove(row.class_at(index.attrs[0]), id);
       }
-      const auto it = index.splits.find(h);
-      DBIM_CHECK(it != index.splits.end());
-      it->second.Remove(row.class_at(index.attrs[0]), id);
     }
   }
 }
 
 bool WitnessIndex::CheckInvariant(const Database& db,
                                   std::string* error) const {
-  // The buckets must be exactly what a build over the live database
-  // produces: same keys, same per-key membership (order-insensitive), no
-  // empty buckets left behind.
-  std::vector<std::unordered_map<uint64_t, std::vector<FactId>>> expected(
-      groups_.size());
-  db.ForEachId([&](FactId id) {
-    const RowRef row = BindFact(db, id);
-    for (const uint32_t g : groups_by_rel_[db.Locate(id).relation]) {
-      expected[g][groups_[g].Hash(db.pool(), row)].push_back(id);
+  auto fail = [&](const std::string& what) {
+    if (error != nullptr) *error = what;
+    return false;
+  };
+  // A vacuum leaves every class id stale until the next Build: the
+  // buckets must still hold the facts a rebuild groups together, but their
+  // keys and the partner indexes are not compared.
+  const bool current = !stale(db.pool());
+  // Each group's non-empty buckets, each found at its key, as (key, sorted
+  // facts) rows in key order: exactly the rows of a fresh build.
+  auto rows = [&](const KeyBuckets& group, bool* found) {
+    std::vector<std::vector<uint32_t>> out;
+    for (uint32_t b = 0; b < group.bucket_bound(); ++b) {
+      const FactSpan facts = group.facts(b);
+      if (facts.empty()) continue;
+      if (!current) {
+        out.emplace_back();
+      } else {
+        *found = *found && group.FindKey(group.key(b)) == b;
+        out.emplace_back(group.key(b), group.key(b) + group.attrs().size());
+      }
+      const size_t at = out.back().size();
+      out.back().insert(out.back().end(), facts.begin(), facts.end());
+      std::sort(out.back().begin() + at, out.back().end());
     }
-  });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
   for (size_t g = 0; g < groups_.size(); ++g) {
-    const auto& actual = groups_[g].buckets;
-    if (actual.size() != expected[g].size()) {
-      if (error != nullptr) {
-        *error = StrFormat("group %zu holds %zu keys, rebuild implies %zu", g,
-                           actual.size(), expected[g].size());
-      }
-      return false;
-    }
-    for (const auto& [key, bucket] : actual) {
-      if (bucket.empty()) {
-        if (error != nullptr) *error = "empty bucket left in group map";
-        return false;
-      }
-      const auto it = expected[g].find(key);
-      std::vector<FactId> got(bucket);
-      std::sort(got.begin(), got.end());
-      if (it == expected[g].end() || it->second != got) {
-        if (error != nullptr) {
-          *error = StrFormat("group %zu bucket diverges from rebuild", g);
-        }
-        return false;
-      }
+    KeyBuckets fresh(groups_[g].relation(), groups_[g].attrs());
+    fresh.Build(db.relation_block(fresh.relation()));
+    bool found = true;
+    if (rows(groups_[g], &found) != rows(fresh, &found) || !found ||
+        groups_[g].num_keys() != fresh.num_keys()) {
+      return fail(StrFormat("group %zu diverges from rebuild", g));
     }
   }
+  if (!current) return true;
   // Partner indexes: each must equal a rebuild from the buckets just
-  // verified. A vacuum leaves their class ids stale until a rebuild, so
-  // stale ones are not compared.
-  if (stale(db.pool())) return true;
+  // verified, bucket by bucket.
   for (size_t i = 0; i < indexes_.size(); ++i) {
     const PartnerIndex& index = indexes_[i];
-    auto fail = [&](const char* what) {
-      if (error != nullptr) {
-        *error = StrFormat("partner index %zu: %s", i, what);
-      }
-      return false;
+    const KeyBuckets& group = groups_[index.group];
+    auto fail_at = [&](const char* what) {
+      return fail(StrFormat("partner index %zu: %s", i, what));
     };
-    const auto& buckets = groups_[index.group].buckets;
-    size_t split_buckets = 0;  // buckets of two facts or more
-    for (const auto& [h, facts] : buckets) split_buckets += facts.size() > 1;
     if ((index.order ? index.runs.size() : index.splits.size()) !=
-        (index.order ? buckets.size() : split_buckets)) {
-      return fail("bucket keys differ from its group's");
+        group.bucket_bound()) {
+      return fail_at("not laid out by its group's bucket ids");
     }
-    for (const auto& [h, facts] : buckets) {
-      std::vector<FactId> expected_facts(facts);
-      std::sort(expected_facts.begin(), expected_facts.end());
+    for (uint32_t b = 0; b < group.bucket_bound(); ++b) {
+      std::vector<FactId> facts(group.facts(b).begin(), group.facts(b).end());
+      std::sort(facts.begin(), facts.end());
       if (!index.order) {
-        if (facts.size() < 2) continue;
-        const auto it = index.splits.find(h);
-        if (it == index.splits.end()) return fail("bucket missing");
         std::vector<std::pair<ValueId, FactId>> want;
-        for (const FactId id : expected_facts) {
+        for (const FactId id : facts) {
           want.emplace_back(BindFact(db, id).class_at(index.attrs[0]), id);
         }
         std::sort(want.begin(), want.end());
-        if (it->second.members != want) {
-          return fail("class split differs from rebuild");
+        if (facts.size() < 2) want.clear();
+        if (index.splits[b].members != want) {
+          return fail_at("class split differs from rebuild");
         }
         continue;
       }
-      const auto it = index.runs.find(h);
-      if (it == index.runs.end()) return fail("bucket missing");
-      if (!it->second.WellFormed(db.pool(), stamps_)) {
-        return fail("order runs malformed or over their tombstone bound");
+      const OrderRuns& runs = index.runs[b];
+      if (!runs.WellFormed(db.pool(), stamps_)) {
+        return fail_at("order runs malformed or over their tombstone bound");
       }
       std::vector<FactId> live;
       bool keys_current = true;
-      it->second.ForEachEntry([&](const OrderRuns::Entry& e) {
+      runs.ForEachEntry([&](const OrderRuns::Entry& e) {
         if (stamps_[e.id] != e.stamp) return;
         live.push_back(e.id);
         if (!db.Contains(e.id)) {
@@ -720,8 +799,8 @@ bool WitnessIndex::CheckInvariant(const Database& db,
         }
       });
       std::sort(live.begin(), live.end());
-      if (!keys_current || live != expected_facts) {
-        return fail("live order entries differ from rebuild");
+      if (!keys_current || live != facts) {
+        return fail_at("live order entries differ from rebuild");
       }
     }
   }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,9 +30,16 @@ namespace dbim {
 ///    walks the bucket's cross-class pairs (PairSplits).
 /// The batch detector bulk-builds it and probes it read-only; the
 /// incremental index builds it once the same way and keeps it up to date
-/// under Apply. Every reported partner is still re-checked against the
-/// full body by the caller; the index only decides which facts to look
-/// at, and it never drops one whose indexed predicates hold.
+/// under Apply. Every bulk step is a stable radix sort on dense class ids
+/// (common/radix_sort.h), O(n) per 8-bit digit the ids span, or runs in
+/// O(n): a group's buckets sort its rows on their key classes; a `!=`
+/// index sorts its group's multi-fact bucket members on their class once
+/// and deals them out to the buckets; an order run sorts its positions on
+/// each key's class, then its distinct classes by value (see OrderRuns),
+/// and its MinMaxTable takes O(n log n). Every reported
+/// partner is still re-checked against the full body by the caller; the
+/// index only decides which facts to look at, and it never drops one
+/// whose indexed predicates hold.
 
 /// Three-sided range reporting over keys[0, n) by position: the positions
 /// in [lo, hi) whose key lies below a bound, or at or above one. Range-
@@ -75,7 +81,7 @@ class MinMaxTable {
   uint32_t Extreme(size_t lo, size_t hi) const {
     if (hi - lo == 1) return static_cast<uint32_t>(lo);
     const size_t level = FloorLog2(hi - lo);
-    const std::vector<uint32_t>& table = (kMax ? max_ : min_)[level - 1];
+    const uint32_t* table = (kMax ? max_ : min_).data() + Offset(level);
     const uint32_t a = table[lo];
     const uint32_t b = table[hi - (size_t{1} << level)];
     return (kMax ? keys_[b] > keys_[a] : keys_[b] < keys_[a]) ? b : a;
@@ -109,11 +115,17 @@ class MinMaxTable {
     }
   }
 
+  // Where level L >= 1 starts in min_ and max_: after the n - 2^l + 1
+  // windows of every level l < L.
+  size_t Offset(size_t level) const {
+    return (level - 1) * (keys_.size() + 1) - ((size_t{1} << level) - 2);
+  }
+
   std::vector<uint32_t> keys_;
-  // min_[L - 1][i] (max_ alike): the position of the least (greatest) key
-  // in [i, i + 2^L), for every L >= 1 with 2^L <= n.
-  std::vector<std::vector<uint32_t>> min_;
-  std::vector<std::vector<uint32_t>> max_;
+  // min_[Offset(L) + i] (max_ alike): the position of the least (greatest)
+  // key in [i, i + 2^L), for every L >= 1 with 2^L <= n, level after level.
+  std::vector<uint32_t> min_;
+  std::vector<uint32_t> max_;
 };
 
 /// One bucket's partner facts over one or two order keys (IEJoin-style;
@@ -126,10 +138,12 @@ class MinMaxTable {
 /// and key, O(log n), and then reports its partners of the run in O(1 + k)
 /// (a rank prefix or suffix of the first key is one stretch of positions;
 /// one of the second key is a three-sided query on it): O(log^2 n + k) per
-/// probe. A run of n entries builds in O(n log n): one sort of (class,
-/// position) pairs per key, one sort of its distinct classes by value and
-/// a counting sort on the first key's rank. A bulk build assigns a whole
-/// bucket as one run.
+/// probe. A run of n entries builds in O(n log n): per key, one stable
+/// radix sort of its positions on their class and one sort of its d
+/// distinct classes by value (a radix sort on their doubles when no
+/// string is among them, else O(d log d) comparisons), then a counting
+/// sort on the first key's rank and the MinMaxTable. A bulk build assigns
+/// a whole bucket as one run.
 ///
 /// An insert merges the new entry with every trailing run no larger than
 /// what joins it so far (a binary counter's carry), in one rebuild, so an
@@ -249,7 +263,8 @@ class OrderRuns {
       ValueId p);
 
   bool Unranked(const ValuePool& pool, const Entry& e) const;
-  Run BuildRun(const ValuePool& pool, std::vector<Entry> entries) const;
+  // The run of `entries`, or an empty one if a key of theirs is a NaN.
+  Run BuildRun(const ValuePool& pool, const std::vector<Entry>& entries) const;
   // Moves the live entries of runs [from, end), with `live`, into one run.
   void MergeFrom(const ValuePool& pool, const std::vector<uint32_t>& stamps,
                  size_t from, std::vector<Entry> live);
@@ -318,11 +333,10 @@ struct ClassSplit {
 /// shared: every binary side with the same (relation, key attributes)
 /// buckets exactly the same facts under exactly the same keys, so one
 /// KeyBuckets serves them all. Partner indexes are shared the same way by
-/// the probe sides whose partner group, kind and attributes coincide.
-/// Buckets key on HashPoolValues, the semantic values of the key cells, so
-/// they survive a shared-pool vacuum/re-intern; the partner indexes hold
-/// class ids and must be rebuilt (RebuildPartnerIndexes) once the pool's
-/// generation moves.
+/// the probe sides whose partner group, kind and attributes coincide, and
+/// are laid out by their group's bucket ids. Buckets and partner indexes
+/// hold class ids of one pool generation: once a vacuum re-interns the
+/// database the index is stale, and the owner builds it again.
 class WitnessIndex {
  public:
   /// How the probe with the probe fact bound to one variable reaches its
@@ -354,7 +368,7 @@ class WitnessIndex {
   class Partners {
    public:
     bool empty() const {
-      return bucket_ == nullptr && split_ == nullptr && runs_ == nullptr;
+      return bucket_.empty() && split_ == nullptr && runs_ == nullptr;
     }
 
    private:
@@ -362,9 +376,19 @@ class WitnessIndex {
     const SidePlan* plan_ = nullptr;
     const std::vector<AttrIndex>* attrs_ = nullptr;  // the index's
     // The bucket itself: unindexed, or one fact under a `!=` index.
-    const std::vector<FactId>* bucket_ = nullptr;
+    FactSpan bucket_;
     const ClassSplit* split_ = nullptr;
     const OrderRuns* runs_ = nullptr;
+  };
+
+  /// The size of what a build holds: non-empty buckets over every group,
+  /// the one-fact ones among them, `!=` split members and order-run
+  /// entries over every partner index.
+  struct Counts {
+    size_t bucket_keys = 0;
+    size_t one_fact_buckets = 0;
+    size_t split_members = 0;
+    size_t order_entries = 0;
   };
 
   /// Plans the groups and partner indexes of every binary constraint of
@@ -372,11 +396,11 @@ class WitnessIndex {
   WitnessIndex(const std::vector<DenialConstraint>& constraints,
                size_t num_relations);
 
-  /// Replaces the contents with `db`'s live facts: one task per bucket
-  /// group fills the group from its relation block, then builds the
-  /// group's partner indexes. `num_threads` follows
-  /// DetectorOptions::num_threads (0 = one per hardware thread). With
-  /// `only`, just the groups and partner indexes that the binary
+  /// Replaces the contents with `db`'s live facts, against `db`'s pool:
+  /// one task per bucket group builds the group from its relation block
+  /// (KeyBuckets::Build), then the group's partner indexes. `num_threads`
+  /// follows DetectorOptions::num_threads (0 = one per hardware thread).
+  /// With `only`, just the groups and partner indexes that the binary
   /// constraints listed there plan are built; the others are left empty.
   void Build(const Database& db, size_t num_threads,
              const std::vector<uint32_t>* only = nullptr);
@@ -387,76 +411,82 @@ class WitnessIndex {
   void Add(const Database& db, FactId id);
   void Remove(const Database& db, FactId id);
 
-  /// Whether the partner indexes' class ids belong to another pool
-  /// generation than `pool`'s (a vacuum re-interned the database).
+  /// Whether the index's class ids belong to another pool generation than
+  /// `pool`'s (a vacuum re-interned the database): then only Build may
+  /// follow.
   bool stale(const ValuePool& pool) const {
     return generation_ != pool.generation();
   }
-  /// Rebuilds every partner index from its group against `db`'s pool.
-  void RebuildPartnerIndexes(const Database& db);
 
   size_t num_constraints() const { return plans_.size(); }
   const DcPlan& plan(size_t c) const { return plans_[c]; }
   size_t num_groups() const { return groups_.size(); }
   const KeyBuckets& group(size_t g) const { return groups_[g]; }
+  Counts counts() const;
 
   /// Calls `fn(partner)` for every fact that constraint `c`'s side-`side`
   /// plan admits against the probe row `self` (bound to variable `side`):
   /// the facts of the partner bucket at self's key whose indexed
-  /// predicates hold (and possibly hash collisions, which the body check
-  /// rejects), each once, self included if it qualifies. Reads the index
-  /// only, so concurrent probes may share it.
+  /// predicates hold, each once, self included if it qualifies. Reads the
+  /// index only, so concurrent probes may share it.
   template <typename Fn>
   void ForEachPartner(const Database& db, size_t c, int side,
                       const RowRef& self, Fn&& fn) const {
-    // The probe hashes its own side's key attributes; equal key values mean
-    // equal semantic hashes, so the partner side's bucket holds the
-    // candidates.
-    const uint64_t key = groups_[plans_[c].group[side]].Hash(db.pool(), self);
-    ForEachPartner(db, FindPartners(c, side, key), self, fn);
+    const DcPlan& plan = plans_[c];
+    const uint32_t b = groups_[plan.group[1 - side]].Find(
+        self, groups_[plan.group[side]].attrs());
+    ForEachPartner(db, PartnersAt(c, side, b), self, fn);
   }
 
   /// The bucket-major form of the probe above: constraint `c`'s side-`side`
-  /// partners at the bucket key `key` (self's key), looked up once for
-  /// every probe fact of that bucket.
-  Partners FindPartners(size_t c, int side, uint64_t key) const;
+  /// partners at the key of bucket `probe_bucket` of the side's own group,
+  /// looked up once for every probe fact of that bucket.
+  Partners FindPartners(size_t c, int side, uint32_t probe_bucket) const;
   template <typename Fn>
   void ForEachPartner(const Database& db, const Partners& at,
                       const RowRef& self, Fn&& fn) const;
 
-  /// The `!=` splits, by bucket key, whose cross-class pairs are exactly
+  /// The `!=` splits, by bucket id, whose cross-class pairs are exactly
   /// constraint `c`'s side-0 candidates, each unordered pair once: when
   /// the body is symmetric, both variables share one bucket group and the
-  /// split is on the probe's own `!=` attribute (every FD). A bucket with
-  /// no split or a one-class split then holds no candidate. nullptr for
-  /// other constraints.
-  const std::unordered_map<uint64_t, ClassSplit>* PairSplits(size_t c) const;
+  /// split is on the probe's own `!=` attribute (every FD). A bucket of
+  /// fewer than two facts has an empty split, and one with a one-class
+  /// split holds no candidate. nullptr for other constraints.
+  const std::vector<ClassSplit>* PairSplits(size_t c) const;
 
   /// Test hook: whether the index is exactly what a build over `db` would
-  /// produce — every bucket holds precisely the live facts hashing to its
-  /// key (no stale entries, no empties left behind), and every partner
-  /// index equals a rebuild from its group's buckets: the same `!=`
-  /// classes holding the same facts, resp. order runs that are well
-  /// formed (OrderRuns::WellFormed), whose live entries are exactly the
-  /// bucket's facts under their current keys, and whose tombstones do not
-  /// outnumber them. Stale partner indexes (see stale()) are not
-  /// compared. On failure fills `*error` and returns false.
+  /// produce — every group holds precisely the buckets KeyBuckets::Build
+  /// makes of its relation (the same keys, each with the same facts, and
+  /// no empty bucket left in the table), and every partner index equals a
+  /// rebuild from its group's buckets: the same `!=` classes holding the
+  /// same facts, resp. order runs that are well formed
+  /// (OrderRuns::WellFormed), whose live entries are exactly the bucket's
+  /// facts under their current keys, and whose tombstones do not outnumber
+  /// them. Of a stale index (see stale()) only the facts each bucket holds
+  /// are compared. On failure fills `*error` and returns false.
   bool CheckInvariant(const Database& db, std::string* error) const;
 
  private:
   // The partner index of one bucket group under one partner-side shape:
-  // per bucket key, the bucket's facts split on a `!=` attribute or held
-  // in OrderRuns on one or two order attributes.
+  // per bucket id, the bucket's facts split on a `!=` attribute (buckets
+  // of two facts or more) or held in OrderRuns on one or two order
+  // attributes.
   struct PartnerIndex {
     uint32_t group = 0;
     bool order = false;
-    std::vector<AttrIndex> attrs;  // the `!=` attribute, or the order keys
-    std::unordered_map<uint64_t, ClassSplit> splits;  // !order
-    std::unordered_map<uint64_t, OrderRuns> runs;     // order
+    std::vector<AttrIndex> attrs;    // the `!=` attribute, or the order keys
+    std::vector<ClassSplit> splits;  // !order
+    std::vector<OrderRuns> runs;     // order
   };
 
-  // Builds `index` from its group's buckets, against db's pool.
-  void BuildPartnerIndex(const Database& db, PartnerIndex& index) const;
+  // Builds `index` from its group's buckets, against db's pool;
+  // `bucket_of_row` maps the rows of the group's relation block to their
+  // buckets.
+  void BuildPartnerIndex(const Database& db,
+                         const std::vector<uint32_t>& bucket_of_row,
+                         PartnerIndex& index) const;
+  // Constraint c's side-`side` partners in bucket b of the partner group.
+  Partners PartnersAt(size_t c, int side, uint32_t b) const;
   // The fact's OrderRuns entry under `index`: its current stamp and keys.
   OrderRuns::Entry EntryOf(const PartnerIndex& index, const RowRef& row) const;
 
@@ -468,13 +498,14 @@ class WitnessIndex {
   // FactId -> stamp, bumped whenever the fact leaves its buckets: an
   // OrderRuns entry is live while it carries its fact's current stamp.
   std::vector<uint32_t> stamps_;
-  // Pool generation the partner indexes' class ids belong to.
+  // Pool generation the index's class ids belong to.
   uint64_t generation_ = 0;
 };
 
 template <typename Fn>
 void WitnessIndex::ForEachPartner(const Database& db, const Partners& at,
                                   const RowRef& self, Fn&& fn) const {
+  if (at.empty()) return;
   const SidePlan& plan = *at.plan_;
   if (at.runs_ != nullptr) {
     OrderRuns::Probe probe;
@@ -489,12 +520,11 @@ void WitnessIndex::ForEachPartner(const Database& db, const Partners& at,
     at.split_->ForEachOutside(self.class_at(plan.probe_attrs[0]), fn);
     return;
   }
-  if (at.bucket_ == nullptr) return;
   if (plan.index < 0) {
-    for (const FactId other : *at.bucket_) fn(other);
+    for (const FactId other : at.bucket_) fn(other);
     return;
   }
-  const FactId only = at.bucket_->front();  // a one-fact `!=` bucket
+  const FactId only = at.bucket_.front();  // a one-fact `!=` bucket
   if (BindFact(db, only).class_at((*at.attrs_)[0]) !=
       self.class_at(plan.probe_attrs[0])) {
     fn(only);

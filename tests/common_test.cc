@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -199,6 +203,59 @@ TEST(Deadline, TinyBudgetExpires) {
   while (t.Seconds() < 1e-6) {
   }
   EXPECT_TRUE(d.Expired());
+}
+
+// ---- StableRadixSort ----
+
+// The radix sort orders (key, position) items as std::stable_sort does on
+// the key alone, on both sides of the insertion-sort cutoff, for random,
+// all-equal and near-UINT32_MAX keys, and for two-attribute tuples sorted
+// by one pass per attribute, the last first.
+TEST(StableRadixSort, MatchesStdStableSort) {
+  using Item = std::pair<uint32_t, uint32_t>;  // (key, position)
+  auto first = [](const Item& item) { return item.first; };
+  Rng rng(2028);
+  const uint32_t near_max = UINT32_MAX - 3;
+  for (const size_t n : {size_t{0}, size_t{1}, kRadixSortCutoff - 1,
+                         kRadixSortCutoff, kRadixSortCutoff + 1,
+                         size_t{5000}}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " shape " +
+                   std::to_string(shape));
+      std::vector<Item> items;
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t draw = static_cast<uint32_t>(rng.UniformIndex(1000));
+        const uint32_t key = shape == 0   ? draw
+                             : shape == 1 ? 7
+                             : shape == 2 ? near_max + draw % 4
+                                          : draw << 20 | draw;
+        items.emplace_back(key, i);
+      }
+      std::vector<Item> expected = items;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const Item& a, const Item& b) {
+                         return a.first < b.first;
+                       });
+      std::vector<Item> scratch;
+      StableRadixSort(items, scratch, first);
+      EXPECT_EQ(items, expected);
+    }
+    // Two attributes: rows sorted on (a, b) by a pass on b, then one on a.
+    std::vector<std::pair<uint32_t, uint32_t>> tuples;
+    for (size_t i = 0; i < n; ++i) {
+      tuples.emplace_back(static_cast<uint32_t>(rng.UniformIndex(5)),
+                          near_max + static_cast<uint32_t>(rng.UniformIndex(4)));
+    }
+    std::vector<uint32_t> rows(n);
+    for (uint32_t i = 0; i < n; ++i) rows[i] = i;
+    std::vector<uint32_t> expected = rows;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](uint32_t x, uint32_t y) { return tuples[x] < tuples[y]; });
+    std::vector<uint32_t> scratch;
+    StableRadixSort(rows, scratch, [&](uint32_t r) { return tuples[r].second; });
+    StableRadixSort(rows, scratch, [&](uint32_t r) { return tuples[r].first; });
+    EXPECT_EQ(rows, expected) << "two attributes, n=" << n;
+  }
 }
 
 }  // namespace

@@ -521,6 +521,33 @@ TEST(Detector, BucketShapesMatchBruteForce) {
                                 .empty();
     }
   }
+  // Keys are class ids, equal across relations whenever the values are:
+  // R's int 1 and double 1.0 share one bucket, and S's facts with a 1, a
+  // 1.0 or the string "k" find R's bucket of that key, so the
+  // cross-relation FD R.A -> S.B fires across kinds.
+  Database db(schema);
+  const FactId one = db.Insert(Fact(0, {Value(1), Value(0), Value(0), Value(1)}));
+  const FactId one_dbl =
+      db.Insert(Fact(0, {Value(1.0), Value(1), Value(0), Value(1)}));
+  db.Insert(Fact(0, {Value("k"), Value(0), Value(0), Value(1)}));
+  db.Insert(Fact(1, {Value(1.0), Value(2), Value(0), Value(1)}));
+  db.Insert(Fact(1, {Value(1), Value(0), Value(0), Value(1)}));
+  db.Insert(Fact(1, {Value("k"), Value(3), Value(0), Value(1)}));
+  for (size_t c = 0; c <= all.size(); ++c) {
+    const std::vector<DenialConstraint> dcs =
+        c == all.size() ? all : std::vector<DenialConstraint>{all[c]};
+    SCOPED_TRACE(Describe(trial++, dcs, *schema));
+    ExpectMatchesBruteForce(schema, dcs, db);
+  }
+  WitnessIndex index(all, schema->num_relations());
+  index.Build(db, 1);
+  const KeyBuckets& r_by_a = index.group(index.plan(2).group[0]);
+  const uint32_t bucket = r_by_a.Find(BindFact(db, one));
+  ASSERT_NE(bucket, KeyBuckets::kNone);
+  EXPECT_EQ(r_by_a.Find(BindFact(db, one_dbl)), bucket);
+  EXPECT_EQ(r_by_a.facts(bucket).size, 2u);
+  EXPECT_EQ(BruteForceDetect({all[2]}, db).subsets.size(), 4u);
+
   // The instances exercise what the test is about.
   EXPECT_TRUE(ties_fire_both_ways);
   EXPECT_TRUE(self_inconsistent);
@@ -647,8 +674,9 @@ bool OrderIndexAdmits(const Value& p, CompareOp op, const Value& q) {
 // One keyless order bucket of thousands of entries under the 16 bodies
 // `t.A op t'.A & t.B op' t'.B`, every operator in both positions, which
 // share one OrderRuns. The keys mix tie-heavy small integers with whole
-// doubles of the same values, nulls, strings, NaNs and integers beyond
-// +-2^53 that round to one double. The index is bulk-built, and entered
+// doubles of the same values (the even ones negated, -0.0 among them),
+// nulls, strings, NaNs and integers beyond +-2^53 that round to one
+// double; runs without a string rank their values by radix. The index is bulk-built, and entered
 // fact by fact (carry merges rebuild runs of every size), then churned by
 // a long run of removals (tombstones, and full rebuilds once they
 // outnumber the live entries) and inserts. Each time both pass
@@ -674,7 +702,7 @@ TEST(WitnessIndex, LargeOrderBucketMatchesBruteForce) {
     const size_t kind = rng.UniformIndex(100);
     const int64_t x = rng.UniformInt(0, 99);
     if (kind < 60) return Value(x);
-    if (kind < 80) return Value(static_cast<double>(x));
+    if (kind < 80) return Value(static_cast<double>(x % 2 == 0 ? -x : x));
     if (kind < 85) return Value();
     if (kind < 90) return Value(std::string(1, static_cast<char>('a' + x % 4)));
     if (kind < 92) return Value(std::nan(""));

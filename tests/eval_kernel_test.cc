@@ -124,25 +124,25 @@ TEST(EvalKernel, SelfInconsistencyMatchesFactReference) {
   }
 }
 
-TEST(EvalKernel, BlockingKeyHashRespectsValueEquality) {
+TEST(EvalKernel, BlockingKeyBucketsRespectValueEquality) {
   const auto schema = MakeAbcSchema();
   const auto dc = *ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)");
   const BlockingKeys keys = ExtractBlockingKeys(dc);
   const Database db = MakeRandomDatabase(schema, 0, 60, 3, 17);
+  KeyBuckets buckets(0, keys.var1);
+  buckets.Build(db.relation_block(0));
   const std::vector<FactId> ids = db.ids();
   for (const FactId a : ids) {
-    for (const FactId b : ids) {
-      const RowRef ra = BindFact(db, a);
-      const RowRef rb = BindFact(db, b);
-      const bool equal_keys =
-          ra.class_at(keys.var0[0]) == rb.class_at(keys.var1[0]);
-      EXPECT_EQ(equal_keys,
-                db.fact(a).value(0) == db.fact(b).value(0));
-      if (equal_keys) {
-        EXPECT_EQ(HashPoolValues(db.pool(), ra, keys.var0),
-                  HashPoolValues(db.pool(), rb, keys.var1));
+    const uint32_t b = buckets.Find(BindFact(db, a), keys.var0);
+    ASSERT_NE(b, KeyBuckets::kNone);
+    std::vector<FactId> expected;
+    for (const FactId other : ids) {
+      if (db.fact(a).value(0) == db.fact(other).value(0)) {
+        expected.push_back(other);
       }
     }
+    const FactSpan facts = buckets.facts(b);
+    EXPECT_EQ(std::vector<FactId>(facts.begin(), facts.end()), expected);
   }
 }
 

@@ -443,13 +443,15 @@ TEST(WitnessStore, CollidingSubsetKeysStayDistinct) {
 // ---- differential fuzz of the binary probe shapes ----
 //
 // Every binary shape the partner indexes distinguish — `!=` class splits
-// (symmetric, asymmetric, cross-relation), order runs with one and two
-// keys (keyed and keyless, strict and non-strict, tie-heavy), and a mixed
-// null/int/double/string order column with NaNs and integers past 2^53 —
+// (symmetric, asymmetric, cross-relation, on a two-attribute key), order
+// runs with one and two keys (keyed and keyless, strict and non-strict,
+// tie-heavy), and a mixed null/int/double/string order column with NaNs
+// and integers past 2^53 — plus a k-ary chain over its pruning buckets,
 // driven by random insert/delete/update trajectories over R(A,B,C,D) and
 // S(A,B,C,D). A standalone index and a MeasureSession replay the same
 // ops; halfway through, the session vacuums (Vacuum(0.0)) and the index's
-// database is re-interned into a fresh pool the same way. After every op
+// database is re-interned into a fresh pool the same way, so the next
+// Apply rebuilds every index from the database. After every op
 // the index must hold the watcher invariant, agree with fresh detection
 // (subsets, violation count, problematic facts), equal the session's
 // view, and, on at most 12 facts, the brute-force oracle.
@@ -588,6 +590,16 @@ std::vector<DenialConstraint> FuzzShape(const std::string& name) {
     preds.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
     return {DenialConstraint(std::vector<RelationId>{0, 1}, std::move(preds))};
   }
+  if (name == "two_attr_key") {
+    return {parse("!(t.A = t'.A & t.B = t'.B & t.C != t'.C)")};
+  }
+  if (name == "kary_chain") {
+    std::vector<Predicate> preds;
+    preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+    preds.emplace_back(Operand{1, 1}, CompareOp::kEq, Operand{2, 1});
+    preds.emplace_back(Operand{0, 2}, CompareOp::kNe, Operand{2, 2});
+    return {DenialConstraint(std::vector<RelationId>(3, 0), std::move(preds))};
+  }
   if (name == "one_order_key") return {parse("!(t.A = t'.A & t.B < t'.C)")};
   if (name == "two_order_keys") {
     return {parse("!(t.A = t'.A & t.B > t'.B & t.C < t'.C)")};
@@ -634,7 +646,8 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, BinaryShapeFuzz,
     ::testing::Combine(
         ::testing::Values("symmetric_fd", "asymmetric_ne", "cross_relation_fd",
-                          "one_order_key", "two_order_keys", "non_strict_ties",
+                          "two_attr_key", "kary_chain", "one_order_key",
+                          "two_order_keys", "non_strict_ties",
                           "keyless_order", "cross_relation_order", "all"),
         ::testing::Bool(), ::testing::Range(0, 3)),
     [](const auto& info) {

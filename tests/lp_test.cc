@@ -95,10 +95,18 @@ CoveringProblem Triangle() {
   return p;
 }
 
+// The covering ILP, rooted at the problem's own LP relaxation.
+CoveringResult SolveIlp(const CoveringProblem& p) {
+  return SolveCoveringIlp(p, SolveCoveringLpRelaxation(p).x);
+}
+
 TEST(Covering, TriangleIlpVsLp) {
-  const auto ilp = SolveCoveringIlp(Triangle());
+  const auto ilp = SolveIlp(Triangle());
   EXPECT_TRUE(ilp.optimal);
   EXPECT_NEAR(ilp.value, 2.0, 1e-9);
+  // It branches; the root reads the given relaxation and solves no LP.
+  EXPECT_GT(ilp.bb_nodes, 1u);
+  EXPECT_LT(ilp.lp_solves, ilp.bb_nodes);
   const auto lp = SolveCoveringLpRelaxation(Triangle());
   ASSERT_EQ(lp.status, LpStatus::kOptimal);
   EXPECT_NEAR(lp.objective, 1.5, 1e-9);
@@ -107,7 +115,7 @@ TEST(Covering, TriangleIlpVsLp) {
 TEST(Covering, EmptyProblemIsFree) {
   CoveringProblem p;
   p.costs = {1.0, 1.0};
-  const auto result = SolveCoveringIlp(p);
+  const auto result = SolveIlp(p);
   EXPECT_DOUBLE_EQ(result.value, 0.0);
 }
 
@@ -115,10 +123,18 @@ TEST(Covering, SingletonSetsArePropagated) {
   CoveringProblem p;
   p.costs = {3.0, 1.0};
   p.sets = {{0}, {0, 1}};
-  const auto result = SolveCoveringIlp(p);
+  const auto result = SolveIlp(p);
   EXPECT_NEAR(result.value, 3.0, 1e-9);
   EXPECT_TRUE(result.chosen[0]);
   EXPECT_FALSE(result.chosen[1]);
+  // A forced singleton's cost counts toward the root's bound, which with
+  // the given relaxation closes the root: no LP is solved.
+  p.costs = {1.0, 1.0, 1.0, 2.0};
+  p.sets = {{0, 1, 2}, {3}};
+  const auto closed = SolveIlp(p);
+  EXPECT_NEAR(closed.value, 3.0, 1e-9);
+  EXPECT_EQ(closed.bb_nodes, 1u);
+  EXPECT_EQ(closed.lp_solves, 0u);
 }
 
 TEST(Covering, HyperedgeInstance) {
@@ -126,7 +142,7 @@ TEST(Covering, HyperedgeInstance) {
   CoveringProblem p;
   p.costs = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
   p.sets = {{0, 1, 2}, {0, 3, 4}, {0, 5, 6}};
-  const auto result = SolveCoveringIlp(p);
+  const auto result = SolveIlp(p);
   EXPECT_NEAR(result.value, 1.0, 1e-9);
   EXPECT_TRUE(result.chosen[0]);
   // LP relaxation can also pick x0 = 1 (it is already integral-optimal).
@@ -183,7 +199,7 @@ TEST_P(CoveringSweep, MatchesBruteForceOnRandomInstances) {
     std::sort(set.begin(), set.end());
     p.sets.push_back(std::move(set));
   }
-  const auto result = SolveCoveringIlp(p);
+  const auto result = SolveIlp(p);
   EXPECT_TRUE(result.optimal);
   EXPECT_NEAR(result.value, BruteCover(p), 1e-7);
   // LP relaxation lower-bounds the ILP.
