@@ -108,14 +108,6 @@ DenialConstraint DcBuilder::BuildUnary() const {
   return DenialConstraint({relation_}, predicates_);
 }
 
-BlockingKeys ExtractBlockingKeys(const DenialConstraint& dc) {
-  PairBlockingKeys pair = ExtractPairBlockingKeys(dc, 0, 1);
-  BlockingKeys keys;
-  keys.var0 = std::move(pair.u_attrs);
-  keys.var1 = std::move(pair.v_attrs);
-  return keys;
-}
-
 PairBlockingKeys ExtractPairBlockingKeys(const DenialConstraint& dc,
                                          uint32_t u, uint32_t v) {
   DBIM_CHECK(u != v);

@@ -48,27 +48,14 @@ class DenialConstraint {
   std::vector<Predicate> predicates_;
 };
 
-/// The attribute lists of the cross-variable equality predicates of a
-/// binary DC, one list per side: key attribute k of variable 0 must equal
-/// key attribute k of variable 1 for the body to possibly hold. This is the
-/// hash-partition ("blocking") key shared by the batch violation detector
-/// and the incremental index's per-fact probes.
-struct BlockingKeys {
-  std::vector<AttrIndex> var0;
-  std::vector<AttrIndex> var1;
-  bool empty() const { return var0.empty(); }
-};
-
-/// Extracts the blocking keys of a binary DC (empty when the body has no
-/// cross-variable equality, e.g. pure order constraints).
-BlockingKeys ExtractBlockingKeys(const DenialConstraint& dc);
-
 /// The equality-key attribute lists between an arbitrary ordered pair of
 /// tuple variables (u, v) of a DC of any arity: for every cross-variable
 /// equality predicate `t_u[a] = t_v[b]` of the body, `u_attrs` holds `a`
 /// and `v_attrs` holds `b` at the same position. A binding of t_v can only
-/// extend a binding of t_u when the key tuples are equal — the per-pair
-/// generalization of BlockingKeys that anchored k-ary probes prune with.
+/// extend a binding of t_u when the key tuples are equal. This is the
+/// blocking key of the witness index's bucket groups: a binary DC's sides
+/// are its (u=0, v=1) case, and anchored k-ary probes prune with every
+/// pair's.
 struct PairBlockingKeys {
   std::vector<AttrIndex> u_attrs;
   std::vector<AttrIndex> v_attrs;
@@ -76,8 +63,8 @@ struct PairBlockingKeys {
 };
 
 /// Extracts the equality keys linking variables `u` and `v` (u != v) of
-/// `dc`; empty when no cross-variable equality mentions exactly that pair.
-/// ExtractBlockingKeys(dc) is the (u=0, v=1) case of a binary DC.
+/// `dc`; empty when no cross-variable equality mentions exactly that pair
+/// (e.g. pure order constraints).
 PairBlockingKeys ExtractPairBlockingKeys(const DenialConstraint& dc,
                                          uint32_t u, uint32_t v);
 

@@ -235,27 +235,14 @@ BatchReport MeasureSession::Evaluate(DbHandle handle) const {
 
 std::vector<BatchReport> MeasureSession::EvaluateAll(
     const std::vector<DbHandle>& handles) const {
-  // Validate on this thread (DBIM_CHECK aborts are not for workers), then
-  // fan out: one report per handle, each worker holding that handle's
-  // lock — per-handle results are bit-identical to Evaluate(). The shared
-  // session lock is held across the fan-out, so the handle table and pool
-  // identity are stable underneath the workers.
+  // The shared session lock is held across the loop, so the handle table
+  // and pool identity are stable; EvaluateState takes each handle's lock.
   std::shared_lock<std::shared_mutex> lock(session_mu_);
-  std::vector<const HandleState*> states;
-  states.reserve(handles.size());
-  for (const DbHandle handle : handles) states.push_back(&State(handle));
-  std::vector<BatchReport> reports(handles.size());
-  const size_t threads = options_.batch_threads == 0
-                             ? ThreadPool::HardwareThreads()
-                             : options_.batch_threads;
-  OrderedStealingFor(
-      threads, handles.size(), 1,
-      [&](IndexRange range) {
-        for (size_t i = range.begin; i < range.end; ++i) {
-          reports[i] = EvaluateState(*states[i]);
-        }
-      },
-      [](IndexRange) {});
+  std::vector<BatchReport> reports;
+  reports.reserve(handles.size());
+  for (const DbHandle handle : handles) {
+    reports.push_back(EvaluateState(State(handle)));
+  }
   return reports;
 }
 

@@ -101,14 +101,6 @@ struct SessionOptions {
   /// detector.num_threads, which parallelizes the detection pass itself.
   bool parallel_measures = false;
 
-  /// Worker threads for the cross-database fan-out in EvaluateAll (batch
-  /// evaluation of several handles): 1 = sequential, 0 = one per hardware
-  /// thread. Per-handle reports are computed independently (each worker
-  /// holds its handle's lock), so results are bit-identical for every
-  /// value. Composes with detector.num_threads and parallel_measures
-  /// (nested fan-out on the process-wide pool cannot deadlock).
-  size_t batch_threads = 1;
-
   /// Auto-vacuum hook: when > 0, Apply periodically checks the shared
   /// pool's waste (the fraction of dictionary entries no registered
   /// database references — sustained value churn grows it) and, past the
@@ -232,9 +224,8 @@ struct SessionConstraintStats {
 ///  * `Evaluate(handle)` reports all measures; the "detection" step is a
 ///    snapshot of the maintained set. Reports are bit-identical to
 ///    EvaluateOne over an equal database;
-///  * `EvaluateAll(handles)` batch-schedules evaluation across databases
-///    on the process-wide thread pool (pipeline parallelism over e.g. a
-///    trajectory's sample points);
+///  * `EvaluateAll(handles)` evaluates several databases in one call
+///    (e.g. a trajectory's sample points), one report per handle;
 ///  * the auto-vacuum hook compacts the shared pool (and the incremental
 ///    indices' dead slots) during long mutation loops, remapping all
 ///    registered databases together.
@@ -303,9 +294,8 @@ class MeasureSession {
   /// runs — the maintained MI set is snapshotted instead.
   BatchReport Evaluate(DbHandle handle) const;
 
-  /// Batch evaluation across databases: one report per handle, scheduled
-  /// on the process-wide pool (options.batch_threads). Reports are
-  /// bit-identical to calling Evaluate per handle.
+  /// Batch evaluation across databases: one report per handle, in handle
+  /// order, each bit-identical to calling Evaluate on it.
   std::vector<BatchReport> EvaluateAll(
       const std::vector<DbHandle>& handles) const;
 

@@ -10,6 +10,7 @@
 #include "measures/registry.h"
 #include "violations/eval_kernel.h"
 #include "violations/violation.h"
+#include "violations/witness_index.h"
 
 namespace dbim {
 
@@ -49,32 +50,20 @@ double NormalQuantile(double p) {
 
 /// Per-call violation-neighborhood oracle over the eval kernel: answers
 /// "is f self-inconsistent?" and "which minimal violating pairs contain
-/// f?" by probing per-constraint blocking buckets (built once over the
-/// database, O(n) per binary constraint), never running a detection pass.
-/// Self-inconsistency and partner lists are memoized per fact, so the
-/// component BFS of the repair estimators revisits facts for free.
+/// f?" by probing a witness index built once over the database, never
+/// running a detection pass. Self-inconsistency and partner lists are
+/// memoized per fact, so the component BFS of the repair estimators
+/// revisits facts for free.
 class NeighborhoodProbe {
  public:
   NeighborhoodProbe(const std::vector<DenialConstraint>& sigma,
                     const Database& db)
-      : db_(db) {
+      : db_(db), index_(sigma, db.schema().num_relations()) {
     evals_.reserve(sigma.size());
     for (const DenialConstraint& dc : sigma) {
       evals_.emplace_back(dc, db.pool());
     }
-    for (const DcEval& eval : evals_) {
-      const DenialConstraint& dc = eval.dc();
-      if (dc.num_vars() != 2) continue;
-      BlockingKeys keys = ExtractBlockingKeys(dc);
-      BinaryState state{
-          &eval,
-          {KeyBuckets(dc.var_relation(0), std::move(keys.var0)),
-           KeyBuckets(dc.var_relation(1), std::move(keys.var1))}};
-      for (KeyBuckets& side : state.buckets) {
-        side.Build(db.relation_block(side.relation()));
-      }
-      binary_.push_back(std::move(state));
-    }
+    index_.Build(db, 1);
   }
 
   bool SelfInconsistent(FactId id) {
@@ -95,6 +84,9 @@ class NeighborhoodProbe {
   /// the pair violates some binary constraint and neither end is
   /// self-inconsistent (a self-inconsistent fact's singleton subsumes its
   /// pairs, so it has no minimal pairs — matching ViolationSet semantics).
+  /// The index yields the partners each constraint's indexed predicates
+  /// admit, with f on side 0 only when the body is symmetric (side 1 would
+  /// find the same pairs), and each is checked against the full body.
   const std::vector<FactId>& MinimalPairPartners(FactId f) {
     const auto it = partner_memo_.find(f);
     if (it != partner_memo_.end()) return it->second;
@@ -102,8 +94,20 @@ class NeighborhoodProbe {
     if (!SelfInconsistent(f)) {
       const Database::RowLocation loc = db_.Locate(f);
       const RowRef fr{&db_.relation_block(loc.relation), loc.row};
-      for (const BinaryState& state : binary_) {
-        CollectPartners(state, f, loc.relation, fr, &partners);
+      for (size_t c = 0; c < evals_.size(); ++c) {
+        const DenialConstraint& dc = evals_[c].dc();
+        if (dc.num_vars() != 2) continue;
+        const int sides = index_.plan(c).symmetric ? 1 : 2;
+        for (int side = 0; side < sides; ++side) {
+          if (dc.var_relation(side) != loc.relation) continue;
+          index_.ForEachPartner(db_, c, side, fr, [&](FactId g) {
+            if (g == f) return;
+            RowRef assignment[2];
+            assignment[side] = fr;
+            assignment[1 - side] = BindFact(db_, g);
+            if (evals_[c].BodyHolds(assignment)) partners.push_back(g);
+          });
+        }
       }
       std::sort(partners.begin(), partners.end());
       partners.erase(std::unique(partners.begin(), partners.end()),
@@ -121,37 +125,9 @@ class NeighborhoodProbe {
   }
 
  private:
-  struct BinaryState {
-    const DcEval* eval = nullptr;
-    // Facts of var_relation(v) by their side-v key; a constraint without a
-    // cross-variable equality keeps each relation in one bucket.
-    KeyBuckets buckets[2];
-  };
-
-  /// Violating partners of f under one binary constraint, both variable
-  /// orientations.
-  void CollectPartners(const BinaryState& state, FactId f, RelationId frel,
-                       const RowRef& fr, std::vector<FactId>* out) {
-    const DenialConstraint& dc = state.eval->dc();
-    for (uint32_t var = 0; var < 2; ++var) {
-      if (dc.var_relation(var) != frel) continue;
-      const uint32_t other = 1 - var;
-      const KeyBuckets& partners = state.buckets[other];
-      const uint32_t b = partners.Find(fr, state.buckets[var].attrs());
-      if (b == KeyBuckets::kNone) continue;
-      for (const FactId g : partners.facts(b)) {
-        if (g == f) continue;
-        RowRef assignment[2];
-        assignment[var] = fr;
-        assignment[other] = BindFact(db_, g);
-        if (state.eval->BodyHolds(assignment)) out->push_back(g);
-      }
-    }
-  }
-
   const Database& db_;
   std::vector<DcEval> evals_;
-  std::vector<BinaryState> binary_;
+  WitnessIndex index_;
   std::unordered_map<FactId, bool> self_memo_;
   std::unordered_map<FactId, std::vector<FactId>> partner_memo_;
 };

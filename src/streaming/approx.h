@@ -85,8 +85,7 @@ struct ApproxReport {
 ///
 /// The estimator draws m facts without replacement (m from the Hoeffding
 /// bound, see ApproxOptions::eps) and probes only the sampled facts'
-/// violation neighborhoods on the shared eval kernel — per-constraint
-/// blocking buckets built once per call, then O(bucket) per probed fact —
+/// violation neighborhoods through a WitnessIndex built once per call,
 /// never running a full detection pass:
 ///
 ///  * I_P is n times the sampled problematic-fact rate (a finite-population
@@ -108,8 +107,12 @@ struct ApproxReport {
 /// generalization), so a consistent-looking sample still reports an honest
 /// upper bound instead of [0, 0].
 ///
-/// Cost model: I_MI / I_P probe one blocking bucket per sampled fact. The
-/// repair estimators additionally expand and exactly solve every conflict
+/// Cost model: one WitnessIndex build per call (O(n) per bucket group and
+/// `!=` index, O(n log n) per order index), then I_MI / I_P query a
+/// partner index per sampled fact and binary constraint: the probe costs
+/// the partners the constraint's indexed predicates admit (plus
+/// O(log^2 bucket) for order predicates), not a walk of the whole bucket.
+/// The repair estimators additionally expand and exactly solve every conflict
 /// component the sample touches, so their cost scales with component size:
 /// they shine in the subcritical regime (key collisions rare, many small
 /// components) and legitimately degrade toward exact-path cost when the

@@ -174,60 +174,6 @@ uint32_t KeyBuckets::Remove(const RowRef& row) {
   return b;
 }
 
-KAryBlockingIndex::KAryBlockingIndex(const DenialConstraint& dc)
-    : k_(dc.num_vars()), pair_keys_(k_ * k_), group_of_(k_ * k_, -1) {
-  for (uint32_t v = 0; v < k_; ++v) {
-    for (uint32_t u = 0; u < k_; ++u) {
-      if (u == v) continue;
-      PairBlockingKeys keys = ExtractPairBlockingKeys(dc, u, v);
-      if (keys.empty()) continue;
-      const RelationId rel = dc.var_relation(v);
-      int group = -1;
-      for (size_t g = 0; g < groups_.size(); ++g) {
-        if (groups_[g].relation() == rel &&
-            groups_[g].attrs() == keys.v_attrs) {
-          group = static_cast<int>(g);
-          break;
-        }
-      }
-      if (group < 0) {
-        group = static_cast<int>(groups_.size());
-        groups_.emplace_back(rel, keys.v_attrs);
-      }
-      group_of_[v * k_ + u] = group;
-      pair_keys_[v * k_ + u] = std::move(keys);
-    }
-  }
-}
-
-void KAryBlockingIndex::Build(const Database& db) {
-  for (KeyBuckets& group : groups_) {
-    group.Build(db.relation_block(group.relation()));
-  }
-}
-
-void KAryBlockingIndex::Add(const Database& db, FactId id) {
-  const Database::RowLocation loc = db.Locate(id);
-  const RowRef row{&db.relation_block(loc.relation), loc.row};
-  for (KeyBuckets& group : groups_) {
-    if (group.relation() == loc.relation) group.Add(row);
-  }
-}
-
-void KAryBlockingIndex::Remove(const Database& db, FactId id) {
-  const Database::RowLocation loc = db.Locate(id);
-  const RowRef row{&db.relation_block(loc.relation), loc.row};
-  for (KeyBuckets& group : groups_) {
-    if (group.relation() == loc.relation) group.Remove(row);
-  }
-}
-
-size_t KAryBlockingIndex::num_bucket_keys() const {
-  size_t n = 0;
-  for (const KeyBuckets& group : groups_) n += group.num_keys();
-  return n;
-}
-
 bool MakesSelfInconsistentInterned(const DcEval& eval, const Database& db,
                                    FactId id) {
   const DenialConstraint& dc = eval.dc();

@@ -211,10 +211,10 @@ struct FactSpan {
 /// one holds a vector of its facts in insertion order (Remove preserves
 /// it), so probes stay deterministic. With no attrs every fact shares one
 /// bucket. Keys belong to one pool generation: after a vacuum re-interns
-/// the database the owner rebuilds the buckets. The one bucket type behind
-/// the witness index's bucket groups (detector and incremental index
-/// alike), KAryBlockingIndex and the sampling estimators' neighborhood
-/// probe.
+/// the database the owner rebuilds the buckets. Only the WitnessIndex
+/// (violations/witness_index.h) owns KeyBuckets: its bucket groups serve
+/// batch detection, Apply's probes, the k-ary anchored enumeration and the
+/// sampling estimators' neighborhood probe alike.
 class KeyBuckets {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
@@ -290,162 +290,6 @@ class KeyBuckets {
   std::vector<uint32_t> free_ids_;   // empty buckets
   size_t num_keys_ = 0;
 };
-
-/// Equality-key buckets for anchored probes of one k-ary (>= 3 variable)
-/// constraint. For every ordered variable pair (u, v) with a non-empty
-/// PairBlockingKeys, the facts of var_relation(v) are bucketed by their
-/// v-side key attributes, so an anchored enumeration that has already
-/// bound t_u enumerates t_v's matching bucket instead of the full
-/// relation. Distinct pairs whose (relation, v-side attribute list)
-/// coincide share one bucket group — a chain constraint's (0,1)/(1,0)
-/// pairs cost one group, not two. A constraint without cross-variable
-/// equalities gets an index with no groups, under which the anchored
-/// enumeration scans every variable's relation.
-class KAryBlockingIndex {
- public:
-  explicit KAryBlockingIndex(const DenialConstraint& dc);
-
-  /// Replaces every bucket group's contents with `db`'s live facts, one
-  /// KeyBuckets::Build per group.
-  void Build(const Database& db);
-  /// Enters/removes `id` in every bucket group over its relation. Remove
-  /// must run before the fact's values change (the key is recomputed from
-  /// the current cells) — the incremental index's bucket discipline.
-  void Add(const Database& db, FactId id);
-  void Remove(const Database& db, FactId id);
-
-  /// Bucket-group index for enumerating variable `v` against the already
-  /// bound variable `u`; negative when the pair carries no equality key.
-  int group_of(size_t v, size_t u) const { return group_of_[v * k_ + u]; }
-  const PairBlockingKeys& pair_keys(size_t v, size_t u) const {
-    return pair_keys_[v * k_ + u];
-  }
-  const KeyBuckets& group(int g) const { return groups_[g]; }
-
-  size_t num_groups() const { return groups_.size(); }
-  /// Live bucket keys across all groups — the k-ary analogue of the
-  /// binary watcher count surfaced by the stats API.
-  size_t num_bucket_keys() const;
-
- private:
-  size_t k_;
-  std::vector<PairBlockingKeys> pair_keys_;  // [v * k_ + u]
-  std::vector<int> group_of_;                // [v * k_ + u] -> group or -1
-  std::vector<KeyBuckets> groups_;
-};
-
-/// Anchored k-ary enumeration: every satisfying assignment whose support
-/// contains the fact `anchor`, each assignment exactly once — the anchor
-/// occupies the first variable position bound to it, so earlier positions
-/// exclude the anchor and later positions may rebind it. This is the
-/// incremental-maintenance mode: after an insert or update of `anchor`,
-/// the witnesses flowing through it are exactly the minimal-subset
-/// candidates that can have appeared. `emit` receives the sorted,
-/// deduplicated support of each satisfying assignment (the same support
-/// may be emitted several times — once per derivation — matching the
-/// batch detector's per-assignment violation count); discovery order is
-/// unspecified, the emission multiset is fixed.
-///
-/// Each inner variable with an equality key against an already-bound
-/// variable enumerates its matching bucket of `index` instead of the full
-/// relation, shrinking anchored neighborhoods from O(n^{k-1}) toward
-/// O(bucket^{k-1}); a variable with no such key scans its relation.
-/// Binding proceeds anchor-position-first so the changed fact's key values
-/// prune every keyed variable; each predicate is evaluated exactly once,
-/// at the step its last variable binds. `index` must be maintained against
-/// precisely `db`'s live facts.
-template <typename Emit>
-void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
-                           FactId anchor, const KAryBlockingIndex& index,
-                           Emit&& emit) {
-  const DenialConstraint& dc = eval.dc();
-  const size_t k = dc.num_vars();
-  const Database::RowLocation anchor_loc = db.Locate(anchor);
-  const std::vector<Predicate>& preds = dc.predicates();
-  std::vector<const Database::RelationBlock*> rels(k);
-  for (uint32_t v = 0; v < k; ++v) {
-    rels[v] = &db.relation_block(dc.var_relation(v));
-  }
-  std::vector<RowRef> assignment(k);
-  std::vector<FactId> chosen(k, 0);
-  std::vector<size_t> order(k);      // bind order: anchor_pos, then 0, 1, ...
-  std::vector<size_t> bind_step(k);  // var -> its step in `order`
-  std::vector<std::vector<size_t>> checkable(k);  // step -> predicate ids
-
-  for (size_t anchor_pos = 0; anchor_pos < k; ++anchor_pos) {
-    if (dc.var_relation(static_cast<uint32_t>(anchor_pos)) !=
-        anchor_loc.relation) {
-      continue;
-    }
-    order[0] = anchor_pos;
-    for (size_t v = 0, s = 1; v < k; ++v) {
-      if (v != anchor_pos) order[s++] = v;
-    }
-    for (size_t s = 0; s < k; ++s) bind_step[order[s]] = s;
-    // A predicate becomes checkable at the step its last variable binds;
-    // across all steps every predicate is checked exactly once.
-    for (auto& ids : checkable) ids.clear();
-    for (size_t i = 0; i < preds.size(); ++i) {
-      size_t last = bind_step[preds[i].lhs().var];
-      if (!preds[i].rhs_is_constant()) {
-        last = std::max(last, bind_step[preds[i].rhs_operand().var]);
-      }
-      checkable[last].push_back(i);
-    }
-
-    auto viable = [&](size_t step) {
-      for (const size_t pi : checkable[step]) {
-        if (!eval.EvalPredicate(pi, assignment.data())) return false;
-      }
-      return true;
-    };
-
-    auto recurse = [&](auto&& self, size_t step) -> void {
-      if (step == k) {
-        std::vector<FactId> support = chosen;
-        std::sort(support.begin(), support.end());
-        support.erase(std::unique(support.begin(), support.end()),
-                      support.end());
-        emit(std::move(support));
-        return;
-      }
-      const size_t var = order[step];
-      if (step == 0) {
-        assignment[var] = RowRef{rels[var], anchor_loc.row};
-        chosen[var] = anchor;
-        if (viable(0)) self(self, 1);
-        return;
-      }
-      const Database::RelationBlock& rel = *rels[var];
-      auto try_row = [&](uint32_t row) {
-        // Before the anchor position the anchor itself is excluded, so an
-        // assignment binding it at several positions is discovered only at
-        // the earliest one.
-        if (var < anchor_pos && rel.row_ids[row] == anchor) return;
-        assignment[var] = RowRef{&rel, row};
-        chosen[var] = rel.row_ids[row];
-        if (viable(step)) self(self, step + 1);
-      };
-      // Prune through the first bound partner carrying an equality key:
-      // only rows whose key values equal the partner's can satisfy the
-      // body.
-      for (size_t s = 0; s < step; ++s) {
-        const size_t u = order[s];
-        const int group = index.group_of(var, u);
-        if (group < 0) continue;
-        const KeyBuckets& buckets = index.group(group);
-        const uint32_t b =
-            buckets.Find(assignment[u], index.pair_keys(var, u).u_attrs);
-        if (b != KeyBuckets::kNone) {
-          for (const FactId id : buckets.facts(b)) try_row(db.Locate(id).row);
-        }
-        return;
-      }
-      for (uint32_t i = 0; i < rel.num_rows(); ++i) try_row(i);
-    };
-    recurse(recurse, 0);
-  }
-}
 
 /// Whether `id` is self-inconsistent under `eval`'s constraint: the body
 /// holds with every tuple variable bound to the fact. False when the

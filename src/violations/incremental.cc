@@ -41,16 +41,9 @@ void IncrementalViolationIndex::BuildInitialState(
   // One witness index build, probed by the initial detection and then
   // maintained by Apply; the store that detection fills is the one Apply
   // maintains.
-  BuildIndexes(build_options.num_threads);
+  witness_.Build(*db_, build_options.num_threads);
   store_ = ViolationDetector(schema_, constraints_, build_options)
                .FindWitnesses(*db_, witness_);
-}
-
-void IncrementalViolationIndex::BuildIndexes(size_t num_threads) {
-  witness_.Build(*db_, num_threads);
-  for (const auto& index : kary_indexes_) {
-    if (index != nullptr) index->Build(*db_);
-  }
 }
 
 void IncrementalViolationIndex::BuildDispatchTables() {
@@ -60,7 +53,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
   selfinc_by_rel_.assign(num_rels, {});
   watch_probes_by_rel_.assign(num_rels, {});
   stats_.assign(constraints_.size(), {});
-  kary_indexes_.resize(constraints_.size());
 
   // Constraints are visited in ascending index and a constraint's entries
   // for one relation are pushed consecutively, so a back() check suffices
@@ -110,7 +102,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
       for (const RelationId r : dc.var_relations()) {
         push_unique(kary_by_rel_[r], c);
       }
-      kary_indexes_[c] = std::make_unique<KAryBlockingIndex>(dc);
     }
   }
 }
@@ -134,22 +125,6 @@ const std::vector<DcEval>& IncrementalViolationIndex::CompileEvals() {
     evals_pool_size_ = pool_size;
   }
   return evals_cache_;
-}
-
-void IncrementalViolationIndex::AddToKAryIndexes(FactId id) {
-  if (!has_kary_) return;
-  for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
-    kary_indexes_[c]->Add(*db_, id);
-  }
-}
-
-void IncrementalViolationIndex::RemoveFromIndexes(FactId id) {
-  witness_.Remove(*db_, id);
-  if (has_kary_) {
-    for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
-      kary_indexes_[c]->Remove(*db_, id);
-    }
-  }
 }
 
 void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
@@ -241,7 +216,7 @@ void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
   std::vector<std::vector<FactId>> supports;
   for (const uint32_t c : kary_by_rel_[db_->Locate(id).relation]) {
     const size_t before = supports.size();
-    EnumerateKAryAnchored(evals[c], *db_, id, *kary_indexes_[c],
+    EnumerateKAryAnchored(evals[c], *db_, id, witness_, c,
                           [&](std::vector<FactId> support) {
                             supports.push_back(std::move(support));
                           });
@@ -278,22 +253,18 @@ void IncrementalViolationIndex::ProbeFact(const std::vector<DcEval>& evals,
 std::optional<FactId> IncrementalViolationIndex::Apply(
     const RepairOperation& op) {
   if (!op.IsApplicable(*db_)) return std::nullopt;
-  if (witness_.stale(db_->pool())) BuildIndexes(1);
+  if (witness_.stale(db_->pool())) witness_.Build(*db_, 1);
+  // A fact leaves the witness index before its cells change (its keys are
+  // read from them) and enters it after its probe (see the class comment).
   if (op.is_deletion()) {
     const FactId id = op.deletion().id;
     store_.RemoveInvolving(id);
-    RemoveFromIndexes(id);
+    witness_.Remove(*db_, id);
     db_->Delete(id);
     return std::nullopt;
   }
-  // The probe runs between the two halves of bucket maintenance: k-ary
-  // indexes first (anchored enumeration reads them), binary buckets after
-  // (see AddToKAryIndexes — a self-watcher would defeat watched
-  // dispatch). The binary probe never matched the fact's reflexive bucket
-  // entry, so results are unchanged by the ordering.
   if (op.is_insertion()) {
     const FactId id = db_->Insert(op.insertion().fact);
-    AddToKAryIndexes(id);
     ProbeFact(CompileEvals(), id);
     witness_.Add(*db_, id);
     return id;
@@ -301,9 +272,8 @@ std::optional<FactId> IncrementalViolationIndex::Apply(
   const UpdateOp& update = op.update();
   const FactId id = update.id;
   store_.RemoveInvolving(id);
-  RemoveFromIndexes(id);
+  witness_.Remove(*db_, id);
   db_->UpdateValue(id, update.attr, update.value);
-  AddToKAryIndexes(id);
   ProbeFact(CompileEvals(), id);
   witness_.Add(*db_, id);
   return std::nullopt;
@@ -325,7 +295,13 @@ IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
       out.watcher_count += witness_.group(plan.group[1]).num_keys();
     }
   } else if (dc.num_vars() >= 3) {
-    out.watcher_count = kary_indexes_[c]->num_bucket_keys();
+    // The distinct groups its variable pairs prune with.
+    std::vector<int> groups = witness_.plan(c).pair_group;
+    std::sort(groups.begin(), groups.end());
+    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+    for (const int g : groups) {
+      if (g >= 0) out.watcher_count += witness_.group(g).num_keys();
+    }
   }
   return out;
 }

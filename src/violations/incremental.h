@@ -19,11 +19,11 @@ namespace dbim {
 /// the witness index yields (binary: partner facts whose key and indexed
 /// `!=` or order predicates hold, each checked against the full body)
 /// resp. satisfying assignments enumerated (k-ary) on behalf of the
-/// constraint during Apply; `num_fires` counts
-/// violation derivations it contributed. `watcher_count` is the
-/// constraint's live watched-key count: non-empty partner buckets (binary)
-/// resp. bucket keys of its pruning index (k-ary). Counters cover
-/// Apply-time maintenance, not the initial build.
+/// constraint during Apply; `num_fires` counts violation derivations it
+/// contributed. `watcher_count` is the constraint's live watched-key
+/// count: non-empty partner buckets (binary) resp. bucket keys of the
+/// groups its variable pairs prune with (k-ary). Counters cover Apply-time
+/// maintenance, not the initial build.
 struct IncrementalConstraintStats {
   uint64_t num_probes = 0;
   uint64_t num_fires = 0;
@@ -63,18 +63,24 @@ struct IncrementalDispatchStats {
 ///    body that reads the same with t and t' swapped (every FD) probes one
 ///    side only. Checks compare interned class ids only — no row-major
 ///    `Fact` is ever materialized;
-///  * k-ary (>= 3 variable) constraints use the kernel's anchored
-///    enumeration (EnumerateKAryAnchored) over a per-constraint
-///    KAryBlockingIndex: every satisfying assignment through the changed
-///    fact, bucket-sized work for keyed variables and a relation scan for
-///    keyless ones, instead of the O(n^k) full re-detection, with new
-///    candidates minimality-filtered by the same WitnessStore::AdmitKAry
-///    the batch detector's pass 3 runs.
+///  * k-ary (>= 3 variable) constraints use the anchored enumeration
+///    (EnumerateKAryAnchored) over the same witness index, whose bucket
+///    groups also serve each k-ary constraint's variable pairs: every
+///    satisfying assignment through the changed fact, bucket-sized work
+///    for keyed variables and a relation scan for keyless ones, instead of
+///    the O(n^k) full re-detection, with new candidates minimality-
+///    filtered by the same WitnessStore::AdmitKAry the batch detector's
+///    pass 3 runs.
+///
+/// Apply enters an inserted or updated fact in the witness index after
+/// its probe: that keeps the fact from watching itself, which would make
+/// every same-attribute FD a candidate on every op, and the anchored
+/// enumeration tries the anchor's own row itself.
 ///
 /// The buckets and partner indexes key on class ids, which a shared-pool
 /// vacuum/re-intern (see MeasureSession::Vacuum) reassigns: the first
-/// Apply after the pool's generation moves builds every index again from
-/// the database, in one call (BuildIndexes).
+/// Apply after the pool's generation moves builds the witness index again
+/// from the database, in one call.
 ///
 /// MI itself lives in a WitnessStore (violations/violation.h): the index
 /// adopts the store its initial detection filled, with every subset's
@@ -190,12 +196,9 @@ class IncrementalViolationIndex {
   };
 
   void BuildInitialState(const DetectorOptions& build_options);
-  // Bulk-builds the witness index and the k-ary pruning indexes from the
-  // database, against its current pool.
-  void BuildIndexes(size_t num_threads);
-  // Per-relation dispatch tables, watch probes and the k-ary pruning
-  // indexes. Pure derivation from constraints_ and the witness index's
-  // plans; called once before facts enter the indexes.
+  // Per-relation dispatch tables and watch probes. Pure derivation from
+  // constraints_ and the witness index's plans; called once before facts
+  // enter the index.
   void BuildDispatchTables();
   // One compiled evaluator per constraint against the current pool,
   // cached across ops: compilation binds pool state only through
@@ -214,19 +217,6 @@ class IncrementalViolationIndex {
   // minimality filter.
   void ProbeKAry(const std::vector<DcEval>& evals, FactId id);
 
-  // Index maintenance is split so Apply can order it around the probe:
-  // the k-ary indexes must hold the changed fact *before* ProbeFact (the
-  // anchored enumeration binds inner variables from them, repeated-fact
-  // assignments included), while the witness index takes it *after* — the
-  // probe never matched the fact's own reflexive entry anyway, and adding
-  // it late keeps the watcher map free of self-watchers, which would make
-  // every same-attribute FD a candidate on every op and defeat watched
-  // dispatch entirely.
-  void AddToKAryIndexes(FactId id);
-  // Must run before the fact's values change (keys are recomputed from the
-  // current cells).
-  void RemoveFromIndexes(FactId id);
-
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;
   std::optional<Database> owned_;
@@ -237,15 +227,12 @@ class IncrementalViolationIndex {
   std::vector<std::vector<uint32_t>> binary_by_rel_;   // binary cs touching rel
   std::vector<std::vector<uint32_t>> kary_by_rel_;     // k-ary cs touching rel
   std::vector<std::vector<uint32_t>> selfinc_by_rel_;  // unary-capable cs
-  // --- the binary constraints' buckets and partner indexes ---
+  // --- every constraint's buckets, and the binary partner indexes ---
   WitnessIndex witness_;
 
   // --- watched dispatch ---
   // rel -> watch probes.
   std::vector<std::vector<WatchProbe>> watch_probes_by_rel_;
-
-  // --- anchored pruning (non-null exactly for the k-ary constraints) ---
-  std::vector<std::unique_ptr<KAryBlockingIndex>> kary_indexes_;
 
   // --- per-constraint counters ---
   struct Counters {

@@ -479,15 +479,33 @@ WitnessIndex::WitnessIndex(const std::vector<DenialConstraint>& constraints,
     const DenialConstraint& dc = constraints[c];
     if (dc.num_vars() != 2) continue;
     DcPlan& plan = plans_[c];
-    const BlockingKeys keys = ExtractBlockingKeys(dc);
-    for (uint32_t side = 0; side < 2; ++side) {
-      plan.group[side] =
-          group_for(dc.var_relation(side), side == 0 ? keys.var0 : keys.var1);
-    }
+    const PairBlockingKeys keys = ExtractPairBlockingKeys(dc, 0, 1);
+    plan.group[0] = group_for(dc.var_relation(0), keys.u_attrs);
+    plan.group[1] = group_for(dc.var_relation(1), keys.v_attrs);
     plan.symmetric = SwapSymmetric(dc);
     for (uint32_t side = 0; side < (plan.symmetric ? 1u : 2u); ++side) {
       plan.side[side] =
           plan_side(dc, side, static_cast<uint32_t>(plan.group[1 - side]));
+    }
+  }
+  // The k-ary pair groups come after every binary group, so a k-ary
+  // constraint never renumbers them.
+  for (uint32_t c = 0; c < constraints.size(); ++c) {
+    const DenialConstraint& dc = constraints[c];
+    const uint32_t k = dc.num_vars();
+    if (k < 3) continue;
+    DcPlan& plan = plans_[c];
+    plan.pair_group.assign(size_t{k} * k, -1);
+    plan.pair_attrs.resize(size_t{k} * k);
+    for (uint32_t v = 0; v < k; ++v) {
+      for (uint32_t u = 0; u < k; ++u) {
+        if (u == v) continue;
+        PairBlockingKeys keys = ExtractPairBlockingKeys(dc, u, v);
+        if (keys.empty()) continue;
+        plan.pair_group[v * k + u] =
+            group_for(dc.var_relation(v), keys.v_attrs);
+        plan.pair_attrs[v * k + u] = std::move(keys.u_attrs);
+      }
     }
   }
 }

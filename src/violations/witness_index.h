@@ -30,13 +30,17 @@ namespace dbim {
 ///    walks the bucket's cross-class pairs (PairSplits).
 /// The batch detector bulk-builds it and probes it read-only; the
 /// incremental index builds it once the same way and keeps it up to date
-/// under Apply. Every bulk step is a stable radix sort on dense class ids
-/// (common/radix_sort.h), O(n) per 8-bit digit the ids span, or runs in
-/// O(n): a group's buckets sort its rows on their key classes; a `!=`
-/// index sorts its group's multi-fact bucket members on their class once
-/// and deals them out to the buckets; an order run sorts its positions on
-/// each key's class, then its distinct classes by value (see OrderRuns),
-/// and its MinMaxTable takes O(n log n). Every reported
+/// under Apply; the sampling estimators build one per evaluation and
+/// collect a sampled fact's partners through it. It is the only owner of
+/// key buckets: the k-ary constraints' anchored enumeration
+/// (EnumerateKAryAnchored, at the end of this file) reads the same bucket
+/// groups, planned per variable pair. Every bulk step is a stable radix
+/// sort on dense class ids (common/radix_sort.h), O(n) per 8-bit digit the
+/// ids span, or runs in O(n): a group's buckets sort its rows on their key
+/// classes; a `!=` index sorts its group's multi-fact bucket members on
+/// their class once and deals them out to the buckets; an order run sorts
+/// its positions on each key's class, then its distinct classes by value
+/// (see OrderRuns), and its MinMaxTable takes O(n log n). Every reported
 /// partner is still re-checked against the full body by the caller; the
 /// index only decides which facts to look at, and it never drops one
 /// whose indexed predicates hold.
@@ -330,13 +334,14 @@ struct ClassSplit {
 };
 
 /// The witness index itself (see the top of this file). Bucket groups are
-/// shared: every binary side with the same (relation, key attributes)
-/// buckets exactly the same facts under exactly the same keys, so one
-/// KeyBuckets serves them all. Partner indexes are shared the same way by
-/// the probe sides whose partner group, kind and attributes coincide, and
-/// are laid out by their group's bucket ids. Buckets and partner indexes
-/// hold class ids of one pool generation: once a vacuum re-interns the
-/// database the index is stale, and the owner builds it again.
+/// shared: every binary side and every k-ary variable pair with the same
+/// (relation, key attributes) buckets exactly the same facts under exactly
+/// the same keys, so one KeyBuckets serves them all. Partner indexes are
+/// shared the same way by the probe sides whose partner group, kind and
+/// attributes coincide, and are laid out by their group's bucket ids.
+/// Buckets and partner indexes hold class ids of one pool generation: once
+/// a vacuum re-interns the database the index is stale, and the owner
+/// builds it again.
 class WitnessIndex {
  public:
   /// How the probe with the probe fact bound to one variable reaches its
@@ -349,17 +354,24 @@ class WitnessIndex {
     AttrIndex probe_attrs[2] = {0, 0};
     CompareOp ops[2] = {CompareOp::kNe, CompareOp::kNe};
   };
-  /// The blocking plan of one binary constraint: group[v] names the bucket
-  /// group holding the facts of var_relation(v) keyed by their side-v key
-  /// attributes (a keyless constraint's group is one bucket per relation).
-  /// side[s] plans the probe with the probe fact bound to variable s; a
-  /// symmetric body (the same with t and t' swapped, as every FD) plans
-  /// side 0 only, which finds every pair. Other constraints keep the
-  /// default: no groups.
+  /// The blocking plan of one constraint. Binary: group[v] names the
+  /// bucket group holding the facts of var_relation(v) keyed by their
+  /// side-v key attributes (a keyless constraint's group is one bucket per
+  /// relation). side[s] plans the probe with the probe fact bound to
+  /// variable s; a symmetric body (the same with t and t' swapped, as every
+  /// FD) plans side 0 only, which finds every pair. K-ary (k >= 3): for
+  /// every ordered variable pair (u, v) with a non-empty
+  /// ExtractPairBlockingKeys(dc, u, v), pair_group[v * k + u] names the
+  /// group holding the facts of var_relation(v) keyed by their v-side
+  /// attributes, and pair_attrs[v * k + u] holds the u-side attributes a
+  /// bound t_u finds its bucket with; -1 for a pair with no equality key.
+  /// Unary constraints keep the default: no groups.
   struct DcPlan {
     int group[2] = {-1, -1};
     bool symmetric = false;
     SidePlan side[2];
+    std::vector<int> pair_group;
+    std::vector<std::vector<AttrIndex>> pair_attrs;
   };
 
   /// Constraint `c`'s partners at one bucket key for its side-`side`
@@ -392,7 +404,8 @@ class WitnessIndex {
   };
 
   /// Plans the groups and partner indexes of every binary constraint of
-  /// `constraints`; holds no facts until Build.
+  /// `constraints`, then the pair groups of every k-ary one; holds no facts
+  /// until Build.
   WitnessIndex(const std::vector<DenialConstraint>& constraints,
                size_t num_relations);
 
@@ -528,6 +541,137 @@ void WitnessIndex::ForEachPartner(const Database& db, const Partners& at,
   if (BindFact(db, only).class_at((*at.attrs_)[0]) !=
       self.class_at(plan.probe_attrs[0])) {
     fn(only);
+  }
+}
+
+/// Anchored k-ary enumeration of constraint `c` (k >= 3 variables) of
+/// `index`: every satisfying assignment whose support contains the fact
+/// `anchor`, each exactly once — the anchor occupies the first variable
+/// position bound to it, so earlier positions exclude the anchor and later
+/// positions may rebind it. This is the incremental-maintenance mode:
+/// after an insert or update of `anchor`, the witnesses flowing through it
+/// are exactly the minimal-subset candidates that can have appeared.
+/// `emit` receives the sorted, deduplicated support of each satisfying
+/// assignment (the same support may be emitted several times — once per
+/// derivation — matching the batch detector's per-assignment violation
+/// count); discovery order is unspecified, the emission multiset is fixed.
+///
+/// Each inner variable with an equality key against an already-bound
+/// variable enumerates its matching bucket of the pair's group
+/// (DcPlan::pair_group) instead of the full relation, shrinking anchored
+/// neighborhoods from O(n^{k-1}) toward O(bucket^{k-1}); a variable with no
+/// such key scans its relation. Binding proceeds anchor-position-first so
+/// the changed fact's key values prune every keyed variable; each
+/// predicate is evaluated exactly once, at the step its last variable
+/// binds. `index` must hold `db`'s live facts, the anchor aside: Apply
+/// enters the changed fact only after its probe, so that no fact watches
+/// itself. The walk skips the anchor in a bucket and, at every position
+/// after its first, tries the anchor's row itself, after the bucket,
+/// whenever the anchor's key there equals the bound partner's.
+template <typename Emit>
+void EnumerateKAryAnchored(const DcEval& eval, const Database& db,
+                           FactId anchor, const WitnessIndex& index, size_t c,
+                           Emit&& emit) {
+  const DenialConstraint& dc = eval.dc();
+  const WitnessIndex::DcPlan& plan = index.plan(c);
+  const size_t k = dc.num_vars();
+  const Database::RowLocation anchor_loc = db.Locate(anchor);
+  const std::vector<Predicate>& preds = dc.predicates();
+  std::vector<const Database::RelationBlock*> rels(k);
+  for (uint32_t v = 0; v < k; ++v) {
+    rels[v] = &db.relation_block(dc.var_relation(v));
+  }
+  std::vector<RowRef> assignment(k);
+  std::vector<FactId> chosen(k, 0);
+  std::vector<size_t> order(k);      // bind order: anchor_pos, then 0, 1, ...
+  std::vector<size_t> bind_step(k);  // var -> its step in `order`
+  std::vector<std::vector<size_t>> checkable(k);  // step -> predicate ids
+
+  for (size_t anchor_pos = 0; anchor_pos < k; ++anchor_pos) {
+    if (dc.var_relation(static_cast<uint32_t>(anchor_pos)) !=
+        anchor_loc.relation) {
+      continue;
+    }
+    order[0] = anchor_pos;
+    for (size_t v = 0, s = 1; v < k; ++v) {
+      if (v != anchor_pos) order[s++] = v;
+    }
+    for (size_t s = 0; s < k; ++s) bind_step[order[s]] = s;
+    // A predicate becomes checkable at the step its last variable binds;
+    // across all steps every predicate is checked exactly once.
+    for (auto& ids : checkable) ids.clear();
+    for (size_t i = 0; i < preds.size(); ++i) {
+      size_t last = bind_step[preds[i].lhs().var];
+      if (!preds[i].rhs_is_constant()) {
+        last = std::max(last, bind_step[preds[i].rhs_operand().var]);
+      }
+      checkable[last].push_back(i);
+    }
+
+    auto viable = [&](size_t step) {
+      for (const size_t pi : checkable[step]) {
+        if (!eval.EvalPredicate(pi, assignment.data())) return false;
+      }
+      return true;
+    };
+
+    auto recurse = [&](auto&& self, size_t step) -> void {
+      if (step == k) {
+        std::vector<FactId> support = chosen;
+        std::sort(support.begin(), support.end());
+        support.erase(std::unique(support.begin(), support.end()),
+                      support.end());
+        emit(std::move(support));
+        return;
+      }
+      const size_t var = order[step];
+      if (step == 0) {
+        assignment[var] = RowRef{rels[var], anchor_loc.row};
+        chosen[var] = anchor;
+        if (viable(0)) self(self, 1);
+        return;
+      }
+      const Database::RelationBlock& rel = *rels[var];
+      auto try_row = [&](uint32_t row) {
+        // Before the anchor position the anchor itself is excluded, so an
+        // assignment binding it at several positions is discovered only at
+        // the earliest one.
+        if (var < anchor_pos && rel.row_ids[row] == anchor) return;
+        assignment[var] = RowRef{&rel, row};
+        chosen[var] = rel.row_ids[row];
+        if (viable(step)) self(self, step + 1);
+      };
+      // Prune through the first bound partner carrying an equality key:
+      // only rows whose key values equal the partner's can satisfy the
+      // body.
+      for (size_t s = 0; s < step; ++s) {
+        const size_t u = order[s];
+        const int group = plan.pair_group[var * k + u];
+        if (group < 0) continue;
+        const KeyBuckets& buckets = index.group(group);
+        const std::vector<AttrIndex>& u_attrs = plan.pair_attrs[var * k + u];
+        const uint32_t b = buckets.Find(assignment[u], u_attrs);
+        if (b != KeyBuckets::kNone) {
+          for (const FactId id : buckets.facts(b)) {
+            if (id != anchor) try_row(db.Locate(id).row);
+          }
+        }
+        // The anchor, skipped above since the index need not hold it, may
+        // rebind any position after its own.
+        if (var > anchor_pos && &rel == rels[anchor_pos]) {
+          const RowRef own{&rel, anchor_loc.row};
+          bool same_key = true;
+          for (size_t i = 0; i < u_attrs.size(); ++i) {
+            same_key = same_key && own.class_at(buckets.attrs()[i]) ==
+                                       assignment[u].class_at(u_attrs[i]);
+          }
+          if (same_key) try_row(anchor_loc.row);
+        }
+        return;
+      }
+      for (uint32_t i = 0; i < rel.num_rows(); ++i) try_row(i);
+    };
+    recurse(recurse, 0);
   }
 }
 

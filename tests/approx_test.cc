@@ -8,10 +8,14 @@
 //  * degeneracy — when the exact path runs (sample_fraction == 1.0: small
 //    database, eps <= 0, or k-ary Sigma) the estimate reproduces the exact
 //    measure value bit-for-bit.
+//  * oracle — the sampled I_MI and I_P equal n * mean(g) over the drawn
+//    sample, g recomputed from a full detection, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -192,6 +196,106 @@ TEST(ApproxEvaluator, ZeroEpsForcesExactPath) {
   const BatchReport exact = ExactReport(session, db);
   for (const char* name : kEstimable) {
     EXPECT_EQ(report.Find(name)->estimate, exact.Find(name)->value) << name;
+  }
+}
+
+// Sampler oracle: the sampled I_MI and I_P estimates are n * mean(g) over
+// the very sample the estimator draws — a partial Fisher-Yates shuffle of
+// db.ids() with Rng(seed) — with g read off one full detection: g(f) is
+// 1 for a self-inconsistent fact and half its number of minimal pairs
+// otherwise (I_MI), resp. whether f is problematic (I_P). The sum runs in
+// sample order, as the estimator's does, so the estimates must agree bit
+// for bit. Sigma spans every binary probe shape the estimator's partner
+// lookup distinguishes: an FD, a keyless order DC, an asymmetric body
+// (probed from both sides), a cross-relation DC, plus a unary DC for
+// self-inconsistent facts; the cells include nulls and NaNs.
+TEST(ApproxEvaluator, SampledEstimatesMatchDetectionOracle) {
+  const auto schema = testing::MakeRsSchema();  // R, S over (A, B, C, D)
+  auto parse = [&](const char* text) { return *ParseDc(*schema, 0, text); };
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(parse("!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(parse("!(t.C < t'.C & t.D > t'.D)"));
+  dcs.push_back(parse("!(t.A = t'.A & t.B < t'.B & t.C > t'.C)"));
+  {
+    std::vector<Predicate> preds;  // t0 over R, t1 over S
+    preds.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+    preds.emplace_back(Operand{0, 1}, CompareOp::kGt, Operand{1, 1});
+    dcs.emplace_back(std::vector<RelationId>{0, 1}, std::move(preds));
+  }
+  dcs.push_back(parse("!(t.B = 2 & t.D < 30)"));
+  MeasureSession session(schema, dcs);
+
+  for (const uint64_t corpus_seed : {11u, 12u}) {
+    // D tracks C but for a small shift on a few facts, so the keyless
+    // order DC stays sparse; A collides in both relations and across
+    // them. Nulls go to the key and `!=` columns A and B only (a null
+    // sorts below every number, so one null C or D would conflict with
+    // half the facts), NaNs to every column (a NaN orders against
+    // nothing).
+    Rng rng(corpus_seed);
+    Database db(schema);
+    for (RelationId r = 0; r < 2; ++r) {
+      for (int i = 0; i < 300; ++i) {
+        const int64_t c = rng.UniformInt(0, 999);
+        const int64_t a = rng.UniformInt(0, 399);
+        const int64_t b = rng.UniformInt(0, 2);
+        const int64_t d =
+            rng.Bernoulli(0.1) ? c + rng.UniformInt(-20, 20) : c;
+        std::vector<Value> values = {Value(a), Value(b), Value(c), Value(d)};
+        for (size_t a = 0; a < values.size(); ++a) {
+          if (a < 2 && rng.Bernoulli(0.05)) values[a] = Value();
+          if (rng.Bernoulli(0.02)) values[a] = Value(std::nan(""));
+        }
+        db.Insert(Fact(r, std::move(values)));
+      }
+    }
+    const ViolationSet mi = session.detector().FindViolations(db);
+    std::map<FactId, double> share;  // g(f) for I_MI
+    for (const FactId f : mi.SelfInconsistentFacts()) share[f] = 1.0;
+    for (const std::vector<FactId>& subset : mi.minimal_subsets()) {
+      if (subset.size() != 2) continue;
+      for (const FactId f : subset) share[f] += 0.5;
+    }
+    const std::vector<FactId> problematic = mi.ProblematicFacts();
+    ASSERT_FALSE(mi.SelfInconsistentFacts().empty());
+    ASSERT_GT(mi.num_minimal_subsets(), mi.SelfInconsistentFacts().size());
+
+    for (const uint64_t sample_seed : {1u, 2u, 3u}) {
+      ApproxEvaluator evaluator(session.detector(),
+                                ApproxOptions()
+                                    .WithEps(0.1)
+                                    .WithSeed(sample_seed)
+                                    .WithMeasure("I_MI")
+                                    .WithMeasure("I_P"));
+      const ApproxReport report = evaluator.Evaluate(db);
+      ASSERT_FALSE(report.exact);
+      const size_t m = evaluator.SampleSize(db.size());
+      ASSERT_EQ(report.sample_size, m);
+
+      std::vector<FactId> sample = db.ids();
+      Rng draw(sample_seed);
+      for (size_t i = 0; i < m; ++i) {
+        const size_t j = i + draw.UniformIndex(sample.size() - i);
+        std::swap(sample[i], sample[j]);
+      }
+      sample.resize(m);
+      double mi_sum = 0.0;
+      double p_sum = 0.0;
+      for (const FactId f : sample) {
+        const auto it = share.find(f);
+        mi_sum += it == share.end() ? 0.0 : it->second;
+        p_sum += std::binary_search(problematic.begin(), problematic.end(), f)
+                     ? 1.0
+                     : 0.0;
+      }
+      ASSERT_GT(p_sum, 0.0);
+      const double dn = static_cast<double>(db.size());
+      const double dm = static_cast<double>(m);
+      const std::string where = "corpus " + std::to_string(corpus_seed) +
+                                " seed " + std::to_string(sample_seed);
+      EXPECT_EQ(report.Find("I_MI")->estimate, dn * (mi_sum / dm)) << where;
+      EXPECT_EQ(report.Find("I_P")->estimate, dn * (p_sum / dm)) << where;
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include "constraints/predicate.h"
 #include "test_util.h"
 #include "violations/eval_kernel.h"
+#include "violations/witness_index.h"
 
 namespace dbim {
 namespace {
@@ -46,20 +47,32 @@ bool ReferenceBodyHolds(const DenialConstraint& dc, const Database& db,
   return testing::BodyHolds(dc, facts);
 }
 
-// A pruning index over every live fact of `db`.
-KAryBlockingIndex BuildIndex(const DenialConstraint& dc, const Database& db) {
-  KAryBlockingIndex index(dc);
-  for (const FactId id : db.ids()) index.Add(db, id);
+// A witness index over every live fact of `db`, planned for `sigma`.
+WitnessIndex BuildIndex(const std::vector<DenialConstraint>& sigma,
+                        const Database& db) {
+  WitnessIndex index(sigma, db.schema().num_relations());
+  index.Build(db, 1);
   return index;
 }
 
-// Anchored supports through `anchor`, with their emission counts.
+// Live bucket keys over every group of `index`.
+size_t BucketKeys(const WitnessIndex& index) {
+  size_t keys = 0;
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    keys += index.group(g).num_keys();
+  }
+  return keys;
+}
+
+// Anchored supports of constraint `c` of `index` through `anchor`, with
+// their emission counts.
 std::map<std::vector<FactId>, size_t> Anchored(const DcEval& eval,
                                                const Database& db,
                                                FactId anchor,
-                                               const KAryBlockingIndex& index) {
+                                               const WitnessIndex& index,
+                                               size_t c = 0) {
   std::map<std::vector<FactId>, size_t> out;
-  EnumerateKAryAnchored(eval, db, anchor, index,
+  EnumerateKAryAnchored(eval, db, anchor, index, c,
                         [&](std::vector<FactId> s) { ++out[std::move(s)]; });
   return out;
 }
@@ -127,13 +140,13 @@ TEST(EvalKernel, SelfInconsistencyMatchesFactReference) {
 TEST(EvalKernel, BlockingKeyBucketsRespectValueEquality) {
   const auto schema = MakeAbcSchema();
   const auto dc = *ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)");
-  const BlockingKeys keys = ExtractBlockingKeys(dc);
+  const PairBlockingKeys keys = ExtractPairBlockingKeys(dc, 0, 1);
   const Database db = MakeRandomDatabase(schema, 0, 60, 3, 17);
-  KeyBuckets buckets(0, keys.var1);
+  KeyBuckets buckets(0, keys.v_attrs);
   buckets.Build(db.relation_block(0));
   const std::vector<FactId> ids = db.ids();
   for (const FactId a : ids) {
-    const uint32_t b = buckets.Find(BindFact(db, a), keys.var0);
+    const uint32_t b = buckets.Find(BindFact(db, a), keys.u_attrs);
     ASSERT_NE(b, KeyBuckets::kNone);
     std::vector<FactId> expected;
     for (const FactId other : ids) {
@@ -168,7 +181,7 @@ TEST(EvalKernel, AnchoredEnumerationPartitionsFullEnumeration) {
                     ++full[std::move(support)];
                   });
 
-    const KAryBlockingIndex index = BuildIndex(dc, db);
+    const WitnessIndex index = BuildIndex({dc}, db);
     std::map<std::vector<FactId>, size_t> anchored_sum;
     for (const FactId id : db.ids()) {
       for (const auto& [support, count] : Anchored(eval, db, id, index)) {
@@ -263,18 +276,24 @@ DenialConstraint WideDc4() {
 // The anchored enumeration must emit exactly the reference multiset for
 // every anchor: buckets are candidate supersets re-filtered by the same
 // equality predicates, so pruning may only skip rows that could never
-// satisfy the body — never change what is found or how often.
+// satisfy the body — never change what is found or how often. The k-ary
+// constraint comes second, after an FD whose (R, [A]) group its pairs
+// share.
 TEST(AnchoredPruning, MatchesFullEnumerationPerAnchor) {
   const auto schema = MakeAbcSchema();
+  const DenialConstraint fd =
+      *ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)");
   for (const DenialConstraint& dc : {ChainDc3(), WideDc4()}) {
     for (const uint64_t seed : {51u, 52u, 53u}) {
       const Database db = MakeRandomDatabase(schema, 0, 16, 3, seed);
       const DcEval eval(dc, db.pool());
-      const KAryBlockingIndex index = BuildIndex(dc, db);
-      ASSERT_GT(index.num_groups(), 0u);
+      const WitnessIndex index = BuildIndex({fd, dc}, db);
+      ASSERT_GE(index.plan(1).pair_group[1 * dc.num_vars() + 0], 0);
+      EXPECT_EQ(index.plan(1).pair_group[1 * dc.num_vars() + 0],
+                index.plan(0).group[0]);
       for (const FactId id : db.ids()) {
         EXPECT_EQ(AnchoredReference(eval, db, id),
-                  Anchored(eval, db, id, index))
+                  Anchored(eval, db, id, index, 1))
             << "k=" << dc.num_vars() << " seed=" << seed << " anchor=" << id;
       }
     }
@@ -284,19 +303,26 @@ TEST(AnchoredPruning, MatchesFullEnumerationPerAnchor) {
 // The same parity must survive churn: Add/Remove keep the bucket index
 // exact as facts come and go (a stale bucket entry would surface as a
 // duplicate candidate, a lost one as a missing witness), and draining the
-// database drains the buckets.
+// database drains the buckets. Every anchor is checked both in the index
+// and out of it, as Apply probes it before entering it.
 TEST(AnchoredPruning, IndexMaintainedUnderChurn) {
   const auto schema = MakeAbcSchema();
   const DenialConstraint dc = ChainDc3();
   Database db(schema);
-  KAryBlockingIndex index(dc);
+  WitnessIndex index({dc}, schema->num_relations());
+  index.Build(db, 1);
   Rng rng(61);
   std::vector<FactId> live;
   auto check_all_anchors = [&](const std::string& at) {
     const DcEval eval(dc, db.pool());
     for (const FactId id : live) {
-      ASSERT_EQ(AnchoredReference(eval, db, id), Anchored(eval, db, id, index))
+      const auto reference = AnchoredReference(eval, db, id);
+      ASSERT_EQ(reference, Anchored(eval, db, id, index))
           << at << " anchor=" << id;
+      index.Remove(db, id);
+      ASSERT_EQ(reference, Anchored(eval, db, id, index))
+          << at << " anchor=" << id << " outside the index";
+      index.Add(db, id);
     }
   };
   for (int step = 0; step < 60; ++step) {
@@ -321,7 +347,7 @@ TEST(AnchoredPruning, IndexMaintainedUnderChurn) {
     db.Delete(live.back());
     live.pop_back();
   }
-  EXPECT_EQ(index.num_bucket_keys(), 0u);
+  EXPECT_EQ(BucketKeys(index), 0u);
 }
 
 // A body with no cross-variable equalities has nothing to block on: the
@@ -338,9 +364,8 @@ TEST(AnchoredPruning, KeylessIndexScansEveryVariable) {
   for (const uint64_t seed : {55u, 56u}) {
     const Database db = MakeRandomDatabase(schema, 0, 14, 3, seed);
     const DcEval eval(dc, db.pool());
-    const KAryBlockingIndex index = BuildIndex(dc, db);
+    const WitnessIndex index = BuildIndex({dc}, db);
     EXPECT_EQ(index.num_groups(), 0u);
-    EXPECT_EQ(index.num_bucket_keys(), 0u);
     for (const FactId id : db.ids()) {
       const auto reference = AnchoredReference(eval, db, id);
       EXPECT_EQ(reference, Anchored(eval, db, id, index))
@@ -366,7 +391,8 @@ TEST(AnchoredPruning, MultiRelationChainKeepsRelationsApart) {
 
   Database db(schema);
   Rng rng(71);
-  KAryBlockingIndex index(dc);
+  WitnessIndex index({dc}, schema->num_relations());
+  index.Build(db, 1);
   ASSERT_GT(index.num_groups(), 0u);
   for (int i = 0; i < 14; ++i) {
     const RelationId rel = i % 2 == 0 ? r : s;

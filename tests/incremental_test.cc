@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "constraints/parser.h"
@@ -277,7 +280,7 @@ DenialConstraint ChainDc3() {
 }
 
 // The keyless 3-ary chain !(t0.A < t1.A & t1.B < t2.B & t0.C != t2.C): no
-// cross-variable equality, so its pruning index holds no groups and the
+// cross-variable equality, so its plan has no pair groups and the
 // anchored enumeration scans every variable's relation.
 DenialConstraint KeylessChainDc3() {
   std::vector<Predicate> preds;
@@ -395,6 +398,102 @@ TEST(KAryIncremental, SelfInconsistencyTransitions) {
   ExpectAgrees(index, schema, dcs, "recovered");
 }
 
+// ---- k-ary pair groups shared with binary constraints ----
+//
+// The chain's (R, [A]) pair group is the FD's bucket group: one witness
+// index serves both, and Apply enters the changed fact only after its
+// probe, so the anchored walk itself tries the anchor's row wherever a
+// later position may rebind it. Every chain witness through a changed
+// fact binds it, or its partner, at two variables. After every insert,
+// update and delete, and after the rebuild a vacuum forces, the index
+// holds the watcher invariant, matches fresh detection and the brute-force
+// oracle, and each k-ary constraint's watcher count equals a recount of
+// the distinct keys its variable pairs block on.
+size_t RecountKAryWatchers(const DenialConstraint& dc, const Database& db) {
+  std::set<std::pair<RelationId, std::vector<AttrIndex>>> groups;
+  for (uint32_t v = 0; v < dc.num_vars(); ++v) {
+    for (uint32_t u = 0; u < dc.num_vars(); ++u) {
+      if (u == v) continue;
+      const PairBlockingKeys keys = ExtractPairBlockingKeys(dc, u, v);
+      if (!keys.empty()) groups.emplace(dc.var_relation(v), keys.v_attrs);
+    }
+  }
+  size_t watchers = 0;
+  for (const auto& [relation, attrs] : groups) {
+    std::set<std::vector<ValueId>> keys;
+    db.ForEachId([&](FactId id) {
+      if (db.Locate(id).relation != relation) return;
+      const RowRef row = BindFact(db, id);
+      std::vector<ValueId> key;
+      for (const AttrIndex a : attrs) key.push_back(row.class_at(a));
+      keys.insert(std::move(key));
+    });
+    watchers += keys.size();
+  }
+  return watchers;
+}
+
+void RunSharedGroupSweep(const std::vector<DenialConstraint>& dcs,
+                         uint64_t seed, const std::string& where) {
+  const auto schema = MakeAbcSchema();
+  IncrementalViolationIndex index(
+      schema, dcs, MakeRandomDatabase(schema, 0, 10, 3, seed));
+  Rng rng(seed * 17 + 3);
+  size_t kary_fires = 0;
+  for (int step = 0; step <= 40; ++step) {
+    const std::vector<FactId> ids = index.db().ids();
+    const Fact donor = index.db().fact(ids[rng.UniformIndex(ids.size())]);
+    const AttrIndex attr = static_cast<AttrIndex>(rng.UniformIndex(3));
+    const size_t kind = rng.UniformIndex(8);
+    if (step == 0) {
+      // No op: the registered state.
+    } else if (kind == 0 && ids.size() > 6) {
+      index.Apply(
+          RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]));
+    } else if (kind < 4 && ids.size() < 16) {
+      // A live fact with one cell redrawn: it shares the donor's other
+      // keys.
+      std::vector<Value> values = donor.values();
+      values[attr] = Value(rng.UniformInt(0, 2));
+      index.Apply(RepairOperation::Insertion(Fact(0, std::move(values))));
+    } else {
+      // Another live fact's cell: the target joins that fact's bucket.
+      index.Apply(RepairOperation::Update(ids[rng.UniformIndex(ids.size())],
+                                          attr, donor.value(attr)));
+    }
+    if (step == 20) {
+      // The next Apply finds the witness index stale and rebuilds it.
+      index.mutable_db().ReinternInto(std::make_shared<ValuePool>());
+    }
+    const std::string at = where + " step " + std::to_string(step);
+    SCOPED_TRACE(at);
+    std::string error;
+    ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << error;
+    ExpectAgrees(index, schema, dcs, at);
+    testing::ExpectMatchesOracle(dcs, index.db(), index.Snapshot());
+    for (size_t c = 0; c < dcs.size(); ++c) {
+      if (dcs[c].num_vars() < 3) continue;
+      EXPECT_EQ(index.ConstraintStatsFor(c).watcher_count,
+                RecountKAryWatchers(dcs[c], index.db()));
+      kary_fires = index.ConstraintStatsFor(c).num_fires;
+    }
+  }
+  EXPECT_GT(kary_fires, 0u);  // the anchored walk found witnesses
+}
+
+TEST(KAryIncremental, PairGroupsSharedWithFd) {
+  const auto schema = MakeAbcSchema();
+  for (const char* fd : {"!(t.A = t'.A & t.B != t'.B)",
+                         "!(t.A = t'.A & t.C != t'.C)"}) {
+    const std::vector<DenialConstraint> dcs = {*ParseDc(*schema, 0, fd),
+                                               ChainDc3()};
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      RunSharedGroupSweep(dcs, seed,
+                          std::string(fd) + " seed=" + std::to_string(seed));
+    }
+  }
+}
+
 // A subset's identity is its fact set, not its 64-bit key:
 // {899, 947, 948} and {898, 947, 208029} share an FNV-1a key, and both are
 // minimal here, so each takes its own slot with its one derivation — in
@@ -446,7 +545,7 @@ TEST(WitnessStore, CollidingSubsetKeysStayDistinct) {
 // (symmetric, asymmetric, cross-relation, on a two-attribute key), order
 // runs with one and two keys (keyed and keyless, strict and non-strict,
 // tie-heavy), and a mixed null/int/double/string order column with NaNs
-// and integers past 2^53 — plus a k-ary chain over its pruning buckets,
+// and integers past 2^53 — plus a k-ary chain over its pair groups,
 // driven by random insert/delete/update trajectories over R(A,B,C,D) and
 // S(A,B,C,D). A standalone index and a MeasureSession replay the same
 // ops; halfway through, the session vacuums (Vacuum(0.0)) and the index's

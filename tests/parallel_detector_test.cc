@@ -495,7 +495,7 @@ TEST(ParallelParity, EvaluateOneParallelMeasuresFuzz) {
 }
 
 // ---- OrderedStealingFor: the one scheduler entry point, under every
-// detector phase and the session's measure / EvaluateAll fan-outs.
+// detector phase and the session's measure fan-out.
 
 // Nested fan-out at grain 1 (the shape of parallel measures triggering
 // parallel detection): a compute that itself runs an OrderedStealingFor.

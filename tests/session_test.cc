@@ -176,8 +176,8 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionFuzz,
                          ::testing::Values(1, 2, 4, 8));
 
 // Cross-database batch evaluation: EvaluateAll over several independently
-// mutated handles, at several batch fan-out widths, must reproduce the
-// per-handle Evaluate reports (and transitively the fresh engine's).
+// mutated handles must reproduce the per-handle Evaluate reports (and
+// transitively the fresh engine's).
 TEST(SessionBatch, EvaluateAllMatchesPerHandle) {
   const auto schema = MakeAbcSchema();
   const auto dcs = AbcFds(*schema);
@@ -185,36 +185,31 @@ TEST(SessionBatch, EvaluateAllMatchesPerHandle) {
   options.registry.include_mc = false;
   options.detector.num_threads = 2;
   options.parallel_measures = true;  // nested fan-out
-  for (const size_t batch_threads : {0u, 1u, 2u, 4u}) {  // 0 = hardware
-    options.batch_threads = batch_threads;
-    MeasureSession session(schema, dcs, options);
-    const MeasureSession fresh(schema, dcs, options);
-    std::vector<DbHandle> handles;
-    std::vector<Database> mirrors;
-    ScriptedWorkload workload(5 + batch_threads, WorkloadDomain(5));
-    for (int d = 0; d < 3; ++d) {
-      const Database start =
-          MakeRandomDatabase(schema, 0, 30 + 10 * d, 4, 100 + d);
-      handles.push_back(session.Register(start));
-      mirrors.push_back(start);
+  MeasureSession session(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
+  std::vector<DbHandle> handles;
+  std::vector<Database> mirrors;
+  ScriptedWorkload workload(5, WorkloadDomain(5));
+  for (int d = 0; d < 3; ++d) {
+    const Database start =
+        MakeRandomDatabase(schema, 0, 30 + 10 * d, 4, 100 + d);
+    handles.push_back(session.Register(start));
+    mirrors.push_back(start);
+  }
+  for (size_t i = 0; i < handles.size(); ++i) {
+    for (int op_count = 0; op_count < 8; ++op_count) {
+      const RepairOperation op = workload.Next(session.db(handles[i]));
+      session.Apply(handles[i], op);
+      op.ApplyInPlace(mirrors[i]);
     }
-    for (size_t i = 0; i < handles.size(); ++i) {
-      for (int op_count = 0; op_count < 8; ++op_count) {
-        const RepairOperation op = workload.Next(session.db(handles[i]));
-        session.Apply(handles[i], op);
-        op.ApplyInPlace(mirrors[i]);
-      }
-    }
-    const std::vector<BatchReport> batch = session.EvaluateAll(handles);
-    ASSERT_EQ(batch.size(), handles.size());
-    for (size_t i = 0; i < handles.size(); ++i) {
-      const std::string where = "batch_threads=" +
-                                std::to_string(batch_threads) +
-                                " handle=" + std::to_string(i);
-      ExpectIdenticalReports(session.Evaluate(handles[i]), batch[i], where);
-      ExpectIdenticalReports(fresh.EvaluateOne(mirrors[i]), batch[i],
-                             where + " vs fresh");
-    }
+  }
+  const std::vector<BatchReport> batch = session.EvaluateAll(handles);
+  ASSERT_EQ(batch.size(), handles.size());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    const std::string where = "handle=" + std::to_string(i);
+    ExpectIdenticalReports(session.Evaluate(handles[i]), batch[i], where);
+    ExpectIdenticalReports(fresh.EvaluateOne(mirrors[i]), batch[i],
+                           where + " vs fresh");
   }
 }
 
@@ -421,7 +416,6 @@ TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
   SessionOptions options;
   options.registry.include_mc = false;
   options.auto_vacuum_threshold = 0.2;  // vacuums interleave with Applies
-  options.batch_threads = 2;
 
   constexpr size_t kHandles = 4;
   constexpr size_t kOpsPerHandle = 80;
