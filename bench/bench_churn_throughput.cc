@@ -149,7 +149,10 @@ double ReplayScratch(const ViolationDetector& detector,
 }
 
 std::vector<std::vector<FactId>> Sorted(const ViolationSet& v) {
-  std::vector<std::vector<FactId>> subsets = v.minimal_subsets();
+  std::vector<std::vector<FactId>> subsets;
+  for (const FactSpan subset : v) {
+    subsets.emplace_back(subset.begin(), subset.end());
+  }
   std::sort(subsets.begin(), subsets.end());
   return subsets;
 }

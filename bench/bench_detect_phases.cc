@@ -35,9 +35,14 @@ struct Phases {
   double find_ms = 0.0;
 };
 
-// Medians of kRounds builds and probes of a fresh index over `db`.
-Phases Measure(const ViolationDetector& detector, const Database& db,
-               size_t threads, size_t expected_subsets) {
+// Medians of kRounds builds and probes of a fresh index over `db`, both at
+// `threads` threads.
+Phases Measure(const Dataset& dataset, const Database& db, size_t threads,
+               size_t expected_subsets) {
+  DetectorOptions options;
+  options.num_threads = threads;
+  const ViolationDetector detector(dataset.schema, dataset.constraints,
+                                   options);
   std::vector<double> build;
   std::vector<double> find;
   for (int round = 0; round < kRounds; ++round) {
@@ -91,8 +96,8 @@ int Run(const BenchArgs& args) {
     total_counts.split_members += counts.split_members;
     total_counts.order_entries += counts.order_entries;
     const size_t subsets = detector.FindWitnesses(db, index).num_live();
-    const Phases one = Measure(detector, db, 1, subsets);
-    const Phases two = Measure(detector, db, 2, subsets);
+    const Phases one = Measure(dataset, db, 1, subsets);
+    const Phases two = Measure(dataset, db, 2, subsets);
     for (int t = 0; t < 2; ++t) {
       total[t].build_ms += (t == 0 ? one : two).build_ms;
       total[t].find_ms += (t == 0 ? one : two).find_ms;

@@ -71,7 +71,7 @@ int Run(const BenchArgs& args) {
     std::vector<size_t> sweep = args.thread_sweep;
     if (sweep.empty()) sweep = {1, 2, 4};
     TablePrinter table({"threads", "detect (s)"});
-    std::vector<std::vector<FactId>> reference;
+    ViolationSet reference;
     for (size_t i = 0; i < sweep.size(); ++i) {
       DetectorOptions detector_options;
       detector_options.num_threads = sweep[i];
@@ -81,8 +81,8 @@ int Run(const BenchArgs& args) {
       const ViolationSet violations = detector.FindViolations(dataset.data);
       const double seconds = timer.Seconds();
       if (i == 0) {
-        reference = violations.minimal_subsets();
-      } else if (violations.minimal_subsets() != reference) {
+        reference = violations;
+      } else if (!(violations == reference)) {
         std::fprintf(stderr,
                      "skew detect @ %zu threads diverges from %zu threads\n",
                      sweep[i], sweep[0]);

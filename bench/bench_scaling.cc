@@ -220,7 +220,7 @@ int Run(const BenchArgs& args) {
                       "intern x", "session (s)", "session x"});
 
   constexpr size_t kDetectCalls = 5;
-  std::vector<std::vector<FactId>> reference_subsets;
+  ViolationSet reference_violations;
   std::vector<BatchReport> reference_reports;
   double detect_t1 = 0.0, intern_t1 = 0.0, session_t1 = 0.0;
   for (size_t row = 0; row < sweep.size(); ++row) {
@@ -238,8 +238,8 @@ int Run(const BenchArgs& args) {
       const ViolationSet violations = detector.FindViolations(skewed);
       detect_samples.push_back(detect_timer.Seconds());
       if (row == 0 && call == 0) {
-        reference_subsets = violations.minimal_subsets();
-      } else if (violations.minimal_subsets() != reference_subsets) {
+        reference_violations = violations;
+      } else if (!(violations == reference_violations)) {
         std::fprintf(stderr,
                      "detect @ %zu threads diverges from 1-thread result\n",
                      t);

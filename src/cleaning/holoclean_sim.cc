@@ -153,8 +153,8 @@ void SimulatedHoloClean::CleanGeneric(Database& db, const DenialConstraint& dc,
   // side, mimicking a repair model that snaps outliers onto inliers.
   ViolationDetector detector(db.schema_ptr(), {dc});
   const ViolationSet violations = detector.FindViolations(db);
-  for (const auto& subset : violations.minimal_subsets()) {
-    if (subset.size() != 2) continue;
+  for (const FactSpan subset : violations) {
+    if (subset.size != 2) continue;
     if (!rng.Bernoulli(options_.cell_accuracy)) continue;
     if (!db.Contains(subset[0]) || !db.Contains(subset[1])) continue;
     // Compiled at check time, as in CleanUnary.

@@ -12,8 +12,8 @@ std::vector<std::pair<FactId, double>> ShapleyMiValues(
     MeasureContext& context) {
   std::map<FactId, double> share;
   for (const FactId id : context.db().ids()) share[id] = 0.0;
-  for (const auto& subset : context.violations().minimal_subsets()) {
-    const double portion = 1.0 / static_cast<double>(subset.size());
+  for (const FactSpan subset : context.violations()) {
+    const double portion = 1.0 / static_cast<double>(subset.size);
     for (const FactId id : subset) share[id] += portion;
   }
   return {share.begin(), share.end()};

@@ -17,6 +17,20 @@ namespace dbim {
 /// Record identifier, the paper's `i in ids(D)`.
 using FactId = uint32_t;
 
+/// A read-only view of a run of fact ids held by someone else (a bucket of
+/// KeyBuckets, a subset of a ViolationSet); valid while its owner is
+/// unchanged.
+struct FactSpan {
+  const FactId* data = nullptr;
+  uint32_t size = 0;
+
+  const FactId* begin() const { return data; }
+  const FactId* end() const { return data + size; }
+  bool empty() const { return size == 0; }
+  FactId front() const { return data[0]; }
+  FactId operator[](size_t i) const { return data[i]; }
+};
+
 /// A database `D`: a mapping from a finite set of record identifiers to
 /// facts over a schema (the paper's Section 2 formalization). Identifiers
 /// are stable across deletions; insertion assigns the minimal unused

@@ -276,7 +276,7 @@ double SolveDifferentRelations(const BinaryAtomEgd& egd, const Database& db) {
       ViolationDetector(db.schema_ptr(), {egd.ToDenialConstraint()})
           .FindViolations(db);
   std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (const std::vector<FactId>& pair : violations.minimal_subsets()) {
+  for (const FactSpan pair : violations) {
     const bool first_left = db.Locate(pair[0]).relation == egd.rel1();
     edges.emplace_back(index_of.at(pair[first_left ? 0 : 1]),
                        index_of.at(pair[first_left ? 1 : 0]));

@@ -3,24 +3,31 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/radix_sort.h"
 
 namespace dbim {
 
 ConflictGraph ConflictGraph::Build(const Database& db,
                                    const ViolationSet& violations) {
+  return Build(violations, [&db](FactId id) { return db.deletion_cost(id); });
+}
+
+ConflictGraph ConflictGraph::Build(
+    const ViolationSet& violations,
+    const std::function<double(FactId)>& weight) {
   ConflictGraph g;
-  const auto& subsets = violations.minimal_subsets();
-  // One key per occurrence of a fact in a subset: (fact id << 32 | running
-  // occurrence index). Sorting the keys groups each fact's occurrences in
-  // ascending fact order, which numbers the vertices and tells every
-  // occurrence its vertex.
-  std::vector<uint64_t> keys;
-  for (const auto& subset : subsets) {
-    for (const FactId id : subset) {
-      keys.push_back(static_cast<uint64_t>(id) << 32 | keys.size());
-    }
+  // One key per occurrence of a fact in a subset: (fact id << 32 |
+  // occurrence index). A stable radix sort on the fact id groups each
+  // fact's occurrences in ascending fact order, which numbers the vertices
+  // and tells every occurrence its vertex.
+  const std::vector<FactId>& facts = violations.facts();
+  std::vector<uint64_t> keys(facts.size());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    keys[i] = static_cast<uint64_t>(facts[i]) << 32 | i;
   }
-  std::sort(keys.begin(), keys.end());
+  std::vector<uint64_t> scratch;
+  StableRadixSort(keys, scratch,
+                  [](uint64_t key) { return static_cast<FactId>(key >> 32); });
   std::vector<uint32_t> vertex_at(keys.size());
   for (const uint64_t key : keys) {
     const FactId id = static_cast<FactId>(key >> 32);
@@ -35,22 +42,20 @@ ConflictGraph ConflictGraph::Build(const Database& db,
   g.graph_ = SimpleGraph(n);
   g.self_inconsistent_.assign(n, false);
   g.weights_.resize(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    g.weights_[v] = db.deletion_cost(g.fact_of_[v]);
-  }
+  for (uint32_t v = 0; v < n; ++v) g.weights_[v] = weight(g.fact_of_[v]);
   const uint32_t* at = vertex_at.data();
-  for (const auto& subset : subsets) {
-    if (subset.size() == 1) {
+  for (const FactSpan subset : violations) {
+    if (subset.size == 1) {
       if (!g.self_inconsistent_[at[0]]) {
         g.self_inconsistent_[at[0]] = true;
         ++g.num_self_inconsistent_;
       }
-    } else if (subset.size() == 2) {
+    } else if (subset.size == 2) {
       g.graph_.AddEdge(at[0], at[1]);
     } else {
-      g.hyperedges_.emplace_back(at, at + subset.size());
+      g.hyperedges_.emplace_back(at, at + subset.size);
     }
-    at += subset.size();
+    at += subset.size;
   }
   g.graph_.Normalize();
   return g;

@@ -2,6 +2,7 @@
 #define DBIM_VIOLATIONS_CONFLICT_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -28,13 +29,18 @@ namespace dbim {
 ///  * weights: per-fact deletion costs, so that minimum weighted vertex
 ///    cover equals I_R and the fractional relaxation equals I_lin_R.
 ///
-/// Vertices are numbered by ascending fact id (one sort, no hash table), so
-/// fact -> vertex is a binary search over `fact_of_`. Hyperedges keep the
-/// order of `minimal_subsets()`.
+/// Vertices are numbered by ascending fact id: one stable radix sort of
+/// the (fact id, occurrence) pairs of the set's flat fact array, no hash
+/// table, O(occurrences) whatever the largest fact id. Fact -> vertex is a
+/// binary search over `fact_of_`. Hyperedges keep the set's order.
 class ConflictGraph {
  public:
+  /// Weighs each vertex by its fact's deletion cost in `db`.
   static ConflictGraph Build(const Database& db,
                              const ViolationSet& violations);
+  /// Weighs each vertex by `weight(fact)`.
+  static ConflictGraph Build(const ViolationSet& violations,
+                             const std::function<double(FactId)>& weight);
 
   size_t num_vertices() const { return fact_of_.size(); }
   FactId fact_of(uint32_t v) const { return fact_of_[v]; }

@@ -188,19 +188,6 @@ void EnumerateKAry(const DcEval& eval, const Database& db, IndexRange range,
   }
 }
 
-/// A read-only view of one bucket's facts, in insertion order. Valid
-/// until the next Add, Remove or Build of its KeyBuckets.
-struct FactSpan {
-  const FactId* data = nullptr;
-  uint32_t size = 0;
-
-  const FactId* begin() const { return data; }
-  const FactId* end() const { return data + size; }
-  bool empty() const { return size == 0; }
-  FactId front() const { return data[0]; }
-  FactId operator[](size_t i) const { return data[i]; }
-};
-
 /// Equality-key buckets: the live facts of `relation()` keyed by the class
 /// ids their `attrs()` cells hold. Class ids are exact (equal iff the
 /// values are equal, across relations too, and 1 equals 1.0), so a bucket
@@ -240,6 +227,8 @@ class KeyBuckets {
   /// The bucket of the key `key` (attrs().size() class ids), or kNone.
   uint32_t FindKey(const ValueId* key) const;
 
+  /// Bucket b's facts, in insertion order. Valid until the next Add,
+  /// Remove or Build.
   FactSpan facts(uint32_t b) const {
     const Bucket& bucket = buckets_[b];
     return {bucket.size == 1 ? &bucket.one : bucket.many.data(), bucket.size};

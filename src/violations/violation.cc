@@ -22,19 +22,25 @@ uint64_t SubsetKey(const FactId* first, const FactId* last) {
 
 }  // namespace
 
-void ViolationSet::Add(std::vector<FactId> subset, size_t multiplicity) {
-  DBIM_CHECK(!subset.empty());
-  DBIM_CHECK(std::is_sorted(subset.begin(), subset.end()));
-  num_minimal_violations_ += multiplicity;
-  subsets_.push_back(std::move(subset));
+void ViolationSet::Add(const FactId* first, const FactId* last,
+                       size_t multiplicity) {
+  DBIM_CHECK(first != last);
+  DBIM_CHECK(std::is_sorted(first, last));
+  DBIM_CHECK(facts_.size() + (last - first) <= UINT32_MAX);
+  if (offsets_.empty()) offsets_.push_back(0);
+  facts_.insert(facts_.end(), first, last);
+  offsets_.push_back(static_cast<uint32_t>(facts_.size()));
   multiplicities_.push_back(static_cast<uint32_t>(multiplicity));
+  num_minimal_violations_ += multiplicity;
+}
+
+bool ViolationSet::operator==(const ViolationSet& other) const {
+  return multiplicities_ == other.multiplicities_ &&
+         facts_ == other.facts_ && (empty() || offsets_ == other.offsets_);
 }
 
 std::vector<FactId> ViolationSet::ProblematicFacts() const {
-  std::vector<FactId> out;
-  for (const auto& subset : subsets_) {
-    out.insert(out.end(), subset.begin(), subset.end());
-  }
+  std::vector<FactId> out = facts_;
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -42,8 +48,8 @@ std::vector<FactId> ViolationSet::ProblematicFacts() const {
 
 std::vector<FactId> ViolationSet::SelfInconsistentFacts() const {
   std::vector<FactId> out;
-  for (const auto& subset : subsets_) {
-    if (subset.size() == 1) out.push_back(subset[0]);
+  for (const FactSpan subset : *this) {
+    if (subset.size == 1) out.push_back(subset[0]);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -51,16 +57,14 @@ std::vector<FactId> ViolationSet::SelfInconsistentFacts() const {
 
 size_t ViolationSet::MaxSubsetSize() const {
   size_t m = 0;
-  for (const auto& subset : subsets_) m = std::max(m, subset.size());
+  for (const FactSpan subset : *this) m = std::max<size_t>(m, subset.size);
   return m;
 }
 
 double ViolationSet::ViolatingPairRatio(size_t db_size) const {
   if (db_size < 2) return 0.0;
   size_t pairs = 0;
-  for (const auto& subset : subsets_) {
-    if (subset.size() == 2) ++pairs;
-  }
+  for (const FactSpan subset : *this) pairs += subset.size == 2;
   const double all_pairs =
       0.5 * static_cast<double>(db_size) * static_cast<double>(db_size - 1);
   return static_cast<double>(pairs) / all_pairs;
@@ -203,12 +207,24 @@ bool WitnessStore::CompactIfWasteful(double waste_threshold) {
 
 ViolationSet WitnessStore::Snapshot() const {
   ViolationSet out;
-  out.Reserve(num_live_);
+  if (num_live_ == 0) return out;
+  DBIM_CHECK(facts_.size() <= UINT32_MAX);
+  // One pass over the slots. The facts of every slot, dead ones included,
+  // bound the live facts, so the fact array is sized once and trimmed.
+  out.offsets_.resize(num_live_ + 1);
+  out.multiplicities_.resize(num_live_);
+  out.facts_.resize(facts_.size());
+  uint32_t* offset = out.offsets_.data();
+  uint32_t* multiplicity = out.multiplicities_.data();
+  FactId* to = out.facts_.data();
   for (const Slot& slot : slots_) {
-    if (slot.alive) {
-      out.Add(std::vector<FactId>(begin(slot), end(slot)), slot.derivations);
-    }
+    if (!slot.alive) continue;
+    for (const FactId* id = begin(slot); id != end(slot); ++id) *to++ = *id;
+    *++offset = static_cast<uint32_t>(to - out.facts_.data());
+    *multiplicity++ = slot.derivations;
   }
+  out.facts_.resize(out.offsets_.back());
+  out.num_minimal_violations_ = num_minimal_violations_;
   return out;
 }
 

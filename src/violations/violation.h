@@ -14,14 +14,16 @@ namespace dbim {
 /// The set MI_Sigma(D) of minimal inconsistent subsets of a database, plus
 /// bookkeeping the measures need:
 ///
-///  * `minimal_subsets()` — each element is a sorted set of fact ids E with
-///    E inconsistent and every proper subset consistent. MI is a set of fact
+///  * the subsets, `subset(i)` for i < num_minimal_subsets() or by
+///    iterating the set — each a sorted set of fact ids E with E
+///    inconsistent and every proper subset consistent. MI is a set of fact
 ///    sets, so a pair violating two DCs appears once (this matters for I_MI
 ///    on the running example). Both producers, the detector and the
 ///    incremental index, fill a WitnessStore, whose slots are distinct fact
 ///    sets; a ViolationSet is that store's snapshot.
-///  * `self_inconsistent()` — facts f with {f} inconsistent ("contradictory
-///    tuples"); these are exactly the singleton minimal subsets.
+///  * `SelfInconsistentFacts()` — facts f with {f} inconsistent
+///    ("contradictory tuples"); these are exactly the singleton minimal
+///    subsets.
 ///  * `num_minimal_violations()` — the count of (F, sigma) pairs from the
 ///    paper's Section 5.3 discussion, where the same fact set is counted
 ///    once per constraint it violates: the sum of the per-subset
@@ -29,31 +31,58 @@ namespace dbim {
 ///    binary constraint it violates, one per satisfying assignment of a
 ///    k-ary constraint with exactly that support, and one for a
 ///    contradictory fact's singleton).
+///
+/// Layout: three flat arrays. `facts()` holds every subset back to back in
+/// set order, subset i at [offsets_[i], offsets_[i + 1]); `multiplicities()`
+/// runs parallel to the subsets. Copying a set or taking a store's snapshot
+/// costs a few array copies, not one allocation per subset.
 class ViolationSet {
  public:
   ViolationSet() = default;
 
-  /// Appends a minimal inconsistent subset (sorted, distinct ids) not yet in
-  /// the set, counting it as `multiplicity` minimal violations (one per
-  /// constraint or assignment that derives it).
-  void Add(std::vector<FactId> subset, size_t multiplicity = 1);
-
-  void Reserve(size_t num_subsets) {
-    subsets_.reserve(num_subsets);
-    multiplicities_.reserve(num_subsets);
+  /// Appends a minimal inconsistent subset (non-empty, sorted, distinct
+  /// ids) not yet in the set, counting it as `multiplicity` minimal
+  /// violations (one per constraint or assignment that derives it).
+  void Add(const FactId* first, const FactId* last, size_t multiplicity = 1);
+  void Add(std::initializer_list<FactId> subset, size_t multiplicity = 1) {
+    Add(subset.begin(), subset.end(), multiplicity);
   }
 
-  const std::vector<std::vector<FactId>>& minimal_subsets() const {
-    return subsets_;
+  size_t num_minimal_subsets() const { return multiplicities_.size(); }
+  /// The i-th subset, in set order.
+  FactSpan subset(size_t i) const {
+    return {facts_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
-  size_t num_minimal_subsets() const { return subsets_.size(); }
-  /// Derivations of each subset, parallel to minimal_subsets().
+  /// Every subset's facts back to back, in set order.
+  const std::vector<FactId>& facts() const { return facts_; }
+  /// Derivations of each subset, in set order.
   const std::vector<uint32_t>& multiplicities() const {
     return multiplicities_;
   }
   size_t num_minimal_violations() const { return num_minimal_violations_; }
 
-  bool empty() const { return subsets_.empty(); }
+  bool empty() const { return multiplicities_.empty(); }
+
+  /// Iterates the subsets in set order: `for (FactSpan s : violations)`.
+  class Iterator {
+   public:
+    Iterator(const ViolationSet& set, size_t i) : set_(&set), i_(i) {}
+    FactSpan operator*() const { return set_->subset(i_); }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return i_ != other.i_; }
+
+   private:
+    const ViolationSet* set_;
+    size_t i_;
+  };
+  Iterator begin() const { return Iterator(*this, 0); }
+  Iterator end() const { return Iterator(*this, num_minimal_subsets()); }
+
+  /// The same subsets with the same multiplicities, in the same order.
+  bool operator==(const ViolationSet& other) const;
 
   /// Union of all minimal subsets: the problematic facts, sorted.
   std::vector<FactId> ProblematicFacts() const;
@@ -70,8 +99,13 @@ class ViolationSet {
   double ViolatingPairRatio(size_t db_size) const;
 
  private:
-  std::vector<std::vector<FactId>> subsets_;
-  std::vector<uint32_t> multiplicities_;  // parallel to subsets_
+  friend class WitnessStore;
+
+  std::vector<FactId> facts_;
+  // Where each subset starts in facts_, then facts_.size(); empty while
+  // the set is.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> multiplicities_;
   size_t num_minimal_violations_ = 0;
 };
 

@@ -71,7 +71,8 @@ bool SwapSymmetric(const DenialConstraint& dc) {
 MinMaxTable::MinMaxTable(std::vector<uint32_t> keys)
     : keys_(std::move(keys)) {
   const size_t n = keys_.size();
-  const size_t size = n < 2 ? 0 : Offset(FloorLog2(n) + 1);
+  if (n < 2) return;  // no levels
+  const size_t size = Offset(FloorLog2(n) + 1);
   // Level L's window at i is the better of level L - 1's windows at i and
   // i + 2^(L-1), which lie n - 2^(L-1) + 1 slots back; level 0's window at
   // i is position i itself. The windows' extreme keys ride along level by
@@ -198,6 +199,18 @@ OrderRuns::Run OrderRuns::BuildRun(const ValuePool& pool,
                                    const std::vector<Entry>& entries) const {
   Run run;
   const size_t n = entries.size();
+  if (n == 1) {
+    // One entry: rank 0 under every key, no sort and no table levels.
+    for (size_t k = 0; k < num_keys_; ++k) {
+      const Bound bound = BoundOf(pool, entries[0].key[k]);
+      if (bound.rank == 1 && std::isnan(bound.number)) return Run();
+      run.bounds[k].assign(1, bound);
+    }
+    run.entries = entries;
+    run.rank_starts = {0, 1};
+    if (num_keys_ == 2) run.second = MinMaxTable({0});
+    return run;
+  }
   std::vector<uint32_t> ranks[2];
   // The positions, ascending, sorted stably on key k's class.
   std::vector<uint32_t> by_class(n);

@@ -252,8 +252,8 @@ TEST(ApproxEvaluator, SampledEstimatesMatchDetectionOracle) {
     const ViolationSet mi = session.detector().FindViolations(db);
     std::map<FactId, double> share;  // g(f) for I_MI
     for (const FactId f : mi.SelfInconsistentFacts()) share[f] = 1.0;
-    for (const std::vector<FactId>& subset : mi.minimal_subsets()) {
-      if (subset.size() != 2) continue;
+    for (const FactSpan subset : mi) {
+      if (subset.size != 2) continue;
       for (const FactId f : subset) share[f] += 0.5;
     }
     const std::vector<FactId> problematic = mi.ProblematicFacts();

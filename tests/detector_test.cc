@@ -12,6 +12,7 @@
 #include "test_util.h"
 #include "violations/conflict_graph.h"
 #include "violations/detector.h"
+#include "violations/incremental.h"
 #include "violations/witness_index.h"
 
 namespace dbim {
@@ -181,7 +182,7 @@ TEST(Detector, OrderDcFindsAntiChainViolations) {
                                              // dominates 1 but loss lower
   const ViolationSet violations = detector.FindViolations(db);
   ASSERT_EQ(violations.num_minimal_subsets(), 1u);
-  EXPECT_EQ(violations.minimal_subsets()[0], (std::vector<FactId>{0, 1}));
+  EXPECT_EQ(testing::Subsets(violations)[0], (std::vector<FactId>{0, 1}));
 }
 
 TEST(Detector, TernaryDcMinimality) {
@@ -202,7 +203,8 @@ TEST(Detector, TernaryDcMinimality) {
   db.Insert(Fact(s, {Value(2), Value("e")}));  // different key: uninvolved
   const ViolationSet violations = detector.FindViolations(db);
   ASSERT_EQ(violations.num_minimal_subsets(), 1u);
-  EXPECT_EQ(violations.minimal_subsets()[0], (std::vector<FactId>{0, 1, 2}));
+  EXPECT_EQ(testing::Subsets(violations)[0],
+            (std::vector<FactId>{0, 1, 2}));
   EXPECT_EQ(violations.MaxSubsetSize(), 3u);
 }
 
@@ -377,7 +379,7 @@ void ExpectMatchesBruteForce(std::shared_ptr<const Schema> schema,
   const ViolationSet violations = detector.FindViolations(db);
   testing::ExpectMatchesOracle(dcs, db, violations);
   const BruteForceDetection expected = BruteForceDetect(dcs, db);
-  EXPECT_EQ(violations.minimal_subsets(), expected.subsets);
+  EXPECT_EQ(testing::Subsets(violations), expected.subsets);
   EXPECT_EQ(violations.multiplicities(), expected.multiplicities);
   for (size_t c = 0; c < dcs.size(); ++c) {
     const DetectorConstraintStats actual = detector.constraint_stats(c);
@@ -803,6 +805,89 @@ TEST(WitnessIndex, LargeOrderBucketMatchesBruteForce) {
   check("after a long run of removals and inserts");
 }
 
+// A keyed order DC whose equality key is nearly unique, so almost every
+// bucket's order runs hold one entry (the one-entry run skips the sorts
+// and the MinMaxTable levels), with a few shared keys and NaN cells among
+// the order keys. Fresh detection matches brute force, result order and
+// counters included, and the index passes its invariant; under a long run
+// of Apply churn (deletes, inserts onto new and shared keys, updates of
+// every column) the maintained set matches brute force up to order,
+// multiplicities included.
+TEST(Detector, SparseKeyOrderDcMatchesBruteForce) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId r = schema->AddRelation("R", {"A", "B", "C"});
+  const std::vector<DenialConstraint> dcs = {
+      *ParseDc(*schema, r, "!(t.A = t'.A & t.B < t'.B & t.C > t'.C)"),
+      *ParseDc(*schema, r, "!(t.A = t'.A & t.B <= t'.B)")};
+  Rng rng(31);
+  auto cell = [&](int64_t domain) -> Value {
+    if (rng.UniformIndex(40) == 0) return Value(std::nan(""));
+    return Value(rng.UniformInt(0, domain - 1));
+  };
+  // Keys from a range of 4000 for 240 facts, so nearly every key holds
+  // one fact; the first 12 facts share key -1.
+  auto fact = [&](size_t i) {
+    const Value key = i < 12 ? Value(-1) : Value(rng.UniformInt(0, 3999));
+    return Fact(r, {key, cell(4), cell(4)});
+  };
+  Database db(schema);
+  for (size_t i = 0; i < 240; ++i) db.Insert(fact(i));
+  for (const size_t c : {0u, 1u}) {
+    SCOPED_TRACE(dcs[c].ToString(*schema));
+    ExpectMatchesBruteForce(schema, {dcs[c]}, db);
+  }
+  ExpectMatchesBruteForce(schema, dcs, db);
+  WitnessIndex bulk(dcs, schema->num_relations());
+  bulk.Build(db, 1);
+  std::string error;
+  EXPECT_TRUE(bulk.CheckInvariant(db, &error)) << error;
+  size_t one_fact = 0;
+  const KeyBuckets& by_a = bulk.group(bulk.plan(0).group[0]);
+  for (uint32_t b = 0; b < by_a.bucket_bound(); ++b) {
+    one_fact += by_a.facts(b).size == 1;
+  }
+  EXPECT_GT(one_fact, 200u);
+
+  auto sorted = [](const std::vector<std::vector<FactId>>& subsets,
+                   const std::vector<uint32_t>& multiplicities) {
+    std::vector<std::pair<std::vector<FactId>, uint32_t>> out;
+    for (size_t i = 0; i < subsets.size(); ++i) {
+      out.emplace_back(subsets[i], multiplicities[i]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  IncrementalViolationIndex index(schema, dcs, db);
+  for (int step = 0; step < 600; ++step) {
+    const std::vector<FactId> ids = index.db().ids();
+    const FactId id = ids[rng.UniformIndex(ids.size())];
+    switch (rng.UniformIndex(4)) {
+      case 0:
+        index.Apply(RepairOperation::Deletion(id));
+        break;
+      case 1:
+        index.Apply(RepairOperation::Insertion(fact(rng.UniformIndex(24))));
+        break;
+      case 2:
+        index.Apply(RepairOperation::Update(
+            id, 0, rng.UniformIndex(3) == 0 ? Value(-1)
+                                            : Value(rng.UniformInt(0, 3999))));
+        break;
+      default:
+        index.Apply(RepairOperation::Update(
+            id, static_cast<AttrIndex>(1 + rng.UniformIndex(2)), cell(4)));
+    }
+    if (step % 50 != 49) continue;
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << error;
+    const ViolationSet maintained = index.Snapshot();
+    const BruteForceDetection expected = BruteForceDetect(dcs, index.db());
+    EXPECT_EQ(sorted(testing::Subsets(maintained), maintained.multiplicities()),
+              sorted(expected.subsets, expected.multiplicities));
+    ExpectMatchesBruteForce(schema, dcs, index.db());
+  }
+}
+
 // Values on which Value::operator< may not be a strict weak order — a NaN,
 // integers beyond 2^53 beside doubles — are not ranked; the order index
 // then scans the bucket pairwise, and detection still matches the oracle.
@@ -915,6 +1000,129 @@ TEST(ConflictGraph, BuildsFromHandMadeSetOutOfIdOrder) {
       {v(3), v(5), v(16)}};
   EXPECT_EQ(covering.sets, sets);
   EXPECT_DEATH(graph.vertex_of(f(4)), "not problematic");
+}
+
+// The graph as its definition states it, over random flat MI sets whose
+// fact ids reach past 2^16 and past 2^24, so that the numbering's radix
+// sort runs each of its digit passes: the vertices are the sorted union of
+// the subsets, the edges the size-2 subsets (sorted), the flags the
+// singletons, the hyperedges the larger subsets in set order, and each
+// weight the weight of its vertex's fact.
+TEST(ConflictGraph, MatchesDefinitionOnWideFactIds) {
+  Rng rng(16);
+  auto weight = [](FactId id) { return 1.0 + id % 7; };
+  for (const FactId bound : {FactId{1} << 8, FactId{1} << 17,
+                             FactId{1} << 25, FactId{0xFFFFFFF0}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE("bound " + std::to_string(bound) + " trial " +
+                   std::to_string(trial));
+      // A few hundred facts, so that the sets repeat facts across subsets.
+      std::vector<FactId> pool;
+      for (size_t i = 0; i < 300; ++i) {
+        pool.push_back(static_cast<FactId>(rng.UniformIndex(bound)));
+      }
+      std::set<std::vector<FactId>> seen;
+      ViolationSet violations;
+      std::vector<std::vector<FactId>> subsets;
+      for (size_t i = 0; i < 40 + 200 * static_cast<size_t>(trial); ++i) {
+        std::vector<FactId> subset;
+        const size_t size = 1 + rng.UniformIndex(i % 3 == 0 ? 4 : 2);
+        while (subset.size() < size) {
+          subset.push_back(pool[rng.UniformIndex(pool.size())]);
+          std::sort(subset.begin(), subset.end());
+          subset.erase(std::unique(subset.begin(), subset.end()),
+                       subset.end());
+        }
+        if (!seen.insert(subset).second) continue;
+        violations.Add(subset.data(), subset.data() + subset.size());
+        subsets.push_back(subset);
+      }
+      const ConflictGraph graph = ConflictGraph::Build(violations, weight);
+
+      std::vector<FactId> vertices;
+      for (const auto& subset : subsets) {
+        vertices.insert(vertices.end(), subset.begin(), subset.end());
+      }
+      std::sort(vertices.begin(), vertices.end());
+      vertices.erase(std::unique(vertices.begin(), vertices.end()),
+                     vertices.end());
+      auto v = [&](FactId id) {
+        return static_cast<uint32_t>(
+            std::lower_bound(vertices.begin(), vertices.end(), id) -
+            vertices.begin());
+      };
+      std::vector<std::pair<uint32_t, uint32_t>> edges;
+      std::vector<bool> flags(vertices.size(), false);
+      std::vector<std::vector<uint32_t>> hyperedges;
+      for (const auto& subset : subsets) {
+        if (subset.size() == 1) flags[v(subset[0])] = true;
+        if (subset.size() == 2) edges.emplace_back(v(subset[0]), v(subset[1]));
+        if (subset.size() < 3) continue;
+        hyperedges.emplace_back();
+        for (const FactId id : subset) hyperedges.back().push_back(v(id));
+      }
+      std::sort(edges.begin(), edges.end());
+
+      ASSERT_EQ(graph.num_vertices(), vertices.size());
+      for (uint32_t u = 0; u < graph.num_vertices(); ++u) {
+        EXPECT_EQ(graph.fact_of(u), vertices[u]);
+        EXPECT_EQ(graph.vertex_of(vertices[u]), u);
+        EXPECT_EQ(graph.weights()[u], weight(vertices[u]));
+      }
+      EXPECT_EQ(graph.graph().num_vertices(), vertices.size());
+      EXPECT_EQ(graph.graph().edges(), edges);
+      EXPECT_EQ(graph.self_inconsistent(), flags);
+      EXPECT_EQ(graph.num_self_inconsistent(),
+                static_cast<size_t>(std::count(flags.begin(), flags.end(),
+                                               true)));
+      EXPECT_EQ(graph.hyperedges(), hyperedges);
+    }
+  }
+}
+
+// ---- ViolationSet ----
+
+// The flat layout reads back what Add appended: each subset, its
+// multiplicity and the violation count; equality compares all of them in
+// order.
+TEST(ViolationSet, FlatLayoutReadsBackInAddOrder) {
+  ViolationSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.begin() != set.end());
+  set.Add({4, 9}, 2);
+  set.Add({7});
+  set.Add({1, 2, 3}, 3);
+  ASSERT_EQ(set.num_minimal_subsets(), 3u);
+  EXPECT_EQ(testing::Subsets(set),
+            (std::vector<std::vector<FactId>>{{4, 9}, {7}, {1, 2, 3}}));
+  EXPECT_EQ(set.subset(2).size, 3u);
+  EXPECT_EQ(set.subset(1).front(), 7u);
+  EXPECT_EQ(set.facts(), (std::vector<FactId>{4, 9, 7, 1, 2, 3}));
+  EXPECT_EQ(set.multiplicities(), (std::vector<uint32_t>{2, 1, 3}));
+  EXPECT_EQ(set.num_minimal_violations(), 6u);
+  EXPECT_EQ(set.ProblematicFacts(), (std::vector<FactId>{1, 2, 3, 4, 7, 9}));
+  EXPECT_EQ(set.SelfInconsistentFacts(), (std::vector<FactId>{7}));
+  EXPECT_EQ(set.MaxSubsetSize(), 3u);
+
+  ViolationSet copy = set;
+  EXPECT_TRUE(copy == set);
+  copy.Add({5, 6});
+  EXPECT_FALSE(copy == set);
+  ViolationSet reweighed;
+  reweighed.Add({4, 9}, 1);
+  reweighed.Add({7});
+  reweighed.Add({1, 2, 3}, 3);
+  EXPECT_FALSE(reweighed == set);
+  EXPECT_TRUE(ViolationSet() == ViolationSet());
+}
+
+// Add keeps its checks: a subset is non-empty and sorted.
+TEST(ViolationSetDeathTest, AddRejectsEmptyAndUnsortedSubsets) {
+  ViolationSet set;
+  EXPECT_DEATH(set.Add({}), "first != last");
+  EXPECT_DEATH(set.Add({3, 1}), "is_sorted");
+  set.Add({1, 3});
+  EXPECT_EQ(set.num_minimal_subsets(), 1u);
 }
 
 }  // namespace

@@ -46,11 +46,9 @@ void ExpectAgrees(const IncrementalViolationIndex& index,
   EXPECT_EQ(index.NumProblematicFacts(), expected.ProblematicFacts().size())
       << where;
   // Snapshot contents match as sets.
-  auto a = index.Snapshot().minimal_subsets();
-  auto b = expected.minimal_subsets();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b) << where;
+  EXPECT_EQ(testing::SortedSubsets(index.Snapshot()),
+            testing::SortedSubsets(expected))
+      << where;
 }
 
 TEST(Incremental, InitialStateMatchesDetector) {
@@ -192,7 +190,9 @@ std::vector<std::pair<std::vector<FactId>, uint32_t>> WithMultiplicities(
     const ViolationSet& v) {
   std::vector<std::pair<std::vector<FactId>, uint32_t>> out;
   for (size_t i = 0; i < v.num_minimal_subsets(); ++i) {
-    out.emplace_back(v.minimal_subsets()[i], v.multiplicities()[i]);
+    const FactSpan subset = v.subset(i);
+    out.emplace_back(std::vector<FactId>(subset.begin(), subset.end()),
+                     v.multiplicities()[i]);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -494,6 +494,50 @@ TEST(KAryIncremental, PairGroupsSharedWithFd) {
   }
 }
 
+// A snapshot copies exactly the live slots, in slot order, each with its
+// derivations: after RemoveInvolving kills slots in place, after Compact
+// drops them, and after admissions past a compaction.
+TEST(WitnessStore, SnapshotHoldsLiveSlotsInSlotOrder) {
+  WitnessStore store;
+  store.Admit({5, 8});
+  store.Admit({2}, 2);
+  store.Admit({3, 8});
+  store.Admit({1, 4}, 3);
+  store.Admit({5, 8});  // a second derivation of slot 0
+  store.AdmitKAry({{1, 6, 9}, {1, 6, 9}, {4, 6, 9}});
+  auto expect = [](const ViolationSet& set,
+                   std::vector<std::vector<FactId>> subsets,
+                   std::vector<uint32_t> multiplicities) {
+    EXPECT_EQ(testing::Subsets(set), subsets);
+    EXPECT_EQ(set.multiplicities(), multiplicities);
+    size_t violations = 0;
+    for (const uint32_t m : multiplicities) violations += m;
+    EXPECT_EQ(set.num_minimal_violations(), violations);
+  };
+  expect(store.Snapshot(), {{5, 8}, {2}, {3, 8}, {1, 4}, {1, 6, 9},
+                            {4, 6, 9}},
+         {2, 2, 1, 3, 2, 1});
+
+  store.RemoveInvolving(8);
+  store.RemoveInvolving(6);
+  EXPECT_EQ(store.num_slots(), 6u);
+  EXPECT_EQ(store.num_live(), 2u);
+  expect(store.Snapshot(), {{2}, {1, 4}}, {2, 3});
+
+  store.Compact();
+  EXPECT_EQ(store.num_slots(), 2u);
+  expect(store.Snapshot(), {{2}, {1, 4}}, {2, 3});
+
+  store.Admit({3, 7});
+  store.Admit({1, 4});
+  store.RemoveInvolving(2);
+  expect(store.Snapshot(), {{1, 4}, {3, 7}}, {4, 1});
+  store.RemoveInvolving(1);
+  store.RemoveInvolving(3);
+  EXPECT_TRUE(store.Snapshot().empty());
+  EXPECT_EQ(store.Snapshot().num_minimal_violations(), 0u);
+}
+
 // A subset's identity is its fact set, not its 64-bit key:
 // {899, 947, 948} and {898, 947, 208029} share an FNV-1a key, and both are
 // minimal here, so each takes its own slot with its one derivation — in
@@ -524,12 +568,12 @@ TEST(WitnessStore, CollidingSubsetKeysStayDistinct) {
   const std::vector<std::vector<FactId>> triples = {{899, 947, 948},
                                                     {898, 947, 208029}};
   const ViolationSet maintained = index.Snapshot();
-  EXPECT_EQ(maintained.minimal_subsets(), triples);
+  EXPECT_EQ(testing::Subsets(maintained), triples);
   EXPECT_EQ(maintained.multiplicities(), (std::vector<uint32_t>{1, 1}));
 
   const ViolationSet fresh = ViolationDetector(schema, dcs).FindViolations(
       index.db());
-  EXPECT_EQ(fresh.minimal_subsets(),
+  EXPECT_EQ(testing::Subsets(fresh),
             (std::vector<std::vector<FactId>>{triples[1], triples[0]}));
   EXPECT_EQ(fresh.num_minimal_violations(), 2u);
 

@@ -115,8 +115,8 @@ TEST_F(RunningExampleMeasures, FractionalSolutionIsFeasible) {
   // Feasibility: x_a + x_b >= 1 on every conflicting pair.
   std::vector<double> x(10, 0.0);
   for (const auto& [id, value] : solution) x[id] = value;
-  for (const auto& subset : context.violations().minimal_subsets()) {
-    ASSERT_EQ(subset.size(), 2u);
+  for (const FactSpan subset : context.violations()) {
+    ASSERT_EQ(subset.size, 2u);
     EXPECT_GE(x[subset[0]] + x[subset[1]], 1.0 - 1e-9);
   }
 }

@@ -35,7 +35,7 @@ const size_t kThreadCounts[] = {1, 2, 4, 8};
 // multiplicities included.
 void ExpectIdentical(const ViolationSet& expected, const ViolationSet& actual,
                      const std::string& where) {
-  EXPECT_EQ(expected.minimal_subsets(), actual.minimal_subsets()) << where;
+  EXPECT_EQ(testing::Subsets(expected), testing::Subsets(actual)) << where;
   EXPECT_EQ(expected.multiplicities(), actual.multiplicities()) << where;
   EXPECT_EQ(expected.num_minimal_violations(),
             actual.num_minimal_violations())

@@ -206,11 +206,9 @@ TEST_P(IncrementalFuzz, IndexAgreesWithFreshDetectionAfterEveryOp) {
     EXPECT_EQ(index.NumProblematicFacts(), expected.ProblematicFacts().size())
         << where;
     EXPECT_EQ(index.IsConsistent(), expected.empty()) << where;
-    auto a = index.Snapshot().minimal_subsets();
-    auto b = expected.minimal_subsets();
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << where;
+    EXPECT_EQ(testing::SortedSubsets(index.Snapshot()),
+              testing::SortedSubsets(expected))
+        << where;
     // The counting measures evaluated on a fresh context must equal the
     // index's O(1) counters.
     EXPECT_EQ(mi.EvaluateFresh(fresh, index.db()),

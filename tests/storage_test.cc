@@ -411,7 +411,7 @@ TEST(PoolVacuum, ChurnStaysBoundedAndQueriesAreUnchanged) {
       }
 
       const ViolationSet after = detector.FindViolations(db);
-      EXPECT_EQ(before.minimal_subsets(), after.minimal_subsets())
+      EXPECT_EQ(testing::Subsets(before), testing::Subsets(after))
           << "step " << step;
       EXPECT_EQ(domain_before, db.ActiveDomain(0, 1)) << "step " << step;
       for (size_t i = 0; i < ids.size(); ++i) {

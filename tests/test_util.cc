@@ -121,8 +121,16 @@ NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
   return out;
 }
 
+std::vector<std::vector<FactId>> Subsets(const ViolationSet& v) {
+  std::vector<std::vector<FactId>> subsets;
+  for (const FactSpan subset : v) {
+    subsets.emplace_back(subset.begin(), subset.end());
+  }
+  return subsets;
+}
+
 std::vector<std::vector<FactId>> SortedSubsets(const ViolationSet& v) {
-  std::vector<std::vector<FactId>> subsets = v.minimal_subsets();
+  std::vector<std::vector<FactId>> subsets = Subsets(v);
   std::sort(subsets.begin(), subsets.end());
   return subsets;
 }

@@ -67,6 +67,9 @@ struct NaiveMi {
 NaiveMi NaiveMinimalSubsets(const std::vector<DenialConstraint>& dcs,
                             const Database& db);
 
+/// The subsets of `v`, each sorted, in set order.
+std::vector<std::vector<FactId>> Subsets(const ViolationSet& v);
+
 /// The subsets of `v`, each sorted, in lexicographic order — the layout of
 /// NaiveMi::subsets.
 std::vector<std::vector<FactId>> SortedSubsets(const ViolationSet& v);
