@@ -3,6 +3,8 @@
 // exact cover branch & bound, Bron–Kerbosch counting, and the simplex.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "datagen/datasets.h"
 #include "datagen/noise.h"
@@ -53,15 +55,55 @@ void BM_DetectViolationsHospital(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectViolationsHospital)->Arg(500)->Arg(2000)->Arg(8000);
 
+// Conflict graphs for BM_FractionalVertexCover. Shape 0 is a random
+// G(n, 4/n). The others are what an FD's violations look like on Tax and
+// Voter, as disjoint groups of 2-16 facts sharing a key: a group whose
+// facts agree but for one corrupted fact is a star centred on it (shape
+// 1), and a group split over 2-4 right-hand-side values is complete
+// multipartite, one part per value (shape 2).
+SimpleGraph ConflictShapedGraph(size_t n, int64_t shape) {
+  if (shape == 0) return RandomGraph(n, 4.0 / static_cast<double>(n), 3);
+  Rng rng(13);
+  SimpleGraph g(n);
+  for (uint32_t begin = 0; begin < n;) {
+    const auto size = static_cast<uint32_t>(std::min<size_t>(
+        2 + rng.UniformIndex(15), n - begin));
+    const uint32_t end = begin + size;
+    if (shape == 1) {
+      for (uint32_t leaf = begin + 1; leaf < end; ++leaf) {
+        g.AddEdge(begin, leaf);
+      }
+    } else {
+      const uint32_t parts = 2 + static_cast<uint32_t>(rng.UniformIndex(3));
+      for (uint32_t a = begin; a < end; ++a) {
+        for (uint32_t b = a + 1; b < end; ++b) {
+          if ((a - begin) % parts != (b - begin) % parts) g.AddEdge(a, b);
+        }
+      }
+    }
+    begin = end;
+  }
+  g.Normalize();
+  return g;
+}
+
 void BM_FractionalVertexCover(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const SimpleGraph g = RandomGraph(n, 4.0 / static_cast<double>(n), 3);
+  const SimpleGraph g = ConflictShapedGraph(n, state.range(1));
   const std::vector<double> w(n, 1.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(FractionalVertexCover(g, w));
   }
 }
-BENCHMARK(BM_FractionalVertexCover)->Arg(100)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_FractionalVertexCover)
+    ->ArgNames({"n", "shape"})
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({5000, 0})
+    ->Args({1000, 1})
+    ->Args({5000, 1})
+    ->Args({1000, 2})
+    ->Args({5000, 2});
 
 void BM_ExactVertexCover(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -1,7 +1,7 @@
 #include "graph/fractional_vc.h"
 
 #include "common/check.h"
-#include "graph/max_flow.h"
+#include "graph/cover_flow.h"
 
 namespace dbim {
 
@@ -9,42 +9,17 @@ FractionalVcResult FractionalVertexCover(const SimpleGraph& g,
                                          const std::vector<double>& weights) {
   const size_t n = g.num_vertices();
   DBIM_CHECK(weights.size() == n);
-  FractionalVcResult result;
-  result.x.assign(n, 0.0);
+  FractionalVcResult result{0.0, std::vector<double>(n, 0.0)};
   if (g.num_edges() == 0) return result;
-
-  // Bipartite double cover: node v+ = v, node v- = n + v, source 2n,
-  // sink 2n + 1. Each original edge {u, v} becomes (u+, v-) and (v+, u-)
-  // with infinite capacity; S -> v+ and v- -> T carry weight w_v. A minimum
-  // cut is a minimum-weight vertex cover of the double cover, and half of
-  // it is an optimal (half-integral) fractional cover of g.
-  double total_weight = 1.0;
-  for (const double w : weights) {
-    DBIM_CHECK(w > 0.0);
-    total_weight += w;
-  }
-  const uint32_t source = static_cast<uint32_t>(2 * n);
-  const uint32_t sink = static_cast<uint32_t>(2 * n + 1);
-  MaxFlow flow(2 * n + 2);
+  for (const double w : weights) DBIM_CHECK(w > 0.0);
+  // A minimum cut of the double cover is a minimum-weight vertex cover of
+  // it, and half of it an optimal (half-integral) fractional cover of g: v
+  // takes 1/2 for v+ on the sink side and 1/2 for v- on the source side.
+  const CoverCut cut = MinCoverCut(n, g.edges(), weights, weights);
+  result.value = cut.flow / 2.0;
   for (uint32_t v = 0; v < n; ++v) {
-    flow.AddEdge(source, v, weights[v]);
-    flow.AddEdge(static_cast<uint32_t>(n + v), sink, weights[v]);
-  }
-  for (const auto& [u, v] : g.edges()) {
-    flow.AddEdge(u, static_cast<uint32_t>(n + v), total_weight);
-    flow.AddEdge(v, static_cast<uint32_t>(n + u), total_weight);
-  }
-  const double cut = flow.Solve(source, sink);
-  result.value = cut / 2.0;
-
-  // Recover the half-integral solution from the cut: v+ is "in the cover"
-  // iff the edge S -> v+ is cut (v+ on the sink side); v- is in the cover
-  // iff v- -> T is cut (v- on the source side).
-  for (uint32_t v = 0; v < n; ++v) {
-    double xv = 0.0;
-    if (!flow.SourceSide(v)) xv += 0.5;
-    if (flow.SourceSide(static_cast<uint32_t>(n + v))) xv += 0.5;
-    result.x[v] = xv;
+    result.x[v] = (cut.source_side[v] ? 0.0 : 0.5) +
+                  (cut.source_side[n + v] ? 0.5 : 0.0);
   }
   return result;
 }

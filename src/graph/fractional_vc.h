@@ -21,8 +21,14 @@ struct FractionalVcResult {
 
 /// Solves the LP exactly via its classical combinatorial characterization:
 /// the optimum is half the weight of a minimum vertex cover of the bipartite
-/// double cover, which is a minimum s-t cut (computed with Dinic). The LP
-/// always has a half-integral optimal solution, which this returns.
+/// double cover, which is a minimum s-t cut (MinCoverCut: a greedy pass,
+/// then Dinic). The LP always has a half-integral optimal solution, which
+/// this returns.
+///
+/// x is read from the minimal minimum cut, which every maximum flow shares,
+/// so it does not depend on the greedy start or on any warm start. The
+/// value is half the flow summed in push order (not the sum of w_v * x_v),
+/// so with non-integer weights its last bits follow that order.
 ///
 /// MeasureContext::fractional_cover() solves it once per context on binary
 /// denial constraints (I_lin_R, and the Nemhauser–Trotter kernel of exact

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <map>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "graph/max_flow.h"
+#include "graph/cover_flow.h"
 #include "violations/detector.h"
 
 namespace dbim {
@@ -255,50 +254,34 @@ double SolveSameRelation(Pattern pattern, int cx, int cy,
 // witness pairs one R1 fact with one R2 fact), so minimum weighted vertex
 // cover is a minimum s-t cut.
 double SolveDifferentRelations(const BinaryAtomEgd& egd, const Database& db) {
-  std::vector<FactId> left;
-  std::vector<FactId> right;
-  std::unordered_map<FactId, uint32_t> index_of;  // position in left/right
+  // One flow node per fact of either relation, in id order: an R1 fact
+  // feeds the source and an R2 fact the sink, with its deletion cost.
+  std::unordered_map<FactId, uint32_t> node_of;
+  std::vector<double> source_cap;
+  std::vector<double> sink_cap;
   for (const FactId id : db.ids()) {
     const RelationId r = db.Locate(id).relation;
-    if (r == egd.rel1()) {
-      index_of[id] = static_cast<uint32_t>(left.size());
-      left.push_back(id);
-    }
-    if (r == egd.rel2()) {
-      index_of[id] = static_cast<uint32_t>(right.size());
-      right.push_back(id);
-    }
+    if (r != egd.rel1() && r != egd.rel2()) continue;
+    node_of[id] = static_cast<uint32_t>(source_cap.size());
+    source_cap.push_back(r == egd.rel1() ? db.deletion_cost(id) : 0.0);
+    sink_cap.push_back(r == egd.rel1() ? 0.0 : db.deletion_cost(id));
   }
   // The two variables range over different relations, so every minimal
-  // subset is one (R1, R2) pair; sorting by (left, right) position gives
-  // MaxFlow the arc order of a left-major nested loop.
+  // subset is one (R1, R2) pair; sorting by (R1, R2) node gives the flow
+  // the arc order of a left-major nested loop.
   const ViolationSet violations =
       ViolationDetector(db.schema_ptr(), {egd.ToDenialConstraint()})
           .FindViolations(db);
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   for (const FactSpan pair : violations) {
     const bool first_left = db.Locate(pair[0]).relation == egd.rel1();
-    edges.emplace_back(index_of.at(pair[first_left ? 0 : 1]),
-                       index_of.at(pair[first_left ? 1 : 0]));
+    edges.emplace_back(node_of.at(pair[first_left ? 0 : 1]),
+                       node_of.at(pair[first_left ? 1 : 0]));
   }
   std::sort(edges.begin(), edges.end());
-  if (edges.empty()) return 0.0;
-  double inf = 1.0;
-  for (const FactId id : db.ids()) inf += db.deletion_cost(id);
-  const uint32_t source = static_cast<uint32_t>(left.size() + right.size());
-  const uint32_t sink = source + 1;
-  MaxFlow flow(left.size() + right.size() + 2);
-  for (uint32_t i = 0; i < left.size(); ++i) {
-    flow.AddEdge(source, i, db.deletion_cost(left[i]));
-  }
-  for (uint32_t j = 0; j < right.size(); ++j) {
-    flow.AddEdge(static_cast<uint32_t>(left.size() + j), sink,
-                 db.deletion_cost(right[j]));
-  }
-  for (const auto& [i, j] : edges) {
-    flow.AddEdge(i, static_cast<uint32_t>(left.size() + j), inf);
-  }
-  return flow.Solve(source, sink);
+  const size_t n = source_cap.size();
+  return MinCoverCut(n, edges, std::move(source_cap), std::move(sink_cap))
+      .flow;
 }
 
 }  // namespace

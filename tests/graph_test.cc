@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -7,13 +8,14 @@
 
 #include "common/rng.h"
 #include "graph/bron_kerbosch.h"
+#include "graph/cover_flow.h"
 #include "graph/fractional_vc.h"
 #include "graph/graph.h"
 #include "graph/max_cut.h"
-#include "graph/max_flow.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
 #include "oracle/hopcroft_karp.h"
+#include "oracle/max_flow.h"
 #include "oracle/p4_free.h"
 
 namespace dbim {
@@ -22,6 +24,7 @@ namespace {
 using testing::FindInducedP4;
 using testing::HopcroftKarp;
 using testing::IsP4Free;
+using testing::MaxFlow;
 
 SimpleGraph RandomGraph(size_t n, double p, uint64_t seed) {
   Rng rng(seed);
@@ -377,6 +380,139 @@ TEST_P(FractionalVcSweep, HalfIntegralFeasibleAndBelowIntegral) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, FractionalVcSweep,
                          ::testing::Range(1, 25));
+
+// ---- Bipartite cover flow ----
+
+using Edges = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// The same network on the generic Dinic oracle: v+ = v, v- = n + v,
+// source 2n, sink 2n + 1; the source and sink arcs per index first, then
+// both arcs of every edge, with a capacity above any cut.
+CoverCut OracleCoverCut(size_t n, const Edges& edges,
+                        const std::vector<double>& source_cap,
+                        const std::vector<double>& sink_cap) {
+  double unbounded = 1.0;
+  for (uint32_t v = 0; v < n; ++v) unbounded += source_cap[v] + sink_cap[v];
+  const auto source = static_cast<uint32_t>(2 * n);
+  const auto sink = static_cast<uint32_t>(2 * n + 1);
+  MaxFlow flow(2 * n + 2);
+  for (uint32_t v = 0; v < n; ++v) {
+    flow.AddEdge(source, v, source_cap[v]);
+    flow.AddEdge(static_cast<uint32_t>(n + v), sink, sink_cap[v]);
+  }
+  for (const auto& [a, b] : edges) {
+    flow.AddEdge(a, static_cast<uint32_t>(n + b), unbounded);
+    flow.AddEdge(b, static_cast<uint32_t>(n + a), unbounded);
+  }
+  CoverCut cut;
+  cut.flow = flow.Solve(source, sink);
+  for (uint32_t x = 0; x < 2 * n; ++x) {
+    cut.source_side.push_back(flow.SourceSide(x));
+  }
+  return cut;
+}
+
+void ExpectSameCut(const CoverCut& got, const CoverCut& want) {
+  EXPECT_EQ(got.flow, want.flow);  // bit-identical, not merely close
+  EXPECT_EQ(got.source_side, want.source_side);
+}
+
+TEST(MinCoverCut, SeparateSidesCutAtTheCheaperSide) {
+  // Left 0, 1 (costs 3, 1) and right 2, 3 (costs 1, 5): 0 - 2, 0 - 3,
+  // 1 - 3. The minimum cover is {0, 1}, of cost 4: both source arcs cut.
+  const CoverCut cut = MinCoverCut(4, {{0, 2}, {0, 3}, {1, 3}},
+                                   {3.0, 1.0, 0.0, 0.0},
+                                   {0.0, 0.0, 1.0, 5.0});
+  EXPECT_EQ(cut.flow, 4.0);
+  EXPECT_EQ(cut.source_side, std::vector<bool>(8, false));
+}
+
+// Unit, integer and non-integer (k / 37) capacities.
+double DrawWeight(int kind, Rng& rng) {
+  switch (kind) {
+    case 0:
+      return 1.0;
+    case 1:
+      return static_cast<double>(1 + rng.UniformIndex(5));
+    default:
+      return static_cast<double>(1 + rng.UniformIndex(200)) / 37.0;
+  }
+}
+
+class CoverFlowFuzz : public ::testing::TestWithParam<int> {};
+
+// MinCoverCut against the generic Dinic oracle on random double covers
+// (each index on both sides, one weight) and on random bipartite networks
+// with separate sides (left indices feed the source only, right ones the
+// sink only): the same source side per node, hence the same x, and a
+// bit-identical flow value.
+TEST_P(CoverFlowFuzz, MatchesOracle) {
+  Rng rng(GetParam() * 6151 + 29);
+  const int kind = GetParam() % 3;
+  for (int round = 0; round < 20; ++round) {
+    const size_t n = 1 + rng.UniformIndex(40);
+    const SimpleGraph g =
+        RandomGraph(n, 0.5 * rng.UniformDouble(), rng.UniformIndex(1 << 30));
+    std::vector<double> w(n);
+    for (auto& x : w) x = DrawWeight(kind, rng);
+    SCOPED_TRACE("double cover, n = " + std::to_string(n));
+    ExpectSameCut(MinCoverCut(n, g.edges(), w, w),
+                  OracleCoverCut(n, g.edges(), w, w));
+  }
+  for (int round = 0; round < 20; ++round) {
+    const size_t num_left = 1 + rng.UniformIndex(25);
+    const size_t num_right = 1 + rng.UniformIndex(25);
+    const size_t n = num_left + num_right;
+    std::vector<double> source_cap(n, 0.0);
+    std::vector<double> sink_cap(n, 0.0);
+    for (size_t i = 0; i < num_left; ++i) source_cap[i] = DrawWeight(kind, rng);
+    for (size_t j = num_left; j < n; ++j) sink_cap[j] = DrawWeight(kind, rng);
+    const double p = 0.4 * rng.UniformDouble();
+    Edges edges;
+    for (uint32_t i = 0; i < num_left; ++i) {
+      for (auto j = static_cast<uint32_t>(num_left); j < n; ++j) {
+        if (rng.Bernoulli(p)) edges.emplace_back(i, j);
+      }
+    }
+    SCOPED_TRACE("separate sides, n = " + std::to_string(n));
+    ExpectSameCut(MinCoverCut(n, edges, source_cap, sink_cap),
+                  OracleCoverCut(n, edges, source_cap, sink_cap));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomNetworks, CoverFlowFuzz,
+                         ::testing::Range(0, 30));
+
+// A path numbered by interleaving its two ends: position i holds vertex
+// order(i) = i odd ? i / 2 : n - 1 - i / 2, so the path reads n-1, 0, n-2,
+// 1, ...; every third vertex weighs 2, the others 1. Taking neighbours in
+// index order, the greedy pass pairs every node with the wrong one and
+// leaves augmenting paths as long as the path itself (n nodes) for the
+// Dinic phase to find.
+void ExpectInterleavedPathMatchesOracle(size_t n, double expected_value) {
+  const auto order = [n](size_t i) {
+    return static_cast<uint32_t>(i % 2 == 1 ? i / 2 : n - 1 - i / 2);
+  };
+  SimpleGraph g(n);
+  std::vector<double> w(n);
+  for (uint32_t v = 0; v < n; ++v) w[v] = v % 3 == 0 ? 2.0 : 1.0;
+  for (size_t i = 1; i < n; ++i) g.AddEdge(order(i - 1), order(i));
+  g.Normalize();
+  const FractionalVcResult lp = FractionalVertexCover(g, w);
+  const CoverCut oracle = OracleCoverCut(n, g.edges(), w, w);
+  EXPECT_EQ(lp.value, oracle.flow / 2.0);
+  EXPECT_EQ(lp.value, expected_value);
+  for (uint32_t v = 0; v < n; ++v) {
+    const double want = (oracle.source_side[v] ? 0.0 : 0.5) +
+                        (oracle.source_side[n + v] ? 0.5 : 0.0);
+    ASSERT_EQ(lp.x[v], want) << "vertex " << v;
+  }
+}
+
+TEST(MinCoverCut, InterleavedPathRunsDinicPhases) {
+  ExpectInterleavedPathMatchesOracle(10000, 6667.0);
+  ExpectInterleavedPathMatchesOracle(100000, 66667.0);
+}
 
 // ---- Exact vertex cover ----
 

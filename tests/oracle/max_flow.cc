@@ -1,11 +1,11 @@
-#include "graph/max_flow.h"
+#include "oracle/max_flow.h"
 
 #include <algorithm>
 #include <limits>
 
 #include "common/check.h"
 
-namespace dbim {
+namespace dbim::testing {
 
 MaxFlow::MaxFlow(size_t num_nodes) : num_nodes_(num_nodes) {}
 
@@ -33,19 +33,37 @@ bool MaxFlow::Bfs(uint32_t s, uint32_t t) {
   return level_[t] >= 0;
 }
 
-double MaxFlow::Dfs(uint32_t v, uint32_t t, double pushed) {
-  if (v == t) return pushed;
-  for (uint32_t& i = iter_[v]; i < first_[v + 1]; ++i) {
-    Arc& a = arcs_[i];
-    if (a.cap <= kEps || level_[a.to] != level_[v] + 1) continue;
-    const double got = Dfs(a.to, t, std::min(pushed, a.cap));
-    if (got > kEps) {
-      a.cap -= got;
-      arcs_[a.rev].cap += got;
-      return got;
+double MaxFlow::Augment(uint32_t s, uint32_t t) {
+  // Depth-first along the level graph with current-arc pointers, kept on
+  // an explicit stack (augmenting paths can be as long as the network):
+  // a node with no admissible arc left is popped and its parent's pointer
+  // advanced, so each arc is tried at most once per phase.
+  std::vector<uint32_t> path = {s};
+  while (path.back() != t) {
+    const uint32_t v = path.back();
+    uint32_t& i = iter_[v];
+    while (i < first_[v + 1] &&
+           (arcs_[i].cap <= kEps || level_[arcs_[i].to] != level_[v] + 1)) {
+      ++i;
     }
+    if (i < first_[v + 1]) {
+      path.push_back(arcs_[i].to);
+      continue;
+    }
+    path.pop_back();
+    if (path.empty()) return 0.0;
+    ++iter_[path.back()];
   }
-  return 0.0;
+  double pushed = std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k + 1 < path.size(); ++k) {
+    pushed = std::min(pushed, arcs_[iter_[path[k]]].cap);
+  }
+  for (size_t k = 0; k + 1 < path.size(); ++k) {
+    Arc& a = arcs_[iter_[path[k]]];
+    a.cap -= pushed;
+    arcs_[a.rev].cap += pushed;
+  }
+  return pushed;
 }
 
 double MaxFlow::Solve(uint32_t s, uint32_t t) {
@@ -71,8 +89,7 @@ double MaxFlow::Solve(uint32_t s, uint32_t t) {
   while (Bfs(s, t)) {
     iter_.assign(first_.begin(), first_.end() - 1);
     while (true) {
-      const double pushed =
-          Dfs(s, t, std::numeric_limits<double>::infinity());
+      const double pushed = Augment(s, t);
       if (pushed <= kEps) break;
       flow += pushed;
     }
@@ -88,4 +105,4 @@ bool MaxFlow::SourceSide(uint32_t v) const {
   return level_[v] >= 0;
 }
 
-}  // namespace dbim
+}  // namespace dbim::testing

@@ -1,16 +1,17 @@
-#ifndef DBIM_GRAPH_MAX_FLOW_H_
-#define DBIM_GRAPH_MAX_FLOW_H_
+#ifndef DBIM_TESTS_ORACLE_MAX_FLOW_H_
+#define DBIM_TESTS_ORACLE_MAX_FLOW_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-namespace dbim {
+namespace dbim::testing {
 
-/// Dinic's maximum-flow algorithm with real-valued capacities. Used for the
-/// weighted fractional vertex-cover LP (min s-t cut on the bipartite double
-/// cover). Capacities are doubles because fact deletion costs are; a small
-/// epsilon guards residual comparisons.
+/// Dinic's maximum-flow algorithm with real-valued capacities on any
+/// directed network, from zero flow. The reference the library's
+/// MinCoverCut (graph/cover_flow.h) is fuzzed against; MaxFlowSweep checks
+/// it against the brute-force minimum cut. A small epsilon guards residual
+/// comparisons, as in the library.
 ///
 /// AddEdge records edges; Solve lays them out in CSR form (one contiguous
 /// arc range per node, arcs in edge insertion order), so the augmenting
@@ -41,7 +42,9 @@ class MaxFlow {
   };
 
   bool Bfs(uint32_t s, uint32_t t);
-  double Dfs(uint32_t v, uint32_t t, double pushed);
+  // Finds one augmenting path in the level graph, pushes its bottleneck
+  // along it and returns that; 0 when the phase is blocked.
+  double Augment(uint32_t s, uint32_t t);
 
   static constexpr double kEps = 1e-9;
 
@@ -53,6 +56,6 @@ class MaxFlow {
   std::vector<uint32_t> iter_;
 };
 
-}  // namespace dbim
+}  // namespace dbim::testing
 
-#endif  // DBIM_GRAPH_MAX_FLOW_H_
+#endif  // DBIM_TESTS_ORACLE_MAX_FLOW_H_
