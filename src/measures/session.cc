@@ -216,6 +216,7 @@ BatchReport MeasureSession::ReportOn(MeasureContext& context,
   BatchReport report;
   const ViolationSet& violations = context.violations();
   report.detection_seconds = detection_seconds;
+  report.num_facts = context.db().size();
   report.num_minimal_subsets = violations.num_minimal_subsets();
   report.measures = Evaluate(context);
   return report;

@@ -181,6 +181,8 @@ struct BatchReport {
   /// Wall time spent obtaining MI_Sigma(D): the single FindViolations pass,
   /// or — on a session handle — the snapshot of the maintained set.
   double detection_seconds = 0.0;
+  /// |D|, read in the same locked read as the measures.
+  size_t num_facts = 0;
   size_t num_minimal_subsets = 0;
   /// Always false: detection runs to completion. Kept because the EVALUATE
   /// reply carries it as a wire token (always `0`).

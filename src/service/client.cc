@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <limits>
 
 #include "common/string_util.h"
 
@@ -23,28 +22,13 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 constexpr int kSendFlags = 0;
 #endif
 
-constexpr uint64_t kMaxFactId = std::numeric_limits<FactId>::max();
-
-// A reply count through the checked ParseUint64: plain decimal digits, no
-// sign, no wrap-around.
-bool ParseCount(const std::string& token, size_t* out, std::string* error) {
-  uint64_t v = 0;
-  if (!ParseUint64(token, std::numeric_limits<size_t>::max(), &v, error)) {
-    return false;
-  }
-  *out = static_cast<size_t>(v);
-  return true;
-}
-
-// A reply measure value. ParseDouble rejects NaN, but a measure that
-// gave up (I_MC past its budget) reports one, printed "nan" or "-nan".
-bool ParseMeasureValue(const std::string& token, double* out,
-                       std::string* error) {
-  if (token == "nan" || token == "-nan") {
-    *out = std::numeric_limits<double>::quiet_NaN();
-    return true;
-  }
-  return ParseDouble(token, out, error);
+// The OK <count> that closes an ITEM body must count the items it closed.
+bool ExpectItemCount(const AwaitedResponse& response, std::string* error) {
+  size_t count = 0;
+  if (!DecodeCounts(response.final.args, error, &count)) return false;
+  if (count == response.items.size()) return true;
+  *error = "reply's item count disagrees with its items";
+  return false;
 }
 
 }  // namespace
@@ -198,10 +182,11 @@ bool ServiceClient::Await(const std::string& tag, AwaitedResponse* out,
   }
 }
 
-bool ServiceClient::AwaitOk(const std::string& tag, AwaitedResponse* out,
-                            std::string* error) {
-  if (tag.empty()) return false;
-  if (!Await(tag, out, error)) return false;
+bool ServiceClient::Call(Request request, AwaitedResponse* out,
+                         std::string* error, std::string* tag) {
+  const std::string issued = Issue(std::move(request), error);
+  if (issued.empty() || !Await(issued, out, error)) return false;
+  if (tag != nullptr) *tag = issued;
   if (!out->ok()) {
     *error = out->final.error_code + ": " + out->final.error_message;
     return false;
@@ -210,159 +195,85 @@ bool ServiceClient::AwaitOk(const std::string& tag, AwaitedResponse* out,
 }
 
 bool ServiceClient::Ping(std::string* error) {
-  AwaitedResponse response;
-  return AwaitOk(Issue(Request::Ping(), error), &response, error);
+  AwaitedResponse r;
+  return Call(Request::Ping(), &r, error);
 }
 
 bool ServiceClient::Schema(std::string* relation,
                            std::vector<std::string>* attributes,
-                           std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::Schema(), error), &response, error)) {
-    return false;
+                           std::string* error,
+                           std::vector<WireCommand>* commands) {
+  AwaitedResponse r;
+  if (!Call(Request::Schema(), &r, error)) return false;
+  std::vector<WireCommand> rows(r.items.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!DecodeCommandRow(r.items[i].args, &rows[i], error)) return false;
   }
-  const std::vector<std::string>& args = response.final.args;
-  if (args.empty()) {
-    *error = "SCHEMA reply carries no relation";
-    return false;
-  }
-  if (!DecodeToken(args[0], relation, error)) return false;
-  attributes->clear();
-  for (size_t i = 1; i < args.size(); ++i) {
-    std::string attr;
-    if (!DecodeToken(args[i], &attr, error)) return false;
-    attributes->push_back(std::move(attr));
-  }
-  return true;
+  if (commands != nullptr) *commands = std::move(rows);
+  return DecodeRelation(r.final.args, relation, attributes, error);
 }
 
 bool ServiceClient::Register(const std::string& session, std::string* error) {
-  AwaitedResponse response;
-  return AwaitOk(Issue(Request::MakeRegister(session), error), &response,
-                 error);
+  AwaitedResponse r;
+  return Call(Request::MakeRegister(session), &r, error);
 }
 
 bool ServiceClient::RegisterAttach(const std::string& session,
                                    size_t* num_facts, std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::MakeRegister(session, /*attach=*/true), error),
-               &response, error)) {
-    return false;
-  }
-  if (response.final.args.size() != 1 ||
-      !ParseCount(response.final.args[0], num_facts, error)) {
-    *error = "ATTACH reply carries no fact count";
-    return false;
-  }
-  return true;
+  AwaitedResponse r;
+  return Call(Request::MakeRegister(session, /*attach=*/true), &r, error) &&
+         DecodeCounts(r.final.args, error, num_facts);
 }
 
 bool ServiceClient::Checkpoint(uint64_t* epoch, std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::MakeCheckpoint(), error), &response, error)) {
-    return false;
-  }
-  if (response.final.args.size() != 1 ||
-      !ParseUint64(response.final.args[0],
-                   std::numeric_limits<uint64_t>::max(), epoch, error)) {
-    *error = "CHECKPOINT reply carries no epoch";
-    return false;
-  }
-  return true;
+  AwaitedResponse r;
+  return Call(Request::MakeCheckpoint(), &r, error) &&
+         DecodeCounts(r.final.args, error, epoch);
 }
 
 bool ServiceClient::ApplyInsert(const std::string& session,
                                 std::vector<Value> values, FactId* id,
                                 std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::Insert(session, std::move(values)), error),
-               &response, error)) {
-    return false;
-  }
-  uint64_t parsed = 0;
-  if (response.final.args.size() != 1 ||
-      !ParseUint64(response.final.args[0], kMaxFactId, &parsed, error)) {
-    *error = "INSERT reply carries no fact id";
-    return false;
-  }
-  *id = static_cast<FactId>(parsed);
-  return true;
+  AwaitedResponse r;
+  return Call(Request::Insert(session, std::move(values)), &r, error) &&
+         DecodeCounts(r.final.args, error, id);
 }
 
 bool ServiceClient::ApplyDelete(const std::string& session, FactId id,
                                 std::string* error) {
-  AwaitedResponse response;
-  return AwaitOk(Issue(Request::Delete(session, id), error), &response,
-                 error);
+  AwaitedResponse r;
+  return Call(Request::Delete(session, id), &r, error);
 }
 
 bool ServiceClient::ApplyUpdate(const std::string& session, FactId id,
                                 AttrIndex attr, Value value,
                                 std::string* error) {
-  AwaitedResponse response;
-  return AwaitOk(Issue(Request::Update(session, id, attr, std::move(value)),
-                       error),
-                 &response, error);
-}
-
-bool ServiceClient::ParseReportArgs(const std::vector<std::string>& args,
-                                    size_t offset, WireReport* report,
-                                    std::string* error) {
-  *report = WireReport();
-  if (args.size() < offset + 3 || (args.size() - offset - 3) % 2 != 0) {
-    *error = "malformed report argument list";
-    return false;
-  }
-  if (!ParseCount(args[offset], &report->num_facts, error) ||
-      !ParseCount(args[offset + 1], &report->num_minimal_subsets, error)) {
-    *error = "malformed report counts";
-    return false;
-  }
-  if (args[offset + 2] != "0" && args[offset + 2] != "1") {
-    *error = "malformed truncated flag";
-    return false;
-  }
-  report->truncated = args[offset + 2] == "1";
-  for (size_t i = offset + 3; i + 1 < args.size(); i += 2) {
-    std::string name;
-    if (!DecodeToken(args[i], &name, error)) return false;
-    double value = 0.0;
-    if (!ParseMeasureValue(args[i + 1], &value, error)) {
-      *error = "malformed measure value: " + args[i + 1];
-      return false;
-    }
-    report->measures.emplace_back(std::move(name), value);
-  }
-  return true;
+  AwaitedResponse r;
+  return Call(Request::Update(session, id, attr, std::move(value)), &r,
+              error);
 }
 
 bool ServiceClient::Evaluate(const std::string& session, WireReport* report,
                              std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::Evaluate(session), error), &response, error)) {
-    return false;
-  }
-  return ParseReportArgs(response.final.args, 0, report, error);
+  AwaitedResponse r;
+  return Call(Request::Evaluate(session), &r, error) &&
+         DecodeReport(r.final.args, 0, report, error);
 }
 
 bool ServiceClient::EvaluateAll(
     std::vector<std::pair<std::string, WireReport>>* reports,
     std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::EvaluateAll(), error), &response, error)) {
+  AwaitedResponse r;
+  if (!Call(Request::EvaluateAll(), &r, error) ||
+      !ExpectItemCount(r, error)) {
     return false;
   }
-  reports->clear();
-  for (const Response& item : response.items) {
-    if (item.args.empty()) {
-      *error = "EVALUATE_ALL item carries no session";
+  reports->assign(r.items.size(), {});
+  for (size_t i = 0; i < r.items.size(); ++i) {
+    auto& [name, report] = (*reports)[i];
+    if (!DecodeSessionReport(r.items[i].args, &name, &report, error)) {
       return false;
     }
-    std::string name;
-    if (!DecodeToken(item.args[0], &name, error)) return false;
-    WireReport report;
-    if (!ParseReportArgs(item.args, 1, &report, error)) return false;
-    reports->emplace_back(std::move(name), std::move(report));
   }
   return true;
 }
@@ -370,22 +281,13 @@ bool ServiceClient::EvaluateAll(
 bool ServiceClient::Stats(const std::string& session, std::string* json,
                           std::string* error,
                           std::string* durability_json) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::Stats(session), error), &response, error)) {
+  AwaitedResponse r;
+  std::string durability;
+  if (!Call(Request::Stats(session), &r, error) ||
+      !DecodeStats(r.final.args, json, &durability, error)) {
     return false;
   }
-  if (response.final.args.empty()) {
-    *error = "STATS reply carries no payload";
-    return false;
-  }
-  if (!DecodeToken(response.final.args[0], json, error)) return false;
-  if (durability_json != nullptr) {
-    durability_json->clear();
-    if (response.final.args.size() >= 2 &&
-        !DecodeToken(response.final.args[1], durability_json, error)) {
-      return false;
-    }
-  }
+  if (durability_json != nullptr) *durability_json = std::move(durability);
   return true;
 }
 
@@ -393,119 +295,54 @@ bool ServiceClient::Dump(
     const std::string& session,
     std::vector<std::pair<FactId, std::vector<Value>>>* rows,
     std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::Dump(session), error), &response, error)) {
+  AwaitedResponse r;
+  if (!Call(Request::Dump(session), &r, error) || !ExpectItemCount(r, error)) {
     return false;
   }
-  rows->clear();
-  for (const Response& item : response.items) {
-    if (item.args.empty()) {
-      *error = "DUMP item carries no fact id";
-      return false;
-    }
-    uint64_t id = 0;
-    if (!ParseUint64(item.args[0], kMaxFactId, &id, error)) {
-      *error = "DUMP item has a malformed fact id";
-      return false;
-    }
-    std::vector<Value> values;
-    values.reserve(item.args.size() - 1);
-    for (size_t i = 1; i < item.args.size(); ++i) {
-      Value v;
-      if (!DecodeValue(item.args[i], &v, error)) return false;
-      values.push_back(std::move(v));
-    }
-    rows->emplace_back(static_cast<FactId>(id), std::move(values));
+  rows->assign(r.items.size(), {});
+  for (size_t i = 0; i < r.items.size(); ++i) {
+    auto& [id, values] = (*rows)[i];
+    if (!DecodeDumpRow(r.items[i].args, &id, &values, error)) return false;
   }
   return true;
 }
 
 bool ServiceClient::Unregister(const std::string& session,
                                std::string* error) {
-  AwaitedResponse response;
-  return AwaitOk(Issue(Request::MakeUnregister(session), error), &response,
-                 error);
+  AwaitedResponse r;
+  return Call(Request::MakeUnregister(session), &r, error);
 }
 
 bool ServiceClient::Vacuum(double threshold, bool* compacted,
                            std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::Vacuum(threshold), error), &response, error)) {
-    return false;
-  }
-  const std::vector<std::string>& args = response.final.args;
-  if (args.size() != 1 || (args[0] != "0" && args[0] != "1")) {
-    *error = "malformed VACUUM reply";
-    return false;
-  }
-  *compacted = args[0] == "1";
-  return true;
+  AwaitedResponse r;
+  return Call(Request::Vacuum(threshold), &r, error) &&
+         DecodeCounts(r.final.args, error, compacted);
 }
 
 bool ServiceClient::EvaluateApprox(const std::string& session, double eps,
                                    WireApproxReport* report,
                                    std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::EvaluateApprox(session, eps), error), &response,
-               error)) {
-    return false;
-  }
-  const std::vector<std::string>& args = response.final.args;
-  *report = WireApproxReport();
-  if (args.size() < 3 || (args.size() - 3) % 4 != 0) {
-    *error = "malformed APPROX argument list";
-    return false;
-  }
-  if (!ParseCount(args[0], &report->num_facts, error) ||
-      !ParseCount(args[1], &report->sample_size, error) ||
-      !ParseDouble(args[2], &report->sample_fraction, error)) {
-    *error = "malformed APPROX counts";
-    return false;
-  }
-  for (size_t i = 3; i + 3 < args.size(); i += 4) {
-    WireApproxReport::Estimate e;
-    if (!DecodeToken(args[i], &e.name, error)) return false;
-    if (!ParseMeasureValue(args[i + 1], &e.estimate, error) ||
-        !ParseMeasureValue(args[i + 2], &e.ci_low, error) ||
-        !ParseMeasureValue(args[i + 3], &e.ci_high, error)) {
-      *error = "malformed APPROX estimate: " + e.name;
-      return false;
-    }
-    report->estimates.push_back(std::move(e));
-  }
-  return true;
+  AwaitedResponse r;
+  return Call(Request::EvaluateApprox(session, eps), &r, error) &&
+         DecodeApproxReport(r.final.args, report, error);
 }
 
 bool ServiceClient::StreamTick(const std::string& session, uint64_t tick,
                                size_t* expired, size_t* live,
                                std::string* error) {
-  AwaitedResponse response;
-  if (!AwaitOk(Issue(Request::StreamTick(session, tick), error), &response,
-               error)) {
-    return false;
-  }
-  if (response.final.args.size() != 2 ||
-      !ParseCount(response.final.args[0], expired, error) ||
-      !ParseCount(response.final.args[1], live, error)) {
-    *error = "malformed STREAM_TICK reply";
-    return false;
-  }
-  return true;
+  AwaitedResponse r;
+  return Call(Request::StreamTick(session, tick), &r, error) &&
+         DecodeCounts(r.final.args, error, expired, live);
 }
 
 bool ServiceClient::Subscribe(const std::string& session, double threshold,
                               std::string* subscribe_tag, size_t* current,
                               std::string* error) {
-  AwaitedResponse response;
-  const std::string tag = Issue(Request::Subscribe(session, threshold), error);
-  if (!AwaitOk(tag, &response, error)) return false;
-  if (response.final.args.size() != 1 ||
-      !ParseCount(response.final.args[0], current, error)) {
-    *error = "SUBSCRIBE reply carries no subset count";
-    return false;
-  }
-  *subscribe_tag = tag;
-  return true;
+  AwaitedResponse r;
+  return Call(Request::Subscribe(session, threshold), &r, error,
+              subscribe_tag) &&
+         DecodeCounts(r.final.args, error, current);
 }
 
 bool ServiceClient::DrainPushed(const std::string& subscribe_tag,
@@ -514,19 +351,14 @@ bool ServiceClient::DrainPushed(const std::string& subscribe_tag,
   items->clear();
   const auto it = pending_.find(subscribe_tag);
   if (it == pending_.end()) return true;
-  for (const Response& r : it->second) {
-    if (r.kind != ResponseKind::kItem || r.args.size() != 2 ||
-        (r.args[0] != "up" && r.args[0] != "down")) {
-      *error = "malformed SUBSCRIBE notification";
+  items->resize(it->second.size());
+  for (size_t i = 0; i < items->size(); ++i) {
+    const Response& r = it->second[i];
+    if (r.kind != ResponseKind::kItem ||
+        !DecodePush(r.args, &(*items)[i], error)) {
+      *error = "malformed SUBSCRIBE notification: " + FormatResponse(r);
       return false;
     }
-    PushedItem item;
-    item.up = r.args[0] == "up";
-    if (!ParseMeasureValue(r.args[1], &item.value, error)) {
-      *error = "malformed SUBSCRIBE notification value";
-      return false;
-    }
-    items->push_back(item);
   }
   pending_.erase(it);
   return true;

@@ -12,39 +12,6 @@
 
 namespace dbim {
 
-/// A measure report as it travels over the wire: what EVALUATE and the
-/// items of EVALUATE_ALL carry. Measure values round-trip bit-exactly
-/// (17-significant-digit rendering), so wire reports can be compared for
-/// equality against an in-process BatchReport.
-struct WireReport {
-  size_t num_facts = 0;
-  size_t num_minimal_subsets = 0;
-  bool truncated = false;
-  std::vector<std::pair<std::string, double>> measures;  // (name, value)
-};
-
-/// An EVALUATE ... APPROX reply: sampling estimators with confidence
-/// intervals instead of exact measure values.
-struct WireApproxReport {
-  size_t num_facts = 0;
-  size_t sample_size = 0;
-  double sample_fraction = 1.0;
-  struct Estimate {
-    std::string name;
-    double estimate = 0.0;
-    double ci_low = 0.0;
-    double ci_high = 0.0;
-  };
-  std::vector<Estimate> estimates;
-};
-
-/// One unsolicited SUBSCRIBE notification: the minimal-subset count crossed
-/// the watcher's threshold going up or down.
-struct PushedItem {
-  bool up = false;
-  double value = 0.0;
-};
-
 /// The terminal response for one awaited request plus any ITEM body lines
 /// that arrived under its tag.
 struct AwaitedResponse {
@@ -61,7 +28,8 @@ struct AwaitedResponse {
 /// The core is pipelined: Issue() writes a request and returns immediately
 /// with its tag; Await() blocks until that tag's terminal reply, buffering
 /// replies to other outstanding tags on the side. The synchronous verbs
-/// (Ping, Register, Evaluate, ...) are Issue+Await pairs.
+/// (Ping, Register, Evaluate, ...) are Issue+Await pairs plus one reply
+/// decoder from protocol.h.
 class ServiceClient {
  public:
   ServiceClient() = default;
@@ -96,8 +64,11 @@ class ServiceClient {
   // ---- synchronous verbs (Issue + Await) ----
 
   bool Ping(std::string* error);
+  /// The served relation; `commands` (optional) receives the server's
+  /// command table, one row per verb.
   bool Schema(std::string* relation, std::vector<std::string>* attributes,
-              std::string* error);
+              std::string* error,
+              std::vector<WireCommand>* commands = nullptr);
   bool Register(const std::string& session, std::string* error);
   /// REGISTER ... ATTACH: reuses the session when it exists (a recovered
   /// daemon), creates it otherwise; *num_facts is the attached fact count.
@@ -163,18 +134,20 @@ class ServiceClient {
   /// tag-matching buffers (only sound when no Await is interleaved).
   bool ReadRawLine(std::string* line, std::string* error);
 
-  /// Parses an EVALUATE "OK" / EVALUATE_ALL "ITEM" argument list
-  /// (optionally after a leading session-name argument) into a WireReport.
+  /// DecodeReport under its older name, which the benchmark harness calls.
   static bool ParseReportArgs(const std::vector<std::string>& args,
                               size_t offset, WireReport* report,
-                              std::string* error);
+                              std::string* error) {
+    return DecodeReport(args, offset, report, error);
+  }
 
  private:
   bool WriteAll(const std::string& data, std::string* error);
   bool ReadLine(std::string* line, std::string* error);
-  /// Awaits the terminal reply and maps ERR to (false, error message).
-  bool AwaitOk(const std::string& tag, AwaitedResponse* out,
-               std::string* error);
+  /// Issue + Await for one synchronous request; ERR maps to false with
+  /// the error message. `tag` (optional) receives the request's tag.
+  bool Call(Request request, AwaitedResponse* out, std::string* error,
+            std::string* tag = nullptr);
 
   int fd_ = -1;
   uint64_t next_tag_ = 1;

@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -68,6 +69,73 @@ bool DecodeSessionName(const std::string& token, std::string* out,
     return false;
   }
   return true;
+}
+
+Request MakeRequest(Verb verb, std::string session = {}) {
+  Request r;
+  r.verb = verb;
+  r.session = std::move(session);
+  return r;
+}
+
+Request MakeApply(ApplyKind kind, std::string session, FactId id) {
+  Request r = MakeRequest(Verb::kApply, std::move(session));
+  r.apply_kind = kind;
+  r.fact_id = id;
+  return r;
+}
+
+std::string FormatDouble(double v) { return StrFormat("%.17g", v); }
+
+/// Reads a reply's args front to back; a read fails (with *error set) when
+/// its arg is missing or malformed.
+class ArgReader {
+ public:
+  ArgReader(const ReplyArgs& args, size_t offset, std::string* error)
+      : args_(args), next_(offset), error_(error) {}
+
+  size_t left() const { return args_.size() - std::min(next_, args_.size()); }
+
+  template <typename T>
+  bool Count(T* out) {
+    return Next() && DecodeCount(args_[next_ - 1], out, error_);
+  }
+  /// ParseDouble rejects NaN, but a measure that gave up reports one,
+  /// printed "nan" or "-nan".
+  bool Measure(double* out) {
+    if (!Next()) return false;
+    const std::string& token = args_[next_ - 1];
+    if (token != "nan" && token != "-nan") {
+      return ParseDouble(token, out, error_);
+    }
+    *out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  bool Token(std::string* out) {
+    return Next() && DecodeToken(args_[next_ - 1], out, error_);
+  }
+  bool Fail(const std::string& why) {
+    *error_ = why;
+    return false;
+  }
+
+ private:
+  bool Next() { return next_++ < args_.size() || Fail("reply is too short"); }
+
+  const ReplyArgs& args_;
+  size_t next_;
+  std::string* error_;
+};
+
+void AppendReport(const WireReport& report, ReplyArgs* args) {
+  args->reserve(args->size() + 3 + 2 * report.measures.size());
+  args->push_back(std::to_string(report.num_facts));
+  args->push_back(std::to_string(report.num_minimal_subsets));
+  args->push_back(report.truncated ? "1" : "0");
+  for (const auto& [name, value] : report.measures) {
+    args->push_back(EncodeToken(name));
+    args->push_back(FormatDouble(value));
+  }
 }
 
 }  // namespace
@@ -178,15 +246,8 @@ bool DecodeValue(const std::string& token, Value* out, std::string* error) {
 const char* VerbName(Verb verb) { return CommandFor(verb).name; }
 
 const char* DispatchName(Dispatch dispatch) {
-  switch (dispatch) {
-    case Dispatch::kInline:
-      return "inline";
-    case Dispatch::kQueued:
-      return "queued";
-    case Dispatch::kExclusive:
-      return "exclusive";
-  }
-  return "inline";
+  static const char* const kNames[] = {"inline", "queued", "exclusive"};
+  return kNames[static_cast<size_t>(dispatch)];
 }
 
 const std::vector<CommandSpec>& CommandTable() {
@@ -257,120 +318,72 @@ const CommandSpec* FindCommand(const std::string& name) {
   return nullptr;
 }
 
-Request Request::Ping() { return Request{}; }
-
-Request Request::Schema() {
-  Request r;
-  r.verb = Verb::kSchema;
-  return r;
-}
+Request Request::Ping() { return MakeRequest(Verb::kPing); }
+Request Request::Schema() { return MakeRequest(Verb::kSchema); }
+Request Request::MakeCheckpoint() { return MakeRequest(Verb::kCheckpoint); }
+Request Request::EvaluateAll() { return MakeRequest(Verb::kEvaluateAll); }
 
 Request Request::MakeRegister(std::string session, bool attach) {
-  Request r;
-  r.verb = Verb::kRegister;
-  r.session = std::move(session);
+  Request r = MakeRequest(Verb::kRegister, std::move(session));
   r.register_attach = attach;
   return r;
 }
 
-Request Request::MakeCheckpoint() {
-  Request r;
-  r.verb = Verb::kCheckpoint;
-  return r;
-}
-
 Request Request::Insert(std::string session, std::vector<Value> values) {
-  Request r;
-  r.verb = Verb::kApply;
-  r.apply_kind = ApplyKind::kInsert;
-  r.session = std::move(session);
+  Request r = MakeApply(ApplyKind::kInsert, std::move(session), 0);
   r.values = std::move(values);
   return r;
 }
 
 Request Request::Delete(std::string session, FactId id) {
-  Request r;
-  r.verb = Verb::kApply;
-  r.apply_kind = ApplyKind::kDelete;
-  r.session = std::move(session);
-  r.fact_id = id;
-  return r;
+  return MakeApply(ApplyKind::kDelete, std::move(session), id);
 }
 
 Request Request::Update(std::string session, FactId id, AttrIndex attr,
                         Value value) {
-  Request r;
-  r.verb = Verb::kApply;
-  r.apply_kind = ApplyKind::kUpdate;
-  r.session = std::move(session);
-  r.fact_id = id;
+  Request r = MakeApply(ApplyKind::kUpdate, std::move(session), id);
   r.attr = attr;
   r.values.push_back(std::move(value));
   return r;
 }
 
 Request Request::Evaluate(std::string session) {
-  Request r;
-  r.verb = Verb::kEvaluate;
-  r.session = std::move(session);
-  return r;
-}
-
-Request Request::EvaluateAll() {
-  Request r;
-  r.verb = Verb::kEvaluateAll;
-  return r;
+  return MakeRequest(Verb::kEvaluate, std::move(session));
 }
 
 Request Request::Stats(std::string session) {
-  Request r;
-  r.verb = Verb::kStats;
-  r.session = std::move(session);
-  return r;
+  return MakeRequest(Verb::kStats, std::move(session));
 }
 
 Request Request::Dump(std::string session) {
-  Request r;
-  r.verb = Verb::kDump;
-  r.session = std::move(session);
-  return r;
+  return MakeRequest(Verb::kDump, std::move(session));
 }
 
 Request Request::MakeUnregister(std::string session) {
-  Request r;
-  r.verb = Verb::kUnregister;
-  r.session = std::move(session);
-  return r;
+  return MakeRequest(Verb::kUnregister, std::move(session));
 }
 
 Request Request::Vacuum(double threshold) {
-  Request r;
-  r.verb = Verb::kVacuum;
+  Request r = MakeRequest(Verb::kVacuum);
   r.threshold = threshold;
   return r;
 }
 
 Request Request::EvaluateApprox(std::string session, double eps) {
-  Request r;
-  r.verb = Verb::kEvaluate;
-  r.session = std::move(session);
+  Request r = MakeRequest(Verb::kEvaluate, std::move(session));
   r.approx = true;
   r.eps = eps;
   return r;
 }
 
 Request Request::StreamTick(std::string session, uint64_t tick) {
-  Request r;
-  r.verb = Verb::kStreamTick;
-  r.session = std::move(session);
+  Request r = MakeRequest(Verb::kStreamTick, std::move(session));
   r.tick = tick;
   return r;
 }
 
 Request Request::Subscribe(std::string session, double threshold) {
-  Request r;
-  r.verb = Verb::kSubscribe;
-  r.session = std::move(session);
+  Request r = MakeRequest(Verb::kSubscribe, std::move(session));
   r.threshold = threshold;
   return r;
 }
@@ -666,6 +679,162 @@ bool ParseResponse(const std::string& line, Response* out,
   }
   *error = "unknown response kind: " + kind;
   return false;
+}
+
+ReplyArgs EncodeReport(const WireReport& report) {
+  ReplyArgs args;
+  AppendReport(report, &args);
+  return args;
+}
+
+bool DecodeReport(const ReplyArgs& args, size_t offset, WireReport* out,
+                  std::string* error) {
+  *out = WireReport();
+  ArgReader in(args, offset, error);
+  if (!in.Count(&out->num_facts) || !in.Count(&out->num_minimal_subsets) ||
+      !in.Count(&out->truncated)) {
+    return false;
+  }
+  if (in.left() % 2 != 0) return in.Fail("odd-length measure list");
+  out->measures.resize(in.left() / 2);
+  for (auto& [name, value] : out->measures) {
+    if (!in.Token(&name) || !in.Measure(&value)) return false;
+  }
+  return true;
+}
+
+ReplyArgs EncodeSessionReport(const std::string& session,
+                              const WireReport& report) {
+  ReplyArgs args{EncodeToken(session)};
+  AppendReport(report, &args);
+  return args;
+}
+
+bool DecodeSessionReport(const ReplyArgs& args, std::string* session,
+                         WireReport* out, std::string* error) {
+  return ArgReader(args, 0, error).Token(session) &&
+         DecodeReport(args, 1, out, error);
+}
+
+ReplyArgs EncodeApproxReport(const WireApproxReport& report) {
+  ReplyArgs args = EncodeCounts({report.num_facts, report.sample_size});
+  args.push_back(FormatDouble(report.sample_fraction));
+  for (const WireApproxReport::Estimate& e : report.estimates) {
+    args.insert(args.end(),
+                {EncodeToken(e.name), FormatDouble(e.estimate),
+                 FormatDouble(e.ci_low), FormatDouble(e.ci_high)});
+  }
+  return args;
+}
+
+bool DecodeApproxReport(const ReplyArgs& args, WireApproxReport* out,
+                        std::string* error) {
+  *out = WireApproxReport();
+  ArgReader in(args, 0, error);
+  if (!in.Count(&out->num_facts) || !in.Count(&out->sample_size) ||
+      !in.Measure(&out->sample_fraction)) {
+    return false;
+  }
+  if (in.left() % 4 != 0) return in.Fail("APPROX estimates come in fours");
+  out->estimates.resize(in.left() / 4);
+  for (WireApproxReport::Estimate& e : out->estimates) {
+    if (!in.Token(&e.name) || !in.Measure(&e.estimate) ||
+        !in.Measure(&e.ci_low) || !in.Measure(&e.ci_high)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+ReplyArgs EncodePush(const PushedItem& item) {
+  return {item.up ? "up" : "down", FormatDouble(item.value)};
+}
+
+bool DecodePush(const ReplyArgs& args, PushedItem* out, std::string* error) {
+  ArgReader in(args, 1, error);
+  if (args.size() != 2 || (args[0] != "up" && args[0] != "down")) {
+    return in.Fail("a push is <up|down> <subsets>");
+  }
+  out->up = args[0] == "up";
+  return in.Measure(&out->value);
+}
+
+ReplyArgs EncodeDumpRow(FactId id, const std::vector<Value>& values) {
+  ReplyArgs args{std::to_string(id)};
+  for (const Value& v : values) args.push_back(EncodeValue(v));
+  return args;
+}
+
+bool DecodeDumpRow(const ReplyArgs& args, FactId* id,
+                   std::vector<Value>* values, std::string* error) {
+  if (!ArgReader(args, 0, error).Count(id)) return false;
+  values->assign(args.size() - 1, Value());
+  for (size_t i = 1; i < args.size(); ++i) {
+    if (!DecodeValue(args[i], &(*values)[i - 1], error)) return false;
+  }
+  return true;
+}
+
+ReplyArgs EncodeCommandRow(const CommandSpec& spec) {
+  return {spec.name,
+          std::to_string(spec.min_args),
+          spec.max_args == kUnboundedArgs ? "*"
+                                          : std::to_string(spec.max_args),
+          DispatchName(spec.dispatch),
+          EncodeToken(spec.usage),
+          EncodeToken(spec.summary)};
+}
+
+bool DecodeCommandRow(const ReplyArgs& args, WireCommand* out,
+                      std::string* error) {
+  ArgReader in(args, 4, error);
+  if (args.size() != 6) return in.Fail("a command row has six fields");
+  out->name = args[0];
+  out->dispatch = args[3];
+  out->max_args = kUnboundedArgs;
+  return DecodeCount(args[1], &out->min_args, error) &&
+         (args[2] == "*" || DecodeCount(args[2], &out->max_args, error)) &&
+         in.Token(&out->usage) && in.Token(&out->summary);
+}
+
+ReplyArgs EncodeRelation(const std::string& name,
+                         const std::vector<std::string>& attributes) {
+  ReplyArgs args{EncodeToken(name)};
+  for (const std::string& attr : attributes) {
+    args.push_back(EncodeToken(attr));
+  }
+  return args;
+}
+
+bool DecodeRelation(const ReplyArgs& args, std::string* name,
+                    std::vector<std::string>* attributes,
+                    std::string* error) {
+  ArgReader in(args, 0, error);
+  if (!in.Token(name)) return false;
+  attributes->assign(in.left(), std::string());
+  for (std::string& attr : *attributes) {
+    if (!in.Token(&attr)) return false;
+  }
+  return true;
+}
+
+ReplyArgs EncodeStats(const std::string& constraint_json,
+                      const std::string& durability_json) {
+  return {EncodeToken(constraint_json), EncodeToken(durability_json)};
+}
+
+bool DecodeStats(const ReplyArgs& args, std::string* constraint_json,
+                 std::string* durability_json, std::string* error) {
+  ArgReader in(args, 0, error);
+  if (args.size() != 2) return in.Fail("STATS replies two JSON tokens");
+  return in.Token(constraint_json) && in.Token(durability_json);
+}
+
+ReplyArgs EncodeCounts(std::initializer_list<uint64_t> counts) {
+  ReplyArgs args;
+  args.reserve(counts.size());
+  for (const uint64_t count : counts) args.push_back(std::to_string(count));
+  return args;
 }
 
 bool LineBuffer::Feed(const char* data, size_t n,

@@ -2,9 +2,13 @@
 #define DBIM_SERVICE_PROTOCOL_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "common/value.h"
 #include "relational/database.h"
 
@@ -30,51 +34,55 @@ namespace dbim {
 /// line — malformed lines included (tag "*" when no tag could be read) — so
 /// a client that counts terminals never desyncs from the framing.
 ///
-/// Request forms:
+/// Request forms and their replies. [X] names the one codec pair that
+/// builds and reads a reply line's payload: EncodeX on the server, DecodeX
+/// on the client (below). <trunc01> is always 0 — detection runs to
+/// completion — and stays in reports for wire compatibility.
 ///
-///   t PING
+///   t PING                     ; OK
 ///   t SCHEMA                   ; ITEM <verb> <min> <max|*> <dispatch>
-///                              ;      <usage> per command (generated from
-///                              ;      CommandTable) — then
-///                              ;      OK <relation> <attr>...
+///                              ;   <usage> <summary> per CommandTable row
+///                              ;   [CommandRow], then OK <relation>
+///                              ;   <attr>... [Relation]
 ///   t REGISTER <session>       ; OK        (ERR EXISTS if taken)
-///   t REGISTER <session> ATTACH  ; OK <facts> — reuses the session when it
-///                              ;   exists (recovered daemons), creates it
-///                              ;   with OK 0 otherwise
-///   t APPLY <session> INSERT <value>...  ; OK <fact-id>
+///   t REGISTER <session> ATTACH  ; OK <facts> [Counts] — reuses the
+///                              ;   session when it exists (recovered
+///                              ;   daemons), creates it with OK 0 otherwise
+///   t APPLY <session> INSERT <value>...  ; OK <fact-id> [Counts]
 ///   t APPLY <session> DELETE <fact-id>   ; OK
 ///   t APPLY <session> UPDATE <fact-id> <attr-index> <value>  ; OK
 ///   t EVALUATE <session>       ; OK <facts> <subsets> <trunc01> (<m> <v>)*
-///                              ;   <trunc01> is always 0 (detection runs
-///                              ;   to completion); it stays in the reply
-///                              ;   for wire compatibility
+///                              ;   [Report]
 ///   t EVALUATE <session> APPROX <eps>
 ///                              ; sampling estimators instead of the exact
 ///                              ;   measures: OK <facts> <sample> <fraction>
 ///                              ;   (<m> <estimate> <ci_low> <ci_high>)*
+///                              ;   [ApproxReport]
 ///   t STREAM_TICK <session> <tick>
 ///                              ; advance a windowed session's logical
-///                              ;   clock; OK <expired> <live>
+///                              ;   clock; OK <expired> <live> [Counts]
 ///   t SUBSCRIBE <session> [threshold]
-///                              ; OK <subsets> now; then an unsolicited
-///                              ;   ITEM <up|down> <subsets> under this tag
-///                              ;   whenever |MI| crosses the threshold
-///                              ;   after an Apply or window slide (the one
-///                              ;   verb whose ITEMs follow its OK). A push
-///                              ;   caused by an APPLY or STREAM_TICK is on
-///                              ;   the watcher's wire before that op is
-///                              ;   acked, so a watcher request sent after
-///                              ;   the writer saw its OK (e.g. a PING) is
-///                              ;   answered after the push
+///                              ; OK <subsets> now [Counts]; then an
+///                              ;   unsolicited ITEM <up|down> <subsets>
+///                              ;   [Push] under this tag whenever |MI|
+///                              ;   crosses the threshold after an Apply or
+///                              ;   window slide (the one verb whose ITEMs
+///                              ;   follow its OK). A push caused by an
+///                              ;   APPLY or STREAM_TICK is on the watcher's
+///                              ;   wire before that op is acked, so a
+///                              ;   watcher request sent after the writer
+///                              ;   saw its OK (e.g. a PING) is answered
+///                              ;   after the push
 ///   t EVALUATE_ALL             ; ITEM <session> <facts> <subsets> <trunc01>
-///                              ;      (<m> <v>)*   — then OK <count>
-///                              ;   (<trunc01> always 0, as for EVALUATE)
+///                              ;   (<m> <v>)* [SessionReport] — then
+///                              ;   OK <count> [Counts]
 ///   t STATS <session>          ; OK <constraint-stats-json>
-///                              ;    <durability-stats-json>
-///   t DUMP <session>           ; ITEM <fact-id> <value>... — then OK <count>
+///                              ;    <durability-stats-json> [Stats]
+///   t DUMP <session>           ; ITEM <fact-id> <value>... [DumpRow] —
+///                              ;   then OK <count> [Counts]
 ///   t UNREGISTER <session>     ; OK
-///   t VACUUM <threshold>       ; OK <0|1>  (1 = pool compaction ran)
-///   t CHECKPOINT               ; OK <epoch>  (durable daemons only)
+///   t VACUUM <threshold>       ; OK <0|1> [Counts] (1 = compaction ran)
+///   t CHECKPOINT               ; OK <epoch> [Counts] (durable daemons only)
 ///
 /// Error codes: BAD_REQUEST (unparseable or ill-typed request), NO_SESSION,
 /// EXISTS, BUSY (admission control: the session's work queue is full),
@@ -219,9 +227,8 @@ enum class ResponseKind { kOk, kItem, kErr };
 struct Response {
   std::string tag = "*";
   ResponseKind kind = ResponseKind::kOk;
-  /// Raw space-free tokens after the kind word (payload fields; callers
-  /// encode/decode per-field with EncodeToken/EncodeValue as the verb
-  /// requires). Empty for ERR.
+  /// Raw space-free tokens after the kind word: the payload, built and read
+  /// by the reply codec below. Empty for ERR.
   std::vector<std::string> args;
   std::string error_code;     // ERR only
   std::string error_message;  // ERR only, decoded
@@ -236,6 +243,106 @@ struct Response {
 
 std::string FormatResponse(const Response& response);
 bool ParseResponse(const std::string& line, Response* out, std::string* error);
+
+// Reply codec: every reply payload of the grammar above is built by its
+// Encode* function and read back by its Decode* twin, here and nowhere else.
+// Decoders reject what their encoder cannot produce. Counts are plain
+// decimal digits; measure values travel as %.17g, so every finite double
+// round-trips bit-exactly, and a NaN (a measure that gave up) stays NaN.
+
+/// A measure report as EVALUATE and the items of EVALUATE_ALL carry it.
+struct WireReport {
+  size_t num_facts = 0;
+  size_t num_minimal_subsets = 0;
+  bool truncated = false;
+  std::vector<std::pair<std::string, double>> measures;  // (name, value)
+};
+
+/// An EVALUATE ... APPROX reply: sampling estimators with confidence
+/// intervals instead of exact measure values.
+struct WireApproxReport {
+  size_t num_facts = 0;
+  size_t sample_size = 0;
+  double sample_fraction = 1.0;
+  struct Estimate {
+    std::string name;
+    double estimate = 0.0;
+    double ci_low = 0.0;
+    double ci_high = 0.0;
+  };
+  std::vector<Estimate> estimates;
+};
+
+/// One unsolicited SUBSCRIBE notification: the minimal-subset count crossed
+/// the watcher's threshold going up or down.
+struct PushedItem {
+  bool up = false;
+  double value = 0.0;
+};
+
+/// One SCHEMA command row as a client reads it back.
+struct WireCommand {
+  std::string name, dispatch, usage, summary;
+  size_t min_args = 0;
+  size_t max_args = 0;  // kUnboundedArgs for "*"
+};
+
+using ReplyArgs = std::vector<std::string>;
+
+/// DecodeReport skips `offset` leading args.
+ReplyArgs EncodeReport(const WireReport& report);
+bool DecodeReport(const ReplyArgs& args, size_t offset, WireReport* out,
+                  std::string* error);
+ReplyArgs EncodeSessionReport(const std::string& session,
+                              const WireReport& report);
+bool DecodeSessionReport(const ReplyArgs& args, std::string* session,
+                         WireReport* out, std::string* error);
+ReplyArgs EncodeApproxReport(const WireApproxReport& report);
+bool DecodeApproxReport(const ReplyArgs& args, WireApproxReport* out,
+                        std::string* error);
+ReplyArgs EncodePush(const PushedItem& item);
+bool DecodePush(const ReplyArgs& args, PushedItem* out, std::string* error);
+ReplyArgs EncodeDumpRow(FactId id, const std::vector<Value>& values);
+bool DecodeDumpRow(const ReplyArgs& args, FactId* id,
+                   std::vector<Value>* values, std::string* error);
+ReplyArgs EncodeCommandRow(const CommandSpec& spec);
+bool DecodeCommandRow(const ReplyArgs& args, WireCommand* out,
+                      std::string* error);
+ReplyArgs EncodeRelation(const std::string& name,
+                         const std::vector<std::string>& attributes);
+bool DecodeRelation(const ReplyArgs& args, std::string* name,
+                    std::vector<std::string>* attributes, std::string* error);
+ReplyArgs EncodeStats(const std::string& constraint_json,
+                      const std::string& durability_json);
+bool DecodeStats(const ReplyArgs& args, std::string* constraint_json,
+                 std::string* durability_json, std::string* error);
+
+/// The scalar replies: INSERT's fact id, ATTACH's fact count, CHECKPOINT's
+/// epoch, STREAM_TICK's expired and live counts, SUBSCRIBE's current count,
+/// VACUUM's 0/1 and the item counts of EVALUATE_ALL and DUMP.
+ReplyArgs EncodeCounts(std::initializer_list<uint64_t> counts);
+/// One count into any unsigned output, within the output's range (a bool
+/// takes 0 or 1, a FactId at most 2^32 - 1).
+template <typename T>
+bool DecodeCount(const std::string& token, T* out, std::string* error) {
+  uint64_t v = 0;
+  if (!ParseUint64(token, std::numeric_limits<T>::max(), &v, error)) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+/// Exactly one count per output.
+template <typename... T>
+bool DecodeCounts(const ReplyArgs& args, std::string* error, T*... out) {
+  if (args.size() != sizeof...(out)) {
+    *error = "reply carries " + std::to_string(args.size()) + " counts, not " +
+             std::to_string(sizeof...(out));
+    return false;
+  }
+  size_t i = 0;
+  return (DecodeCount(args[i++], out, error) && ...);
+}
 
 /// Incremental newline framing over a byte stream shared by the server and
 /// the client: feed whatever recv returned, collect the complete lines

@@ -8,8 +8,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <utility>
 
 #include "common/string_util.h"
@@ -26,7 +27,19 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 constexpr int kSendFlags = 0;
 #endif
 
-std::string FormatDouble(double v) { return StrFormat("%.17g", v); }
+/// The one BatchReport -> WireReport path, shared by EVALUATE and
+/// EVALUATE_ALL.
+WireReport ToWire(BatchReport report) {
+  WireReport wire;
+  wire.num_facts = report.num_facts;
+  wire.num_minimal_subsets = report.num_minimal_subsets;
+  wire.truncated = report.truncated;
+  wire.measures.reserve(report.measures.size());
+  for (MeasureResult& m : report.measures) {
+    wire.measures.emplace_back(std::move(m.name), m.value);
+  }
+  return wire;
+}
 
 /// Wires the durable store (when configured) into the hosted session's
 /// options before the session is constructed — called from the member
@@ -80,10 +93,14 @@ struct ServiceServer::Connection {
   std::atomic<bool> closed{false};
 };
 
-/// An admitted session-addressed request awaiting a worker.
+/// One request on its way to its handler. `tenant` is set when a worker
+/// takes a queued op off its session's queue (not while queued, so a
+/// tenant's queue never owns the tenant); it stays null for inline and
+/// exclusive verbs.
 struct ServiceServer::PendingOp {
   std::shared_ptr<Connection> conn;
   Request request;
+  std::shared_ptr<Tenant> tenant;
 };
 
 /// A named session: its MeasureSession handle plus the bounded work queue.
@@ -138,18 +155,11 @@ bool ServiceServer::Start(std::string* error) {
     if (!options_.store->Recover(&session_, &recovered_, error)) {
       return false;
     }
+    // Recovered facts re-enter a window at tick 0; a count window
+    // immediately trims to its newest `size` of them.
     std::lock_guard<std::mutex> lock(sched_mu_);
     for (const storage::RecoveredSession& rs : recovered_) {
-      auto tenant = std::make_shared<Tenant>();
-      tenant->name = rs.name;
-      tenant->handle = rs.handle;
-      if (options_.session.window.enabled()) {
-        // Recovered facts re-enter the window at tick 0; a count window
-        // immediately trims to its newest `size` of them.
-        tenant->stream = std::make_unique<StreamSession>(
-            &session_, options_.session.window, tenant->handle);
-      }
-      tenants_.emplace(tenant->name, tenant);
+      tenants_.emplace(rs.name, MakeTenant(rs.name, rs.handle));
     }
   }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -301,47 +311,37 @@ void ServiceServer::ReaderLoop(uint64_t reader_id,
   finished_readers_.push_back(reader_id);
 }
 
-/// The per-verb handler table, indexed by Verb exactly like CommandTable():
-/// every row binds either an inline handler (reader thread) or a queued one
-/// (worker thread) — which one is non-null must agree with the command's
-/// Dispatch class, checked on first use.
-struct ServiceServer::VerbBinding {
-  void (ServiceServer::*inline_fn)(const std::shared_ptr<Connection>&,
-                                   const Request&) = nullptr;
-  void (ServiceServer::*queued_fn)(const std::shared_ptr<Tenant>&,
-                                   PendingOp) = nullptr;
-};
-
-const ServiceServer::VerbBinding& ServiceServer::BindingFor(Verb verb) {
-  static const VerbBinding kBindings[] = {
-      {&ServiceServer::HandlePing, nullptr},         // kPing
-      {&ServiceServer::HandleSchema, nullptr},       // kSchema
-      {&ServiceServer::HandleRegister, nullptr},     // kRegister
-      {nullptr, &ServiceServer::HandleApply},        // kApply
-      {nullptr, &ServiceServer::HandleEvaluate},     // kEvaluate
-      {&ServiceServer::HandleEvaluateAll, nullptr},  // kEvaluateAll
-      {nullptr, &ServiceServer::HandleStats},        // kStats
-      {nullptr, &ServiceServer::HandleDump},         // kDump
-      {nullptr, &ServiceServer::HandleUnregister},   // kUnregister
-      {&ServiceServer::HandleVacuum, nullptr},       // kVacuum
-      {&ServiceServer::HandleCheckpoint, nullptr},   // kCheckpoint
-      {nullptr, &ServiceServer::HandleStreamTick},   // kStreamTick
-      {nullptr, &ServiceServer::HandleSubscribe},    // kSubscribe
+ServiceServer::Handler ServiceServer::BindingFor(Verb verb) {
+  static constexpr Handler kHandlers[] = {
+      &ServiceServer::HandlePing,         // kPing
+      &ServiceServer::HandleSchema,       // kSchema
+      &ServiceServer::HandleRegister,     // kRegister
+      &ServiceServer::HandleApply,        // kApply
+      &ServiceServer::HandleEvaluate,     // kEvaluate
+      &ServiceServer::HandleEvaluateAll,  // kEvaluateAll
+      &ServiceServer::HandleStats,        // kStats
+      &ServiceServer::HandleDump,         // kDump
+      &ServiceServer::HandleUnregister,   // kUnregister
+      &ServiceServer::HandleVacuum,       // kVacuum
+      &ServiceServer::HandleCheckpoint,   // kCheckpoint
+      &ServiceServer::HandleStreamTick,   // kStreamTick
+      &ServiceServer::HandleSubscribe,    // kSubscribe
   };
-  static const bool checked = [] {
-    const std::vector<CommandSpec>& table = CommandTable();
-    if (table.size() != sizeof(kBindings) / sizeof(kBindings[0])) abort();
-    for (size_t i = 0; i < table.size(); ++i) {
-      const bool queued = table[i].dispatch == Dispatch::kQueued;
-      if (queued != (kBindings[i].queued_fn != nullptr) ||
-          queued == (kBindings[i].inline_fn != nullptr)) {
-        abort();
-      }
-    }
-    return true;
-  }();
-  (void)checked;
-  return kBindings[static_cast<size_t>(verb)];
+  static_assert(std::size(kHandlers) ==
+                static_cast<size_t>(Verb::kSubscribe) + 1);
+  return kHandlers[static_cast<size_t>(verb)];
+}
+
+std::shared_ptr<ServiceServer::Tenant> ServiceServer::MakeTenant(
+    std::string name, DbHandle handle) {
+  auto tenant = std::make_shared<Tenant>();
+  tenant->name = std::move(name);
+  tenant->handle = handle;
+  if (options_.session.window.enabled()) {
+    tenant->stream = std::make_unique<StreamSession>(
+        &session_, options_.session.window, handle);
+  }
+  return tenant;
 }
 
 void ServiceServer::HandleLine(const std::shared_ptr<Connection>& conn,
@@ -353,9 +353,9 @@ void ServiceServer::HandleLine(const std::shared_ptr<Connection>& conn,
     conn->Send(Response::Error(request.tag, "BAD_REQUEST", error));
     return;
   }
-  const VerbBinding& binding = BindingFor(request.verb);
-  if (binding.inline_fn != nullptr) {
-    (this->*binding.inline_fn)(conn, request);
+  const Handler handler = BindingFor(request.verb);
+  if (CommandFor(request.verb).dispatch != Dispatch::kQueued) {
+    (this->*handler)(PendingOp{conn, std::move(request), {}});
     return;
   }
   // Queued verbs go through the session's bounded queue.
@@ -376,7 +376,7 @@ void ServiceServer::HandleLine(const std::shared_ptr<Connection>& conn,
                                  "session work queue is full"));
       return;
     }
-    tenant->queue.push_back(PendingOp{conn, std::move(request)});
+    tenant->queue.push_back(PendingOp{conn, std::move(request), {}});
     if (!tenant->in_ring && !tenant->in_service) {
       tenant->in_ring = true;
       ring_.push_back(tenant);
@@ -386,58 +386,41 @@ void ServiceServer::HandleLine(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void ServiceServer::HandlePing(const std::shared_ptr<Connection>& conn,
-                               const Request& request) {
-  conn->Send(Response::Ok(request.tag));
+void ServiceServer::HandlePing(PendingOp op) {
+  op.conn->Send(Response::Ok(op.request.tag));
 }
 
-void ServiceServer::HandleSchema(const std::shared_ptr<Connection>& conn,
-                                 const Request& request) {
+void ServiceServer::HandleSchema(PendingOp op) {
   // The command table itself travels first — one ITEM per verb, generated
   // from the same CommandSpec rows the dispatcher runs on — then the
   // served relation as the terminal OK (what pre-table clients read).
   for (const CommandSpec& spec : CommandTable()) {
-    conn->Send(Response::Item(
-        request.tag,
-        {spec.name, std::to_string(spec.min_args),
-         spec.max_args == kUnboundedArgs ? "*" : std::to_string(spec.max_args),
-         DispatchName(spec.dispatch), EncodeToken(spec.usage),
-         EncodeToken(spec.summary)}));
+    op.conn->Send(Response::Item(op.request.tag, EncodeCommandRow(spec)));
   }
   const RelationSignature& sig = schema_->relation(relation_);
-  std::vector<std::string> args;
-  args.push_back(EncodeToken(sig.name()));
-  for (const std::string& attr : sig.attributes()) {
-    args.push_back(EncodeToken(attr));
-  }
-  conn->Send(Response::Ok(request.tag, std::move(args)));
+  op.conn->Send(Response::Ok(op.request.tag,
+                             EncodeRelation(sig.name(), sig.attributes())));
 }
 
-void ServiceServer::HandleRegister(const std::shared_ptr<Connection>& conn,
-                                   const Request& request) {
+void ServiceServer::HandleRegister(PendingOp op) {
+  const Request& request = op.request;
   std::unique_lock<std::mutex> lock(sched_mu_);
   auto it = tenants_.find(request.session);
   if (it != tenants_.end()) {
-    if (request.register_attach) {
-      // ATTACH reuses the live (possibly recovered) session; the reply
-      // carries its fact count so the client knows what it resumed onto.
-      const size_t num_facts = session_.NumFacts(it->second->handle);
-      lock.unlock();
-      conn->Send(Response::Ok(request.tag, {std::to_string(num_facts)}));
-    } else {
-      lock.unlock();
-      conn->Send(Response::Error(request.tag, "EXISTS",
-                                 "session exists: " + request.session));
-    }
+    // ATTACH reuses the live (possibly recovered) session; the reply
+    // carries its fact count so the client knows what it resumed onto.
+    const Response reply =
+        request.register_attach
+            ? Response::Ok(request.tag, EncodeCounts({session_.NumFacts(
+                                            it->second->handle)}))
+            : Response::Error(request.tag, "EXISTS",
+                              "session exists: " + request.session);
+    lock.unlock();
+    op.conn->Send(reply);
     return;
   }
-  auto tenant = std::make_shared<Tenant>();
-  tenant->name = request.session;
-  tenant->handle = session_.Register(Database(schema_));
-  if (options_.session.window.enabled()) {
-    tenant->stream = std::make_unique<StreamSession>(
-        &session_, options_.session.window, tenant->handle);
-  }
+  auto tenant =
+      MakeTenant(request.session, session_.Register(Database(schema_)));
   // WAL the creation before the name becomes addressable: APPLYs are only
   // admitted once the tenant is in the registry, so in the log every
   // session's apply records strictly follow its register record.
@@ -446,221 +429,163 @@ void ServiceServer::HandleRegister(const std::shared_ptr<Connection>& conn,
   }
   tenants_.emplace(tenant->name, tenant);
   lock.unlock();
-  if (request.register_attach) {
-    conn->Send(Response::Ok(request.tag, {"0"}));
-  } else {
-    conn->Send(Response::Ok(request.tag));
-  }
+  op.conn->Send(Response::Ok(
+      request.tag, request.register_attach ? EncodeCounts({0}) : ReplyArgs()));
 }
 
-void ServiceServer::HandleVacuum(const std::shared_ptr<Connection>& conn,
-                                 const Request& request) {
-  const bool compacted = session_.Vacuum(request.threshold);
-  conn->Send(Response::Ok(request.tag, {compacted ? "1" : "0"}));
+void ServiceServer::HandleVacuum(PendingOp op) {
+  const bool compacted = session_.Vacuum(op.request.threshold);
+  op.conn->Send(Response::Ok(op.request.tag, EncodeCounts({compacted})));
 }
 
-void ServiceServer::HandleCheckpoint(const std::shared_ptr<Connection>& conn,
-                                     const Request& request) {
+void ServiceServer::HandleCheckpoint(PendingOp op) {
   if (options_.store == nullptr) {
-    conn->Send(Response::Error(request.tag, "NO_STORE",
-                               "durability is not configured (--data-dir)"));
+    op.conn->Send(Response::Error(op.request.tag, "NO_STORE",
+                                  "durability is not configured (--data-dir)"));
     return;
   }
   // Vacuum with an unreachable waste threshold: the pool is left alone but
   // OnCheckpoint fires under the exclusive session lock, rewriting the
   // segments and truncating the log.
   session_.Vacuum(1.0);
-  conn->Send(Response::Ok(
-      request.tag, {std::to_string(options_.store->Stats().epoch)}));
+  op.conn->Send(Response::Ok(op.request.tag,
+                             EncodeCounts({options_.store->Stats().epoch})));
 }
 
-void ServiceServer::HandleEvaluateAll(const std::shared_ptr<Connection>& conn,
-                                      const Request& request) {
+void ServiceServer::HandleEvaluateAll(PendingOp op) {
   // Holds the scheduler lock across the batch so no tenant can be
   // unregistered (and its handle freed) underneath the fan-out. New
   // admissions stall for the evaluation only — every reply is
   // formatted under the lock but SENT after it drops, so a client
   // that stops reading blocks its own reader thread, never sched_mu_.
+  // Each report's fact count comes from the same locked read as its
+  // measures, so a concurrent APPLY cannot split them.
+  const std::string& tag = op.request.tag;
   std::vector<Response> responses;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    std::vector<std::pair<std::string, DbHandle>> targets;
-    targets.reserve(tenants_.size());
+    std::map<std::string, DbHandle> targets;  // reported in name order
     for (const auto& [name, tenant] : tenants_) {
-      if (!tenant->dead) targets.emplace_back(name, tenant->handle);
+      if (!tenant->dead) targets.emplace(name, tenant->handle);
     }
-    std::sort(targets.begin(), targets.end());
     std::vector<DbHandle> handles;
     handles.reserve(targets.size());
     for (const auto& [name, handle] : targets) handles.push_back(handle);
-    const std::vector<BatchReport> reports = session_.EvaluateAll(handles);
+    std::vector<BatchReport> reports = session_.EvaluateAll(handles);
     responses.reserve(targets.size() + 1);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      std::vector<std::string> args;
-      args.push_back(EncodeToken(targets[i].first));
-      args.push_back(std::to_string(session_.NumFacts(handles[i])));
-      args.push_back(std::to_string(reports[i].num_minimal_subsets));
-      args.push_back(reports[i].truncated ? "1" : "0");
-      for (const MeasureResult& m : reports[i].measures) {
-        args.push_back(EncodeToken(m.name));
-        args.push_back(FormatDouble(m.value));
-      }
-      responses.push_back(Response::Item(request.tag, std::move(args)));
+    auto report = reports.begin();
+    for (const auto& [name, handle] : targets) {
+      const WireReport wire = ToWire(std::move(*report++));
+      responses.push_back(Response::Item(tag, EncodeSessionReport(name, wire)));
     }
-    responses.push_back(
-        Response::Ok(request.tag, {std::to_string(targets.size())}));
+    responses.push_back(Response::Ok(tag, EncodeCounts({targets.size()})));
   }
-  for (const Response& response : responses) conn->Send(response);
+  for (const Response& response : responses) op.conn->Send(response);
 }
 
-Response ServiceServer::DoEvaluate(const std::string& tag,
-                                   const std::string& name, DbHandle handle) {
-  (void)name;
-  const size_t num_facts = session_.NumFacts(handle);
-  const BatchReport report = session_.Evaluate(handle);
-  std::vector<std::string> args;
-  args.push_back(std::to_string(num_facts));
-  args.push_back(std::to_string(report.num_minimal_subsets));
-  args.push_back(report.truncated ? "1" : "0");
-  for (const MeasureResult& m : report.measures) {
-    args.push_back(EncodeToken(m.name));
-    args.push_back(FormatDouble(m.value));
-  }
-  return Response::Ok(tag, std::move(args));
-}
-
-void ServiceServer::ExecuteQueued(const std::shared_ptr<Tenant>& tenant,
-                                  PendingOp op) {
-  const VerbBinding& binding = BindingFor(op.request.verb);
-  (this->*binding.queued_fn)(tenant, std::move(op));
-}
-
-void ServiceServer::HandleApply(const std::shared_ptr<Tenant>& tenant,
-                                PendingOp op) {
+void ServiceServer::HandleApply(PendingOp op) {
   const Request& request = op.request;
-  const std::string& tag = request.tag;
-  RepairOperation repair = RepairOperation::Deletion(0);
+  const DbHandle handle = op.tenant->handle;
+  StreamSession* stream = op.tenant->stream.get();
+  const size_t arity = schema_->relation(relation_).arity();
+  if (request.apply_kind == ApplyKind::kInsert &&
+      request.values.size() != arity) {
+    op.conn->Send(Response::Error(
+        request.tag, "BAD_REQUEST",
+        StrFormat("INSERT arity mismatch: got %zu values, relation has %zu "
+                  "attributes",
+                  request.values.size(), arity)));
+    return;
+  }
+  if (request.apply_kind == ApplyKind::kUpdate && request.attr >= arity) {
+    op.conn->Send(Response::Error(request.tag, "BAD_REQUEST",
+                                  "UPDATE attribute out of range"));
+    return;
+  }
+  // A windowed tenant's inserts enter the window at the current tick and
+  // may slide out older facts; its deletes leave the window too. Updates
+  // mutate in place and keep the fact's arrival tick.
+  std::optional<FactId> inserted;
   switch (request.apply_kind) {
     case ApplyKind::kInsert: {
-      const size_t arity = schema_->relation(relation_).arity();
-      if (request.values.size() != arity) {
-        op.conn->Send(Response::Error(
-            tag, "BAD_REQUEST",
-            StrFormat("INSERT arity mismatch: got %zu values, relation "
-                      "has %zu attributes",
-                      request.values.size(), arity)));
-        return;
-      }
-      repair = RepairOperation::Insertion(Fact(relation_, request.values));
+      Fact fact(relation_, request.values);
+      inserted = stream != nullptr
+                     ? stream->Push(std::move(fact), stream->current_tick())
+                     : session_.Apply(handle, RepairOperation::Insertion(
+                                                  std::move(fact)));
       break;
     }
     case ApplyKind::kDelete:
-      repair = RepairOperation::Deletion(request.fact_id);
-      break;
-    case ApplyKind::kUpdate: {
-      if (request.attr >= schema_->relation(relation_).arity()) {
-        op.conn->Send(Response::Error(tag, "BAD_REQUEST",
-                                      "UPDATE attribute out of range"));
-        return;
+      if (stream == nullptr || !stream->Erase(request.fact_id)) {
+        session_.Apply(handle, RepairOperation::Deletion(request.fact_id));
       }
-      repair = RepairOperation::Update(request.fact_id, request.attr,
-                                       request.values[0]);
       break;
-    }
-  }
-  std::optional<FactId> inserted;
-  if (tenant->stream != nullptr) {
-    // Windowed tenant: inserts enter the window at the current tick and
-    // may slide out older facts; deletes leave the window too. Updates
-    // mutate in place and keep the fact's arrival tick.
-    switch (request.apply_kind) {
-      case ApplyKind::kInsert:
-        inserted = tenant->stream->Push(Fact(relation_, request.values),
-                                        tenant->stream->current_tick());
-        break;
-      case ApplyKind::kDelete:
-        if (!tenant->stream->Erase(request.fact_id)) {
-          session_.Apply(tenant->handle, repair);
-        }
-        break;
-      case ApplyKind::kUpdate:
-        session_.Apply(tenant->handle, repair);
-        break;
-    }
-  } else {
-    inserted = session_.Apply(tenant->handle, repair);
+    case ApplyKind::kUpdate:
+      session_.Apply(handle, RepairOperation::Update(
+                                 request.fact_id, request.attr,
+                                 request.values[0]));
+      break;
   }
   // Pushes go out before the ack (see protocol.h): once the writer sees
   // its OK, every watcher's ITEM for this op is already on its wire.
-  NotifySubscribers(tenant);
-  if (inserted.has_value()) {
-    op.conn->Send(Response::Ok(tag, {std::to_string(*inserted)}));
-  } else {
-    op.conn->Send(Response::Ok(tag));
-  }
+  NotifySubscribers(op.tenant);
+  op.conn->Send(Response::Ok(request.tag, inserted.has_value()
+                                              ? EncodeCounts({*inserted})
+                                              : ReplyArgs()));
 }
 
-void ServiceServer::HandleEvaluate(const std::shared_ptr<Tenant>& tenant,
-                                   PendingOp op) {
-  if (op.request.approx) {
-    op.conn->Send(
-        DoEvaluateApprox(op.request.tag, tenant->handle, op.request.eps));
+void ServiceServer::HandleEvaluate(PendingOp op) {
+  const Request& request = op.request;
+  const DbHandle handle = op.tenant->handle;
+  if (!request.approx) {
+    op.conn->Send(Response::Ok(
+        request.tag, EncodeReport(ToWire(session_.Evaluate(handle)))));
     return;
   }
-  op.conn->Send(DoEvaluate(op.request.tag, tenant->name, tenant->handle));
-}
-
-Response ServiceServer::DoEvaluateApprox(const std::string& tag,
-                                         DbHandle handle, double eps) {
   ApproxOptions approx;
-  approx.eps = eps;
+  approx.eps = request.eps;
   approx.confidence = options_.session.approx.confidence;
   approx.seed = options_.session.approx.seed;
   approx.only = options_.session.registry.only;
   ApproxEvaluator evaluator(session_.detector(), std::move(approx));
   const ApproxReport report = session_.WithDatabase(
       handle, [&](const Database& db) { return evaluator.Evaluate(db); });
-  std::vector<std::string> args;
-  args.push_back(std::to_string(report.num_facts));
-  args.push_back(std::to_string(report.sample_size));
-  args.push_back(FormatDouble(
+  WireApproxReport wire;
+  wire.num_facts = report.num_facts;
+  wire.sample_size = report.sample_size;
+  wire.sample_fraction =
       report.num_facts == 0
           ? 1.0
-          : static_cast<double>(report.sample_size) / report.num_facts));
+          : static_cast<double>(report.sample_size) / report.num_facts;
   for (const ApproxEstimate& e : report.estimates) {
-    args.push_back(EncodeToken(e.name));
-    args.push_back(FormatDouble(e.estimate));
-    args.push_back(FormatDouble(e.ci_low));
-    args.push_back(FormatDouble(e.ci_high));
+    wire.estimates.push_back({e.name, e.estimate, e.ci_low, e.ci_high});
   }
-  return Response::Ok(tag, std::move(args));
+  op.conn->Send(Response::Ok(request.tag, EncodeApproxReport(wire)));
 }
 
-void ServiceServer::HandleStreamTick(const std::shared_ptr<Tenant>& tenant,
-                                     PendingOp op) {
-  if (tenant->stream == nullptr) {
+void ServiceServer::HandleStreamTick(PendingOp op) {
+  StreamSession* stream = op.tenant->stream.get();
+  if (stream == nullptr) {
     op.conn->Send(Response::Error(
         op.request.tag, "BAD_REQUEST",
         "session is not windowed (start dbimd with --window)"));
     return;
   }
-  const size_t expired = tenant->stream->AdvanceTo(op.request.tick);
-  NotifySubscribers(tenant);  // before the ack, as in HandleApply
-  op.conn->Send(Response::Ok(
-      op.request.tag, {std::to_string(expired),
-                       std::to_string(tenant->stream->num_live())}));
+  const size_t expired = stream->AdvanceTo(op.request.tick);
+  NotifySubscribers(op.tenant);  // before the ack, as in HandleApply
+  op.conn->Send(Response::Ok(op.request.tag,
+                             EncodeCounts({expired, stream->num_live()})));
 }
 
-void ServiceServer::HandleSubscribe(const std::shared_ptr<Tenant>& tenant,
-                                    PendingOp op) {
-  const size_t current = session_.NumMinimalSubsets(tenant->handle);
+void ServiceServer::HandleSubscribe(PendingOp op) {
+  const size_t current = session_.NumMinimalSubsets(op.tenant->handle);
   Tenant::Subscriber sub;
   sub.conn = op.conn;
   sub.tag = op.request.tag;
   sub.threshold = op.request.threshold;
   sub.last = static_cast<double>(current);
-  tenant->subscribers.push_back(std::move(sub));
-  op.conn->Send(Response::Ok(op.request.tag, {std::to_string(current)}));
+  op.tenant->subscribers.push_back(std::move(sub));
+  op.conn->Send(Response::Ok(op.request.tag, EncodeCounts({current})));
 }
 
 void ServiceServer::NotifySubscribers(const std::shared_ptr<Tenant>& tenant) {
@@ -676,22 +601,19 @@ void ServiceServer::NotifySubscribers(const std::shared_ptr<Tenant>& tenant) {
     const bool was_above = it->last > it->threshold;
     const bool is_above = current > it->threshold;
     if (was_above != is_above) {
-      it->conn->Send(Response::Item(
-          it->tag,
-          {is_above ? "up" : "down", FormatDouble(current)}));
+      it->conn->Send(Response::Item(it->tag, EncodePush({is_above, current})));
     }
     it->last = current;
     ++it;
   }
 }
 
-void ServiceServer::HandleStats(const std::shared_ptr<Tenant>& tenant,
-                                PendingOp op) {
+void ServiceServer::HandleStats(PendingOp op) {
   const TablePrinter table =
-      ConstraintStatsTable(session_.ConstraintStats(tenant->handle));
+      ConstraintStatsTable(session_.ConstraintStats(op.tenant->handle));
   op.conn->Send(Response::Ok(
-      op.request.tag, {EncodeToken(table.ToJson("constraint_stats")),
-                       EncodeToken(DurabilityJson())}));
+      op.request.tag,
+      EncodeStats(table.ToJson("constraint_stats"), DurabilityJson())));
 }
 
 std::string ServiceServer::DurabilityJson() const {
@@ -710,21 +632,17 @@ std::string ServiceServer::DurabilityJson() const {
       static_cast<unsigned long long>(stats.recovered_records));
 }
 
-void ServiceServer::HandleDump(const std::shared_ptr<Tenant>& tenant,
-                               PendingOp op) {
+void ServiceServer::HandleDump(PendingOp op) {
   const std::string& tag = op.request.tag;
-  const auto rows = session_.CopyFacts(tenant->handle);
+  const auto rows = session_.CopyFacts(op.tenant->handle);
   for (const auto& [id, values] : rows) {
-    std::vector<std::string> args;
-    args.push_back(std::to_string(id));
-    for (const Value& v : values) args.push_back(EncodeValue(v));
-    op.conn->Send(Response::Item(tag, std::move(args)));
+    op.conn->Send(Response::Item(tag, EncodeDumpRow(id, values)));
   }
-  op.conn->Send(Response::Ok(tag, {std::to_string(rows.size())}));
+  op.conn->Send(Response::Ok(tag, EncodeCounts({rows.size()})));
 }
 
-void ServiceServer::HandleUnregister(const std::shared_ptr<Tenant>& tenant,
-                                     PendingOp op) {
+void ServiceServer::HandleUnregister(PendingOp op) {
+  Tenant* tenant = op.tenant.get();
   // Retire the tenant from the registry FIRST, under sched_mu_, and only
   // then free the MeasureSession handle. EVALUATE_ALL snapshots live
   // handles and evaluates them under the same lock, so marking the
@@ -737,7 +655,7 @@ void ServiceServer::HandleUnregister(const std::shared_ptr<Tenant>& tenant,
     tenant->dead = true;
     orphaned.swap(tenant->queue);
     auto it = tenants_.find(tenant->name);
-    if (it != tenants_.end() && it->second == tenant) tenants_.erase(it);
+    if (it != tenants_.end() && it->second == op.tenant) tenants_.erase(it);
     hook = unregister_hook_;
   }
   // Test hook: holds this worker inside the retired-but-not-yet-freed
@@ -777,7 +695,9 @@ void ServiceServer::WorkerLoop() {
       tenant->queue.pop_front();
       tenant->in_service = true;
     }
-    ExecuteQueued(tenant, std::move(op));
+    op.tenant = tenant;
+    const Handler handler = BindingFor(op.request.verb);
+    (this->*handler)(std::move(op));
     {
       std::unique_lock<std::mutex> lock(sched_mu_);
       tenant->in_service = false;

@@ -151,42 +151,40 @@ class ServiceServer {
   struct Connection;
   struct Tenant;
   struct PendingOp;
-  struct VerbBinding;
+  /// Every verb's handler: inline and exclusive verbs run on the reader
+  /// thread with a null PendingOp::tenant, queued verbs on a worker after
+  /// admission (Dispatch in protocol.h's CommandTable decides which).
+  using Handler = void (ServiceServer::*)(PendingOp);
 
   void AcceptLoop();
   void ReaderLoop(uint64_t reader_id, std::shared_ptr<Connection> conn);
   void WorkerLoop();
   void HandleLine(const std::shared_ptr<Connection>& conn,
                   const std::string& line);
-  void ExecuteQueued(const std::shared_ptr<Tenant>& tenant, PendingOp op);
 
-  /// The verb -> handler table (indexed by Verb, mirroring CommandTable):
-  /// inline/exclusive verbs run on the reader thread, queued verbs on a
-  /// worker after admission.
-  static const VerbBinding& BindingFor(Verb verb);
+  /// The verb -> handler table, indexed by Verb like CommandTable().
+  static Handler BindingFor(Verb verb);
+
+  /// A named tenant over `handle`, windowed when the daemon is; shared by
+  /// REGISTER and Start's recovery.
+  std::shared_ptr<Tenant> MakeTenant(std::string name, DbHandle handle);
 
   // Inline/exclusive handlers (reader thread).
-  void HandlePing(const std::shared_ptr<Connection>& conn,
-                  const Request& request);
-  void HandleSchema(const std::shared_ptr<Connection>& conn,
-                    const Request& request);
-  void HandleRegister(const std::shared_ptr<Connection>& conn,
-                      const Request& request);
-  void HandleVacuum(const std::shared_ptr<Connection>& conn,
-                    const Request& request);
-  void HandleCheckpoint(const std::shared_ptr<Connection>& conn,
-                        const Request& request);
-  void HandleEvaluateAll(const std::shared_ptr<Connection>& conn,
-                         const Request& request);
+  void HandlePing(PendingOp op);
+  void HandleSchema(PendingOp op);
+  void HandleRegister(PendingOp op);
+  void HandleVacuum(PendingOp op);
+  void HandleCheckpoint(PendingOp op);
+  void HandleEvaluateAll(PendingOp op);
 
   // Queued handlers (worker thread, per-session serial).
-  void HandleApply(const std::shared_ptr<Tenant>& tenant, PendingOp op);
-  void HandleEvaluate(const std::shared_ptr<Tenant>& tenant, PendingOp op);
-  void HandleStats(const std::shared_ptr<Tenant>& tenant, PendingOp op);
-  void HandleDump(const std::shared_ptr<Tenant>& tenant, PendingOp op);
-  void HandleUnregister(const std::shared_ptr<Tenant>& tenant, PendingOp op);
-  void HandleStreamTick(const std::shared_ptr<Tenant>& tenant, PendingOp op);
-  void HandleSubscribe(const std::shared_ptr<Tenant>& tenant, PendingOp op);
+  void HandleApply(PendingOp op);
+  void HandleEvaluate(PendingOp op);
+  void HandleStats(PendingOp op);
+  void HandleDump(PendingOp op);
+  void HandleUnregister(PendingOp op);
+  void HandleStreamTick(PendingOp op);
+  void HandleSubscribe(PendingOp op);
 
   /// Pushes an ITEM to every watcher whose threshold the minimal-subset
   /// count just crossed. Runs on the worker servicing the tenant, after an
@@ -194,10 +192,6 @@ class ServiceServer {
   /// state needs no extra lock.
   void NotifySubscribers(const std::shared_ptr<Tenant>& tenant);
 
-  Response DoEvaluate(const std::string& tag, const std::string& name,
-                      DbHandle handle);
-  Response DoEvaluateApprox(const std::string& tag, DbHandle handle,
-                            double eps);
   /// The STATS durability token: {"durable":0} without a store, else the
   /// store's counters as JSON.
   std::string DurabilityJson() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <set>
 
@@ -73,10 +72,12 @@ bool RunServiceWorkload(ServiceClient& client, const std::string& session,
       return false;
     }
     ++result->num_ok;
-    if (op.kind == OpKind::kInsert && response.final.args.size() == 1) {
-      const FactId got =
-          static_cast<FactId>(std::strtoull(response.final.args[0].c_str(),
-                                            nullptr, 10));
+    if (op.kind == OpKind::kInsert) {
+      FactId got = 0;
+      if (!DecodeCounts(response.final.args, error, &got)) {
+        *error = "INSERT reply: " + *error;
+        return false;
+      }
       if (options.predict_ids) {
         if (got != op.predicted_id) {
           *error = "predicted insert id " + std::to_string(op.predicted_id) +
@@ -89,14 +90,11 @@ bool RunServiceWorkload(ServiceClient& client, const std::string& session,
       }
     } else if (op.kind == OpKind::kEvaluate) {
       ++result->num_evaluates;
-      WireReport report;
-      std::string parse_error;
-      if (!ServiceClient::ParseReportArgs(response.final.args, 0, &report,
-                                          &parse_error)) {
-        *error = "EVALUATE reply: " + parse_error;
+      if (!DecodeReport(response.final.args, 0, &result->last_report,
+                        error)) {
+        *error = "EVALUATE reply: " + *error;
         return false;
       }
-      result->last_report = std::move(report);
     }
     return true;
   };

@@ -8,17 +8,25 @@
 // right position.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "constraints/parser.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/spec.h"
+#include "storage/backend.h"
+#include "storage/durable_store.h"
 #include "test_util.h"
 
 namespace dbim {
@@ -243,26 +251,605 @@ TEST(ProtocolResponse, RejectsGarbage) {
   }
 }
 
-// A report's counts are plain decimal: a sign or a count past 2^64 - 1 is
-// a malformed reply, not a wrapped or clamped number.
-TEST(ProtocolReport, ParseReportArgsRejectsSignedAndOverflowingCounts) {
-  WireReport report;
+// ------------------------------------------------------------ reply codec --
+
+// Frames `args` as a reply line and parses it back: what a client reads.
+ReplyArgs OverTheWire(const ReplyArgs& args) {
+  const std::string line = FormatResponse(Response::Item("t", args));
+  Response parsed;
   std::string error;
-  ASSERT_TRUE(ServiceClient::ParseReportArgs({"3", "2", "0", "I_MI", "2"}, 0,
-                                             &report, &error))
-      << error;
-  EXPECT_EQ(report.num_facts, 3u);
-  EXPECT_EQ(report.num_minimal_subsets, 2u);
-  ASSERT_EQ(report.measures.size(), 1u);
-  EXPECT_EQ(report.measures[0].second, 2.0);
-  for (const char* bad : {"-1", "+3", "18446744073709551616"}) {
-    EXPECT_FALSE(
-        ServiceClient::ParseReportArgs({bad, "0", "0"}, 0, &report, &error))
-        << bad;
-    EXPECT_FALSE(
-        ServiceClient::ParseReportArgs({"0", bad, "0"}, 0, &report, &error))
-        << bad;
+  EXPECT_TRUE(ParseResponse(line, &parsed, &error)) << line << ": " << error;
+  return parsed.args;
+}
+
+// Bit-identical doubles, except that every NaN equals every NaN (the wire
+// keeps a NaN a NaN, not its sign or payload).
+void ExpectSameDouble(double got, double want, const std::string& where) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << where;
+  } else {
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << where << ": " << got << " vs " << want;
   }
+}
+
+void ExpectSameReport(const WireReport& got, const WireReport& want) {
+  EXPECT_EQ(got.num_facts, want.num_facts);
+  EXPECT_EQ(got.num_minimal_subsets, want.num_minimal_subsets);
+  EXPECT_EQ(got.truncated, want.truncated);
+  ASSERT_EQ(got.measures.size(), want.measures.size());
+  for (size_t i = 0; i < got.measures.size(); ++i) {
+    EXPECT_EQ(got.measures[i].first, want.measures[i].first);
+    ExpectSameDouble(got.measures[i].second, want.measures[i].second,
+                     want.measures[i].first);
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(ReplyCodec, ReportsRoundTrip) {
+  std::vector<WireReport> cases(3);  // cases[0]: an empty measure list
+  cases[1] = {7,
+              21,
+              false,
+              {{"I_d", 1.0},
+               {"I_MI", 21.0},
+               {"I_lin_R", 1.0 / 3.0},
+               {"I_MC", kNan},
+               {"I_R", -0.0},
+               {"needs %20 encoding\n", 0.1},
+               {"", std::numeric_limits<double>::denorm_min()}}};
+  cases[2] = {std::numeric_limits<size_t>::max(), 1, true, {{"x", -1e300}}};
+  for (const WireReport& report : cases) {
+    WireReport got;
+    std::string session, error;
+    ASSERT_TRUE(DecodeReport(OverTheWire(EncodeReport(report)), 0, &got,
+                             &error))
+        << error;
+    ExpectSameReport(got, report);
+    ASSERT_TRUE(ServiceClient::ParseReportArgs(
+        OverTheWire(EncodeReport(report)), 0, &got, &error))
+        << error;
+    ExpectSameReport(got, report);
+    ASSERT_TRUE(DecodeSessionReport(
+        OverTheWire(EncodeSessionReport("a b%c", report)), &session, &got,
+        &error))
+        << error;
+    EXPECT_EQ(session, "a b%c");
+    ExpectSameReport(got, report);
+  }
+}
+
+TEST(ReplyCodec, ApproxReportsRoundTrip) {
+  WireApproxReport empty;
+  WireApproxReport full;
+  full.num_facts = 40;
+  full.sample_size = 13;
+  full.sample_fraction = 13.0 / 40.0;
+  full.estimates = {{"I_MI", 12.5, 0.30000000000000004, 1e17},
+                    {"I P", kNan, -0.0, 2.0 / 3.0}};
+  for (const WireApproxReport& report : {empty, full}) {
+    WireApproxReport got;
+    std::string error;
+    ASSERT_TRUE(DecodeApproxReport(OverTheWire(EncodeApproxReport(report)),
+                                   &got, &error))
+        << error;
+    EXPECT_EQ(got.num_facts, report.num_facts);
+    EXPECT_EQ(got.sample_size, report.sample_size);
+    ExpectSameDouble(got.sample_fraction, report.sample_fraction, "fraction");
+    ASSERT_EQ(got.estimates.size(), report.estimates.size());
+    for (size_t i = 0; i < got.estimates.size(); ++i) {
+      const auto& g = got.estimates[i];
+      const auto& w = report.estimates[i];
+      EXPECT_EQ(g.name, w.name);
+      ExpectSameDouble(g.estimate, w.estimate, w.name);
+      ExpectSameDouble(g.ci_low, w.ci_low, w.name);
+      ExpectSameDouble(g.ci_high, w.ci_high, w.name);
+    }
+  }
+}
+
+TEST(ReplyCodec, PushesRoundTrip) {
+  for (const PushedItem& item : {PushedItem{true, 3.0}, PushedItem{false, 0.0},
+                                 PushedItem{true, 1e20 + 1.0}}) {
+    PushedItem got;
+    std::string error;
+    ASSERT_TRUE(DecodePush(OverTheWire(EncodePush(item)), &got, &error))
+        << error;
+    EXPECT_EQ(got.up, item.up);
+    ExpectSameDouble(got.value, item.value, "push");
+  }
+}
+
+TEST(ReplyCodec, DumpRowsOfEveryValueKindRoundTrip) {
+  const std::vector<Value> values = {
+      Value(),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(-0.0),
+      Value(0.1),
+      Value(""),
+      Value("with space, % and \n"),
+  };
+  for (const FactId id : {FactId{0}, std::numeric_limits<FactId>::max()}) {
+    FactId got_id = 1;
+    std::vector<Value> got;
+    std::string error;
+    ASSERT_TRUE(DecodeDumpRow(OverTheWire(EncodeDumpRow(id, values)), &got_id,
+                              &got, &error))
+        << error;
+    EXPECT_EQ(got_id, id);
+    ASSERT_EQ(got.size(), values.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].kind(), values[i].kind()) << i;
+      EXPECT_TRUE(got[i] == values[i]) << i;
+    }
+    EXPECT_TRUE(std::signbit(got[2].as_double()));
+  }
+}
+
+TEST(ReplyCodec, SchemaAndStatsRoundTrip) {
+  for (const CommandSpec& spec : CommandTable()) {
+    WireCommand got;
+    std::string error;
+    ASSERT_TRUE(DecodeCommandRow(OverTheWire(EncodeCommandRow(spec)), &got,
+                                 &error))
+        << spec.name << ": " << error;
+    EXPECT_EQ(got.name, spec.name);
+    EXPECT_EQ(got.min_args, spec.min_args);
+    EXPECT_EQ(got.max_args, spec.max_args);
+    EXPECT_EQ(got.dispatch, DispatchName(spec.dispatch));
+    EXPECT_EQ(got.usage, spec.usage);
+    EXPECT_EQ(got.summary, spec.summary);
+  }
+  const std::vector<std::string> attributes = {"A b", "%", ""};
+  for (size_t n = 0; n <= attributes.size(); ++n) {
+    const std::vector<std::string> attrs(attributes.begin(),
+                                         attributes.begin() + n);
+    std::string name, error;
+    std::vector<std::string> got;
+    ASSERT_TRUE(DecodeRelation(OverTheWire(EncodeRelation("Rel 1", attrs)),
+                               &name, &got, &error))
+        << error;
+    EXPECT_EQ(name, "Rel 1");
+    EXPECT_EQ(got, attrs);
+  }
+  const std::string json = "{\n  \"rows\": [[\"!(t[A] = t'[A])\", \"3\"]]\n}\n";
+  std::string constraints, durability, error;
+  ASSERT_TRUE(DecodeStats(OverTheWire(EncodeStats(json, "")), &constraints,
+                          &durability, &error))
+      << error;
+  EXPECT_EQ(constraints, json);
+  EXPECT_EQ(durability, "");
+}
+
+TEST(ReplyCodec, CountsRoundTripWithinTheirOutputsRange) {
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  uint64_t big = 1;
+  size_t zero = 1;
+  std::string error;
+  ASSERT_TRUE(
+      DecodeCounts(OverTheWire(EncodeCounts({max, 0})), &error, &big, &zero))
+      << error;
+  EXPECT_EQ(big, max);
+  EXPECT_EQ(zero, 0u);
+  bool flag = false;
+  ASSERT_TRUE(DecodeCounts(OverTheWire(EncodeCounts({true})), &error, &flag))
+      << error;
+  EXPECT_TRUE(flag);
+  FactId id = 0;
+  ASSERT_TRUE(DecodeCounts(OverTheWire(EncodeCounts({4294967295u})), &error,
+                           &id))
+      << error;
+  EXPECT_EQ(id, 4294967295u);
+  EXPECT_TRUE(DecodeCounts(OverTheWire(EncodeCounts({})), &error));
+}
+
+// Every decoder rejects what its encoder cannot produce: a count with a
+// sign or past its output's range is malformed, not wrapped or clamped.
+TEST(ReplyCodec, DecodersRejectMalformedReplies) {
+  WireReport report;
+  WireApproxReport approx;
+  PushedItem push;
+  FactId id = 0;
+  std::vector<Value> values;
+  WireCommand command;
+  std::string a, b;
+  std::vector<std::string> attrs;
+  size_t n = 0, m = 0;
+  bool flag = false;
+  using Decoder = std::function<bool(const ReplyArgs&, std::string*)>;
+  const std::map<std::string, Decoder> decoders = {
+      {"report",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeReport(x, 0, &report, e);
+       }},
+      {"session report",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeSessionReport(x, &a, &report, e);
+       }},
+      {"approx",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeApproxReport(x, &approx, e);
+       }},
+      {"push",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodePush(x, &push, e);
+       }},
+      {"dump row",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeDumpRow(x, &id, &values, e);
+       }},
+      {"command row",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeCommandRow(x, &command, e);
+       }},
+      {"relation",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeRelation(x, &a, &attrs, e);
+       }},
+      {"stats",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeStats(x, &a, &b, e);
+       }},
+      {"two counts",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeCounts(x, e, &n, &m);
+       }},
+      {"fact id",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeCounts(x, e, &id);
+       }},
+      {"flag",
+       [&](const ReplyArgs& x, std::string* e) {
+         return DecodeCounts(x, e, &flag);
+       }},
+  };
+  const std::string overflow = "18446744073709551616";  // 2^64
+  const std::vector<std::pair<std::string, ReplyArgs>> cases = {
+      {"report", {"-1", "0", "0"}},
+      {"report", {"+3", "0", "0"}},
+      {"report", {overflow, "0", "0"}},
+      {"report", {"0", "-1", "0"}},
+      {"report", {"0", overflow, "0"}},
+      {"report", {"0", "0"}},
+      {"report", {"0", "0", "0", "I_MI"}},            // odd-length list
+      {"report", {"0", "0", "0", "I_MI", "1", "I_d"}},  // odd-length list
+      {"report", {"0", "0", "2"}},                    // <trunc01>
+      {"report", {"0", "0", "x"}},                    // <trunc01>
+      {"report", {"0", "0", "-1"}},                   // <trunc01>
+      {"report", {"0", "0", "0", "I_MI", "one"}},
+      {"report", {"0", "0", "0", "%2", "1"}},
+      {"session report", {}},
+      {"session report", {"%zz", "0", "0", "0"}},
+      {"session report", {"s", "0", "-1", "0"}},
+      {"approx", {"1", "1"}},
+      {"approx", {"-1", "1", "1"}},
+      {"approx", {"1", "1", "x"}},
+      {"approx", {"1", "1", "1", "I_MI"}},                       // 1 of 4
+      {"approx", {"1", "1", "1", "I_MI", "1", "1"}},             // 3 of 4
+      {"approx", {"1", "1", "1", "I_MI", "1", "1", "1", "1"}},  // 5 of 4
+      {"approx", {"1", "1", "1", "I_MI", "1", "x", "1"}},
+      {"push", {"sideways", "1"}},
+      {"push", {"UP", "1"}},
+      {"push", {"up"}},
+      {"push", {"up", "1", "2"}},
+      {"push", {"down", "many"}},
+      {"dump row", {}},
+      {"dump row", {"-1", "i:1"}},
+      {"dump row", {"4294967296", "i:1"}},
+      {"dump row", {"0", "7"}},
+      {"command row", {"PING", "0", "0", "inline", "PING"}},
+      {"command row", {"PING", "-1", "0", "inline", "PING", "p"}},
+      {"command row", {"PING", "0", "x", "inline", "PING", "p"}},
+      {"command row", {"PING", "0", "0", "inline", "%2", "p"}},
+      {"relation", {}},
+      {"relation", {"R", "%zz"}},
+      {"stats", {"{}"}},
+      {"stats", {"{}", "{}", "{}"}},
+      {"stats", {"%2", "{}"}},
+      {"two counts", {}},
+      {"two counts", {"1"}},
+      {"two counts", {"1", "2", "3"}},
+      {"two counts", {"-1", "0"}},
+      {"two counts", {"+1", "0"}},
+      {"two counts", {overflow, "0"}},
+      {"two counts", {"1x", "0"}},
+      {"two counts", {"0", ""}},
+      {"fact id", {"4294967296"}},
+      {"fact id", {"-0"}},
+      {"flag", {"2"}},
+  };
+  for (const auto& [name, args] : cases) {
+    std::string error;
+    EXPECT_FALSE(decoders.at(name)(args, &error))
+        << name << " accepted: " << ::testing::PrintToString(args);
+    EXPECT_FALSE(error.empty()) << name;
+  }
+}
+
+// The client reads SCHEMA's command rows back through the codec.
+TEST(ReplyCodec, ClientReadsTheCommandTable) {
+  const ServiceSpec spec = ExampleSpec();
+  ServiceServer server(spec.schema, spec.relation, spec.constraints,
+                       ServiceOptions());
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  std::string relation;
+  std::vector<std::string> attributes;
+  std::vector<WireCommand> commands;
+  ASSERT_TRUE(client.Schema(&relation, &attributes, &error, &commands))
+      << error;
+  ASSERT_EQ(commands.size(), CommandTable().size());
+  for (size_t i = 0; i < commands.size(); ++i) {
+    EXPECT_EQ(commands[i].name, CommandTable()[i].name);
+    EXPECT_EQ(commands[i].usage, CommandTable()[i].usage);
+  }
+  client.Close();
+  server.Stop();
+}
+
+// ---------------------------------------------------------- golden lines --
+
+/// A fresh directory under /tmp, removed (with contents) on destruction.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/dbim_protocol_XXXXXX";
+    const char* made = mkdtemp(tmpl);
+    EXPECT_NE(made, nullptr);
+    path = made != nullptr ? made : "";
+  }
+  ~TempDir() {
+    if (!path.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  }
+};
+
+/// Sends each request line and records it ("> ") followed by every reply
+/// line ("< ") up to and including its terminal one — SUBSCRIBE pushes an
+/// APPLY triggers arrive before the APPLY's OK, so they land in its block.
+std::vector<std::string> Transcript(uint16_t port,
+                                    const std::vector<std::string>& lines) {
+  ServiceClient client;
+  std::string error;
+  EXPECT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+  std::vector<std::string> out;
+  for (const std::string& line : lines) {
+    out.push_back("> " + line);
+    EXPECT_TRUE(client.SendRawLine(line, &error)) << error;
+    const std::string tag = line.substr(0, line.find(' '));
+    for (;;) {
+      std::string reply;
+      if (!client.ReadRawLine(&reply, &error)) {
+        ADD_FAILURE() << line << ": " << error;
+        return out;
+      }
+      out.push_back("< " + reply);
+      Response response;
+      EXPECT_TRUE(ParseResponse(reply, &response, &error)) << reply;
+      if (response.kind != ResponseKind::kItem &&
+          (response.tag == tag || response.tag == "*")) {
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<DenialConstraint> GoldenFds(const Schema& schema) {
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  return dcs;
+}
+
+ServiceOptions GoldenOptions() {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.session.registry.include_mc = false;  // I_MC has a time budget
+  return options;
+}
+
+// The exact reply bytes of every verb, error replies included, for one
+// fixed small session: the reply encoders must never move a byte.
+TEST(ProtocolGolden, EveryVerbRepliesTheSameBytes) {
+  auto schema = testing::MakeAbcSchema();
+  ServiceServer server(schema, 0, GoldenFds(*schema), GoldenOptions());
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const std::vector<std::string> got = Transcript(
+      server.port(),
+      {"t1 PING",
+       "t2 SCHEMA",
+       "t3 REGISTER s",
+       "t4 REGISTER s",
+       "t5 REGISTER s ATTACH",
+       "t6 REGISTER %C3%A9%20x ATTACH",
+       "t7 SUBSCRIBE s 0.5",
+       "t7a SUBSCRIBE s 2.5",
+       "t8 APPLY s INSERT i:1 i:2 s:x",
+       "t9 APPLY s INSERT i:1 i:3 s:a%20b",
+       "t10 APPLY s INSERT d:0.25 _ s:",
+       "t11 APPLY s UPDATE 1 1 i:2",
+       "t12 APPLY s DELETE 2",
+       "t13 APPLY s INSERT i:1 i:9 d:-0",
+       "t14 APPLY %C3%A9%20x INSERT i:-7 d:1e300 s:%25",
+       "t15 EVALUATE s",
+       "t16 EVALUATE s APPROX 0.5",
+       "t17 EVALUATE_ALL",
+       "t18 STATS s",
+       "t19 DUMP s",
+       "t20 DUMP %C3%A9%20x",
+       "t21 STREAM_TICK s 1",
+       "t22 CHECKPOINT",
+       "t22a APPLY s DELETE 2",
+       "t23 VACUUM 0",
+       "t24 UNREGISTER s",
+       "t25 EVALUATE s",
+       "t26 APPLY s DELETE x",
+       "t27 APPLY %C3%A9%20x INSERT i:1",
+       "bad! PING"});
+  const std::vector<std::string> want = {
+      "> t1 PING",
+      "< t1 OK",
+      "> t2 SCHEMA",
+      "< t2 ITEM PING 0 0 inline PING liveness%20probe",
+      "< t2 ITEM SCHEMA 0 0 inline SCHEMA served%20relation,%20attributes%20a"
+      "nd%20this%20command%20table",
+      "< t2 ITEM REGISTER 1 2 inline REGISTER%20<session>%20[ATTACH] create%2"
+      "0a%20named%20session;%20ATTACH%20reuses%20an%20existing%20one%20and%20"
+      "replies%20its%20fact%20count",
+      "< t2 ITEM APPLY 2 * queued APPLY%20<session>%20INSERT%20<value>...%20|"
+      "%20DELETE%20<id>%20|%20UPDATE%20<id>%20<attr>%20<value> apply%20one%20"
+      "repair%20operation;%20violations%20maintained%20incrementally",
+      "< t2 ITEM EVALUATE 1 3 queued EVALUATE%20<session>%20[APPROX%20<eps>] "
+      "evaluate%20every%20measure%20on%20one%20session;%20APPROX%20replies%20"
+      "sampling%20estimates%20with%20confidence%20intervals",
+      "< t2 ITEM EVALUATE_ALL 0 0 exclusive EVALUATE_ALL evaluate%20every%20s"
+      "ession%20in%20one%20consistent%20batch",
+      "< t2 ITEM STATS 1 1 queued STATS%20<session> per-constraint%20counters"
+      "%20plus%20the%20daemon's%20durability%20stats",
+      "< t2 ITEM DUMP 1 1 queued DUMP%20<session> list%20the%20session's%20fa"
+      "cts%20with%20their%20ids",
+      "< t2 ITEM UNREGISTER 1 1 queued UNREGISTER%20<session> drop%20a%20sess"
+      "ion%20and%20its%20queued%20work",
+      "< t2 ITEM VACUUM 1 1 exclusive VACUUM%20<threshold> compact%20the%20va"
+      "lue%20pool%20when%20its%20waste%20fraction%20exceeds%20threshold",
+      "< t2 ITEM CHECKPOINT 0 0 exclusive CHECKPOINT write%20a%20durable%20ch"
+      "eckpoint%20and%20truncate%20the%20log;%20replies%20the%20new%20epoch",
+      "< t2 ITEM STREAM_TICK 2 2 queued STREAM_TICK%20<session>%20<tick> adva"
+      "nce%20a%20windowed%20session's%20logical%20clock;%20replies%20expired%"
+      "20and%20live%20fact%20counts",
+      "< t2 ITEM SUBSCRIBE 1 2 queued SUBSCRIBE%20<session>%20[threshold] pus"
+      "h%20an%20ITEM%20under%20this%20tag%20whenever%20the%20minimal-subset%2"
+      "0count%20crosses%20the%20threshold",
+      "< t2 OK R A B C",
+      "> t3 REGISTER s",
+      "< t3 OK",
+      "> t4 REGISTER s",
+      "< t4 ERR EXISTS session%20exists:%20s",
+      "> t5 REGISTER s ATTACH",
+      "< t5 OK 0",
+      "> t6 REGISTER %C3%A9%20x ATTACH",
+      "< t6 OK 0",
+      "> t7 SUBSCRIBE s 0.5",
+      "< t7 OK 0",
+      "> t7a SUBSCRIBE s 2.5",
+      "< t7a OK 0",
+      "> t8 APPLY s INSERT i:1 i:2 s:x",
+      "< t8 OK 0",
+      "> t9 APPLY s INSERT i:1 i:3 s:a%20b",
+      "< t7 ITEM up 1",
+      "< t9 OK 1",
+      "> t10 APPLY s INSERT d:0.25 _ s:",
+      "< t10 OK 2",
+      "> t11 APPLY s UPDATE 1 1 i:2",
+      "< t11 OK",
+      "> t12 APPLY s DELETE 2",
+      "< t12 OK",
+      "> t13 APPLY s INSERT i:1 i:9 d:-0",
+      "< t7a ITEM up 3",
+      "< t13 OK 2",
+      "> t14 APPLY %C3%A9%20x INSERT i:-7 d:1e300 s:%25",
+      "< t14 OK 0",
+      "> t15 EVALUATE s",
+      "< t15 OK 3 3 0 I_d 1 I_MI 3 I_P 3 I_R 2 I_lin_R 1.5",
+      "> t16 EVALUATE s APPROX 0.5",
+      "< t16 OK 3 3 1 I_MI 3 3 3 I_P 3 3 3 I_R 2 2 2 I_lin_R 1.5 1.5 1.5",
+      "> t17 EVALUATE_ALL",
+      "< t17 ITEM s 3 3 0 I_d 1 I_MI 3 I_P 3 I_R 2 I_lin_R 1.5",
+      "< t17 ITEM %C3%A9%20x 1 0 0 I_d 0 I_MI 0 I_P 0 I_R 0 I_lin_R 0",
+      "< t17 OK 2",
+      "> t18 STATS s",
+      "< t18 OK {%0A%20%20\"name\":%20\"constraint_stats\",%0A%20%20\"header"
+      "\":%20[\"constraint\",%20\"probes\",%20\"fires\",%20\"watchers\"],%0A%"
+      "20%20\"rows\":%20[%0A%20%20%20%20[\"!(t[A]%20=%20t'[A]%20&%20t[B]%20!="
+      "%20t'[B])\",%20\"3\",%20\"3\",%20\"1\"],%0A%20%20%20%20[\"!(t[B]%20=%2"
+      "0t'[B]%20&%20t[C]%20!=%20t'[C])\",%20\"1\",%20\"1\",%20\"2\"]%0A%20%20"
+      "]%0A}%0A {\"durable\":0}",
+      "> t19 DUMP s",
+      "< t19 ITEM 0 i:1 i:2 s:x",
+      "< t19 ITEM 1 i:1 i:2 s:a%20b",
+      "< t19 ITEM 2 i:1 i:9 d:-0",
+      "< t19 OK 3",
+      "> t20 DUMP %C3%A9%20x",
+      "< t20 ITEM 0 i:-7 d:1.0000000000000001e+300 s:%25",
+      "< t20 OK 1",
+      "> t21 STREAM_TICK s 1",
+      "< t21 ERR BAD_REQUEST session%20is%20not%20windowed%20(start%20dbimd%2"
+      "0with%20--window)",
+      "> t22 CHECKPOINT",
+      "< t22 ERR NO_STORE durability%20is%20not%20configured%20(--data-dir)",
+      "> t22a APPLY s DELETE 2",
+      "< t7a ITEM down 1",
+      "< t22a OK",
+      "> t23 VACUUM 0",
+      "< t23 OK 1",
+      "> t24 UNREGISTER s",
+      "< t24 OK",
+      "> t25 EVALUATE s",
+      "< t25 ERR NO_SESSION unknown%20session:%20s",
+      "> t26 APPLY s DELETE x",
+      "< t26 ERR BAD_REQUEST bad%20unsigned%20integer:%20x",
+      "> t27 APPLY %C3%A9%20x INSERT i:1",
+      "< t27 ERR BAD_REQUEST INSERT%20arity%20mismatch:%20got%201%20values,%2"
+      "0relation%20has%203%20attributes",
+      "> bad! PING",
+      "< * ERR BAD_REQUEST bad%20tag",
+  };
+  EXPECT_EQ(got, want);
+  server.Stop();
+}
+
+// The verbs only a windowed, durable daemon answers with OK.
+TEST(ProtocolGolden, WindowedDurableVerbsReplyTheSameBytes) {
+  auto schema = testing::MakeAbcSchema();
+  TempDir dir;
+  storage::DurableSessionStore store(
+      schema, storage::CreateFlatFileBackend(dir.path));
+  std::string error;
+  ASSERT_TRUE(store.Open(&error)) << error;
+  ServiceOptions options = GoldenOptions();
+  options.session.WithWindow(WindowSpec::Kind::kTicks, 10);
+  options.store = &store;
+  ServiceServer server(schema, 0, GoldenFds(*schema), options);
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const std::vector<std::string> got = Transcript(
+      server.port(), {"u1 REGISTER w",
+                      "u2 APPLY w INSERT i:1 i:1 i:1",
+                      "u3 STREAM_TICK w 5",
+                      "u4 APPLY w INSERT i:1 i:2 i:1",
+                      "u5 EVALUATE w",
+                      "u6 STREAM_TICK w 12",
+                      "u7 CHECKPOINT",
+                      "u8 REGISTER w ATTACH",
+                      "u9 STREAM_TICK w 3"});
+  const std::vector<std::string> want = {
+      "> u1 REGISTER w",
+      "< u1 OK",
+      "> u2 APPLY w INSERT i:1 i:1 i:1",
+      "< u2 OK 0",
+      "> u3 STREAM_TICK w 5",
+      "< u3 OK 0 1",
+      "> u4 APPLY w INSERT i:1 i:2 i:1",
+      "< u4 OK 1",
+      "> u5 EVALUATE w",
+      "< u5 OK 2 1 0 I_d 1 I_MI 1 I_P 2 I_R 1 I_lin_R 1",
+      "> u6 STREAM_TICK w 12",
+      "< u6 OK 1 1",
+      "> u7 CHECKPOINT",
+      "< u7 OK 1",
+      "> u8 REGISTER w ATTACH",
+      "< u8 OK 1",
+      "> u9 STREAM_TICK w 3",
+      "< u9 OK 0 1",
+  };
+  EXPECT_EQ(got, want);
+  server.Stop();
 }
 
 // ----------------------------------------------------------- line buffer --

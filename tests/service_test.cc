@@ -598,6 +598,71 @@ TEST(ServiceConcurrency, EvaluateAllCannotSeeTenantBeingUnregistered) {
   ts.server->Stop();
 }
 
+// An EVALUATE_ALL item pairs its <facts> with the measures of the same
+// locked read, even while a worker applies inserts to that session. With
+// one FD and inserts that share the key but differ on the right-hand side,
+// every pair of facts conflicts, so each item must carry exactly
+// subsets == facts * (facts - 1) / 2.
+TEST(ServiceConcurrency, EvaluateAllItemFactsMatchItsMeasures) {
+  auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> fd;
+  fd.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  ServiceOptions options = TestServer::MakeDefaultOptions();
+  options.session.registry.only = {"I_MI"};
+  options.queue_capacity = 1024;
+  ServiceServer server(schema, 0, std::move(fd), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServiceClient writer;
+  ServiceClient reader;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server.port(), &error)) << error;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server.port(), &error)) << error;
+  ASSERT_TRUE(writer.Register("s", &error)) << error;
+
+  constexpr int64_t kInserts = 400;
+  std::atomic<bool> done{false};
+  std::atomic<bool> write_ok{true};
+  std::string write_error;
+  std::thread write_thread([&] {
+    std::vector<std::string> tags;
+    for (int64_t i = 0; i < kInserts; ++i) {
+      tags.push_back(writer.Issue(
+          Request::Insert("s", {Value(0), Value(i), Value(0)}), &write_error));
+    }
+    for (const std::string& tag : tags) {
+      AwaitedResponse response;
+      if (tag.empty() || !writer.Await(tag, &response, &write_error) ||
+          !response.ok()) {
+        write_ok = false;
+      }
+    }
+    done = true;
+  });
+  size_t batches = 0;
+  size_t mismatches = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    std::vector<std::pair<std::string, WireReport>> reports;
+    if (!reader.EvaluateAll(&reports, &error)) {
+      ADD_FAILURE() << error;
+      break;
+    }
+    ++batches;
+    for (const auto& [name, report] : reports) {
+      const size_t n = report.num_facts;
+      if (report.num_minimal_subsets != n * (n - (n > 0 ? 1 : 0)) / 2) {
+        ++mismatches;
+      }
+    }
+  }
+  write_thread.join();
+  EXPECT_TRUE(write_ok.load()) << write_error;
+  EXPECT_GT(batches, 0u);
+  EXPECT_EQ(mismatches, 0u) << "of " << batches << " batches";
+  writer.Close();
+  reader.Close();
+  server.Stop();
+}
+
 // ----------------------------------------------------- reader-thread reap --
 
 // Connection churn must not accumulate terminated-but-joinable reader
