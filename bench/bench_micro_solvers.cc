@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the combinatorial substrate: the
-// violation detector, the matching/flow-based fractional vertex cover, the
-// exact cover branch & bound, Bron–Kerbosch counting, and the simplex.
+// violation detector and its witness store, the matching/flow-based
+// fractional vertex cover, the exact cover branch & bound, Bron–Kerbosch
+// counting, and the simplex.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "lp/covering.h"
 #include "measures/repair_measures.h"
 #include "violations/detector.h"
+#include "violations/violation.h"
 
 namespace dbim {
 namespace {
@@ -54,6 +56,37 @@ void BM_DetectViolationsHospital(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_DetectViolationsHospital)->Arg(500)->Arg(2000)->Arg(8000);
+
+// The witness store alone, under a stream shaped like repair-loop's Apply
+// on Tax: 50 dirty facts at a time, each in conflict with the 115 other
+// facts of its group (≈5 700 live pairs). One op restores the oldest dirty
+// fact (RemoveInvolving, then the compaction check Apply runs after it)
+// and dirties the next fact of a fixed random stream (115 pair admits).
+void BM_WitnessStoreChurn(benchmark::State& state) {
+  const FactId n = static_cast<FactId>(state.range(0));
+  constexpr FactId kGroup = 116;
+  constexpr size_t kDirty = 50;
+  Rng rng(42);
+  std::vector<FactId> stream(4096);
+  for (FactId& id : stream) id = static_cast<FactId>(rng.UniformIndex(n));
+  WitnessStore store;
+  auto dirty = [&](FactId id) {
+    const FactId first = id / kGroup * kGroup;
+    for (FactId other = first; other < std::min(first + kGroup, n); ++other) {
+      if (other != id) store.Admit({std::min(id, other), std::max(id, other)});
+    }
+  };
+  size_t next = 0;
+  for (; next < kDirty; ++next) dirty(stream[next]);
+  for (auto _ : state) {
+    store.RemoveInvolving(stream[(next - kDirty) % stream.size()]);
+    store.CompactIfWasteful(0.5);
+    dirty(stream[next++ % stream.size()]);
+    benchmark::DoNotOptimize(store.num_live());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WitnessStoreChurn)->Arg(10000)->Arg(100000);
 
 // Conflict graphs for BM_FractionalVertexCover. Shape 0 is a random
 // G(n, 4/n). The others are what an FD's violations look like on Tax and

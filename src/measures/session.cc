@@ -11,9 +11,10 @@ namespace dbim {
 
 namespace {
 
-// Apply runs PoolWaste() — a scan of the pool and every registered
-// database's distinct-value counts — only every this many operations, so
-// the auto-vacuum hook stays cheap inside tight mutation loops.
+// Apply runs the auto-vacuum check only every this many operations,
+// because PoolWasteLocked marks every cell of every registered database in
+// a pool-sized vector. Subset slots need no such check: each index's Apply
+// compacts its own store.
 constexpr size_t kAutoVacuumCheckInterval = 64;
 
 }  // namespace
@@ -297,9 +298,9 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
     num_vacuums_.fetch_add(1, std::memory_order_relaxed);
     compacted = true;
   }
-  // Slot compaction rides along: dead subset slots accumulate in the
-  // incremental indices under churn exactly like dead pool entries, and
-  // the same threshold bounds both.
+  // Slot compaction rides along: each index's Apply already keeps its
+  // dead subset slots at most half its slots, and a lower threshold
+  // tightens that here.
   for (auto& state : handles_) {
     if (state != nullptr) {
       state->incremental.CompactSlotsIfWasteful(waste_threshold);

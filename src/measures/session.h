@@ -321,9 +321,10 @@ class MeasureSession {
   /// Rebuilds the shared pool without dead entries and remaps every
   /// registered database together when PoolWaste() exceeds the threshold;
   /// also compacts each incremental index's dead subset slots past the
-  /// same threshold. Returns whether pool compaction ran. Reports are
-  /// unaffected: subsets are FactId sets and the incremental buckets hash
-  /// value semantics, which the re-intern preserves.
+  /// same threshold (Apply already keeps them at most half the slots, so
+  /// this matters only below 0.5). Returns whether pool compaction ran.
+  /// Reports are unaffected: subsets are FactId sets and the incremental
+  /// buckets hash value semantics, which the re-intern preserves.
   bool Vacuum(double waste_threshold);
 
   /// Number of (auto or manual) vacuums that compacted the pool.

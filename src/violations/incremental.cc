@@ -259,6 +259,7 @@ std::optional<FactId> IncrementalViolationIndex::Apply(
   if (op.is_deletion()) {
     const FactId id = op.deletion().id;
     store_.RemoveInvolving(id);
+    store_.CompactIfWasteful(kMaxSlotWaste);
     witness_.Remove(*db_, id);
     db_->Delete(id);
     return std::nullopt;
@@ -272,6 +273,7 @@ std::optional<FactId> IncrementalViolationIndex::Apply(
   const UpdateOp& update = op.update();
   const FactId id = update.id;
   store_.RemoveInvolving(id);
+  store_.CompactIfWasteful(kMaxSlotWaste);
   witness_.Remove(*db_, id);
   db_->UpdateValue(id, update.attr, update.value);
   ProbeFact(CompileEvals(), id);

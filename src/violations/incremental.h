@@ -142,14 +142,15 @@ class IncrementalViolationIndex {
   /// by sorted fact id, and the repair measures normalize its edge list).
   ViolationSet Snapshot() const { return store_.Snapshot(); }
 
-  /// Stored subset slots, live + dead. Dead slots accumulate under
-  /// sustained churn (a removal only marks them); CompactSlots reclaims
-  /// them.
+  /// Stored subset slots, live + dead. A removal only marks slots dead;
+  /// Apply compacts the store once dead slots outnumber live ones, so this
+  /// stays at most twice the live count (plus one) after every Apply.
   size_t NumStoredSlots() const { return store_.num_slots(); }
 
-  /// Drops the dead slots (WitnessStore::Compact). O(live state); all
-  /// public counters are untouched. MeasureSession::Vacuum runs this
-  /// alongside its pool compaction so long trajectories stay bounded.
+  /// Drops every dead slot (WitnessStore::Compact). O(live state); all
+  /// public counters are untouched. MeasureSession::Vacuum runs the
+  /// threshold form alongside its pool compaction, which tightens Apply's
+  /// own bound for thresholds below one half.
   void CompactSlots() { store_.Compact(); }
 
   /// CompactSlots when the dead-slot fraction exceeds `waste_threshold`.
@@ -255,6 +256,9 @@ class IncrementalViolationIndex {
   std::vector<uint32_t> probe_candidates_;
   std::vector<FactId> probe_hits_;
   IncrementalDispatchStats dispatch_stats_;
+  // Apply compacts store_ once its dead slots outnumber the live ones (the
+  // bound OrderRuns keeps on its tombstones), so no caller has to.
+  static constexpr double kMaxSlotWaste = 0.5;
   // MI_Sigma(D), with its self-inconsistent facts.
   WitnessStore store_;
 };

@@ -20,6 +20,13 @@ uint64_t SubsetKey(const FactId* first, const FactId* last) {
   return h;
 }
 
+// Where `key`'s probe sequence starts in a table of `mask` + 1 entries.
+size_t Home(uint64_t key, size_t mask) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdull;
+  return (key ^ key >> 33) & mask;
+}
+
 }  // namespace
 
 void ViolationSet::Add(const FactId* first, const FactId* last,
@@ -70,53 +77,80 @@ double ViolationSet::ViolatingPairRatio(size_t db_size) const {
   return static_cast<double>(pairs) / all_pairs;
 }
 
+void WitnessStore::Rehash(size_t live) {
+  size_t size = 8;
+  while (size < 2 * live) size *= 2;
+  if (size == table_.size()) return;
+  std::vector<Entry> old(size);
+  old.swap(table_);
+  for (const Entry& entry : old) {
+    if (entry.slot == kNone) continue;
+    size_t e = Home(entry.key, size - 1);
+    while (table_[e].slot != kNone) e = (e + 1) & (size - 1);
+    table_[e] = entry;
+  }
+}
+
+void WitnessStore::EraseEntry(uint64_t key, uint32_t s) {
+  const size_t mask = table_.size() - 1;
+  size_t hole = Home(key, mask);
+  while (table_[hole].slot != s) {
+    DBIM_CHECK(table_[hole].slot != kNone);
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: every later entry of the probe run that may
+  // sit at the hole (its home is not cyclically after the hole) moves in.
+  for (size_t next = (hole + 1) & mask; table_[next].slot != kNone;
+       next = (next + 1) & mask) {
+    const size_t home = Home(table_[next].key, mask);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table_[hole] = table_[next];
+      hole = next;
+    }
+  }
+  table_[hole].slot = kNone;
+}
+
 void WitnessStore::AdmitRange(const FactId* first, const FactId* last,
                               uint32_t derivations) {
   num_minimal_violations_ += derivations;
+  if (2 * (num_live_ + 1) > table_.size()) Rehash(num_live_ + 1);
   const uint64_t key = SubsetKey(first, last);
-  const auto [lo, hi] = by_key_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    Slot& slot = slots_[it->second];
+  const size_t mask = table_.size() - 1;
+  size_t e = Home(key, mask);
+  for (; table_[e].slot != kNone; e = (e + 1) & mask) {
+    if (table_[e].key != key) continue;
+    Slot& slot = slots_[table_[e].slot];
     if (std::equal(first, last, begin(slot), end(slot))) {
       slot.derivations += derivations;
       return;
     }
   }
   const uint32_t s = static_cast<uint32_t>(slots_.size());
-  by_key_.emplace_hint(lo, key, s);
-  if (has_postings_) {
-    for (const FactId* id = first; id != last; ++id) {
-      postings_[*id].push_back(s);
-    }
+  table_[e] = Entry{key, s};
+  DBIM_CHECK(facts_.size() + (last - first) < kNone);
+  slots_.push_back(Slot{static_cast<uint32_t>(facts_.size()),
+                        static_cast<uint32_t>(last - first), derivations,
+                        true});
+  if (*(last - 1) >= by_fact_.size()) by_fact_.resize(*(last - 1) + 1);
+  for (const FactId* id = first; id != last; ++id) {
+    members_.push_back(Member{s, by_fact_[*id].head});
+    by_fact_[*id].head = static_cast<uint32_t>(facts_.size());
+    facts_.push_back(*id);
   }
-  if (last - first == 1) self_inconsistent_.insert(*first);
-  slots_.push_back(Slot{facts_.size(), static_cast<uint32_t>(last - first),
-                        derivations, true});
-  facts_.insert(facts_.end(), first, last);
+  if (last - first == 1) by_fact_[*first].self_inconsistent = true;
   ++num_live_;
-}
-
-void WitnessStore::BuildPostings() {
-  if (has_postings_) return;
-  for (uint32_t s = 0; s < static_cast<uint32_t>(slots_.size()); ++s) {
-    if (!slots_[s].alive) continue;
-    for (const FactId* id = begin(slots_[s]); id != end(slots_[s]); ++id) {
-      postings_[*id].push_back(s);
-    }
-  }
-  has_postings_ = true;
 }
 
 bool WitnessStore::IsMinimal(const std::vector<FactId>& candidate) const {
   for (const FactId id : candidate) {
     if (IsSelfInconsistent(id)) return candidate.size() == 1;
   }
-  // The postings bound the scan to the slots sharing a fact with it.
+  // The member chains bound the scan to the slots sharing a fact with it.
   for (const FactId id : candidate) {
-    const auto it = postings_.find(id);
-    if (it == postings_.end()) continue;
-    for (const uint32_t s : it->second) {
-      const Slot& slot = slots_[s];
+    if (id >= by_fact_.size()) continue;
+    for (uint32_t m = by_fact_[id].head; m != kNone; m = members_[m].next) {
+      const Slot& slot = slots_[members_[m].slot];
       if (!slot.alive || slot.size >= candidate.size()) continue;
       if (std::includes(candidate.begin(), candidate.end(), begin(slot),
                         end(slot))) {
@@ -134,7 +168,6 @@ void WitnessStore::AdmitKAry(std::vector<std::vector<FactId>> supports) {
               if (a.size() != b.size()) return a.size() < b.size();
               return a < b;
             });
-  BuildPostings();
   for (size_t i = 0; i < supports.size();) {
     size_t end = i + 1;
     while (end < supports.size() && supports[end] == supports[i]) ++end;
@@ -148,52 +181,64 @@ void WitnessStore::AdmitKAry(std::vector<std::vector<FactId>> supports) {
 }
 
 void WitnessStore::RemoveInvolving(FactId id) {
-  BuildPostings();
-  const auto it = postings_.find(id);
-  if (it == postings_.end()) return;
-  for (const uint32_t s : it->second) {
+  if (id >= by_fact_.size()) return;
+  PerFact& fact = by_fact_[id];
+  for (uint32_t m = fact.head; m != kNone; m = members_[m].next) {
+    const uint32_t s = members_[m].slot;
     Slot& slot = slots_[s];
     if (!slot.alive) continue;
     slot.alive = false;
     --num_live_;
     num_minimal_violations_ -= slot.derivations;
-    auto key = by_key_.equal_range(SubsetKey(begin(slot), end(slot))).first;
-    while (key->second != s) ++key;
-    by_key_.erase(key);
-    if (slot.size == 1) self_inconsistent_.erase(*begin(slot));
+    EraseEntry(SubsetKey(begin(slot), end(slot)), s);
   }
-  postings_.erase(it);
+  // Every slot holding `id` is dead, so its chain goes whole.
+  fact.head = kNone;
+  fact.self_inconsistent = false;
 }
 
 size_t WitnessStore::NumMembers() const {
-  std::vector<FactId> members;
-  for (const Slot& slot : slots_) {
-    if (slot.alive) members.insert(members.end(), begin(slot), end(slot));
+  size_t n = 0;
+  for (const PerFact& fact : by_fact_) {
+    for (uint32_t m = fact.head; m != kNone; m = members_[m].next) {
+      if (slots_[members_[m].slot].alive) {
+        ++n;
+        break;
+      }
+    }
   }
-  std::sort(members.begin(), members.end());
-  return static_cast<size_t>(
-      std::unique(members.begin(), members.end()) - members.begin());
+  return n;
 }
 
 void WitnessStore::Compact() {
   if (num_live_ == slots_.size()) return;
-  std::vector<Slot> live;
-  std::vector<FactId> facts;
-  live.reserve(num_live_);
-  for (const Slot& slot : slots_) {
-    if (!slot.alive) continue;
-    live.push_back(Slot{facts.size(), slot.size, slot.derivations, true});
-    facts.insert(facts.end(), begin(slot), end(slot));
-  }
-  slots_ = std::move(live);
-  facts_ = std::move(facts);
-  by_key_.clear();
-  by_key_.reserve(slots_.size());
+  // Live slots move down in order, their members with them (a slot's
+  // members never lie before an earlier slot's), and each moved member is
+  // pushed onto its fact's emptied chain.
+  std::vector<uint32_t> renumber(slots_.size(), kNone);
+  for (PerFact& fact : by_fact_) fact.head = kNone;
+  uint32_t live = 0;
+  uint32_t to = 0;
   for (uint32_t s = 0; s < static_cast<uint32_t>(slots_.size()); ++s) {
-    by_key_.emplace(SubsetKey(begin(slots_[s]), end(slots_[s])), s);
+    Slot slot = slots_[s];
+    if (!slot.alive) continue;
+    renumber[s] = live;
+    for (uint32_t i = 0; i < slot.size; ++i, ++to) {
+      const FactId id = facts_[slot.begin + i];
+      facts_[to] = id;
+      members_[to] = Member{live, by_fact_[id].head};
+      by_fact_[id].head = to;
+    }
+    slot.begin = to - slot.size;
+    slots_[live++] = slot;
   }
-  postings_.clear();
-  has_postings_ = false;
+  slots_.resize(live);
+  facts_.resize(to);
+  members_.resize(to);
+  for (Entry& entry : table_) {
+    if (entry.slot != kNone) entry.slot = renumber[entry.slot];
+  }
+  Rehash(num_live_);
 }
 
 bool WitnessStore::CompactIfWasteful(double waste_threshold) {
@@ -208,7 +253,6 @@ bool WitnessStore::CompactIfWasteful(double waste_threshold) {
 ViolationSet WitnessStore::Snapshot() const {
   ViolationSet out;
   if (num_live_ == 0) return out;
-  DBIM_CHECK(facts_.size() <= UINT32_MAX);
   // One pass over the slots. The facts of every slot, dead ones included,
   // bound the live facts, so the fact array is sized once and trimmed.
   out.offsets_.resize(num_live_ + 1);

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relational/database.h"
@@ -114,16 +112,22 @@ class ViolationSet {
 /// a ViolationSet; IncrementalViolationIndex adopts the one its initial
 /// detection filled and keeps it current under Apply.
 ///
-/// A slot holds a sorted fact set (a range of one array holding every
-/// slot's facts back to back), its derivation count and an alive flag.
-/// Slots are distinct fact sets: a canonical key map (a hash of the fact
-/// ids) finds a subset's slot, and a key hit counts only when the fact
-/// sets are equal, so two subsets whose keys collide take two slots.
-/// Member postings (fact -> slots holding it) serve the k-ary minimality
-/// filter and RemoveInvolving; they are built on first need, so a store
-/// that only ever admits singletons and pairs (a detection with no k-ary
-/// constraint) never builds them. The facts with a live singleton slot are
-/// the self-inconsistent facts.
+/// A slot holds a sorted fact set, its derivation count and an alive flag;
+/// its facts (members) are a range of one array holding every slot's
+/// members back to back. Every structure is a flat array:
+///
+///  * Slots are distinct fact sets. An open-addressing table (linear
+///    probing, backward-shift deletion, at most half full) holds each live
+///    slot's id beside its canonical key (a hash of the fact ids). A key
+///    hit counts only when the fact sets are equal, so two subsets whose
+///    keys collide take two slots.
+///  * Member chains, always kept: per fact, the members holding it, each
+///    knowing its slot. They serve the k-ary minimality filter and
+///    RemoveInvolving. A killed slot's members stay in other facts' chains,
+///    skipped as dead, until Compact relinks the live members.
+///  * A per-fact flag marks the self-inconsistent facts: those with a live
+///    singleton slot. Per-fact arrays are indexed by FactId, like the
+///    database's own locators.
 class WitnessStore {
  public:
   /// Admits `subset` (sorted, distinct ids: a singleton or a pair) with
@@ -143,12 +147,12 @@ class WitnessStore {
   /// subset.
   void AdmitKAry(std::vector<std::vector<FactId>> supports);
 
-  /// Kills every live slot holding `id`. Slots are only marked dead;
-  /// Compact reclaims them.
+  /// Kills every live slot holding `id`: one walk of its member chain.
+  /// Slots are only marked dead; Compact reclaims them.
   void RemoveInvolving(FactId id);
 
   bool IsSelfInconsistent(FactId id) const {
-    return self_inconsistent_.count(id) > 0;
+    return id < by_fact_.size() && by_fact_[id].self_inconsistent;
   }
   bool empty() const { return num_live_ == 0; }
   size_t num_live() const { return num_live_; }
@@ -158,8 +162,8 @@ class WitnessStore {
   /// Facts held by some live slot.
   size_t NumMembers() const;
 
-  /// Drops the dead slots, keeping the live ones in order. O(live state);
-  /// the postings are rebuilt on their next use.
+  /// Drops the dead slots, keeping the live ones in order, and relinks
+  /// the member chains of the live slots. O(live state + fact ids).
   void Compact();
   /// Compact when the dead fraction of the slots exceeds
   /// `waste_threshold`. Returns whether it ran.
@@ -169,12 +173,27 @@ class WitnessStore {
   ViolationSet Snapshot() const;
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
   struct Slot {
-    size_t begin = 0;  // of its facts in facts_
+    uint32_t begin = 0;  // its first member
     uint32_t size = 0;
     uint32_t derivations = 0;
     bool alive = true;
   };
+  struct Member {
+    uint32_t slot = kNone;
+    uint32_t next = kNone;  // the next member holding the same fact
+  };
+  struct PerFact {
+    uint32_t head = kNone;  // the first member holding the fact
+    bool self_inconsistent = false;
+  };
+  struct Entry {
+    uint64_t key = 0;
+    uint32_t slot = kNone;  // kNone where free
+  };
+
   const FactId* begin(const Slot& slot) const {
     return facts_.data() + slot.begin;
   }
@@ -184,19 +203,22 @@ class WitnessStore {
 
   void AdmitRange(const FactId* first, const FactId* last,
                   uint32_t derivations);
-  void BuildPostings();
   // No live smaller subset is contained in `candidate`, and no member of it
   // is self-inconsistent unless it is that member's singleton.
   bool IsMinimal(const std::vector<FactId>& candidate) const;
+  // Erases slot `s`, whose key is `key`, from table_.
+  void EraseEntry(uint64_t key, uint32_t s);
+  // Sizes table_ to the least power of two (at least 8) holding twice
+  // `live` entries, keeping its entries.
+  void Rehash(size_t live);
 
   std::vector<Slot> slots_;
-  std::vector<FactId> facts_;  // every slot's facts, dead ones included
+  std::vector<FactId> facts_;     // every slot's members, dead ones too
+  std::vector<Member> members_;   // parallel to facts_
+  std::vector<PerFact> by_fact_;  // indexed by FactId
+  std::vector<Entry> table_;      // live slots only
   size_t num_live_ = 0;
   size_t num_minimal_violations_ = 0;
-  std::unordered_multimap<uint64_t, uint32_t> by_key_;  // live slots only
-  bool has_postings_ = false;
-  std::unordered_map<FactId, std::vector<uint32_t>> postings_;
-  std::unordered_set<FactId> self_inconsistent_;
 };
 
 }  // namespace dbim

@@ -3,6 +3,7 @@
 // constraint shapes, and long randomized sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -583,6 +584,224 @@ TEST(WitnessStore, CollidingSubsetKeysStayDistinct) {
   EXPECT_EQ(registered.NumProblematicFacts(), 5u);
 }
 
+// ---- store differential fuzz ----
+//
+// Random Admit (singletons, pairs, repeated derivations), AdmitKAry,
+// RemoveInvolving, Compact and CompactIfWasteful sequences, replayed on a
+// naive model: a vector of (fact set, derivations, alive) slots scanned
+// linearly. After every step the store must match it in Snapshot() (order
+// and multiplicities), the live, slot and violation counts, NumMembers and
+// IsSelfInconsistent for every id. The ids include the colliding triples
+// {899, 947, 948} and {898, 947, 208029}, and a small live set keeps the
+// slot table at a few entries, so its probe runs often wrap around.
+class NaiveStore {
+ public:
+  void Admit(const std::vector<FactId>& set, uint32_t derivations) {
+    violations_ += derivations;
+    for (Slot& slot : slots_) {
+      if (slot.alive && slot.set == set) {
+        slot.derivations += derivations;
+        return;
+      }
+    }
+    slots_.push_back(Slot{set, derivations, true});
+  }
+
+  void AdmitKAry(std::vector<std::vector<FactId>> supports) {
+    std::sort(supports.begin(), supports.end(),
+              [](const auto& a, const auto& b) {
+                if (a.size() != b.size()) return a.size() < b.size();
+                return a < b;
+              });
+    for (size_t i = 0; i < supports.size();) {
+      size_t end = i + 1;
+      while (end < supports.size() && supports[end] == supports[i]) ++end;
+      if (IsMinimal(supports[i])) {
+        Admit(supports[i], static_cast<uint32_t>(end - i));
+      }
+      i = end;
+    }
+  }
+
+  void RemoveInvolving(FactId id) {
+    for (Slot& slot : slots_) {
+      if (slot.alive && Holds(slot.set, id)) {
+        slot.alive = false;
+        violations_ -= slot.derivations;
+      }
+    }
+  }
+
+  void Compact() {
+    std::vector<Slot> live;
+    for (const Slot& slot : slots_) {
+      if (slot.alive) live.push_back(slot);
+    }
+    slots_ = std::move(live);
+  }
+
+  bool CompactIfWasteful(double waste_threshold) {
+    const size_t live = num_live();
+    if (slots_.empty() || live == slots_.size()) return false;
+    if (1.0 - static_cast<double>(live) / slots_.size() <= waste_threshold) {
+      return false;
+    }
+    Compact();
+    return true;
+  }
+
+  bool IsSelfInconsistent(FactId id) const {
+    for (const Slot& slot : slots_) {
+      if (slot.alive && slot.set == std::vector<FactId>{id}) return true;
+    }
+    return false;
+  }
+
+  size_t num_live() const {
+    size_t live = 0;
+    for (const Slot& slot : slots_) live += slot.alive;
+    return live;
+  }
+  size_t num_slots() const { return slots_.size(); }
+  size_t num_minimal_violations() const { return violations_; }
+
+  size_t NumMembers() const {
+    std::set<FactId> members;
+    for (const Slot& slot : slots_) {
+      if (slot.alive) members.insert(slot.set.begin(), slot.set.end());
+    }
+    return members.size();
+  }
+
+  std::vector<std::vector<FactId>> LiveSets() const {
+    std::vector<std::vector<FactId>> out;
+    for (const Slot& slot : slots_) {
+      if (slot.alive) out.push_back(slot.set);
+    }
+    return out;
+  }
+  std::vector<uint32_t> LiveDerivations() const {
+    std::vector<uint32_t> out;
+    for (const Slot& slot : slots_) {
+      if (slot.alive) out.push_back(slot.derivations);
+    }
+    return out;
+  }
+
+ private:
+  struct Slot {
+    std::vector<FactId> set;
+    uint32_t derivations;
+    bool alive;
+  };
+
+  static bool Holds(const std::vector<FactId>& set, FactId id) {
+    return std::find(set.begin(), set.end(), id) != set.end();
+  }
+  bool IsMinimal(const std::vector<FactId>& candidate) const {
+    for (const FactId id : candidate) {
+      if (IsSelfInconsistent(id)) return candidate.size() == 1;
+    }
+    for (const Slot& slot : slots_) {
+      if (slot.alive && slot.set.size() < candidate.size() &&
+          std::includes(candidate.begin(), candidate.end(),
+                        slot.set.begin(), slot.set.end())) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::vector<Slot> slots_;
+  size_t violations_ = 0;
+};
+
+TEST(WitnessStoreFuzz, MatchesNaiveModel) {
+  std::vector<FactId> ids;
+  for (FactId id = 0; id < 14; ++id) ids.push_back(id);
+  const std::vector<FactId> colliding = {898, 899, 947, 948, 208029};
+  ids.insert(ids.end(), colliding.begin(), colliding.end());
+  const std::vector<std::vector<FactId>> triples = {{899, 947, 948},
+                                                    {898, 947, 208029}};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    WitnessStore store;
+    NaiveStore model;
+    // A set of `size` distinct ids, sorted.
+    auto draw = [&](size_t size) {
+      std::vector<FactId> set;
+      while (set.size() < size) {
+        const FactId id = ids[rng.UniformIndex(ids.size())];
+        if (std::find(set.begin(), set.end(), id) == set.end()) {
+          set.push_back(id);
+        }
+      }
+      std::sort(set.begin(), set.end());
+      return set;
+    };
+    for (int step = 0; step < 300; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const size_t kind = rng.UniformIndex(20);
+      if (kind < 9) {
+        const std::vector<FactId> set = draw(rng.Bernoulli(0.1) ? 1 : 2);
+        const uint32_t derivations =
+            static_cast<uint32_t>(rng.UniformInt(1, 3));
+        if (set.size() == 1) {
+          store.Admit({set[0]}, derivations);
+        } else {
+          store.Admit({set[0], set[1]}, derivations);
+        }
+        model.Admit(set, derivations);
+      } else if (kind < 12) {
+        std::vector<std::vector<FactId>> supports;
+        const size_t n = rng.UniformIndex(5);
+        for (size_t i = 0; i < n; ++i) {
+          if (rng.Bernoulli(0.3)) {
+            supports.push_back(triples[rng.UniformIndex(2)]);
+          } else {
+            supports.push_back(draw(static_cast<size_t>(rng.UniformInt(1, 4))));
+          }
+          // A repeated support is one more derivation of its candidate.
+          if (rng.Bernoulli(0.3)) supports.push_back(supports.back());
+        }
+        store.AdmitKAry(supports);
+        model.AdmitKAry(supports);
+      } else if (kind < 18) {
+        const FactId id = ids[rng.UniformIndex(ids.size())];
+        store.RemoveInvolving(id);
+        model.RemoveInvolving(id);
+      } else if (kind < 19) {
+        store.Compact();
+        model.Compact();
+      } else {
+        const double threshold = rng.UniformDouble();
+        ASSERT_EQ(store.CompactIfWasteful(threshold),
+                  model.CompactIfWasteful(threshold))
+            << where;
+      }
+
+      const ViolationSet snapshot = store.Snapshot();
+      ASSERT_EQ(testing::Subsets(snapshot), model.LiveSets()) << where;
+      ASSERT_EQ(snapshot.multiplicities(), model.LiveDerivations()) << where;
+      ASSERT_EQ(snapshot.num_minimal_violations(),
+                model.num_minimal_violations())
+          << where;
+      ASSERT_EQ(store.num_live(), model.num_live()) << where;
+      ASSERT_EQ(store.num_slots(), model.num_slots()) << where;
+      ASSERT_EQ(store.num_minimal_violations(),
+                model.num_minimal_violations())
+          << where;
+      ASSERT_EQ(store.NumMembers(), model.NumMembers()) << where;
+      for (const FactId id : ids) {
+        ASSERT_EQ(store.IsSelfInconsistent(id), model.IsSelfInconsistent(id))
+            << where << " id " << id;
+      }
+      ASSERT_FALSE(store.IsSelfInconsistent(208030)) << where;
+    }
+  }
+}
+
 // ---- differential fuzz of the binary probe shapes ----
 //
 // Every binary shape the partner indexes distinguish — `!=` class splits
@@ -897,6 +1116,46 @@ TEST(SlotCompaction, ChurnStaysBoundedUnderPeriodicCompaction) {
     ExpectAgrees(index, schema, dcs,
                  "post-compaction step " + std::to_string(step));
   }
+}
+
+// With no caller compaction at all, Apply keeps the dead slots from
+// outnumbering the live ones, over binary and k-ary churn alike, and the
+// compacted store keeps agreeing with fresh detection.
+TEST(SlotCompaction, ApplyBoundsSlotsWithoutCallerCompaction) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(ChainDc3());
+  const Database start = MakeRandomDatabase(schema, 0, 30, 3, 79);
+  IncrementalViolationIndex index(schema, dcs, start);
+  Rng rng(80);
+  size_t max_stored = 0;
+  for (int step = 0; step < 400; ++step) {
+    const std::vector<FactId> ids = index.db().ids();
+    const size_t kind = rng.UniformIndex(3);
+    if (!ids.empty() && kind == 0) {
+      index.Apply(
+          RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]));
+    } else if (!ids.empty() && kind == 1) {
+      index.Apply(RepairOperation::Update(
+          ids[rng.UniformIndex(ids.size())],
+          static_cast<AttrIndex>(rng.UniformIndex(3)),
+          Value(static_cast<int64_t>(rng.UniformInt(0, 2)))));
+    } else {
+      index.Apply(RepairOperation::Insertion(Fact(
+          0, {Value(static_cast<int64_t>(rng.UniformInt(0, 2))),
+              Value(static_cast<int64_t>(rng.UniformInt(0, 2))),
+              Value(static_cast<int64_t>(rng.UniformInt(0, 2)))})));
+    }
+    max_stored = std::max(max_stored, index.NumStoredSlots());
+    ASSERT_LE(index.NumStoredSlots(), 2 * index.NumMinimalSubsets() + 1)
+        << "step " << step;
+    if (step % 20 == 0) {
+      ExpectAgrees(index, schema, dcs, "step " + std::to_string(step));
+    }
+  }
+  EXPECT_GT(max_stored, 0u);
+  ExpectAgrees(index, schema, dcs, "after churn");
 }
 
 }  // namespace

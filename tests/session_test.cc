@@ -395,6 +395,35 @@ TEST(SessionBatch, VacuumCompactsIncrementalSlots) {
                          "post-manual-vacuum");
 }
 
+// With auto-vacuum off (the default, and every dbimd session's), Apply
+// itself keeps each handle's dead subset slots from outnumbering the live
+// ones, and reports stay identical to the fresh engine.
+TEST(SessionBatch, SlotsStayBoundedWithoutAutoVacuum) {
+  const auto schema = MakeAbcSchema();
+  const auto dcs = AbcFds(*schema);
+  SessionOptions options;
+  options.registry.include_mc = false;
+  ASSERT_EQ(options.auto_vacuum_threshold, 0.0);
+  MeasureSession session(schema, dcs, options);
+  const MeasureSession fresh(schema, dcs, options);
+
+  const Database start = MakeRandomDatabase(schema, 0, 30, 3, 93);
+  const DbHandle handle = session.Register(start);
+  Database mirror = start;
+  ScriptedWorkload workload(94, WorkloadDomain(3));
+  for (int step = 0; step < 400; ++step) {
+    const RepairOperation op = workload.Next(session.db(handle));
+    session.Apply(handle, op);
+    op.ApplyInPlace(mirror);
+    const size_t live = session.Violations(handle).num_minimal_subsets();
+    ASSERT_LE(session.num_stored_subset_slots(handle), 2 * live + 1)
+        << "step " << step;
+  }
+  EXPECT_EQ(session.num_vacuums(), 0u);
+  ExpectIdenticalReports(fresh.EvaluateOne(mirror), session.Evaluate(handle),
+                         "post-churn");
+}
+
 // Concurrent mutation: independent handles Apply from their own threads —
 // interleaved with EvaluateAll batches, PoolWaste scans and the
 // auto-vacuum hook — and every final report must be bit-identical to
